@@ -1,4 +1,4 @@
-//! One module per experiment in DESIGN.md's index (E1–E10).
+//! One module per experiment in DESIGN.md's index (E1–E14).
 
 pub mod e10_ablations;
 pub mod e11_recovery;

@@ -197,9 +197,21 @@ impl Checkpoint {
         }
     }
 
+    /// The frame and `fnv1a` of it, from the one encoder every caller
+    /// below shares (one buffer, one hash pass).
+    fn frame(&self) -> (Vec<u8>, u64) {
+        snap::encode_frame_digest(self.config_digest(), &serde::Serialize::to_value(self))
+    }
+
     /// Encode as a `pfcsim-checkpoint/1` frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        snap::encode_frame(self.config_digest(), &serde::Serialize::to_value(self))
+        self.frame().0
+    }
+
+    /// `fnv1a(&self.to_bytes())` — the state fingerprint a serve session
+    /// reports as `state_digest` — without a second pass over the frame.
+    pub fn digest(&self) -> u64 {
+        self.frame().1
     }
 
     /// Decode a frame, validating magic, checksum, and the header/payload
@@ -225,18 +237,24 @@ impl Checkpoint {
     /// over `path`. A crash mid-write leaves any previous checkpoint at
     /// `path` intact.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), CheckpointError> {
+        self.save_digest(path).map(drop)
+    }
+
+    /// [`Checkpoint::save`], returning [`Checkpoint::digest`] of the
+    /// frame written (same encode, same hash pass).
+    pub fn save_digest(&self, path: impl AsRef<std::path::Path>) -> Result<u64, CheckpointError> {
         use std::io::Write;
         let path = path.as_ref();
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
-        let bytes = self.to_bytes();
+        let (bytes, digest) = self.frame();
         {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(&bytes)?;
             f.sync_all()?;
         }
         std::fs::rename(&tmp, path)?;
-        Ok(())
+        Ok(digest)
     }
 
     /// Read and validate a checkpoint file.
@@ -268,6 +286,33 @@ mod tests {
         assert_eq!(config_digest(&a), config_digest(&b));
         b.seed = a.seed.wrapping_add(1);
         assert_ne!(config_digest(&a), config_digest(&b));
+    }
+
+    /// A real mid-run image (the golden scenario paused at 1 ms): the
+    /// single-pass frame is byte-identical to the two-buffer layout it
+    /// replaced, and `digest()` is `fnv1a` of exactly those bytes.
+    #[test]
+    fn mid_run_frame_and_digest_match_the_two_buffer_layout() {
+        let mut arenas = crate::sim::SimArenas::new();
+        let mut sim = crate::golden::build_sim(None, &mut arenas);
+        assert!(sim
+            .advance_until(SimTime::from_ms(1), crate::golden::DRAIN_UNTIL)
+            .is_none());
+        let ckpt = sim.checkpoint().expect("checkpointable");
+
+        let mut body = Vec::new();
+        snap::encode_value(&serde::Serialize::to_value(&ckpt), &mut body);
+        let mut reference = snap::MAGIC.to_vec();
+        reference.extend_from_slice(&ckpt.config_digest().to_le_bytes());
+        reference.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        reference.extend_from_slice(&body);
+        let checksum = snap::fnv1a(&reference);
+        reference.extend_from_slice(&checksum.to_le_bytes());
+
+        let bytes = ckpt.to_bytes();
+        assert!(bytes.len() > 10_000, "a real image, not a toy");
+        assert_eq!(bytes, reference);
+        assert_eq!(ckpt.digest(), snap::fnv1a(&bytes));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! 3. **Bounded what-if simulation** ([`Session::what_if`]): checkpoint
 //!    the resident run, resume the checkpoint into a throwaway probe,
 //!    apply the candidate pushes, and advance the probe a bounded window.
-//!    The probe's verdict is exact (packet-level); the resident is
-//!    untouched, and the session *proves* it by comparing checkpoint
-//!    digests before and after.
+//!    The probe's verdict is exact (packet-level) and the resident is
+//!    untouched: the probe owns its checkpoint, and the session reports
+//!    the resident's state digest from before and after it.
 //!
 //! ## The canonical-state invariant
 //!
@@ -53,7 +53,6 @@ use std::collections::BTreeMap;
 use serde_json::Value;
 
 use pfcsim_simcore::error::Error;
-use pfcsim_simcore::snap;
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::BitRate;
 use pfcsim_topo::graph::{NodeKind, Topology};
@@ -449,6 +448,50 @@ struct LinkEntry {
     b: NodeId,
 }
 
+/// The resident simulator and its memoized state digest: one encode and
+/// FNV pass per resident *state*, however many queries read it. `sim_mut`
+/// is the only way to a `&mut NetSim` and forgets the digest; `NetSim` has
+/// no interior mutability, so nothing else can change what it covers.
+/// (`capture` needs `&mut` only because a checkpoint flushes trace sinks.)
+struct Resident {
+    sim: NetSim,
+    digest: Option<u64>,
+    /// Digests computed rather than remembered.
+    computed: u64,
+}
+
+impl Resident {
+    fn sim(&self) -> &NetSim {
+        &self.sim
+    }
+
+    fn sim_mut(&mut self) -> &mut NetSim {
+        self.digest = None;
+        &mut self.sim
+    }
+
+    fn capture(&mut self) -> Result<Checkpoint, Error> {
+        self.sim.checkpoint()
+    }
+
+    fn digest(&mut self) -> Result<u64, Error> {
+        if let Some(d) = self.digest {
+            // Where tests run, every hit is checked the slow way.
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                d,
+                pfcsim_simcore::snap::fnv1a(&self.capture()?.to_bytes()),
+                "resident changed under a memoized state digest"
+            );
+            return Ok(d);
+        }
+        let d = self.capture()?.digest();
+        self.computed += 1;
+        self.digest = Some(d);
+        Ok(d)
+    }
+}
+
 /// A resident deadlock-sentinel session. See the [module docs](self).
 pub struct Session {
     topo: Topology,
@@ -461,7 +504,7 @@ pub struct Session {
     link_log: Vec<LinkEntry>,
     horizon: SimTime,
     version: u64,
-    sim: NetSim,
+    resident: Resident,
     finished: Option<RunReport>,
 }
 
@@ -559,7 +602,11 @@ impl Session {
             link_log: Vec::new(),
             horizon: spec.horizon,
             version: 0,
-            sim,
+            resident: Resident {
+                sim,
+                digest: None,
+                computed: 0,
+            },
             finished,
         })
     }
@@ -586,7 +633,7 @@ impl Session {
 
     /// Resident simulation clock.
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.resident.sim().now()
     }
 
     /// Final sim-time horizon.
@@ -649,7 +696,7 @@ impl Session {
     fn applied(&self) -> Applied {
         Applied {
             version: self.version,
-            now: self.sim.now(),
+            now: self.now(),
             finished: self.finished.is_some(),
         }
     }
@@ -674,7 +721,7 @@ impl Session {
         links: Vec<LinkEntry>,
         routes: Vec<RouteEntry>,
     ) -> Result<(), Error> {
-        let upto = self.sim.now();
+        let upto = self.now();
         let (sim, finished) = build_and_replay(
             &self.topo,
             &self.cfg,
@@ -685,7 +732,7 @@ impl Session {
             self.horizon,
             upto,
         )?;
-        self.sim = sim;
+        *self.resident.sim_mut() = sim;
         self.finished = finished;
         self.flows = flows;
         self.link_log = links;
@@ -701,11 +748,11 @@ impl Session {
         match update {
             Update::RouteUpdate(push) => {
                 self.validate_route(push.node, push.dst, &push.ports)?;
-                let now = self.sim.now();
+                let now = self.now();
                 // In-place: the resident is paused, so the update can be
                 // scheduled at the current instant without a rebuild.
-                self.sim
-                    .schedule_route_update(now, push.node, push.dst, push.ports.clone());
+                let sim = self.resident.sim_mut();
+                sim.schedule_route_update(now, push.node, push.dst, push.ports.clone());
                 self.route_log.push(RouteEntry {
                     at: now,
                     node: push.node,
@@ -725,7 +772,7 @@ impl Session {
                 }
                 let mut links = self.link_log.clone();
                 links.push(LinkEntry {
-                    at: self.sim.now(),
+                    at: self.now(),
                     up,
                     a,
                     b,
@@ -733,7 +780,7 @@ impl Session {
                 self.rebuild(self.flows.clone(), links, self.baked_log())?;
             }
             Update::FlowAdd(mut spec) => {
-                let now = self.sim.now();
+                let now = self.now();
                 if spec.start < now {
                     spec.start = now;
                 }
@@ -751,7 +798,7 @@ impl Session {
                 self.rebuild(flows, self.link_log.clone(), self.baked_log())?;
             }
             Update::FlowRemove(id) => {
-                let now = self.sim.now();
+                let now = self.now();
                 let mut flows = self.flows.clone();
                 let Some(idx) = flows.iter().position(|f| f.id == id) else {
                     return Err(Error::Config(format!("unknown flow id {}", id.0)));
@@ -765,10 +812,10 @@ impl Session {
                 self.rebuild(flows, self.link_log.clone(), self.baked_log())?;
             }
             Update::AdvanceTo(t) => {
-                if t < self.sim.now() {
+                if t < self.now() {
                     return Err(Error::State(format!(
                         "cannot advance backwards: now is {} µs, target {} µs",
-                        self.sim.now().as_us(),
+                        self.now().as_us(),
                         t.as_us()
                     )));
                 }
@@ -779,8 +826,8 @@ impl Session {
                         self.horizon.as_us()
                     )));
                 }
-                if t > self.sim.now() {
-                    self.finished = self.sim.advance_until(t, self.horizon);
+                if t > self.now() {
+                    self.finished = self.resident.sim_mut().advance_until(t, self.horizon);
                 }
             }
         }
@@ -804,10 +851,11 @@ impl Session {
         } else {
             None
         };
+        let sim = self.resident.sim();
         let verdict = if let Some(r) = &self.finished {
             Some(VerdictDoc::from_verdict(&r.verdict))
         } else {
-            self.sim.deadlock_state().map(|(t, w)| VerdictDoc {
+            sim.deadlock_state().map(|(t, w)| VerdictDoc {
                 deadlock: true,
                 detected_at: Some(t),
                 witness: w.to_vec(),
@@ -815,9 +863,9 @@ impl Session {
         };
         Ok(StatusDoc {
             version: self.version,
-            now: self.sim.now(),
+            now: sim.now(),
             flow_count: self.flows.len(),
-            events: self.sim.events,
+            events: sim.events,
             finished: self.finished.is_some(),
             verdict,
             state_digest,
@@ -826,25 +874,32 @@ impl Session {
 
     /// Static CBD analysis of the current declarative tables.
     pub fn cbd(&self) -> CbdDoc {
-        static_cbd(&self.topo, &self.cur_tables, &self.flows, self.sim.now())
+        static_cbd(&self.topo, &self.cur_tables, &self.flows, self.now())
     }
 
     /// FNV-1a digest of the resident checkpoint bytes — the session's
-    /// state fingerprint (used to prove rejected pushes touched nothing).
+    /// state fingerprint (used to prove rejected pushes touched nothing),
+    /// computed once per resident state and remembered until it mutates.
     pub fn state_digest(&mut self) -> Result<u64, Error> {
-        Ok(snap::fnv1a(&self.sim.checkpoint()?.to_bytes()))
+        self.resident.digest()
+    }
+
+    /// State digests computed, not remembered: an exact work counter.
+    pub fn digests_computed(&self) -> u64 {
+        self.resident.computed
     }
 
     /// Capture the resident run as a checkpoint (crash-safe handoff).
     pub fn snapshot(&mut self) -> Result<Checkpoint, Error> {
         self.ensure_live()?;
-        self.sim.checkpoint()
+        self.resident.capture()
     }
 
     /// Bounded what-if: checkpoint the resident, resume the checkpoint
     /// into a throwaway probe, apply `pushes` at the current instant,
     /// and advance the probe `window` past now (capped at the horizon).
-    /// The resident is untouched; `state_digest_before/after` prove it.
+    /// The resident is untouched: the probe owns its checkpoint, and
+    /// `state_digest_before/after` read the resident's memoized digest.
     pub fn what_if(
         &mut self,
         pushes: &[RoutePush],
@@ -854,11 +909,10 @@ impl Session {
         for p in pushes {
             self.validate_route(p.node, p.dst, &p.ports)?;
         }
-        let now = self.sim.now();
+        let now = self.now();
         let bound = (now + window).min(self.horizon);
-        let ckpt = self.sim.checkpoint()?;
-        let state_digest_before = snap::fnv1a(&ckpt.to_bytes());
-        let mut probe = NetSim::resume(ckpt)?;
+        let state_digest_before = self.resident.digest()?;
+        let mut probe = NetSim::resume(self.resident.capture()?)?;
         for p in pushes {
             probe.schedule_route_update(now, p.node, p.dst, p.ports.clone());
         }
@@ -875,7 +929,7 @@ impl Session {
                 (v, e)
             }
         };
-        let state_digest_after = snap::fnv1a(&self.sim.checkpoint()?.to_bytes());
+        let state_digest_after = self.resident.digest()?;
         let mut tables = self.cur_tables.clone();
         for p in pushes {
             tables.set(p.node, p.dst, p.ports.clone());
@@ -907,7 +961,7 @@ impl Session {
         for p in pushes {
             self.validate_route(p.node, p.dst, &p.ports)?;
         }
-        let now = self.sim.now();
+        let now = self.now();
         let bound = (now + window).min(self.horizon);
         let (mut sim, fin) = build_and_replay(
             &self.topo,
@@ -1282,11 +1336,11 @@ impl ServeSession {
                                     "checkpoint needs \"path\" (no default configured)".into(),
                                 )
                             })?;
-                        let ckpt = session.snapshot()?;
-                        ckpt.save(&path)?;
+                        // One encode serves both the file and the digest.
+                        let state_digest = session.snapshot()?.save_digest(&path)?;
                         Ok(obj(vec![
                             ("path", sval(&path)),
-                            ("state_digest", uval(snap::fnv1a(&ckpt.to_bytes()))),
+                            ("state_digest", uval(state_digest)),
                         ]))
                     }
                     other => Err(Error::Protocol(format!("unknown op \"{other}\""))),
@@ -1340,10 +1394,7 @@ impl ServeSession {
 /// digest pair proving it.
 fn handle_route_update(session: &mut Session, req: &Value) -> Result<Value, Error> {
     let push = parse_route_push(session.topo(), req)?;
-    let window = req
-        .get("window_us")
-        .and_then(Value::as_u64)
-        .map_or(DEFAULT_WHAT_IF_WINDOW, SimDuration::from_us);
+    let window = window_ref(req)?;
     match req.get("mode").and_then(Value::as_str).unwrap_or("vet") {
         "commit" => {
             let applied = session.apply(Update::RouteUpdate(push))?;
@@ -1391,10 +1442,7 @@ fn handle_query(session: &mut Session, req: &Value) -> Result<Value, Error> {
                     .collect::<Result<Vec<_>, _>>()?,
                 None => Vec::new(),
             };
-            let window = req
-                .get("window_us")
-                .and_then(Value::as_u64)
-                .map_or(DEFAULT_WHAT_IF_WINDOW, SimDuration::from_us);
+            let window = window_ref(req)?;
             if kind == "what_if" {
                 session.what_if(&updates, window).map(|d| d.to_value())
             } else {
@@ -1503,6 +1551,21 @@ fn ports_ref(topo: &Topology, node: NodeId, req: &Value) -> Result<Vec<PortNo>, 
                 })
         })
         .collect()
+}
+
+/// An optional non-negative integer field: `None` when absent; present
+/// but anything else is a protocol error, never a silent default.
+fn opt_u64(req: &Value, field: &str) -> Result<Option<u64>, Error> {
+    let as_u64 = |v: &Value| {
+        v.as_u64()
+            .ok_or_else(|| Error::Protocol(format!("\"{field}\" must be a non-negative integer")))
+    };
+    req.get(field).map(as_u64).transpose()
+}
+
+/// A request's what-if window: `window_us`, else the default.
+fn window_ref(req: &Value) -> Result<SimDuration, Error> {
+    Ok(opt_u64(req, "window_us")?.map_or(DEFAULT_WHAT_IF_WINDOW, SimDuration::from_us))
 }
 
 fn parse_route_push(topo: &Topology, req: &Value) -> Result<RoutePush, Error> {

@@ -168,15 +168,26 @@ fn malformed_requests_are_isolated() {
         r#"{"op":"query","kind":"horoscope"}"#,
         r#"{"op":"teleport"}"#,
         r#"{"schema":"pfcsim-serve/2","op":"query","kind":"status"}"#,
+        // A present-but-invalid window must not fall back to the default
+        // (the first push is clean, so a fallback would commit it).
+        r#"{"op":"route_update","node":"S0","dst":"h1","ports":["S1"],"window_us":"1500"}"#,
+        r#"{"op":"route_update","node":"S0","dst":"h1","ports":["S1"],"mode":"commit","window_us":-5}"#,
+        r#"{"op":"query","kind":"what_if","window_us":1.5}"#,
+        r#"{"op":"query","kind":"what_if_oracle","window_us":null}"#,
     ] {
         let (resp, ctl) = serve.handle_line(bad);
         assert_eq!(ctl, Control::Continue);
         let resp = parse(&resp.expect("error response"));
         assert_eq!(resp["ok"], false, "{bad:?} must be rejected");
-        assert!(
-            resp["error"]["message"].as_str().is_some(),
-            "{bad:?} carries a message"
-        );
+        let message = resp["error"]["message"].as_str();
+        assert!(message.is_some(), "{bad:?} carries a message");
+        if bad.contains("window_us") {
+            assert_eq!(resp["error"]["kind"], "protocol", "{bad:?}");
+            assert!(
+                message.unwrap().contains("window_us"),
+                "{bad:?}: {message:?}"
+            );
+        }
     }
 
     let (resp, _) = serve.handle_line(r#"{"op":"query","kind":"status"}"#);

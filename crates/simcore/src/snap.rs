@@ -56,9 +56,16 @@ impl std::fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit hash (the workspace's standard content digest).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// Continue the FNV-1a state `h` over `bytes`: hashing a byte string in
+/// pieces gives the hash of their concatenation.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
@@ -79,41 +86,47 @@ const TAG_OBJECT: u8 = 8;
 
 /// Append the deterministic binary encoding of `v` to `out`.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+    encode_with(v, &mut |bytes| out.extend_from_slice(bytes));
+}
+
+/// Hand the encoding of `v` to `put` piece by piece (into a buffer, or
+/// straight into a hash).
+fn encode_with(v: &Value, put: &mut impl FnMut(&[u8])) {
     match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
+        Value::Null => put(&[TAG_NULL]),
+        Value::Bool(false) => put(&[TAG_FALSE]),
+        Value::Bool(true) => put(&[TAG_TRUE]),
         Value::Number(Number::PosInt(n)) => {
-            out.push(TAG_POS_INT);
-            out.extend_from_slice(&n.to_le_bytes());
+            put(&[TAG_POS_INT]);
+            put(&n.to_le_bytes());
         }
         Value::Number(Number::NegInt(n)) => {
-            out.push(TAG_NEG_INT);
-            out.extend_from_slice(&n.to_le_bytes());
+            put(&[TAG_NEG_INT]);
+            put(&n.to_le_bytes());
         }
         Value::Number(Number::Float(x)) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
+            put(&[TAG_FLOAT]);
+            put(&x.to_bits().to_le_bytes());
         }
         Value::String(s) => {
-            out.push(TAG_STRING);
-            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
+            put(&[TAG_STRING]);
+            put(&(s.len() as u64).to_le_bytes());
+            put(s.as_bytes());
         }
         Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            out.extend_from_slice(&(items.len() as u64).to_le_bytes());
+            put(&[TAG_ARRAY]);
+            put(&(items.len() as u64).to_le_bytes());
             for item in items {
-                encode_value(item, out);
+                encode_with(item, put);
             }
         }
         Value::Object(pairs) => {
-            out.push(TAG_OBJECT);
-            out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+            put(&[TAG_OBJECT]);
+            put(&(pairs.len() as u64).to_le_bytes());
             for (k, item) in pairs {
-                out.extend_from_slice(&(k.len() as u64).to_le_bytes());
-                out.extend_from_slice(k.as_bytes());
-                encode_value(item, out);
+                put(&(k.len() as u64).to_le_bytes());
+                put(k.as_bytes());
+                encode_with(item, put);
             }
         }
     }
@@ -122,9 +135,9 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
 /// FNV-1a digest of `v`'s binary encoding — the workspace's canonical
 /// structural digest (used to fingerprint a run's configuration).
 pub fn value_digest(v: &Value) -> u64 {
-    let mut bytes = Vec::new();
-    encode_value(v, &mut bytes);
-    fnv1a(&bytes)
+    let mut h = FNV_OFFSET;
+    encode_with(v, &mut |bytes| h = fnv1a_from(h, bytes));
+    h
 }
 
 fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], SnapError> {
@@ -197,16 +210,25 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, SnapError> {
 /// length-prefixed payload encoding, and a trailing FNV-1a checksum over
 /// everything before it.
 pub fn encode_frame(config_digest: u64, payload: &Value) -> Vec<u8> {
-    let mut body = Vec::new();
-    encode_value(payload, &mut body);
-    let mut out = Vec::with_capacity(MAGIC.len() + 24 + body.len());
+    encode_frame_digest(config_digest, payload).0
+}
+
+/// [`encode_frame`] plus [`fnv1a`] of the frame it returns, in one pass:
+/// the checksum is the hash of everything before it, so continuing that
+/// hash over the 8 checksum bytes is the hash of the whole frame.
+pub fn encode_frame_digest(config_digest: u64, payload: &Value) -> (Vec<u8>, u64) {
+    let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&config_digest.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
+    // The payload is encoded in place; its length is patched in after.
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    encode_value(payload, &mut out);
+    let payload_len = (out.len() - len_at - 8) as u64;
+    out[len_at..len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
     let checksum = fnv1a(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    (out, fnv1a_from(checksum, &checksum.to_le_bytes()))
 }
 
 /// Decode and fully validate a checkpoint frame, returning the stored
@@ -278,6 +300,93 @@ mod tests {
                 ]),
             ),
         ])
+    }
+
+    /// The pre-single-pass encoder, kept verbatim as the byte reference:
+    /// body in its own buffer, copied into the frame, hashed separately.
+    fn reference_encode_value(v: &Value, out: &mut Vec<u8>) {
+        match v {
+            Value::Null => out.push(TAG_NULL),
+            Value::Bool(false) => out.push(TAG_FALSE),
+            Value::Bool(true) => out.push(TAG_TRUE),
+            Value::Number(Number::PosInt(n)) => {
+                out.push(TAG_POS_INT);
+                out.extend_from_slice(&n.to_le_bytes());
+            }
+            Value::Number(Number::NegInt(n)) => {
+                out.push(TAG_NEG_INT);
+                out.extend_from_slice(&n.to_le_bytes());
+            }
+            Value::Number(Number::Float(x)) => {
+                out.push(TAG_FLOAT);
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+            Value::String(s) => {
+                out.push(TAG_STRING);
+                out.extend_from_slice(&(s.len() as u64).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+            Value::Array(items) => {
+                out.push(TAG_ARRAY);
+                out.extend_from_slice(&(items.len() as u64).to_le_bytes());
+                for item in items {
+                    reference_encode_value(item, out);
+                }
+            }
+            Value::Object(pairs) => {
+                out.push(TAG_OBJECT);
+                out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+                for (k, item) in pairs {
+                    out.extend_from_slice(&(k.len() as u64).to_le_bytes());
+                    out.extend_from_slice(k.as_bytes());
+                    reference_encode_value(item, out);
+                }
+            }
+        }
+    }
+
+    fn reference_fnv1a(bytes: &[u8]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        h
+    }
+
+    fn reference_encode_frame(config_digest: u64, payload: &Value) -> Vec<u8> {
+        let mut body = Vec::new();
+        reference_encode_value(payload, &mut body);
+        let mut out = Vec::with_capacity(MAGIC.len() + 24 + body.len());
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&config_digest.to_le_bytes());
+        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        out.extend_from_slice(&body);
+        let checksum = reference_fnv1a(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn single_pass_frame_matches_the_two_buffer_reference() {
+        // Nesting, an empty payload, and a payload long enough that the
+        // patched length is not a one-byte value.
+        let long = Value::Array(
+            (0..1000)
+                .map(|i| Value::Number(Number::PosInt(i)))
+                .collect(),
+        );
+        for v in [sample(), Value::Null, long] {
+            let reference = reference_encode_frame(0xDEAD_BEEF, &v);
+            let (frame, digest) = encode_frame_digest(0xDEAD_BEEF, &v);
+            assert_eq!(frame, reference, "frame bytes moved");
+            assert_eq!(encode_frame(0xDEAD_BEEF, &v), reference);
+            assert_eq!(digest, reference_fnv1a(&reference));
+            assert_eq!(digest, fnv1a(&frame));
+            let mut body = Vec::new();
+            reference_encode_value(&v, &mut body);
+            assert_eq!(value_digest(&v), reference_fnv1a(&body));
+        }
     }
 
     #[test]
