@@ -14,10 +14,7 @@
 
 use std::io::Write;
 
-use pfcsim_experiments::experiments::{
-    self, e10_ablations, e11_recovery, e12_fluid, e13_flooding, e14_faults, e1_fig1, e2_fig2,
-    e3_fig3, e4_fig4, e5_fig5, e6_ttl, e7_tiering, e8_dcqcn, e9_baselines, Opts,
-};
+use pfcsim_experiments::experiments::{self, Opts};
 use pfcsim_experiments::Report;
 use pfcsim_topo::builders::{
     fat_tree, jellyfish, leaf_spine, mesh2d, ring, torus2d, Built, LinkSpec,
@@ -1045,23 +1042,31 @@ fn main() {
         dump_dir: csv_dir,
     };
 
-    let reports: Vec<Report> = match cmd {
-        "all" => experiments::run_all(&opts),
-        "fig1" => vec![e1_fig1::run(&opts)],
-        "fig2" | "eq3" | "table1" => vec![e2_fig2::run(&opts)],
-        "fig3" => vec![e3_fig3::run(&opts)],
-        "fig4" => vec![e4_fig4::run(&opts)],
-        "fig5" => vec![e5_fig5::run(&opts)],
-        "ttl" | "ttl-classes" => vec![e6_ttl::run(&opts)],
-        "tiering" => vec![e7_tiering::run(&opts)],
-        "dcqcn" => vec![e8_dcqcn::run(&opts)],
-        "baselines" => vec![e9_baselines::run(&opts)],
-        "ablations" => vec![e10_ablations::run(&opts)],
-        "recovery" => vec![e11_recovery::run(&opts)],
-        "fluid" => vec![e12_fluid::run(&opts)],
-        "flooding" | "guo" => vec![e13_flooding::run(&opts)],
-        "faults" => vec![e14_faults::run(&opts)],
-        _ => usage(),
+    let reports: Vec<Report> = if cmd == "all" {
+        // Where the wall-clock went, one line per experiment, on stderr so
+        // stdout and the reports stay byte-identical.
+        let started = std::time::Instant::now();
+        let reports = (experiments::ALL.iter().enumerate())
+            .map(|(i, (_, run))| {
+                let t = std::time::Instant::now();
+                let report = run(&opts);
+                eprintln!("e{:02} {:.3}", i + 1, t.elapsed().as_secs_f64());
+                report
+            })
+            .collect();
+        eprintln!("total {:.3}", started.elapsed().as_secs_f64());
+        reports
+    } else {
+        let name = match cmd {
+            "eq3" | "table1" => "fig2",
+            "ttl-classes" => "ttl",
+            "guo" => "flooding",
+            other => other,
+        };
+        match experiments::ALL.iter().find(|(n, _)| *n == name) {
+            Some((_, run)) => vec![run(&opts)],
+            None => usage(),
+        }
     };
 
     for r in &reports {

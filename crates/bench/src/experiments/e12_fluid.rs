@@ -9,7 +9,8 @@
 
 use pfcsim_core::fluid::{FluidConfig, FluidFlow, FluidNetwork};
 use pfcsim_simcore::time::SimTime;
-use pfcsim_topo::builders::{square, LinkSpec};
+use pfcsim_simcore::units::BitRate;
+use pfcsim_topo::builders::{square, Built, LinkSpec};
 use pfcsim_topo::ids::FlowId;
 
 use pfcsim_net::sim::SimArenas;
@@ -27,28 +28,28 @@ struct SideBySide {
     packet_deadlock: bool,
 }
 
-fn compare(opts: &Opts, with_flow3: bool, arenas: &mut SimArenas) -> SideBySide {
-    let b = square(LinkSpec::default());
+/// The square's fluid flows: flows 1 and 2 infinite, flow 3 (when
+/// present) infinite or capped at `cap`.
+fn square_fluid_flows(b: &Built, with_flow3: bool, cap: Option<BitRate>) -> Vec<FluidFlow> {
     let (s, h) = (&b.switches, &b.hosts);
+    let flow = |id, demand, path| FluidFlow {
+        id: FlowId(id),
+        demand,
+        path,
+    };
     let mut flows = vec![
-        FluidFlow {
-            id: FlowId(1),
-            demand: None,
-            path: vec![h[0], s[0], s[1], s[2], s[3], h[3]],
-        },
-        FluidFlow {
-            id: FlowId(2),
-            demand: None,
-            path: vec![h[2], s[2], s[3], s[0], s[1], h[1]],
-        },
+        flow(1, None, vec![h[0], s[0], s[1], s[2], s[3], h[3]]),
+        flow(2, None, vec![h[2], s[2], s[3], s[0], s[1], h[1]]),
     ];
     if with_flow3 {
-        flows.push(FluidFlow {
-            id: FlowId(3),
-            demand: None,
-            path: vec![h[1], s[1], s[2], h[2]],
-        });
+        flows.push(flow(3, cap, vec![h[1], s[1], s[2], h[2]]));
     }
+    flows
+}
+
+fn compare(opts: &Opts, with_flow3: bool, arenas: &mut SimArenas) -> SideBySide {
+    let b = square(LinkSpec::default());
+    let flows = square_fluid_flows(&b, with_flow3, None);
     let n = flows.len();
     let steps = if opts.quick { 10_000 } else { 50_000 };
     let fluid = FluidNetwork::new(&b.topo, flows, FluidConfig::default()).run(steps);
@@ -132,31 +133,18 @@ pub fn run(opts: &Opts) -> Report {
     } else {
         &[(1, "no"), (2, "no"), (4, "no"), (6, "yes"), (8, "yes")]
     };
-    for &(g, packet_verdict) in rates {
+    let steps = if opts.quick { 10_000 } else { 30_000 };
+    let fluid_deadlocks = crate::sweep::parallel_map(rates, |&(g, _)| {
         let b = square(LinkSpec::default());
-        let (s, h) = (&b.switches, &b.hosts);
-        let flows = vec![
-            FluidFlow {
-                id: FlowId(1),
-                demand: None,
-                path: vec![h[0], s[0], s[1], s[2], s[3], h[3]],
-            },
-            FluidFlow {
-                id: FlowId(2),
-                demand: None,
-                path: vec![h[2], s[2], s[3], s[0], s[1], h[1]],
-            },
-            FluidFlow {
-                id: FlowId(3),
-                demand: Some(pfcsim_simcore::units::BitRate::from_gbps(g)),
-                path: vec![h[1], s[1], s[2], h[2]],
-            },
-        ];
-        let steps = if opts.quick { 10_000 } else { 30_000 };
-        let fl = FluidNetwork::new(&b.topo, flows, FluidConfig::default()).run(steps);
+        let flows = square_fluid_flows(&b, true, Some(BitRate::from_gbps(g)));
+        FluidNetwork::new(&b.topo, flows, FluidConfig::default())
+            .run(steps)
+            .deadlock
+    });
+    for (&(g, packet_verdict), fluid_deadlock) in rates.iter().zip(fluid_deadlocks) {
         t.row(vec![
             g.to_string(),
-            fmt::yn(fl.deadlock),
+            fmt::yn(fluid_deadlock),
             packet_verdict.into(),
         ]);
     }

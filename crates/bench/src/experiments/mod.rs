@@ -17,6 +17,8 @@ pub mod e9_baselines;
 
 use pfcsim_simcore::time::SimTime;
 
+use crate::table::Report;
+
 /// Global experiment options.
 #[derive(Debug, Clone, Default)]
 pub struct Opts {
@@ -38,22 +40,26 @@ impl Opts {
     }
 }
 
+/// Every experiment in index order (E1 first), as (`repro` subcommand,
+/// entry point).
+pub const ALL: [(&str, fn(&Opts) -> Report); 14] = [
+    ("fig1", e1_fig1::run),
+    ("fig2", e2_fig2::run),
+    ("fig3", e3_fig3::run),
+    ("fig4", e4_fig4::run),
+    ("fig5", e5_fig5::run),
+    ("ttl", e6_ttl::run),
+    ("tiering", e7_tiering::run),
+    ("dcqcn", e8_dcqcn::run),
+    ("baselines", e9_baselines::run),
+    ("ablations", e10_ablations::run),
+    ("recovery", e11_recovery::run),
+    ("fluid", e12_fluid::run),
+    ("flooding", e13_flooding::run),
+    ("faults", e14_faults::run),
+];
+
 /// Run every experiment, returning the reports in index order.
-pub fn run_all(opts: &Opts) -> Vec<crate::table::Report> {
-    vec![
-        e1_fig1::run(opts),
-        e2_fig2::run(opts),
-        e3_fig3::run(opts),
-        e4_fig4::run(opts),
-        e5_fig5::run(opts),
-        e6_ttl::run(opts),
-        e7_tiering::run(opts),
-        e8_dcqcn::run(opts),
-        e9_baselines::run(opts),
-        e10_ablations::run(opts),
-        e11_recovery::run(opts),
-        e12_fluid::run(opts),
-        e13_flooding::run(opts),
-        e14_faults::run(opts),
-    ]
+pub fn run_all(opts: &Opts) -> Vec<Report> {
+    ALL.iter().map(|(_, run)| run(opts)).collect()
 }

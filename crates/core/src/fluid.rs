@@ -78,15 +78,37 @@ pub struct FluidReport {
     pub final_buffered: f64,
 }
 
-/// The fluid simulator.
+/// The fluid simulator: the flow set compiled once into a dense plan that
+/// [`FluidNetwork::run`] steps over flat arrays.
 pub struct FluidNetwork {
     topo: Topology,
     flows: Vec<FluidFlow>,
     cfg: FluidConfig,
-    /// Per flow, the queue sequence: (switch, ingress port) pairs.
-    queues_of: Vec<Vec<(NodeId, PortNo)>>,
-    /// Per flow, the channel sequence (host uplink, fabric hops, downlink).
-    chans_of: Vec<Vec<Chan>>,
+    /// Channels the flows use, in `Chan` order; a channel's id is its
+    /// index here.
+    chans: Vec<Chan>,
+    /// Per channel id, capacity in bytes/s.
+    cap: Vec<f64>,
+    /// Flow `f`'s `(flow, hop)` slots are `first[f]..first[f + 1]`. Slot
+    /// `first[f] + k` also holds the level of the flow's `k`-th queue, the
+    /// one hop `k` feeds.
+    first: Vec<usize>,
+    /// Per channel id, its ingress groups in key order (the host side,
+    /// then the sender's ingress ports ascending), members in slot order.
+    groups: Vec<Vec<Vec<usize>>>,
+    /// Every flow's queues in `(flow, k)` order as (level slot, queue id);
+    /// queue ids number the distinct `(switch, ingress port)` pairs in
+    /// order.
+    queue_slots: Vec<(usize, usize)>,
+    /// Per queue id, the upstream channel its PFC pauses.
+    queue_chan: Vec<usize>,
+}
+
+/// Reusable index buffers of [`waterfill_into`].
+#[derive(Default)]
+struct WaterfillScratch {
+    active: Vec<usize>,
+    satisfied: Vec<usize>,
 }
 
 impl FluidNetwork {
@@ -94,8 +116,9 @@ impl FluidNetwork {
     pub fn new(topo: &Topology, flows: Vec<FluidFlow>, cfg: FluidConfig) -> Self {
         assert!(cfg.dt_ns > 0, "dt must be positive");
         assert!(cfg.xon <= cfg.xoff, "xon must not exceed xoff");
-        let mut queues_of = Vec::with_capacity(flows.len());
-        let mut chans_of = Vec::with_capacity(flows.len());
+        let mut first = vec![0];
+        let mut by_chan: BTreeMap<Chan, BTreeMap<i64, Vec<usize>>> = BTreeMap::new();
+        let mut queue_keys: Vec<(usize, (NodeId, PortNo))> = Vec::new();
         for f in &flows {
             assert!(f.path.len() >= 2, "flow path too short");
             assert_eq!(
@@ -103,57 +126,110 @@ impl FluidNetwork {
                 NodeKind::Host,
                 "flow must start at a host"
             );
-            let mut queues = Vec::new();
-            let mut chans = Vec::new();
-            for w in f.path.windows(2) {
+            let base = *first.last().expect("starts at 0");
+            // Per-hop per-ingress fairness: a hop contends in the group of
+            // the ingress port its bytes queue at (-1 on the source side).
+            let mut key = -1;
+            for (hop, w) in f.path.windows(2).enumerate() {
                 let port = topo
                     .port_towards(w[1], w[0])
                     .unwrap_or_else(|| panic!("{} and {} not adjacent", w[0], w[1]));
-                chans.push(Chan {
+                let c = Chan {
                     from: w[0],
                     to: w[1],
-                });
+                };
+                by_chan
+                    .entry(c)
+                    .or_default()
+                    .entry(key)
+                    .or_default()
+                    .push(base + hop);
                 if topo.node(w[1]).kind == NodeKind::Switch {
-                    queues.push((w[1], port.port));
+                    queue_keys.push((base + hop, (w[1], port.port)));
+                    key = port.port.0 as i64;
+                } else {
+                    assert_eq!(hop + 2, f.path.len(), "only a path's ends may be hosts");
                 }
             }
-            queues_of.push(queues);
-            chans_of.push(chans);
+            first.push(base + f.path.len() - 1);
         }
+        let chans: Vec<Chan> = by_chan.keys().copied().collect();
+        let chan_id = |c: &Chan| chans.binary_search(c).expect("a flow's channel");
+        let cap = chans
+            .iter()
+            .map(|c| {
+                let link = topo.port_towards(c.from, c.to).expect("validated").link;
+                topo.link(link).rate.bps() as f64 / 8.0
+            })
+            .collect();
+        let queues: BTreeSet<(NodeId, PortNo)> = queue_keys.iter().map(|&(_, q)| q).collect();
+        let queues: Vec<(NodeId, PortNo)> = queues.into_iter().collect();
+        let queue_chan = queues
+            .iter()
+            .map(|&(node, port)| {
+                chan_id(&Chan {
+                    from: topo.ports(node)[port.0 as usize].peer,
+                    to: node,
+                })
+            })
+            .collect();
+        let queue_slots = queue_keys
+            .iter()
+            .map(|&(slot, q)| (slot, queues.binary_search(&q).expect("collected above")))
+            .collect();
         FluidNetwork {
             topo: topo.clone(),
-            flows,
             cfg,
-            queues_of,
-            chans_of,
+            cap,
+            first,
+            groups: by_chan
+                .into_values()
+                .map(|by_key| by_key.into_values().collect())
+                .collect(),
+            queue_slots,
+            queue_chan,
+            chans,
+            flows,
         }
     }
 
-    /// Integrate `steps` steps and report.
+    /// Integrate `steps` steps and report. Zero steps report zero
+    /// throughput, no pauses and nothing buffered.
     pub fn run(&self, steps: usize) -> FluidReport {
+        if steps == 0 {
+            return FluidReport {
+                throughput: self.flows.iter().map(|f| (f.id, 0.0)).collect(),
+                pause_fraction: BTreeMap::new(),
+                host_pause_fraction: BTreeMap::new(),
+                deadlock: false,
+                final_buffered: 0.0,
+            };
+        }
         let dt = self.cfg.dt_ns as f64 * 1e-9;
-        let nf = self.flows.len();
-        // levels[f][k]: bytes of flow f in its k-th queue.
-        let mut levels: Vec<Vec<f64>> = self
-            .queues_of
-            .iter()
-            .map(|qs| vec![0.0; qs.len()])
-            .collect();
+        let (xoff, xon) = (self.cfg.xoff.get() as f64, self.cfg.xon.get() as f64);
+        let (nf, ns) = (self.flows.len(), self.first[self.flows.len()]);
+        // levels[first[f] + k]: bytes of flow f in its k-th queue.
+        let mut levels = vec![0.0f64; ns];
+        let mut out_rate = vec![0.0f64; ns];
+        let mut avail = vec![0.0f64; ns];
         // Host backlog for CBR flows (bytes); infinite flows don't need it.
         let mut host_backlog = vec![0.0f64; nf];
-        let mut paused: BTreeSet<Chan> = BTreeSet::new();
-        let mut paused_steps: BTreeMap<Chan, u64> = BTreeMap::new();
         let mut delivered = vec![0.0f64; nf];
-
-        // Map each (flow, hop) to the channel it exits through, and build
-        // channel capacity lookup.
-        let cap = |c: Chan| -> f64 {
-            let link = self
-                .topo
-                .port_towards(c.from, c.to)
-                .expect("validated")
-                .link;
-            self.topo.link(link).rate.bps() as f64
+        let mut paused = vec![false; self.chans.len()];
+        let mut paused_steps = vec![0u64; self.chans.len()];
+        let mut totals = vec![0.0f64; self.queue_chan.len()];
+        // Scratch for one channel's allocation, sized so no step allocates:
+        // the sending members' demands and slots, each sending group's
+        // summed demand and end in `member_demand`, and the two waterfills.
+        let mut member_demand = Vec::with_capacity(ns);
+        let mut member_slot = Vec::with_capacity(ns);
+        let mut group_demand = Vec::with_capacity(ns);
+        let mut group_end = Vec::with_capacity(ns);
+        let mut shares = Vec::with_capacity(ns);
+        let mut inner = Vec::with_capacity(ns);
+        let mut scratch = WaterfillScratch {
+            active: Vec::with_capacity(ns),
+            satisfied: Vec::with_capacity(ns),
         };
 
         for _ in 0..steps {
@@ -167,128 +243,105 @@ impl FluidNetwork {
             // 2. Compute per-channel rate allocations (bytes/s).
             //    Demand of flow f on channel c = what it could send this
             //    step: backlog-limited or upstream-limited. We relax a few
-            //    sweeps so pass-through rates propagate along paths.
-            let mut out_rate: Vec<Vec<f64>> =
-                self.chans_of.iter().map(|cs| vec![0.0; cs.len()]).collect();
+            //    sweeps so pass-through rates propagate along paths. A slot
+            //    a sweep does not allocate keeps its rate: a paused channel's
+            //    stay at this 0 (paused channels send nothing), a hop that
+            //    ran dry keeps the previous sweep's.
+            out_rate.fill(0.0);
             for _sweep in 0..4 {
-                // Gather demands per channel, grouped by ingress port at
-                // the sending switch (per-hop per-ingress fairness).
-                let mut groups: BTreeMap<Chan, BTreeMap<i64, Vec<(usize, usize, f64)>>> =
-                    BTreeMap::new();
-                for (fi, chans) in self.chans_of.iter().enumerate() {
-                    for (hop, &c) in chans.iter().enumerate() {
-                        if paused.contains(&c) {
-                            continue;
-                        }
-                        // Available bytes this step at this hop.
-                        let avail = if hop == 0 {
-                            match self.flows[fi].demand {
-                                None => f64::INFINITY,
-                                Some(_) => host_backlog[fi] / dt,
+                // Available bytes this step at every hop, all from the
+                // previous sweep's rates; a hop with none sends nothing.
+                for fi in 0..nf {
+                    for s in self.first[fi]..self.first[fi + 1] {
+                        avail[s] = if s > self.first[fi] {
+                            // Upstream queue level plus what flows in.
+                            levels[s - 1] / dt + out_rate[s - 1]
+                        } else if self.flows[fi].demand.is_some() {
+                            host_backlog[fi] / dt
+                        } else {
+                            f64::INFINITY
+                        };
+                    }
+                }
+                // Max-min between a channel's ingress groups, then between
+                // the flows in a group.
+                for (c, groups) in self.groups.iter().enumerate() {
+                    if paused[c] {
+                        continue;
+                    }
+                    member_demand.clear();
+                    member_slot.clear();
+                    group_demand.clear();
+                    group_end.clear();
+                    for group in groups {
+                        let start = member_demand.len();
+                        for &s in group {
+                            if avail[s] <= 0.0 {
+                                continue;
                             }
-                        } else {
-                            // Queue hop-1 level plus what flows in this step.
-                            levels[fi][hop - 1] / dt + out_rate[fi][hop - 1]
-                        };
-                        if avail <= 0.0 {
-                            continue;
+                            member_demand.push(avail[s]);
+                            member_slot.push(s);
                         }
-                        // Group key: ingress port at the sender (or -1 for
-                        // the host/source side).
-                        let key = if hop == 0 {
-                            -1
-                        } else {
-                            let (_, port) = self.queues_of[fi][hop - 1];
-                            port.0 as i64
-                        };
-                        groups
-                            .entry(c)
-                            .or_default()
-                            .entry(key)
-                            .or_default()
-                            .push((fi, hop, avail));
-                    }
-                }
-                // Max-min between groups, then between flows in a group.
-                for (c, by_group) in &groups {
-                    let capacity = cap(*c) / 8.0; // bytes/s
-                    let shares = waterfill(
-                        by_group
-                            .values()
-                            .map(|v| v.iter().map(|&(_, _, a)| a).sum::<f64>())
-                            .collect(),
-                        capacity,
-                    );
-                    for (gi, members) in by_group.values().enumerate() {
-                        let inner =
-                            waterfill(members.iter().map(|&(_, _, a)| a).collect(), shares[gi]);
-                        for (mi, &(fi, hop, _)) in members.iter().enumerate() {
-                            out_rate[fi][hop] = inner[mi];
+                        if member_demand.len() > start {
+                            group_demand.push(member_demand[start..].iter().sum::<f64>());
+                            group_end.push(member_demand.len());
                         }
                     }
-                }
-                // Paused channels send nothing.
-                for (fi, chans) in self.chans_of.iter().enumerate() {
-                    for (hop, &c) in chans.iter().enumerate() {
-                        if paused.contains(&c) {
-                            out_rate[fi][hop] = 0.0;
+                    waterfill_into(&group_demand, self.cap[c], &mut shares, &mut scratch);
+                    let mut start = 0;
+                    for (&end, &share) in group_end.iter().zip(&shares) {
+                        waterfill_into(&member_demand[start..end], share, &mut inner, &mut scratch);
+                        for (&s, &rate) in member_slot[start..end].iter().zip(&inner) {
+                            out_rate[s] = rate;
                         }
+                        start = end;
                     }
                 }
             }
 
             // 3. Integrate levels.
-            for (fi, chans) in self.chans_of.iter().enumerate() {
-                for (hop, _) in chans.iter().enumerate() {
-                    let sent = out_rate[fi][hop] * dt;
-                    if hop == 0 {
-                        if self.flows[fi].demand.is_some() {
-                            host_backlog[fi] = (host_backlog[fi] - sent).max(0.0);
-                        }
-                    } else {
-                        levels[fi][hop - 1] = (levels[fi][hop - 1] - sent).max(0.0);
+            for fi in 0..nf {
+                let (lo, hi) = (self.first[fi], self.first[fi + 1]);
+                for s in lo..hi {
+                    let sent = out_rate[s] * dt;
+                    if s > lo {
+                        levels[s - 1] = (levels[s - 1] - sent).max(0.0);
+                    } else if self.flows[fi].demand.is_some() {
+                        host_backlog[fi] = (host_backlog[fi] - sent).max(0.0);
                     }
-                    if hop == chans.len() - 1 {
+                    if s == hi - 1 {
                         delivered[fi] += sent;
                     } else {
-                        levels[fi][hop] += sent;
+                        levels[s] += sent;
                     }
                 }
             }
 
             // 4. Pause/resume on queue totals.
-            let mut totals: BTreeMap<(NodeId, PortNo), f64> = BTreeMap::new();
-            for (fi, qs) in self.queues_of.iter().enumerate() {
-                for (k, &(node, port)) in qs.iter().enumerate() {
-                    *totals.entry((node, port)).or_insert(0.0) += levels[fi][k];
+            totals.fill(0.0);
+            for &(s, q) in &self.queue_slots {
+                totals[q] += levels[s];
+            }
+            for (&level, &c) in totals.iter().zip(&self.queue_chan) {
+                if level >= xoff {
+                    paused[c] = true;
+                } else if level < xon {
+                    paused[c] = false;
                 }
             }
-            for (&(node, port), &level) in &totals {
-                let upstream = self.topo.ports(node)[port.0 as usize].peer;
-                let c = Chan {
-                    from: upstream,
-                    to: node,
-                };
-                if level >= self.cfg.xoff.get() as f64 {
-                    paused.insert(c);
-                } else if level < self.cfg.xon.get() as f64 {
-                    paused.remove(&c);
-                }
-            }
-            for &c in &paused {
-                *paused_steps.entry(c).or_insert(0) += 1;
+            for (n, &p) in paused_steps.iter_mut().zip(&paused) {
+                *n += p as u64;
             }
         }
 
         // Final deadlock check: a cycle among paused fabric channels whose
         // downstream levels all sit at/above XON.
-        let fabric_paused: Vec<Chan> = paused
-            .iter()
-            .copied()
-            .filter(|c| {
-                self.topo.node(c.from).kind == NodeKind::Switch
-                    && self.topo.node(c.to).kind == NodeKind::Switch
+        let kind = |n: NodeId| self.topo.node(n).kind;
+        let fabric_paused: Vec<Chan> = (self.chans.iter().zip(&paused))
+            .filter(|&(c, &p)| {
+                p && kind(c.from) == NodeKind::Switch && kind(c.to) == NodeKind::Switch
             })
+            .map(|(&c, _)| c)
             .collect();
         let deadlock = has_channel_cycle(&fabric_paused);
 
@@ -299,15 +352,18 @@ impl FluidNetwork {
         }
         let mut pause_fraction = BTreeMap::new();
         let mut host_pause_fraction = BTreeMap::new();
-        for (c, n) in paused_steps {
+        for (c, &n) in self.chans.iter().zip(&paused_steps) {
+            if n == 0 {
+                continue; // never paused
+            }
             let frac = n as f64 / steps as f64;
-            if self.topo.node(c.from).kind == NodeKind::Host {
+            if kind(c.from) == NodeKind::Host {
                 host_pause_fraction.insert(c.from, frac);
-            } else if self.topo.node(c.to).kind == NodeKind::Switch {
+            } else if kind(c.to) == NodeKind::Switch {
                 pause_fraction.insert((c.from, c.to), frac);
             }
         }
-        let final_buffered: f64 = levels.iter().flatten().sum();
+        let final_buffered: f64 = self.queue_slots.iter().map(|&(s, _)| levels[s]).sum();
         FluidReport {
             throughput,
             pause_fraction,
@@ -325,39 +381,43 @@ impl FluidNetwork {
 // against.
 pub use pfcsim_net::hybrid::{ChannelKey, RateSolver};
 
-/// Max–min (water-filling) allocation of `capacity` to `demands`.
-fn waterfill(demands: Vec<f64>, capacity: f64) -> Vec<f64> {
-    let n = demands.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut alloc = vec![0.0; n];
+/// Max–min (water-filling) allocation of `capacity` to `demands`, written
+/// to `alloc`.
+fn waterfill_into(
+    demands: &[f64],
+    capacity: f64,
+    alloc: &mut Vec<f64>,
+    scratch: &mut WaterfillScratch,
+) {
+    let WaterfillScratch { active, satisfied } = scratch;
+    alloc.clear();
+    alloc.resize(demands.len(), 0.0);
     let mut remaining = capacity;
-    let mut active: Vec<usize> = (0..n).collect();
+    active.clear();
+    active.extend(0..demands.len());
     loop {
         if active.is_empty() || remaining <= 1e-9 {
             break;
         }
         let share = remaining / active.len() as f64;
-        let mut satisfied = Vec::new();
-        for &i in &active {
+        satisfied.clear();
+        for &i in active.iter() {
             if demands[i] - alloc[i] <= share {
                 satisfied.push(i);
             }
         }
         if satisfied.is_empty() {
-            for &i in &active {
+            for &i in active.iter() {
                 alloc[i] += share;
             }
             break;
         }
-        for &i in &satisfied {
+        for &i in satisfied.iter() {
             remaining -= demands[i] - alloc[i];
             alloc[i] = demands[i];
         }
         active.retain(|i| !satisfied.contains(i));
     }
-    alloc
 }
 
 /// Does the directed channel set contain a cycle?
@@ -372,13 +432,312 @@ fn has_channel_cycle(chans: &[Chan]) -> bool {
     has_cycle(&adj)
 }
 
+/// The map-based integrator the dense plan replaced, kept verbatim as its
+/// executable spec: `dense_run_matches_reference_bit_for_bit` holds
+/// [`FluidNetwork::run`] to it on every `FluidReport` bit.
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use pfcsim_topo::graph::{NodeKind, Topology};
+    use pfcsim_topo::ids::{NodeId, PortNo};
+
+    use super::{has_channel_cycle, Chan, FluidConfig, FluidFlow, FluidReport};
+
+    /// The fluid simulator.
+    pub(super) struct FluidNetwork {
+        topo: Topology,
+        flows: Vec<FluidFlow>,
+        cfg: FluidConfig,
+        /// Per flow, the queue sequence: (switch, ingress port) pairs.
+        queues_of: Vec<Vec<(NodeId, PortNo)>>,
+        /// Per flow, the channel sequence (host uplink, fabric hops, downlink).
+        chans_of: Vec<Vec<Chan>>,
+    }
+
+    impl FluidNetwork {
+        /// Build the model; paths are validated against the topology.
+        pub(super) fn new(topo: &Topology, flows: Vec<FluidFlow>, cfg: FluidConfig) -> Self {
+            assert!(cfg.dt_ns > 0, "dt must be positive");
+            assert!(cfg.xon <= cfg.xoff, "xon must not exceed xoff");
+            let mut queues_of = Vec::with_capacity(flows.len());
+            let mut chans_of = Vec::with_capacity(flows.len());
+            for f in &flows {
+                assert!(f.path.len() >= 2, "flow path too short");
+                assert_eq!(
+                    topo.node(f.path[0]).kind,
+                    NodeKind::Host,
+                    "flow must start at a host"
+                );
+                let mut queues = Vec::new();
+                let mut chans = Vec::new();
+                for w in f.path.windows(2) {
+                    let port = topo
+                        .port_towards(w[1], w[0])
+                        .unwrap_or_else(|| panic!("{} and {} not adjacent", w[0], w[1]));
+                    chans.push(Chan {
+                        from: w[0],
+                        to: w[1],
+                    });
+                    if topo.node(w[1]).kind == NodeKind::Switch {
+                        queues.push((w[1], port.port));
+                    }
+                }
+                queues_of.push(queues);
+                chans_of.push(chans);
+            }
+            FluidNetwork {
+                topo: topo.clone(),
+                flows,
+                cfg,
+                queues_of,
+                chans_of,
+            }
+        }
+
+        /// Integrate `steps` steps and report.
+        pub(super) fn run(&self, steps: usize) -> FluidReport {
+            let dt = self.cfg.dt_ns as f64 * 1e-9;
+            let nf = self.flows.len();
+            // levels[f][k]: bytes of flow f in its k-th queue.
+            let mut levels: Vec<Vec<f64>> = self
+                .queues_of
+                .iter()
+                .map(|qs| vec![0.0; qs.len()])
+                .collect();
+            // Host backlog for CBR flows (bytes); infinite flows don't need it.
+            let mut host_backlog = vec![0.0f64; nf];
+            let mut paused: BTreeSet<Chan> = BTreeSet::new();
+            let mut paused_steps: BTreeMap<Chan, u64> = BTreeMap::new();
+            let mut delivered = vec![0.0f64; nf];
+
+            // Map each (flow, hop) to the channel it exits through, and build
+            // channel capacity lookup.
+            let cap = |c: Chan| -> f64 {
+                let link = self
+                    .topo
+                    .port_towards(c.from, c.to)
+                    .expect("validated")
+                    .link;
+                self.topo.link(link).rate.bps() as f64
+            };
+
+            for _ in 0..steps {
+                // 1. Source arrivals into host backlogs.
+                for (fi, f) in self.flows.iter().enumerate() {
+                    if let Some(rate) = f.demand {
+                        host_backlog[fi] += rate.bps() as f64 / 8.0 * dt;
+                    }
+                }
+
+                // 2. Compute per-channel rate allocations (bytes/s).
+                //    Demand of flow f on channel c = what it could send this
+                //    step: backlog-limited or upstream-limited. We relax a few
+                //    sweeps so pass-through rates propagate along paths.
+                let mut out_rate: Vec<Vec<f64>> =
+                    self.chans_of.iter().map(|cs| vec![0.0; cs.len()]).collect();
+                for _sweep in 0..4 {
+                    // Gather demands per channel, grouped by ingress port at
+                    // the sending switch (per-hop per-ingress fairness).
+                    let mut groups: BTreeMap<Chan, BTreeMap<i64, Vec<(usize, usize, f64)>>> =
+                        BTreeMap::new();
+                    for (fi, chans) in self.chans_of.iter().enumerate() {
+                        for (hop, &c) in chans.iter().enumerate() {
+                            if paused.contains(&c) {
+                                continue;
+                            }
+                            // Available bytes this step at this hop.
+                            let avail = if hop == 0 {
+                                match self.flows[fi].demand {
+                                    None => f64::INFINITY,
+                                    Some(_) => host_backlog[fi] / dt,
+                                }
+                            } else {
+                                // Queue hop-1 level plus what flows in this step.
+                                levels[fi][hop - 1] / dt + out_rate[fi][hop - 1]
+                            };
+                            if avail <= 0.0 {
+                                continue;
+                            }
+                            // Group key: ingress port at the sender (or -1 for
+                            // the host/source side).
+                            let key = if hop == 0 {
+                                -1
+                            } else {
+                                let (_, port) = self.queues_of[fi][hop - 1];
+                                port.0 as i64
+                            };
+                            groups
+                                .entry(c)
+                                .or_default()
+                                .entry(key)
+                                .or_default()
+                                .push((fi, hop, avail));
+                        }
+                    }
+                    // Max-min between groups, then between flows in a group.
+                    for (c, by_group) in &groups {
+                        let capacity = cap(*c) / 8.0; // bytes/s
+                        let shares = waterfill(
+                            by_group
+                                .values()
+                                .map(|v| v.iter().map(|&(_, _, a)| a).sum::<f64>())
+                                .collect(),
+                            capacity,
+                        );
+                        for (gi, members) in by_group.values().enumerate() {
+                            let inner =
+                                waterfill(members.iter().map(|&(_, _, a)| a).collect(), shares[gi]);
+                            for (mi, &(fi, hop, _)) in members.iter().enumerate() {
+                                out_rate[fi][hop] = inner[mi];
+                            }
+                        }
+                    }
+                    // Paused channels send nothing.
+                    for (fi, chans) in self.chans_of.iter().enumerate() {
+                        for (hop, &c) in chans.iter().enumerate() {
+                            if paused.contains(&c) {
+                                out_rate[fi][hop] = 0.0;
+                            }
+                        }
+                    }
+                }
+
+                // 3. Integrate levels.
+                for (fi, chans) in self.chans_of.iter().enumerate() {
+                    for (hop, _) in chans.iter().enumerate() {
+                        let sent = out_rate[fi][hop] * dt;
+                        if hop == 0 {
+                            if self.flows[fi].demand.is_some() {
+                                host_backlog[fi] = (host_backlog[fi] - sent).max(0.0);
+                            }
+                        } else {
+                            levels[fi][hop - 1] = (levels[fi][hop - 1] - sent).max(0.0);
+                        }
+                        if hop == chans.len() - 1 {
+                            delivered[fi] += sent;
+                        } else {
+                            levels[fi][hop] += sent;
+                        }
+                    }
+                }
+
+                // 4. Pause/resume on queue totals.
+                let mut totals: BTreeMap<(NodeId, PortNo), f64> = BTreeMap::new();
+                for (fi, qs) in self.queues_of.iter().enumerate() {
+                    for (k, &(node, port)) in qs.iter().enumerate() {
+                        *totals.entry((node, port)).or_insert(0.0) += levels[fi][k];
+                    }
+                }
+                for (&(node, port), &level) in &totals {
+                    let upstream = self.topo.ports(node)[port.0 as usize].peer;
+                    let c = Chan {
+                        from: upstream,
+                        to: node,
+                    };
+                    if level >= self.cfg.xoff.get() as f64 {
+                        paused.insert(c);
+                    } else if level < self.cfg.xon.get() as f64 {
+                        paused.remove(&c);
+                    }
+                }
+                for &c in &paused {
+                    *paused_steps.entry(c).or_insert(0) += 1;
+                }
+            }
+
+            // Final deadlock check: a cycle among paused fabric channels whose
+            // downstream levels all sit at/above XON.
+            let fabric_paused: Vec<Chan> = paused
+                .iter()
+                .copied()
+                .filter(|c| {
+                    self.topo.node(c.from).kind == NodeKind::Switch
+                        && self.topo.node(c.to).kind == NodeKind::Switch
+                })
+                .collect();
+            let deadlock = has_channel_cycle(&fabric_paused);
+
+            let total_time = steps as f64 * dt;
+            let mut throughput = BTreeMap::new();
+            for (fi, f) in self.flows.iter().enumerate() {
+                throughput.insert(f.id, delivered[fi] * 8.0 / total_time);
+            }
+            let mut pause_fraction = BTreeMap::new();
+            let mut host_pause_fraction = BTreeMap::new();
+            for (c, n) in paused_steps {
+                let frac = n as f64 / steps as f64;
+                if self.topo.node(c.from).kind == NodeKind::Host {
+                    host_pause_fraction.insert(c.from, frac);
+                } else if self.topo.node(c.to).kind == NodeKind::Switch {
+                    pause_fraction.insert((c.from, c.to), frac);
+                }
+            }
+            let final_buffered: f64 = levels.iter().flatten().sum();
+            FluidReport {
+                throughput,
+                pause_fraction,
+                host_pause_fraction,
+                deadlock,
+                final_buffered,
+            }
+        }
+    }
+
+    /// Max–min (water-filling) allocation of `capacity` to `demands`.
+    fn waterfill(demands: Vec<f64>, capacity: f64) -> Vec<f64> {
+        let n = demands.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut alloc = vec![0.0; n];
+        let mut remaining = capacity;
+        let mut active: Vec<usize> = (0..n).collect();
+        loop {
+            if active.is_empty() || remaining <= 1e-9 {
+                break;
+            }
+            let share = remaining / active.len() as f64;
+            let mut satisfied = Vec::new();
+            for &i in &active {
+                if demands[i] - alloc[i] <= share {
+                    satisfied.push(i);
+                }
+            }
+            if satisfied.is_empty() {
+                for &i in &active {
+                    alloc[i] += share;
+                }
+                break;
+            }
+            for &i in &satisfied {
+                remaining -= demands[i] - alloc[i];
+                alloc[i] = demands[i];
+            }
+            active.retain(|i| !satisfied.contains(i));
+        }
+        alloc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfcsim_topo::builders::{line, square, LinkSpec};
+    use pfcsim_topo::builders::{line, ring, square, Built, LinkSpec};
 
     fn gbps(x: f64) -> f64 {
         x / 1e9
+    }
+
+    fn waterfill(demands: Vec<f64>, capacity: f64) -> Vec<f64> {
+        let mut alloc = vec![f64::NAN; 3]; // stale contents must not leak
+        waterfill_into(
+            &demands,
+            capacity,
+            &mut alloc,
+            &mut WaterfillScratch::default(),
+        );
+        alloc
     }
 
     #[test]
@@ -431,26 +790,8 @@ mod tests {
 
     fn square_fluid(with_flow3: bool) -> FluidReport {
         let b = square(LinkSpec::default());
-        let (s, h) = (&b.switches, &b.hosts);
-        let mut flows = vec![
-            FluidFlow {
-                id: FlowId(1),
-                demand: None,
-                path: vec![h[0], s[0], s[1], s[2], s[3], h[3]],
-            },
-            FluidFlow {
-                id: FlowId(2),
-                demand: None,
-                path: vec![h[2], s[2], s[3], s[0], s[1], h[1]],
-            },
-        ];
-        if with_flow3 {
-            flows.push(FluidFlow {
-                id: FlowId(3),
-                demand: None,
-                path: vec![h[1], s[1], s[2], h[2]],
-            });
-        }
+        let mut flows = square_flows(&b, None);
+        flows.truncate(if with_flow3 { 3 } else { 2 });
         FluidNetwork::new(&b.topo, flows, FluidConfig::default()).run(20_000) // 2 ms
     }
 
@@ -601,5 +942,192 @@ mod tests {
             assert!((thr - 20.0).abs() < 1.5, "flow {f}: {thr} Gbps");
         }
         assert!(!r.deadlock);
+    }
+
+    #[test]
+    fn zero_steps_report_is_all_zero() {
+        let b = square(LinkSpec::default());
+        let flows = square_flows(&b, Some(BitRate::from_gbps(6)));
+        let r = FluidNetwork::new(&b.topo, flows, FluidConfig::default()).run(0);
+        assert_eq!(r.throughput.len(), 3);
+        assert!(r.throughput.values().all(|&t| t.to_bits() == 0));
+        assert!(r.pause_fraction.is_empty() && r.host_pause_fraction.is_empty());
+        assert!(!r.deadlock);
+        assert_eq!(r.final_buffered.to_bits(), 0);
+    }
+
+    /// The paper's square: flows 1 and 2 infinite, flow 3 at `cap`
+    /// (`None` = infinite).
+    fn square_flows(b: &Built, cap: Option<BitRate>) -> Vec<FluidFlow> {
+        let (s, h) = (&b.switches, &b.hosts);
+        vec![
+            FluidFlow {
+                id: FlowId(1),
+                demand: None,
+                path: vec![h[0], s[0], s[1], s[2], s[3], h[3]],
+            },
+            FluidFlow {
+                id: FlowId(2),
+                demand: None,
+                path: vec![h[2], s[2], s[3], s[0], s[1], h[1]],
+            },
+            FluidFlow {
+                id: FlowId(3),
+                demand: cap,
+                path: vec![h[1], s[1], s[2], h[2]],
+            },
+        ]
+    }
+
+    /// Flow `i` of `ring(n)`: from host `i`, `hops` switches clockwise.
+    fn ring_flows(b: &Built, hops: usize, demand: Option<BitRate>) -> Vec<FluidFlow> {
+        let n = b.switches.len();
+        (0..n)
+            .map(|i| {
+                let mut path = vec![b.hosts[i]];
+                path.extend((0..hops).map(|k| b.switches[(i + k) % n]));
+                path.push(b.hosts[(i + hops - 1) % n]);
+                FluidFlow {
+                    id: FlowId(i as u32),
+                    demand,
+                    path,
+                }
+            })
+            .collect()
+    }
+
+    /// A 40 G flow crossing s0→s1 into a sink it shares with a local 40 G
+    /// flow: the s0→s1 ingress queue fills at 20 G, so the *fabric*
+    /// channel pauses.
+    fn fabric_incast() -> (Topology, Vec<FluidFlow>) {
+        let spec = LinkSpec::default();
+        let mut t = Topology::new();
+        let s0 = t.add_switch("s0");
+        let s1 = t.add_switch("s1");
+        let h0 = t.add_host("h0");
+        let h1 = t.add_host("h1");
+        let sink = t.add_host("sink");
+        t.connect(s0, s1, spec.rate, spec.delay);
+        t.connect(h0, s0, spec.rate, spec.delay);
+        t.connect(h1, s1, spec.rate, spec.delay);
+        t.connect(sink, s1, spec.rate, spec.delay);
+        let flows = vec![
+            FluidFlow {
+                id: FlowId(0),
+                demand: None,
+                path: vec![h0, s0, s1, sink],
+            },
+            FluidFlow {
+                id: FlowId(1),
+                demand: None,
+                path: vec![h1, s1, sink],
+            },
+        ];
+        (t, flows)
+    }
+
+    /// Every field of the two reports, compared by `f64::to_bits`.
+    fn assert_bit_identical(case: &str, dense: &FluidReport, spec: &FluidReport) {
+        let bits = |r: &FluidReport| {
+            (
+                (r.throughput.iter())
+                    .map(|(&f, t)| (f, t.to_bits()))
+                    .collect::<Vec<_>>(),
+                (r.pause_fraction.iter())
+                    .map(|(&c, p)| (c, p.to_bits()))
+                    .collect::<Vec<_>>(),
+                (r.host_pause_fraction.iter())
+                    .map(|(&h, p)| (h, p.to_bits()))
+                    .collect::<Vec<_>>(),
+                r.deadlock,
+                r.final_buffered.to_bits(),
+            )
+        };
+        assert_eq!(bits(dense), bits(spec), "{case}: {dense:?} vs {spec:?}");
+    }
+
+    fn run_both(
+        case: &str,
+        topo: &Topology,
+        flows: Vec<FluidFlow>,
+        cfg: FluidConfig,
+        steps: usize,
+    ) -> FluidReport {
+        let dense = FluidNetwork::new(topo, flows.clone(), cfg).run(steps);
+        let spec = reference::FluidNetwork::new(topo, flows, cfg).run(steps);
+        assert_bit_identical(case, &dense, &spec);
+        dense
+    }
+
+    #[test]
+    fn dense_run_matches_reference_bit_for_bit() {
+        let cfg = FluidConfig::default();
+        let spec = LinkSpec::default();
+        // E12's own inputs: Figs. 3 and 4, and the Fig. 5 cap sweep.
+        let sq = square(spec);
+        let fig4 = square_flows(&sq, None);
+        run_both("fig3", &sq.topo, fig4[..2].to_vec(), cfg, 50_000);
+        run_both("fig4", &sq.topo, fig4, cfg, 50_000);
+        for g in [1, 2, 4, 6, 8, 20, 39] {
+            let flows = square_flows(&sq, Some(BitRate::from_gbps(g)));
+            run_both(&format!("fig5 cap {g}"), &sq.topo, flows, cfg, 30_000);
+        }
+        // CBR below and above line rate.
+        let ln = line(2, spec);
+        for g in [7, 60] {
+            let flow = FluidFlow {
+                id: FlowId(0),
+                demand: Some(BitRate::from_gbps(g)),
+                path: vec![ln.hosts[0], ln.switches[0], ln.switches[1], ln.hosts[1]],
+            };
+            run_both(&format!("cbr {g}"), &ln.topo, vec![flow], cfg, 10_000);
+        }
+        // Rings whose every link is shared, at default and tight thresholds.
+        let r3 = ring(3, spec);
+        run_both("ring3", &r3.topo, ring_flows(&r3, 3, None), cfg, 20_000);
+        let tight = FluidConfig {
+            dt_ns: 50,
+            xoff: Bytes::new(3_000),
+            xon: Bytes::new(1_000),
+        };
+        let r5 = ring(5, spec);
+        run_both("tight", &r5.topo, ring_flows(&r5, 4, None), tight, 20_000);
+        // None of the above pauses a fabric channel; this does.
+        let (topo, flows) = fabric_incast();
+        let r = run_both("fabric incast", &topo, flows, cfg, 20_000);
+        assert!(!r.pause_fraction.is_empty(), "fabric pauses: {r:?}");
+
+        // Seeded random cases: simple paths either way round a ring, mixed
+        // infinite/CBR demands, random step and thresholds.
+        let mut rng = pfcsim_simcore::rng::SimRng::new(0xf1d0);
+        for case in 0..24 {
+            let n = 2 + rng.gen_range(5) as usize;
+            let b = ring(n, spec);
+            let flows: Vec<FluidFlow> = (0..1 + rng.gen_range(6))
+                .map(|i| {
+                    let start = rng.gen_range(n as u64) as usize;
+                    let hops = 1 + rng.gen_range(n as u64) as usize;
+                    let back = rng.gen_bool(0.5);
+                    let at = |k: usize| (start + if back { n - k % n } else { k }) % n;
+                    let mut path = vec![b.hosts[start]];
+                    path.extend((0..hops).map(|k| b.switches[at(k)]));
+                    path.push(b.hosts[at(hops - 1)]);
+                    let cbr = BitRate::from_mbps(500 + rng.gen_range(60_000));
+                    FluidFlow {
+                        id: FlowId(i as u32),
+                        demand: rng.gen_bool(0.5).then_some(cbr),
+                        path,
+                    }
+                })
+                .collect();
+            let xon = 500 + rng.gen_range(30_000);
+            let cfg = FluidConfig {
+                dt_ns: 20 + rng.gen_range(400),
+                xoff: Bytes::new(xon + rng.gen_range(40_000)),
+                xon: Bytes::new(xon),
+            };
+            let steps = 500 + rng.gen_range(4_000) as usize;
+            run_both(&format!("random {case}"), &b.topo, flows, cfg, steps);
+        }
     }
 }

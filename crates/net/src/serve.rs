@@ -53,7 +53,7 @@ use std::collections::BTreeMap;
 use serde_json::Value;
 
 use pfcsim_simcore::error::Error;
-use pfcsim_simcore::time::{SimDuration, SimTime};
+use pfcsim_simcore::time::{SimDuration, SimTime, PS_PER_US};
 use pfcsim_simcore::units::BitRate;
 use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::{FlowId, NodeId, PortNo};
@@ -895,6 +895,12 @@ impl Session {
         self.resident.capture()
     }
 
+    /// Where a probe of `window` past now ends: capped at the horizon,
+    /// also when `now + window` would leave `SimTime`'s range.
+    fn probe_bound(&self, window: SimDuration) -> SimTime {
+        (self.now().checked_add(window)).map_or(self.horizon, |t| t.min(self.horizon))
+    }
+
     /// Bounded what-if: checkpoint the resident, resume the checkpoint
     /// into a throwaway probe, apply `pushes` at the current instant,
     /// and advance the probe `window` past now (capped at the horizon).
@@ -910,7 +916,7 @@ impl Session {
             self.validate_route(p.node, p.dst, &p.ports)?;
         }
         let now = self.now();
-        let bound = (now + window).min(self.horizon);
+        let bound = self.probe_bound(window);
         let state_digest_before = self.resident.digest()?;
         let mut probe = NetSim::resume(self.resident.capture()?)?;
         for p in pushes {
@@ -962,7 +968,7 @@ impl Session {
             self.validate_route(p.node, p.dst, &p.ports)?;
         }
         let now = self.now();
-        let bound = (now + window).min(self.horizon);
+        let bound = self.probe_bound(window);
         let (mut sim, fin) = build_and_replay(
             &self.topo,
             &self.cfg,
@@ -1316,9 +1322,7 @@ impl ServeSession {
                             .map(|a| a.to_value())
                     }
                     "advance" => {
-                        let to = req
-                            .get("to_us")
-                            .and_then(Value::as_u64)
+                        let to = opt_us(req, "to_us")?
                             .ok_or_else(|| Error::Protocol("advance needs \"to_us\"".into()))?;
                         session
                             .apply(Update::AdvanceTo(SimTime::from_us(to)))
@@ -1563,9 +1567,29 @@ fn opt_u64(req: &Value, field: &str) -> Result<Option<u64>, Error> {
     req.get(field).map(as_u64).transpose()
 }
 
+/// An optional `*_us` field: an [`opt_u64`] that also fits `SimTime`'s
+/// picoseconds, which `from_us` multiplies into unchecked.
+fn opt_us(req: &Value, field: &str) -> Result<Option<u64>, Error> {
+    match opt_u64(req, field)? {
+        Some(us) if us.checked_mul(PS_PER_US).is_none() => Err(Error::Protocol(format!(
+            "\"{field}\" is out of range (at most {} µs)",
+            u64::MAX / PS_PER_US
+        ))),
+        us => Ok(us),
+    }
+}
+
+/// An optional field that must fit a `u8` (`priority`, `ttl`).
+fn opt_u8(req: &Value, field: &str) -> Result<Option<u8>, Error> {
+    let narrow = |v| {
+        u8::try_from(v).map_err(|_| Error::Protocol(format!("\"{field}\" must be at most 255")))
+    };
+    opt_u64(req, field)?.map(narrow).transpose()
+}
+
 /// A request's what-if window: `window_us`, else the default.
 fn window_ref(req: &Value) -> Result<SimDuration, Error> {
-    Ok(opt_u64(req, "window_us")?.map_or(DEFAULT_WHAT_IF_WINDOW, SimDuration::from_us))
+    Ok(opt_us(req, "window_us")?.map_or(DEFAULT_WHAT_IF_WINDOW, SimDuration::from_us))
 }
 
 fn parse_route_push(topo: &Topology, req: &Value) -> Result<RoutePush, Error> {
@@ -1611,16 +1635,16 @@ fn parse_flow(topo: &Topology, req: &Value) -> Result<FlowSpec, Error> {
     } else {
         FlowSpec::infinite(id, src, dst)
     };
-    if let Some(p) = req.get("priority").and_then(Value::as_u64) {
-        flow = flow.with_priority(Priority(p as u8));
+    if let Some(p) = opt_u8(req, "priority")? {
+        flow = flow.with_priority(Priority(p));
     }
-    if let Some(t) = req.get("ttl").and_then(Value::as_u64) {
-        flow = flow.with_ttl(t as u8);
+    if let Some(t) = opt_u8(req, "ttl")? {
+        flow = flow.with_ttl(t);
     }
-    if let Some(t) = req.get("start_us").and_then(Value::as_u64) {
+    if let Some(t) = opt_us(req, "start_us")? {
         flow = flow.starting_at(SimTime::from_us(t));
     }
-    if let Some(t) = req.get("stop_us").and_then(Value::as_u64) {
+    if let Some(t) = opt_us(req, "stop_us")? {
         flow = flow.stopping_at(SimTime::from_us(t));
     }
     if let Some(path) = req.get("path").and_then(Value::as_array) {
@@ -1647,10 +1671,18 @@ fn parse_open(req: &Value) -> Result<SessionSpec, Error> {
         .ok_or_else(|| Error::Protocol("open needs \"topo\"".into()))?;
     let topo: Topology = if let Some(builder) = tv.get("builder").and_then(Value::as_str) {
         let mut spec = LinkSpec::default();
-        if let Some(g) = tv.get("gbps").and_then(Value::as_u64) {
+        if let Some(g) = opt_u64(tv, "gbps")? {
+            // `from_gbps` multiplies unchecked, and a zero-rate link has
+            // no serialization time.
+            if g == 0 || g.checked_mul(1_000_000_000).is_none() {
+                return Err(Error::Protocol(format!(
+                    "\"gbps\" must be between 1 and {}",
+                    u64::MAX / 1_000_000_000
+                )));
+            }
             spec.rate = BitRate::from_gbps(g);
         }
-        if let Some(d) = tv.get("delay_us").and_then(Value::as_u64) {
+        if let Some(d) = opt_us(tv, "delay_us")? {
             spec.delay = SimDuration::from_us(d);
         }
         let dim = |field: &str, default: usize| -> usize {
@@ -1686,7 +1718,7 @@ fn parse_open(req: &Value) -> Result<SessionSpec, Error> {
         }
         None => SimConfig::default(),
     };
-    if let Some(seed) = req.get("seed").and_then(Value::as_u64) {
+    if let Some(seed) = opt_u64(req, "seed")? {
         config.seed = seed;
     }
     if let Some(sched) = req.get("scheduler").and_then(Value::as_str) {
@@ -1719,10 +1751,7 @@ fn parse_open(req: &Value) -> Result<SessionSpec, Error> {
         tables = Some(ft);
     }
 
-    let horizon = req
-        .get("horizon_us")
-        .and_then(Value::as_u64)
-        .map_or(DEFAULT_HORIZON, SimTime::from_us);
+    let horizon = opt_us(req, "horizon_us")?.map_or(DEFAULT_HORIZON, SimTime::from_us);
 
     Ok(SessionSpec {
         topo,

@@ -152,6 +152,17 @@ fn malformed_requests_are_isolated() {
     let (resp, _) = serve.handle_line(r#"{"op":"query","kind":"status"}"#);
     let before = parse(&resp.unwrap());
 
+    let mut rejected = |bad: &str| -> Value {
+        let (resp, ctl) = serve.handle_line(bad);
+        assert_eq!(ctl, Control::Continue);
+        let resp = parse(&resp.expect("error response"));
+        assert_eq!(resp["ok"], false, "{bad:?} must be rejected");
+        assert!(
+            resp["error"]["message"].as_str().is_some(),
+            "{bad:?} carries a message"
+        );
+        resp
+    };
     for bad in [
         "not json at all",
         r#"[1,2,3]"#,
@@ -168,27 +179,107 @@ fn malformed_requests_are_isolated() {
         r#"{"op":"query","kind":"horoscope"}"#,
         r#"{"op":"teleport"}"#,
         r#"{"schema":"pfcsim-serve/2","op":"query","kind":"status"}"#,
-        // A present-but-invalid window must not fall back to the default
-        // (the first push is clean, so a fallback would commit it).
-        r#"{"op":"route_update","node":"S0","dst":"h1","ports":["S1"],"window_us":"1500"}"#,
-        r#"{"op":"route_update","node":"S0","dst":"h1","ports":["S1"],"mode":"commit","window_us":-5}"#,
-        r#"{"op":"query","kind":"what_if","window_us":1.5}"#,
-        r#"{"op":"query","kind":"what_if_oracle","window_us":null}"#,
     ] {
-        let (resp, ctl) = serve.handle_line(bad);
-        assert_eq!(ctl, Control::Continue);
-        let resp = parse(&resp.expect("error response"));
-        assert_eq!(resp["ok"], false, "{bad:?} must be rejected");
-        let message = resp["error"]["message"].as_str();
-        assert!(message.is_some(), "{bad:?} carries a message");
-        if bad.contains("window_us") {
-            assert_eq!(resp["error"]["kind"], "protocol", "{bad:?}");
-            assert!(
-                message.unwrap().contains("window_us"),
-                "{bad:?}: {message:?}"
-            );
-        }
+        rejected(bad);
     }
+    // A present-but-invalid optional integer is a protocol error naming
+    // its field, never a silent default.
+    for (field, bad) in [
+        // (The first push is clean, so a fallback window would commit it.)
+        (
+            "window_us",
+            r#"{"op":"route_update","node":"S0","dst":"h1","ports":["S1"],"window_us":"1500"}"#,
+        ),
+        (
+            "window_us",
+            r#"{"op":"route_update","node":"S0","dst":"h1","ports":["S1"],"mode":"commit","window_us":-5}"#,
+        ),
+        (
+            "window_us",
+            r#"{"op":"query","kind":"what_if","window_us":1.5}"#,
+        ),
+        (
+            "window_us",
+            r#"{"op":"query","kind":"what_if_oracle","window_us":null}"#,
+        ),
+        // Microseconds that do not fit `SimTime`'s picoseconds must not
+        // wrap into some other instant.
+        (
+            "window_us",
+            r#"{"op":"query","kind":"what_if","window_us":18446744073710}"#,
+        ),
+        (
+            "window_us",
+            r#"{"op":"query","kind":"what_if_oracle","window_us":18446744073709551615}"#,
+        ),
+        (
+            "window_us",
+            r#"{"op":"route_update","node":"S0","dst":"h1","ports":["S1"],"window_us":18446744073710}"#,
+        ),
+        ("to_us", r#"{"op":"advance","to_us":18446744073710}"#),
+        ("to_us", r#"{"op":"advance","to_us":"30"}"#),
+        (
+            "start_us",
+            r#"{"op":"flow_add","id":9,"src":"h0","dst":"h1","start_us":18446744073710}"#,
+        ),
+        (
+            "stop_us",
+            r#"{"op":"flow_add","id":9,"src":"h0","dst":"h1","stop_us":18446744073709551615}"#,
+        ),
+        (
+            "horizon_us",
+            r#"{"op":"open","topo":{"builder":"square"},"horizon_us":18446744073710}"#,
+        ),
+        (
+            "delay_us",
+            r#"{"op":"open","topo":{"builder":"square","delay_us":18446744073710}}"#,
+        ),
+        (
+            "priority",
+            r#"{"op":"flow_add","id":9,"src":"h0","dst":"h1","priority":"3"}"#,
+        ),
+        (
+            "priority",
+            r#"{"op":"flow_add","id":9,"src":"h0","dst":"h1","priority":256}"#,
+        ),
+        (
+            "ttl",
+            r#"{"op":"flow_add","id":9,"src":"h0","dst":"h1","ttl":-1}"#,
+        ),
+        (
+            "ttl",
+            r#"{"op":"flow_add","id":9,"src":"h0","dst":"h1","ttl":300}"#,
+        ),
+        (
+            "seed",
+            r#"{"op":"open","topo":{"builder":"square"},"seed":"11"}"#,
+        ),
+        (
+            "gbps",
+            r#"{"op":"open","topo":{"builder":"square","gbps":40.5}}"#,
+        ),
+        (
+            "gbps",
+            r#"{"op":"open","topo":{"builder":"square","gbps":0}}"#,
+        ),
+        (
+            "gbps",
+            r#"{"op":"open","topo":{"builder":"square","gbps":18446744074}}"#,
+        ),
+    ] {
+        let resp = rejected(bad);
+        assert_eq!(resp["error"]["kind"], "protocol", "{bad:?}");
+        let message = resp["error"]["message"].as_str().unwrap();
+        assert!(message.contains(field), "{bad:?}: {message:?}");
+    }
+
+    // The largest window that does fit is a request, not an error: the
+    // probe is capped at the horizon even though now + window overflows.
+    let (resp, _) =
+        serve.handle_line(r#"{"op":"query","kind":"what_if","window_us":18446744073709}"#);
+    let resp = parse(&resp.unwrap());
+    assert_eq!(resp["ok"], true, "{resp:?}");
+    assert_eq!(resp["result"]["probed_until_us"].as_u64(), Some(20_000));
 
     let (resp, _) = serve.handle_line(r#"{"op":"query","kind":"status"}"#);
     let after = parse(&resp.unwrap());
