@@ -16,6 +16,20 @@ use crate::telemetry::TelemetryConfig;
 /// depending on `pfcsim_simcore` directly.
 pub use pfcsim_simcore::event::Backend as SchedulerBackend;
 
+/// Resolve a set `PFCSIM_SCHED` value. Empty defers to the default
+/// silently, like unset; anything else unrecognised also defers but
+/// warns once — a typo in a CI `wheel == heap` leg would otherwise diff
+/// the wheel against itself and pass.
+pub(crate) fn scheduler_override(v: &str) -> Option<SchedulerBackend> {
+    let backend = SchedulerBackend::parse(v);
+    if backend.is_none() && !v.is_empty() {
+        crate::warn::warn_once("env:PFCSIM_SCHED", || {
+            format!("pfcsim: ignoring unrecognized PFCSIM_SCHED={v:?} (expected wheel/heap)")
+        });
+    }
+    backend
+}
+
 /// How a PAUSE is expressed on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PauseMode {
@@ -338,6 +352,18 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Can't set env safely in parallel tests; drive the value parser.
+    #[test]
+    fn scheduler_override_warns_on_garbage_only() {
+        let warned = || crate::warn::seen("env:PFCSIM_SCHED");
+        assert_eq!(scheduler_override(""), None);
+        assert_eq!(scheduler_override("Heap"), Some(SchedulerBackend::Heap));
+        assert_eq!(scheduler_override("wheel"), Some(SchedulerBackend::Wheel));
+        assert!(!warned(), "empty and accepted values stay silent");
+        assert_eq!(scheduler_override("haep"), None, "still the default");
+        assert!(warned());
+    }
 
     #[test]
     fn defaults_are_valid_and_match_paper() {

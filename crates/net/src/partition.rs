@@ -16,8 +16,8 @@
 //!
 //! # Determinism
 //!
-//! Partitioning is a pure execution strategy, like wheel-vs-heap and
-//! trains on/off: results are bit-identical at any partition count.
+//! Partitioning is a pure execution strategy, like wheel-vs-heap:
+//! results are bit-identical at any partition count.
 //! The argument has three legs:
 //!
 //! 1. **Within a shard**, events are popped in `(time, key)` order where
@@ -414,10 +414,9 @@ impl NetSim {
             .iter()
             .map(|s| partition.part_of[s.src.0 as usize])
             .collect();
-        for (i, s) in self.flows.iter().enumerate() {
+        for s in &self.flows {
             let cross = partition.part_of[s.src.0 as usize] != partition.part_of[s.dst.0 as usize];
             if cross && matches!(s.demand, Demand::Dcqcn | Demand::Timely) {
-                let _ = i;
                 return gate("a congestion-controlled flow spans partitions");
             }
         }
@@ -495,7 +494,6 @@ impl NetSim {
         sh.pause_headroom = self.pause_headroom;
         sh.dcqcn_cfg = self.dcqcn_cfg;
         sh.timely_cfg = self.timely_cfg;
-        sh.trains_enabled = false;
         sh.started = true;
         sh.pkt_id_step = parts as u64;
         // Per-node state is moved in at each split; empty slots turn an

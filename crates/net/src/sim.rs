@@ -60,13 +60,6 @@ pub(crate) struct PortInfo {
     pub ser_default: SimDuration,
 }
 
-/// Train capacity: completions beyond this take the regular queue
-/// path. Every busy port keeps at most one completion in flight, so on
-/// small fabrics the train holds everything; on wide ones the cap
-/// bounds the min-heap's sift depth — past a few dozen residents the
-/// sift costs more than the wheel insert it replaces.
-const TRAIN_CAP: usize = 16;
-
 /// Simulator events.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) enum Ev {
@@ -482,34 +475,6 @@ pub struct NetSim {
     pub(crate) frame_free: Vec<u32>,
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) meaningful: u64,
-    /// Serialization train: pending tx-completion events, parked
-    /// outside the main event queue in a small binary min-heap ordered
-    /// by `(time, seq)`. Each entry carries a sequence number reserved
-    /// at schedule time, so the queue and the train together partition
-    /// one totally ordered event stream; the step loop pops whichever
-    /// side holds the global minimum. Every busy port keeps roughly
-    /// one completion parked here, so the heap stays a few cache lines
-    /// wide and a park/run-inline pair costs a handful of compares —
-    /// instead of a wheel insert, min-search and unlink per
-    /// completion. The pop stream is bit-identical to the unbatched
-    /// engine by construction, and the train is flushed back into the
-    /// queue (under the reserved sequence numbers) on every step-loop
-    /// return, so truncation, checkpoint and the golden digest need no
-    /// special cases: the train is always empty between steps.
-    pub(crate) train: Vec<(SimTime, u64, Ev)>,
-    /// The deferred-pop hold: the queue's minimum, popped with the
-    /// clock and wheel cursor *not yet advanced*, while parked train
-    /// entries that precede it run inline. Scheduling during that
-    /// drain routes anything ordering before the held key into the
-    /// train ([`Self::sched`]), so the wheel never holds an event the
-    /// commit would jump past; a handler that needs a live queue
-    /// handle for an earlier event (a pause timer) demotes the hold
-    /// back into the queue instead. Always `None` between step-loop
-    /// iterations.
-    pub(crate) hold: Option<(SimTime, u64, Ev)>,
-    /// `PFCSIM_NO_TRAINS` kill switch (and A/B lever for the
-    /// batched-vs-unbatched equivalence tests).
-    pub(crate) trains_enabled: bool,
     pub(crate) stats: NetStats,
     pub(crate) rng: SimRng,
     pub(crate) next_pkt_id: u64,
@@ -644,7 +609,7 @@ impl NetSim {
         // events that dominate the queue.
         let backend = cfg
             .scheduler
-            .or_else(Backend::from_env)
+            .or_else(|| crate::config::scheduler_override(&std::env::var("PFCSIM_SCHED").ok()?))
             .unwrap_or(Backend::Wheel);
         let tick_shift = port_info
             .iter()
@@ -674,9 +639,6 @@ impl NetSim {
             frame_free: take_cleared(&mut arenas.frame_free),
             queue: arenas.lease_queue(backend, tick_shift),
             meaningful: 0,
-            train: Vec::new(),
-            hold: None,
-            trains_enabled: std::env::var_os("PFCSIM_NO_TRAINS").is_none(),
             stats: NetStats::default(),
             rng: SimRng::new(seed),
             next_pkt_id: 0,
@@ -1437,113 +1399,33 @@ impl NetSim {
     }
 
     /// Pop-and-handle events up to `limit` (which may fall short of
-    /// `self.horizon` when pausing for a checkpoint).
+    /// `self.horizon` when pausing for a checkpoint), in the queue's
+    /// `(time, seq)` order.
     pub(crate) fn step_until(&mut self, limit: SimTime) -> StepOutcome {
         loop {
             if self.cfg.max_events > 0 && self.events >= self.cfg.max_events {
-                self.truncate_batch();
                 return StepOutcome::MaxEvents;
             }
             if self.meaningful == 0 {
                 return StepOutcome::Quiesced;
             }
-            // Pop the queue's minimum with the clock and wheel cursor
-            // deferred: parked train completions that precede it run
-            // inline first, each for a handful of heap compares
-            // instead of a queue insert + min-search + unlink. The pop
-            // stream stays bit-identical to the unbatched engine's —
-            // the queue and the train partition one totally ordered
-            // event stream, and every pop below takes the global
-            // minimum of the two.
-            let Some((key, ev)) = self.queue.pop_key_before_deferred(limit) else {
-                // Queue empty or beyond the limit. A parked completion
-                // at or before the limit is the global minimum: run
-                // one, then re-probe (its handler may queue earlier
-                // work). Parked entries beyond the limit truncate back
-                // into the queue and stay pending.
-                if let Some(&(at, _, _)) = self.train.first() {
-                    if at <= limit {
-                        let (at, _, tev) = self.train_pop().expect("train head exists");
-                        self.queue.advance_now(at);
-                        if self.step_one(tev) {
-                            return StepOutcome::DeadlockStop;
-                        }
-                        continue;
-                    }
-                    self.flush_train();
-                    return StepOutcome::LimitReached;
-                }
-                return if self.queue.peek_time().is_none() {
+            let Some((key, ev)) = self.queue.pop_before(limit) else {
+                return if self.queue.is_empty() {
                     StepOutcome::Quiesced
                 } else {
                     StepOutcome::LimitReached
                 };
             };
-            // Fast path: nothing parked precedes the popped event —
-            // commit and dispatch without touching the hold slot.
-            if self
-                .train
-                .first()
-                .is_none_or(|&(at, seq, _)| (at, seq) >= key)
-            {
-                self.queue.commit_time(key.0);
-                self.pmode_begin(key);
-                if self.step_one(ev) {
-                    return StepOutcome::DeadlockStop;
-                }
-                continue;
+            self.pmode_begin(key);
+            if is_meaningful(&ev) {
+                self.meaningful -= 1;
             }
-            // Drain every parked completion that precedes the held
-            // event. `sched` routes anything scheduled before the held
-            // key into the train, so any concurrent PAUSE, fault,
-            // route write or sampling tick interleaves exactly as in
-            // the unbatched engine; a handler that must queue an
-            // earlier cancellable event (a pause timer) demotes the
-            // hold instead, ending the drain so the queue is re-probed.
-            self.hold = Some((key.0, key.1, ev));
-            loop {
-                let t_key = self.train.first().map(|&(at, seq, _)| (at, seq));
-                let h_key = self.hold.as_ref().map(|&(ht, hs, _)| (ht, hs));
-                let (Some(tk), Some(hk)) = (t_key, h_key) else {
-                    break;
-                };
-                if tk >= hk {
-                    break;
-                }
-                if self.cfg.max_events > 0 && self.events >= self.cfg.max_events {
-                    self.truncate_batch();
-                    return StepOutcome::MaxEvents;
-                }
-                let (at, _, tev) = self.train_pop().expect("train head exists");
-                self.queue.advance_now(at);
-                if self.step_one(tev) {
-                    return StepOutcome::DeadlockStop;
-                }
-            }
-            if let Some((ht, _, hev)) = self.hold.take() {
-                self.queue.commit_time(ht);
-                if self.step_one(hev) {
-                    return StepOutcome::DeadlockStop;
-                }
+            self.events += 1;
+            self.handle(ev);
+            if self.cfg.stop_on_deadlock && self.deadlock.is_some() {
+                return StepOutcome::DeadlockStop;
             }
         }
-    }
-
-    /// Count, dispatch, and deadlock-check one event. Returns `true`
-    /// if the step loop must stop (batch state already truncated back
-    /// into the queue).
-    #[inline]
-    fn step_one(&mut self, ev: Ev) -> bool {
-        if is_meaningful(&ev) {
-            self.meaningful -= 1;
-        }
-        self.events += 1;
-        self.handle(ev);
-        if self.cfg.stop_on_deadlock && self.deadlock.is_some() {
-            self.truncate_batch();
-            return true;
-        }
-        false
     }
 
     /// Close out the run and build the report (shared tail of every run
@@ -1677,18 +1559,6 @@ impl NetSim {
         if is_meaningful(&ev) {
             self.meaningful += 1;
         }
-        self.sched_queue_guarded(at, ev);
-    }
-
-    /// Schedule into the event queue — unless a deferred-pop hold is
-    /// active and the event orders before the held key, in which case
-    /// it parks in the train (ignoring [`TRAIN_CAP`]): it must run
-    /// before the held event, and the wheel must never receive an
-    /// entry the cursor commit would strand. An equal timestamp keeps
-    /// the queue path — its fresh sequence number orders it after the
-    /// held event.
-    #[inline]
-    fn sched_queue_guarded(&mut self, at: SimTime, ev: Ev) {
         // Partition-shard interception: inside a window, every schedule
         // routes through the provisional-key path (local events) or the
         // cross-shard outbox (boundary `Arrive`s). See `crate::partition`.
@@ -1696,114 +1566,16 @@ impl NetSim {
             self.pmode_sched(at, ev);
             return;
         }
-        if let Some(&(ht, _, _)) = self.hold.as_ref() {
-            if at < ht {
-                let seq = self.queue.reserve_seq();
-                self.train_push(at, seq, ev);
-                return;
-            }
-        }
         self.queue.schedule(at, ev);
     }
 
-    /// Schedule a serialization completion (`TxDone` / `HostTxDone`),
-    /// parking it in the train heap so the step loop can run it
-    /// inline. The sequence number is reserved here, so whether the
-    /// event is later handled inline or flushed into the queue, its pop
-    /// position — ties included — matches a plain [`Self::sched`] call
-    /// made right now.
-    #[inline]
-    fn sched_train(&mut self, at: SimTime, ev: Ev) {
-        debug_assert!(is_meaningful(&ev));
-        self.meaningful += 1;
-        if self.trains_enabled && self.train.len() < TRAIN_CAP {
-            let seq = self.queue.reserve_seq();
-            self.train_push(at, seq, ev);
-        } else {
-            self.sched_queue_guarded(at, ev);
-        }
-    }
-
-    /// Push onto the train min-heap (ordered by `(time, seq)`).
-    #[inline]
-    fn train_push(&mut self, at: SimTime, seq: u64, ev: Ev) {
-        let v = &mut self.train;
-        v.push((at, seq, ev));
-        let mut i = v.len() - 1;
-        while i > 0 {
-            let p = (i - 1) / 2;
-            if (v[p].0, v[p].1) <= (v[i].0, v[i].1) {
-                break;
-            }
-            v.swap(i, p);
-            i = p;
-        }
-    }
-
-    /// Pop the train min-heap's `(time, seq)` minimum.
-    #[inline]
-    fn train_pop(&mut self) -> Option<(SimTime, u64, Ev)> {
-        let v = &mut self.train;
-        if v.is_empty() {
-            return None;
-        }
-        let min = v.swap_remove(0);
-        let n = v.len();
-        let mut i = 0;
-        loop {
-            let l = 2 * i + 1;
-            if l >= n {
-                break;
-            }
-            let r = l + 1;
-            let c = if r < n && (v[r].0, v[r].1) < (v[l].0, v[l].1) {
-                r
-            } else {
-                l
-            };
-            if (v[i].0, v[i].1) <= (v[c].0, v[c].1) {
-                break;
-            }
-            v.swap(i, c);
-            i = c;
-        }
-        Some(min)
-    }
-
-    /// Truncate the pending train: every parked completion re-enters
-    /// the event queue under its reserved sequence number. Must run
-    /// before any code that observes the queue as the complete set of
-    /// future events (checkpointing, finalize, early returns from the
-    /// step loop).
-    #[inline]
-    fn flush_train(&mut self) {
-        while let Some((at, seq, ev)) = self.train_pop() {
-            self.queue.schedule_at_seq(at, seq, ev);
-        }
-    }
-
-    /// Truncate *all* batching state — the deferred-pop hold and every
-    /// parked train completion — back into the event queue under exact
-    /// `(time, seq)` keys, restoring the queue as the complete set of
-    /// future events before an early step-loop return or a checkpoint.
-    fn truncate_batch(&mut self) {
-        if let Some((ht, hs, hev)) = self.hold.take() {
-            self.queue.schedule_at_seq(ht, hs, hev);
-        }
-        self.flush_train();
-    }
-
-    /// Test/ablation lever for the serialization-train fast path (also
-    /// reachable via the `PFCSIM_NO_TRAINS` environment variable).
-    /// Disabling mid-run truncates any parked completions into the
-    /// queue.
+    /// Does nothing: serialization trains are gone. `benchmark/src/fabric.rs`
+    /// still calls this for its trains-off twin and this PR may not touch
+    /// `benchmark/`; the next `[benchmark]` PR removes that twin, the two
+    /// `net.sim.trains_gain_*` rows, `PFCSIM_NO_TRAINS` from `host.rs`'s
+    /// scrub list, and this shim together.
     #[doc(hidden)]
-    pub fn set_trains_enabled(&mut self, on: bool) {
-        self.trains_enabled = on;
-        if !on {
-            self.flush_train();
-        }
-    }
+    pub fn set_trains_enabled(&mut self, _: bool) {}
 
     // ------------------------------------------------------------------
     // Checkpoint / resume (see `crate::checkpoint` for the format)
@@ -1823,10 +1595,6 @@ impl NetSim {
                 "only a started, unfinished run can be checkpointed".into(),
             ));
         }
-        // The step loop truncates all batch state on every return, so
-        // this is a no-op between steps — kept as a guard so the queue
-        // snapshot below is always the complete set of future events.
-        self.truncate_batch();
         let telemetry = match self.telem.as_mut() {
             Some(t) => Some(t.snapshot().map_err(CheckpointError::Unsupported)?),
             None => None,
@@ -2403,7 +2171,7 @@ impl NetSim {
         let h = self.hosts[host.0 as usize].as_mut().expect("host");
         h.busy = true;
         self.host_in_flight[host.0 as usize] = Some(pkt);
-        self.sched_train(now + ser, Ev::HostTxDone { host });
+        self.sched(now + ser, Ev::HostTxDone { host });
     }
 
     fn on_host_tx_done(&mut self, host: NodeId) {
@@ -2524,17 +2292,6 @@ impl NetSim {
     /// carries exactly one pending timer. A dead handle (the event
     /// already fired) is replaced by a fresh schedule.
     fn arm_pause_timer(&mut self, node: NodeId, port: PortNo, prio: u8, until: SimTime) {
-        // A pause timer needs a live queue handle (for the in-place
-        // reschedule below), so it cannot park in the train. If it
-        // must fire before the held event of a deferred-pop drain,
-        // demote the hold back into the queue first — the step loop
-        // notices and re-probes, keeping pop order exact.
-        if let Some(&(ht, _, _)) = self.hold.as_ref() {
-            if until < ht {
-                let (ht, hs, hev) = self.hold.take().expect("hold just observed");
-                self.queue.schedule_at_seq(ht, hs, hev);
-            }
-        }
         let c = self.chan(node, port, prio as usize);
         // Partition-shard interception: `reschedule` draws a fresh
         // sequence number, which inside a window must be a provisional
@@ -3013,7 +2770,7 @@ impl NetSim {
             }
         };
         let ser = Self::ser_time(&info, size, self.cfg.default_packet_size);
-        self.sched_train(now + ser, Ev::TxDone { node, port });
+        self.sched(now + ser, Ev::TxDone { node, port });
     }
 
     fn on_tx_done(&mut self, node: NodeId, port: PortNo) {

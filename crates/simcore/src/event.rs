@@ -61,18 +61,19 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Read the `PFCSIM_SCHED` override (`wheel` or `heap`,
-    /// case-insensitive). Unset or unrecognized values yield `None`.
-    pub fn from_env() -> Option<Backend> {
-        match std::env::var("PFCSIM_SCHED")
-            .ok()?
-            .to_ascii_lowercase()
-            .as_str()
-        {
+    /// Parse a `PFCSIM_SCHED` value: `wheel` or `heap`, case-insensitive.
+    pub fn parse(v: &str) -> Option<Backend> {
+        match v.to_ascii_lowercase().as_str() {
             "wheel" => Some(Backend::Wheel),
             "heap" => Some(Backend::Heap),
             _ => None,
         }
+    }
+
+    /// Read the `PFCSIM_SCHED` override. Unset or unrecognized values
+    /// yield `None`.
+    pub fn from_env() -> Option<Backend> {
+        Self::parse(&std::env::var("PFCSIM_SCHED").ok()?)
     }
 
     /// Stable lowercase name (used in bench reports).
@@ -322,42 +323,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// `(time, seq)` key of the next live event, if any — the exact pop
-    /// order key. Lets a caller holding a reserved-sequence entry (see
-    /// [`reserve_seq`](Self::reserve_seq)) decide whether that entry
-    /// would pop before everything queued, ties included.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        let idx = match &self.core {
-            Core::Heap(h) => h.heap.first().copied(),
-            Core::Wheel(w) => w.find_min(&self.slots),
-        }?;
-        let s = &self.slots[idx as usize];
-        Some((s.time, s.seq))
-    }
-
-    /// Reserve the next sequence number without scheduling anything.
-    ///
-    /// The caller owns a phantom entry: pairing the returned number with
-    /// [`schedule_at_seq`](Self::schedule_at_seq) later inserts it
-    /// exactly as if it had been scheduled at reservation time, and
-    /// handling it inline (after [`advance_now`](Self::advance_now))
-    /// when [`peek_key`](Self::peek_key) proves it is globally next is
-    /// observationally identical to a schedule/pop round trip. This is
-    /// the primitive behind the net layer's serialization trains.
-    #[inline]
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Insert an entry under a previously reserved sequence number (no
-    /// counter bump). The entry pops exactly where a
-    /// [`schedule`](Self::schedule) call at reservation time would have
-    /// placed it. Returns a live handle, so side tables keyed on
-    /// [`EventId`] (pause timers) can track entries that re-enter the
-    /// queue through the reserved-sequence path.
+    /// Insert an entry under an explicit sequence number chosen by the
+    /// caller (no counter bump): it pops at exactly that `(at, seq)`
+    /// position. The partitioned driver re-keys window-local events this
+    /// way when it merges shards. Returns a live handle, so side tables
+    /// keyed on [`EventId`] (pause timers) can track such entries.
     ///
     /// # Panics
     /// Panics if `at` is earlier than the current time.
@@ -372,9 +342,9 @@ impl<E> EventQueue<E> {
         self.insert_with_seq(at, seq, payload)
     }
 
-    /// Advance the clock to `at` without popping — the inline-handling
-    /// half of the reserved-entry protocol. The caller asserts it is
-    /// processing an event at `at` that never entered the queue.
+    /// Advance the clock to `at` without popping: the caller (the
+    /// partitioned driver, after a merge) has already processed every
+    /// event before `at` outside this queue.
     ///
     /// # Panics
     /// Panics if `at` would rewind the clock or jump past a queued event.
@@ -406,13 +376,14 @@ impl<E> EventQueue<E> {
         Some(self.take(idx))
     }
 
-    /// Pop the next live event only if its timestamp is `<= limit`.
-    /// Equivalent to `peek_time` followed by a conditional `pop`, but a
-    /// single min-search — the hot path of a horizon-bounded run loop.
-    /// Returns `None` both on an empty queue and on a next event beyond
-    /// `limit`; disambiguate with [`peek_time`](Self::peek_time).
+    /// Pop the next live event, with its full `(time, seq)` key, only if
+    /// its timestamp is `<= limit`, advancing `now` to it. Equivalent to
+    /// `peek_time` followed by a conditional `pop`, but a single
+    /// min-search — the hot path of a horizon-bounded run loop. Returns
+    /// `None` both on an empty queue and on a next event beyond `limit`;
+    /// disambiguate with [`is_empty`](Self::is_empty).
     #[inline]
-    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+    pub fn pop_before(&mut self, limit: SimTime) -> Option<((SimTime, u64), E)> {
         let idx = match &mut self.core {
             Core::Heap(h) => {
                 let &root = h.heap.first()?;
@@ -424,63 +395,9 @@ impl<E> EventQueue<E> {
             }
             Core::Wheel(w) => w.pop_min_before(&mut self.slots, limit)?,
         };
-        Some(self.take(idx))
-    }
-
-    /// Pop the next live event's full `(time, seq)` key and payload,
-    /// only if its timestamp is `<= limit`, *deferring the clock*:
-    /// `now` (and the wheel cursor) stay put until the caller commits
-    /// with [`commit_time`](Self::commit_time). Between the pop and
-    /// the commit the caller may run reserved-sequence entries that
-    /// order before the popped key, advancing `now` to each with
-    /// [`advance_now`](Self::advance_now) — the deferred-pop half of
-    /// the net layer's serialization-train protocol. The caller must
-    /// not insert anything that orders before the popped key in the
-    /// meantime (route such entries around the queue, or re-insert
-    /// the popped event with
-    /// [`schedule_at_seq`](Self::schedule_at_seq) first).
-    #[inline]
-    pub fn pop_key_before_deferred(&mut self, limit: SimTime) -> Option<((SimTime, u64), E)> {
-        let idx = match &mut self.core {
-            Core::Heap(h) => {
-                let &root = h.heap.first()?;
-                if self.slots[root as usize].time > limit {
-                    return None;
-                }
-                h.remove_at(&mut self.slots, 0);
-                root
-            }
-            Core::Wheel(w) => w.pop_min_before_deferred(&mut self.slots, limit)?,
-        };
-        let s = &mut self.slots[idx as usize];
-        let key = (s.time, s.seq);
-        let payload = s.payload.take().expect("live entry has payload");
-        self.release(idx);
-        Some((key, payload))
-    }
-
-    /// Commit the clock to `at` — the closing half of a deferred pop.
-    /// Equivalent to [`advance_now`](Self::advance_now) plus the wheel
-    /// cursor advance a regular pop would have performed.
-    ///
-    /// # Panics
-    /// Panics if `at` would rewind the clock.
-    #[inline]
-    pub fn commit_time(&mut self, at: SimTime) {
-        debug_assert!(
-            self.peek_time().is_none_or(|t| at <= t),
-            "commit_time({at}) would jump past a queued event"
-        );
-        assert!(
-            at >= self.now,
-            "causality violation: committing {at} but now is {now}",
-            at = at,
-            now = self.now
-        );
-        self.now = at;
-        if let Core::Wheel(w) = &mut self.core {
-            w.advance_cursor(at);
-        }
+        let seq = self.slots[idx as usize].seq;
+        let (time, payload) = self.take(idx);
+        Some(((time, seq), payload))
     }
 
     /// Detach popped arena slot `idx`: advance `now`, release the slot,
@@ -626,7 +543,7 @@ impl<E> EventQueue<E> {
     }
 
     /// [`schedule`](Self::schedule) with an explicit sequence number and
-    /// no counter bump — the restore and reserved-entry paths.
+    /// no counter bump — the restore and explicit-key paths.
     fn insert_with_seq(&mut self, at: SimTime, seq: u64, payload: E) -> EventId {
         let idx = match self.free.pop() {
             Some(idx) => {
@@ -766,8 +683,8 @@ mod tests {
     }
 
     /// `pop_before` must be observationally identical to peek-then-pop:
-    /// same events in the same order under a rising limit, refusals
-    /// leaving the queue intact.
+    /// same events under the same `(time, seq)` keys in the same order
+    /// under a rising limit, refusals leaving the queue intact.
     #[test]
     fn pop_before_matches_peek_then_pop() {
         for backend in [Backend::Heap, Backend::Wheel] {
@@ -784,8 +701,10 @@ mod tests {
             let mut limit = SimTime::ZERO;
             while split.peek_time().is_some() {
                 loop {
+                    // Payload `i` was the `i`-th schedule on a fresh
+                    // queue, so it is also the event's sequence number.
                     let expect = match split.peek_time() {
-                        Some(t) if t <= limit => split.pop(),
+                        Some(t) if t <= limit => split.pop().map(|(t, v)| ((t, v), v)),
                         _ => None,
                     };
                     let got = fused.pop_before(limit);
@@ -797,6 +716,7 @@ mod tests {
                 limit += SimDuration::from_ns(37);
             }
             assert_eq!(fused.pop_before(SimTime::MAX), None);
+            assert_eq!(fused.now(), split.now(), "{backend:?} clock diverged");
         }
     }
 
@@ -1290,81 +1210,6 @@ mod tests {
         });
     }
 
-    /// The reserved-sequence protocol (`reserve_seq` + `schedule_at_seq`
-    /// / inline handling with `advance_now`) must reproduce the exact
-    /// pop stream of plain scheduling: a parked entry that `peek_key`
-    /// proves globally next is handled inline; otherwise it is flushed
-    /// into the queue under its reserved number.
-    #[test]
-    fn reserved_seq_inline_matches_schedule_pop() {
-        for backend in [Backend::Heap, Backend::Wheel] {
-            let mut plain: EventQueue<u64> = EventQueue::with_backend(backend);
-            let mut train: EventQueue<u64> = EventQueue::with_backend(backend);
-            let mut state = 0x0123_4567_89ab_cdefu64;
-            let mut rng = move |m: u64| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 33) % m
-            };
-            let mut out_plain = Vec::new();
-            let mut out_train = Vec::new();
-            let mut parked: Option<(SimTime, u64, u64)> = None;
-            for i in 0..3_000u64 {
-                let deltas = [0, 1, 3, 40, 900, 20_000];
-                let at_off = deltas[rng(deltas.len() as u64) as usize];
-                match rng(3) {
-                    0 => {
-                        let at = plain.now() + SimDuration::from_ns(at_off);
-                        plain.schedule(at, i);
-                        // Train side: park it if the slot is free.
-                        let at = train.now() + SimDuration::from_ns(at_off);
-                        if parked.is_none() {
-                            parked = Some((at, train.reserve_seq(), i));
-                        } else {
-                            train.schedule(at, i);
-                        }
-                    }
-                    _ => {
-                        if let Some((t, v)) = plain.pop() {
-                            out_plain.push((t.as_ns(), v));
-                        }
-                        // Train side: the parked entry pops first iff its
-                        // (time, seq) beats the queue head.
-                        match parked.take() {
-                            Some((at, seq, v))
-                                if train.peek_key().is_none_or(|k| (at, seq) < k) =>
-                            {
-                                train.advance_now(at);
-                                out_train.push((at.as_ns(), v));
-                            }
-                            Some((at, seq, v)) => {
-                                train.schedule_at_seq(at, seq, v);
-                                if let Some((t, v)) = train.pop() {
-                                    out_train.push((t.as_ns(), v));
-                                }
-                            }
-                            None => {
-                                if let Some((t, v)) = train.pop() {
-                                    out_train.push((t.as_ns(), v));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some((at, seq, v)) = parked.take() {
-                train.schedule_at_seq(at, seq, v);
-            }
-            while let Some((t, v)) = plain.pop() {
-                out_plain.push((t.as_ns(), v));
-            }
-            while let Some((t, v)) = train.pop() {
-                out_train.push((t.as_ns(), v));
-            }
-            assert_eq!(out_plain, out_train, "{backend:?} inline protocol diverged");
-            assert_eq!(plain.next_seq(), train.next_seq());
-        }
-    }
-
     /// An entry earlier than the restored `now` is a corrupt snapshot and
     /// must be rejected loudly, not silently reordered.
     #[test]
@@ -1383,13 +1228,11 @@ mod tests {
     #[test]
     fn schedule_at_seq_returns_live_handle() {
         on_each_backend_u64(|mut q| {
-            let seq = q.reserve_seq();
-            let id = q.schedule_at_seq(SimTime::from_ns(5), seq, 5);
+            let id = q.schedule_at_seq(SimTime::from_ns(5), 0, 5);
             assert!(q.cancel(id));
             assert!(!q.cancel(id), "handle must go stale after cancel");
             // Slot reuse must not revive the old handle.
-            let seq2 = q.reserve_seq();
-            let id2 = q.schedule_at_seq(SimTime::from_ns(7), seq2, 7);
+            let id2 = q.schedule_at_seq(SimTime::from_ns(7), 1, 7);
             assert!(!q.cancel(id));
             assert!(q.reschedule(id2, SimTime::from_ns(3)));
             assert_eq!(q.pop(), Some((SimTime::from_ns(3), 7)));

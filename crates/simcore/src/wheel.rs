@@ -443,14 +443,41 @@ impl WheelState {
     /// tick, and migrate newly-in-horizon overflow events down.
     pub(crate) fn pop_min<E>(&mut self, slots: &mut [Slot<E>]) -> Option<u32> {
         let (idx, from_bucket) = self.select_min(slots)?;
-        self.finish_pop(slots, idx, from_bucket);
+        self.detach(slots, idx, from_bucket);
+        match from_bucket {
+            // Migrate the newly-reachable prefix of the overflow tier
+            // into the wheels ("events migrate down as wheels turn").
+            None => {
+                while let Some(&root) = self.overflow.first() {
+                    let rt = self.tick_of(slots[root as usize].time);
+                    if Self::place(rt, self.cur).is_none() {
+                        break;
+                    }
+                    self.overflow_remove_at(slots, 0);
+                    self.insert(slots, root);
+                }
+            }
+            // If the winner came from a level >= 1 slot, the cursor
+            // just entered that slot's range: flush the survivors
+            // down so the next pop scans short level-0 lists.
+            Some(b) => {
+                if b >= SLOTS && self.head[b] != NIL {
+                    self.cascade_bucket(slots, b);
+                }
+            }
+        }
         Some(idx)
     }
 
     /// `pop_min`, but only if the winner's time is `<= limit` — the
     /// peek-and-pop of a horizon-bounded run loop as one search. A
     /// beyond-limit winner stays resident (cascading done on the way is
-    /// order-neutral) and `None` is returned.
+    /// order-neutral) and `None` is returned. This is the simulator's
+    /// per-event path, so it skips `pop_min`'s cursor-dependent cleanup
+    /// (overflow migration, survivor cascade): both are pure placement
+    /// maintenance that never affects pop order — the overflow root is
+    /// compared on every pop, and survivors now sit in a cursor slot,
+    /// which the next `select_min` cascades.
     #[inline]
     pub(crate) fn pop_min_before<E>(
         &mut self,
@@ -461,58 +488,15 @@ impl WheelState {
         if slots[idx as usize].time > limit {
             return None;
         }
-        self.finish_pop(slots, idx, from_bucket);
+        self.detach(slots, idx, from_bucket);
         Some(idx)
     }
 
-    /// `pop_min_before`, but *deferring the cursor*: the winner is
-    /// detached and returned while the cursor stays put until the
-    /// caller commits it with [`advance_cursor`](Self::advance_cursor).
-    /// The batching layer pops the wheel's minimum this way, runs any
-    /// parked reserved-sequence entries that precede it (whose ticks
-    /// may fall between the old cursor and the winner's tick — legal
-    /// insert targets only while the cursor has not advanced), then
-    /// commits. Cursor-dependent cleanup (overflow migration, survivor
-    /// cascades) waits for the next regular pop; both are pure
-    /// placement maintenance and never affect pop order.
+    /// Step 4 of a pop: advance the cursor to winner `idx`'s tick —
+    /// everything live is at or after it — and detach it from
+    /// `from_bucket` (`None` = overflow tier).
     #[inline]
-    pub(crate) fn pop_min_before_deferred<E>(
-        &mut self,
-        slots: &mut [Slot<E>],
-        limit: SimTime,
-    ) -> Option<u32> {
-        let (idx, from_bucket) = self.select_min(slots)?;
-        if slots[idx as usize].time > limit {
-            return None;
-        }
-        match from_bucket {
-            None => {
-                let pos = slots[idx as usize].pos;
-                debug_assert!(pos & OVF_BIT != 0);
-                self.overflow_remove_at(slots, (pos & !OVF_BIT) as usize);
-            }
-            Some(_) => self.unlink(slots, idx),
-        }
-        Some(idx)
-    }
-
-    /// Commit the cursor to `t`'s tick — the deferred half of
-    /// [`pop_min_before_deferred`](Self::pop_min_before_deferred). The
-    /// caller guarantees every live event ticks at or after `t` (the
-    /// deferred winner was the minimum, and everything inserted since
-    /// that would precede it was routed around the wheel).
-    #[inline]
-    pub(crate) fn advance_cursor(&mut self, t: SimTime) {
-        let tick = self.tick_of(t);
-        debug_assert!(tick >= self.cur, "cursor commit moved backwards");
-        self.cur = tick;
-    }
-
-    /// Step 4 of a pop: advance the cursor to winner `idx`'s tick and
-    /// detach it from `from_bucket` (`None` = overflow tier).
-    fn finish_pop<E>(&mut self, slots: &mut [Slot<E>], idx: u32, from_bucket: Option<usize>) {
-        // Advance the cursor to the winner's tick; everything live is
-        // at or after it.
+    fn detach<E>(&mut self, slots: &mut [Slot<E>], idx: u32, from_bucket: Option<usize>) {
         let tick = self.tick_of(slots[idx as usize].time);
         debug_assert!(tick >= self.cur, "pop moved the cursor backwards");
         self.cur = tick;
@@ -521,26 +505,8 @@ impl WheelState {
                 let pos = slots[idx as usize].pos;
                 debug_assert!(pos & OVF_BIT != 0);
                 self.overflow_remove_at(slots, (pos & !OVF_BIT) as usize);
-                // Migrate the newly-reachable prefix of the overflow tier
-                // into the wheels ("events migrate down as wheels turn").
-                while let Some(&root) = self.overflow.first() {
-                    let rt = self.tick_of(slots[root as usize].time);
-                    if Self::place(rt, self.cur).is_none() {
-                        break;
-                    }
-                    self.overflow_remove_at(slots, 0);
-                    self.insert(slots, root);
-                }
             }
-            Some(b) => {
-                self.unlink(slots, idx);
-                // If the winner came from a level >= 1 slot, the cursor
-                // just entered that slot's range: flush the survivors
-                // down so the next pop scans short level-0 lists.
-                if b >= SLOTS && self.head[b] != NIL {
-                    self.cascade_bucket(slots, b);
-                }
-            }
+            Some(_) => self.unlink(slots, idx),
         }
     }
 

@@ -215,6 +215,12 @@ proptest! {
     /// live counts. Time deltas span sub-tick spacing, every wheel level
     /// and the overflow horizon (2^34 ps at the default tick), so slot
     /// collisions, cascades and overflow migration are all exercised.
+    /// One op in ten is the simulator's step: a limit-bounded pop (which
+    /// skips the plain pop's placement maintenance) followed by a
+    /// schedule at the just-popped timestamp — an insert exactly at the
+    /// cursor; the final drain is bounded too, so every run that parked
+    /// events beyond the horizon pops a winner out of the overflow tier
+    /// through the bounded path.
     #[test]
     fn wheel_matches_heap_model(
         ops in prop::collection::vec((0u64..10, 0u64..64, 0u32..37), 0..400),
@@ -246,11 +252,22 @@ proptest! {
                         prop_assert_eq!(wheel.cancel(wid), heap.cancel(hid));
                     }
                 }
-                _ => {
+                7..=8 => {
                     prop_assert_eq!(wheel.peek_time(), heap.peek_time());
                     let got = wheel.pop();
                     let want = heap.pop();
                     prop_assert_eq!(got, want);
+                }
+                _ => {
+                    let limit = wheel.now() + SimDuration::from_ps(mantissa << (shift % 37));
+                    let got = wheel.pop_before(limit);
+                    let want = heap.pop_before(limit);
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(wheel.now(), heap.now());
+                    if let Some(((at, _), _)) = got {
+                        live.push((wheel.schedule(at, tag), heap.schedule(at, tag)));
+                        tag += 1;
+                    }
                 }
             }
             prop_assert_eq!(wheel.len(), heap.len());
@@ -258,8 +275,8 @@ proptest! {
         }
         // Drain both to the end: identical tails.
         loop {
-            let got = wheel.pop();
-            let want = heap.pop();
+            let got = wheel.pop_before(SimTime::MAX);
+            let want = heap.pop_before(SimTime::MAX);
             let done = want.is_none();
             prop_assert_eq!(got, want);
             if done {
