@@ -9,8 +9,7 @@ use criterion::{criterion_group, criterion_main};
 
 use pfcsim_experiments::enginebench::{
     bench_arena_reuse, bench_deadlock_scan, bench_event_queue, bench_fat_tree_all_to_all,
-    bench_hybrid_fabric, bench_line_forwarding, bench_partitioned_fabric, bench_serve,
-    bench_telemetry_off,
+    bench_hybrid_fabric, bench_line_forwarding, bench_serve, bench_telemetry_off,
 };
 
 criterion_group!(
@@ -19,7 +18,6 @@ criterion_group!(
     bench_line_forwarding,
     bench_telemetry_off,
     bench_fat_tree_all_to_all,
-    bench_partitioned_fabric,
     bench_hybrid_fabric,
     bench_deadlock_scan,
     bench_arena_reuse,

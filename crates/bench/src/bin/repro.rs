@@ -70,12 +70,50 @@ fn verify(topo_name: &str, routing: &str) -> ! {
     std::process::exit(0);
 }
 
+/// One line per subcommand group: `names [flags]`. The unit test reads
+/// the flags back out of this text and checks them against
+/// [`known_flags`], so the two cannot drift apart.
+const USAGE: &str = "\
+usage: repro <subcommand> [flags]
+  all|fig1|fig2|fig3|fig4|fig5|ttl|tiering|dcqcn|baselines|ablations|recovery|fluid|flooding|faults [--quick] [--json DIR] [--csv DIR]
+  bench [--quick] [--out PATH] [--gate]
+  metrics|trace [--quick] [--out PATH]
+  golden [--sched wheel|heap] [--checkpoint PATH] [--pause-at-us N] [--checkpoint-every-us N]
+  resume PATH
+  serve [--socket PATH] [--checkpoint PATH]
+  verify [TOPOLOGY] [ROUTING]
+  chaos";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: repro <all|fig1|fig2|fig3|fig4|fig5|ttl|tiering|dcqcn|baselines|ablations|recovery|fluid|flooding|faults|verify|bench|metrics|trace|golden|resume|chaos|serve> \
-         [--quick] [--json DIR] [--csv DIR] [--out PATH] [--gate] [--partitions N] [--socket PATH] [--checkpoint PATH]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// The flags `cmd` defines. Flags are looked up by name, so one that is
+/// not listed here would otherwise be silently ignored.
+fn known_flags(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "bench" => &["--quick", "--out", "--gate"],
+        "metrics" | "trace" => &["--quick", "--out"],
+        "golden" => &[
+            "--sched",
+            "--checkpoint",
+            "--pause-at-us",
+            "--checkpoint-every-us",
+        ],
+        "serve" => &["--socket", "--checkpoint"],
+        "verify" | "resume" | "chaos" => &[],
+        // `all` and the single experiments.
+        _ => &["--quick", "--json", "--csv"],
+    }
+}
+
+/// The first `--…` argument that `cmd` does not define, if any.
+fn unknown_flag<'a>(cmd: &str, args: &'a [String]) -> Option<&'a str> {
+    let known = known_flags(cmd);
+    args.iter()
+        .map(String::as_str)
+        .find(|a| a.starts_with("--") && !known.contains(a))
 }
 
 /// `--flag VALUE` extraction.
@@ -962,19 +1000,9 @@ fn main() {
         usage();
     }
     let cmd = args[0].as_str();
-    // `--partitions N` pins every simulation this invocation constructs
-    // to N-way partitioned execution (the same knob as the
-    // PFCSIM_PARTITIONS environment variable, which it overrides). The
-    // engine's determinism contract makes the output identical at any
-    // N, which is exactly what CI's partition-matrix byte-diff checks.
-    if let Some(v) = flag_value(&args, "--partitions") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => std::env::set_var("PFCSIM_PARTITIONS", n.to_string()),
-            _ => {
-                eprintln!("error: --partitions expects a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-        }
+    if let Some(flag) = unknown_flag(cmd, &args[1..]) {
+        eprintln!("error: `repro {cmd}` has no flag {flag}");
+        usage();
     }
     if cmd == "verify" {
         let topo = args.get(1).map(String::as_str).unwrap_or("fat-tree4");
@@ -1089,6 +1117,50 @@ fn main() {
             )
             .expect("write json");
             eprintln!("wrote {path}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn only_flags_a_subcommand_defines_are_accepted() {
+        // A deleted flag and a typo, which used to run silently.
+        assert_eq!(
+            unknown_flag("all", &args(&["--partitions", "4"])),
+            Some("--partitions")
+        );
+        assert_eq!(
+            unknown_flag("all", &args(&["--quik", "--json", "out"])),
+            Some("--quik")
+        );
+        // A real flag on the wrong subcommand.
+        assert_eq!(unknown_flag("chaos", &args(&["--quick"])), Some("--quick"));
+        assert_eq!(unknown_flag("fig3", &args(&["--gate"])), Some("--gate"));
+        // Values and positionals are not flags.
+        assert_eq!(unknown_flag("resume", &args(&["golden.ckpt"])), None);
+        assert_eq!(unknown_flag("all", &args(&["--json", "out-dir"])), None);
+
+        // Every flag the usage text documents is accepted by every
+        // subcommand named on the same line, and it documents them all.
+        for line in USAGE.lines().skip(1) {
+            let mut words = line.split_whitespace();
+            let names = words.next().expect("subcommand names");
+            let flags: Vec<String> = words
+                .filter_map(|w| w.strip_prefix('['))
+                .filter(|w| w.starts_with("--"))
+                .map(|w| w.trim_end_matches(']').to_string())
+                .collect();
+            for cmd in names.split('|') {
+                assert_eq!(unknown_flag(cmd, &flags), None, "repro {cmd}: {line}");
+                assert_eq!(known_flags(cmd).len(), flags.len(), "repro {cmd}: {line}");
+            }
         }
     }
 }

@@ -19,10 +19,8 @@
 //!   ≤2% of the datapath number);
 //! * `fabric/fat_tree4_permutation_200us` — routing + arbitration on a
 //!   16-host fat-tree;
-//! * `fabric/fat_tree8_torlocal_100us{,_p2,_p4}` — the identical
-//!   128-host k=8 fat-tree scenario serial and at 2/4 partitions:
-//!   directly comparable events/sec for the partitioned engine (on a
-//!   single-core host the `_pN` numbers measure split/merge overhead);
+//! * `fabric/fat_tree8_torlocal_100us` — the same on a 128-host k=8
+//!   fat-tree under rack-local rotation traffic;
 //! * `hybrid/fat_tree8_steady_1ms{,_fullpkt}` — the hybrid fluid/packet
 //!   backend on its intended steady-state workload (one intra-rack CBR
 //!   flow per k=8 edge switch) and its full-packet twin; both rows use
@@ -48,7 +46,7 @@ use pfcsim_net::telemetry::TelemetryConfig;
 use pfcsim_simcore::event::{Backend, EventId, EventQueue};
 use pfcsim_simcore::rng::SimRng;
 use pfcsim_simcore::time::{SimDuration, SimTime};
-use pfcsim_topo::builders::{fat_tree, line, LinkSpec};
+use pfcsim_topo::builders::{fat_tree, line, Built, LinkSpec};
 
 fn event_queue_bench(c: &mut Criterion, samples: usize) {
     let mut g = c.benchmark_group("event_queue");
@@ -165,8 +163,9 @@ fn telemetry_off_bench(c: &mut Criterion, samples: usize) {
 }
 
 fn fat_tree_bench(c: &mut Criterion, samples: usize) {
-    let built = fat_tree(4, LinkSpec::default());
-    let run_once = || {
+    // Saturating flows `i -> dst(i)` over up/down routing on a k-ary
+    // fat-tree; returns the event count.
+    let run_once = |built: &Built, dst: fn(usize, usize) -> usize, horizon: SimTime| {
         let tables = pfcsim_topo::routing::up_down_tables(&built.topo);
         let mut cfg = SimConfig::default();
         cfg.sample_interval = None; // measure datapath, not sampling
@@ -179,73 +178,37 @@ fn fat_tree_bench(c: &mut Criterion, samples: usize) {
             sim.add_flow(FlowSpec::infinite(
                 i as u32,
                 built.hosts[i],
-                built.hosts[(i + n / 2) % n],
+                built.hosts[dst(i, n)],
             ));
         }
-        let r = sim.run(SimTime::from_us(200));
+        let r = sim.run(horizon);
         assert!(!r.verdict.is_deadlock());
         r.events
     };
-    let events = run_once();
+    let rows: [(&str, usize, fn(usize, usize) -> usize, SimTime); 2] = [
+        // 16 hosts, every flow crosses the core.
+        (
+            "fat_tree4_permutation_200us",
+            4,
+            |i, n| (i + n / 2) % n,
+            SimTime::from_us(200),
+        ),
+        // 128 hosts, 80 switches, each host sending to the next host on
+        // its own edge switch (rotation within the 4-host group).
+        (
+            "fat_tree8_torlocal_100us",
+            8,
+            |i, _| (i & !3) + (i + 1) % 4,
+            SimTime::from_us(100),
+        ),
+    ];
     let mut g = c.benchmark_group("fabric");
     g.sample_size(samples);
-    g.throughput(Throughput::Elements(events));
-    g.bench_function("fat_tree4_permutation_200us", |b| {
-        b.iter(|| black_box(run_once()))
-    });
-    g.finish();
-}
-
-fn partitioned_fabric_bench(c: &mut Criterion, samples: usize) {
-    // The partitioned engine on the fabric it was built for: a k=8
-    // fat-tree (128 hosts, 80 switches) under ToR-local rotation traffic
-    // (each host sends to the next host on its own edge switch), so the
-    // auto-partitioner's cuts carry pause/route coordination but no
-    // steady-state data packets — the intended best case for windowed
-    // conservative sync. The serial, 2-partition, and 4-partition
-    // variants run the identical scenario; determinism makes their event
-    // counts (and full reports) equal, so the three numbers are directly
-    // comparable events/sec. On a single-core host the partitioned
-    // variants measure pure split/merge overhead, not speedup.
-    let built = fat_tree(8, LinkSpec::default());
-    let run_once = |parts: usize| {
-        let tables = pfcsim_topo::routing::up_down_tables(&built.topo);
-        let mut cfg = SimConfig::default();
-        cfg.sample_interval = None; // measure datapath, not sampling
-        let mut sim = SimBuilder::new(&built.topo)
-            .config(cfg)
-            .tables(tables)
-            .build();
-        sim.set_partitions(parts);
-        let n = built.hosts.len();
-        for i in 0..n {
-            // Rotate within each edge switch's 4-host group.
-            let dst = (i & !3) + (i + 1) % 4;
-            sim.add_flow(FlowSpec::infinite(
-                i as u32,
-                built.hosts[i],
-                built.hosts[dst],
-            ));
-        }
-        let r = sim.run(SimTime::from_us(100));
-        assert!(!r.verdict.is_deadlock());
-        r.events
-    };
-    let events = run_once(1);
-    let mut g = c.benchmark_group("fabric");
-    g.sample_size(samples);
-    g.throughput(Throughput::Elements(events));
-    g.bench_function("fat_tree8_torlocal_100us", |b| {
-        b.iter(|| black_box(run_once(1)))
-    });
-    for parts in [2usize, 4] {
-        assert_eq!(
-            run_once(parts),
-            events,
-            "partitioned run diverged at {parts} partitions"
-        );
-        g.bench_function(&format!("fat_tree8_torlocal_100us_p{parts}"), |b| {
-            b.iter(|| black_box(run_once(parts)))
+    for (name, k, dst, horizon) in rows {
+        let built = fat_tree(k, LinkSpec::default());
+        g.throughput(Throughput::Elements(run_once(&built, dst, horizon)));
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(run_once(&built, dst, horizon)))
         });
     }
     g.finish();
@@ -479,11 +442,6 @@ pub fn bench_fat_tree_all_to_all(c: &mut Criterion) {
     fat_tree_bench(c, 10);
 }
 
-/// `cargo bench` entry point: partitioned fat-tree fabric.
-pub fn bench_partitioned_fabric(c: &mut Criterion) {
-    partitioned_fabric_bench(c, 10);
-}
-
 /// `cargo bench` entry point: hybrid fluid/packet backend vs its
 /// full-packet twin.
 pub fn bench_hybrid_fabric(c: &mut Criterion) {
@@ -519,7 +477,6 @@ pub fn run_engine_benches(quick: bool) -> Vec<BenchResult> {
     line_forwarding_bench(&mut c, s_small.max(3));
     telemetry_off_bench(&mut c, s_small.max(3));
     fat_tree_bench(&mut c, s_small);
-    partitioned_fabric_bench(&mut c, s_small);
     hybrid_fabric_bench(&mut c, s_small);
     deadlock_scan_bench(&mut c, s_small);
     arena_reuse_bench(&mut c, s_small);
@@ -546,8 +503,6 @@ mod tests {
                 "telemetry/line2_off_1ms",
                 "fabric/fat_tree4_permutation_200us",
                 "fabric/fat_tree8_torlocal_100us",
-                "fabric/fat_tree8_torlocal_100us_p2",
-                "fabric/fat_tree8_torlocal_100us_p4",
                 "hybrid/fat_tree8_steady_1ms",
                 "hybrid/fat_tree8_steady_1ms_fullpkt",
                 "detector/deadlock_scan_fat_tree4_incast_200us",

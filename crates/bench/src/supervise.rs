@@ -185,11 +185,7 @@ where
         task_tx.send((i, 1)).expect("queue open");
     }
 
-    // Held for the whole supervised run so nested partitioned
-    // simulations see the charged thread ledger; dropped (released) on
-    // return.
-    let grant = crate::sweep::WorkerGrant::acquire(n);
-    let workers = grant.workers();
+    let workers = crate::sweep::worker_count(n);
     let backoff = cfg.backoff;
     let spawn_worker = |id: usize| {
         let items = Arc::clone(&items);

@@ -47,63 +47,6 @@ pub(crate) fn worker_count(items: usize) -> usize {
     requested.min(items).max(1)
 }
 
-/// A worker allotment drawn from the process-wide thread ledger
-/// ([`pfcsim_simcore::threads`]), so sweep fan-out and partitioned
-/// simulation (`PFCSIM_PARTITIONS`) share one budget instead of
-/// multiplying: a partitioned run *inside* a sweep worker sees the
-/// ledger already charged for its siblings and steps its shards inline
-/// rather than oversubscribing the host. Releases the grant on drop.
-pub(crate) struct WorkerGrant {
-    desired: usize,
-    extra: usize,
-}
-
-impl WorkerGrant {
-    pub(crate) fn acquire(items: usize) -> Self {
-        let desired = worker_count(items);
-        let extra = if desired > 1 {
-            let got = pfcsim_simcore::threads::try_acquire(desired - 1);
-            if got < desired - 1 {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: thread budget already charged elsewhere; sweep runs \
-                         {} worker(s) instead of {desired} (results identical)",
-                        1 + got
-                    );
-                });
-            }
-            got
-        } else {
-            0
-        };
-        WorkerGrant { desired, extra }
-    }
-
-    /// Workers this sweep may actually run (≥ 1). When the request was
-    /// parallel (`desired > 1`) callers must still take the
-    /// panic-isolating parallel path even if the grant degraded to one
-    /// worker — isolation semantics must not depend on ledger state.
-    pub(crate) fn workers(&self) -> usize {
-        if self.desired <= 1 {
-            1
-        } else {
-            1 + self.extra
-        }
-    }
-
-    /// Whether the caller asked for parallel execution at all.
-    pub(crate) fn parallel(&self) -> bool {
-        self.desired > 1
-    }
-}
-
-impl Drop for WorkerGrant {
-    fn drop(&mut self) {
-        pfcsim_simcore::threads::release(self.extra);
-    }
-}
-
 /// Apply `f` to every item, possibly in parallel, returning results in
 /// input order.
 ///
@@ -140,12 +83,11 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    let grant = WorkerGrant::acquire(items.len());
-    if !grant.parallel() {
+    let workers = worker_count(items.len());
+    if workers <= 1 {
         let mut scratch = init();
         return items.iter().map(|item| f(&mut scratch, item)).collect();
     }
-    let workers = grant.workers();
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     // (item index, panic message) for every task whose closure panicked.

@@ -76,12 +76,10 @@
 //! documented non-equivalence: the budget counts *executed* events, so
 //! eliding changes where the axe falls.
 //!
-//! Gated configurations (telemetry, sampling, tracing, ECN, partitions,
-//! class remapping, route/reboot fault scripts) fall back to full-packet
-//! with a one-time warning through the same keyed registry
-//! ([`crate::warn`]) the partitioned executor uses for its serial
-//! fallback, so a long-lived serve session toggling backends never
-//! re-emits per-subsystem duplicates.
+//! Gated configurations (telemetry, sampling, tracing, ECN, class
+//! remapping, route/reboot fault scripts) fall back to full-packet with
+//! a one-time warning through the keyed registry ([`crate::warn`]), so a
+//! long-lived serve session toggling backends never re-emits duplicates.
 
 use serde::{Deserialize, Serialize};
 
@@ -610,9 +608,6 @@ impl NetSim {
 
     /// A whole-run reason the hybrid backend must stay off, if any.
     fn hybrid_gate_reason(&self) -> Option<&'static str> {
-        if self.part.is_some() || self.pmode.is_some() {
-            return Some("partitioned execution");
-        }
         if self.telem.is_some() {
             return Some("telemetry");
         }
@@ -1178,6 +1173,13 @@ impl NetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{EcnConfig, SimConfig, TtlClassConfig};
+    use crate::faults::FaultPlan;
+    use crate::flow::FlowSpec;
+    use crate::sim::SimBuilder;
+    use crate::telemetry::TelemetryConfig;
+    use pfcsim_simcore::units::BitRate;
+    use pfcsim_topo::builders::{line, Built, LinkSpec};
 
     fn plan(hops: usize) -> FluidPlan {
         // 1 KB packets at one per µs; NIC and hops serialize in 250 ns,
@@ -1363,6 +1365,95 @@ mod tests {
         assert!(bad.validate().is_err());
     }
 
+    /// `line(2)` carrying one bounded CBR flow the classifier admits
+    /// whole: hybrid on, occupancy sampling (itself a gate) off, then
+    /// whatever `arm` changes.
+    fn lone_cbr_sim(b: &Built, arm: impl FnOnce(&mut SimConfig)) -> NetSim {
+        let mut cfg = SimConfig::default();
+        cfg.sample_interval = None;
+        cfg.hybrid = Some(HybridConfig::default());
+        arm(&mut cfg);
+        let mut sim = SimBuilder::new(&b.topo).config(cfg).build();
+        sim.add_flow(
+            // 8 Gbps at the default 1000 B packet gives a 1 µs tick,
+            // so the per-switch residency windows ([1.2,1.4] and
+            // [2.4,2.6] µs after injection) never contain a tick
+            // instant and the drained-path promotion check can pass.
+            FlowSpec::cbr(0, b.hosts[0], b.hosts[1], BitRate::from_gbps(8))
+                .stopping_at(SimTime::from_us(800)),
+        );
+        sim
+    }
+
+    /// `hybrid_gate_reason` is the one list that decides which engine a
+    /// run may use. On a run that is otherwise all fluid, each gated
+    /// feature alone yields exactly its reason and elides nothing.
+    #[test]
+    fn gate_table_gives_each_feature_its_reason() {
+        let b = line(2, LinkSpec::default());
+        let check =
+            |want: Option<&str>, arm: &dyn Fn(&mut SimConfig), setup: &dyn Fn(&mut NetSim)| {
+                let mut sim = lone_cbr_sim(&b, arm);
+                setup(&mut sim);
+                // The gate is read at start, once the fault plan is expanded.
+                let paused = sim.advance_until(SimTime::from_us(1), SimTime::from_ms(1));
+                assert!(paused.is_none(), "{want:?}: run pauses mid-flight");
+                assert_eq!(sim.hybrid_gate_reason(), want);
+                let elided = sim.resume_run().events_elided;
+                assert_eq!(elided == 0, want.is_some(), "{want:?}: {elided} elided");
+            };
+        let (s0, s1, h1) = (b.switches[0], b.switches[1], b.hosts[1]);
+        let via_s1 = vec![b.topo.port_towards(s0, s1).expect("adjacent").port];
+        let at = SimTime::from_us(400);
+        let lag = SimDuration::from_us(10);
+        let ttl_classes = TtlClassConfig {
+            width: 4,
+            base_class: 0,
+            classes: 5,
+        };
+        let no_arm = |_: &mut SimConfig| {};
+        let no_setup = |_: &mut NetSim| {};
+        check(None, &no_arm, &no_setup);
+        check(
+            Some("telemetry"),
+            &|c| c.telemetry = TelemetryConfig::on(),
+            &no_setup,
+        );
+        check(
+            Some("occupancy sampling"),
+            &|c| c.sample_interval = Some(lag),
+            &no_setup,
+        );
+        check(
+            Some("ECN marking"),
+            &|c| c.ecn = Some(EcnConfig::default()),
+            &no_setup,
+        );
+        check(Some("packet-lifecycle tracing"), &no_arm, &|s| {
+            s.trace_flows([FlowId(0)])
+        });
+        check(Some("scheduled route updates"), &no_arm, &|s| {
+            s.schedule_route_update(at, s0, h1, via_s1.clone())
+        });
+        check(
+            Some("flood-on-miss forwarding"),
+            &|c| c.flood_on_miss = true,
+            &no_setup,
+        );
+        let remap = Some("hop/TTL class remapping");
+        check(remap, &|c| c.hop_class_mode = Some(2), &no_setup);
+        check(remap, &|c| c.ttl_class_mode = Some(ttl_classes), &no_setup);
+        for plan in [
+            FaultPlan::new().route_reconverge(at, lag, lag),
+            FaultPlan::new().route_set(at, s0, h1, via_s1.clone()),
+            FaultPlan::new().switch_reboot(at, s1, lag),
+        ] {
+            check(Some("route/reboot fault scripts"), &no_arm, &|s| {
+                s.set_fault_plan(plan.clone()).expect("valid plan")
+            });
+        }
+    }
+
     /// Demotion is statically unreachable under switch exclusivity, so
     /// force it mid-run: the flow must close its open segment, resume a
     /// real lattice-exact tick chain, promote back once the hysteresis
@@ -1370,29 +1461,14 @@ mod tests {
     /// reference observables exactly.
     #[test]
     fn forced_demotion_round_trips_through_packets() {
-        let b = pfcsim_topo::builders::line(2, pfcsim_topo::builders::LinkSpec::default());
+        let b = line(2, LinkSpec::default());
         let mk = |on: bool| {
-            let mut cfg = crate::config::SimConfig::default();
-            cfg.sample_interval = None; // occupancy sampling gates hybrid
-            cfg.hybrid = Some(HybridConfig {
-                enabled: on,
-                ..HybridConfig::default()
-            });
-            let mut sim = crate::sim::SimBuilder::new(&b.topo).config(cfg).build();
-            sim.add_flow(
-                // 8 Gbps at the default 1000 B packet gives a 1 µs tick,
-                // so the per-switch residency windows ([1.2,1.4] and
-                // [2.4,2.6] µs after injection) never contain a tick
-                // instant and the drained-path promotion check can pass.
-                crate::flow::FlowSpec::cbr(
-                    0,
-                    b.hosts[0],
-                    b.hosts[1],
-                    pfcsim_simcore::units::BitRate::from_gbps(8),
-                )
-                .stopping_at(SimTime::from_us(800)),
-            );
-            sim
+            lone_cbr_sim(&b, |cfg| {
+                cfg.hybrid = Some(HybridConfig {
+                    enabled: on,
+                    ..HybridConfig::default()
+                })
+            })
         };
         let full = mk(false).run(SimTime::from_ms(1));
         let mut sim = mk(true);

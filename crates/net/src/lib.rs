@@ -53,7 +53,6 @@ pub mod golden;
 pub mod host;
 pub mod hybrid;
 pub mod packet;
-pub mod partition;
 pub mod recovery;
 pub mod report;
 pub mod serve;

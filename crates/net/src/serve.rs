@@ -1318,7 +1318,7 @@ impl ServeSession {
                             .and_then(Value::as_u64)
                             .ok_or_else(|| Error::Protocol("flow_remove needs \"flow\"".into()))?;
                         session
-                            .apply(Update::FlowRemove(FlowId(id as u32)))
+                            .apply(Update::FlowRemove(FlowId(id32(id, "flow")?)))
                             .map(|a| a.to_value())
                     }
                     "advance" => {
@@ -1513,8 +1513,9 @@ fn node_val(topo: &Topology, v: &Value, what: &str) -> Result<NodeId, Error> {
             .ok_or_else(|| Error::Config(format!("unknown node \"{name}\"")));
     }
     if let Some(id) = v.as_u64() {
+        let id = id32(id, what)?;
         if (id as usize) < topo.node_count() {
-            return Ok(NodeId(id as u32));
+            return Ok(NodeId(id));
         }
         return Err(Error::Config(format!("unknown node {id}")));
     }
@@ -1541,7 +1542,9 @@ fn ports_ref(topo: &Topology, node: NodeId, req: &Value) -> Result<Vec<PortNo>, 
         .iter()
         .map(|v| {
             if let Some(p) = v.as_u64() {
-                return Ok(PortNo(p as u16));
+                return u16::try_from(p)
+                    .map(PortNo)
+                    .map_err(|_| Error::Protocol(format!("port {p} is out of range")));
             }
             let peer = node_val(topo, v, "ports[]")?;
             topo.port_towards(node, peer)
@@ -1587,6 +1590,12 @@ fn opt_u8(req: &Value, field: &str) -> Result<Option<u8>, Error> {
     opt_u64(req, field)?.map(narrow).transpose()
 }
 
+/// Narrow a wire integer to a 32-bit flow or node id. An `as u32` here
+/// would silently address a different object (2³² + 1 → 1).
+fn id32(v: u64, field: &str) -> Result<u32, Error> {
+    u32::try_from(v).map_err(|_| Error::Protocol(format!("\"{field}\" {v} is out of range")))
+}
+
 /// A request's what-if window: `window_us`, else the default.
 fn window_ref(req: &Value) -> Result<SimDuration, Error> {
     Ok(opt_us(req, "window_us")?.map_or(DEFAULT_WHAT_IF_WINDOW, SimDuration::from_us))
@@ -1614,7 +1623,8 @@ fn parse_flow(topo: &Topology, req: &Value) -> Result<FlowSpec, Error> {
     let id = req
         .get("id")
         .and_then(Value::as_u64)
-        .ok_or_else(|| Error::Protocol("flow needs \"id\"".into()))? as u32;
+        .ok_or_else(|| Error::Protocol("flow needs \"id\"".into()))?;
+    let id = id32(id, "id")?;
     let src = node_ref(topo, req, "src")?;
     let dst = node_ref(topo, req, "dst")?;
     let gbps_rate = |v: &Value| -> Result<BitRate, Error> {
@@ -1685,23 +1695,48 @@ fn parse_open(req: &Value) -> Result<SessionSpec, Error> {
         if let Some(d) = opt_us(tv, "delay_us")? {
             spec.delay = SimDuration::from_us(d);
         }
-        let dim = |field: &str, default: usize| -> usize {
-            tv.get(field)
-                .and_then(Value::as_u64)
-                .unwrap_or(default as u64) as usize
+        // Largest value of a builder dimension. Forwarding tables are
+        // dense node × node and `fat_tree` grows as k³, so the cap is the
+        // largest fabric this repository measures: k = 16 (1 024 hosts,
+        // 320 switches, ≈1.8 M table rows).
+        const MAX: u64 = 16;
+        // A builder dimension: absent → `default`; outside `min..=max`
+        // (the builder `assert!`s its minimum) → a config error.
+        let dim = |field: &str, default: u64, min: u64, max: u64| -> Result<usize, Error> {
+            let v = opt_u64(tv, field)?.unwrap_or(default);
+            if v < min || v > max {
+                return Err(Error::Config(format!(
+                    "{builder} \"{field}\" = {v} is out of range ({min} to {max})"
+                )));
+            }
+            Ok(v as usize)
         };
         match builder {
             "two_switch_loop" => two_switch_loop(spec).topo,
-            "line" => line(dim("n", 2), spec).topo,
-            "ring" => ring(dim("n", 3), spec).topo,
+            "line" => line(dim("n", 2, 1, MAX)?, spec).topo,
+            "ring" => ring(dim("n", 3, 2, MAX)?, spec).topo,
             "square" => square(spec).topo,
             "leaf_spine" => {
-                leaf_spine(dim("leaves", 4), dim("spines", 2), dim("hosts", 4), spec).topo
+                leaf_spine(
+                    dim("leaves", 4, 1, MAX)?,
+                    dim("spines", 2, 1, MAX)?,
+                    dim("hosts", 4, 0, MAX)?,
+                    spec,
+                )
+                .topo
             }
-            "fat_tree" => fat_tree(dim("k", 4), spec).topo,
-            "bcube" => bcube(dim("n", 4), dim("k", 1), spec).topo,
-            "torus2d" => torus2d(dim("rows", 3), dim("cols", 3), spec).topo,
-            "mesh2d" => mesh2d(dim("rows", 3), dim("cols", 3), spec).topo,
+            "fat_tree" => {
+                let k = dim("k", 4, 2, MAX)?;
+                if k % 2 != 0 {
+                    return Err(Error::Config(format!("fat_tree \"k\" = {k} must be even")));
+                }
+                fat_tree(k, spec).topo
+            }
+            // n^(k+1) servers, each a switch and a host: 8³ = 512 keeps
+            // BCube under the fat-tree cap's node count.
+            "bcube" => bcube(dim("n", 4, 2, 8)?, dim("k", 1, 0, 2)?, spec).topo,
+            "torus2d" => torus2d(dim("rows", 3, 2, MAX)?, dim("cols", 3, 2, MAX)?, spec).topo,
+            "mesh2d" => mesh2d(dim("rows", 3, 2, MAX)?, dim("cols", 3, 2, MAX)?, spec).topo,
             other => {
                 return Err(Error::Config(format!(
                     "unknown topology builder \"{other}\""

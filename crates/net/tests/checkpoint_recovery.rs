@@ -141,38 +141,3 @@ fn checkpoint_on_saturated_datapath_resumes_identical_timeline() {
         );
     }
 }
-
-/// Mid-recovery checkpointing under *partitioned* execution: the pause
-/// point lands between window barriers, so the snapshot exercises the
-/// merge path — the checkpoint must contain the fully merged simulator
-/// (no shard-resident state, provisional keys resolved) and resume to
-/// the uninterrupted serial timeline whatever partition counts the two
-/// halves use.
-#[test]
-fn checkpoint_under_partitioning_resumes_identical_timeline() {
-    let baseline = fig4_sim(SchedulerBackend::Wheel).run(HORIZON);
-    let confirmed = detected_at(&baseline);
-    let base_digest = golden::digest(&baseline);
-    let pause = confirmed + SimDuration::from_us(50);
-    for (ckpt_parts, resume_parts) in [(2usize, 1usize), (1, 2), (4, 4)] {
-        let mut sim = fig4_sim(SchedulerBackend::Wheel);
-        sim.set_partitions(ckpt_parts);
-        assert!(
-            sim.advance_until(pause, HORIZON).is_none(),
-            "mid-recovery run must still be busy at the pause point"
-        );
-        let bytes = sim.checkpoint().expect("checkpointable").to_bytes();
-        drop(sim);
-        let ckpt = Checkpoint::from_bytes(&bytes).expect("round trip");
-        assert_eq!(ckpt.sim_time(), pause);
-        let mut resumed = NetSim::resume(ckpt).expect("restorable");
-        resumed.set_partitions(resume_parts);
-        let report = resumed.resume_run();
-        assert_eq!(
-            golden::digest(&report),
-            base_digest,
-            "checkpoint at {ckpt_parts} parts / resume at {resume_parts} parts diverged"
-        );
-        assert_eq!(detected_at(&report), confirmed);
-    }
-}

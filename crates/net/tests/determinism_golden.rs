@@ -151,76 +151,3 @@ fn corrupted_checkpoint_bytes_are_rejected() {
         );
     }
 }
-
-/// Partitioning is a pure execution strategy, like the scheduler backend:
-/// the fault-laden golden run must land on the exact golden digest at
-/// every partition count, under both backends. The scenario exercises
-/// cross-partition traffic, PFC pauses over the cut, a pinned lossy-PFC
-/// switch, transient routing loops, and the recovery watchdog.
-#[test]
-fn partitioned_runs_match_golden_digest() {
-    for sched in [SchedulerBackend::Wheel, SchedulerBackend::Heap] {
-        for parts in [1usize, 2, 3, 4] {
-            let mut arenas = SimArenas::new();
-            let mut sim = golden::build_sim(Some(sched), &mut arenas);
-            sim.set_partitions(parts);
-            let report = sim.run_with_drain(STOP_AT, DRAIN_UNTIL);
-            let d = golden::digest(&report);
-            assert_eq!(
-                d, GOLDEN_DIGEST,
-                "digest diverged at {parts} partitions under {sched:?}: {d:#018x}"
-            );
-        }
-    }
-}
-
-/// An explicit per-switch assignment takes the same path as the
-/// heuristic partitioner and must be just as invisible — unless it
-/// splits the lossy-PFC switch set, in which case the run falls back to
-/// serial (and still matches, trivially).
-#[test]
-fn explicit_partition_map_matches_golden_digest() {
-    let b = pfcsim_topo::builders::square(pfcsim_topo::builders::LinkSpec::default());
-    let mut arenas = SimArenas::new();
-    let mut sim = golden::build_sim(None, &mut arenas);
-    // Split the square 2+2, keeping the lossy switch (switches[1]) in one
-    // piece with a neighbour.
-    sim.set_partition_map(&[
-        (b.switches[0], 0),
-        (b.switches[1], 0),
-        (b.switches[2], 1),
-        (b.switches[3], 1),
-    ])
-    .expect("valid explicit map");
-    let d = golden::digest(&sim.run_with_drain(STOP_AT, DRAIN_UNTIL));
-    assert_eq!(d, GOLDEN_DIGEST, "explicit map diverged: {d:#018x}");
-}
-
-/// Checkpoint/resume is partition-count agnostic: a checkpoint taken
-/// from a partitioned run is a fully merged simulator, so it restores
-/// and resumes to the golden digest at any partition count — including
-/// across counts (partitioned checkpoint → serial resume and vice
-/// versa).
-#[test]
-fn partitioned_checkpoint_round_trip_matches_golden_digest() {
-    for (ckpt_parts, resume_parts) in [(4usize, 1usize), (1, 4), (2, 2)] {
-        let mut arenas = SimArenas::new();
-        let mut sim = golden::build_sim(Some(SchedulerBackend::Wheel), &mut arenas);
-        sim.set_partitions(ckpt_parts);
-        sim.schedule_flow_stops(STOP_AT);
-        let paused = sim.advance_until(SimTime::from_ms(1), DRAIN_UNTIL);
-        assert!(paused.is_none(), "golden run should still be busy at 1 ms");
-        let bytes = sim.checkpoint().expect("checkpointable").to_bytes();
-        drop(sim);
-        let ckpt = Checkpoint::from_bytes(&bytes).expect("frame round-trips");
-        let mut resumed = NetSim::resume(ckpt).expect("restorable");
-        resumed.set_partitions(resume_parts);
-        let report = resumed.resume_run();
-        let d = golden::digest(&report);
-        assert_eq!(
-            d, GOLDEN_DIGEST,
-            "checkpoint at {ckpt_parts} parts / resume at {resume_parts} \
-             diverged: {d:#018x}"
-        );
-    }
-}

@@ -266,9 +266,55 @@ fn malformed_requests_are_isolated() {
             "gbps",
             r#"{"op":"open","topo":{"builder":"square","gbps":18446744074}}"#,
         ),
+        // A wrong-typed builder dimension is not its default.
+        (
+            "n",
+            r#"{"op":"open","topo":{"builder":"ring","n":"three"}}"#,
+        ),
+        // Ids that do not fit their type must not wrap onto a live
+        // object: 2^32 + 1 is not flow 1, node 1 or port 1.
+        ("flow", r#"{"op":"flow_remove","flow":4294967297}"#),
+        (
+            "id",
+            r#"{"op":"flow_add","id":4294967297,"src":"h0","dst":"h1"}"#,
+        ),
+        (
+            "src",
+            r#"{"op":"flow_add","id":9,"src":4294967297,"dst":"h1"}"#,
+        ),
+        (
+            "port 65537",
+            r#"{"op":"route_update","node":"S0","dst":"h1","ports":[65537]}"#,
+        ),
     ] {
         let resp = rejected(bad);
         assert_eq!(resp["error"]["kind"], "protocol", "{bad:?}");
+        let message = resp["error"]["message"].as_str().unwrap();
+        assert!(message.contains(field), "{bad:?}: {message:?}");
+    }
+    // Builder dimensions below the builder's own minimum (an `assert!`
+    // that would take the resident down) or above the size cap are
+    // config errors naming field and value.
+    for (field, bad) in [
+        (
+            r#""n" = 1"#,
+            r#"{"op":"open","topo":{"builder":"ring","n":1}}"#,
+        ),
+        (
+            r#""rows" = 1"#,
+            r#"{"op":"open","topo":{"builder":"mesh2d","rows":1}}"#,
+        ),
+        (
+            r#""k" = 3"#,
+            r#"{"op":"open","topo":{"builder":"fat_tree","k":3}}"#,
+        ),
+        (
+            r#""k" = 18"#,
+            r#"{"op":"open","topo":{"builder":"fat_tree","k":18}}"#,
+        ),
+    ] {
+        let resp = rejected(bad);
+        assert_eq!(resp["error"]["kind"], "config", "{bad:?}");
         let message = resp["error"]["message"].as_str().unwrap();
         assert!(message.contains(field), "{bad:?}: {message:?}");
     }
@@ -289,6 +335,7 @@ fn malformed_requests_are_isolated() {
         "rejected requests must not move the resident"
     );
     assert_eq!(after["result"]["version"], before["result"]["version"]);
+    assert_eq!(after["result"]["flow_count"], 4u64, "flow 1 is still there");
 }
 
 // ---------------------------------------------------------------------------

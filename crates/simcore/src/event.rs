@@ -323,46 +323,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Insert an entry under an explicit sequence number chosen by the
-    /// caller (no counter bump): it pops at exactly that `(at, seq)`
-    /// position. The partitioned driver re-keys window-local events this
-    /// way when it merges shards. Returns a live handle, so side tables
-    /// keyed on [`EventId`] (pause timers) can track such entries.
-    ///
-    /// # Panics
-    /// Panics if `at` is earlier than the current time.
-    #[inline]
-    pub fn schedule_at_seq(&mut self, at: SimTime, seq: u64, payload: E) -> EventId {
-        assert!(
-            at >= self.now,
-            "causality violation: scheduling at {at} but now is {now}",
-            at = at,
-            now = self.now
-        );
-        self.insert_with_seq(at, seq, payload)
-    }
-
-    /// Advance the clock to `at` without popping: the caller (the
-    /// partitioned driver, after a merge) has already processed every
-    /// event before `at` outside this queue.
-    ///
-    /// # Panics
-    /// Panics if `at` would rewind the clock or jump past a queued event.
-    #[inline]
-    pub fn advance_now(&mut self, at: SimTime) {
-        debug_assert!(
-            self.peek_time().is_none_or(|t| at <= t),
-            "advance_now({at}) would jump past a queued event"
-        );
-        assert!(
-            at >= self.now,
-            "causality violation: advancing to {at} but now is {now}",
-            at = at,
-            now = self.now
-        );
-        self.now = at;
-    }
-
     /// Pop the next live event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let idx = match &mut self.core {
@@ -543,8 +503,8 @@ impl<E> EventQueue<E> {
     }
 
     /// [`schedule`](Self::schedule) with an explicit sequence number and
-    /// no counter bump — the restore and explicit-key paths.
-    fn insert_with_seq(&mut self, at: SimTime, seq: u64, payload: E) -> EventId {
+    /// no counter bump — the restore path.
+    fn insert_with_seq(&mut self, at: SimTime, seq: u64, payload: E) {
         let idx = match self.free.pop() {
             Some(idx) => {
                 let s = &mut self.slots[idx as usize];
@@ -571,7 +531,6 @@ impl<E> EventQueue<E> {
             Core::Heap(h) => h.insert(&mut self.slots, idx),
             Core::Wheel(w) => w.insert(&mut self.slots, idx),
         }
-        EventId::new(idx, self.slots[idx as usize].gen)
     }
 
     /// Mark `idx` vacant, invalidating outstanding handles to it.
@@ -1221,21 +1180,5 @@ mod tests {
             1,
             vec![(SimTime::from_us(1), 0, 7u64)],
         );
-    }
-
-    /// `schedule_at_seq` returns a live handle: cancellable, reschedulable,
-    /// and distinct from stale handles to the reused slot.
-    #[test]
-    fn schedule_at_seq_returns_live_handle() {
-        on_each_backend_u64(|mut q| {
-            let id = q.schedule_at_seq(SimTime::from_ns(5), 0, 5);
-            assert!(q.cancel(id));
-            assert!(!q.cancel(id), "handle must go stale after cancel");
-            // Slot reuse must not revive the old handle.
-            let id2 = q.schedule_at_seq(SimTime::from_ns(7), 1, 7);
-            assert!(!q.cancel(id));
-            assert!(q.reschedule(id2, SimTime::from_ns(3)));
-            assert_eq!(q.pop(), Some((SimTime::from_ns(3), 7)));
-        });
     }
 }

@@ -8,10 +8,7 @@
 //! Everything here is purely computational and deterministic by design:
 //! a packet-level simulator must be bit-reproducible to debug deadlock
 //! formation, so no wall-clock time, OS entropy, or thread scheduling may
-//! leak into results. The one concession to parallel execution is
-//! [`threads`], a process-wide worker-thread *budget* — pure accounting
-//! that bounds how many threads the layers above may spawn, without ever
-//! influencing what they compute.
+//! leak into results.
 //!
 //! ```
 //! use pfcsim_simcore::prelude::*;
@@ -33,7 +30,6 @@ pub mod rng;
 pub mod scratch;
 pub mod series;
 pub mod snap;
-pub mod threads;
 pub mod time;
 pub mod units;
 pub mod wheel;

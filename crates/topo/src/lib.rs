@@ -22,7 +22,6 @@
 pub mod builders;
 pub mod graph;
 pub mod ids;
-pub mod partition;
 pub mod routing;
 
 /// Common imports.
@@ -33,7 +32,6 @@ pub mod prelude {
     };
     pub use crate::graph::{Link, Node, NodeKind, PortRef, Topology};
     pub use crate::ids::{Channel, FlowId, LinkId, NodeId, PortNo, Priority};
-    pub use crate::partition::{partition_switches, Partition};
     pub use crate::routing::{
         bfs_distances, ecmp_index, install_cycle_route, path_stretch, shortest_path_tables,
         trace_path, up_down_tables, ForwardingTables, PinnedPath, Trace,

@@ -65,23 +65,17 @@ fn stochastic_scenarios_reproduce_given_seed() {
 }
 
 /// The engine's golden digest, guarded by tier-1: the fault-laden run of
-/// `pfcsim::net::golden` through the plain step loop, the partitioned
-/// driver, and a checkpoint frame round trip. This is a debug build, so
-/// it also arms the queue's and wheel's `debug_assert!`s (cursor
-/// monotonicity, `advance_now` not skipping a queued event) on a
-/// scenario with faults, PFC timers and recovery.
+/// `pfcsim::net::golden` through the plain step loop and a checkpoint
+/// frame round trip. This is a debug build, so it also arms the queue's
+/// and wheel's `debug_assert!`s (cursor monotonicity) on a scenario with
+/// faults, PFC timers and recovery.
 #[test]
-fn golden_digest_holds_plain_partitioned_and_across_a_checkpoint() {
+fn golden_digest_holds_plain_and_across_a_checkpoint() {
     use pfcsim::net::golden::{self, DRAIN_UNTIL, GOLDEN_DIGEST, STOP_AT};
     let build = || golden::build_sim(None, &mut SimArenas::new());
 
     let plain = build().run_with_drain(STOP_AT, DRAIN_UNTIL);
     assert_eq!(golden::digest(&plain), GOLDEN_DIGEST, "plain run");
-
-    let mut sim = build();
-    sim.set_partitions(2);
-    let split = sim.run_with_drain(STOP_AT, DRAIN_UNTIL);
-    assert_eq!(golden::digest(&split), GOLDEN_DIGEST, "2 partitions");
 
     let mut sim = build();
     sim.schedule_flow_stops(STOP_AT);
