@@ -63,7 +63,7 @@ use crate::timely::TimelyConfig;
 /// header; a resume refuses a checkpoint whose digest does not match the
 /// live configuration.
 pub fn config_digest(cfg: &SimConfig) -> u64 {
-    snap::value_digest(&serde::Serialize::to_value(cfg))
+    snap::value_digest(cfg)
 }
 
 /// Why a checkpoint could not be produced, written, read, or restored.
@@ -197,10 +197,10 @@ impl Checkpoint {
         }
     }
 
-    /// The frame and `fnv1a` of it, from the one encoder every caller
-    /// below shares (one buffer, one hash pass).
+    /// The frame and `fnv1a` of it: the state streamed into one buffer,
+    /// one hash pass over it.
     fn frame(&self) -> (Vec<u8>, u64) {
-        snap::encode_frame_digest(self.config_digest(), &serde::Serialize::to_value(self))
+        snap::encode_frame_digest(self.config_digest(), self)
     }
 
     /// Encode as a `pfcsim-checkpoint/1` frame.
@@ -209,9 +209,11 @@ impl Checkpoint {
     }
 
     /// `fnv1a(&self.to_bytes())` — the state fingerprint a serve session
-    /// reports as `state_digest` — without a second pass over the frame.
+    /// reports as `state_digest` — without the frame: the state is
+    /// streamed once to size the payload and once into the hash, and
+    /// nothing is allocated.
     pub fn digest(&self) -> u64 {
-        self.frame().1
+        snap::frame_digest(self.config_digest(), self)
     }
 
     /// Decode a frame, validating magic, checksum, and the header/payload
@@ -313,6 +315,46 @@ mod tests {
         assert!(bytes.len() > 10_000, "a real image, not a toy");
         assert_eq!(bytes, reference);
         assert_eq!(ckpt.digest(), snap::fnv1a(&bytes));
+        assert_eq!(ckpt.digest(), snap::fnv1a(&reference));
+    }
+
+    /// `hybrid` is `#[serde(default)]`: a frame written before the field
+    /// existed (here: the golden run's, re-encoded without the key) loads
+    /// and resumes to the golden digest.
+    #[test]
+    fn a_pre_hybrid_frame_still_loads_and_resumes() {
+        use crate::golden::{self, DRAIN_UNTIL, GOLDEN_DIGEST, STOP_AT};
+        use serde::value::Value;
+        let mut sim = golden::build_sim(None, &mut crate::sim::SimArenas::new());
+        sim.schedule_flow_stops(STOP_AT);
+        assert!(sim
+            .advance_until(SimTime::from_us(1500), DRAIN_UNTIL)
+            .is_none());
+        let frame = sim.checkpoint().expect("checkpointable").to_bytes();
+
+        let (cfg_digest, mut doc) = snap::decode_frame(&frame).expect("own frame");
+        let Value::Object(members) = &mut doc else {
+            panic!("a checkpoint is an object");
+        };
+        let before = members.len();
+        members.retain(|(k, _)| k != "hybrid");
+        assert_eq!(members.len(), before - 1, "the frame had a `hybrid` key");
+        let old = snap::encode_frame(cfg_digest, &doc);
+
+        let ckpt = Checkpoint::from_bytes(&old).expect("absent `hybrid` defaults");
+        let resumed = NetSim::resume(ckpt).expect("restorable").resume_run();
+        assert_eq!(golden::digest(&resumed), GOLDEN_DIGEST);
+
+        // Present but malformed is still an error, not a default.
+        let Value::Object(members) = &mut doc else {
+            unreachable!()
+        };
+        members.push(("hybrid".into(), Value::Bool(true)));
+        let bad = snap::encode_frame(cfg_digest, &doc);
+        assert!(matches!(
+            Checkpoint::from_bytes(&bad),
+            Err(CheckpointError::Decode(_))
+        ));
     }
 
     #[test]

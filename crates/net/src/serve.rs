@@ -919,6 +919,7 @@ impl Session {
         let bound = self.probe_bound(window);
         let state_digest_before = self.resident.digest()?;
         let mut probe = NetSim::resume(self.resident.capture()?)?;
+        probe.forget_occupancy_history();
         for p in pushes {
             probe.schedule_route_update(now, p.node, p.dst, p.ports.clone());
         }
@@ -1744,7 +1745,12 @@ fn parse_open(req: &Value) -> Result<SessionSpec, Error> {
             }
         }
     } else {
-        Topology::from_value(tv).map_err(|e| Error::Decode(format!("bad topology: {e}")))?
+        let topo =
+            Topology::from_value(tv).map_err(|e| Error::Decode(format!("bad topology: {e}")))?;
+        // Flow and route parsing below already index by this document.
+        topo.validate()
+            .map_err(|why| Error::Config(format!("bad topology: {why}")))?;
+        topo
     };
 
     let mut config = match req.get("config") {
@@ -1901,6 +1907,81 @@ mod tests {
             .oracle_what_if(std::slice::from_ref(&push), window)
             .unwrap();
         assert_eq!(doc.verdict, oracle, "resident probe and batch oracle agree");
+    }
+
+    /// `what_if` drops the probe's occupancy history; nothing it reports
+    /// may notice. The square one push (`S3 → h1 via S0`) away from the
+    /// paper's Fig. 3 deadlock, a clean and the closing push, each against
+    /// the same probe with its history kept, driven by hand.
+    #[test]
+    fn what_if_is_blind_to_the_probes_occupancy_history() {
+        let built = square(LinkSpec::default());
+        let (sw, h) = (&built.switches, &built.hosts);
+        let via = |node: usize, dst: usize, next: usize| RoutePush {
+            node: sw[node],
+            dst: h[dst],
+            ports: vec![
+                built
+                    .topo
+                    .port_towards(sw[node], sw[next])
+                    .expect("adjacent")
+                    .port,
+            ],
+        };
+        let mut tables = shortest_path_tables(&built.topo);
+        for p in [via(0, 2, 1), via(1, 3, 2), via(2, 0, 3), via(3, 1, 2)] {
+            tables.set(p.node, p.dst, p.ports);
+        }
+        let flows = (0..4u32)
+            .map(|i| FlowSpec::infinite(i, h[i as usize], h[(i as usize + 2) % 4]).with_ttl(16))
+            .collect();
+        let mut spec = SessionSpec::new(built.topo.clone(), flows);
+        spec.tables = Some(tables);
+        spec.horizon = SimTime::from_us(50_000);
+        let mut s = Session::open(spec).expect("open");
+        s.apply(Update::AdvanceTo(SimTime::from_us(50))).unwrap();
+
+        for (push, window_us, deadlock) in [(via(0, 1, 3), 50, false), (via(3, 1, 0), 400, true)] {
+            let window = SimDuration::from_us(window_us);
+            let doc = s.what_if(std::slice::from_ref(&push), window).unwrap();
+            assert_eq!(doc.verdict.deadlock, deadlock, "{push:?}");
+
+            let (now, bound) = (s.now(), s.probe_bound(window));
+            let mut probe = NetSim::resume(s.snapshot().unwrap()).unwrap();
+            let samples = |stats: &crate::stats::NetStats| -> usize {
+                stats.occupancy.values().map(|series| series.len()).sum()
+            };
+            let carried = samples(&probe.stats);
+            assert!(carried > 0, "the resident has a history to carry");
+            probe.schedule_route_update(now, push.node, push.dst, push.ports.clone());
+            // (A wedged fabric runs out of events, which ends the run.)
+            let (verdict, probe_events, recorded) = match probe.advance_until(bound, s.horizon) {
+                Some(report) => (
+                    VerdictDoc::from_verdict(&report.verdict),
+                    report.events,
+                    samples(&report.stats),
+                ),
+                None => (
+                    verdict_at_pause(&mut probe, bound),
+                    probe.events,
+                    samples(&probe.stats),
+                ),
+            };
+            assert!(recorded > carried, "the reference kept recording");
+            let digest = s.state_digest().unwrap();
+            let mut pushed = s.tables().clone();
+            pushed.set(push.node, push.dst, push.ports.clone());
+            let want = WhatIfDoc {
+                verdict,
+                probed_until: bound,
+                probe_events,
+                state_digest_before: digest,
+                state_digest_after: digest,
+                resident_unchanged: true,
+                cbd: static_cbd(s.topo(), &pushed, s.flows(), now),
+            };
+            assert_eq!(doc, want, "{push:?}");
+        }
     }
 
     #[test]

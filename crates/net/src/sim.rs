@@ -1034,6 +1034,16 @@ impl NetSim {
         self.watch_keys = Some(v);
     }
 
+    /// Drop the occupancy series recorded so far and record no more. For
+    /// a what-if probe: no verdict reads them, and `Ev::Sample` keeps
+    /// firing over the empty key set, so event order and counts are
+    /// those of a run that kept recording.
+    pub(crate) fn forget_occupancy_history(&mut self) {
+        self.sample_keys.clear();
+        self.stats.occupancy.clear();
+        self.stats.flow_occupancy.clear();
+    }
+
     /// Enable DCQCN with the given parameters (required if any flow has
     /// `Demand::Dcqcn`; also requires `SimConfig::ecn`).
     pub fn set_dcqcn(&mut self, cfg: DcqcnConfig) {

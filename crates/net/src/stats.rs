@@ -85,50 +85,17 @@ pub struct FlowStats {
     pub ecn_marked: u64,
 }
 
-/// Serialize ordered maps with non-string keys as `[key, value]` pairs,
-/// which every self-describing format (JSON included) accepts.
-pub(crate) mod map_as_pairs {
-    use serde::value::Value;
-    use serde::{de, Deserialize, Serialize};
-    use std::collections::BTreeMap;
-
-    pub fn to_value<K, V>(map: &BTreeMap<K, V>) -> Value
-    where
-        K: Serialize,
-        V: Serialize,
-    {
-        Value::Array(
-            map.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
-    }
-
-    pub fn from_value<K, V>(v: &Value) -> Result<BTreeMap<K, V>, de::Error>
-    where
-        K: Deserialize + Ord,
-        V: Deserialize,
-    {
-        let pairs: Vec<(K, V)> = Vec::from_value(v)?;
-        Ok(pairs.into_iter().collect())
-    }
-}
-
 /// Everything measured during a run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NetStats {
     /// Pause history per (directed link, priority).
-    #[serde(with = "map_as_pairs")]
     pub pause: BTreeMap<PauseKey, PauseLog>,
     /// Occupancy time series for watched ingress queues.
-    #[serde(with = "map_as_pairs")]
     pub occupancy: BTreeMap<IngressKey, TimeSeries>,
     /// Per-flow occupancy inside watched ingress queues (enabled by
     /// `SimConfig::track_per_flow_occupancy`).
-    #[serde(with = "map_as_pairs")]
     pub flow_occupancy: BTreeMap<(IngressKey, FlowId), TimeSeries>,
     /// Per-flow counters.
-    #[serde(with = "map_as_pairs")]
     pub flows: BTreeMap<FlowId, FlowStats>,
     /// Global drop counters.
     pub drops_ttl: u64,

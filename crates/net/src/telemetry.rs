@@ -737,25 +737,19 @@ pub struct TelemetryReport {
     pub registry: MetricRegistry,
     /// Fraction of each sample window a channel spent paused, per
     /// directed (link, priority), in `[0, 1]`.
-    #[serde(with = "crate::stats::map_as_pairs")]
     pub pause_ratio: BTreeMap<PauseKey, RingSeries>,
     /// Mean XOFF→XON span length (µs) of pause intervals that closed
     /// within each sample window; a sample appears only for windows in
     /// which some interval closed.
-    #[serde(with = "crate::stats::map_as_pairs")]
     pub resume_latency_us: BTreeMap<PauseKey, RingSeries>,
     /// Ingress-queue occupancy (bytes) per watched (switch, port, class).
-    #[serde(with = "crate::stats::map_as_pairs")]
     pub occupancy: BTreeMap<IngressKey, RingSeries>,
     /// Effective XOFF threshold (bytes) beside each occupancy series —
     /// a moving line under dynamic-alpha thresholds.
-    #[serde(with = "crate::stats::map_as_pairs")]
     pub xoff_threshold: BTreeMap<IngressKey, RingSeries>,
     /// Effective XON threshold (bytes) beside each occupancy series.
-    #[serde(with = "crate::stats::map_as_pairs")]
     pub xon_threshold: BTreeMap<IngressKey, RingSeries>,
     /// Per-flow goodput (bits/s) over each sample window.
-    #[serde(with = "crate::stats::map_as_pairs")]
     pub goodput_bps: BTreeMap<FlowId, RingSeries>,
     /// Number of telemetry samples taken.
     pub samples_taken: u64,

@@ -23,6 +23,25 @@ fn digest_of(resp: &Value) -> u64 {
         .expect("status carries a digest")
 }
 
+/// `doc[key]` of an object, mutably (the vendored `Value` indexes shared).
+fn member<'a>(doc: &'a mut Value, key: &str) -> &'a mut Value {
+    match doc {
+        Value::Object(pairs) => pairs
+            .iter_mut()
+            .find_map(|(k, v)| (k == key).then_some(v))
+            .unwrap_or_else(|| panic!("no member {key:?}")),
+        other => panic!("{key:?} of a non-object: {other:?}"),
+    }
+}
+
+/// `doc[i]` of an array, mutably.
+fn element(doc: &mut Value, i: usize) -> &mut Value {
+    match doc {
+        Value::Array(items) => &mut items[i],
+        other => panic!("[{i}] of a non-array: {other:?}"),
+    }
+}
+
 /// The square fabric one route push away from the paper's Fig. 3
 /// deadlock: three clockwise 2-hop routes installed, the fourth pinned
 /// counter-clockwise, four infinite-demand flows. Pushing
@@ -317,6 +336,41 @@ fn malformed_requests_are_isolated() {
         assert_eq!(resp["error"]["kind"], "config", "{bad:?}");
         let message = resp["error"]["message"].as_str().unwrap();
         assert!(message.contains(field), "{bad:?}: {message:?}");
+    }
+
+    // An inline topology document is validated whole before anything
+    // indexes by it (the first two used to panic the resident: one in the
+    // constructor, one in the validator itself).
+    let uint = |n: u64| Value::Number(serde_json::Number::PosInt(n));
+    let inline_open = |edit: &dyn Fn(&mut Value)| -> String {
+        let mut topo = serde_json::to_value(square(LinkSpec::default()).topo).unwrap();
+        edit(&mut topo);
+        format!(
+            r#"{{"op":"open","topo":{}}}"#,
+            serde_json::to_string(&topo).unwrap()
+        )
+    };
+    for (what, bad) in [
+        (
+            "l0: zero rate",
+            inline_open(&|t| *member(element(member(t, "links"), 0), "rate") = uint(0)),
+        ),
+        (
+            "l0: unknown node",
+            inline_open(&|t| *member(element(member(t, "links"), 0), "a") = uint(99)),
+        ),
+        (
+            "7 port lists for 8 nodes",
+            inline_open(&|t| match member(t, "ports") {
+                Value::Array(ports) => drop(ports.pop()),
+                other => panic!("ports: {other:?}"),
+            }),
+        ),
+    ] {
+        let resp = rejected(&bad);
+        assert_eq!(resp["error"]["kind"], "config", "{what}");
+        let message = resp["error"]["message"].as_str().unwrap();
+        assert!(message.contains(what), "{what}: {message:?}");
     }
 
     // The largest window that does fit is a request, not an error: the

@@ -209,8 +209,18 @@ impl Topology {
         self.nodes.iter().find(|n| n.name == name).map(|n| n.id)
     }
 
-    /// Check basic structural invariants (used by tests and builders).
+    /// Check every structural invariant the rest of the workspace indexes
+    /// by. Total: a document from outside (an inline `open` topology, a
+    /// checkpoint) is checked here before anything else reads it, so no
+    /// id is used as an index before it is known to be in range.
     pub fn validate(&self) -> Result<(), String> {
+        if self.ports.len() != self.nodes.len() {
+            return Err(format!(
+                "{} port lists for {} nodes",
+                self.ports.len(),
+                self.nodes.len()
+            ));
+        }
         for (i, n) in self.nodes.iter().enumerate() {
             if n.id.0 as usize != i {
                 return Err(format!("node id {} at index {i}", n.id));
@@ -220,21 +230,48 @@ impl Topology {
             if l.id.0 as usize != i {
                 return Err(format!("link id {} at index {i}", l.id));
             }
-            let pa = self.ports[l.a.0 as usize]
-                .get(l.a_port.0 as usize)
-                .ok_or_else(|| format!("{}: missing port {} on {}", l.id, l.a_port, l.a))?;
-            if pa.link != l.id || pa.peer != l.b {
-                return Err(format!("{}: inconsistent port record on {}", l.id, l.a));
+            if l.a == l.b {
+                return Err(format!("{}: self-loop on {}", l.id, l.a));
             }
-            let pb = self.ports[l.b.0 as usize]
-                .get(l.b_port.0 as usize)
-                .ok_or_else(|| format!("{}: missing port {} on {}", l.id, l.b_port, l.b))?;
-            if pb.link != l.id || pb.peer != l.a {
-                return Err(format!("{}: inconsistent port record on {}", l.id, l.b));
+            if l.rate.is_zero() {
+                return Err(format!("{}: zero rate", l.id));
+            }
+            // Each end's port record says exactly what the link says.
+            for (node, port, peer, peer_port) in [
+                (l.a, l.a_port, l.b, l.b_port),
+                (l.b, l.b_port, l.a, l.a_port),
+            ] {
+                let record = self
+                    .ports
+                    .get(node.0 as usize)
+                    .ok_or_else(|| format!("{}: unknown node {node}", l.id))?
+                    .get(port.0 as usize)
+                    .ok_or_else(|| format!("{}: missing port {port} on {node}", l.id))?;
+                let want = PortRef {
+                    port,
+                    link: l.id,
+                    peer,
+                    peer_port,
+                };
+                if *record != want {
+                    return Err(format!("{}: inconsistent port record on {node}", l.id));
+                }
             }
         }
-        for n in &self.nodes {
-            if n.kind == NodeKind::Host && self.ports[n.id.0 as usize].len() > 1 {
+        // And every port record is an end of the link it names (which the
+        // loop above then checked field by field).
+        for (n, ports) in self.nodes.iter().zip(&self.ports) {
+            for (i, p) in ports.iter().enumerate() {
+                let here = (n.id, PortNo(i as u16));
+                let attached = self
+                    .links
+                    .get(p.link.0 as usize)
+                    .is_some_and(|l| (l.a, l.a_port) == here || (l.b, l.b_port) == here);
+                if p.port.0 as usize != i || !attached {
+                    return Err(format!("port {i} on {}: not an end of {}", n.name, p.link));
+                }
+            }
+            if n.kind == NodeKind::Host && ports.len() > 1 {
                 return Err(format!("host {} has multiple ports", n.name));
             }
         }
@@ -330,5 +367,42 @@ mod tests {
         t.connect(h, s1, rate(), delay());
         t.connect(h, s2, rate(), delay());
         assert!(t.validate().is_err());
+    }
+
+    /// A deserialized document can say anything: `validate` answers with
+    /// an error, never an out-of-bounds index.
+    #[test]
+    fn validate_is_total_on_hostile_documents() {
+        let mut t = Topology::new();
+        let h = t.add_host("h");
+        let s1 = t.add_switch("s1");
+        let s2 = t.add_switch("s2");
+        t.connect(h, s1, rate(), delay());
+        t.connect(s1, s2, rate(), delay());
+        t.validate().unwrap();
+
+        let hostile = |edit: &dyn Fn(&mut Topology)| {
+            let mut bad = t.clone();
+            edit(&mut bad);
+            bad.validate().unwrap_err()
+        };
+        assert!(hostile(&|t| t.links[0].rate = BitRate::ZERO).contains("l0: zero rate"));
+        assert!(hostile(&|t| t.links[0].a = NodeId(99)).contains("l0: unknown node"));
+        assert!(hostile(&|t| t.links[1].b = s1).contains("l1: self-loop"));
+        assert!(hostile(&|t| t.links[1].a_port = PortNo(7)).contains("l1: missing port"));
+        assert!(hostile(&|t| {
+            t.ports.pop();
+        })
+        .contains("2 port lists for 3 nodes"));
+        assert!(hostile(&|t| t.ports[1][0].peer = NodeId(99)).contains("inconsistent"));
+        assert!(hostile(&|t| t.ports[1][0].peer_port = PortNo(9)).contains("inconsistent"));
+        // A port no link knows about, naming a link that does not exist.
+        let stray = PortRef {
+            port: PortNo(1),
+            link: LinkId(99),
+            peer: NodeId(99),
+            peer_port: PortNo(0),
+        };
+        assert!(hostile(&|t| t.ports[2].push(stray)).contains("not an end of l99"));
     }
 }

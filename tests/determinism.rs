@@ -72,6 +72,7 @@ fn stochastic_scenarios_reproduce_given_seed() {
 #[test]
 fn golden_digest_holds_plain_and_across_a_checkpoint() {
     use pfcsim::net::golden::{self, DRAIN_UNTIL, GOLDEN_DIGEST, STOP_AT};
+    use pfcsim::simcore::snap::fnv1a;
     let build = || golden::build_sim(None, &mut SimArenas::new());
 
     let plain = build().run_with_drain(STOP_AT, DRAIN_UNTIL);
@@ -82,7 +83,15 @@ fn golden_digest_holds_plain_and_across_a_checkpoint() {
     assert!(sim
         .advance_until(SimTime::from_us(1500), DRAIN_UNTIL)
         .is_none());
-    let bytes = sim.checkpoint().expect("checkpointable").to_bytes();
+    let ckpt = sim.checkpoint().expect("checkpointable");
+    let bytes = ckpt.to_bytes();
+    // The frame itself is pinned (recorded before the encoder streamed).
+    // `PFCSIM_SCHED` changes `QueueSnapshot::backend`, hence the bytes.
+    if std::env::var_os("PFCSIM_SCHED").is_none() {
+        assert_eq!(bytes.len(), 907_470, "frame length");
+        assert_eq!(fnv1a(&bytes), 0xd263_ed01_58ce_b65e, "frame bytes");
+        assert_eq!(ckpt.digest(), fnv1a(&bytes), "streamed digest");
+    }
     let ckpt = Checkpoint::from_bytes(&bytes).expect("frame round-trips");
     let resumed = NetSim::resume(ckpt).expect("restorable").resume_run();
     assert_eq!(golden::digest(&resumed), GOLDEN_DIGEST, "checkpoint");

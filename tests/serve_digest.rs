@@ -1,15 +1,16 @@
 //! The resident's memoized state digest, through the `pfcsim::session`
 //! facade: after every step of a long mixed script the remembered digest
-//! equals `fnv1a` of a freshly encoded checkpoint, rejected requests
-//! leave it alone, and `Session::digests_computed` — an exact work
-//! counter — moves by one per mutated state and by nothing per query.
+//! equals `fnv1a` of a freshly encoded checkpoint (whose streamed frame
+//! is byte for byte the one encoded from its `Value` tree), rejected
+//! requests leave it alone, and `Session::digests_computed` — an exact
+//! work counter — moves by one per mutated state and by nothing per query.
 //!
 //! Built with debug assertions (plain `cargo test`, or the CI step that
 //! turns them on for the release build) every memo hit inside the
 //! session additionally recomputes the digest the slow way.
 
 use pfcsim::session::{Control, ServeConfig, ServeSession, Session};
-use pfcsim::simcore::snap::fnv1a;
+use pfcsim::simcore::snap::{encode_frame, fnv1a};
 use serde_json::Value;
 
 /// The square fabric one push (`S3 → h1 via S0`) away from the paper's
@@ -186,8 +187,15 @@ impl Driver {
             .session()
             .state_digest()
             .unwrap_or_else(|e| panic!("{what}: {e}"));
-        let frame = self.session().snapshot().expect("live").to_bytes();
+        let ckpt = self.session().snapshot().expect("live");
+        let frame = ckpt.to_bytes();
         assert_eq!(memo, fnv1a(&frame), "{what}: memo is stale");
+        // The frame is streamed from the state; the tree says the same.
+        let tree = serde_json::to_value(&ckpt).expect("a document");
+        assert!(
+            frame == encode_frame(ckpt.config_digest(), &tree),
+            "{what}: streamed frame differs from the tree's"
+        );
         let computed = self.session().digests_computed();
         assert_eq!(
             computed - computed_before,
