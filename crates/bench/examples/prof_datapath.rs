@@ -1,4 +1,5 @@
-//! Profiling driver: the datapath/line2 bench body in a loop.
+//! Profiling driver: a saturated two-way `line(2)` run to 1 ms, in a loop
+//! (the shape `benchmark/`'s `net.sim.line2_ns_per_event` row times).
 use pfcsim_net::config::SimConfig;
 use pfcsim_net::flow::FlowSpec;
 use pfcsim_net::sim::SimBuilder;

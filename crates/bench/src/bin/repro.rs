@@ -3,10 +3,9 @@
 //! ```text
 //! repro all [--quick] [--json DIR]
 //! repro fig1|fig2|fig3|fig4|fig5|ttl|tiering|dcqcn|baselines|ablations
-//! repro bench [--quick] [--out PATH]   # engine baselines -> BENCH_engine.json
 //! repro metrics [--quick] [--out PATH] # sampled telemetry -> pfcsim-metrics/1 JSON
 //! repro trace [--quick] [--out PATH]   # per-packet trace  -> pfcsim-trace/1 JSONL
-//! repro golden [--sched wheel|heap] [--checkpoint PATH [--pause-at-us N | --checkpoint-every-us N]]
+//! repro golden [--checkpoint PATH [--pause-at-us N | --checkpoint-every-us N]]
 //!                                      # golden run; optional crash-safe checkpoints (SIGTERM-aware)
 //! repro resume PATH                    # continue a checkpointed run to completion
 //! repro chaos                          # self-test: injected panics, hangs, corrupt checkpoints
@@ -76,9 +75,8 @@ fn verify(topo_name: &str, routing: &str) -> ! {
 const USAGE: &str = "\
 usage: repro <subcommand> [flags]
   all|fig1|fig2|fig3|fig4|fig5|ttl|tiering|dcqcn|baselines|ablations|recovery|fluid|flooding|faults [--quick] [--json DIR] [--csv DIR]
-  bench [--quick] [--out PATH] [--gate]
   metrics|trace [--quick] [--out PATH]
-  golden [--sched wheel|heap] [--checkpoint PATH] [--pause-at-us N] [--checkpoint-every-us N]
+  golden [--checkpoint PATH] [--pause-at-us N] [--checkpoint-every-us N]
   resume PATH
   serve [--socket PATH] [--checkpoint PATH]
   verify [TOPOLOGY] [ROUTING]
@@ -93,14 +91,8 @@ fn usage() -> ! {
 /// not listed here would otherwise be silently ignored.
 fn known_flags(cmd: &str) -> &'static [&'static str] {
     match cmd {
-        "bench" => &["--quick", "--out", "--gate"],
         "metrics" | "trace" => &["--quick", "--out"],
-        "golden" => &[
-            "--sched",
-            "--checkpoint",
-            "--pause-at-us",
-            "--checkpoint-every-us",
-        ],
+        "golden" => &["--checkpoint", "--pause-at-us", "--checkpoint-every-us"],
         "serve" => &["--socket", "--checkpoint"],
         "verify" | "resume" | "chaos" => &[],
         // `all` and the single experiments.
@@ -116,7 +108,19 @@ fn unknown_flag<'a>(cmd: &str, args: &'a [String]) -> Option<&'a str> {
         .find(|a| a.starts_with("--") && !known.contains(a))
 }
 
-/// `--flag VALUE` extraction.
+/// The first flag that [`USAGE`] documents as `[--flag VALUE]` but that
+/// is the last argument or is followed by another `--flag`. Looked up by
+/// position, such a flag would swallow its neighbour or be dropped.
+fn missing_value(args: &[String]) -> Option<&str> {
+    args.iter().enumerate().find_map(|(i, a)| {
+        let wants = a.starts_with("--") && USAGE.contains(&format!("[{a} "));
+        let has = args.get(i + 1).is_some_and(|v| !v.starts_with("--"));
+        (wants && !has).then_some(a.as_str())
+    })
+}
+
+/// `--flag VALUE` extraction ([`missing_value`] has checked the value
+/// is there).
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -196,20 +200,10 @@ fn finish_golden(report: &pfcsim_net::sim::RunReport) -> ! {
 ///   each slice. On SIGTERM the current slice finishes, a final
 ///   checkpoint is written, and the process exits 143.
 fn golden_cmd(args: &[String]) -> ! {
-    use pfcsim_net::config::SchedulerBackend;
     use pfcsim_net::golden::{self, DRAIN_UNTIL, STOP_AT};
     use pfcsim_net::sim::SimArenas;
     use pfcsim_simcore::time::{SimDuration, SimTime};
 
-    let sched = match flag_value(args, "--sched") {
-        None => None,
-        Some("wheel") => Some(SchedulerBackend::Wheel),
-        Some("heap") => Some(SchedulerBackend::Heap),
-        Some(other) => {
-            eprintln!("unknown scheduler '{other}' (wheel|heap)");
-            std::process::exit(2);
-        }
-    };
     let parse_us = |name: &str| -> Option<u64> {
         flag_value(args, name).map(|v| {
             v.parse().unwrap_or_else(|_| {
@@ -224,7 +218,7 @@ fn golden_cmd(args: &[String]) -> ! {
 
     let mut arenas = SimArenas::new();
     let Some(path) = ckpt_path else {
-        let report = golden::run_with(sched, &mut arenas);
+        let report = golden::run_with(None, &mut arenas);
         finish_golden(&report);
     };
     let save = |sim: &mut pfcsim_net::sim::NetSim, path: &str| match sim
@@ -239,7 +233,7 @@ fn golden_cmd(args: &[String]) -> ! {
     };
 
     term_signal::install();
-    let mut sim = golden::build_sim(sched, &mut arenas);
+    let mut sim = golden::build_sim(None, &mut arenas);
     sim.schedule_flow_stops(STOP_AT);
     let report = if let Some(us) = pause_us {
         // One-shot: pause, checkpoint, leave the run unfinished.
@@ -576,267 +570,6 @@ fn trace(quick: bool, out: &str) -> ! {
     std::process::exit(0);
 }
 
-/// `repro bench [--quick] [--out PATH] [--gate]` — run the engine
-/// micro-benchmarks plus a wall-clock measurement of `repro all --quick`,
-/// and write the machine-readable baseline (default `BENCH_engine.json`).
-///
-/// With `--gate`, also compare each workload's events/sec against the
-/// committed baseline and exit non-zero if any regresses by more than
-/// [`GATE_REGRESSION_PCT`] percent. Workloads absent from the baseline
-/// are reported as new and do not gate.
-fn bench(quick: bool, out: &str, gate: bool) -> ! {
-    use pfcsim_experiments::enginebench::run_engine_benches;
-    use pfcsim_simcore::event::Backend;
-    use serde_json::{to_value, Value};
-
-    fn obj(pairs: Vec<(&str, Value)>) -> Value {
-        Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-    fn val<T: serde::Serialize>(x: T) -> Value {
-        to_value(x).expect("to_value")
-    }
-
-    // The previously committed baseline, if one exists, for per-workload
-    // deltas. When writing somewhere other than the tracked baseline
-    // (`--out /tmp/x.json`), deltas still compare against the committed
-    // file. Schema 2 predates the scheduler split, so `event_queue/
-    // wheel_*` and `heap_*` fall back to the unsplit workload name;
-    // anything still unmatched is reported as new rather than an error.
-    let baseline: Option<Value> = std::fs::read_to_string(out)
-        .or_else(|_| std::fs::read_to_string("BENCH_engine.json"))
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok());
-    let baseline_field = |name: &str, field: &str| -> Option<f64> {
-        let benches = baseline.as_ref()?.get("benches")?.as_array()?;
-        let lookup = |n: &str| {
-            benches
-                .iter()
-                .find(|b| b.get("name").and_then(Value::as_str) == Some(n))
-                .and_then(|b| b.get(field))
-                .and_then(Value::as_f64)
-        };
-        lookup(name).or_else(|| {
-            let rest = name
-                .strip_prefix("event_queue/wheel_")
-                .or_else(|| name.strip_prefix("event_queue/heap_"))?;
-            lookup(&format!("event_queue/{rest}"))
-        })
-    };
-    let baseline_mean = |name: &str| baseline_field(name, "mean_seconds");
-
-    // Which event-queue backend the macro workloads ran under: the
-    // per-backend micro-benchmarks pin their own, everything else uses
-    // the ambient default (PFCSIM_SCHED or the wheel).
-    let default_backend = Backend::from_env().unwrap_or(Backend::Wheel);
-    let scheduler_of = |name: &str| -> &'static str {
-        if name.starts_with("event_queue/heap_") {
-            Backend::Heap.name()
-        } else if name.starts_with("event_queue/wheel_") {
-            Backend::Wheel.name()
-        } else {
-            default_backend.name()
-        }
-    };
-
-    let results = run_engine_benches(quick);
-    println!(
-        "engine benchmarks (scheduler default: {}):",
-        default_backend.name()
-    );
-    // Workloads whose throughput regressed past the gate threshold, as
-    // (name, current events/sec, baseline events/sec, allowed fraction).
-    let mut regressions: Vec<(String, f64, f64, f64)> = Vec::new();
-    for r in &results {
-        let delta = match baseline_mean(&r.name) {
-            Some(b) if b > 0.0 => {
-                format!("{:+.1}% vs baseline", (r.mean_seconds / b - 1.0) * 100.0)
-            }
-            _ => "no baseline (new workload)".to_string(),
-        };
-        println!(
-            "  {:<48} {:>9.3} ms/iter  [{}]  {}",
-            r.name,
-            r.mean_seconds * 1e3,
-            scheduler_of(&r.name),
-            delta
-        );
-        if gate {
-            if let (Some(base_eps), Some(eps)) = (
-                baseline_field(&r.name, "events_per_sec"),
-                r.elements_per_sec(),
-            ) {
-                let allowed = gate_allowance(
-                    baseline_field(&r.name, "stddev_seconds"),
-                    baseline_field(&r.name, "mean_seconds"),
-                );
-                if base_eps > 0.0 && eps < base_eps * (1.0 - allowed) {
-                    regressions.push((r.name.clone(), eps, base_eps, allowed));
-                }
-            }
-        }
-    }
-
-    // Wall-clock the full quick regeneration in-process, serial and at
-    // the ambient thread count; the reports must match byte-for-byte
-    // (the determinism contract of `sweep::parallel_map`). On a
-    // single-core host a "parallel" pass would time the same serial
-    // execution plus scheduling noise and report a meaningless speedup,
-    // so the comparison is skipped there — the determinism gate still
-    // runs, comparing two serial passes instead.
-    let opts = Opts {
-        quick: true,
-        dump_dir: None,
-    };
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = host_cpus;
-    let t0 = std::time::Instant::now();
-    let serial = with_threads(1, || experiments::run_all(&opts));
-    let serial_secs = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let parallel = with_threads(threads, || experiments::run_all(&opts));
-    let parallel_secs = t1.elapsed().as_secs_f64();
-    let serial_render: Vec<String> = serial.iter().map(Report::render).collect();
-    let parallel_render: Vec<String> = parallel.iter().map(Report::render).collect();
-    let deterministic = serial_render == parallel_render;
-    let multicore = host_cpus > 1;
-
-    let benches: Vec<Value> = results
-        .iter()
-        .map(|r| {
-            obj(vec![
-                ("name", val(&r.name)),
-                ("scheduler", val(scheduler_of(&r.name))),
-                ("mean_seconds", val(r.mean_seconds)),
-                ("stddev_seconds", val(r.stddev_seconds)),
-                ("iters", val(r.iters as u64)),
-                ("events_per_sec", val(r.elements_per_sec())),
-            ])
-        })
-        .collect();
-    let doc = obj(vec![
-        ("schema", val("pfcsim-bench/4")),
-        ("quick", val(quick)),
-        ("scheduler_default", val(default_backend.name())),
-        ("threads", val(threads as u64)),
-        ("host_cpus", val(host_cpus as u64)),
-        ("benches", Value::Array(benches)),
-        (
-            "repro_all_quick",
-            obj(vec![
-                ("serial_seconds", val(serial_secs)),
-                ("parallel_seconds", val(parallel_secs)),
-                (
-                    "speedup",
-                    if multicore {
-                        val(serial_secs / parallel_secs.max(1e-9))
-                    } else {
-                        Value::Null
-                    },
-                ),
-                (
-                    "speedup_note",
-                    if multicore {
-                        Value::Null
-                    } else {
-                        val("single-core host: serial-vs-parallel comparison not meaningful")
-                    },
-                ),
-                ("deterministic", val(deterministic)),
-            ]),
-        ),
-    ]);
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&doc).expect("json") + "\n",
-    )
-    .expect("write bench baseline");
-    if multicore {
-        println!(
-            "repro all --quick: serial {serial_secs:.3}s, parallel({threads}) {parallel_secs:.3}s, \
-             deterministic: {deterministic}"
-        );
-    } else {
-        println!(
-            "repro all --quick: serial {serial_secs:.3}s, deterministic: {deterministic} \
-             (single-core host: speedup comparison skipped)"
-        );
-    }
-    println!("wrote {out}");
-    if !deterministic {
-        eprintln!("error: serial and parallel reports diverge — sweep determinism is broken");
-        std::process::exit(1);
-    }
-    if gate {
-        if baseline.is_none() {
-            eprintln!(
-                "error: --gate requested but no baseline could be read \
-                 ({out} or BENCH_engine.json)"
-            );
-            std::process::exit(1);
-        }
-        if regressions.is_empty() {
-            println!(
-                "perf gate: PASS (no workload regressed past its noise-adjusted threshold; \
-                 base {GATE_REGRESSION_PCT:.0}% + 2x the baseline's recorded stddev/mean)"
-            );
-        } else {
-            eprintln!(
-                "perf gate: FAIL — {} workload(s) regressed past the noise-adjusted \
-                 threshold (base {GATE_REGRESSION_PCT:.0}% + 2x baseline stddev/mean):",
-                regressions.len()
-            );
-            for (name, eps, base, allowed) in &regressions {
-                eprintln!(
-                    "  {:<48} {:>8.2}M ev/s vs baseline {:>8.2}M ev/s ({:+.1}%, \
-                     allowed -{:.1}%)",
-                    name,
-                    eps / 1e6,
-                    base / 1e6,
-                    (eps / base - 1.0) * 100.0,
-                    allowed * 100.0
-                );
-            }
-            std::process::exit(1);
-        }
-    }
-    std::process::exit(0);
-}
-
-/// `repro bench --gate` fails when a workload's events/sec drops more than
-/// this percentage below the committed baseline. Generous enough to ride
-/// out scheduler noise on shared CI runners, tight enough to catch a real
-/// hot-path regression (which in this engine is rarely subtle).
-const GATE_REGRESSION_PCT: f64 = 15.0;
-
-/// Per-workload gate allowance as a fraction of baseline events/sec: the
-/// base [`GATE_REGRESSION_PCT`] widened by twice the baseline's recorded
-/// relative noise (`stddev_seconds / mean_seconds`), so a workload the
-/// baseline host itself measured as jittery gets proportionally more
-/// slack instead of flaking the gate. Capped at 50% — a baseline so
-/// noisy that it would permit halving throughput should be re-recorded,
-/// not accommodated.
-fn gate_allowance(stddev: Option<f64>, mean: Option<f64>) -> f64 {
-    let rel = match (stddev, mean) {
-        (Some(s), Some(m)) if m > 0.0 && s.is_finite() && s >= 0.0 => s / m,
-        _ => 0.0,
-    };
-    (GATE_REGRESSION_PCT / 100.0 + 2.0 * rel).min(0.5)
-}
-
-/// Run `f` with `PFCSIM_THREADS` pinned to `n`, restoring it after.
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var("PFCSIM_THREADS").ok();
-    std::env::set_var("PFCSIM_THREADS", n.to_string());
-    let r = f();
-    match saved {
-        Some(v) => std::env::set_var("PFCSIM_THREADS", v),
-        None => std::env::remove_var("PFCSIM_THREADS"),
-    }
-    r
-}
-
 /// `repro serve [--socket PATH] [--checkpoint PATH]` — the resident
 /// deadlock-sentinel service: JSONL requests on stdin (or a Unix
 /// socket), one JSONL response per request. SIGTERM drains gracefully:
@@ -1004,6 +737,10 @@ fn main() {
         eprintln!("error: `repro {cmd}` has no flag {flag}");
         usage();
     }
+    if let Some(flag) = missing_value(&args[1..]) {
+        eprintln!("error: {flag} wants a value");
+        usage();
+    }
     if cmd == "verify" {
         let topo = args.get(1).map(String::as_str).unwrap_or("fat-tree4");
         let routing = args.get(2).map(String::as_str).unwrap_or("updown");
@@ -1028,46 +765,16 @@ fn main() {
         serve_cmd(&args[1..]);
     }
     let quick = args.iter().any(|a| a == "--quick");
-    if cmd == "bench" {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-            .unwrap_or("BENCH_engine.json");
-        let gate = args.iter().any(|a| a == "--gate");
-        bench(quick, out, gate);
+    if cmd == "metrics" {
+        metrics(quick, flag_value(&args, "--out").unwrap_or("metrics.json"));
     }
-    if cmd == "metrics" || cmd == "trace" {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-            .unwrap_or(if cmd == "metrics" {
-                "metrics.json"
-            } else {
-                "trace.jsonl"
-            });
-        if cmd == "metrics" {
-            metrics(quick, out);
-        } else {
-            trace(quick, out);
-        }
+    if cmd == "trace" {
+        trace(quick, flag_value(&args, "--out").unwrap_or("trace.jsonl"));
     }
-    let json_dir = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let csv_dir = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
+    let json_dir = flag_value(&args, "--json");
     let opts = Opts {
         quick,
-        dump_dir: csv_dir,
+        dump_dir: flag_value(&args, "--csv").map(std::path::PathBuf::from),
     };
 
     let reports: Vec<Report> = if cmd == "all" {
@@ -1101,7 +808,7 @@ fn main() {
         println!("{}", r.render());
     }
     if let Some(dir) = json_dir {
-        std::fs::create_dir_all(&dir).expect("create json output dir");
+        std::fs::create_dir_all(dir).expect("create json output dir");
         for r in &reports {
             let slug: String =
                 r.id.chars()
@@ -1131,21 +838,41 @@ mod tests {
 
     #[test]
     fn only_flags_a_subcommand_defines_are_accepted() {
-        // A deleted flag and a typo, which used to run silently.
+        // Deleted flags and a typo, which used to run silently.
         assert_eq!(
             unknown_flag("all", &args(&["--partitions", "4"])),
             Some("--partitions")
         );
+        assert_eq!(
+            unknown_flag("golden", &args(&["--sched", "heap"])),
+            Some("--sched")
+        );
+        assert_eq!(unknown_flag("all", &args(&["--gate"])), Some("--gate"));
         assert_eq!(
             unknown_flag("all", &args(&["--quik", "--json", "out"])),
             Some("--quik")
         );
         // A real flag on the wrong subcommand.
         assert_eq!(unknown_flag("chaos", &args(&["--quick"])), Some("--quick"));
-        assert_eq!(unknown_flag("fig3", &args(&["--gate"])), Some("--gate"));
+        assert_eq!(unknown_flag("fig3", &args(&["--out", "x"])), Some("--out"));
         // Values and positionals are not flags.
         assert_eq!(unknown_flag("resume", &args(&["golden.ckpt"])), None);
         assert_eq!(unknown_flag("all", &args(&["--json", "out-dir"])), None);
+        // A value flag with no value, or with the next flag for a value.
+        assert_eq!(
+            missing_value(&args(&["--pause-at-us", "1500", "--checkpoint"])),
+            Some("--checkpoint")
+        );
+        assert_eq!(missing_value(&args(&["--json", "--quick"])), Some("--json"));
+        assert_eq!(
+            missing_value(&args(&["--checkpoint", "--pause-at-us", "1500"])),
+            Some("--checkpoint")
+        );
+        assert_eq!(missing_value(&args(&["--out"])), Some("--out"));
+        assert_eq!(
+            missing_value(&args(&["--quick", "--json", "out-dir"])),
+            None
+        );
 
         // Every flag the usage text documents is accepted by every
         // subcommand named on the same line, and it documents them all.

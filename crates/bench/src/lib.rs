@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod dump;
-pub mod enginebench;
 pub mod experiments;
 pub mod scenarios;
 pub mod supervise;

@@ -122,3 +122,32 @@ fn all_experiments_run_and_agree_with_the_paper() {
     assert_eq!(deadlock_row[1], "no", "fluid");
     assert_eq!(deadlock_row[2], "yes", "packet");
 }
+
+/// Through the real binary: the retired `bench` subcommand is a usage
+/// error, and so is a value flag without its value — exit 2, usage on
+/// stderr, nothing run and nothing written.
+#[test]
+fn usage_errors_exit_2_and_write_nothing() {
+    let dir = std::env::temp_dir().join(format!("pfcsim-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for args in [
+        &["bench"][..],
+        &["golden", "--checkpoint"],
+        &["golden", "--checkpoint", "--pause-at-us", "1500"],
+        &["all", "--json", "--quick"],
+        &["metrics", "--out"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: repro"), "repro {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "repro {args:?} ran something");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("scratch dir").collect();
+    assert!(left.is_empty(), "usage errors created {left:?}");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}

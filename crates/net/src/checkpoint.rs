@@ -79,9 +79,8 @@ pub type CheckpointError = pfcsim_simcore::error::Error;
 /// behaviour on a fresh queue of the same backend.
 #[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct QueueSnapshot {
-    /// The backend the run was using — pinned explicitly so a resume in
-    /// an environment with a different `PFCSIM_SCHED` cannot silently
-    /// switch index structures mid-run.
+    /// The backend the run was using, so a resume continues on the
+    /// same index structure.
     pub(crate) backend: Backend,
     /// Wheel tick shift (`None` for the heap).
     pub(crate) tick_shift: Option<u32>,

@@ -16,20 +16,6 @@ use crate::telemetry::TelemetryConfig;
 /// depending on `pfcsim_simcore` directly.
 pub use pfcsim_simcore::event::Backend as SchedulerBackend;
 
-/// Resolve a set `PFCSIM_SCHED` value. Empty defers to the default
-/// silently, like unset; anything else unrecognised also defers but
-/// warns once — a typo in a CI `wheel == heap` leg would otherwise diff
-/// the wheel against itself and pass.
-pub(crate) fn scheduler_override(v: &str) -> Option<SchedulerBackend> {
-    let backend = SchedulerBackend::parse(v);
-    if backend.is_none() && !v.is_empty() {
-        crate::warn::warn_once("env:PFCSIM_SCHED", || {
-            format!("pfcsim: ignoring unrecognized PFCSIM_SCHED={v:?} (expected wheel/heap)")
-        });
-    }
-    backend
-}
-
 /// How a PAUSE is expressed on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PauseMode {
@@ -229,13 +215,12 @@ pub struct SimConfig {
     /// clears `stop_on_deadlock`, since the point of recovery is to keep
     /// running through detections.
     pub recovery: Option<RecoveryConfig>,
-    /// Event-queue backend. `None` (the default) defers to the
-    /// `PFCSIM_SCHED` environment variable and then to the hierarchical
-    /// timing wheel; set explicitly to pin a run to one scheduler
-    /// regardless of the environment. Both backends pop in exactly
-    /// `(time, seq)` order, so results are bit-identical either way —
-    /// the knob only trades scheduling cost (the wheel is O(1) for the
-    /// short-horizon timers that dominate PFC fabrics).
+    /// Event-queue backend. `None` (the default) is the hierarchical
+    /// timing wheel; tests set `Some` to run the heap reference. Both
+    /// backends pop in exactly `(time, seq)` order, so results are
+    /// bit-identical either way — the field only trades scheduling cost
+    /// (the wheel is O(1) for the short-horizon timers that dominate PFC
+    /// fabrics).
     pub scheduler: Option<SchedulerBackend>,
     /// Unified instrumentation layer (see [`crate::telemetry`]): metric
     /// sampling cadence, probe selection, trace filter and sink. Disabled
@@ -352,18 +337,6 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Can't set env safely in parallel tests; drive the value parser.
-    #[test]
-    fn scheduler_override_warns_on_garbage_only() {
-        let warned = || crate::warn::seen("env:PFCSIM_SCHED");
-        assert_eq!(scheduler_override(""), None);
-        assert_eq!(scheduler_override("Heap"), Some(SchedulerBackend::Heap));
-        assert_eq!(scheduler_override("wheel"), Some(SchedulerBackend::Wheel));
-        assert!(!warned(), "empty and accepted values stay silent");
-        assert_eq!(scheduler_override("haep"), None, "still the default");
-        assert!(warned());
-    }
 
     #[test]
     fn defaults_are_valid_and_match_paper() {

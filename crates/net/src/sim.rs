@@ -587,15 +587,10 @@ impl NetSim {
         let quantum = cfg.default_packet_size.get();
         let n_nodes = topo.node_count();
         let dl = DeadlockTracker::new(topo, &port_info, &port_base);
-        // Scheduler: an explicit config knob wins, then the PFCSIM_SCHED
-        // environment override, then the timing wheel. The wheel tick is
-        // sized from the fastest link's serialization time for a
-        // default-size packet — the natural spacing of the TxDone/Arrive
-        // events that dominate the queue.
-        let backend = cfg
-            .scheduler
-            .or_else(|| crate::config::scheduler_override(&std::env::var("PFCSIM_SCHED").ok()?))
-            .unwrap_or(Backend::Wheel);
+        // The wheel tick is sized from the fastest link's serialization
+        // time for a default-size packet — the natural spacing of the
+        // TxDone/Arrive events that dominate the queue.
+        let backend = cfg.scheduler.unwrap_or(Backend::Wheel);
         let tick_shift = port_info
             .iter()
             .map(|p| p.ser_default)
@@ -1730,9 +1725,8 @@ impl NetSim {
             .map_err(|e| CheckpointError::Decode(e.to_string()))?;
         sim.cfg = cfg;
         // The scheduler: rebuild the exact backend/tick geometry the
-        // snapshot was taken under (the environment's PFCSIM_SCHED must
-        // not be able to switch index structures mid-run), then reinsert
-        // every live entry with its original (time, seq) key.
+        // snapshot was taken under, then reinsert every live entry with
+        // its original (time, seq) key.
         let QueueSnapshot {
             backend,
             tick_shift,

@@ -20,8 +20,8 @@
 //!
 //! Telemetry is **off by default** and costs the hot path one pointer
 //! null-check when off: no events are scheduled, no series allocated, and
-//! the golden determinism digest is bit-identical (the `telemetry/`
-//! enginebench workload pins the overhead).
+//! the golden determinism digest is bit-identical (DESIGN.md §6 records
+//! the measured off-cost).
 //!
 //! Enable it through [`TelemetryConfig`] on
 //! [`SimConfig::telemetry`](crate::config::SimConfig) (or

@@ -28,12 +28,6 @@ pub(crate) fn warn_once(key: &str, msg: impl FnOnce() -> String) -> bool {
     }
 }
 
-/// Whether `key` has fired, without firing it.
-#[cfg(test)]
-pub(crate) fn seen(key: &str) -> bool {
-    SEEN.lock().expect("warn registry").contains(key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -60,31 +60,6 @@ pub enum Backend {
     Heap,
 }
 
-impl Backend {
-    /// Parse a `PFCSIM_SCHED` value: `wheel` or `heap`, case-insensitive.
-    pub fn parse(v: &str) -> Option<Backend> {
-        match v.to_ascii_lowercase().as_str() {
-            "wheel" => Some(Backend::Wheel),
-            "heap" => Some(Backend::Heap),
-            _ => None,
-        }
-    }
-
-    /// Read the `PFCSIM_SCHED` override. Unset or unrecognized values
-    /// yield `None`.
-    pub fn from_env() -> Option<Backend> {
-        Self::parse(&std::env::var("PFCSIM_SCHED").ok()?)
-    }
-
-    /// Stable lowercase name (used in bench reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Wheel => "wheel",
-            Backend::Heap => "heap",
-        }
-    }
-}
-
 /// Sentinel for "not queued".
 pub(crate) const NO_POS: u32 = u32::MAX;
 
@@ -136,10 +111,9 @@ impl<E> Default for EventQueue<E> {
 const ARITY: usize = 4;
 
 impl<E> EventQueue<E> {
-    /// An empty queue at t = 0 on the default backend: the `PFCSIM_SCHED`
-    /// environment override if set, otherwise the timing wheel.
+    /// An empty queue at t = 0 on the default backend, the timing wheel.
     pub fn new() -> Self {
-        Self::with_backend(Backend::from_env().unwrap_or(Backend::Wheel))
+        Self::with_backend(Backend::Wheel)
     }
 
     /// An empty queue on an explicit backend (wheel ticks default to
@@ -951,9 +925,7 @@ mod tests {
     }
 
     #[test]
-    fn env_override_selects_backend() {
-        // Don't mutate the process environment (tests run in parallel);
-        // just check the explicit constructors and default.
+    fn constructors_select_backend_and_new_is_the_wheel() {
         assert_eq!(
             EventQueue::<u64>::with_backend(Backend::Heap).backend(),
             Backend::Heap
@@ -962,9 +934,7 @@ mod tests {
             EventQueue::<u64>::with_backend(Backend::Wheel).backend(),
             Backend::Wheel
         );
-        if std::env::var("PFCSIM_SCHED").is_err() {
-            assert_eq!(EventQueue::<u64>::new().backend(), Backend::Wheel);
-        }
+        assert_eq!(EventQueue::<u64>::new().backend(), Backend::Wheel);
     }
 
     /// Randomised (but seeded, self-contained) interleaving of

@@ -13,18 +13,20 @@ proptest! {
     /// schedule-order) order — checked against a stable sort.
     #[test]
     fn event_queue_matches_stable_sort(times in prop::collection::vec(0u64..1000, 0..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_ns(t), i);
+        for backend in [Backend::Wheel, Backend::Heap] {
+            let mut q = EventQueue::with_backend(backend);
+            for (i, &t) in times.iter().enumerate() {
+                q.schedule(SimTime::from_ns(t), i);
+            }
+            let mut expected: Vec<(u64, usize)> =
+                times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+            expected.sort_by_key(|&(t, _)| t); // stable: preserves schedule order
+            let mut got = Vec::new();
+            while let Some((t, i)) = q.pop() {
+                got.push((t.as_ns(), i));
+            }
+            prop_assert_eq!(got, expected);
         }
-        let mut expected: Vec<(u64, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        expected.sort_by_key(|&(t, _)| t); // stable: preserves schedule order
-        let mut got = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            got.push((t.as_ns(), i));
-        }
-        prop_assert_eq!(got, expected);
     }
 
     /// Cancellation removes exactly the cancelled subset.
@@ -33,28 +35,30 @@ proptest! {
         times in prop::collection::vec(0u64..1000, 1..100),
         cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
     ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule(SimTime::from_ns(t), i))
-            .collect();
-        let mut kept: Vec<usize> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                prop_assert!(q.cancel(*id));
-                prop_assert!(!q.cancel(*id), "double cancel is false");
-            } else {
-                kept.push(i);
+        for backend in [Backend::Wheel, Backend::Heap] {
+            let mut q = EventQueue::with_backend(backend);
+            let ids: Vec<_> = times
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| q.schedule(SimTime::from_ns(t), i))
+                .collect();
+            let mut kept: Vec<usize> = Vec::new();
+            for (i, id) in ids.iter().enumerate() {
+                if *cancel_mask.get(i).unwrap_or(&false) {
+                    prop_assert!(q.cancel(*id));
+                    prop_assert!(!q.cancel(*id), "double cancel is false");
+                } else {
+                    kept.push(i);
+                }
             }
+            prop_assert_eq!(q.len(), kept.len());
+            let mut got: Vec<usize> = Vec::new();
+            while let Some((_, i)) = q.pop() {
+                got.push(i);
+            }
+            got.sort_unstable();
+            prop_assert_eq!(got, kept);
         }
-        prop_assert_eq!(q.len(), kept.len());
-        let mut got: Vec<usize> = Vec::new();
-        while let Some((_, i)) = q.pop() {
-            got.push(i);
-        }
-        got.sort_unstable();
-        prop_assert_eq!(got, kept);
     }
 
     /// serialization_time is exact-or-rounded-up and bytes_in inverts it.
@@ -114,7 +118,7 @@ proptest! {
         prop_assert_eq!(log.count(), spans.len());
     }
 
-    /// The indexed-heap queue is observationally equivalent to the
+    /// The queue, on either backend, is observationally equivalent to the
     /// previous implementation — a `BinaryHeap` with lazy (tombstone)
     /// cancellation, reproduced below as `model` — under random
     /// schedule/cancel/pop interleavings: same pop sequence, same
@@ -154,56 +158,58 @@ proptest! {
             }
         }
 
-        let mut q = EventQueue::new();
-        let mut model = Model {
-            heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            next_seq: 0,
-            now: 0,
-        };
-        // Parallel vectors: handle in the real queue, seq in the model.
-        let mut live: Vec<(pfcsim_simcore::event::EventId, u64)> = Vec::new();
-        let mut tag = 0u64;
-        for &(op, arg) in &ops {
-            match op {
-                0..=4 => {
-                    let at = model.now + arg;
-                    let id = q.schedule(SimTime::from_ns(at), tag);
-                    let seq = model.schedule(at, tag);
-                    live.push((id, seq));
-                    tag += 1;
-                }
-                5..=6 => {
-                    if !live.is_empty() {
-                        let victim = (arg as usize) % live.len();
-                        let (id, seq) = live.swap_remove(victim);
-                        prop_assert_eq!(q.cancel(id), model.cancel(seq));
-                        // A handle is single-use in both implementations.
-                        prop_assert!(!q.cancel(id));
+        for backend in [Backend::Wheel, Backend::Heap] {
+            let mut q = EventQueue::with_backend(backend);
+            let mut model = Model {
+                heap: BinaryHeap::new(),
+                pending: HashSet::new(),
+                next_seq: 0,
+                now: 0,
+            };
+            // Parallel vectors: handle in the real queue, seq in the model.
+            let mut live: Vec<(pfcsim_simcore::event::EventId, u64)> = Vec::new();
+            let mut tag = 0u64;
+            for &(op, arg) in &ops {
+                match op {
+                    0..=4 => {
+                        let at = model.now + arg;
+                        let id = q.schedule(SimTime::from_ns(at), tag);
+                        let seq = model.schedule(at, tag);
+                        live.push((id, seq));
+                        tag += 1;
+                    }
+                    5..=6 => {
+                        if !live.is_empty() {
+                            let victim = (arg as usize) % live.len();
+                            let (id, seq) = live.swap_remove(victim);
+                            prop_assert_eq!(q.cancel(id), model.cancel(seq));
+                            // A handle is single-use in both implementations.
+                            prop_assert!(!q.cancel(id));
+                        }
+                    }
+                    _ => {
+                        // `live` may still reference the entry that fires here;
+                        // a later cancel on it must return false in both
+                        // implementations, which the cancel arm asserts.
+                        let got = q.pop().map(|(t, v)| (t.as_ns(), v));
+                        prop_assert_eq!(got, model.pop());
                     }
                 }
-                _ => {
-                    // `live` may still reference the entry that fires here;
-                    // a later cancel on it must return false in both
-                    // implementations, which the cancel arm asserts.
-                    let got = q.pop().map(|(t, v)| (t.as_ns(), v));
-                    prop_assert_eq!(got, model.pop());
-                }
+                prop_assert_eq!(q.len(), model.pending.len());
+                prop_assert_eq!(q.is_empty(), model.pending.is_empty());
+                prop_assert_eq!(q.peek_time().map(|t| t.as_ns()),
+                                model.heap.iter().map(|&Reverse((t, s, _))| (t, s))
+                                     .filter(|&(_, s)| model.pending.contains(&s))
+                                     .min().map(|(t, _)| t));
             }
-            prop_assert_eq!(q.len(), model.pending.len());
-            prop_assert_eq!(q.is_empty(), model.pending.is_empty());
-            prop_assert_eq!(q.peek_time().map(|t| t.as_ns()),
-                            model.heap.iter().map(|&Reverse((t, s, _))| (t, s))
-                                 .filter(|&(_, s)| model.pending.contains(&s))
-                                 .min().map(|(t, _)| t));
-        }
-        // Drain both to the end: identical tails.
-        loop {
-            let got = q.pop().map(|(t, v)| (t.as_ns(), v));
-            let want = model.pop();
-            prop_assert_eq!(got, want);
-            if want.is_none() {
-                break;
+            // Drain both to the end: identical tails.
+            loop {
+                let got = q.pop().map(|(t, v)| (t.as_ns(), v));
+                let want = model.pop();
+                prop_assert_eq!(got, want);
+                if want.is_none() {
+                    break;
+                }
             }
         }
     }

@@ -86,12 +86,9 @@ fn golden_digest_holds_plain_and_across_a_checkpoint() {
     let ckpt = sim.checkpoint().expect("checkpointable");
     let bytes = ckpt.to_bytes();
     // The frame itself is pinned (recorded before the encoder streamed).
-    // `PFCSIM_SCHED` changes `QueueSnapshot::backend`, hence the bytes.
-    if std::env::var_os("PFCSIM_SCHED").is_none() {
-        assert_eq!(bytes.len(), 907_470, "frame length");
-        assert_eq!(fnv1a(&bytes), 0xd263_ed01_58ce_b65e, "frame bytes");
-        assert_eq!(ckpt.digest(), fnv1a(&bytes), "streamed digest");
-    }
+    assert_eq!(bytes.len(), 907_470, "frame length");
+    assert_eq!(fnv1a(&bytes), 0xd263_ed01_58ce_b65e, "frame bytes");
+    assert_eq!(ckpt.digest(), fnv1a(&bytes), "streamed digest");
     let ckpt = Checkpoint::from_bytes(&bytes).expect("frame round-trips");
     let resumed = NetSim::resume(ckpt).expect("restorable").resume_run();
     assert_eq!(golden::digest(&resumed), GOLDEN_DIGEST, "checkpoint");
