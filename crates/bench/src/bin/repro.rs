@@ -8,7 +8,6 @@
 //! repro golden [--checkpoint PATH [--pause-at-us N | --checkpoint-every-us N]]
 //!                                      # golden run; optional crash-safe checkpoints (SIGTERM-aware)
 //! repro resume PATH                    # continue a checkpointed run to completion
-//! repro chaos                          # self-test: injected panics, hangs, corrupt checkpoints
 //! ```
 
 use std::io::Write;
@@ -79,8 +78,7 @@ usage: repro <subcommand> [flags]
   golden [--checkpoint PATH] [--pause-at-us N] [--checkpoint-every-us N]
   resume PATH
   serve [--socket PATH] [--checkpoint PATH]
-  verify [TOPOLOGY] [ROUTING]
-  chaos";
+  verify [TOPOLOGY] [ROUTING]";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -94,7 +92,7 @@ fn known_flags(cmd: &str) -> &'static [&'static str] {
         "metrics" | "trace" => &["--quick", "--out"],
         "golden" => &["--checkpoint", "--pause-at-us", "--checkpoint-every-us"],
         "serve" => &["--socket", "--checkpoint"],
-        "verify" | "resume" | "chaos" => &[],
+        "verify" | "resume" => &[],
         // `all` and the single experiments.
         _ => &["--quick", "--json", "--csv"],
     }
@@ -202,14 +200,20 @@ fn finish_golden(report: &pfcsim_net::sim::RunReport) -> ! {
 fn golden_cmd(args: &[String]) -> ! {
     use pfcsim_net::golden::{self, DRAIN_UNTIL, STOP_AT};
     use pfcsim_net::sim::SimArenas;
-    use pfcsim_simcore::time::{SimDuration, SimTime};
+    use pfcsim_simcore::time::{SimDuration, SimTime, PS_PER_US};
 
+    // A count whose picoseconds overflow `u64` would wrap inside
+    // `SimTime::from_us`, so it is a usage error like a non-number.
     let parse_us = |name: &str| -> Option<u64> {
-        flag_value(args, name).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{name} wants a microsecond count, got '{v}'");
-                std::process::exit(2);
-            })
+        flag_value(args, name).map(|v| match v.parse::<u64>() {
+            Ok(us) if us.checked_mul(PS_PER_US).is_some() => us,
+            _ => {
+                eprintln!(
+                    "error: {name} wants a microsecond count of at most {}, got '{v}'",
+                    u64::MAX / PS_PER_US
+                );
+                usage();
+            }
         })
     };
     let ckpt_path = flag_value(args, "--checkpoint");
@@ -277,7 +281,6 @@ fn golden_cmd(args: &[String]) -> ! {
 /// final digest is verified against the pinned golden value.
 fn resume_cmd(path: &str) -> ! {
     use pfcsim_net::checkpoint::{config_digest, Checkpoint};
-    use pfcsim_net::config::SchedulerBackend;
     use pfcsim_net::golden::{self, digest};
     use pfcsim_net::sim::{NetSim, SimArenas};
 
@@ -294,17 +297,10 @@ fn resume_cmd(path: &str) -> ! {
         ckpt.seed(),
         ckpt.config_digest(),
     );
-    // Is this one of the golden scenario's configurations (any scheduler
-    // pinning)? If so the resumed digest is verifiable.
-    let is_golden = [
-        None,
-        Some(SchedulerBackend::Wheel),
-        Some(SchedulerBackend::Heap),
-    ]
-    .iter()
-    .any(|&s| {
-        config_digest(golden::build_sim(s, &mut SimArenas::new()).config()) == ckpt.config_digest()
-    });
+    // Is this the golden scenario's configuration (the one `repro golden`
+    // writes)? If so the resumed digest is verifiable.
+    let is_golden = config_digest(golden::build_sim(None, &mut SimArenas::new()).config())
+        == ckpt.config_digest();
     let mut sim = match NetSim::resume(ckpt) {
         Ok(s) => s,
         Err(e) => {
@@ -323,192 +319,6 @@ fn resume_cmd(path: &str) -> ! {
         digest(&report)
     );
     std::process::exit(0);
-}
-
-/// `repro chaos` — the supervised harness's self-test. Injects the
-/// failure modes the robustness layer exists for — worker panics, hung
-/// workers, truncated / bit-flipped / config-mismatched checkpoint
-/// files — and verifies each one surfaces as a typed, salvageable error:
-/// never a process abort, never a silently-wrong resume.
-///
-/// Exit code 1 means every injection was handled as designed (non-zero
-/// because failures *were* injected and salvaged — a supervised sweep
-/// with failed points must not report success). Exit code 2 means the
-/// harness itself mishandled an injection.
-fn chaos() -> ! {
-    use pfcsim_experiments::supervise::{supervised_map, FailureKind, SupervisorConfig};
-    use pfcsim_net::checkpoint::{Checkpoint, CheckpointError};
-    use pfcsim_net::golden::{self, DRAIN_UNTIL, GOLDEN_DIGEST, STOP_AT};
-    use pfcsim_net::sim::{NetSim, SimArenas};
-    use pfcsim_simcore::time::SimTime;
-    use std::time::Duration;
-
-    // Injected panics are expected; keep their default-hook backtraces
-    // out of the self-test transcript.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let expected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.contains("chaos:"));
-        if !expected {
-            default_hook(info);
-        }
-    }));
-
-    let mut mishandled = 0u32;
-    let mut check = |name: &str, ok: bool, detail: &str| {
-        println!("  [{}] {name}: {detail}", if ok { "PASS" } else { "FAIL" });
-        if !ok {
-            mishandled += 1;
-        }
-    };
-    // Deterministic stand-in for a sweep point's simulation work.
-    fn busywork(x: u64) -> u64 {
-        let mut h = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        for _ in 0..1000 {
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        }
-        h
-    }
-
-    println!("chaos self-test: supervised sweep");
-    // 1. A poisoned point panics on every attempt: nine of ten results
-    //    must be salvaged alongside one typed failure record.
-    let cfg = SupervisorConfig {
-        max_attempts: 2,
-        backoff: Duration::from_millis(5),
-        task_timeout: None,
-    };
-    let out = supervised_map((0..10u64).collect(), &cfg, |&x| {
-        if x == 7 {
-            panic!("chaos: injected panic at point {x}");
-        }
-        busywork(x)
-    });
-    let salvage_ok = out.completed() == 9
-        && out.failures.len() == 1
-        && out.failures[0].index == 7
-        && out.failures[0].attempts == 2
-        && matches!(&out.failures[0].kind, FailureKind::Panicked(m) if m.contains("injected panic"));
-    let detail = format!(
-        "salvaged {}/10 points; failure record: {}",
-        out.completed(),
-        out.failures
-            .first()
-            .map(ToString::to_string)
-            .unwrap_or_else(|| "<missing>".into()),
-    );
-    check("worker panic", salvage_ok, &detail);
-
-    // 2. A hung worker: the watchdog must time the task out and abandon
-    //    the thread instead of stalling the sweep.
-    let cfg = SupervisorConfig {
-        max_attempts: 1,
-        backoff: Duration::from_millis(5),
-        task_timeout: Some(Duration::from_millis(150)),
-    };
-    let out = supervised_map((0..6u64).collect(), &cfg, |&x| {
-        if x == 3 {
-            std::thread::sleep(Duration::from_secs(600)); // "hung" worker
-        }
-        busywork(x)
-    });
-    let hang_ok = out.completed() == 5
-        && out.failures.len() == 1
-        && out.failures[0].index == 3
-        && matches!(out.failures[0].kind, FailureKind::TimedOut(_));
-    let detail = format!(
-        "salvaged {}/6 points; failure record: {}",
-        out.completed(),
-        out.failures
-            .first()
-            .map(ToString::to_string)
-            .unwrap_or_else(|| "<missing>".into()),
-    );
-    check("hung worker", hang_ok, &detail);
-
-    println!("chaos self-test: checkpoint integrity");
-    let base = std::env::temp_dir().join(format!("pfcsim-chaos-{}.ckpt", std::process::id()));
-    let mut arenas = SimArenas::new();
-    let mut sim = golden::build_sim(None, &mut arenas);
-    sim.schedule_flow_stops(STOP_AT);
-    assert!(
-        sim.advance_until(SimTime::from_ms(1), DRAIN_UNTIL)
-            .is_none(),
-        "golden run must pause mid-flight"
-    );
-    let ckpt = sim.checkpoint().expect("golden run is checkpointable");
-    ckpt.save(&base).expect("write chaos checkpoint");
-    let pristine = std::fs::read(&base).expect("read back");
-
-    // 3. Truncated file (a crash mid-write of a non-atomic copy).
-    let r = Checkpoint::from_bytes(&pristine[..pristine.len() / 3]);
-    let detail = match &r {
-        Err(e) => format!("rejected: {e}"),
-        Ok(_) => "ACCEPTED truncated bytes".into(),
-    };
-    check("truncated checkpoint", r.is_err(), &detail);
-
-    // 4. A flipped bit in the payload must fail the checksum.
-    let mut flipped = pristine.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x40;
-    let r = Checkpoint::from_bytes(&flipped);
-    let detail = match &r {
-        Err(e) => format!("rejected: {e}"),
-        Ok(_) => "ACCEPTED corrupted bytes".into(),
-    };
-    check(
-        "bit-flipped checkpoint",
-        matches!(r, Err(CheckpointError::Corrupt(_))),
-        &detail,
-    );
-
-    // 5. A checkpoint must refuse to resume against a different live
-    //    config, naming both digests.
-    let mut other_cfg = sim.config().clone();
-    other_cfg.seed ^= 1;
-    let r = ckpt.verify_config(&other_cfg);
-    let detail = match &r {
-        Err(e) => format!("rejected: {e}"),
-        Ok(()) => "ACCEPTED mismatched config".into(),
-    };
-    check(
-        "config-digest mismatch",
-        matches!(r, Err(CheckpointError::ConfigDigestMismatch { .. })),
-        &detail,
-    );
-
-    // 6. Positive control: the pristine file must load, resume, and land
-    //    on the exact golden digest — corruption detection would be
-    //    worthless if the intact path were broken too.
-    let resumed = Checkpoint::load(&base)
-        .map_err(|e| e.to_string())
-        .and_then(|c| NetSim::resume(c).map_err(|e| e.to_string()))
-        .map(|mut s| golden::digest(&s.resume_run()));
-    let detail = match &resumed {
-        Ok(d) => format!("resumed digest {d:#018x} (golden {GOLDEN_DIGEST:#018x})"),
-        Err(e) => format!("resume failed: {e}"),
-    };
-    check(
-        "pristine resume parity",
-        resumed == Ok(GOLDEN_DIGEST),
-        &detail,
-    );
-    std::fs::remove_file(&base).ok();
-
-    println!();
-    if mishandled == 0 {
-        println!(
-            "chaos self-test: all injections handled; exiting non-zero because \
-             failures were (by design) injected and salvaged"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("chaos self-test: {mishandled} injection(s) MISHANDLED");
-    std::process::exit(2);
 }
 
 /// `repro metrics [--quick] --out PATH` — run the canonical instrumented
@@ -758,9 +568,6 @@ fn main() {
             }
         }
     }
-    if cmd == "chaos" {
-        chaos();
-    }
     if cmd == "serve" {
         serve_cmd(&args[1..]);
     }
@@ -853,7 +660,7 @@ mod tests {
             Some("--quik")
         );
         // A real flag on the wrong subcommand.
-        assert_eq!(unknown_flag("chaos", &args(&["--quick"])), Some("--quick"));
+        assert_eq!(unknown_flag("resume", &args(&["--quick"])), Some("--quick"));
         assert_eq!(unknown_flag("fig3", &args(&["--out", "x"])), Some("--out"));
         // Values and positionals are not flags.
         assert_eq!(unknown_flag("resume", &args(&["golden.ckpt"])), None);

@@ -27,7 +27,6 @@
 pub mod dump;
 pub mod experiments;
 pub mod scenarios;
-pub mod supervise;
 pub mod sweep;
 pub mod table;
 pub mod telemetrydoc;

@@ -14,6 +14,7 @@
 //! any thread count. `PFCSIM_THREADS=1` forces the serial path, which CI
 //! uses to cross-check the parallel one.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -54,9 +55,7 @@ pub(crate) fn worker_count(items: usize) -> usize {
 /// so a sweep whose expensive points cluster at one end still balances.
 /// Workers are panic-isolated: a panic in `f` no longer tears down
 /// sibling workers mid-task — every other point still completes, and the
-/// aggregated failure is re-raised to the caller afterwards. Sweeps that
-/// want the salvaged partial results instead of a panic use
-/// [`crate::supervise::supervised_map`].
+/// aggregated failure is re-raised to the caller afterwards.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -101,7 +100,7 @@ where
                     if i >= items.len() {
                         break;
                     }
-                    match crate::supervise::run_isolated(|| f(&mut scratch, &items[i])) {
+                    match run_isolated(|| f(&mut scratch, &items[i])) {
                         Ok(r) => *slots[i].lock().expect("slot poisoned") = Some(r),
                         Err(msg) => {
                             panics.lock().expect("panic log poisoned").push((i, msg));
@@ -121,7 +120,7 @@ where
         let (first_index, first_msg) = &panics[0];
         panic!(
             "{} of {} sweep point(s) panicked (first: item {first_index}: {first_msg}); \
-             the remaining points completed — use supervise::supervised_map to salvage them",
+             the remaining points completed",
             panics.len(),
             items.len(),
         );
@@ -134,6 +133,20 @@ where
                 .expect("worker filled every slot")
         })
         .collect()
+}
+
+/// Run `f` under `catch_unwind`, rendering a panic payload to a string,
+/// so one poisoned point cannot tear down sibling workers.
+fn run_isolated<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    })
 }
 
 #[cfg(test)]

@@ -123,17 +123,23 @@ fn all_experiments_run_and_agree_with_the_paper() {
     assert_eq!(deadlock_row[2], "yes", "packet");
 }
 
-/// Through the real binary: the retired `bench` subcommand is a usage
-/// error, and so is a value flag without its value — exit 2, usage on
+/// Through the real binary: the retired `bench` and `chaos` subcommands
+/// are usage errors, and so are a value flag without its value and a
+/// microsecond count whose picoseconds overflow — exit 2, usage on
 /// stderr, nothing run and nothing written.
 #[test]
 fn usage_errors_exit_2_and_write_nothing() {
     let dir = std::env::temp_dir().join(format!("pfcsim-usage-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
+    // One more than `u64::MAX / PS_PER_US` microseconds.
+    let over = "18446744073710";
     for args in [
         &["bench"][..],
+        &["chaos"],
         &["golden", "--checkpoint"],
         &["golden", "--checkpoint", "--pause-at-us", "1500"],
+        &["golden", "--checkpoint", "x", "--pause-at-us", over],
+        &["golden", "--checkpoint", "x", "--checkpoint-every-us", over],
         &["all", "--json", "--quick"],
         &["metrics", "--out"],
     ] {

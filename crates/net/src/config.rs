@@ -230,9 +230,7 @@ pub struct SimConfig {
     /// Hybrid fluid/packet co-simulation (see [`crate::hybrid`]): flows
     /// provably clear of PFC thresholds, the deadlock watch set and the
     /// fault script advance as analytic fluid rates instead of per-packet
-    /// events. `None` (the default) defers to the `PFCSIM_HYBRID`
-    /// environment variable and then to off; set explicitly to pin a run
-    /// regardless of the environment.
+    /// events. `None` (the default) is off.
     pub hybrid: Option<HybridConfig>,
 }
 

@@ -6,8 +6,8 @@
 //! whose `RunReport` digest is pinned to [`GOLDEN_DIGEST`]. The
 //! `determinism_golden` integration test asserts the digest across
 //! scheduler backends, arena reuse, and checkpoint/restore round trips;
-//! the `repro` binary drives the same scenario for the chaos self-test
-//! and the checkpoint-parity CI smoke. Living here (rather than in the
+//! the `repro` binary drives the same scenario for `repro golden` /
+//! `repro resume` and the checkpoint-parity CI smoke. Living here (rather than in the
 //! test file) keeps every consumer running the *same* scenario, so a
 //! digest divergence always means engine behaviour moved.
 

@@ -99,12 +99,11 @@ use crate::sim::{Ev, NetSim};
 // Configuration
 // ---------------------------------------------------------------------
 
-/// Knobs for the hybrid fluid/packet backend (`SimConfig::hybrid`, or
-/// the `PFCSIM_HYBRID` environment override when the config is unset).
+/// Knobs for the hybrid fluid/packet backend (`SimConfig::hybrid`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HybridConfig {
     /// Master switch; `false` behaves exactly like `SimConfig::hybrid =
-    /// None` but still pins the choice against the environment.
+    /// None`.
     pub enabled: bool,
     /// A fluid path demotes when any of its ingress ports reaches this
     /// fraction of its XOFF threshold; classification also requires two
@@ -150,23 +149,6 @@ impl HybridConfig {
             return Err("hybrid.promote_after must be positive".into());
         }
         Ok(())
-    }
-}
-
-/// Resolve the `PFCSIM_HYBRID` environment override: `on`/`1`/`true`
-/// enables the default config, `off`/`0`/`false`/unset disables, and
-/// anything else warns once and disables.
-pub(crate) fn hybrid_from_env() -> Option<HybridConfig> {
-    let v = std::env::var("PFCSIM_HYBRID").ok()?;
-    match v.to_ascii_lowercase().as_str() {
-        "on" | "1" | "true" => Some(HybridConfig::default()),
-        "off" | "0" | "false" | "" => None,
-        _ => {
-            crate::warn::warn_once("env:PFCSIM_HYBRID", || {
-                format!("pfcsim: ignoring unrecognized PFCSIM_HYBRID={v:?} (expected on/off)")
-            });
-            None
-        }
     }
 }
 
@@ -596,14 +578,10 @@ struct PathFacts {
 }
 
 impl NetSim {
-    /// The hybrid config in effect: an explicit `SimConfig::hybrid`
-    /// pins the choice; otherwise `PFCSIM_HYBRID` decides.
+    /// The hybrid config in effect: `SimConfig::hybrid` when set and
+    /// enabled, otherwise off.
     fn hybrid_effective_cfg(&self) -> Option<HybridConfig> {
-        match &self.cfg.hybrid {
-            Some(h) if h.enabled => Some(h.clone()),
-            Some(_) => None,
-            None => hybrid_from_env(),
-        }
+        self.cfg.hybrid.clone().filter(|h| h.enabled)
     }
 
     /// A whole-run reason the hybrid backend must stay off, if any.

@@ -1,8 +1,7 @@
 //! Process-wide warn-once registry.
 //!
-//! Runtime gates (hybrid backend fallback, environment-variable parse
-//! problems) warn on stderr the first time they fire and stay silent
-//! afterwards. The latches used to be one `static Once` per call site,
+//! Runtime gates (hybrid backend fallback) warn on stderr the first time
+//! they fire and stay silent afterwards. The latches used to be one `static Once` per call site,
 //! which meant a long-lived [`serve`](crate::serve) session toggling
 //! backends re-emitted the same complaint once per subsystem. All sites
 //! now share this single keyed registry: one key, one warning,
