@@ -90,6 +90,56 @@ pub(crate) struct QueueSnapshot {
     pub(crate) entries: Vec<(SimTime, u64, Ev)>,
 }
 
+impl QueueSnapshot {
+    /// Reject an image no queue can have produced before it reaches
+    /// [`EventQueue::restore_state`](pfcsim_simcore::event::EventQueue::restore_state),
+    /// which asserts some of this and silently trusts the rest. The frame
+    /// checksum is FNV, not a MAC, so a checksum-valid frame can still
+    /// carry entries before `now`, a reused sequence number (breaking the
+    /// `(time, seq)` total order) or a tick geometry the backend never
+    /// runs. The error names the offending field.
+    pub(crate) fn validate(&self) -> Result<(), CheckpointError> {
+        let bad = |field: &str, why: String| {
+            Err(CheckpointError::Decode(format!("queue.{field}: {why}")))
+        };
+        // `Wheel` ticks come from `tick_shift_for_quantum`, clamped to
+        // [6, 16]; the heap has none.
+        match (self.backend, self.tick_shift) {
+            (Backend::Wheel, Some(6..=16)) | (Backend::Heap, None) => {}
+            (backend, shift) => {
+                return bad(
+                    "tick_shift",
+                    format!("{shift:?} on the {backend:?} backend"),
+                );
+            }
+        }
+        let key = |e: &(SimTime, u64, Ev)| (e.0, e.1);
+        if let Some(w) = self.entries.windows(2).find(|w| key(&w[0]) >= key(&w[1])) {
+            return bad(
+                "entries",
+                format!("{:?} does not follow {:?}", key(&w[1]), key(&w[0])),
+            );
+        }
+        if let Some(&(first, _, _)) = self.entries.first() {
+            if first < self.now {
+                return bad(
+                    "entries",
+                    format!("first entry at {first} predates now {}", self.now),
+                );
+            }
+        }
+        if let Some(seq) = self.entries.iter().map(|e| e.1).max() {
+            if seq >= self.next_seq {
+                return bad(
+                    "next_seq",
+                    format!("{} but seq {seq} is live", self.next_seq),
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A complete mid-run image of a [`NetSim`]. Produce with
 /// [`NetSim::checkpoint`], persist with [`Checkpoint::save`], and turn
 /// back into a running simulator with [`NetSim::resume`].
@@ -354,6 +404,73 @@ mod tests {
             Checkpoint::from_bytes(&bad),
             Err(CheckpointError::Decode(_))
         ));
+    }
+
+    /// A checksum-valid frame whose event queue no run can have produced
+    /// — the golden 1 500 µs frame with one queue field edited and the
+    /// checksum recomputed — is a typed `Decode` naming that field, not a
+    /// panic inside `restore_state` and not a resume that silently breaks
+    /// the `(time, seq)` total order.
+    #[test]
+    fn resume_rejects_an_impossible_event_queue() {
+        use crate::golden::{self, DRAIN_UNTIL, STOP_AT};
+        let mut sim = golden::build_sim(None, &mut crate::sim::SimArenas::new());
+        sim.schedule_flow_stops(STOP_AT);
+        assert!(sim
+            .advance_until(SimTime::from_us(1500), DRAIN_UNTIL)
+            .is_none());
+        let frame = sim.checkpoint().expect("checkpointable").to_bytes();
+
+        type Edit = fn(&mut QueueSnapshot);
+        let rows: [(&str, Edit, &str); 7] = [
+            (
+                "two entries swapped",
+                |q| q.entries.swap(0, 1),
+                "queue.entries",
+            ),
+            (
+                "an entry duplicated",
+                |q| q.entries[1] = q.entries[0].clone(),
+                "queue.entries",
+            ),
+            (
+                "first entry before now",
+                |q| q.entries[0].0 = SimTime::from_ps(q.now.as_ps() - 1),
+                "queue.entries",
+            ),
+            ("next_seq reused", |q| q.next_seq = 0, "queue.next_seq"),
+            (
+                "wheel tick out of range",
+                |q| q.tick_shift = Some(70),
+                "queue.tick_shift",
+            ),
+            (
+                "wheel without a tick",
+                |q| q.tick_shift = None,
+                "queue.tick_shift",
+            ),
+            (
+                "heap with a tick",
+                |q| q.backend = Backend::Heap,
+                "queue.tick_shift",
+            ),
+        ];
+        for (row, edit, field) in rows {
+            let mut ckpt = Checkpoint::from_bytes(&frame).expect("golden frame");
+            assert!(ckpt.queue.entries.len() > 2, "a real queue");
+            edit(&mut ckpt.queue);
+            let ckpt = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("checksum-valid");
+            match NetSim::resume(ckpt) {
+                Err(CheckpointError::Decode(msg)) => {
+                    assert!(msg.contains(field), "{row}: {msg}")
+                }
+                Err(e) => panic!("{row}: wrong error {e}"),
+                Ok(_) => panic!("{row}: accepted"),
+            }
+        }
+        // The unedited frame still resumes.
+        let ckpt = Checkpoint::from_bytes(&frame).expect("golden frame");
+        assert!(NetSim::resume(ckpt).is_ok());
     }
 
     #[test]

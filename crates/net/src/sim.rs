@@ -1712,6 +1712,7 @@ impl NetSim {
                 "flow runtime tables disagree with the flow arena".into(),
             ));
         }
+        queue.validate()?;
         // Build the static scaffolding (port info, deadlock-tracker
         // topology arrays, forwarding) with telemetry disabled so no sink
         // is instantiated — a fresh JSONL sink would truncate the file the

@@ -41,10 +41,13 @@ fn fat_tree4_permutation_is_lossless_and_deadlock_free() {
     }
 }
 
-#[test]
-fn fat_tree8_permutation_scales() {
-    // 128 hosts, 80 switches, 128 concurrent line-rate flows.
-    let mut sim = permutation_sim(8, false);
+/// A saturated cross-pod run of `k`-ary fat-tree for 100 µs: lossless,
+/// live, and pinned to `(events, golden::digest)`. These are the dense
+/// scheduler regime — dozens (k=8) to hundreds (k=16) of events per
+/// level-0 wheel slot, appended out of `(time, seq)` order — so the pins
+/// hold the wheel's lazy slot sort to the exact pop order.
+fn permutation_pinned(k: usize, events: u64, digest: u64) {
+    let mut sim = permutation_sim(k, false);
     let report = sim.run(SimTime::from_us(100));
     assert!(!report.verdict.is_deadlock());
     assert_eq!(report.stats.drops_overflow, 0);
@@ -58,7 +61,20 @@ fn fat_tree8_permutation_scales() {
         delivered > 10_000,
         "the fabric must move real traffic: {delivered}"
     );
-    assert!(report.events > 100_000, "scale sanity: {}", report.events);
+    assert_eq!(report.events, events, "event count");
+    assert_eq!(pfcsim_net::golden::digest(&report), digest, "report digest");
+}
+
+#[test]
+fn fat_tree8_permutation_scales() {
+    // 128 hosts, 80 switches, 128 concurrent line-rate flows.
+    permutation_pinned(8, 382_469, 0xe6a2_0b32_2d4a_9437);
+}
+
+#[test]
+fn fat_tree16_permutation_scales() {
+    // 1 024 hosts, 320 switches, 1 024 concurrent line-rate flows.
+    permutation_pinned(16, 3_065_359, 0x7b47_1122_c3c7_e53a);
 }
 
 #[test]

@@ -3,10 +3,11 @@
 
 use proptest::prelude::*;
 
-use pfcsim_simcore::event::{Backend, EventQueue};
+use pfcsim_simcore::event::{Backend, EventId, EventQueue};
 use pfcsim_simcore::series::{Histogram, IntervalLog, TimeSeries};
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::{BitRate, Bytes};
+use pfcsim_simcore::wheel::DEFAULT_TICK_SHIFT;
 
 proptest! {
     /// The queue pops every scheduled event exactly once, in (time,
@@ -221,72 +222,83 @@ proptest! {
     /// live counts. Time deltas span sub-tick spacing, every wheel level
     /// and the overflow horizon (2^34 ps at the default tick), so slot
     /// collisions, cascades and overflow migration are all exercised.
-    /// One op in ten is the simulator's step: a limit-bounded pop (which
-    /// skips the plain pop's placement maintenance) followed by a
+    /// One op in twelve is the simulator's step: a limit-bounded pop
+    /// (which skips the plain pop's placement maintenance) followed by a
     /// schedule at the just-popped timestamp — an insert exactly at the
     /// cursor; the final drain is bounded too, so every run that parked
     /// events beyond the horizon pops a winner out of the overflow tier
-    /// through the bounded path.
+    /// through the bounded path. Two in twelve reschedule a live handle
+    /// (the pause-timer move). Each case runs twice: at the default tick
+    /// and at the fabric's (`tick_shift_for_quantum` of a 1 000 B frame
+    /// at 40 Gbps = 15), where dozens of events share a level-0 slot out
+    /// of order — dirty marking, the lazy sort, cancel and reschedule out
+    /// of a dirty slot, and `peek_time`'s scan of one.
     #[test]
     fn wheel_matches_heap_model(
-        ops in prop::collection::vec((0u64..10, 0u64..64, 0u32..37), 0..400),
+        ops in prop::collection::vec((0u64..12, 0u64..64, 0u32..37), 0..400),
     ) {
-        let mut wheel = EventQueue::with_backend(Backend::Wheel);
-        let mut heap = EventQueue::with_backend(Backend::Heap);
-        // Parallel handle vectors; indices stay aligned because both
-        // queues see the identical operation sequence.
-        let mut live: Vec<(pfcsim_simcore::event::EventId, pfcsim_simcore::event::EventId)> =
-            Vec::new();
-        let mut tag = 0u64;
-        for &(op, mantissa, shift) in &ops {
-            match op {
-                0..=4 => {
-                    // Delta = mantissa << shift: dense at small scales,
-                    // sparse out past the overflow horizon.
-                    let at = wheel.now() + pfcsim_simcore::time::SimDuration::from_ps(
-                        mantissa << (shift % 37),
-                    );
-                    let wid = wheel.schedule(at, tag);
-                    let hid = heap.schedule(at, tag);
-                    live.push((wid, hid));
-                    tag += 1;
-                }
-                5..=6 => {
-                    if !live.is_empty() {
-                        let victim = (mantissa as usize) % live.len();
-                        let (wid, hid) = live.swap_remove(victim);
-                        prop_assert_eq!(wheel.cancel(wid), heap.cancel(hid));
-                    }
-                }
-                7..=8 => {
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                    let got = wheel.pop();
-                    let want = heap.pop();
-                    prop_assert_eq!(got, want);
-                }
-                _ => {
-                    let limit = wheel.now() + SimDuration::from_ps(mantissa << (shift % 37));
-                    let got = wheel.pop_before(limit);
-                    let want = heap.pop_before(limit);
-                    prop_assert_eq!(got, want);
-                    prop_assert_eq!(wheel.now(), heap.now());
-                    if let Some(((at, _), _)) = got {
-                        live.push((wheel.schedule(at, tag), heap.schedule(at, tag)));
+        for tick_shift in [DEFAULT_TICK_SHIFT, 15] {
+            let mut wheel = EventQueue::with_backend_and_tick_shift(Backend::Wheel, tick_shift);
+            let mut heap = EventQueue::with_backend(Backend::Heap);
+            // Parallel handle vectors; indices stay aligned because both
+            // queues see the identical operation sequence.
+            let mut live: Vec<(EventId, EventId)> = Vec::new();
+            let mut tag = 0u64;
+            for &(op, mantissa, shift) in &ops {
+                // Delta = mantissa << shift: dense at small scales, sparse
+                // out past the overflow horizon.
+                let at = wheel.now() + SimDuration::from_ps(mantissa << (shift % 37));
+                match op {
+                    0..=4 => {
+                        let wid = wheel.schedule(at, tag);
+                        let hid = heap.schedule(at, tag);
+                        live.push((wid, hid));
                         tag += 1;
                     }
+                    5..=6 => {
+                        if !live.is_empty() {
+                            let victim = (mantissa as usize) % live.len();
+                            let (wid, hid) = live.swap_remove(victim);
+                            prop_assert_eq!(wheel.cancel(wid), heap.cancel(hid));
+                        }
+                    }
+                    7..=8 => {
+                        prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                        let got = wheel.pop();
+                        let want = heap.pop();
+                        prop_assert_eq!(got, want);
+                    }
+                    9 => {
+                        let got = wheel.pop_before(at);
+                        let want = heap.pop_before(at);
+                        prop_assert_eq!(got, want);
+                        prop_assert_eq!(wheel.now(), heap.now());
+                        if let Some(((at, _), _)) = got {
+                            live.push((wheel.schedule(at, tag), heap.schedule(at, tag)));
+                            tag += 1;
+                        }
+                    }
+                    _ => {
+                        if !live.is_empty() {
+                            // The handle stays valid either way: a fired or
+                            // cancelled one answers `false` on both sides.
+                            let (wid, hid) = live[(shift as usize) % live.len()];
+                            prop_assert_eq!(wheel.reschedule(wid, at), heap.reschedule(hid, at));
+                        }
+                    }
                 }
+                prop_assert_eq!(wheel.len(), heap.len());
+                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
             }
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-        }
-        // Drain both to the end: identical tails.
-        loop {
-            let got = wheel.pop_before(SimTime::MAX);
-            let want = heap.pop_before(SimTime::MAX);
-            let done = want.is_none();
-            prop_assert_eq!(got, want);
-            if done {
-                break;
+            // Drain both to the end: identical tails.
+            loop {
+                let got = wheel.pop_before(SimTime::MAX);
+                let want = heap.pop_before(SimTime::MAX);
+                let done = want.is_none();
+                prop_assert_eq!(got, want);
+                if done {
+                    break;
+                }
             }
         }
     }

@@ -64,6 +64,40 @@ fn stochastic_scenarios_reproduce_given_seed() {
     assert_ne!(run(11), run(12));
 }
 
+/// The dense scheduler regime, pinned: a saturated k=8 fat-tree (up/down
+/// tables, 128 infinite cross-pod flows `i → i + 64`, occupancy sampling
+/// off) puts dozens of events in each level-0 wheel slot, appended out of
+/// `(time, seq)` order, so this debug build runs the wheel's lazy slot
+/// sort under its `debug_assert!`s. The golden scenario is too sparse to.
+#[test]
+fn dense_fat_tree8_digest_is_pinned() {
+    use pfcsim::net::golden;
+    let built = fat_tree(8, LinkSpec::default());
+    let cfg = SimConfig {
+        sample_interval: None,
+        ..SimConfig::default()
+    };
+    let mut sim = SimBuilder::new(&built.topo)
+        .config(cfg)
+        .tables(up_down_tables(&built.topo))
+        .build();
+    let n = built.hosts.len();
+    for i in 0..n {
+        sim.add_flow(FlowSpec::infinite(
+            i as u32,
+            built.hosts[i],
+            built.hosts[(i + n / 2) % n],
+        ));
+    }
+    let report = sim.run(SimTime::from_us(100));
+    assert_eq!(report.events, 382_469, "event count");
+    assert_eq!(
+        golden::digest(&report),
+        0xe6a2_0b32_2d4a_9437,
+        "report digest"
+    );
+}
+
 /// The engine's golden digest, guarded by tier-1: the fault-laden run of
 /// `pfcsim::net::golden` through the plain step loop and a checkpoint
 /// frame round trip. This is a debug build, so it also arms the queue's
