@@ -82,9 +82,9 @@ pub mod prelude {
     pub use crate::packet::{Frame, Packet, PfcFrame, PfcOp};
     pub use crate::recovery::{RecoveryConfig, RecoveryStrategy};
     pub use crate::serve::{
-        static_cbd, Answer, Applied, CbdDoc, CbdHop, Control, Query, RoutePush, ServeConfig,
-        ServeSession, Session, SessionSpec, StatusDoc, ThresholdDoc, Update, VerdictDoc, WhatIfDoc,
-        SERVE_SCHEMA,
+        static_cbd, Answer, Applied, CbdDoc, CbdHop, Control, DecidedBy, Query, RoutePush,
+        ServeConfig, ServeSession, Session, SessionSpec, StatusDoc, ThresholdDoc, Update,
+        VerdictDoc, WhatIfDoc, SERVE_SCHEMA,
     };
     pub use crate::shaper::TokenBucket;
     pub use crate::sim::{NetSim, RunReport, SimArenas, SimBuilder, Verdict};

@@ -19,10 +19,18 @@
 //!    pause frontier wraps the loop.
 //! 3. **Bounded what-if simulation** ([`Session::what_if`]): checkpoint
 //!    the resident run, resume the checkpoint into a throwaway probe,
-//!    apply the candidate pushes, and advance the probe a bounded window.
-//!    The probe's verdict is exact (packet-level) and the resident is
-//!    untouched: the probe owns its checkpoint, and the session reports
-//!    the resident's state digest from before and after it.
+//!    apply the candidate pushes, and advance the probe a bounded window,
+//!    stopping at the first confirmed deadlock. The probe's verdict is
+//!    exact (packet-level) and the resident is untouched: the probe owns
+//!    its checkpoint, and the session reports the resident's state digest
+//!    from before and after it.
+//!
+//! Layer 1's necessity half decides most pushes on its own: before it
+//! probes, `what_if` builds the dependency graph of every packet that is
+//! in, or can enter, the network during the window (the resident's held
+//! bytes included). When that graph is acyclic no schedule can deadlock,
+//! and the answer is `deadlock: false` with no probe
+//! ([`DecidedBy::Static`]).
 //!
 //! ## The canonical-state invariant
 //!
@@ -48,7 +56,7 @@
 //! response object per line out. See the README "Serving" section for
 //! the schema; `repro serve` exposes it over stdin or a Unix socket.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde_json::Value;
 
@@ -56,15 +64,17 @@ use pfcsim_simcore::error::Error;
 use pfcsim_simcore::time::{SimDuration, SimTime, PS_PER_US};
 use pfcsim_simcore::units::BitRate;
 use pfcsim_topo::graph::{NodeKind, Topology};
-use pfcsim_topo::ids::{FlowId, NodeId, PortNo};
+use pfcsim_topo::ids::{FlowId, NodeId, PortNo, Priority};
 use pfcsim_topo::routing::{shortest_path_tables, trace_path, ForwardingTables};
 
 use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
 use crate::faults::FaultPlan;
-use crate::flow::{FlowSpec, RouteKind};
-use crate::sim::{NetSim, RunReport, SimBuilder, Verdict};
+use crate::flow::{Demand, FlowSpec, RouteKind};
+use crate::packet::{Frame, Packet};
+use crate::sim::{Ev, NetSim, PortInfo, RunReport, SimBuilder, Verdict};
 use crate::stats::PauseKey;
+use crate::switch::InFlight;
 
 /// Protocol identifier carried in every request/response line.
 pub const SERVE_SCHEMA: &str = "pfcsim-serve/1";
@@ -175,8 +185,9 @@ impl ThresholdDoc {
     }
 }
 
-/// Result of the static cyclic-buffer-dependency analysis.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Result of the static cyclic-buffer-dependency analysis (the default
+/// is the acyclic answer).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CbdDoc {
     /// Whether the active flows' paths form a cyclic buffer dependency.
     pub cbd: bool,
@@ -217,16 +228,40 @@ impl CbdDoc {
     }
 }
 
-/// Result of a bounded what-if probe.
+/// Which layer answered a [`Session::what_if`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecidedBy {
+    /// The window's buffer-dependency graph is acyclic: no schedule can
+    /// deadlock, so no probe ran.
+    Static,
+    /// The bounded packet-level probe.
+    Probe,
+}
+
+impl DecidedBy {
+    /// The wire name.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            DecidedBy::Static => "static",
+            DecidedBy::Probe => "probe",
+        }
+    }
+}
+
+/// Result of a bounded what-if query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WhatIfDoc {
-    /// The probe's deadlock verdict.
+    /// The deadlock verdict.
     pub verdict: VerdictDoc,
-    /// How far the probe advanced (commit time + window, capped at the
-    /// session horizon).
+    /// How far the verdict holds: commit time + window, capped at the
+    /// session horizon.
     pub probed_until: SimTime,
-    /// Events the probe processed (probe cost, not resident cost).
+    /// Events the probe processed until its verdict settled — through
+    /// `probed_until`, or to the first confirmed deadlock (probe cost, not
+    /// resident cost; 0 when no probe ran).
     pub probe_events: u64,
+    /// Whether the static pre-check or the probe gave the verdict.
+    pub decided_by: DecidedBy,
     /// FNV-1a digest of the resident checkpoint before the probe.
     pub state_digest_before: u64,
     /// Same digest taken after the probe returned.
@@ -244,6 +279,7 @@ impl WhatIfDoc {
             ("verdict", self.verdict.to_value()),
             ("probed_until_us", uval(self.probed_until.as_us())),
             ("probe_events", uval(self.probe_events)),
+            ("decided_by", sval(self.decided_by.as_str())),
             ("state_digest_before", uval(self.state_digest_before)),
             ("state_digest_after", uval(self.state_digest_after)),
             ("resident_unchanged", Value::Bool(self.resident_unchanged)),
@@ -270,6 +306,10 @@ pub struct StatusDoc {
     /// Checkpoint digest of the resident state (`None` once finished —
     /// a finished run cannot be checkpointed).
     pub state_digest: Option<u64>,
+    /// `what_if` answers the static pre-check gave this session.
+    pub what_if_static: u64,
+    /// `what_if` answers the probe gave this session.
+    pub what_if_probe: u64,
 }
 
 impl StatusDoc {
@@ -294,6 +334,13 @@ impl StatusDoc {
                     Some(d) => uval(d),
                     None => Value::Null,
                 },
+            ),
+            (
+                "what_if_decided_by",
+                obj(vec![
+                    ("static", uval(self.what_if_static)),
+                    ("probe", uval(self.what_if_probe)),
+                ]),
             ),
         ])
     }
@@ -506,6 +553,10 @@ pub struct Session {
     version: u64,
     resident: Resident,
     finished: Option<RunReport>,
+    /// `what_if` answers by [`DecidedBy::Static`] and by
+    /// [`DecidedBy::Probe`].
+    what_if_static: u64,
+    what_if_probe: u64,
 }
 
 /// Build the canonical simulation for the given declarative state and
@@ -608,6 +659,8 @@ impl Session {
                 computed: 0,
             },
             finished,
+            what_if_static: 0,
+            what_if_probe: 0,
         })
     }
 
@@ -869,6 +922,8 @@ impl Session {
             finished: self.finished.is_some(),
             verdict,
             state_digest,
+            what_if_static: self.what_if_static,
+            what_if_probe: self.what_if_probe,
         })
     }
 
@@ -901,11 +956,18 @@ impl Session {
         (self.now().checked_add(window)).map_or(self.horizon, |t| t.min(self.horizon))
     }
 
-    /// Bounded what-if: checkpoint the resident, resume the checkpoint
-    /// into a throwaway probe, apply `pushes` at the current instant,
-    /// and advance the probe `window` past now (capped at the horizon).
-    /// The resident is untouched: the probe owns its checkpoint, and
-    /// `state_digest_before/after` read the resident's memoized digest.
+    /// Bounded what-if: would applying `pushes` at the current instant
+    /// deadlock the fabric within `window` (capped at the horizon)?
+    ///
+    /// First the static pre-check ([`window_is_deadlock_free`]): when no
+    /// buffer-dependency cycle can form in the window, the answer is clean
+    /// and no probe runs. Otherwise checkpoint the resident, resume the
+    /// checkpoint into a throwaway probe, apply `pushes`, and advance the
+    /// probe to the bound or its first confirmed deadlock — a confirmed
+    /// deadlock is never overwritten, so that is the verdict at the bound.
+    /// The resident is untouched either way: the probe owns its
+    /// checkpoint, and `state_digest_before/after` read the resident's
+    /// memoized digest.
     pub fn what_if(
         &mut self,
         pushes: &[RoutePush],
@@ -918,34 +980,44 @@ impl Session {
         let now = self.now();
         let bound = self.probe_bound(window);
         let state_digest_before = self.resident.digest()?;
-        let mut probe = NetSim::resume(self.resident.capture()?)?;
-        probe.forget_occupancy_history();
-        for p in pushes {
-            probe.schedule_route_update(now, p.node, p.dst, p.ports.clone());
-        }
-        let outcome = if bound > now {
-            probe.advance_until(bound, self.horizon)
-        } else {
-            None
-        };
-        let (verdict, probe_events) = match outcome {
-            Some(report) => (VerdictDoc::from_verdict(&report.verdict), report.events),
-            None => {
-                let v = verdict_at_pause(&mut probe, bound);
-                let e = probe.events;
-                (v, e)
-            }
-        };
-        let state_digest_after = self.resident.digest()?;
         let mut tables = self.cur_tables.clone();
         for p in pushes {
             tables.set(p.node, p.dst, p.ports.clone());
         }
-        let cbd = static_cbd(&self.topo, &tables, &self.flows, now);
+        let (verdict, probe_events, cbd, decided_by) =
+            if window_is_deadlock_free(self.resident.sim(), &tables) {
+                self.what_if_static += 1;
+                // The flows' own paths are a subgraph of the window's.
+                let cbd = CbdDoc::default();
+                debug_assert_eq!(cbd, static_cbd(&self.topo, &tables, &self.flows, now));
+                let clean = VerdictDoc::from_verdict(&Verdict::NoDeadlock);
+                (clean, 0, cbd, DecidedBy::Static)
+            } else {
+                self.what_if_probe += 1;
+                let mut probe = NetSim::resume(self.resident.capture()?)?;
+                probe.forget_occupancy_history();
+                probe.cfg.stop_on_deadlock = true;
+                for p in pushes {
+                    probe.schedule_route_update(now, p.node, p.dst, p.ports.clone());
+                }
+                let outcome = if bound > now {
+                    probe.advance_until(bound, self.horizon)
+                } else {
+                    None
+                };
+                let (verdict, events) = match outcome {
+                    Some(report) => (VerdictDoc::from_verdict(&report.verdict), report.events),
+                    None => (verdict_at_pause(&mut probe, bound), probe.events),
+                };
+                let cbd = static_cbd(&self.topo, &tables, &self.flows, now);
+                (verdict, events, cbd, DecidedBy::Probe)
+            };
+        let state_digest_after = self.resident.digest()?;
         Ok(WhatIfDoc {
             verdict,
             probed_until: bound,
             probe_events,
+            decided_by,
             state_digest_before,
             state_digest_after,
             resident_unchanged: state_digest_before == state_digest_after,
@@ -1050,10 +1122,7 @@ pub fn static_cbd(
     flows: &[FlowSpec],
     now: SimTime,
 ) -> CbdDoc {
-    let mut verts: BTreeMap<(NodeId, PortNo), usize> = BTreeMap::new();
-    let mut rev: Vec<(NodeId, PortNo)> = Vec::new();
-    // (from-vertex, to-vertex) → (downstream link rate, min feeding TTL)
-    let mut edges: BTreeMap<(usize, usize), (BitRate, u8)> = BTreeMap::new();
+    let mut g = Bdg::default();
     let max_hops = 4 * topo.node_count() + 8;
     for f in flows {
         if f.stop.is_some_and(|s| s <= now) {
@@ -1072,83 +1141,26 @@ pub fn static_cbd(
             {
                 continue;
             }
-            let (Some(in_b), Some(in_c), Some(out_b)) = (
+            let (Some(_), Some(_), Some(out_b)) = (
                 topo.port_towards(b, a),
                 topo.port_towards(c, b),
                 topo.port_towards(b, c),
             ) else {
                 continue;
             };
-            let rate = topo.link(out_b.link).rate;
-            let u = *verts.entry((b, in_b.port)).or_insert_with(|| {
-                rev.push((b, in_b.port));
-                rev.len() - 1
-            });
-            let v = *verts.entry((c, in_c.port)).or_insert_with(|| {
-                rev.push((c, in_c.port));
-                rev.len() - 1
-            });
-            edges
-                .entry((u, v))
-                .and_modify(|e| {
-                    e.0 = e.0.min(rate);
-                    e.1 = e.1.min(f.ttl);
-                })
-                .or_insert((rate, f.ttl));
+            g.add(a, b, c, topo.link(out_b.link).rate, f.ttl);
         }
     }
 
-    let n = rev.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(u, v) in edges.keys() {
-        adj[u].push(v);
-    }
-
-    // Iterative three-colour DFS; the first back edge yields a witness
-    // cycle as a suffix of the explicit stack.
-    let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
-    let mut cycle_ids: Vec<usize> = Vec::new();
-    'outer: for s in 0..n {
-        if color[s] != 0 {
-            continue;
-        }
-        let mut stack: Vec<(usize, usize)> = vec![(s, 0)];
-        color[s] = 1;
-        while let Some(&(v, i)) = stack.last() {
-            if i < adj[v].len() {
-                stack.last_mut().expect("non-empty").1 += 1;
-                let w = adj[v][i];
-                if color[w] == 0 {
-                    color[w] = 1;
-                    stack.push((w, 0));
-                } else if color[w] == 1 {
-                    let pos = stack
-                        .iter()
-                        .position(|&(x, _)| x == w)
-                        .expect("gray vertex is on the stack");
-                    cycle_ids = stack[pos..].iter().map(|&(x, _)| x).collect();
-                    break 'outer;
-                }
-            } else {
-                color[v] = 2;
-                stack.pop();
-            }
-        }
-    }
-
-    if cycle_ids.is_empty() {
-        return CbdDoc {
-            cbd: false,
-            cycle: Vec::new(),
-            threshold: None,
-        };
-    }
-
+    let Some(cycle_ids) = g.find_cycle() else {
+        return CbdDoc::default();
+    };
     let cycle: Vec<CbdHop> = cycle_ids
         .iter()
-        .map(|&i| CbdHop {
-            node: rev[i].0,
-            port: rev[i].1,
+        .map(|&i| {
+            let (node, from) = g.rev[i];
+            let port = topo.port_towards(node, from).expect("checked above").port;
+            CbdHop { node, port }
         })
         .collect();
     let mut min_rate = BitRate::from_bps(u64::MAX);
@@ -1156,7 +1168,7 @@ pub fn static_cbd(
     for k in 0..cycle_ids.len() {
         let u = cycle_ids[k];
         let v = cycle_ids[(k + 1) % cycle_ids.len()];
-        if let Some(&(rate, ttl)) = edges.get(&(u, v)) {
+        if let Some(&(rate, ttl)) = g.edges.get(&(u, v)) {
             min_rate = min_rate.min(rate);
             min_ttl = min_ttl.min(ttl);
         }
@@ -1174,6 +1186,206 @@ pub fn static_cbd(
         cbd: true,
         cycle,
         threshold,
+    }
+}
+
+/// A buffer-dependency graph over switch ingress buffers, priorities
+/// merged (any cycle among `(switch, port, priority)` channels projects
+/// onto a cycle here). A vertex is `(switch, upstream neighbour)`, the
+/// buffer that neighbour's traffic fills; an edge `u → v` says bytes in
+/// `u` wait on `v`, labelled with the downstream link rate and the least
+/// TTL feeding it (Eq. 3's inputs).
+#[derive(Default)]
+struct Bdg {
+    ids: BTreeMap<(NodeId, NodeId), usize>,
+    rev: Vec<(NodeId, NodeId)>,
+    edges: BTreeMap<(usize, usize), (BitRate, u8)>,
+}
+
+impl Bdg {
+    fn vertex(&mut self, key: (NodeId, NodeId)) -> usize {
+        let next = self.rev.len();
+        *self.ids.entry(key).or_insert_with(|| {
+            self.rev.push(key);
+            next
+        })
+    }
+
+    /// Traffic that entered switch `b` from `a` and leaves toward switch
+    /// `c`: `b`'s buffer for `a` waits on `c`'s buffer for `b`.
+    fn add(&mut self, a: NodeId, b: NodeId, c: NodeId, rate: BitRate, ttl: u8) {
+        let u = self.vertex((b, a));
+        let v = self.vertex((c, b));
+        self.edges
+            .entry((u, v))
+            .and_modify(|e| {
+                e.0 = e.0.min(rate);
+                e.1 = e.1.min(ttl);
+            })
+            .or_insert((rate, ttl));
+    }
+
+    /// The first cycle an iterative three-colour DFS meets, as vertex ids
+    /// in order: the back edge closes it as a suffix of the explicit stack.
+    fn find_cycle(&self) -> Option<Vec<usize>> {
+        let n = self.rev.len();
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &(u, v) in self.edges.keys() {
+            adj[u].push(v);
+        }
+        let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
+        for s in 0..n {
+            if color[s] != 0 {
+                continue;
+            }
+            let mut stack: Vec<(usize, usize)> = vec![(s, 0)];
+            color[s] = 1;
+            while let Some(&(v, i)) = stack.last() {
+                if i < adj[v].len() {
+                    stack.last_mut().expect("non-empty").1 += 1;
+                    let w = adj[v][i];
+                    if color[w] == 0 {
+                        color[w] = 1;
+                        stack.push((w, 0));
+                    } else if color[w] == 1 {
+                        let pos = stack
+                            .iter()
+                            .position(|&(x, _)| x == w)
+                            .expect("gray vertex is on the stack");
+                        return Some(stack[pos..].iter().map(|&(x, _)| x).collect());
+                    }
+                } else {
+                    color[v] = 2;
+                    stack.pop();
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The static pre-check behind [`Session::what_if`]: `true` when no
+/// schedule of the coming window can deadlock `sim` routed by `tables`
+/// (the session's tables with the candidate pushes applied, the only
+/// tables any packet is routed with in the window).
+///
+/// It builds the [`Bdg`] of every packet that is in, or can enter, the
+/// network during the window: a dependency for each packet held in a
+/// switch egress queue or serializing out of one, and a walk along
+/// `tables` — by the datapath's own rule, [`NetSim::next_hop`] — of every
+/// data packet from where it is next routed (past that egress, in an
+/// ingress shaper, on a link, on a NIC) and of every flow not yet stopped,
+/// from its source. PFC deadlock needs a cycle there (paper §3):
+/// whatever the detector can confirm, the quiescence-with-bytes rule
+/// included, is a set of paused channels each holding bytes queued toward
+/// another member, and every dependency the window can create is an edge
+/// of this graph. No paused-channel set is needed: a channel stays paused
+/// only while bytes sit behind it, and those bytes are in the graph.
+///
+/// What the graph does not model goes to the probe: flooding on a route
+/// miss; a route update still to fire after now (one pending at exactly
+/// now is a commit `tables` already holds, and it pops before any packet
+/// event); a fault or switch restore still to fire; PFC loss or delay
+/// armed on any switch; and a deadlock the resident already confirmed,
+/// which stays its verdict even after a fault broke the cycle.
+fn window_is_deadlock_free(sim: &NetSim, tables: &ForwardingTables) -> bool {
+    let now = sim.now();
+    if sim.cfg.flood_on_miss
+        || sim.deadlock_state().is_some()
+        || sim.pfc_loss.iter().any(Option::is_some)
+        || sim.pfc_delay.iter().any(Option::is_some)
+    {
+        return false;
+    }
+    let mut walk = Walk {
+        sim,
+        tables,
+        g: Bdg::default(),
+        seen: BTreeSet::new(),
+    };
+    let mut scheduled_change = false;
+    sim.queue.for_each_live(|_, at, ev| match *ev {
+        Ev::RouteUpdate { .. } => scheduled_change |= at > now,
+        Ev::Fault { .. } | Ev::SwitchRestore { .. } => scheduled_change = true,
+        Ev::Arrive { node, port, frame } => {
+            if let Frame::Data(pkt) = sim.frames[frame as usize] {
+                walk.from(node, port, &pkt);
+            }
+        }
+        _ => {}
+    });
+    if scheduled_change {
+        return false;
+    }
+    for sw in sim.switches.iter().flatten() {
+        for (e, eg) in sw.egress.iter().enumerate() {
+            let out = *sim.pinfo(sw.node, PortNo(e as u16));
+            let serializing = match &eg.in_flight {
+                Some(InFlight::Data(qp)) => Some(qp),
+                _ => None,
+            };
+            for qp in eg.queues.iter().flat_map(|q| q.iter()).chain(serializing) {
+                walk.depend(sw.node, qp.ingress, &out, qp.pkt.ttl);
+                walk.from(out.peer, out.peer_port, &qp.pkt);
+            }
+        }
+        for (p, ing) in sw.ingress.iter().enumerate() {
+            for pkt in &ing.shaper_q {
+                walk.from(sw.node, PortNo(p as u16), pkt);
+            }
+        }
+    }
+    for (h, pkt) in sim.host_in_flight.iter().enumerate() {
+        if let Some(pkt) = pkt {
+            let nic = *sim.pinfo(NodeId(h as u32), PortNo(0));
+            walk.from(nic.peer, nic.peer_port, pkt);
+        }
+    }
+    for f in sim.flows.iter().filter(|f| f.stop.is_none_or(|s| s > now)) {
+        let nic = *sim.pinfo(f.src, PortNo(0));
+        walk.route(nic.peer, nic.peer_port, f.id, f.dst, f.ttl);
+    }
+    walk.g.find_cycle().is_none()
+}
+
+/// Packets followed along the window's tables into a [`Bdg`].
+struct Walk<'a> {
+    sim: &'a NetSim,
+    tables: &'a ForwardingTables,
+    g: Bdg,
+    /// `(switch, ingress, flow, dst)` already followed: the rest of the
+    /// walk is a function of it.
+    seen: BTreeSet<(NodeId, PortNo, FlowId, NodeId)>,
+}
+
+impl Walk<'_> {
+    fn from(&mut self, node: NodeId, ingress: PortNo, pkt: &Packet) {
+        self.route(node, ingress, pkt.flow, pkt.dst, pkt.ttl);
+    }
+
+    /// Follow `flow`'s traffic for `dst`, next routed at `node`, which it
+    /// entered through `ingress`, until it reaches a host, meets no route,
+    /// or repeats itself.
+    fn route(&mut self, mut node: NodeId, mut ingress: PortNo, flow: FlowId, dst: NodeId, ttl: u8) {
+        while self.sim.topo.node(node).kind == NodeKind::Switch
+            && self.seen.insert((node, ingress, flow, dst))
+        {
+            let Some(e) = self.sim.next_hop(self.tables, flow, node, dst) else {
+                return;
+            };
+            let out = *self.sim.pinfo(node, e);
+            self.depend(node, ingress, &out, ttl);
+            (node, ingress) = (out.peer, out.peer_port);
+        }
+    }
+
+    /// Bytes that entered `node` through `ingress` and leave by the port
+    /// behind `out` wait on the next buffer, when a switch owns it.
+    fn depend(&mut self, node: NodeId, ingress: PortNo, out: &PortInfo, ttl: u8) {
+        if self.sim.topo.node(out.peer).kind == NodeKind::Switch {
+            let from = self.sim.pinfo(node, ingress).peer;
+            self.g.add(from, node, out.peer, out.rate, ttl);
+        }
     }
 }
 
@@ -1331,9 +1543,7 @@ impl ServeSession {
                     }
                     "query" => handle_query(session, req),
                     "checkpoint" => {
-                        let path = req
-                            .get("path")
-                            .and_then(Value::as_str)
+                        let path = opt_str(req, "path")?
                             .map(str::to_string)
                             .or(cfg_path)
                             .ok_or_else(|| {
@@ -1400,7 +1610,7 @@ impl ServeSession {
 fn handle_route_update(session: &mut Session, req: &Value) -> Result<Value, Error> {
     let push = parse_route_push(session.topo(), req)?;
     let window = window_ref(req)?;
-    match req.get("mode").and_then(Value::as_str).unwrap_or("vet") {
+    match opt_str(req, "mode")?.unwrap_or("vet") {
         "commit" => {
             let applied = session.apply(Update::RouteUpdate(push))?;
             Ok(obj(vec![
@@ -1432,21 +1642,17 @@ fn handle_route_update(session: &mut Session, req: &Value) -> Result<Value, Erro
 }
 
 fn handle_query(session: &mut Session, req: &Value) -> Result<Value, Error> {
-    let kind = req
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| Error::Protocol("query needs \"kind\"".into()))?;
+    let kind =
+        opt_str(req, "kind")?.ok_or_else(|| Error::Protocol("query needs \"kind\"".into()))?;
     match kind {
         "status" => session.status().map(|d| d.to_value()),
         "cbd" => Ok(session.cbd().to_value()),
         "what_if" | "what_if_oracle" => {
-            let updates = match req.get("updates").and_then(Value::as_array) {
-                Some(items) => items
-                    .iter()
-                    .map(|v| parse_route_push(session.topo(), v))
-                    .collect::<Result<Vec<_>, _>>()?,
-                None => Vec::new(),
-            };
+            let updates = opt_array(req, "updates")?
+                .unwrap_or_default()
+                .iter()
+                .map(|v| parse_route_push(session.topo(), v))
+                .collect::<Result<Vec<_>, _>>()?;
             let window = window_ref(req)?;
             if kind == "what_if" {
                 session.what_if(&updates, window).map(|d| d.to_value())
@@ -1535,9 +1741,7 @@ fn node_ref(topo: &Topology, req: &Value, field: &str) -> Result<NodeId, Error> 
 /// Parse a next-hop port list: numeric port numbers or peer-node names
 /// (resolved through the topology).
 fn ports_ref(topo: &Topology, node: NodeId, req: &Value) -> Result<Vec<PortNo>, Error> {
-    let items = req
-        .get("ports")
-        .and_then(Value::as_array)
+    let items = opt_array(req, "ports")?
         .ok_or_else(|| Error::Protocol("missing \"ports\" array".into()))?;
     items
         .iter()
@@ -1569,6 +1773,27 @@ fn opt_u64(req: &Value, field: &str) -> Result<Option<u64>, Error> {
             .ok_or_else(|| Error::Protocol(format!("\"{field}\" must be a non-negative integer")))
     };
     req.get(field).map(as_u64).transpose()
+}
+
+/// An optional string field: `None` when absent; present but anything
+/// else is a protocol error.
+fn opt_str<'a>(req: &'a Value, field: &str) -> Result<Option<&'a str>, Error> {
+    let as_str = |v: &'a Value| {
+        v.as_str()
+            .ok_or_else(|| Error::Protocol(format!("\"{field}\" must be a string")))
+    };
+    req.get(field).map(as_str).transpose()
+}
+
+/// An optional array field: `None` when absent; present but anything
+/// else is a protocol error.
+fn opt_array<'a>(req: &'a Value, field: &str) -> Result<Option<&'a [Value]>, Error> {
+    let as_array = |v: &'a Value| {
+        v.as_array()
+            .map(Vec::as_slice)
+            .ok_or_else(|| Error::Protocol(format!("\"{field}\" must be an array")))
+    };
+    req.get(field).map(as_array).transpose()
 }
 
 /// An optional `*_us` field: an [`opt_u64`] that also fits `SimTime`'s
@@ -1614,13 +1839,18 @@ fn parse_route_push(topo: &Topology, req: &Value) -> Result<RoutePush, Error> {
 /// `{id, src, dst, gbps?|poisson_gbps?, priority?, ttl?, start_us?,
 /// stop_us?, path?}` (no rate ⇒ infinite demand).
 fn parse_flow(topo: &Topology, req: &Value) -> Result<FlowSpec, Error> {
-    use pfcsim_topo::ids::Priority;
     use serde::Deserialize;
 
-    if req.get("demand").is_some() {
-        return FlowSpec::from_value(req)
-            .map_err(|e| Error::Decode(format!("bad flow document: {e}")));
-    }
+    let flow = if req.get("demand").is_some() {
+        FlowSpec::from_value(req).map_err(|e| Error::Decode(format!("bad flow document: {e}")))?
+    } else {
+        parse_flow_shorthand(topo, req)?
+    };
+    check_flow(topo, &flow)?;
+    Ok(flow)
+}
+
+fn parse_flow_shorthand(topo: &Topology, req: &Value) -> Result<FlowSpec, Error> {
     let id = req
         .get("id")
         .and_then(Value::as_u64)
@@ -1650,7 +1880,7 @@ fn parse_flow(topo: &Topology, req: &Value) -> Result<FlowSpec, Error> {
         flow = flow.with_priority(Priority(p));
     }
     if let Some(t) = opt_u8(req, "ttl")? {
-        flow = flow.with_ttl(t);
+        flow.ttl = t;
     }
     if let Some(t) = opt_us(req, "start_us")? {
         flow = flow.starting_at(SimTime::from_us(t));
@@ -1658,7 +1888,7 @@ fn parse_flow(topo: &Topology, req: &Value) -> Result<FlowSpec, Error> {
     if let Some(t) = opt_us(req, "stop_us")? {
         flow = flow.stopping_at(SimTime::from_us(t));
     }
-    if let Some(path) = req.get("path").and_then(Value::as_array) {
+    if let Some(path) = opt_array(req, "path")? {
         let nodes = path
             .iter()
             .map(|v| node_val(topo, v, "path[]"))
@@ -1666,6 +1896,74 @@ fn parse_flow(topo: &Topology, req: &Value) -> Result<FlowSpec, Error> {
         flow = flow.pinned(nodes);
     }
     Ok(flow)
+}
+
+/// Largest flow id a request may name: the simulator maps raw flow ids
+/// through dense per-id tables, so an id costs memory up to its value.
+const MAX_FLOW_ID: u32 = (1 << 20) - 1;
+
+/// Largest packet a flow document may ask for (a jumbo frame is 9 KB);
+/// far larger ones overflow the serialization-time arithmetic.
+const MAX_PACKET: u64 = 1 << 20;
+
+/// Refuse a flow the simulator would panic or stall on instead of
+/// refusing: an id it sizes dense tables by, a node it indexes by, a TTL
+/// of zero (it `assert!`s), a priority past its class arrays, a DCQCN or
+/// TIMELY model a session never configures, and pacing whose zero — a
+/// rate, a packet size, an on/off period — divides by zero or fires a
+/// tick at the same instant forever, or whose excess overflows it.
+fn check_flow(topo: &Topology, f: &FlowSpec) -> Result<(), Error> {
+    if f.id.0 > MAX_FLOW_ID {
+        return Err(Error::Protocol(format!(
+            "flow \"id\" {} is out of range (at most {MAX_FLOW_ID})",
+            f.id.0
+        )));
+    }
+    let pinned: &[NodeId] = match &f.route {
+        RouteKind::Pinned(p) => &p.nodes,
+        RouteKind::Tables => &[],
+    };
+    if let Some(n) = [f.src, f.dst]
+        .iter()
+        .chain(pinned)
+        .find(|n| n.0 as usize >= topo.node_count())
+    {
+        return Err(Error::Config(format!("unknown node {}", n.0)));
+    }
+    if f.priority.index() >= Priority::COUNT {
+        return Err(Error::Protocol(format!(
+            "\"priority\" must be below {}",
+            Priority::COUNT
+        )));
+    }
+    if f.ttl == 0 {
+        return Err(Error::Protocol("\"ttl\" must be at least 1".into()));
+    }
+    let paced = f
+        .packet_size
+        .is_none_or(|s| (1..=MAX_PACKET).contains(&s.get()))
+        && match f.demand {
+            Demand::Cbr(r) | Demand::CbrFinite { rate: r, .. } | Demand::Poisson(r) => !r.is_zero(),
+            Demand::OnOff {
+                peak,
+                mean_on,
+                mean_off,
+            } => !peak.is_zero() && !mean_on.is_zero() && !mean_off.is_zero(),
+            Demand::Infinite => true,
+            Demand::Dcqcn | Demand::Timely => {
+                return Err(Error::Unsupported(
+                    "a session runs no DCQCN or TIMELY flows".into(),
+                ))
+            }
+        };
+    if !paced {
+        return Err(Error::Config(
+            "a flow needs a rate of at least 1 bps, a packet size of 1 B to 1 MiB \
+             and positive on/off periods"
+                .into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Parse an `open` request into a [`SessionSpec`]. The topology is
@@ -1680,7 +1978,7 @@ fn parse_open(req: &Value) -> Result<SessionSpec, Error> {
     let tv = req
         .get("topo")
         .ok_or_else(|| Error::Protocol("open needs \"topo\"".into()))?;
-    let topo: Topology = if let Some(builder) = tv.get("builder").and_then(Value::as_str) {
+    let topo: Topology = if let Some(builder) = opt_str(tv, "builder")? {
         let mut spec = LinkSpec::default();
         if let Some(g) = opt_u64(tv, "gbps")? {
             // `from_gbps` multiplies unchecked, and a zero-rate link has
@@ -1762,7 +2060,7 @@ fn parse_open(req: &Value) -> Result<SessionSpec, Error> {
     if let Some(seed) = opt_u64(req, "seed")? {
         config.seed = seed;
     }
-    if let Some(sched) = req.get("scheduler").and_then(Value::as_str) {
+    if let Some(sched) = opt_str(req, "scheduler")? {
         config.scheduler = Some(match sched {
             "wheel" => crate::config::SchedulerBackend::Wheel,
             "heap" => crate::config::SchedulerBackend::Heap,
@@ -1774,16 +2072,14 @@ fn parse_open(req: &Value) -> Result<SessionSpec, Error> {
         });
     }
 
-    let flows = match req.get("flows").and_then(Value::as_array) {
-        Some(items) => items
-            .iter()
-            .map(|v| parse_flow(&topo, v))
-            .collect::<Result<Vec<_>, _>>()?,
-        None => Vec::new(),
-    };
+    let flows = opt_array(req, "flows")?
+        .unwrap_or_default()
+        .iter()
+        .map(|v| parse_flow(&topo, v))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut tables = None;
-    if let Some(routes) = req.get("routes").and_then(Value::as_array) {
+    if let Some(routes) = opt_array(req, "routes")? {
         let mut ft = shortest_path_tables(&topo);
         for rv in routes {
             let push = parse_route_push(&topo, rv)?;
@@ -1912,7 +2208,8 @@ mod tests {
     /// `what_if` drops the probe's occupancy history; nothing it reports
     /// may notice. The square one push (`S3 → h1 via S0`) away from the
     /// paper's Fig. 3 deadlock, a clean and the closing push, each against
-    /// the same probe with its history kept, driven by hand.
+    /// the same probe with its history kept, driven by hand to its first
+    /// confirmed deadlock. The clean push needs no probe at all.
     #[test]
     fn what_if_is_blind_to_the_probes_occupancy_history() {
         let built = square(LinkSpec::default());
@@ -1941,10 +2238,14 @@ mod tests {
         let mut s = Session::open(spec).expect("open");
         s.apply(Update::AdvanceTo(SimTime::from_us(50))).unwrap();
 
-        for (push, window_us, deadlock) in [(via(0, 1, 3), 50, false), (via(3, 1, 0), 400, true)] {
+        for (push, window_us, decided_by) in [
+            (via(0, 1, 3), 50, DecidedBy::Static),
+            (via(3, 1, 0), 400, DecidedBy::Probe),
+        ] {
             let window = SimDuration::from_us(window_us);
             let doc = s.what_if(std::slice::from_ref(&push), window).unwrap();
-            assert_eq!(doc.verdict.deadlock, deadlock, "{push:?}");
+            assert_eq!(doc.decided_by, decided_by, "{push:?}");
+            assert_eq!(doc.verdict.deadlock, decided_by == DecidedBy::Probe);
 
             let (now, bound) = (s.now(), s.probe_bound(window));
             let mut probe = NetSim::resume(s.snapshot().unwrap()).unwrap();
@@ -1953,6 +2254,7 @@ mod tests {
             };
             let carried = samples(&probe.stats);
             assert!(carried > 0, "the resident has a history to carry");
+            probe.cfg.stop_on_deadlock = true;
             probe.schedule_route_update(now, push.node, push.dst, push.ports.clone());
             // (A wedged fabric runs out of events, which ends the run.)
             let (verdict, probe_events, recorded) = match probe.advance_until(bound, s.horizon) {
@@ -1974,7 +2276,11 @@ mod tests {
             let want = WhatIfDoc {
                 verdict,
                 probed_until: bound,
-                probe_events,
+                probe_events: match decided_by {
+                    DecidedBy::Static => 0,
+                    DecidedBy::Probe => probe_events,
+                },
+                decided_by,
                 state_digest_before: digest,
                 state_digest_after: digest,
                 resident_unchanged: true,
@@ -2065,6 +2371,25 @@ mod tests {
             before,
             "rejected requests must not move the resident state"
         );
+    }
+
+    /// A wrong-typed checkpoint `path` is an error, not the configured
+    /// default path.
+    #[test]
+    fn a_wrong_typed_checkpoint_path_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!("pfcsim_serve_path_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let default = dir.join("default.ck");
+        let mut serve = ServeSession::new(ServeConfig {
+            checkpoint_path: Some(default.to_str().unwrap().to_string()),
+        });
+        serve.handle_line(r#"{"op":"open","topo":{"builder":"ring","n":3},"horizon_us":1000}"#);
+        let (resp, _) = serve.handle_line(r#"{"op":"checkpoint","path":7}"#);
+        let resp: Value = serde_json::from_str(&resp.unwrap()).unwrap();
+        let written = default.exists();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(resp["error"]["kind"], "protocol", "{resp:?}");
+        assert!(!written);
     }
 
     #[test]

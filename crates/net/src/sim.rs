@@ -858,6 +858,22 @@ impl NetSim {
         }
     }
 
+    /// The datapath's one route rule: the egress `node` gives `flow`'s
+    /// packets for `dst` — the flow's pinned port, else the ECMP pick from
+    /// `tables`. `serve`'s static pre-check walks packets with it too, over
+    /// tables the run has not installed yet, so the two cannot drift.
+    #[inline]
+    pub(crate) fn next_hop(
+        &self,
+        tables: &ForwardingTables,
+        flow: FlowId,
+        node: NodeId,
+        dst: NodeId,
+    ) -> Option<PortNo> {
+        self.pinned_port(flow, node)
+            .or_else(|| tables.select(node, dst, flow))
+    }
+
     /// The `Copy` subset of a flow's spec (everything per-event code
     /// needs); reading one is a memcpy, the heap-backed `route` stays put.
     #[inline]
@@ -2369,9 +2385,7 @@ impl NetSim {
         }
         let prio = pkt.priority;
         // Route lookup.
-        let egress = self
-            .pinned_port(pkt.flow, node)
-            .or_else(|| self.tables.select(node, pkt.dst, pkt.flow));
+        let egress = self.next_hop(&self.tables, pkt.flow, node, pkt.dst);
         let Some(egress) = egress else {
             if self.cfg.flood_on_miss {
                 self.flood(node, port, pkt);
@@ -2628,9 +2642,7 @@ impl NetSim {
                 Step::Release(pkt) => {
                     // Re-resolve the route at release time (tables may have
                     // changed while the packet was held).
-                    let egress = self
-                        .pinned_port(pkt.flow, node)
-                        .or_else(|| self.tables.select(node, pkt.dst, pkt.flow));
+                    let egress = self.next_hop(&self.tables, pkt.flow, node, pkt.dst);
                     match egress {
                         Some(e) if !self.link_ok(node, e) => {
                             // Released onto a route that died while held.

@@ -305,6 +305,34 @@ fn malformed_requests_are_isolated() {
             "port 65537",
             r#"{"op":"route_update","node":"S0","dst":"h1","ports":[65537]}"#,
         ),
+        // Nor is a wrong-typed array or string field its default: an
+        // object for `updates` used to probe no push at all and answer
+        // "clean" for the loop-closing one.
+        (
+            "updates",
+            r#"{"op":"query","kind":"what_if","updates":{"node":"S3","dst":"h1","ports":["S0"]},"window_us":1500}"#,
+        ),
+        (
+            "mode",
+            r#"{"op":"route_update","node":"S0","dst":"h1","ports":["S1"],"mode":1}"#,
+        ),
+        (
+            "path",
+            r#"{"op":"flow_add","id":9,"src":"h0","dst":"h2","path":"h0"}"#,
+        ),
+        (
+            "flows",
+            r#"{"op":"open","topo":{"builder":"square"},"flows":{"id":0,"src":"h0","dst":"h2"}}"#,
+        ),
+        (
+            "routes",
+            r#"{"op":"open","topo":{"builder":"square"},"routes":{"node":"S0","dst":"h2","ports":["S1"]}}"#,
+        ),
+        (
+            "scheduler",
+            r#"{"op":"open","topo":{"builder":"square"},"scheduler":1}"#,
+        ),
+        ("builder", r#"{"op":"open","topo":{"builder":4}}"#),
     ] {
         let resp = rejected(bad);
         assert_eq!(resp["error"]["kind"], "protocol", "{bad:?}");
@@ -645,4 +673,256 @@ fn mutation_history_replays_byte_identically() {
         "probe and oracle verdicts must be byte-identical"
     );
     assert!(doc.resident_unchanged);
+}
+
+// ---------------------------------------------------------------------------
+// The static pre-check: never contradicted, and neither path vacuous
+// ---------------------------------------------------------------------------
+
+fn verdict_json(v: &VerdictDoc) -> String {
+    serde_json::to_string(&v.to_value()).unwrap()
+}
+
+/// `what_if` about `pushes`, checked byte for byte against the batch
+/// oracle.
+fn what_if_as_oracle(
+    session: &mut Session,
+    pushes: &[RoutePush],
+    window: SimDuration,
+) -> WhatIfDoc {
+    let doc = session.what_if(pushes, window).expect("what_if");
+    let oracle = session.oracle_what_if(pushes, window).expect("oracle");
+    assert_eq!(verdict_json(&doc.verdict), verdict_json(&oracle), "{doc:?}");
+    assert!(doc.resident_unchanged);
+    doc
+}
+
+/// Random topologies × flows × mutation histories × pushes × windows:
+/// every answer the static pre-check gives equals `what_if_oracle`'s (so
+/// does every probe answer, early stop included), and each path decides
+/// at least a fifth of the cases.
+fn static_answers_match_the_oracle(backend: SchedulerBackend, name: &str) {
+    const CASES: u32 = 200;
+    let mut rng = TestRng::for_test(name);
+    let flows = prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4);
+    let script = prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..6);
+    let pushes = prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4);
+    let (mut by_static, mut by_probe, mut finished) = (0u32, 0u32, 0u32);
+    while by_static + by_probe < CASES {
+        let topo_sel = (0u8..3).generate(&mut rng);
+        let seed = (0u64..1_000).generate(&mut rng);
+        let flows_raw = flows.generate(&mut rng);
+        let script = script.generate(&mut rng);
+        let pushes_raw = pushes.generate(&mut rng);
+        let window = SimDuration::from_us((0u64..400).generate(&mut rng));
+        let inputs =
+            format!("{topo_sel} {seed} {flows_raw:?} {script:?} {pushes_raw:?} {window:?}");
+
+        let (mut session, built) = build_session(backend, topo_sel, seed, &flows_raw);
+        run_script(&mut session, &built, &script);
+        if session.is_finished() {
+            finished += 1;
+            continue;
+        }
+        let pushes: Vec<RoutePush> = pushes_raw
+            .iter()
+            .map(|&(n, d, p)| {
+                // Toward another switch: a push out of a host port only
+                // black-holes, and cannot close a cycle.
+                let node = built.switches[n as usize % built.switches.len()];
+                let up: Vec<PortNo> = (session.topo().ports(node).iter())
+                    .filter(|q| built.switches.contains(&q.peer))
+                    .map(|q| q.port)
+                    .collect();
+                RoutePush {
+                    node,
+                    dst: built.hosts[d as usize % built.hosts.len()],
+                    ports: vec![up[p as usize % up.len()]],
+                }
+            })
+            .collect();
+        let doc = session.what_if(&pushes, window).expect("what_if");
+        let oracle = session.oracle_what_if(&pushes, window).expect("oracle");
+        assert_eq!(
+            verdict_json(&doc.verdict),
+            verdict_json(&oracle),
+            "{name}: {:?} answer differs from the oracle's on {inputs}",
+            doc.decided_by
+        );
+        match doc.decided_by {
+            DecidedBy::Static => {
+                by_static += 1;
+                assert_eq!(doc.probe_events, 0, "{inputs}");
+                assert!(!doc.cbd.cbd, "{inputs}");
+            }
+            DecidedBy::Probe => by_probe += 1,
+        }
+    }
+    eprintln!(
+        "{name}: {by_static} static, {by_probe} probe, 0 disagreements \
+         ({finished} more sessions ended before the push)"
+    );
+    assert!(
+        by_static * 5 >= CASES && by_probe * 5 >= CASES,
+        "{name}: {by_static} static and {by_probe} probe of {CASES}"
+    );
+}
+
+#[test]
+fn static_pre_check_is_sound_wheel() {
+    static_answers_match_the_oracle(SchedulerBackend::Wheel, "static_pre_check_is_sound_wheel");
+}
+
+#[test]
+fn static_pre_check_is_sound_heap() {
+    static_answers_match_the_oracle(SchedulerBackend::Heap, "static_pre_check_is_sound_heap");
+}
+
+/// A session on `built` with `routes` installed over shortest paths.
+fn open_with_routes(
+    built: &Built,
+    flows: Vec<FlowSpec>,
+    routes: &[(NodeId, NodeId, NodeId)],
+) -> Session {
+    let mut tables = pfcsim_topo::routing::shortest_path_tables(&built.topo);
+    for &(node, dst, via) in routes {
+        let port = built.topo.port_towards(node, via).expect("adjacent").port;
+        tables.set(node, dst, vec![port]);
+    }
+    let mut spec = SessionSpec::new(built.topo.clone(), flows);
+    spec.tables = Some(tables);
+    spec.horizon = SimTime::from_us(5_000);
+    Session::open(spec).expect("open")
+}
+
+/// `node` forwards traffic for `dst` toward its neighbour `via`.
+fn via(built: &Built, node: NodeId, dst: NodeId, via: NodeId) -> RoutePush {
+    let port = built.topo.port_towards(node, via).expect("adjacent").port;
+    RoutePush {
+        node,
+        dst,
+        ports: vec![port],
+    }
+}
+
+/// (a) A resident that already confirmed a deadlock keeps that verdict,
+/// even after a link failure destroyed the bytes that formed it and the
+/// push mends the loop: the window's graph is then acyclic, and only the
+/// probe reports the deadlock the oracle replays. The loop is Case 1 of
+/// the paper on two switches: `B` routes `hB` back to `A`.
+#[test]
+fn an_already_deadlocked_resident_is_probed_and_keeps_its_verdict() {
+    let built = two_switch_loop(LinkSpec::default());
+    let (ha, hb) = (built.hosts[0], built.hosts[1]);
+    let (a, b) = (built.switches[0], built.switches[1]);
+    let flows = vec![
+        FlowSpec::infinite(0, ha, hb).with_ttl(16),
+        // Keeps the run alive once the loop has wedged.
+        FlowSpec::cbr(1, hb, ha, BitRate::from_gbps(1)).with_ttl(16),
+    ];
+    let mut s = open_with_routes(&built, flows, &[(b, hb, a)]);
+    s.apply(Update::AdvanceTo(SimTime::from_us(300))).unwrap();
+    let status = s.status().unwrap();
+    let confirmed = status.verdict.expect("the loop above Eq. 3's rate wedges");
+    assert!(confirmed.deadlock && !status.finished);
+
+    s.apply(Update::LinkDown { a, b }).unwrap();
+    let mend = via(&built, b, hb, hb);
+    let doc = what_if_as_oracle(&mut s, &[mend], SimDuration::from_us(200));
+    assert_eq!(doc.decided_by, DecidedBy::Probe);
+    assert_eq!(doc.verdict, confirmed, "the existing verdict, unchanged");
+}
+
+/// (b) The paper's "CBD is not sufficient": a loop fed below the Eq. 3
+/// rate is a cyclic dependency, so the probe decides, and it finds no
+/// deadlock.
+#[test]
+fn a_cycle_below_the_eq3_rate_is_probed_and_clean() {
+    let built = two_switch_loop(LinkSpec::default());
+    let (ha, hb) = (built.hosts[0], built.hosts[1]);
+    let (a, b) = (built.switches[0], built.switches[1]);
+    let flows = vec![FlowSpec::cbr(0, ha, hb, BitRate::from_gbps(1)).with_ttl(16)];
+    let mut s = open_with_routes(&built, flows, &[]);
+    s.apply(Update::AdvanceTo(SimTime::from_us(50))).unwrap();
+
+    let doc = what_if_as_oracle(&mut s, &[via(&built, b, hb, a)], SimDuration::from_us(500));
+    assert_eq!(doc.decided_by, DecidedBy::Probe);
+    assert!(doc.cbd.cbd, "the pushed loop is a CBD");
+    // r_d = n·B/TTL = 2 · 40 Gbps / 16 = 5 Gbps, five times the offered 1.
+    let threshold = doc.cbd.threshold.expect("a threshold").threshold;
+    assert_eq!(threshold, BitRate::from_gbps(5));
+    assert!(!doc.verdict.deadlock, "below the threshold the loop drains");
+    assert!(doc.probe_events > 0);
+}
+
+/// The square one push (`S3 → h1 via S0`) away from the paper's Fig. 3
+/// deadlock, as the CI session opens it on `link`s: four infinite flows,
+/// three routed clockwise two hops, `h3 → h1` counter-clockwise.
+fn square_session(link: LinkSpec) -> (Session, Built) {
+    let built = square(link);
+    let (sw, h) = (&built.switches, &built.hosts);
+    let flows = (0..4u32)
+        .map(|i| FlowSpec::infinite(i, h[i as usize], h[(i as usize + 2) % 4]).with_ttl(16))
+        .collect();
+    let routes = [
+        (sw[0], h[2], sw[1]),
+        (sw[1], h[3], sw[2]),
+        (sw[2], h[0], sw[3]),
+        (sw[3], h[1], sw[2]),
+    ];
+    let session = open_with_routes(&built, flows, &routes);
+    (session, built)
+}
+
+/// (c) Packets the old tables already routed close a cycle the new
+/// tables alone do not: the closing push together with a push that turns
+/// `h1 → h3` counter-clockwise leaves the flows' paths acyclic, but that
+/// flow's packets already on the wire from `S1` to `S2` are still bound
+/// for `S3`. On 50 µs links, at 90 µs none of them has reached `S2`, so no
+/// held byte shows the edge: only their walk does.
+#[test]
+fn packets_routed_by_the_old_tables_send_a_push_to_the_probe() {
+    let link = LinkSpec {
+        delay: SimDuration::from_us(50),
+        ..LinkSpec::default()
+    };
+    let (mut s, built) = square_session(link);
+    let (sw, h) = (&built.switches, &built.hosts);
+    s.apply(Update::AdvanceTo(SimTime::from_us(90))).unwrap();
+    let pushes = [
+        via(&built, sw[3], h[1], sw[0]),
+        via(&built, sw[1], h[3], sw[0]),
+    ];
+    let doc = what_if_as_oracle(&mut s, &pushes, SimDuration::from_us(300));
+    assert!(!doc.cbd.cbd, "the new tables alone close no cycle");
+    assert_eq!(doc.decided_by, DecidedBy::Probe);
+    assert!(doc.verdict.deadlock, "the packets on the wire wedge it");
+}
+
+/// (d) A commit is a route update pending at exactly now until the next
+/// advance; a `what_if` in between must already route by it, without
+/// sending every push to the probe.
+#[test]
+fn a_what_if_right_after_a_commit_decides_by_the_committed_tables() {
+    let window = SimDuration::from_us(400);
+    let (mut s, built) = square_session(LinkSpec::default());
+    let (sw, h) = (&built.switches, &built.hosts);
+    s.apply(Update::AdvanceTo(SimTime::from_us(100))).unwrap();
+    s.apply(Update::RouteUpdate(via(&built, sw[3], h[1], sw[0])))
+        .unwrap();
+    let doc = what_if_as_oracle(&mut s, &[], window);
+    assert_eq!(doc.decided_by, DecidedBy::Probe);
+    assert!(doc.verdict.deadlock, "the committed push closes the cycle");
+
+    let (mut s, built) = square_session(LinkSpec::default());
+    let (sw, h) = (&built.switches, &built.hosts);
+    s.apply(Update::AdvanceTo(SimTime::from_us(100))).unwrap();
+    // Nothing reaches h1 through S0: a benign commit.
+    s.apply(Update::RouteUpdate(via(&built, sw[0], h[1], sw[3])))
+        .unwrap();
+    let doc = what_if_as_oracle(&mut s, &[], window);
+    assert_eq!(doc.decided_by, DecidedBy::Static);
+    assert!(!doc.verdict.deadlock);
+    let status = s.status().unwrap();
+    assert_eq!((status.what_if_static, status.what_if_probe), (1, 0));
 }

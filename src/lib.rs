@@ -95,9 +95,9 @@ pub use pfcsim_simcore::error::Error;
 /// protocol used by `repro serve`.
 pub mod session {
     pub use pfcsim_net::serve::{
-        static_cbd, Answer, Applied, CbdDoc, CbdHop, Control, Query, RoutePush, ServeConfig,
-        ServeSession, Session, SessionSpec, StatusDoc, ThresholdDoc, Update, VerdictDoc, WhatIfDoc,
-        SERVE_SCHEMA,
+        static_cbd, Answer, Applied, CbdDoc, CbdHop, Control, DecidedBy, Query, RoutePush,
+        ServeConfig, ServeSession, Session, SessionSpec, StatusDoc, ThresholdDoc, Update,
+        VerdictDoc, WhatIfDoc, SERVE_SCHEMA,
     };
 }
 
