@@ -1304,6 +1304,8 @@ fn window_is_deadlock_free(sim: &NetSim, tables: &ForwardingTables) -> bool {
         seen: BTreeSet::new(),
     };
     let mut scheduled_change = false;
+    // Every pending event, delay-lane residents (no handle) included: an
+    // `Arrive` on a short link is one, and skipping it would hide its walk.
     sim.queue.for_each_live(|_, at, ev| match *ev {
         Ev::RouteUpdate { .. } => scheduled_change |= at > now,
         Ev::Fault { .. } | Ev::SwitchRestore { .. } => scheduled_change = true,

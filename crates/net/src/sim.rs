@@ -1555,7 +1555,7 @@ impl NetSim {
         if is_meaningful(&ev) {
             self.meaningful += 1;
         }
-        self.queue.schedule(at, ev);
+        self.queue.push(at, ev);
     }
 
     /// Does nothing: serialization trains are gone. `benchmark/src/fabric.rs`
@@ -1574,6 +1574,14 @@ impl NetSim {
     /// `host.rs`/`run.sh`, and this shim together.
     #[doc(hidden)]
     pub fn set_partitions(&mut self, _: usize) {}
+
+    /// The event queue's storage: arena slots and delay-lane capacity.
+    /// Neither shrinks, so a run that leaves both as it leased them
+    /// allocated no queue storage; tests assert on this.
+    #[doc(hidden)]
+    pub fn queue_capacity(&self) -> (usize, usize) {
+        (self.queue.arena_len(), self.queue.lane_capacity())
+    }
 
     // ------------------------------------------------------------------
     // Checkpoint / resume (see `crate::checkpoint` for the format)
@@ -1772,11 +1780,12 @@ impl NetSim {
         sim.tx_pause = tx_pause;
         // Event handles do not survive serialization; re-key the quanta
         // timer slots from the restored queue's live `PauseExpire`
-        // entries (coalescing keeps at most one pending per channel).
+        // entries (coalescing keeps at most one pending per channel). A
+        // restored queue holds every entry in a slot, so each has a handle.
         let mut timers = std::mem::take(&mut sim.pause_timer);
         sim.queue.for_each_live(|id, _, ev| {
             if let Ev::PauseExpire { node, port, prio } = *ev {
-                timers[sim.chan(node, port, prio as usize)] = Some(id);
+                timers[sim.chan(node, port, prio as usize)] = id;
             }
         });
         sim.pause_timer = timers;

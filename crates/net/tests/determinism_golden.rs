@@ -43,7 +43,10 @@ fn both_scheduler_backends_match_golden_digest() {
 
 /// Reusing a `SimArenas` bundle across runs must not perturb results:
 /// the second (capacity-reusing) run reproduces the golden digest, and
-/// the recycled event queue keeps its slot arena instead of reallocating.
+/// the recycled event queue keeps its slot arena and its delay lanes
+/// instead of reallocating. The second run leases both with the first
+/// run's capacity (a fresh queue has none) and, being identical, never
+/// grows them — it allocates no queue storage at all.
 #[test]
 fn arena_reuse_is_observationally_invisible() {
     let mut arenas = SimArenas::new();
@@ -52,10 +55,19 @@ fn arena_reuse_is_observationally_invisible() {
         &mut arenas,
     ));
     assert_eq!(first, GOLDEN_DIGEST);
-    let second = golden::digest(&golden::run_with(
-        Some(SchedulerBackend::Wheel),
-        &mut arenas,
-    ));
+    let mut sim = golden::build_sim(Some(SchedulerBackend::Wheel), &mut arenas);
+    let leased = sim.queue_capacity();
+    assert!(
+        leased.0 > 0 && leased.1 > 0,
+        "the recycled queue came back empty-handed: {leased:?}"
+    );
+    let second = golden::digest(&sim.run_with_drain(STOP_AT, DRAIN_UNTIL));
+    assert_eq!(
+        sim.queue_capacity(),
+        leased,
+        "the leased-arena rerun allocated queue storage"
+    );
+    sim.recycle(&mut arenas);
     assert_eq!(second, GOLDEN_DIGEST, "leased-arena rerun diverged");
 }
 

@@ -784,6 +784,15 @@ fn open_with_routes(
     flows: Vec<FlowSpec>,
     routes: &[(NodeId, NodeId, NodeId)],
 ) -> Session {
+    Session::open(spec_with_routes(built, flows, routes)).expect("open")
+}
+
+/// The spec [`open_with_routes`] opens.
+fn spec_with_routes(
+    built: &Built,
+    flows: Vec<FlowSpec>,
+    routes: &[(NodeId, NodeId, NodeId)],
+) -> SessionSpec {
     let mut tables = pfcsim_topo::routing::shortest_path_tables(&built.topo);
     for &(node, dst, via) in routes {
         let port = built.topo.port_towards(node, via).expect("adjacent").port;
@@ -792,7 +801,7 @@ fn open_with_routes(
     let mut spec = SessionSpec::new(built.topo.clone(), flows);
     spec.tables = Some(tables);
     spec.horizon = SimTime::from_us(5_000);
-    Session::open(spec).expect("open")
+    spec
 }
 
 /// `node` forwards traffic for `dst` toward its neighbour `via`.
@@ -860,18 +869,23 @@ fn a_cycle_below_the_eq3_rate_is_probed_and_clean() {
 /// three routed clockwise two hops, `h3 → h1` counter-clockwise.
 fn square_session(link: LinkSpec) -> (Session, Built) {
     let built = square(link);
-    let (sw, h) = (&built.switches, &built.hosts);
+    let h = &built.hosts;
     let flows = (0..4u32)
         .map(|i| FlowSpec::infinite(i, h[i as usize], h[(i as usize + 2) % 4]).with_ttl(16))
         .collect();
-    let routes = [
+    let session = open_with_routes(&built, flows, &square_routes(&built));
+    (session, built)
+}
+
+/// [`square_session`]'s routes: `(switch, destination, via)`.
+fn square_routes(built: &Built) -> [(NodeId, NodeId, NodeId); 4] {
+    let (sw, h) = (&built.switches, &built.hosts);
+    [
         (sw[0], h[2], sw[1]),
         (sw[1], h[3], sw[2]),
         (sw[2], h[0], sw[3]),
         (sw[3], h[1], sw[2]),
-    ];
-    let session = open_with_routes(&built, flows, &routes);
-    (session, built)
+    ]
 }
 
 /// (c) Packets the old tables already routed close a cycle the new
@@ -889,6 +903,44 @@ fn packets_routed_by_the_old_tables_send_a_push_to_the_probe() {
     let (mut s, built) = square_session(link);
     let (sw, h) = (&built.switches, &built.hosts);
     s.apply(Update::AdvanceTo(SimTime::from_us(90))).unwrap();
+    let pushes = [
+        via(&built, sw[3], h[1], sw[0]),
+        via(&built, sw[1], h[3], sw[0]),
+    ];
+    let doc = what_if_as_oracle(&mut s, &pushes, SimDuration::from_us(300));
+    assert!(!doc.cbd.cbd, "the new tables alone close no cycle");
+    assert_eq!(doc.decided_by, DecidedBy::Probe);
+    assert!(doc.verdict.deadlock, "the packets on the wire wedge it");
+}
+
+/// (c′) The same on links short enough — 8 µs, inside one level-0
+/// rotation of the wheel's tick — that the `Arrive`s on the wire ride the
+/// queue's delay lanes, which hold events without a handle. `h1 → h3`
+/// sends for its first 6 µs only, so at 15 µs every one of its packets
+/// is between `S1` and `S2`: none is held in a switch and its source is
+/// stopped, so only the walk from a lane-resident `Arrive` shows the edge
+/// `S2 → S3`. A 3 KB XOFF lets that short burst alone wedge `S2`.
+#[test]
+fn packets_on_a_short_wire_send_a_push_to_the_probe() {
+    let built = square(LinkSpec {
+        delay: SimDuration::from_us(8),
+        ..LinkSpec::default()
+    });
+    let (sw, h) = (&built.switches, &built.hosts);
+    let flows = (0..4u32)
+        .map(|i| {
+            let f = FlowSpec::infinite(i, h[i as usize], h[(i as usize + 2) % 4]).with_ttl(16);
+            match i {
+                1 => f.stopping_at(SimTime::from_us(6)),
+                _ => f,
+            }
+        })
+        .collect();
+    let mut spec = spec_with_routes(&built, flows, &square_routes(&built));
+    spec.config.pfc.xoff = Bytes::from_kb(3);
+    spec.config.pfc.xon = Bytes::from_kb(1);
+    let mut s = Session::open(spec).expect("open");
+    s.apply(Update::AdvanceTo(SimTime::from_us(15))).unwrap();
     let pushes = [
         via(&built, sw[3], h[1], sw[0]),
         via(&built, sw[1], h[3], sw[0]),

@@ -12,6 +12,12 @@
 //! ≈70 and ≈600 events in each level-0 slot, appended as two in-order
 //! streams — the regime where a sorted level-0 insert walks back over a
 //! slot on every `TxDone`.
+//!
+//! Each backend is timed twice: scheduling every successor with
+//! `schedule` (the handle path, an arena slot each) and with `push` (no
+//! handle; on the wheel the two fixed delays ride two delay lanes, on the
+//! heap it is `schedule`). The simulator schedules through `push`; only
+//! its pause timers, which it reschedules, take the handle path.
 use pfcsim_simcore::event::{Backend, EventQueue};
 use pfcsim_simcore::rng::SimRng;
 use pfcsim_simcore::time::{SimDuration, SimTime};
@@ -26,7 +32,12 @@ fn main() {
     let quantum = BitRate::from_gbps(40).serialization_time(Bytes::new(1000));
     let tick_shift = tick_shift_for_quantum(quantum);
     for (fabric, live) in [("k=4", 300u64), ("k=8", 2_200), ("k=16", 18_000)] {
-        for backend in [Backend::Wheel, Backend::Heap] {
+        for (backend, api) in [
+            (Backend::Wheel, "schedule"),
+            (Backend::Wheel, "push"),
+            (Backend::Heap, "schedule"),
+            (Backend::Heap, "push"),
+        ] {
             let mut q = EventQueue::with_backend_and_tick_shift(backend, tick_shift);
             let mut rng = SimRng::new(3);
             // Payload: event id in the high bits, next-successor parity in
@@ -43,11 +54,16 @@ fn main() {
                 let ((at, _), v) = q.pop_before(SimTime::MAX).expect("live");
                 sum = sum.wrapping_add(v);
                 let delay = if v & 1 == 0 { TX_DONE } else { ARRIVE };
-                q.schedule(at + delay, v ^ 1);
+                if api == "push" {
+                    q.push(at + delay, v ^ 1);
+                } else {
+                    q.schedule(at + delay, v ^ 1);
+                }
             }
             let el = t0.elapsed().as_secs_f64();
             println!(
-                "{fabric:>4} live={live:>6} {backend:?}  {:.1} ns/event (sum {})",
+                "{fabric:>4} live={live:>6} {:<5} {api:<8} {:.1} ns/event (sum {})",
+                format!("{backend:?}"),
                 el / n as f64 * 1e9,
                 sum % 10
             );

@@ -23,6 +23,51 @@
 //! so cancellation is eager with a constant-time staleness check — no
 //! hashing, no lazily-buried tombstones, and the backing storage never
 //! holds more than the live event count.
+//!
+//! ## Delay lanes
+//!
+//! An event nobody will cancel or move needs no handle:
+//! [`EventQueue::push`] schedules one. On the wheel backend `push` appends
+//! it inline — `(time, seq, payload)`, no arena slot — to a *delay lane*,
+//! a FIFO serving one fixed delay `d = at − now`. Events pushed at the
+//! same delay under a clock that never goes back arrive in `(time, seq)`
+//! order, so a lane is sorted by construction and its head is its
+//! minimum. A packet fabric schedules almost everything at one of three
+//! such delays (a link's propagation delay for an `Arrive`, a frame's and
+//! a PAUSE frame's serialization time for a `TxDone`), so almost every
+//! event skips the wheel's slot arena and level-0 sort entirely. Rules:
+//!
+//! * There are [`LANES`] lanes. A lane serves the first delay it is given
+//!   and is re-keyed only when it is empty.
+//! * Only a delay below one level-0 rotation rides a lane:
+//!   `d >> (tick_shift + 8) == 0`, ≈8.4 µs at the tick a 40 Gbps fabric
+//!   runs on. This is derived from the tick, not a knob. Scan cadences,
+//!   flow stops and other far timers would otherwise take a lane at t = 0
+//!   and never let it drain; they go to the wheel.
+//! * An event is appended only if the lane's tail time is `<= at`, so the
+//!   lane stays sorted whatever the caller does; otherwise, and when no
+//!   lane is free, `push` falls back to `schedule`.
+//! * `seq` comes from the same counter as `schedule`'s, so the pop order
+//!   is exactly the `(time, seq)` order the heap backend produces.
+//!
+//! Every pop takes the `(time, seq)` minimum of the wheel's candidate
+//! and the lane heads (found through a bitmask of non-empty lanes). The
+//! wheel's candidate is not computed when the wheel and its overflow tier
+//! are empty, nor when the earliest lane head is below the wheel's floor,
+//! a lower bound on its residents. A lane winner was the global minimum,
+//! so the wheel cursor advances to its tick exactly as for a wheel
+//! winner.
+//!
+//! `len`, `clear`, `reset` and [`live_entries`](EventQueue::live_entries)
+//! include lane residents; [`for_each_live`](EventQueue::for_each_live)
+//! visits them with no handle (`None`), so a caller that must see every
+//! pending event must not skip those. A checkpoint cannot tell a lane
+//! resident from a slot resident, and
+//! [`restore_state`](EventQueue::restore_state) re-inserts every entry
+//! through the slot path. The heap backend, the reference model, has no
+//! lanes: there `push` is `schedule` with the handle dropped.
+
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 use crate::wheel::{WheelState, DEFAULT_TICK_SHIFT};
@@ -78,6 +123,33 @@ pub(crate) struct Slot<E> {
     pub(crate) payload: Option<E>,
 }
 
+/// Number of delay lanes. A fabric of one link type pushes at four short
+/// delays — at 40 Gbps a 1 µs `Arrive`, a 200 ns `TxDone`, a 12.8 ns
+/// PAUSE `TxDone`, and 0 — so four lanes take ≥ 99.95 % of its events
+/// (EXPERIMENTS.md, "Delay lanes"); every further lane is one more head
+/// to compare on every pop.
+pub const LANES: usize = 4;
+
+/// Key of a lane that serves no delay yet.
+const UNKEYED: u64 = u64::MAX;
+
+/// A FIFO of handle-free events all pushed at one delay (see the module
+/// doc): sorted by `(time, seq)` because it is appended in that order.
+struct Lane<E> {
+    /// The delay `at − now`, in ps, this lane serves; `UNKEYED` if none.
+    delay: u64,
+    events: VecDeque<(SimTime, u64, E)>,
+}
+
+/// Which event the wheel backend pops next.
+enum Next {
+    /// Arena slot `idx`, the wheel's `select_min` winner from bucket
+    /// `from` (`None` = overflow tier).
+    Slot(u32, Option<usize>),
+    /// The head of lane `i`.
+    Lane(usize),
+}
+
 /// A future-event list with deterministic tie-breaking, eager O(log n)
 /// (heap) / O(1) (wheel) cancellation via generation-stamped handles, and
 /// capacity that survives [`EventQueue::reset`] for reuse across runs.
@@ -88,6 +160,10 @@ pub struct EventQueue<E> {
     next_seq: u64,
     now: SimTime,
     core: Core,
+    /// Delay lanes (wheel backend only; always empty on the heap).
+    lanes: [Lane<E>; LANES],
+    /// Bit `i` set iff lane `i` is non-empty.
+    lane_mask: u8,
 }
 
 // The wheel's fixed-size slot index (~6 KiB of inline arrays) dwarfs the
@@ -136,6 +212,11 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             now: SimTime::ZERO,
             core,
+            lanes: std::array::from_fn(|_| Lane {
+                delay: UNKEYED,
+                events: VecDeque::new(),
+            }),
+            lane_mask: 0,
         }
     }
 
@@ -154,12 +235,13 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of live (not-yet-cancelled) scheduled events.
+    /// Number of live (not-yet-cancelled) scheduled events, lane
+    /// residents included.
     #[inline]
     pub fn len(&self) -> usize {
         match &self.core {
             Core::Heap(h) => h.heap.len(),
-            Core::Wheel(w) => w.len(),
+            Core::Wheel(w) => w.len() + self.lanes.iter().map(|l| l.events.len()).sum::<usize>(),
         }
     }
 
@@ -210,6 +292,120 @@ impl<E> EventQueue<E> {
             Core::Wheel(w) => w.insert(&mut self.slots, idx),
         }
         EventId::new(idx, gen)
+    }
+
+    /// Schedule `payload` at absolute time `at` with no handle: the event
+    /// can be neither cancelled nor moved. It pops exactly where
+    /// [`schedule`](Self::schedule) would have put it; on the wheel
+    /// backend it usually rides a delay lane (see the module doc).
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current time (causality violation).
+    #[inline]
+    pub fn push(&mut self, at: SimTime, payload: E) {
+        if let Core::Wheel(w) = &self.core {
+            assert!(
+                at >= self.now,
+                "causality violation: pushing at {at} but now is {now}",
+                at = at,
+                now = self.now
+            );
+            let delay = at.as_ps() - self.now.as_ps();
+            if w.within_level0_span(delay) {
+                if let Some(i) = self.lane_for(delay, at) {
+                    let seq = self.next_seq;
+                    self.next_seq += 1;
+                    self.lanes[i].events.push_back((at, seq, payload));
+                    self.lane_mask |= 1 << i;
+                    return;
+                }
+            }
+        }
+        self.schedule(at, payload);
+    }
+
+    /// The lane an event at `at`, `delay` ps from now, may be appended
+    /// to: the one keyed to `delay`, else an empty one (re-keyed to it) —
+    /// and only if its tail is not later than `at`.
+    #[inline]
+    fn lane_for(&mut self, delay: u64, at: SimTime) -> Option<usize> {
+        let i = match self.lanes.iter().position(|l| l.delay == delay) {
+            Some(i) => i,
+            None => {
+                let i = self.lanes.iter().position(|l| l.events.is_empty())?;
+                self.lanes[i].delay = delay;
+                i
+            }
+        };
+        let tail_ok = self.lanes[i].events.back().is_none_or(|e| e.0 <= at);
+        tail_ok.then_some(i)
+    }
+
+    /// `(time, seq, lane)` of the earliest lane head, if any lane is
+    /// non-empty.
+    #[inline]
+    fn lane_min(&self) -> Option<(SimTime, u64, usize)> {
+        let mut best: Option<(SimTime, u64, usize)> = None;
+        let mut mask = self.lane_mask;
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let &(t, s, _) = self.lanes[i]
+                .events
+                .front()
+                .expect("masked lane is non-empty");
+            if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
+                best = Some((t, s, i));
+            }
+        }
+        best
+    }
+
+    /// The wheel backend's next event: the `(time, seq)` minimum of the
+    /// wheel's `select_min` candidate and the lane heads. With every lane
+    /// empty this is `select_min` alone. The wheel is not searched when it
+    /// is empty or when the earliest lane head is below its floor (a lower
+    /// bound on every resident), the common case while only far timers
+    /// sit in the wheel.
+    #[inline]
+    fn select_next(&mut self) -> Option<Next> {
+        let lane = self.lane_min();
+        let Core::Wheel(w) = &mut self.core else {
+            unreachable!("lanes live on the wheel backend")
+        };
+        let Some((lt, ls, i)) = lane else {
+            let (idx, from) = w.select_min(&mut self.slots)?;
+            return Some(Next::Slot(idx, from));
+        };
+        if (lt, ls) < w.floor() || w.len() == 0 {
+            return Some(Next::Lane(i));
+        }
+        let Some((idx, from)) = w.select_min(&mut self.slots) else {
+            return Some(Next::Lane(i));
+        };
+        let s = &self.slots[idx as usize];
+        w.raise_floor((s.time, s.seq));
+        Some(if (s.time, s.seq) < (lt, ls) {
+            Next::Slot(idx, from)
+        } else {
+            Next::Lane(i)
+        })
+    }
+
+    /// Pop the head of lane `i`, the global minimum: advance `now` and
+    /// the wheel cursor to it.
+    #[inline]
+    fn pop_lane(&mut self, i: usize) -> (SimTime, u64, E) {
+        let lane = &mut self.lanes[i].events;
+        let head = lane.pop_front().expect("masked lane is non-empty");
+        if lane.is_empty() {
+            self.lane_mask &= !(1 << i);
+        }
+        if let Core::Wheel(w) = &mut self.core {
+            w.advance_cursor(head.0);
+        }
+        self.now = head.0;
+        head
     }
 
     /// Move a still-pending event to a new timestamp in place.
@@ -293,7 +489,14 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         match &self.core {
             Core::Heap(h) => h.heap.first().map(|&i| self.slots[i as usize].time),
-            Core::Wheel(w) => w.find_min(&self.slots).map(|i| self.slots[i as usize].time),
+            Core::Wheel(w) => {
+                let wheel = w.find_min(&self.slots).map(|i| {
+                    let s = &self.slots[i as usize];
+                    (s.time, s.seq)
+                });
+                let lane = self.lane_min().map(|(t, s, _)| (t, s));
+                wheel.into_iter().chain(lane).min().map(|(t, _)| t)
+            }
         }
     }
 
@@ -305,7 +508,18 @@ impl<E> EventQueue<E> {
                 h.remove_at(&mut self.slots, 0);
                 root
             }
-            Core::Wheel(w) => w.pop_min(&mut self.slots)?,
+            Core::Wheel(_) => match self.select_next()? {
+                Next::Lane(i) => {
+                    let (time, _, payload) = self.pop_lane(i);
+                    return Some((time, payload));
+                }
+                Next::Slot(idx, from) => {
+                    if let Core::Wheel(w) = &mut self.core {
+                        w.pop_selected(&mut self.slots, idx, from);
+                    }
+                    idx
+                }
+            },
         };
         Some(self.take(idx))
     }
@@ -327,7 +541,24 @@ impl<E> EventQueue<E> {
                 h.remove_at(&mut self.slots, 0);
                 root
             }
-            Core::Wheel(w) => w.pop_min_before(&mut self.slots, limit)?,
+            Core::Wheel(_) => match self.select_next()? {
+                Next::Lane(i) => {
+                    if self.lanes[i].events.front().is_some_and(|e| e.0 > limit) {
+                        return None;
+                    }
+                    let (time, seq, payload) = self.pop_lane(i);
+                    return Some(((time, seq), payload));
+                }
+                Next::Slot(idx, from) => {
+                    if self.slots[idx as usize].time > limit {
+                        return None;
+                    }
+                    if let Core::Wheel(w) = &mut self.core {
+                        w.detach(&mut self.slots, idx, from);
+                    }
+                    idx
+                }
+            },
         };
         let seq = self.slots[idx as usize].seq;
         let (time, payload) = self.take(idx);
@@ -360,19 +591,27 @@ impl<E> EventQueue<E> {
             Core::Heap(h) => h.heap.clear(),
             Core::Wheel(w) => w.clear_index(),
         }
+        for lane in &mut self.lanes {
+            lane.events.clear();
+        }
+        self.lane_mask = 0;
     }
 
     /// Rewind to a fresh queue at t = 0 while keeping every allocation:
-    /// the slot arena, free list, heap and wheel storage all retain their
-    /// capacity, so a run replayed on a reset queue performs no new slot
-    /// allocations. Outstanding handles stay stale (generations are not
-    /// rewound).
+    /// the slot arena, free list, heap, wheel storage and delay lanes all
+    /// retain their capacity, so a run replayed on a reset queue performs
+    /// no new slot or lane allocations. The lanes are un-keyed, so the
+    /// replay assigns them exactly as a fresh queue would. Outstanding
+    /// handles stay stale (generations are not rewound).
     pub fn reset(&mut self) {
         self.clear();
         self.now = SimTime::ZERO;
         self.next_seq = 0;
         if let Core::Wheel(w) = &mut self.core {
             w.reset_cursor();
+        }
+        for lane in &mut self.lanes {
+            lane.delay = UNKEYED;
         }
     }
 
@@ -382,6 +621,15 @@ impl<E> EventQueue<E> {
     #[doc(hidden)]
     pub fn arena_len(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Entries the delay lanes can hold without reallocating, summed over
+    /// the lanes (0 on the heap backend). A reused queue whose lanes
+    /// never outgrow it pushes with zero new lane allocations; tests
+    /// assert on this.
+    #[doc(hidden)]
+    pub fn lane_capacity(&self) -> usize {
+        self.lanes.iter().map(|l| l.events.capacity()).sum()
     }
 
     /// Events currently parked in the wheel's overflow tier (0 on the
@@ -403,56 +651,62 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Sequence number the next [`schedule`](Self::schedule) will use.
+    /// Sequence number the next [`schedule`](Self::schedule) or
+    /// [`push`](Self::push) will use.
     /// Captured by checkpoints so a restored queue keeps numbering where
     /// the original left off.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
-    /// Snapshot every live event as `(time, seq, payload)`, sorted by
-    /// `(time, seq)` — i.e. in pop order. Slot indices and free-list
-    /// layout are deliberately *not* captured: pop order is a pure
-    /// function of `(time, seq)`, so a queue rebuilt from this snapshot
-    /// via [`restore_state`](Self::restore_state) is observationally
-    /// identical even though its arena layout differs.
+    /// Snapshot every live event — slot and lane residents alike — as
+    /// `(time, seq, payload)`, sorted by `(time, seq)`, i.e. in pop order.
+    /// Slot indices, free-list layout and lane membership are
+    /// deliberately *not* captured: pop order is a pure function of
+    /// `(time, seq)`, so a queue rebuilt from this snapshot via
+    /// [`restore_state`](Self::restore_state) is observationally
+    /// identical even though its layout differs.
     pub fn live_entries(&self) -> Vec<(SimTime, u64, E)>
     where
         E: Clone,
     {
-        let mut out: Vec<(SimTime, u64, E)> = self
-            .slots
-            .iter()
-            .filter(|s| s.pos != NO_POS)
-            .map(|s| {
-                (
-                    s.time,
-                    s.seq,
-                    s.payload.clone().expect("live entry has payload"),
-                )
-            })
-            .collect();
+        let slots = self.slots.iter().filter(|s| s.pos != NO_POS).map(|s| {
+            (
+                s.time,
+                s.seq,
+                s.payload.clone().expect("live entry has payload"),
+            )
+        });
+        let lanes = self.lanes.iter().flat_map(|l| l.events.iter().cloned());
+        let mut out: Vec<(SimTime, u64, E)> = slots.chain(lanes).collect();
         out.sort_by_key(|&(t, seq, _)| (t, seq));
         out
     }
 
-    /// Visit every live entry as `(handle, time, payload)`, in arena
-    /// order. Checkpoint restore uses this to rebuild side tables that
-    /// key on event handles (which do not survive serialization —
-    /// [`restore_state`](Self::restore_state) assigns fresh slots).
-    pub fn for_each_live(&self, mut f: impl FnMut(EventId, SimTime, &E)) {
+    /// Visit every live entry as `(handle, time, payload)`: slot
+    /// residents in arena order with `Some(handle)`, then lane residents
+    /// with `None` (they have no handle). Checkpoint restore uses this to
+    /// rebuild side tables that key on event handles (which do not
+    /// survive serialization — [`restore_state`](Self::restore_state)
+    /// assigns fresh slots); anything that must see every pending event
+    /// must not skip the `None`s.
+    pub fn for_each_live(&self, mut f: impl FnMut(Option<EventId>, SimTime, &E)) {
         for (i, s) in self.slots.iter().enumerate() {
             if s.pos != NO_POS {
                 let p = s.payload.as_ref().expect("live entry has payload");
-                f(EventId::new(i as u32, s.gen), s.time, p);
+                f(Some(EventId::new(i as u32, s.gen)), s.time, p);
             }
+        }
+        for (t, _, p) in self.lanes.iter().flat_map(|l| &l.events) {
+            f(None, *t, p);
         }
     }
 
     /// Rebuild this queue from a [`live_entries`](Self::live_entries)
     /// snapshot: clear everything, park the clock (and wheel cursor) at
-    /// `now`, re-insert every entry with its original sequence number,
-    /// and continue numbering from `next_seq`. Outstanding [`EventId`]
+    /// `now`, re-insert every entry into an arena slot (never a lane) with
+    /// its original sequence number, and continue numbering from
+    /// `next_seq`. Outstanding [`EventId`]
     /// handles from before the restore are stale, exactly as after
     /// [`reset`](Self::reset).
     ///
@@ -1137,6 +1391,109 @@ mod tests {
             let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
             assert_eq!(order, [2, 1]);
         });
+    }
+
+    /// The `for_each_live` / `live_entries` contract with delay-lane
+    /// residents: `for_each_live` visits every live entry once, lane
+    /// residents with no handle and slot residents with theirs, and
+    /// `live_entries` comes out in pop order and equal to the heap
+    /// backend's for the same operations.
+    #[test]
+    fn live_visitors_see_lane_residents() {
+        let ops = |q: &mut EventQueue<u64>| -> Vec<EventId> {
+            let mut ids = Vec::new();
+            for i in 0..30u64 {
+                let now = q.now();
+                // Three short delays (lanes), then a handle and a delay
+                // beyond one level-0 rotation at the fabric tick (slots).
+                q.push(
+                    now + SimDuration::from_ns([1_000, 200, 13][i as usize % 3]),
+                    i,
+                );
+                if i % 5 == 0 {
+                    ids.push(q.schedule(now + SimDuration::from_ns(90), 100 + i));
+                    q.push(now + SimDuration::from_us(50), 200 + i);
+                }
+                if i % 4 == 3 {
+                    q.pop();
+                }
+            }
+            ids
+        };
+        let mut wheel = EventQueue::with_backend_and_tick_shift(Backend::Wheel, 15);
+        let mut heap = EventQueue::with_backend(Backend::Heap);
+        let ids = ops(&mut wheel);
+        let heap_ids = ops(&mut heap);
+
+        let (mut handles, mut lane) = (Vec::new(), 0);
+        wheel.for_each_live(|id, _, _| match id {
+            Some(id) => handles.push(id),
+            None => lane += 1,
+        });
+        assert_eq!(
+            handles.len() + lane,
+            wheel.len(),
+            "every live entry is visited once"
+        );
+        assert!(lane > 0 && !handles.is_empty(), "both kinds are resident");
+        let lanes_hold: usize = wheel.lanes.iter().map(|l| l.events.len()).sum();
+        assert_eq!(lane, lanes_hold, "lane residents come without a handle");
+        for (id, heap_id) in ids.iter().zip(&heap_ids) {
+            let live = handles.contains(id);
+            assert_eq!(wheel.cancel(*id), live, "visited handles are the live ones");
+            assert_eq!(heap.cancel(*heap_id), live);
+        }
+
+        let mut heap_handles = 0;
+        heap.for_each_live(|id, _, _| heap_handles += usize::from(id.is_some()));
+        assert_eq!(heap_handles, heap.len(), "the heap has no lanes");
+        let snapshot = wheel.live_entries();
+        assert!(snapshot
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        assert_eq!(snapshot, heap.live_entries());
+    }
+
+    /// A lane winner moves the wheel cursor like a wheel winner does. A
+    /// lane-only stretch longer than the wheel's whole horizon (2^24 ticks
+    /// — about 1.07 ms at the finest tick) must leave a near `schedule` in
+    /// the wheels: with a cursor still at t = 0 it would land in the
+    /// overflow tier.
+    #[test]
+    fn lane_pops_advance_the_wheel_cursor() {
+        let mut q: EventQueue<u64> = EventQueue::with_backend_and_tick_shift(Backend::Wheel, 6);
+        let step = SimDuration::from_ns(10);
+        q.push(SimTime::ZERO + step, 0);
+        while q.now() < SimTime::from_us(1_100) {
+            let (t, v) = q.pop().expect("the stream never runs dry");
+            q.push(t + step, v + 1);
+        }
+        let near = q.now() + SimDuration::from_ns(3);
+        q.schedule(near, u64::MAX);
+        assert_eq!(q.overflow_len(), 0, "a near event parked in overflow");
+        assert_eq!(q.pop().map(|(t, _)| t), Some(near));
+    }
+
+    /// The tail check: an event is appended to a lane only if the lane's
+    /// tail is not later than it; otherwise it takes the slot path. Equal
+    /// delays under a monotone clock never trip it, so the lane is rigged
+    /// here.
+    #[test]
+    fn push_behind_a_lane_tail_takes_the_slot_path() {
+        let mut q: EventQueue<&str> = EventQueue::with_backend_and_tick_shift(Backend::Wheel, 15);
+        let d = SimDuration::from_ns(100);
+        q.lanes[0].delay = d.as_ps();
+        q.lanes[0]
+            .events
+            .push_back((SimTime::from_ns(500), 0, "rigged tail"));
+        q.lane_mask = 1;
+        q.next_seq = 1;
+        q.push(SimTime::ZERO + d, "behind it");
+        let mut handles = Vec::new();
+        q.for_each_live(|id, _, &v| handles.push((v, id.is_some())));
+        assert!(handles.contains(&("behind it", true)), "{handles:?}");
+        assert_eq!(q.pop(), Some((SimTime::from_ns(100), "behind it")));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(500), "rigged tail")));
     }
 
     /// An entry earlier than the restored `now` is a corrupt snapshot and

@@ -54,6 +54,22 @@
 //! order is bit-identical to the reference heap — a property test in
 //! `tests/proptest_core.rs` replays random interleavings against the heap
 //! as the executable model, at the default tick and at the fabric's.
+//!
+//! ## Delay lanes beside the wheel
+//!
+//! [`EventQueue::push`](crate::event::EventQueue::push) keeps most of a
+//! fabric's events out of the wheel altogether, in per-delay FIFOs (see
+//! the `event` module doc); what is left here are handle-carrying pause
+//! timers, far timers and pushes no lane could take. A lane serves only a
+//! delay below one level-0 rotation, `2^(tick_shift + 8)` ps
+//! (`within_level0_span`), so the lanes never hold a far timer. Each pop
+//! compares the lane heads with `select_min`'s winner, and a lane winner
+//! moves the cursor with `advance_cursor` as a wheel winner does: it was
+//! the global minimum, so every resident is still at or after the cursor
+//! and the placement argument above is untouched. `floor` is a lower
+//! bound on every resident's `(time, seq)`: a pop whose lane head is below
+//! it skips `select_min`, which is most pops while only far timers sit in
+//! the wheel.
 
 use crate::event::{Slot, NO_POS};
 use crate::time::{SimDuration, SimTime};
@@ -125,6 +141,13 @@ pub(crate) struct WheelState {
     /// Far-future events as a 4-ary min-heap of arena indices ordered by
     /// `(time, seq)`.
     overflow: Vec<u32>,
+    /// A lower bound on every resident's `(time, seq)`, wheels and
+    /// overflow alike: lowered by each insert, raised to the exact
+    /// minimum whenever a pop with a delay lane in play searched the
+    /// wheel, left alone by removals and by other pops (a stale floor is
+    /// only lower). A pop whose delay-lane head is below it needs no
+    /// `select_min` at all.
+    floor: (SimTime, u64),
 }
 
 impl WheelState {
@@ -140,6 +163,7 @@ impl WheelState {
             wheel_len: 0,
             hi_len: 0,
             overflow: Vec::new(),
+            floor: (SimTime::ZERO, 0),
         }
     }
 
@@ -177,7 +201,11 @@ impl WheelState {
     /// Insert arena slot `idx` (time/seq already set by the caller).
     #[inline]
     pub(crate) fn insert<E>(&mut self, slots: &mut [Slot<E>], idx: u32) {
-        let tick = self.tick_of(slots[idx as usize].time);
+        let s = &slots[idx as usize];
+        if (s.time, s.seq) < self.floor {
+            self.floor = (s.time, s.seq);
+        }
+        let tick = self.tick_of(s.time);
         debug_assert!(tick >= self.cur, "wheel insert behind cursor");
         match Self::place(tick, self.cur) {
             Some((level, slot)) => self.push_bucket(slots, idx, level, slot),
@@ -456,8 +484,9 @@ impl WheelState {
     /// and the bucket it was found in (`None` = overflow tier). Mutates
     /// only by cascading and by sorting a dirty level-0 slot, neither of
     /// which changes the pop order — so a pop abandoned after
-    /// `select_min` (see `pop_min_before`) is harmless.
-    fn select_min<E>(&mut self, slots: &mut [Slot<E>]) -> Option<(u32, Option<usize>)> {
+    /// `select_min` (a winner beyond the limit of a bounded pop, or a
+    /// delay-lane head that beats it) is harmless.
+    pub(crate) fn select_min<E>(&mut self, slots: &mut [Slot<E>]) -> Option<(u32, Option<usize>)> {
         // 1. Cursor slots at levels >= 1 hold events whose true level has
         //    decayed; flush them down (high to low, so a level-2 flush
         //    can land in the level-1 cursor slot and still be flushed).
@@ -513,11 +542,28 @@ impl WheelState {
         best.map(|idx| (idx, from_bucket))
     }
 
-    /// Pop the `(time, seq)` minimum: cascade stale cursor slots, pick
-    /// the winner among wheels and overflow, advance the cursor to its
-    /// tick, and migrate newly-in-horizon overflow events down.
-    pub(crate) fn pop_min<E>(&mut self, slots: &mut [Slot<E>]) -> Option<u32> {
-        let (idx, from_bucket) = self.select_min(slots)?;
+    /// A lower bound on the `(time, seq)` of every resident.
+    #[inline]
+    pub(crate) fn floor(&self) -> (SimTime, u64) {
+        self.floor
+    }
+
+    /// Raise `floor` to `key`, the key of the winner `select_min` just
+    /// returned: the exact minimum, so still a lower bound.
+    #[inline]
+    pub(crate) fn raise_floor(&mut self, key: (SimTime, u64)) {
+        self.floor = key;
+    }
+
+    /// Pop `select_min`'s winner `idx` (found in `from_bucket`): advance
+    /// the cursor to its tick, detach it, and migrate newly-in-horizon
+    /// overflow events down.
+    pub(crate) fn pop_selected<E>(
+        &mut self,
+        slots: &mut [Slot<E>],
+        idx: u32,
+        from_bucket: Option<usize>,
+    ) {
         self.detach(slots, idx, from_bucket);
         match from_bucket {
             // Migrate the newly-reachable prefix of the overflow tier
@@ -541,40 +587,24 @@ impl WheelState {
                 }
             }
         }
-        Some(idx)
-    }
-
-    /// `pop_min`, but only if the winner's time is `<= limit` — the
-    /// peek-and-pop of a horizon-bounded run loop as one search. A
-    /// beyond-limit winner stays resident (cascading done on the way is
-    /// order-neutral) and `None` is returned. This is the simulator's
-    /// per-event path, so it skips `pop_min`'s cursor-dependent cleanup
-    /// (overflow migration, survivor cascade): both are pure placement
-    /// maintenance that never affects pop order — the overflow root is
-    /// compared on every pop, and survivors now sit in a cursor slot,
-    /// which the next `select_min` cascades.
-    #[inline]
-    pub(crate) fn pop_min_before<E>(
-        &mut self,
-        slots: &mut [Slot<E>],
-        limit: SimTime,
-    ) -> Option<u32> {
-        let (idx, from_bucket) = self.select_min(slots)?;
-        if slots[idx as usize].time > limit {
-            return None;
-        }
-        self.detach(slots, idx, from_bucket);
-        Some(idx)
     }
 
     /// Step 4 of a pop: advance the cursor to winner `idx`'s tick —
     /// everything live is at or after it — and detach it from
-    /// `from_bucket` (`None` = overflow tier).
+    /// `from_bucket` (`None` = overflow tier). A bounded pop (the
+    /// simulator's per-event path) stops here and skips `pop_selected`'s
+    /// cleanup (overflow migration, survivor cascade): both are pure
+    /// placement maintenance that never affects pop order — the overflow
+    /// root is compared on every pop, and survivors now sit in a cursor
+    /// slot, which the next `select_min` cascades.
     #[inline]
-    fn detach<E>(&mut self, slots: &mut [Slot<E>], idx: u32, from_bucket: Option<usize>) {
-        let tick = self.tick_of(slots[idx as usize].time);
-        debug_assert!(tick >= self.cur, "pop moved the cursor backwards");
-        self.cur = tick;
+    pub(crate) fn detach<E>(
+        &mut self,
+        slots: &mut [Slot<E>],
+        idx: u32,
+        from_bucket: Option<usize>,
+    ) {
+        self.advance_cursor(slots[idx as usize].time);
         match from_bucket {
             None => {
                 let pos = slots[idx as usize].pos;
@@ -583,6 +613,23 @@ impl WheelState {
             }
             Some(_) => self.unlink(slots, idx),
         }
+    }
+
+    /// Move the cursor to the tick of `t`, the time of an event that just
+    /// popped as the global `(time, seq)` minimum — from the wheel, or
+    /// from a delay lane beside it. Every resident is at or after it.
+    #[inline]
+    pub(crate) fn advance_cursor(&mut self, t: SimTime) {
+        let tick = self.tick_of(t);
+        debug_assert!(tick >= self.cur, "pop moved the cursor backwards");
+        self.cur = tick;
+    }
+
+    /// Whether a delay `at − now` of `delay_ps` falls within one level-0
+    /// rotation (`2^(tick_shift + 8)` ps): the delays a lane may serve.
+    #[inline]
+    pub(crate) fn within_level0_span(&self, delay_ps: u64) -> bool {
+        delay_ps >> (self.tick_shift + SLOT_BITS) == 0
     }
 
     /// Forget every resident without touching the arena (the queue
@@ -595,6 +642,7 @@ impl WheelState {
         self.wheel_len = 0;
         self.hi_len = 0;
         self.overflow.clear();
+        self.floor = (SimTime::ZERO, 0);
     }
 
     /// Rewind the cursor to t = 0 (after `clear_index`, for arena reuse).

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use pfcsim_simcore::event::{Backend, EventId, EventQueue};
+use std::collections::BTreeSet;
+
+use pfcsim_simcore::event::{Backend, EventId, EventQueue, LANES};
 use pfcsim_simcore::series::{Histogram, IntervalLog, TimeSeries};
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::{BitRate, Bytes};
@@ -222,27 +224,42 @@ proptest! {
     /// live counts. Time deltas span sub-tick spacing, every wheel level
     /// and the overflow horizon (2^34 ps at the default tick), so slot
     /// collisions, cascades and overflow migration are all exercised.
-    /// One op in twelve is the simulator's step: a limit-bounded pop
+    /// One op in eighteen is the simulator's step: a limit-bounded pop
     /// (which skips the plain pop's placement maintenance) followed by a
     /// schedule at the just-popped timestamp — an insert exactly at the
     /// cursor; the final drain is bounded too, so every run that parked
     /// events beyond the horizon pops a winner out of the overflow tier
-    /// through the bounded path. Two in twelve reschedule a live handle
+    /// through the bounded path. Two in eighteen reschedule a live handle
     /// (the pause-timer move). Each case runs twice: at the default tick
     /// and at the fabric's (`tick_shift_for_quantum` of a 1 000 B frame
     /// at 40 Gbps = 15), where dozens of events share a level-0 slot out
     /// of order — dirty marking, the lazy sort, cancel and reschedule out
     /// of a dirty slot, and `peek_time`'s scan of one.
+    ///
+    /// Five ops in eighteen `push` a handle-free event, which on the wheel
+    /// rides a delay lane when it can (on the heap it is `schedule` with
+    /// the handle dropped). Their deltas hit every lane rule: 0, sub-tick,
+    /// six distinct delays below one level-0 rotation (more than `LANES`,
+    /// so pushes fall back to the slot path while every lane is busy, and
+    /// a drained lane is re-keyed), 1 ps inside the rotation, exactly
+    /// its boundary, and beyond it; the bounded-pop step pushes at the
+    /// cursor half the time. One op in eighteen snapshots both queues
+    /// mid-sequence, checks the snapshots agree, and restores each from
+    /// its own (lane residents come back in arena slots).
     #[test]
     fn wheel_matches_heap_model(
-        ops in prop::collection::vec((0u64..12, 0u64..64, 0u32..37), 0..400),
+        ops in prop::collection::vec((0u64..18, 0u64..64, 0u32..37), 0..400),
     ) {
         for tick_shift in [DEFAULT_TICK_SHIFT, 15] {
             let mut wheel = EventQueue::with_backend_and_tick_shift(Backend::Wheel, tick_shift);
             let mut heap = EventQueue::with_backend(Backend::Heap);
+            // One level-0 rotation: the longest delay a lane serves is one
+            // picosecond short of it.
+            let span = 1u64 << (tick_shift + 8);
             // Parallel handle vectors; indices stay aligned because both
             // queues see the identical operation sequence.
             let mut live: Vec<(EventId, EventId)> = Vec::new();
+            let mut lanes = LaneModel::new(span);
             let mut tag = 0u64;
             for &(op, mantissa, shift) in &ops {
                 // Delta = mantissa << shift: dense at small scales, sparse
@@ -267,18 +284,28 @@ proptest! {
                         let got = wheel.pop();
                         let want = heap.pop();
                         prop_assert_eq!(got, want);
+                        if let Some((_, popped)) = got {
+                            lanes.popped(popped);
+                        }
                     }
                     9 => {
                         let got = wheel.pop_before(at);
                         let want = heap.pop_before(at);
                         prop_assert_eq!(got, want);
                         prop_assert_eq!(wheel.now(), heap.now());
-                        if let Some(((at, _), _)) = got {
-                            live.push((wheel.schedule(at, tag), heap.schedule(at, tag)));
+                        if let Some(((at, _), popped)) = got {
+                            lanes.popped(popped);
+                            if mantissa % 2 == 0 {
+                                live.push((wheel.schedule(at, tag), heap.schedule(at, tag)));
+                            } else {
+                                wheel.push(at, tag);
+                                heap.push(at, tag);
+                                lanes.push(0, tag);
+                            }
                             tag += 1;
                         }
                     }
-                    _ => {
+                    10..=11 => {
                         if !live.is_empty() {
                             // The handle stays valid either way: a fired or
                             // cancelled one answers `false` on both sides.
@@ -286,10 +313,38 @@ proptest! {
                             prop_assert_eq!(wheel.reschedule(wid, at), heap.reschedule(hid, at));
                         }
                     }
+                    12..=16 => {
+                        let delta = match mantissa % 8 {
+                            0 => 0,
+                            1 => u64::from(shift) % (1 << tick_shift),
+                            2 => span - 1,
+                            3 => span,
+                            4 => span + u64::from(shift),
+                            // Six distinct short delays.
+                            _ => span * (1 + u64::from(shift) % 6) / 7,
+                        };
+                        let at = wheel.now() + SimDuration::from_ps(delta);
+                        wheel.push(at, tag);
+                        heap.push(at, tag);
+                        lanes.push(delta, tag);
+                        tag += 1;
+                    }
+                    _ => {
+                        let (now, next_seq) = (wheel.now(), wheel.next_seq());
+                        prop_assert_eq!((now, next_seq), (heap.now(), heap.next_seq()));
+                        let snapshot = wheel.live_entries();
+                        prop_assert_eq!(&snapshot, &heap.live_entries());
+                        wheel.restore_state(now, next_seq, snapshot.clone());
+                        heap.restore_state(now, next_seq, snapshot);
+                        lanes = LaneModel::new(span);
+                    }
                 }
                 prop_assert_eq!(wheel.len(), heap.len());
                 prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                // Every push went where the lane rules send it.
+                prop_assert_eq!(lane_residents(&wheel), lanes.len());
             }
+            prop_assert_eq!(lane_residents(&heap), 0, "the heap has no lanes");
             // Drain both to the end: identical tails.
             loop {
                 let got = wheel.pop_before(SimTime::MAX);
@@ -315,5 +370,59 @@ proptest! {
         let q50 = h.quantile(0.5);
         let q99 = h.quantile(0.99);
         prop_assert!(q10 <= q50 && q50 <= q99);
+    }
+}
+
+/// Events a queue holds in its delay lanes: the live entries
+/// `for_each_live` reports without a handle.
+fn lane_residents<E>(q: &EventQueue<E>) -> usize {
+    let mut n = 0;
+    q.for_each_live(|id, _, _| n += usize::from(id.is_none()));
+    n
+}
+
+/// The wheel's lane rules, mirrored: which pushes ride a lane. A delay of
+/// at least one level-0 rotation (`span` ps) never does; a shorter one
+/// rides the lane keyed to it, else the first empty lane, re-keyed to it;
+/// with neither, it falls back to an arena slot.
+struct LaneModel {
+    span: u64,
+    /// Per lane: the delay it serves and the tags riding it.
+    lanes: Vec<(Option<u64>, BTreeSet<u64>)>,
+}
+
+impl LaneModel {
+    fn new(span: u64) -> Self {
+        LaneModel {
+            span,
+            lanes: vec![(None, BTreeSet::new()); LANES],
+        }
+    }
+
+    fn push(&mut self, delay: u64, tag: u64) {
+        if delay >= self.span {
+            return;
+        }
+        let lane = match self.lanes.iter().position(|l| l.0 == Some(delay)) {
+            Some(i) => i,
+            None => match self.lanes.iter().position(|l| l.1.is_empty()) {
+                Some(i) => {
+                    self.lanes[i].0 = Some(delay);
+                    i
+                }
+                None => return,
+            },
+        };
+        self.lanes[lane].1.insert(tag);
+    }
+
+    fn popped(&mut self, tag: u64) {
+        for l in &mut self.lanes {
+            l.1.remove(&tag);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lanes.iter().map(|l| l.1.len()).sum()
     }
 }
