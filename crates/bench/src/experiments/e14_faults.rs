@@ -22,7 +22,7 @@ use pfcsim_topo::ids::FlowId;
 
 use super::Opts;
 use crate::scenarios::{
-    paper_config, reconvergence_scenario_in, transient_loop_in, transient_loop_train_in,
+    paper_config, reconvergence_scenario_in, transient_loop_in, transient_loop_train_in, Scenario,
 };
 use crate::sweep::parallel_map_with;
 use crate::table::{fmt, Report, Table};
@@ -37,6 +37,36 @@ fn deadlock_at(r: &RunReport) -> Option<SimTime> {
 
 fn delivered(r: &RunReport) -> u64 {
     r.stats.flows.values().map(|f| f.delivered_packets).sum()
+}
+
+/// Table 2's reconvergence-lag jitter values, µs.
+pub const JITTERS_US: [u64; 5] = [0, 100, 500, 2000, 5000];
+
+/// Table 2's `(jitter µs, flow, seed)` grid: every jitter value over a
+/// flow × seed grid (4 × 3 in full mode, 2 × 2 quick).
+pub fn reconvergence_grid(opts: &Opts) -> Vec<(u64, u32, u64)> {
+    let (flows, seeds) = if opts.quick { (2u32, 2u64) } else { (4, 3) };
+    JITTERS_US
+        .iter()
+        .flat_map(|&j| (0..flows).flat_map(move |f| (0..seeds).map(move |s| (j, f, s))))
+        .collect()
+}
+
+/// Table 2's run at one grid point, ready to run.
+pub fn reconvergence_run(
+    (jitter_us, flow, seed): (u64, u32, u64),
+    arenas: &mut SimArenas,
+) -> Scenario {
+    let mut cfg = paper_config();
+    cfg.seed = seed;
+    cfg.stop_on_deadlock = false;
+    reconvergence_scenario_in(
+        cfg,
+        flow,
+        BitRate::from_gbps(30),
+        SimDuration::from_us(jitter_us),
+        arenas,
+    )
 }
 
 /// Run E14.
@@ -116,35 +146,22 @@ pub fn run(opts: &Opts) -> Report {
     // (flow id) and on which switch lags behind (seed), so each jitter
     // value is tried over a flow × seed grid.
     let horizon2 = opts.horizon_ms(30);
-    let (flows, seeds) = if opts.quick { (2u32, 2u64) } else { (4, 3) };
-    let trials = (flows * seeds as u32) as usize;
+    let grid = reconvergence_grid(opts);
+    let trials = grid.len() / JITTERS_US.len();
     let mut t = Table::new(
         "link failure + laggy reconvergence: deadlock probability (square, 30 Gbps)",
         &["jitter", "deadlocks", "trials", "probability"],
     );
     // The full (jitter, flow, seed) grid is one flat fan-out; wedge
-    // counts are tallied per jitter value from the ordered results.
-    let jitters = [0u64, 100, 500, 2000, 5000];
-    let grid: Vec<(u64, u32, u64)> = jitters
-        .iter()
-        .flat_map(|&j| (0..flows).flat_map(move |f| (0..seeds).map(move |s| (j, f, s))))
-        .collect();
-    let grid_wedged =
-        parallel_map_with(&grid, SimArenas::new, |arenas, &(jitter_us, flow, seed)| {
-            let mut cfg = paper_config();
-            cfg.seed = seed;
-            cfg.stop_on_deadlock = false;
-            let sc = reconvergence_scenario_in(
-                cfg,
-                flow,
-                BitRate::from_gbps(30),
-                SimDuration::from_us(jitter_us),
-                arenas,
-            );
-            sc.run_in(horizon2, arenas).verdict.is_deadlock()
-        });
+    // counts are tallied per jitter value from the ordered results. Only
+    // the verdict is read, so each run stops once it is settled.
+    let grid_wedged = parallel_map_with(&grid, SimArenas::new, |arenas, &point| {
+        reconvergence_run(point, arenas)
+            .verdict_in(horizon2, arenas)
+            .is_deadlock()
+    });
     let mut wedged_at_max_jitter = 0usize;
-    for &jitter_us in &jitters {
+    for &jitter_us in &JITTERS_US {
         let jitter = SimDuration::from_us(jitter_us);
         let wedged = grid
             .iter()

@@ -30,6 +30,14 @@ impl Scenario {
         self.sim.recycle(arenas);
         report
     }
+
+    /// [`Scenario::run_in`] for a caller that reads only the verdict: the
+    /// run stops once its verdict is settled (`NetSim::run_to_verdict`).
+    pub fn verdict_in(mut self, horizon: SimTime, arenas: &mut SimArenas) -> Verdict {
+        let verdict = self.sim.run_to_verdict(horizon);
+        self.sim.recycle(arenas);
+        verdict
+    }
 }
 
 /// The canonical configuration described in the module docs.

@@ -39,21 +39,21 @@ use pfcsim_simcore::rng::SimRng;
 use pfcsim_simcore::snap;
 use pfcsim_simcore::time::SimTime;
 use pfcsim_simcore::units::Bytes;
-use pfcsim_topo::graph::Topology;
-use pfcsim_topo::ids::NodeId;
+use pfcsim_topo::graph::{NodeKind, Topology};
+use pfcsim_topo::ids::{FlowId, NodeId, PortNo, Priority};
 use pfcsim_topo::routing::ForwardingTables;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::config::{PfcConfig, SimConfig};
 use crate::dcqcn::DcqcnConfig;
-use crate::faults::FaultKind;
+use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::flow::FlowSpec;
 use crate::host::{FlowRt, Host};
 use crate::packet::{Frame, Packet};
 use crate::sim::{Ev, NetSim, RebootState, RouteUpdate};
 use crate::stats::{FlowStats, IngressKey, NetStats, PauseKey};
-use crate::switch::{Switch, TxPause};
+use crate::switch::{InFlight, Switch, TxPause};
 use crate::telemetry::TelemetrySnapshot;
 use crate::timely::TimelyConfig;
 
@@ -265,8 +265,9 @@ impl Checkpoint {
         snap::frame_digest(self.config_digest(), self)
     }
 
-    /// Decode a frame, validating magic, checksum, and the header/payload
-    /// config-digest agreement.
+    /// Decode a frame, validating magic, checksum, the header/payload
+    /// config-digest agreement, and that the state it carries is one a
+    /// run can reach (`check_state`).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let (header_digest, value) = snap::decode_frame(bytes)?;
         let ckpt: Checkpoint = serde::Deserialize::from_value(&value)
@@ -281,6 +282,7 @@ impl Checkpoint {
                 live: embedded,
             });
         }
+        ckpt.check_state()?;
         Ok(ckpt)
     }
 
@@ -312,6 +314,217 @@ impl Checkpoint {
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, CheckpointError> {
         let bytes = std::fs::read(path)?;
         Self::from_bytes(&bytes)
+    }
+}
+
+impl Checkpoint {
+    /// Reject a checksum-valid frame whose parts contradict each other
+    /// before [`NetSim::resume`] can build a simulator from it: every id an
+    /// event, packet, flow, route or reboot names exists in the embedded
+    /// topology, and every switch is a state its datapath can produce
+    /// (`Switch::check`). The checksum is FNV, not a MAC, so a frame can
+    /// pass it and still carry any of these; without this they panic the
+    /// run at some later event. The error names the offending part.
+    pub(crate) fn check_state(&self) -> Result<(), CheckpointError> {
+        let bad = |why: String| Err(CheckpointError::Decode(why));
+        let topo = &self.topo;
+        if let Err(why) = topo.validate() {
+            return bad(format!("topology: {why}"));
+        }
+        self.cfg
+            .validate()
+            .map_err(|e| CheckpointError::Decode(format!("config: {e}")))?;
+        let n = topo.node_count();
+        let is =
+            |node: NodeId, kind: NodeKind| (node.0 as usize) < n && topo.node(node).kind == kind;
+        let port_ok = |node: NodeId, port: PortNo| {
+            (node.0 as usize) < n && (port.0 as usize) < topo.ports(node).len()
+        };
+        let flow_ok = |f: FlowId| {
+            self.fmap
+                .get(f.0 as usize)
+                .is_some_and(|&i| (i as usize) < self.flows.len())
+        };
+        let route_ok = |node: NodeId, dst: NodeId, ports: &[PortNo]| {
+            is(node, NodeKind::Switch)
+                && (dst.0 as usize) < n
+                && ports.iter().all(|&p| port_ok(node, p))
+        };
+        if self.switches.len() != n
+            || self.hosts.len() != n
+            || self.host_in_flight.len() != n
+            || self.switch_pfc.len() != n
+            || self.pfc_loss.len() != n
+            || self.pfc_delay.len() != n
+        {
+            return bad("per-node tables disagree with the topology".into());
+        }
+
+        for (at, _, ev) in &self.queue.entries {
+            let ok = match *ev {
+                Ev::Arrive { node, port, frame } => {
+                    port_ok(node, port) && (frame as usize) < self.frames.len()
+                }
+                Ev::TxDone { node, port } | Ev::ShaperRelease { node, port } => {
+                    is(node, NodeKind::Switch) && port_ok(node, port)
+                }
+                Ev::PauseRefresh { node, port, prio } | Ev::PauseExpire { node, port, prio } => {
+                    port_ok(node, port) && (prio as usize) < Priority::COUNT
+                }
+                Ev::HostTxDone { host } | Ev::HostWake { host } => is(host, NodeKind::Host),
+                Ev::FlowTick { flow }
+                | Ev::OnOffToggle { flow }
+                | Ev::FlowStart { flow }
+                | Ev::FlowStop { flow }
+                | Ev::Cnp { flow }
+                | Ev::RttSample { flow, .. }
+                | Ev::DcqcnAlpha { flow }
+                | Ev::DcqcnRate { flow } => flow_ok(flow),
+                Ev::RouteUpdate { idx } => idx < self.route_updates.len(),
+                Ev::Fault { idx } => idx < self.fault_events.len(),
+                Ev::SwitchRestore { node } => is(node, NodeKind::Switch),
+                Ev::RecoveryScan => self.cfg.recovery.is_some(),
+                Ev::TelemetrySample => self.telemetry.is_some(),
+                Ev::Sample | Ev::DeadlockScan => true,
+            };
+            if !ok {
+                return bad(format!(
+                    "queue.entries: {ev:?} at {at} names nothing that exists"
+                ));
+            }
+        }
+        if self
+            .frame_free
+            .iter()
+            .any(|&f| f as usize >= self.frames.len())
+        {
+            return bad("frame_free: a slot past the frame slab".into());
+        }
+
+        for (i, (sw, host)) in self.switches.iter().zip(&self.hosts).enumerate() {
+            let node = NodeId(i as u32);
+            let kind = topo.node(node).kind;
+            if sw.is_some() != (kind == NodeKind::Switch)
+                || host.is_some() != (kind == NodeKind::Host)
+            {
+                return bad(format!("node {node}: state of the wrong node kind"));
+            }
+            if let Some(sw) = sw {
+                let n_ports = topo.ports(node).len();
+                sw.check(
+                    node,
+                    n_ports,
+                    self.cfg.arbitration,
+                    self.cfg.track_per_flow_occupancy,
+                )
+                .map_err(CheckpointError::Decode)?;
+            }
+            if let Some(h) = host {
+                if h.node != node || !h.rr.iter().all(|&f| flow_ok(f)) {
+                    return bad(format!("host {node}: foreign id or flow"));
+                }
+            }
+            if self.host_in_flight[i].is_some() && kind != NodeKind::Host {
+                return bad(format!("node {node}: a NIC packet on a switch"));
+            }
+        }
+        let pkt_ok = |p: &Packet| {
+            flow_ok(p.flow) && (p.dst.0 as usize) < n && p.priority.index() < Priority::COUNT
+        };
+        let mut packets = (self.switches.iter().flatten())
+            .flat_map(|sw| {
+                let queued = sw.egress.iter().flat_map(|eg| {
+                    let serializing = match &eg.in_flight {
+                        Some(InFlight::Data(qp)) => Some(&qp.pkt),
+                        _ => None,
+                    };
+                    eg.queues
+                        .iter()
+                        .flat_map(|q| q.iter().map(|qp| &qp.pkt))
+                        .chain(serializing)
+                });
+                queued.chain(sw.ingress.iter().flat_map(|ing| ing.shaper_q.iter()))
+            })
+            .chain(self.host_in_flight.iter().flatten())
+            .chain(self.rt.iter().flat_map(|rt| rt.backlog.iter()))
+            .chain(self.frames.iter().filter_map(|f| match f {
+                Frame::Data(p) => Some(p),
+                Frame::Pfc(_) => None,
+            }));
+        if !packets.all(pkt_ok) {
+            return bad("a packet of an unknown flow, destination or class".into());
+        }
+
+        for (i, f) in self.flows.iter().enumerate() {
+            let pinned = self.pinned.get(i);
+            let pins_ok = pinned.is_some_and(|pins| {
+                pins.len() <= n
+                    && (pins.iter().enumerate())
+                        .all(|(node, &p)| p == u16::MAX || port_ok(NodeId(node as u32), PortNo(p)))
+            });
+            if self.fmap.get(f.id.0 as usize) != Some(&(i as u32))
+                || !is(f.src, NodeKind::Host)
+                || !is(f.dst, NodeKind::Host)
+                || f.priority.index() >= Priority::COUNT
+                || !pins_ok
+            {
+                return bad(format!("flow {}: ids or pinned ports out of range", f.id));
+            }
+        }
+        if self.pinned.len() != self.flows.len() {
+            return bad("pinned: not one row per flow".into());
+        }
+        if self
+            .dl_paused
+            .iter()
+            .any(|&c| c as usize >= self.tx_pause.len())
+        {
+            return bad("dl_paused: a channel past the pause table".into());
+        }
+        if !self.tables.is_sized_for(topo) {
+            return bad("tables: not one row per node".into());
+        }
+        let mut routes =
+            (topo.switches()).flat_map(|s| self.tables.entries(s).map(move |(d, p)| (s, d, p)));
+        if !routes.all(|(s, d, p)| route_ok(s, d, p))
+            || !self
+                .route_updates
+                .iter()
+                .all(|u| route_ok(u.node, u.dst, &u.ports))
+        {
+            return bad("a route names a port or node that does not exist".into());
+        }
+        let plan = FaultPlan {
+            events: (self.fault_events.iter())
+                .map(|(at, kind)| FaultEvent {
+                    at: *at,
+                    kind: kind.clone(),
+                })
+                .collect(),
+            pause_headroom: self.pause_headroom,
+        };
+        plan.validate(topo)
+            .map_err(|e| CheckpointError::Decode(format!("fault_events: {e}")))?;
+        for (node, st) in &self.reboots {
+            let links_ok = st.links.iter().all(|l| (l.0 as usize) < topo.link_count());
+            if !links_ok || !st.routes.iter().all(|(d, p)| route_ok(*node, *d, p)) {
+                return bad(format!(
+                    "reboots: {node} names a link or port that does not exist"
+                ));
+            }
+        }
+        let mut keys = self
+            .sample_keys
+            .iter()
+            .chain(self.watch_keys.iter().flatten());
+        if !keys.all(|k| {
+            is(k.node, NodeKind::Switch)
+                && port_ok(k.node, k.port)
+                && k.priority.index() < Priority::COUNT
+        }) {
+            return bad("a sampled queue that does not exist".into());
+        }
+        Ok(())
     }
 }
 

@@ -33,7 +33,9 @@ pub const STOP_AT: SimTime = SimTime::from_ms(3);
 /// The golden run's drain horizon.
 pub const DRAIN_UNTIL: SimTime = SimTime::from_ms(6);
 
-/// FNV-1a over the canonical serialized report.
+/// FNV-1a over the canonical serialized report, with the workspace's
+/// prime 2⁴⁴ + 0x1b3 rather than the published 2⁴⁰ + 0x1b3 (see
+/// `pfcsim_simcore::snap::fnv1a`): [`GOLDEN_DIGEST`] depends on it.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

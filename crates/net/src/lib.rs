@@ -53,6 +53,7 @@ pub mod golden;
 pub mod host;
 pub mod hybrid;
 pub mod packet;
+pub(crate) mod precheck;
 pub mod recovery;
 pub mod report;
 pub mod serve;

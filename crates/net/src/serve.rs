@@ -30,7 +30,8 @@
 //! in, or can enter, the network during the window (the resident's held
 //! bytes included). When that graph is acyclic no schedule can deadlock,
 //! and the answer is `deadlock: false` with no probe
-//! ([`DecidedBy::Static`]).
+//! ([`DecidedBy::Static`]). The check lives in `precheck`, which
+//! [`NetSim::run_to_verdict`] shares for batch runs.
 //!
 //! ## The canonical-state invariant
 //!
@@ -56,8 +57,6 @@
 //! response object per line out. See the README "Serving" section for
 //! the schema; `repro serve` exposes it over stdin or a Unix socket.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use serde_json::Value;
 
 use pfcsim_simcore::error::Error;
@@ -71,10 +70,9 @@ use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
 use crate::faults::FaultPlan;
 use crate::flow::{Demand, FlowSpec, RouteKind};
-use crate::packet::{Frame, Packet};
-use crate::sim::{Ev, NetSim, PortInfo, RunReport, SimBuilder, Verdict};
+use crate::precheck::{window_is_deadlock_free, Bdg};
+use crate::sim::{NetSim, RunReport, SimBuilder, Verdict};
 use crate::stats::PauseKey;
-use crate::switch::InFlight;
 
 /// Protocol identifier carried in every request/response line.
 pub const SERVE_SCHEMA: &str = "pfcsim-serve/1";
@@ -985,7 +983,7 @@ impl Session {
             tables.set(p.node, p.dst, p.ports.clone());
         }
         let (verdict, probe_events, cbd, decided_by) =
-            if window_is_deadlock_free(self.resident.sim(), &tables) {
+            if window_is_deadlock_free(self.resident.sim(), &tables, true) {
                 self.what_if_static += 1;
                 // The flows' own paths are a subgraph of the window's.
                 let cbd = CbdDoc::default();
@@ -1186,208 +1184,6 @@ pub fn static_cbd(
         cbd: true,
         cycle,
         threshold,
-    }
-}
-
-/// A buffer-dependency graph over switch ingress buffers, priorities
-/// merged (any cycle among `(switch, port, priority)` channels projects
-/// onto a cycle here). A vertex is `(switch, upstream neighbour)`, the
-/// buffer that neighbour's traffic fills; an edge `u → v` says bytes in
-/// `u` wait on `v`, labelled with the downstream link rate and the least
-/// TTL feeding it (Eq. 3's inputs).
-#[derive(Default)]
-struct Bdg {
-    ids: BTreeMap<(NodeId, NodeId), usize>,
-    rev: Vec<(NodeId, NodeId)>,
-    edges: BTreeMap<(usize, usize), (BitRate, u8)>,
-}
-
-impl Bdg {
-    fn vertex(&mut self, key: (NodeId, NodeId)) -> usize {
-        let next = self.rev.len();
-        *self.ids.entry(key).or_insert_with(|| {
-            self.rev.push(key);
-            next
-        })
-    }
-
-    /// Traffic that entered switch `b` from `a` and leaves toward switch
-    /// `c`: `b`'s buffer for `a` waits on `c`'s buffer for `b`.
-    fn add(&mut self, a: NodeId, b: NodeId, c: NodeId, rate: BitRate, ttl: u8) {
-        let u = self.vertex((b, a));
-        let v = self.vertex((c, b));
-        self.edges
-            .entry((u, v))
-            .and_modify(|e| {
-                e.0 = e.0.min(rate);
-                e.1 = e.1.min(ttl);
-            })
-            .or_insert((rate, ttl));
-    }
-
-    /// The first cycle an iterative three-colour DFS meets, as vertex ids
-    /// in order: the back edge closes it as a suffix of the explicit stack.
-    fn find_cycle(&self) -> Option<Vec<usize>> {
-        let n = self.rev.len();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(u, v) in self.edges.keys() {
-            adj[u].push(v);
-        }
-        let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
-        for s in 0..n {
-            if color[s] != 0 {
-                continue;
-            }
-            let mut stack: Vec<(usize, usize)> = vec![(s, 0)];
-            color[s] = 1;
-            while let Some(&(v, i)) = stack.last() {
-                if i < adj[v].len() {
-                    stack.last_mut().expect("non-empty").1 += 1;
-                    let w = adj[v][i];
-                    if color[w] == 0 {
-                        color[w] = 1;
-                        stack.push((w, 0));
-                    } else if color[w] == 1 {
-                        let pos = stack
-                            .iter()
-                            .position(|&(x, _)| x == w)
-                            .expect("gray vertex is on the stack");
-                        return Some(stack[pos..].iter().map(|&(x, _)| x).collect());
-                    }
-                } else {
-                    color[v] = 2;
-                    stack.pop();
-                }
-            }
-        }
-        None
-    }
-}
-
-/// The static pre-check behind [`Session::what_if`]: `true` when no
-/// schedule of the coming window can deadlock `sim` routed by `tables`
-/// (the session's tables with the candidate pushes applied, the only
-/// tables any packet is routed with in the window).
-///
-/// It builds the [`Bdg`] of every packet that is in, or can enter, the
-/// network during the window: a dependency for each packet held in a
-/// switch egress queue or serializing out of one, and a walk along
-/// `tables` — by the datapath's own rule, [`NetSim::next_hop`] — of every
-/// data packet from where it is next routed (past that egress, in an
-/// ingress shaper, on a link, on a NIC) and of every flow not yet stopped,
-/// from its source. PFC deadlock needs a cycle there (paper §3):
-/// whatever the detector can confirm, the quiescence-with-bytes rule
-/// included, is a set of paused channels each holding bytes queued toward
-/// another member, and every dependency the window can create is an edge
-/// of this graph. No paused-channel set is needed: a channel stays paused
-/// only while bytes sit behind it, and those bytes are in the graph.
-///
-/// What the graph does not model goes to the probe: flooding on a route
-/// miss; a route update still to fire after now (one pending at exactly
-/// now is a commit `tables` already holds, and it pops before any packet
-/// event); a fault or switch restore still to fire; PFC loss or delay
-/// armed on any switch; and a deadlock the resident already confirmed,
-/// which stays its verdict even after a fault broke the cycle.
-fn window_is_deadlock_free(sim: &NetSim, tables: &ForwardingTables) -> bool {
-    let now = sim.now();
-    if sim.cfg.flood_on_miss
-        || sim.deadlock_state().is_some()
-        || sim.pfc_loss.iter().any(Option::is_some)
-        || sim.pfc_delay.iter().any(Option::is_some)
-    {
-        return false;
-    }
-    let mut walk = Walk {
-        sim,
-        tables,
-        g: Bdg::default(),
-        seen: BTreeSet::new(),
-    };
-    let mut scheduled_change = false;
-    // Every pending event, delay-lane residents (no handle) included: an
-    // `Arrive` on a short link is one, and skipping it would hide its walk.
-    sim.queue.for_each_live(|_, at, ev| match *ev {
-        Ev::RouteUpdate { .. } => scheduled_change |= at > now,
-        Ev::Fault { .. } | Ev::SwitchRestore { .. } => scheduled_change = true,
-        Ev::Arrive { node, port, frame } => {
-            if let Frame::Data(pkt) = sim.frames[frame as usize] {
-                walk.from(node, port, &pkt);
-            }
-        }
-        _ => {}
-    });
-    if scheduled_change {
-        return false;
-    }
-    for sw in sim.switches.iter().flatten() {
-        for (e, eg) in sw.egress.iter().enumerate() {
-            let out = *sim.pinfo(sw.node, PortNo(e as u16));
-            let serializing = match &eg.in_flight {
-                Some(InFlight::Data(qp)) => Some(qp),
-                _ => None,
-            };
-            for qp in eg.queues.iter().flat_map(|q| q.iter()).chain(serializing) {
-                walk.depend(sw.node, qp.ingress, &out, qp.pkt.ttl);
-                walk.from(out.peer, out.peer_port, &qp.pkt);
-            }
-        }
-        for (p, ing) in sw.ingress.iter().enumerate() {
-            for pkt in &ing.shaper_q {
-                walk.from(sw.node, PortNo(p as u16), pkt);
-            }
-        }
-    }
-    for (h, pkt) in sim.host_in_flight.iter().enumerate() {
-        if let Some(pkt) = pkt {
-            let nic = *sim.pinfo(NodeId(h as u32), PortNo(0));
-            walk.from(nic.peer, nic.peer_port, pkt);
-        }
-    }
-    for f in sim.flows.iter().filter(|f| f.stop.is_none_or(|s| s > now)) {
-        let nic = *sim.pinfo(f.src, PortNo(0));
-        walk.route(nic.peer, nic.peer_port, f.id, f.dst, f.ttl);
-    }
-    walk.g.find_cycle().is_none()
-}
-
-/// Packets followed along the window's tables into a [`Bdg`].
-struct Walk<'a> {
-    sim: &'a NetSim,
-    tables: &'a ForwardingTables,
-    g: Bdg,
-    /// `(switch, ingress, flow, dst)` already followed: the rest of the
-    /// walk is a function of it.
-    seen: BTreeSet<(NodeId, PortNo, FlowId, NodeId)>,
-}
-
-impl Walk<'_> {
-    fn from(&mut self, node: NodeId, ingress: PortNo, pkt: &Packet) {
-        self.route(node, ingress, pkt.flow, pkt.dst, pkt.ttl);
-    }
-
-    /// Follow `flow`'s traffic for `dst`, next routed at `node`, which it
-    /// entered through `ingress`, until it reaches a host, meets no route,
-    /// or repeats itself.
-    fn route(&mut self, mut node: NodeId, mut ingress: PortNo, flow: FlowId, dst: NodeId, ttl: u8) {
-        while self.sim.topo.node(node).kind == NodeKind::Switch
-            && self.seen.insert((node, ingress, flow, dst))
-        {
-            let Some(e) = self.sim.next_hop(self.tables, flow, node, dst) else {
-                return;
-            };
-            let out = *self.sim.pinfo(node, e);
-            self.depend(node, ingress, &out, ttl);
-            (node, ingress) = (out.peer, out.peer_port);
-        }
-    }
-
-    /// Bytes that entered `node` through `ingress` and leave by the port
-    /// behind `out` wait on the next buffer, when a switch owns it.
-    fn depend(&mut self, node: NodeId, ingress: PortNo, out: &PortInfo, ttl: u8) {
-        if self.sim.topo.node(out.peer).kind == NodeKind::Switch {
-            let from = self.sim.pinfo(node, ingress).peer;
-            self.g.add(from, node, out.peer, out.rate, ttl);
-        }
     }
 }
 

@@ -152,18 +152,18 @@ pub(crate) fn is_meaningful(ev: &Ev) -> bool {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct RouteUpdate {
     at: SimTime,
-    node: NodeId,
-    dst: NodeId,
-    ports: Vec<PortNo>,
+    pub(crate) node: NodeId,
+    pub(crate) dst: NodeId,
+    pub(crate) ports: Vec<PortNo>,
 }
 
 /// State saved across a [`FaultKind::SwitchReboot`] for the restore.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct RebootState {
     /// Links this reboot took down (restored together).
-    links: Vec<LinkId>,
+    pub(crate) links: Vec<LinkId>,
     /// The wiped forwarding-table rows.
-    routes: Vec<(NodeId, Vec<PortNo>)>,
+    pub(crate) routes: Vec<(NodeId, Vec<PortNo>)>,
 }
 
 /// The `Copy` subset of a [`FlowSpec`], extracted by [`NetSim::lite`] for
@@ -860,8 +860,9 @@ impl NetSim {
 
     /// The datapath's one route rule: the egress `node` gives `flow`'s
     /// packets for `dst` — the flow's pinned port, else the ECMP pick from
-    /// `tables`. `serve`'s static pre-check walks packets with it too, over
-    /// tables the run has not installed yet, so the two cannot drift.
+    /// `tables`. The static pre-check (`precheck`) walks packets with it
+    /// too, over tables the run may not have installed yet, so the two
+    /// cannot drift.
     #[inline]
     pub(crate) fn next_hop(
         &self,
@@ -1194,6 +1195,44 @@ impl NetSim {
         assert!(stop_at <= drain_until, "drain must extend past stop");
         self.schedule_flow_stops(stop_at);
         self.run_inner(drain_until)
+    }
+
+    /// `self.run(horizon).verdict`, returned at the first step boundary
+    /// where it is settled — for a run that reads nothing but its verdict.
+    ///
+    /// Steps with [`NetSim::advance_until`] at the detector's cadence
+    /// (`deadlock_scan_interval`; with scanning off, one step to the
+    /// horizon). After each step: a confirmed deadlock is never
+    /// overwritten, so it is the verdict; and when the static pre-check
+    /// finds no buffer-dependency cycle that any packet in or entering the
+    /// network can close under the live tables, with no route update, fault
+    /// or switch restore still to fire, no later state can deadlock (paper
+    /// §3), so the verdict is `NoDeadlock`. A run stopped early is left
+    /// paused, not finished; [`NetSim::recycle`] takes it back.
+    pub fn run_to_verdict(&mut self, horizon: SimTime) -> Verdict {
+        let Some(step) = self.cfg.deadlock_scan_interval.filter(|s| !s.is_zero()) else {
+            return self.run(horizon).verdict;
+        };
+        let mut pause = self.now().min(horizon);
+        loop {
+            if let Some(report) = self.advance_until(pause, horizon) {
+                return report.verdict;
+            }
+            if let Some((detected_at, witness)) = self.deadlock_state() {
+                return Verdict::Deadlock {
+                    detected_at,
+                    witness: witness.to_vec(),
+                };
+            }
+            // `advance_until` pops everything up to `pause`, so no route
+            // update is pending at now: the live tables are the ones every
+            // packet is routed with until the next pending change.
+            debug_assert!(self.queue.peek_time().is_none_or(|t| t > self.now()));
+            if crate::precheck::window_is_deadlock_free(self, &self.tables, false) {
+                return Verdict::NoDeadlock;
+            }
+            pause = pause.checked_add(step).map_or(horizon, |t| t.min(horizon));
+        }
     }
 
     /// Schedule a force-stop of every registered flow at `stop_at` (the

@@ -414,6 +414,174 @@ impl Switch {
     pub fn stuck_bytes(&self, p: PortNo, c: Priority, e: usize) -> Bytes {
         self.egress[e].queues[c.index()].bytes_from_ingress(p)
     }
+
+    /// Why a restored switch `node` with `n_ports` ports is not a state
+    /// the datapath can produce under `arb`, if it is not: every queue's
+    /// counters and subqueues agree with its packets, and every byte a
+    /// counter holds — per ingress and priority, in total, and per flow
+    /// when `per_flow` ledgers are kept — is a packet queued,
+    /// serializing or held by a shaper here.
+    pub(crate) fn check(
+        &self,
+        node: NodeId,
+        n_ports: usize,
+        arb: Arbitration,
+        per_flow: bool,
+    ) -> Result<(), String> {
+        if self.node != node || self.ingress.len() != n_ports || self.egress.len() != n_ports {
+            return Err(format!(
+                "switch {node}: stored as {} with {}/{} ports, topology has {n_ports}",
+                self.node,
+                self.ingress.len(),
+                self.egress.len()
+            ));
+        }
+        // Held bytes per (ingress, priority) and per (ingress, priority, flow).
+        let mut held = vec![[0u128; Priority::COUNT]; n_ports];
+        let mut flows: Vec<Vec<((u8, FlowId), u128)>> = vec![Vec::new(); n_ports];
+        let mut hold = |ingress: PortNo, pkt: &Packet| -> Result<(), String> {
+            let (p, c) = (ingress.0 as usize, pkt.priority.index());
+            if p >= n_ports || c >= Priority::COUNT {
+                return Err(format!(
+                    "switch {node}: packet held for port {p} priority {c}"
+                ));
+            }
+            held[p][c] += u128::from(pkt.size.get());
+            let key = (pkt.priority.0, pkt.flow);
+            match flows[p].iter_mut().find(|e| e.0 == key) {
+                Some(e) => e.1 += u128::from(pkt.size.get()),
+                None => flows[p].push((key, u128::from(pkt.size.get()))),
+            }
+            Ok(())
+        };
+        for (e, eg) in self.egress.iter().enumerate() {
+            if eg.queues.len() != Priority::COUNT {
+                return Err(format!(
+                    "switch {node} egress {e}: {} classes",
+                    eg.queues.len()
+                ));
+            }
+            for (c, q) in eg.queues.iter().enumerate() {
+                q.check(n_ports, arb)
+                    .map_err(|why| format!("switch {node} egress {e} class {c}: {why}"))?;
+                for qp in q.iter() {
+                    hold(qp.ingress, &qp.pkt)?;
+                }
+            }
+            if let Some(InFlight::Data(qp)) = &eg.in_flight {
+                hold(qp.ingress, &qp.pkt)?;
+            }
+        }
+        for (p, ing) in self.ingress.iter().enumerate() {
+            for pkt in &ing.shaper_q {
+                hold(PortNo(p as u16), pkt)?;
+            }
+        }
+        let mut total = 0u128;
+        for (p, ing) in self.ingress.iter().enumerate() {
+            for c in 0..Priority::COUNT {
+                if u128::from(ing.count[c].get()) != held[p][c] {
+                    return Err(format!(
+                        "switch {node} ingress {p} class {c}: counts {} but holds {} bytes",
+                        ing.count[c].get(),
+                        held[p][c]
+                    ));
+                }
+                total += held[p][c];
+            }
+            if per_flow {
+                ing.per_flow
+                    .check(&flows[p])
+                    .map_err(|why| format!("switch {node} ingress {p}: {why}"))?;
+            }
+        }
+        if u128::from(self.buffered.get()) != total {
+            return Err(format!(
+                "switch {node}: buffers {} but holds {total} bytes",
+                self.buffered.get()
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl EgressQueue {
+    /// Why this queue is not one `push`/`pop` under `arb` can leave with
+    /// `n_ports` ingress ports, if it is not.
+    fn check(&self, n_ports: usize, arb: Arbitration) -> Result<(), String> {
+        let (mut len, mut bytes) = (0usize, 0u128);
+        let mut by_ingress = vec![0u128; n_ports];
+        for qp in self.iter() {
+            let p = qp.ingress.0 as usize;
+            if p >= n_ports {
+                return Err(format!("a packet from ingress {p}"));
+            }
+            len += 1;
+            bytes += u128::from(qp.pkt.size.get());
+            by_ingress[p] += u128::from(qp.pkt.size.get());
+        }
+        let counted = (0..n_ports).all(|p| {
+            let c = self.by_ingress.get(p).copied().unwrap_or(0);
+            u128::from(c) == by_ingress[p] && (by_ingress[p] == 0 || p < self.by_ingress.len())
+        });
+        if len != self.len || bytes != u128::from(self.bytes.get()) || !counted {
+            return Err("counters disagree with the queued packets".into());
+        }
+        let subs_used = self.subs.iter().any(|s| !s.is_empty()) || !self.rr.is_empty();
+        match arb {
+            Arbitration::Fifo if subs_used => Err("DRR subqueues under FIFO".into()),
+            Arbitration::Drr if !self.fifo.is_empty() => Err("a FIFO queue under DRR".into()),
+            Arbitration::Fifo => Ok(()),
+            Arbitration::Drr => {
+                // `rr` lists each non-empty subqueue once; a subqueue holds
+                // only its own ingress; an idle one has no deficit.
+                let mut in_rr = vec![false; self.subs.len()];
+                for &p in &self.rr {
+                    let i = p.0 as usize;
+                    if i >= self.subs.len() || self.subs[i].is_empty() || in_rr[i] {
+                        return Err(format!("round-robin entry {i}"));
+                    }
+                    in_rr[i] = true;
+                }
+                for (i, sub) in self.subs.iter().enumerate() {
+                    let deficit = self.deficit.get(i).copied();
+                    if in_rr[i] == sub.is_empty()
+                        || sub.iter().any(|qp| qp.ingress.0 as usize != i)
+                        || deficit.is_none()
+                        || (sub.is_empty() && deficit != Some(0))
+                    {
+                        return Err(format!("subqueue {i}"));
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+impl FlowLedger {
+    /// Why this ledger does not hold exactly `held` bytes per `(priority,
+    /// flow)`, if it does not: entries strictly sorted, each held flow's
+    /// entry equal to its bytes, and every other entry drained to zero.
+    fn check(&self, held: &[((u8, FlowId), u128)]) -> Result<(), String> {
+        if self.entries.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err("per-flow ledger out of order".into());
+        }
+        for &(key, bytes) in held {
+            let have = self
+                .pos(key)
+                .map_or(0, |i| u128::from(self.entries[i].1.get()));
+            if have != bytes {
+                return Err(format!("flow {} ledger {have} but holds {bytes}", key.1));
+            }
+        }
+        let stray =
+            (self.entries.iter()).any(|(key, b)| !b.is_zero() && !held.iter().any(|h| h.0 == *key));
+        if stray {
+            return Err("per-flow ledger holds bytes no packet carries".into());
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -63,9 +63,19 @@ impl std::fmt::Display for SnapError {
 impl std::error::Error for SnapError {}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// 2⁴⁴ + 0x1b3, not the published 64-bit FNV prime 2⁴⁰ + 0x1b3
+/// (`0x100_0000_01b3`). Every pinned digest depends on it.
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// FNV-1a 64-bit hash (the workspace's standard content digest).
+/// FNV-1a-shaped 64-bit hash (the workspace's standard content digest).
+///
+/// It is *not* standard FNV-1a: the offset basis is FNV's, but the prime
+/// is 2⁴⁴ + 0x1b3 where the published one is 2⁴⁰ + 0x1b3, so a standard
+/// FNV library reproduces none of the workspace's digests. For `b"a"` it
+/// gives `0xaf63dc4c8601ec8c`; this gives `0xaf74d84c8601ec8c`. Every
+/// pinned digest — checkpoint checksums and state digests, the golden
+/// report digest, the benchmark's report pins — depends on this constant,
+/// so changing it is a re-record of all of them.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_from(FNV_OFFSET, bytes)
 }
@@ -230,6 +240,13 @@ fn take_string(buf: &[u8], pos: &mut usize) -> Result<String, SnapError> {
     String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Malformed("non-UTF-8 string".into()))
 }
 
+/// How many `T`s fit in the bytes left after `pos`: the most a decoder
+/// pre-allocates for a container, so a forged length prefix can never
+/// reserve more memory than the frame itself occupies.
+fn room<T>(buf: &[u8], pos: usize) -> usize {
+    (buf.len() - pos) / std::mem::size_of::<T>()
+}
+
 /// Decode one value starting at `pos`, advancing it past the value.
 pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, SnapError> {
     let tag = take(buf, pos, 1)?[0];
@@ -245,7 +262,7 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, SnapError> {
         TAG_STRING => Ok(Value::String(take_string(buf, pos)?)),
         TAG_ARRAY => {
             let n = take_len(buf, pos)?;
-            let mut items = Vec::with_capacity(n.min(1 << 16));
+            let mut items = Vec::with_capacity(n.min(room::<Value>(buf, *pos)));
             for _ in 0..n {
                 items.push(decode_value(buf, pos)?);
             }
@@ -253,7 +270,7 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, SnapError> {
         }
         TAG_OBJECT => {
             let n = take_len(buf, pos)?;
-            let mut pairs = Vec::with_capacity(n.min(1 << 16));
+            let mut pairs = Vec::with_capacity(n.min(room::<(String, Value)>(buf, *pos)));
             for _ in 0..n {
                 let key = take_string(buf, pos)?;
                 let val = decode_value(buf, pos)?;
@@ -503,6 +520,17 @@ mod tests {
         let (frame, digest) = encode_frame_digest(9, &v);
         assert_eq!(frame_digest(9, &v), digest);
         assert_eq!(frame_digest(9, &v), reference_fnv1a(&frame));
+    }
+
+    /// The known-answer vector of the doc: the prime is 2⁴⁴ + 0x1b3, so
+    /// standard FNV-1a's `0xaf63dc4c8601ec8c` for `b"a"` is not ours.
+    #[test]
+    fn fnv1a_uses_the_workspace_prime_not_the_published_one() {
+        assert_eq!(FNV_PRIME, (1 << 44) + 0x1b3);
+        assert_eq!(fnv1a(b""), FNV_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+        let published = (FNV_OFFSET ^ u64::from(b'a')).wrapping_mul((1 << 40) + 0x1b3);
+        assert_eq!(published, 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

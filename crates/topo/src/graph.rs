@@ -180,9 +180,10 @@ impl Topology {
     }
 
     /// The port on `node` that faces `peer`, if any (first match for
-    /// parallel links).
+    /// parallel links); `None` when `node` is not a node.
     pub fn port_towards(&self, node: NodeId, peer: NodeId) -> Option<PortRef> {
-        self.ports[node.0 as usize]
+        self.ports
+            .get(node.0 as usize)?
             .iter()
             .copied()
             .find(|p| p.peer == peer)

@@ -33,6 +33,12 @@ impl ForwardingTables {
         }
     }
 
+    /// Whether these tables have one row per node of `topo`, as every
+    /// table built for it has (rows index by node id).
+    pub fn is_sized_for(&self, topo: &Topology) -> bool {
+        self.tables.len() == topo.node_count()
+    }
+
     /// Next-hop ports at `node` toward destination host `dst` (empty slice
     /// if unroutable).
     pub fn next_hops(&self, node: NodeId, dst: NodeId) -> &[PortNo] {
