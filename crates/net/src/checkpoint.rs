@@ -315,9 +315,7 @@ impl Checkpoint {
         let bytes = std::fs::read(path)?;
         Self::from_bytes(&bytes)
     }
-}
 
-impl Checkpoint {
     /// Reject a checksum-valid frame whose parts contradict each other
     /// before [`NetSim::resume`] can build a simulator from it: every id an
     /// event, packet, flow, route or reboot names exists in the embedded
