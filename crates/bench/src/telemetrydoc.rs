@@ -11,7 +11,7 @@
 //!   table is downstream of the schema, so schema drift is visible.
 //! * `repro trace` streams the per-packet trace through a [`JsonlSink`]
 //!   to `--out`, parses the file back with
-//!   [`parse_jsonl_trace`](pfcsim_net::telemetry::parse_jsonl_trace), and
+//!   [`parse_jsonl_trace`], and
 //!   summarizes the parsed events ([`trace_report`]).
 //!
 //! The builders live in the library (not the binary) so the schema-

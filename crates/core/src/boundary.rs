@@ -14,6 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use pfcsim_net::bdg::deadlock_threshold;
 use pfcsim_simcore::units::BitRate;
 
 /// Boundary-state model of a routing loop.
@@ -43,7 +44,7 @@ impl BoundaryModel {
     /// Eq. 3's right-hand side: the TTL-expiry drain rate `r_d = n·B/TTL`,
     /// which is also the deadlock threshold on the injection rate.
     pub fn deadlock_threshold(&self) -> BitRate {
-        self.bandwidth.scale(self.loop_len as u64, self.ttl as u64)
+        deadlock_threshold(self.loop_len as u64, self.bandwidth, self.ttl as u64)
     }
 
     /// Eq. 3: does injection rate `r` lead to deadlock?
@@ -66,8 +67,7 @@ impl BoundaryModel {
     /// threshold rises to `n·B / class_width`.
     pub fn threshold_with_class_width(&self, class_width: u32) -> BitRate {
         assert!(class_width >= 1, "class width must be positive");
-        self.bandwidth
-            .scale(self.loop_len as u64, class_width as u64)
+        deadlock_threshold(self.loop_len as u64, self.bandwidth, class_width as u64)
     }
 
     /// §4's safety guarantee: with initial TTL ≤ loop length the threshold

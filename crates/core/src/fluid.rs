@@ -422,7 +422,7 @@ fn waterfill_into(
 
 /// Does the directed channel set contain a cycle?
 fn has_channel_cycle(chans: &[Chan]) -> bool {
-    use crate::scc::has_cycle;
+    use pfcsim_net::bdg::has_cycle;
     let nodes: BTreeSet<NodeId> = chans.iter().flat_map(|c| [c.from, c.to]).collect();
     let index: BTreeMap<NodeId, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
     let mut adj = vec![Vec::new(); nodes.len()];

@@ -3,9 +3,10 @@
 //! The paper's analytic contribution, as a library:
 //!
 //! * [`bdg`] — buffer dependency graphs over RX queues, built from flow
-//!   paths or traced through forwarding tables (Figures 2(b)/3(b)/4(b));
-//! * [`scc`], [`cycles`] — Tarjan SCCs and Johnson elementary-cycle
-//!   enumeration for CBD detection and witnesses;
+//!   paths or traced through forwarding tables (Figures 2(b)/3(b)/4(b)),
+//!   with Tarjan SCCs and Johnson elementary-cycle enumeration for CBD
+//!   detection and witnesses; re-exported from `pfcsim_net::bdg`, the one
+//!   graph the simulator's static checks build too;
 //! * [`boundary`] — the boundary-state model (Table 1, Eq. 1–3):
 //!   `deadlock ⇔ r > n·B/TTL` for a routing loop, plus the §4 TTL-class
 //!   and rate-limit refinements;
@@ -27,28 +28,29 @@
 
 #![warn(missing_docs)]
 
-pub mod bdg;
 pub mod boundary;
-pub mod cycles;
 pub mod fluid;
 pub mod freedom;
-pub mod scc;
 pub mod sufficiency;
+
+/// Buffer dependency graphs: the simulator crate's graph, re-exported.
+pub mod bdg {
+    pub use pfcsim_net::bdg::{BufferDependencyGraph, RxQueue};
+}
 
 /// Common imports.
 pub mod prelude {
     pub use crate::bdg::{BufferDependencyGraph, RxQueue};
     pub use crate::boundary::BoundaryModel;
-    pub use crate::cycles::elementary_cycles;
     pub use crate::fluid::{
         ChannelKey, FluidConfig, FluidFlow, FluidNetwork, FluidReport, RateSolver,
     };
     pub use crate::freedom::{
         verify_all_pairs, verify_valley_free, verify_workload, FreedomViolation,
     };
-    pub use crate::scc::{has_cycle, tarjan_scc};
     pub use crate::sufficiency::{
         analyze_channels_overlap, analyze_cycle_overlap, blast_radius, BlastRadius,
         OverlapAnalysis, SufficiencyRow, SufficiencyVerdict,
     };
+    pub use pfcsim_net::bdg::{elementary_cycles, has_cycle, tarjan_scc};
 }

@@ -3,10 +3,8 @@
 
 use proptest::prelude::*;
 
-use pfcsim_core::bdg::BufferDependencyGraph;
 use pfcsim_core::boundary::BoundaryModel;
-use pfcsim_core::cycles::elementary_cycles;
-use pfcsim_core::scc::{has_cycle, tarjan_scc};
+use pfcsim_net::bdg::{elementary_cycles, has_cycle, tarjan_scc, BufferDependencyGraph};
 use pfcsim_simcore::units::BitRate;
 use pfcsim_topo::builders::{ring, LinkSpec};
 use pfcsim_topo::ids::{NodeId, Priority};

@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use pfcsim_net::config::SimConfig;
-use pfcsim_net::flow::{FlowSpec, RouteKind};
+use pfcsim_net::flow::FlowSpec;
 use pfcsim_simcore::units::Bytes;
 use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::NodeId;
@@ -115,20 +115,9 @@ pub fn plan_for_workload(
 ) -> BufferClassPlan {
     let mut required = 0u8;
     for spec in specs {
-        let hops = match &spec.route {
-            RouteKind::Pinned(p) => p
-                .nodes
-                .iter()
-                .filter(|&&n| topo.node(n).kind == NodeKind::Switch)
-                .count(),
-            RouteKind::Tables => {
-                let t = trace_path(topo, tables, spec.id, spec.src, spec.dst, spec.ttl as usize);
-                t.nodes()
-                    .iter()
-                    .filter(|&&n| topo.node(n).kind == NodeKind::Switch)
-                    .count()
-            }
-        };
+        let hops = (spec.path(topo, tables, spec.ttl as usize).nodes().iter())
+            .filter(|&&n| topo.node(n).kind == NodeKind::Switch)
+            .count();
         required = required.max(u8::try_from(hops.min(255)).expect("capped"));
     }
     let denom = required.max(1) as u64;

@@ -10,12 +10,12 @@ use serde::{Deserialize, Serialize};
 
 use pfcsim_core::bdg::BufferDependencyGraph;
 use pfcsim_core::boundary::BoundaryModel;
-use pfcsim_net::flow::{FlowSpec, RouteKind};
+use pfcsim_net::flow::FlowSpec;
 use pfcsim_net::sim::NetSim;
 use pfcsim_simcore::units::{BitRate, Bytes};
 use pfcsim_topo::graph::Topology;
 use pfcsim_topo::ids::{NodeId, PortNo};
-use pfcsim_topo::routing::{trace_path, ForwardingTables};
+use pfcsim_topo::routing::ForwardingTables;
 
 /// One shaper to install: limit `(node, port)` ingress to `rate`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,14 +78,8 @@ pub fn plan_for_workload(
     let mut directives = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
     for spec in specs {
-        let nodes: Vec<NodeId> = match &spec.route {
-            RouteKind::Pinned(p) => p.nodes.clone(),
-            RouteKind::Tables => {
-                trace_path(topo, tables, spec.id, spec.src, spec.dst, spec.ttl as usize)
-                    .nodes()
-                    .to_vec()
-            }
-        };
+        let path = spec.path(topo, tables, spec.ttl as usize);
+        let nodes = path.nodes();
         // First switch on the path: the flow's injection point.
         if nodes.len() < 2 {
             continue;

@@ -16,7 +16,7 @@ use pfcsim_core::bdg::{BufferDependencyGraph, RxQueue};
 use pfcsim_net::flow::{FlowSpec, RouteKind};
 use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::{FlowId, NodeId};
-use pfcsim_topo::routing::{trace_path, ForwardingTables, PinnedPath};
+use pfcsim_topo::routing::{ForwardingTables, PinnedPath};
 
 /// One re-path directive.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,12 +69,7 @@ pub struct RepairFailed {
 
 /// The current node path of a flow under the tables.
 fn path_of(topo: &Topology, tables: &ForwardingTables, spec: &FlowSpec) -> Vec<NodeId> {
-    match &spec.route {
-        RouteKind::Pinned(p) => p.nodes.clone(),
-        RouteKind::Tables => trace_path(topo, tables, spec.id, spec.src, spec.dst, 64)
-            .nodes()
-            .to_vec(),
-    }
+    spec.path(topo, tables, 64).nodes().to_vec()
 }
 
 /// Enumerate up to `limit` simple host-to-host paths between two hosts,

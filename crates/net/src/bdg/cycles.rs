@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::scc::tarjan_scc;
+use super::scc::tarjan_scc;
 
 /// Enumerate elementary cycles of the digraph, stopping after `limit`
 /// cycles (the count can be exponential). Each cycle lists vertex indices

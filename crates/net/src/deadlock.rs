@@ -21,7 +21,7 @@
 //! ## Two implementations
 //!
 //! [`NetSim::analyze_deadlock`] is the production path: an *incremental*
-//! worklist elimination over a dense channel arena ([`DeadlockTracker`]).
+//! worklist elimination over a dense channel arena (`DeadlockTracker`).
 //! The datapath notifies the tracker of every PAUSE/RESUME flip, so a scan
 //! never walks the fabric looking for candidates — it reads them off a
 //! bitset — and each release propagates only to the channels it can
@@ -45,17 +45,9 @@ use pfcsim_simcore::units::Bytes;
 use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::{NodeId, PortNo, Priority};
 
+use crate::bdg::RxQueue;
 use crate::sim::{NetSim, PortInfo};
 use crate::stats::PauseKey;
-
-/// One frozen-candidate channel: priority `prio` traffic from the upstream
-/// peer into `(node, port)` is paused by `node`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Chan {
-    node: NodeId,
-    port: PortNo,
-    prio: u8,
-}
 
 const P: usize = Priority::COUNT;
 
@@ -66,7 +58,7 @@ const P: usize = Priority::COUNT;
 /// (`port_base[node] + port`), and every `(slot, prio)` a *chan* index
 /// (`slot * 8 + prio`). Chan indices are lexicographic in
 /// `(node, port, prio)`, so ascending bitset iteration reproduces the
-/// reference analyzer's `BTreeSet<Chan>` order exactly — which pins the
+/// reference analyzer's `BTreeSet<RxQueue>` order exactly — which pins the
 /// witness, not just the verdict.
 ///
 /// The datapath keeps `paused` current via [`DeadlockTracker::note_pause`]
@@ -338,15 +330,15 @@ impl NetSim {
         }
         // Survivors (ascending == reference's sorted order), then sparse
         // scratch reset so the next scan starts clean without a full wipe.
-        let mut survivors: BTreeSet<Chan> = BTreeSet::new();
+        let mut survivors: BTreeSet<RxQueue> = BTreeSet::new();
         for i in 0..dl.frozen.len() {
             let c = dl.frozen[i] as usize;
             if dl.in_frozen.get(c) {
                 let slot = c / P;
-                survivors.insert(Chan {
+                survivors.insert(RxQueue {
                     node: NodeId(dl.slot_node[slot]),
                     port: PortNo(dl.slot_port[slot]),
-                    prio: (c % P) as u8,
+                    priority: Priority((c % P) as u8),
                 });
             }
         }
@@ -372,7 +364,7 @@ impl NetSim {
     /// specification the incremental detector is property-tested against.
     pub fn analyze_deadlock_reference(&self) -> Option<Vec<PauseKey>> {
         // Candidate set: every asserted pause whose upstream is a switch.
-        let mut frozen: BTreeSet<Chan> = BTreeSet::new();
+        let mut frozen: BTreeSet<RxQueue> = BTreeSet::new();
         for sw in self.switches.iter().flatten() {
             for (pi, ing) in sw.ingress.iter().enumerate() {
                 let port = PortNo(pi as u16);
@@ -382,10 +374,10 @@ impl NetSim {
                 }
                 for (prio, &sent) in ing.pause_sent.iter().enumerate() {
                     if sent {
-                        frozen.insert(Chan {
+                        frozen.insert(RxQueue {
                             node: sw.node,
                             port,
-                            prio: prio as u8,
+                            priority: Priority(prio as u8),
                         });
                     }
                 }
@@ -401,7 +393,7 @@ impl NetSim {
         // except the frozen set's own stuck bytes had already left the
         // switch — to stay sound (never report a resolvable state).
         loop {
-            let mut stuck_of: std::collections::BTreeMap<Chan, u64> = BTreeMap::new();
+            let mut stuck_of: std::collections::BTreeMap<RxQueue, u64> = BTreeMap::new();
             let mut stuck_at_node: BTreeMap<NodeId, u64> = BTreeMap::new();
             for &ch in &frozen {
                 let stuck = self.stuck_toward_frozen(ch, &frozen);
@@ -433,7 +425,7 @@ impl NetSim {
 
     /// Report a cycle within the frozen set if one exists, else the whole
     /// set, as pause-channel keys.
-    fn witness_for(&self, frozen: BTreeSet<Chan>) -> Vec<PauseKey> {
+    fn witness_for(&self, frozen: BTreeSet<RxQueue>) -> Vec<PauseKey> {
         let cycle = self.find_frozen_cycle(&frozen);
         let core = if cycle.is_empty() {
             frozen.into_iter().collect::<Vec<_>>()
@@ -444,7 +436,7 @@ impl NetSim {
             .map(|ch| PauseKey {
                 from: self.peer_of(ch.node, ch.port),
                 to: ch.node,
-                priority: Priority(ch.prio),
+                priority: ch.priority,
             })
             .collect()
     }
@@ -485,7 +477,7 @@ impl NetSim {
 
     /// Bytes accounted to `ch`'s ingress that are queued toward egresses
     /// whose outgoing channel is in `frozen`.
-    fn stuck_toward_frozen(&self, ch: Chan, frozen: &BTreeSet<Chan>) -> u64 {
+    fn stuck_toward_frozen(&self, ch: RxQueue, frozen: &BTreeSet<RxQueue>) -> u64 {
         let sw = self.switches[ch.node.0 as usize]
             .as_ref()
             .expect("frozen channel is on a switch");
@@ -496,13 +488,13 @@ impl NetSim {
                 continue;
             }
             let epeer_port = self.pinfo(ch.node, PortNo(e as u16)).peer_port;
-            let downstream = Chan {
+            let downstream = RxQueue {
                 node: epeer,
                 port: epeer_port,
-                prio: ch.prio,
+                priority: ch.priority,
             };
             if frozen.contains(&downstream) {
-                stuck += sw.stuck_bytes(ch.port, Priority(ch.prio), e).get();
+                stuck += sw.stuck_bytes(ch.port, ch.priority, e).get();
             }
         }
         stuck
@@ -510,11 +502,12 @@ impl NetSim {
 
     /// DFS for a directed cycle in the "holds bytes toward" relation among
     /// frozen channels.
-    fn find_frozen_cycle(&self, frozen: &BTreeSet<Chan>) -> Vec<Chan> {
+    fn find_frozen_cycle(&self, frozen: &BTreeSet<RxQueue>) -> Vec<RxQueue> {
         // Build adjacency: frozen channel A -> frozen channel B when A's
         // ingress holds bytes queued on the egress whose channel is B.
-        let nodes: Vec<Chan> = frozen.iter().copied().collect();
-        let index: BTreeMap<Chan, usize> = nodes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+        let nodes: Vec<RxQueue> = frozen.iter().copied().collect();
+        let index: BTreeMap<RxQueue, usize> =
+            nodes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
         for (i, &ch) in nodes.iter().enumerate() {
             let sw = self.switches[ch.node.0 as usize].as_ref().expect("switch");
@@ -523,13 +516,13 @@ impl NetSim {
                 if self.topo.node(epeer).kind != NodeKind::Switch {
                     continue;
                 }
-                let downstream = Chan {
+                let downstream = RxQueue {
                     node: epeer,
                     port: self.pinfo(ch.node, PortNo(e as u16)).peer_port,
-                    prio: ch.prio,
+                    priority: ch.priority,
                 };
                 if let Some(&j) = index.get(&downstream) {
-                    if !sw.stuck_bytes(ch.port, Priority(ch.prio), e).is_zero() {
+                    if !sw.stuck_bytes(ch.port, ch.priority, e).is_zero() {
                         adj[i].push(j);
                     }
                 }

@@ -4,8 +4,9 @@ use serde::{Deserialize, Serialize};
 
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::{BitRate, Bytes};
+use pfcsim_topo::graph::Topology;
 use pfcsim_topo::ids::{FlowId, NodeId, Priority};
-use pfcsim_topo::routing::PinnedPath;
+use pfcsim_topo::routing::{trace_path, ForwardingTables, PinnedPath, Trace};
 
 /// How much and how fast a flow wants to send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -187,6 +188,16 @@ impl FlowSpec {
     pub fn stopping_at(mut self, t: SimTime) -> Self {
         self.stop = Some(t);
         self
+    }
+
+    /// The nodes this flow's packets visit, host to host: the pinned path,
+    /// else its ECMP trace through `tables` capped at `max_hops` switch
+    /// hops (a looping or black-holed trace ends where it stopped).
+    pub fn path(&self, topo: &Topology, tables: &ForwardingTables, max_hops: usize) -> Trace {
+        match &self.route {
+            RouteKind::Pinned(p) => Trace::Delivered(p.nodes.clone()),
+            RouteKind::Tables => trace_path(topo, tables, self.id, self.src, self.dst, max_hops),
+        }
     }
 
     /// CBR inter-packet gap for `size`-byte packets, if this is a CBR flow.

@@ -78,7 +78,7 @@
 //!
 //! Gated configurations (telemetry, sampling, tracing, ECN, class
 //! remapping, route/reboot fault scripts) fall back to full-packet with
-//! a one-time warning through the keyed registry ([`crate::warn`]), so a
+//! a one-time warning through the keyed registry (`crate::warn`), so a
 //! long-lived serve session toggling backends never re-emits duplicates.
 
 use serde::{Deserialize, Serialize};
@@ -163,7 +163,7 @@ pub type ChannelKey = (NodeId, NodeId);
 /// flows — the arbiter the hybrid packet/fluid backend consults when a
 /// region changes (a flow is admitted to or demoted from fluid mode).
 ///
-/// Unlike [`FluidNetwork::run`], which integrates queue levels through
+/// Unlike `pfcsim_core::fluid::FluidNetwork::run`, which integrates queue levels through
 /// time, the solver computes only the stable-state allocation: classic
 /// progressive filling, freezing each bottleneck channel's flows at
 /// their fair share. Mutations (`add_flow`, `remove_flow`) mark the

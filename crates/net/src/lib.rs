@@ -3,6 +3,9 @@
 //! The substrate behind the paper's experiments: a deterministic,
 //! byte-accurate simulator of PFC (IEEE 802.1Qbb) datacenter fabrics.
 //!
+//! * [`bdg`] — the buffer dependency graph over switch ingress buffers,
+//!   with Tarjan SCCs, Johnson cycle enumeration, the first-cycle witness
+//!   and Eq. 3 (Figures 2(b)/3(b)/4(b));
 //! * [`packet`] — data packets and PFC PAUSE/RESUME frames;
 //! * [`switch`] — shared-buffer switches with per-(ingress, priority) PFC
 //!   accounting, per-(egress, priority) queues, DRR/FIFO arbitration;
@@ -43,6 +46,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bdg;
 pub mod checkpoint;
 pub mod config;
 pub mod dcqcn;

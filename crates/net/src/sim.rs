@@ -29,7 +29,7 @@ use pfcsim_simcore::units::{BitRate, Bytes};
 use pfcsim_simcore::wheel::{tick_shift_for_quantum, DEFAULT_TICK_SHIFT};
 use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::{FlowId, LinkId, NodeId, PortNo, Priority};
-use pfcsim_topo::routing::{trace_path, ForwardingTables};
+use pfcsim_topo::routing::ForwardingTables;
 
 use crate::checkpoint::{Checkpoint, CheckpointError, QueueSnapshot};
 use crate::config::{PauseMode, PfcConfig, SimConfig};
@@ -340,7 +340,7 @@ fn refill<T: Clone>(slot: &mut Vec<T>, n: usize, fill: T) -> Vec<T> {
 /// `with_tables` / `with_tables_in` matrix, which has been removed.
 /// [`SimBuilder::try_build`] / [`SimBuilder::try_build_in`] are the
 /// canonical entry points: they surface invalid configs and topologies
-/// as a typed [`Error`](pfcsim_simcore::error::Error) instead of
+/// as a typed [`Error`] instead of
 /// panicking, which is what the resident
 /// [`serve`](crate::serve) session requires.
 pub struct SimBuilder<'a> {
@@ -3049,23 +3049,11 @@ impl NetSim {
     }
 
     fn compute_feedback_delay(&self, flow: FlowId) -> SimDuration {
-        let spec = &self.flows[self.fidx(flow)];
+        let path = self.flows[self.fidx(flow)].path(&self.topo, &self.tables, 64);
         let mut total = SimDuration::ZERO;
-        match &spec.route {
-            RouteKind::Pinned(path) => {
-                for w in path.nodes.windows(2) {
-                    if let Some(p) = self.topo.port_towards(w[0], w[1]) {
-                        total += self.topo.link(p.link).delay;
-                    }
-                }
-            }
-            RouteKind::Tables => {
-                let trace = trace_path(&self.topo, &self.tables, flow, spec.src, spec.dst, 64);
-                for w in trace.nodes().windows(2) {
-                    if let Some(p) = self.topo.port_towards(w[0], w[1]) {
-                        total += self.topo.link(p.link).delay;
-                    }
-                }
+        for w in path.nodes().windows(2) {
+            if let Some(p) = self.topo.port_towards(w[0], w[1]) {
+                total += self.topo.link(p.link).delay;
             }
         }
         total

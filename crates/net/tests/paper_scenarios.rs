@@ -322,3 +322,64 @@ fn timely_delays_but_does_not_guarantee_deadlock_freedom() {
         "TIMELY's oscillation keeps generating pauses"
     );
 }
+
+/// The Shanibudi reference's twin scenarios (SNIPPETS.md: "cyclic
+/// dependency without deadlock", "same dependency with an extra flow
+/// causing deadlock") on `leaf_spine(4, 2, 1, ..)`: the square's ring
+/// A–B–C–D laid on leaf0–spine0–leaf1–spine1. A spine has no host, so a
+/// flow leaving the ring at a spine exits through a spare leaf, and flow 3
+/// enters spine0 from one.
+fn leaf_spine_twin_flows(b: &Built, with_flow3: bool) -> Vec<FlowSpec> {
+    let (s, h) = (&b.switches, &b.hosts);
+    let (a, bb, c, d) = (s[0], s[4], s[1], s[5]);
+    let mut flows = vec![
+        FlowSpec::infinite(1, h[0], h[2]).pinned(vec![h[0], a, bb, c, d, s[2], h[2]]),
+        FlowSpec::infinite(2, h[1], h[3]).pinned(vec![h[1], c, d, a, bb, s[3], h[3]]),
+    ];
+    if with_flow3 {
+        flows.push(FlowSpec::infinite(3, h[2], h[1]).pinned(vec![h[2], s[2], bb, c, h[1]]));
+    }
+    flows
+}
+
+#[test]
+fn leaf_spine_twins_share_one_cbd_and_only_the_extra_flow_deadlocks() {
+    let b = leaf_spine(4, 2, 1, LinkSpec::default());
+    let tables = shortest_path_tables(&b.topo);
+    let ring: std::collections::BTreeSet<NodeId> =
+        [b.switches[0], b.switches[4], b.switches[1], b.switches[5]].into();
+    let mut cycles = Vec::new();
+    let mut deadlocked = Vec::new();
+    for with_flow3 in [false, true] {
+        let flows = leaf_spine_twin_flows(&b, with_flow3);
+        let cbd = static_cbd(&b.topo, &tables, &flows, SimTime::ZERO);
+        assert!(cbd.cbd, "flow3={with_flow3}: the ring is a CBD");
+        assert_eq!(cbd.cycle.len(), 4);
+        assert_eq!(
+            cbd.cycle
+                .iter()
+                .map(|h| h.node)
+                .collect::<std::collections::BTreeSet<_>>(),
+            ring
+        );
+        cycles.push(cbd.cycle);
+        let mut sim = SimBuilder::new(&b.topo)
+            .config(SimConfig::default())
+            .tables(tables.clone())
+            .build();
+        for f in flows {
+            sim.add_flow(f);
+        }
+        deadlocked.push(sim.run(SimTime::from_ms(10)).verdict.is_deadlock());
+    }
+    assert_eq!(
+        cycles[0], cycles[1],
+        "the extra flow leaves the cycle unchanged"
+    );
+    eprintln!("verdicts: {deadlocked:?}");
+    assert_eq!(
+        deadlocked,
+        [false, true],
+        "two flows: no deadlock; three: deadlock"
+    );
+}

@@ -778,6 +778,119 @@ fn static_pre_check_is_sound_heap() {
     static_answers_match_the_oracle(SchedulerBackend::Heap, "static_pre_check_is_sound_heap");
 }
 
+/// Two switches joined by two parallel links. The pre-check keys a buffer
+/// by `(switch, ingress port)`, so each link's buffer is its own vertex:
+/// every single and paired route push over either link, answered
+/// statically or by a probe, must match the oracle's verdict.
+#[test]
+fn static_pre_check_is_sound_over_parallel_links() {
+    let mut topo = Topology::new();
+    let (a, b) = (topo.add_switch("A"), topo.add_switch("B"));
+    let (ha, hb) = (topo.add_host("hA"), topo.add_host("hB"));
+    let spec = LinkSpec::default();
+    for (x, y) in [(a, b), (a, b), (ha, a), (hb, b)] {
+        topo.connect(x, y, spec.rate, spec.delay);
+    }
+    let flows = vec![
+        FlowSpec::cbr(0, ha, hb, BitRate::from_gbps(12)).with_ttl(16),
+        FlowSpec::cbr(1, hb, ha, BitRate::from_gbps(12)).with_ttl(16),
+    ];
+    // Every push of one node's route for one host onto one parallel link.
+    let mut single = Vec::new();
+    for node in [a, b] {
+        for dst in [ha, hb] {
+            for link in 0..2u16 {
+                single.push(RoutePush {
+                    node,
+                    dst,
+                    ports: vec![PortNo(link)],
+                });
+            }
+        }
+    }
+    let mut cases: Vec<Vec<RoutePush>> = single.iter().map(|p| vec![p.clone()]).collect();
+    for (i, p) in single.iter().enumerate() {
+        for q in &single[i + 1..] {
+            if (p.node, p.dst) != (q.node, q.dst) {
+                cases.push(vec![p.clone(), q.clone()]);
+            }
+        }
+    }
+    let (mut by_static, mut by_probe) = (0, 0);
+    for pushes in &cases {
+        let mut spec = SessionSpec::new(topo.clone(), flows.clone());
+        spec.horizon = SimTime::from_us(2_000);
+        let mut session = Session::open(spec).expect("open");
+        session
+            .apply(Update::AdvanceTo(SimTime::from_us(30)))
+            .expect("advance");
+        let window = SimDuration::from_us(300);
+        let doc = session.what_if(pushes, window).expect("what_if");
+        let oracle = session.oracle_what_if(pushes, window).expect("oracle");
+        assert_eq!(
+            verdict_json(&doc.verdict),
+            verdict_json(&oracle),
+            "{pushes:?}"
+        );
+        match doc.decided_by {
+            DecidedBy::Static => by_static += 1,
+            DecidedBy::Probe => by_probe += 1,
+        }
+    }
+    assert!(
+        by_static > 0 && by_probe > 0,
+        "{by_static} static, {by_probe} probe"
+    );
+}
+
+/// A triangle whose A–B side is two parallel links, routed so that the
+/// three flows' node paths close the ring A→B→C→A but the flow entering
+/// B from A over the second link leaves to a host. `static_cbd` names a
+/// hop by its two ends, so it merges the two links' buffers and reports
+/// the ring; the pre-check keys each ingress port apart, finds no cycle,
+/// and answers statically — as the oracle does.
+#[test]
+fn the_pre_check_keeps_parallel_links_apart() {
+    let mut topo = Topology::new();
+    let (a, b, c) = (
+        topo.add_switch("A"),
+        topo.add_switch("B"),
+        topo.add_switch("C"),
+    );
+    let (ha, hb, hc) = (
+        topo.add_host("hA"),
+        topo.add_host("hB"),
+        topo.add_host("hC"),
+    );
+    let spec = LinkSpec::default();
+    for (x, y) in [(a, b), (a, b), (b, c), (c, a), (ha, a), (hb, b), (hc, c)] {
+        topo.connect(x, y, spec.rate, spec.delay);
+    }
+    let mut tables = pfcsim_topo::routing::shortest_path_tables(&topo);
+    let toward = |n: NodeId, peer: NodeId| vec![topo.port_towards(n, peer).unwrap().port];
+    tables.set(a, hc, vec![PortNo(0)]);
+    tables.set(a, hb, vec![PortNo(1)]);
+    tables.set(b, hc, toward(b, c));
+    tables.set(b, ha, toward(b, c));
+    tables.set(c, hb, toward(c, a));
+    let flows = vec![
+        FlowSpec::cbr(0, ha, hc, BitRate::from_gbps(20)).with_ttl(16),
+        FlowSpec::cbr(1, hb, ha, BitRate::from_gbps(20)).with_ttl(16),
+        FlowSpec::cbr(2, hc, hb, BitRate::from_gbps(20)).with_ttl(16),
+    ];
+    let mut spec = SessionSpec::new(topo.clone(), flows);
+    spec.tables = Some(tables);
+    spec.horizon = SimTime::from_us(2_000);
+    let mut session = Session::open(spec).expect("open");
+    assert_eq!(session.cbd().cycle.len(), 3, "node paths close the ring");
+    let window = SimDuration::from_us(500);
+    let doc = session.what_if(&[], window).expect("what_if");
+    let oracle = session.oracle_what_if(&[], window).expect("oracle");
+    assert_eq!(doc.decided_by, DecidedBy::Static);
+    assert!(!doc.cbd.cbd);
+    assert_eq!(verdict_json(&doc.verdict), verdict_json(&oracle));
+}
+
 /// A session on `built` with `routes` installed over shortest paths.
 fn open_with_routes(
     built: &Built,

@@ -9,7 +9,7 @@
 //!
 //! Historically the workspace grew three partially-overlapping error
 //! surfaces: `Result<_, String>` from validators and `try_*` setters,
-//! `CheckpointError` in `pfcsim-net`, and [`SnapError`](crate::snap::SnapError)
+//! `CheckpointError` in `pfcsim-net`, and [`SnapError`]
 //! in the snapshot codec. `CheckpointError` is now a type alias for
 //! [`Error`] (the variant names were kept), plain-`String` errors
 //! convert via [`From`], and `SnapError` nests under
