@@ -664,7 +664,7 @@ mod tests {
                             if cur == f.dst {
                                 break;
                             }
-                            let Some(e) = sim.next_hop(&tables, f.id, cur, f.dst) else {
+                            let Some(e) = sim.dp.next_hop(&tables, f.id, cur, f.dst) else {
                                 break;
                             };
                             walk.push(topo.ports(cur)[e.0 as usize].peer);

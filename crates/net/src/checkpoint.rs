@@ -1,11 +1,12 @@
 //! Crash-safe checkpoint/resume for a running simulation.
 //!
-//! A [`Checkpoint`] is a complete, versioned image of a [`NetSim`]
-//! mid-run: the event queue's live entries, every switch/host/flow
-//! runtime structure, per-ingress PFC accounting, the deadlock tracker's
-//! pause state and epoch, accumulated statistics, telemetry state, and
-//! both RNG streams. Restoring it with [`NetSim::resume`] and continuing
-//! with [`NetSim::resume_run`](crate::sim::NetSim::resume_run) produces a
+//! A [`Checkpoint`] is a complete, versioned image of a
+//! [`NetSim`](crate::sim::NetSim) mid-run: the event queue's live
+//! entries, every switch/host/flow runtime structure, per-ingress PFC
+//! accounting, the deadlock tracker's pause state and epoch, accumulated
+//! statistics, telemetry state, and both RNG streams. Restoring it with
+//! [`NetSim::resume`](crate::sim::NetSim::resume) and continuing with
+//! [`NetSim::resume_run`](crate::sim::NetSim::resume_run) produces a
 //! final [`RunReport`](crate::sim::RunReport) *bit-identical* to the
 //! uninterrupted run — the property the `determinism_golden` test pins
 //! against the golden digest.
@@ -51,7 +52,7 @@ use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::flow::FlowSpec;
 use crate::host::{FlowRt, Host};
 use crate::packet::{Frame, Packet};
-use crate::sim::{Ev, NetSim, RebootState, RouteUpdate};
+use crate::sim::{Ev, RebootState, RouteUpdate};
 use crate::stats::{FlowStats, IngressKey, NetStats, PauseKey};
 use crate::switch::{InFlight, Switch, TxPause};
 use crate::telemetry::TelemetrySnapshot;
@@ -140,9 +141,10 @@ impl QueueSnapshot {
     }
 }
 
-/// A complete mid-run image of a [`NetSim`]. Produce with
-/// [`NetSim::checkpoint`], persist with [`Checkpoint::save`], and turn
-/// back into a running simulator with [`NetSim::resume`].
+/// A complete mid-run image of a [`NetSim`](crate::sim::NetSim). Produce
+/// with [`NetSim::checkpoint`](crate::sim::NetSim::checkpoint), persist
+/// with [`Checkpoint::save`], and turn back into a running simulator with
+/// [`NetSim::resume`](crate::sim::NetSim::resume).
 ///
 /// The image is self-contained: it embeds the topology, configuration,
 /// and forwarding tables, so resuming needs nothing but the file.
@@ -162,7 +164,7 @@ pub struct Checkpoint {
     // --- network state ---
     pub(crate) switches: Vec<Option<Switch>>,
     pub(crate) hosts: Vec<Option<Host>>,
-    /// Dense per-channel transmitter pause state (see `NetSim::tx_pause`).
+    /// Dense per-channel transmitter pause state (see `Datapath::tx_pause`).
     pub(crate) tx_pause: Vec<TxPause>,
     pub(crate) switch_pfc: Vec<Option<PfcConfig>>,
     pub(crate) host_in_flight: Vec<Option<Packet>>,
@@ -317,10 +319,11 @@ impl Checkpoint {
     }
 
     /// Reject a checksum-valid frame whose parts contradict each other
-    /// before [`NetSim::resume`] can build a simulator from it: every id an
+    /// before `NetSim::resume` can build a simulator from it: every id an
     /// event, packet, flow, route or reboot names exists in the embedded
-    /// topology, and every switch is a state its datapath can produce
-    /// (`Switch::check`). The checksum is FNV, not a MAC, so a frame can
+    /// topology, every table is sized for it, the event queue is one a run
+    /// can produce (`QueueSnapshot::validate`), and every switch is a state
+    /// its datapath can produce (`Switch::check`). The checksum is FNV, not a MAC, so a frame can
     /// pass it and still carry any of these; without this they panic the
     /// run at some later event. The error names the offending part.
     pub(crate) fn check_state(&self) -> Result<(), CheckpointError> {
@@ -348,15 +351,23 @@ impl Checkpoint {
                 && (dst.0 as usize) < n
                 && ports.iter().all(|&p| port_ok(node, p))
         };
+        let n_chans: usize = (topo.nodes().iter())
+            .map(|node| topo.ports(node.id).len() * Priority::COUNT)
+            .sum();
         if self.switches.len() != n
             || self.hosts.len() != n
             || self.host_in_flight.len() != n
             || self.switch_pfc.len() != n
             || self.pfc_loss.len() != n
             || self.pfc_delay.len() != n
+            || self.link_up.len() != topo.link_count()
+            || self.tx_pause.len() != n_chans
         {
-            return bad("per-node tables disagree with the topology".into());
+            return bad(
+                "per-node, per-link or per-channel tables disagree with the topology".into(),
+            );
         }
+        self.queue.validate()?;
 
         for (at, _, ev) in &self.queue.entries {
             let ok = match *ev {
@@ -469,8 +480,13 @@ impl Checkpoint {
                 return bad(format!("flow {}: ids or pinned ports out of range", f.id));
             }
         }
-        if self.pinned.len() != self.flows.len() {
-            return bad("pinned: not one row per flow".into());
+        let n_flows = self.flows.len();
+        if self.pinned.len() != n_flows
+            || self.rt.len() != n_flows
+            || self.fstats.len() != n_flows
+            || self.fstats_touched.len() != n_flows
+        {
+            return bad("flow tables: not one row per flow".into());
         }
         if self
             .dl_paused
@@ -526,19 +542,11 @@ impl Checkpoint {
     }
 }
 
-impl NetSim {
-    /// Restore a checkpoint into a runnable simulator. Continue with
-    /// [`NetSim::resume_run`](crate::sim::NetSim::resume_run); the
-    /// resulting report is bit-identical to the uninterrupted run's.
-    pub fn resume(ckpt: Checkpoint) -> Result<NetSim, CheckpointError> {
-        NetSim::restore_from(ckpt)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::sim::NetSim;
     use pfcsim_simcore::snap::SnapError;
 
     #[test]
@@ -619,11 +627,11 @@ mod tests {
 
     /// A checksum-valid frame whose event queue no run can have produced
     /// — the golden 1 500 µs frame with one queue field edited and the
-    /// checksum recomputed — is a typed `Decode` naming that field, not a
-    /// panic inside `restore_state` and not a resume that silently breaks
-    /// the `(time, seq)` total order.
+    /// checksum recomputed — decodes to a typed `Decode` naming that
+    /// field, not a panic inside `restore_state` and not a resume that
+    /// silently breaks the `(time, seq)` total order.
     #[test]
-    fn resume_rejects_an_impossible_event_queue() {
+    fn decode_rejects_an_impossible_event_queue() {
         use crate::golden::{self, DRAIN_UNTIL, STOP_AT};
         let mut sim = golden::build_sim(None, &mut crate::sim::SimArenas::new());
         sim.schedule_flow_stops(STOP_AT);
@@ -670,8 +678,7 @@ mod tests {
             let mut ckpt = Checkpoint::from_bytes(&frame).expect("golden frame");
             assert!(ckpt.queue.entries.len() > 2, "a real queue");
             edit(&mut ckpt.queue);
-            let ckpt = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("checksum-valid");
-            match NetSim::resume(ckpt) {
+            match Checkpoint::from_bytes(&ckpt.to_bytes()) {
                 Err(CheckpointError::Decode(msg)) => {
                     assert!(msg.contains(field), "{row}: {msg}")
                 }

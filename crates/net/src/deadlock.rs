@@ -46,7 +46,7 @@ use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::{NodeId, PortNo, Priority};
 
 use crate::bdg::RxQueue;
-use crate::sim::{NetSim, PortInfo};
+use crate::sim::{Datapath, NetSim, PortInfo};
 use crate::stats::PauseKey;
 
 const P: usize = Priority::COUNT;
@@ -54,9 +54,10 @@ const P: usize = Priority::COUNT;
 /// Dense channel arena + event-maintained pause state for the incremental
 /// deadlock detector.
 ///
-/// Every `(node, port)` in the topology gets a *slot*
-/// (`port_base[node] + port`), and every `(slot, prio)` a *chan* index
-/// (`slot * 8 + prio`). Chan indices are lexicographic in
+/// Slots and chans are the datapath's own port and channel indices
+/// (`Datapath::pid` and `Datapath::chan`): every `(node, port)` is the
+/// slot `port_base[node] + port`, and every `(slot, prio)` the chan
+/// `slot * 8 + prio`. Chan indices are lexicographic in
 /// `(node, port, prio)`, so ascending bitset iteration reproduces the
 /// reference analyzer's `BTreeSet<RxQueue>` order exactly — which pins the
 /// witness, not just the verdict.
@@ -67,10 +68,6 @@ const P: usize = Priority::COUNT;
 /// epoch E can be skipped verbatim while the epoch is still E.
 #[derive(Debug, Default)]
 pub(crate) struct DeadlockTracker {
-    /// First slot of each node's port range.
-    port_base: Vec<u32>,
-    /// Ports per node.
-    n_ports: Vec<u16>,
     /// Slot → owning node.
     slot_node: Vec<u32>,
     /// Slot → local port number.
@@ -102,29 +99,20 @@ pub(crate) struct DeadlockTracker {
 }
 
 impl DeadlockTracker {
-    pub(crate) fn new(topo: &Topology, port_info: &[PortInfo], sim_port_base: &[u32]) -> Self {
+    pub(crate) fn new(topo: &Topology, port_info: &[PortInfo], port_base: &[u32]) -> Self {
         let n_nodes = topo.node_count();
-        let mut port_base = Vec::with_capacity(n_nodes);
-        let mut n_ports = Vec::with_capacity(n_nodes);
-        let mut total = 0u32;
-        for n in 0..n_nodes {
-            port_base.push(total);
-            let p = (sim_port_base[n + 1] - sim_port_base[n]) as usize;
-            n_ports.push(p as u16);
-            total += p as u32;
-        }
-        let n_slots = total as usize;
+        let n_slots = port_info.len();
         let mut slot_node = vec![0u32; n_slots];
         let mut slot_port = vec![0u16; n_slots];
         let mut slot_peer = vec![0u32; n_slots];
         let mut candidate = DenseBitSet::new(n_slots);
         for n in 0..n_nodes {
             let is_switch = topo.node(NodeId(n as u32)).kind == NodeKind::Switch;
-            let ports = &port_info[sim_port_base[n] as usize..sim_port_base[n + 1] as usize];
-            for (p, info) in ports.iter().enumerate() {
-                let s = port_base[n] as usize + p;
+            let first = port_base[n] as usize;
+            for s in first..port_base[n + 1] as usize {
+                let info = &port_info[s];
                 slot_node[s] = n as u32;
-                slot_port[s] = p as u16;
+                slot_port[s] = (s - first) as u16;
                 slot_peer[s] = port_base[info.peer.0 as usize] + info.peer_port.0 as u32;
                 if is_switch && topo.node(info.peer).kind == NodeKind::Switch {
                     candidate.set(s);
@@ -132,8 +120,6 @@ impl DeadlockTracker {
             }
         }
         DeadlockTracker {
-            port_base,
-            n_ports,
             slot_node,
             slot_port,
             slot_peer,
@@ -152,20 +138,14 @@ impl DeadlockTracker {
         }
     }
 
+    /// Datapath hook: ingress channel `c` (`Datapath::chan`) asserted
+    /// (`on`) or released a pause. Idempotent; non-candidate channels are
+    /// ignored.
     #[inline]
-    fn slot(&self, node: NodeId, port: PortNo) -> usize {
-        self.port_base[node.0 as usize] as usize + port.0 as usize
-    }
-
-    /// Datapath hook: ingress `(node, port, prio)` asserted (`on`) or
-    /// released a pause. Idempotent; non-candidate channels are ignored.
-    #[inline]
-    pub(crate) fn note_pause(&mut self, node: NodeId, port: PortNo, prio: usize, on: bool) {
-        let s = self.slot(node, port);
-        if !self.candidate.get(s) {
+    pub(crate) fn note_pause(&mut self, c: usize, on: bool) {
+        if !self.candidate.get(c / P) {
             return;
         }
-        let c = s * P + prio;
         let changed = if on {
             self.paused.set(c)
         } else {
@@ -225,15 +205,27 @@ impl NetSim {
     /// no allocation and no fabric walk on the (overwhelmingly common)
     /// negative path.
     pub fn analyze_deadlock(&mut self) -> Option<Vec<PauseKey>> {
-        if self.dl.paused_count == 0 {
+        self.dp.analyze_deadlock(&mut self.cp.dl)
+    }
+
+    /// The original round-based fixpoint, kept as the executable
+    /// specification the incremental detector is property-tested against.
+    pub fn analyze_deadlock_reference(&self) -> Option<Vec<PauseKey>> {
+        self.dp.analyze_deadlock_reference()
+    }
+}
+
+/// The analyses read the datapath and nothing else: switch buffers, the
+/// port table, the PFC thresholds, and (for the incremental one) the
+/// tracker's pause set and scratch.
+impl Datapath {
+    /// [`NetSim::analyze_deadlock`] over this datapath and `dl`, the
+    /// tracker its handlers keep current.
+    pub(crate) fn analyze_deadlock(&self, dl: &mut DeadlockTracker) -> Option<Vec<PauseKey>> {
+        if dl.paused_count == 0 {
             return None;
         }
-        // Take the tracker out so its scratch can be borrowed mutably
-        // while switch state is read immutably.
-        let mut dl = std::mem::take(&mut self.dl);
-        let out = self.worklist_eliminate(&mut dl);
-        self.dl = dl;
-        out
+        self.worklist_eliminate(dl)
     }
 
     /// Kahn-style elimination: seed from the paused bitset, release
@@ -258,9 +250,9 @@ impl NetSim {
             let n = dl.slot_node[slot] as usize;
             let port = PortNo(dl.slot_port[slot]);
             let sw = self.switches[n].as_ref().expect("paused chan on a switch");
-            let base = dl.port_base[n] as usize;
+            let base = self.port_base[n] as usize;
             let mut stuck = 0u64;
-            for e in 0..dl.n_ports[n] as usize {
+            for e in 0..self.port_base[n + 1] as usize - base {
                 let down = dl.slot_peer[base + e] as usize;
                 if dl.in_frozen.get(down * P + prio as usize) {
                     stuck += sw.stuck_bytes(port, Priority(prio), e).get();
@@ -305,8 +297,8 @@ impl NetSim {
             let usw = self.switches[u_node]
                 .as_ref()
                 .expect("candidate chans have switch peers");
-            let u_base = dl.port_base[u_node] as usize;
-            for q in 0..dl.n_ports[u_node] as usize {
+            let u_base = self.port_base[u_node] as usize;
+            for q in 0..self.port_base[u_node + 1] as usize - u_base {
                 let uc = (u_base + q) * P + prio;
                 if dl.in_frozen.get(uc) {
                     let delta = usw
@@ -319,8 +311,8 @@ impl NetSim {
             // Both affected nodes saw their totals (hence optimistic XON)
             // change: re-examine every still-frozen chan there.
             for &m in &[n, u_node] {
-                let base = dl.port_base[m] as usize * P;
-                let end = base + dl.n_ports[m] as usize * P;
+                let base = self.port_base[m] as usize * P;
+                let end = self.port_base[m + 1] as usize * P;
                 for cc in base..end {
                     if dl.in_frozen.get(cc) && dl.in_work.set(cc) {
                         dl.work.push(cc as u32);
@@ -360,9 +352,8 @@ impl NetSim {
         Some(self.witness_for(survivors))
     }
 
-    /// The original round-based fixpoint, kept as the executable
-    /// specification the incremental detector is property-tested against.
-    pub fn analyze_deadlock_reference(&self) -> Option<Vec<PauseKey>> {
+    /// [`NetSim::analyze_deadlock_reference`] over this datapath.
+    pub(crate) fn analyze_deadlock_reference(&self) -> Option<Vec<PauseKey>> {
         // Candidate set: every asserted pause whose upstream is a switch.
         let mut frozen: BTreeSet<RxQueue> = BTreeSet::new();
         for sw in self.switches.iter().flatten() {

@@ -581,7 +581,7 @@ impl NetSim {
     /// The hybrid config in effect: `SimConfig::hybrid` when set and
     /// enabled, otherwise off.
     fn hybrid_effective_cfg(&self) -> Option<HybridConfig> {
-        self.cfg.hybrid.clone().filter(|h| h.enabled)
+        self.dp.cfg.hybrid.clone().filter(|h| h.enabled)
     }
 
     /// A whole-run reason the hybrid backend must stay off, if any.
@@ -589,25 +589,25 @@ impl NetSim {
         if self.telem.is_some() {
             return Some("telemetry");
         }
-        if self.cfg.sample_interval.is_some() {
+        if self.dp.cfg.sample_interval.is_some() {
             return Some("occupancy sampling");
         }
-        if self.cfg.ecn.is_some() {
+        if self.dp.cfg.ecn.is_some() {
             return Some("ECN marking");
         }
-        if self.traced.iter().any(|&t| t) {
+        if self.dp.traced.iter().any(|&t| t) {
             return Some("packet-lifecycle tracing");
         }
-        if self.has_route_updates() {
+        if !self.cp.route_updates.is_empty() {
             return Some("scheduled route updates");
         }
-        if self.cfg.flood_on_miss {
+        if self.dp.cfg.flood_on_miss {
             return Some("flood-on-miss forwarding");
         }
-        if self.cfg.hop_class_mode.is_some() || self.cfg.ttl_class_mode.is_some() {
+        if self.dp.cfg.hop_class_mode.is_some() || self.dp.cfg.ttl_class_mode.is_some() {
             return Some("hop/TTL class remapping");
         }
-        if self.fault_events.iter().any(|(_, k)| {
+        if self.cp.fault_events.iter().any(|(_, k)| {
             matches!(
                 k,
                 FaultKind::RouteReconverge { .. }
@@ -627,27 +627,24 @@ impl NetSim {
     /// closes the reachable set, and TTL bounds the hop count.
     fn hybrid_footprint(&self, dense: usize, out: &mut Vec<NodeId>) {
         out.clear();
-        let spec = &self.flows[dense];
-        if self.topo.ports(spec.src).is_empty() {
+        let spec = &self.dp.flows.spec[dense];
+        if self.dp.topo.ports(spec.src).is_empty() {
             return;
         }
-        let p0 = self.pinfo(spec.src, PortNo(0));
+        let p0 = self.dp.pinfo(spec.src, PortNo(0));
         let mut node = p0.peer;
         for _ in 0..=spec.ttl as usize {
-            if self.topo.node(node).kind != NodeKind::Switch {
+            if self.dp.topo.node(node).kind != NodeKind::Switch {
                 return;
             }
             if out.contains(&node) {
                 return;
             }
             out.push(node);
-            let Some(port) = self
-                .pinned_port(spec.id, node)
-                .or_else(|| self.tables.select(node, spec.dst, spec.id))
-            else {
+            let Some(port) = self.dp.next_hop(&self.cp.tables, spec.id, node, spec.dst) else {
                 return;
             };
-            node = self.pinfo(node, port).peer;
+            node = self.dp.pinfo(node, port).peer;
         }
     }
 
@@ -655,7 +652,7 @@ impl NetSim {
     /// condition (lattice, no-queueing, buffer headroom, scan cadence,
     /// fault gate). Exclusivity and solver admission happen later.
     fn hybrid_flow_facts(&self, dense: usize, hcfg: &HybridConfig) -> Option<PathFacts> {
-        let spec = &self.flows[dense];
+        let spec = &self.dp.flows.spec[dense];
         let (rate, total) = match spec.demand {
             Demand::Cbr(r) => (r, None),
             Demand::CbrFinite { rate, total } => (rate, Some(total)),
@@ -671,7 +668,7 @@ impl NetSim {
         if spec.stop.is_none() && total.is_none() {
             return None;
         }
-        let size = spec.packet_size.unwrap_or(self.cfg.default_packet_size);
+        let size = spec.packet_size.unwrap_or(self.dp.cfg.default_packet_size);
         if size.is_zero() {
             return None;
         }
@@ -690,15 +687,15 @@ impl NetSim {
         }
         let cap = total.map(|t| t.get().div_ceil(size.get().max(1)));
         // Source NIC: single-homed host, exclusive to this flow.
-        if self.topo.node(spec.src).kind != NodeKind::Host
-            || self.topo.ports(spec.src).len() != 1
-            || self.topo.node(spec.dst).kind != NodeKind::Host
+        if self.dp.topo.node(spec.src).kind != NodeKind::Host
+            || self.dp.topo.ports(spec.src).len() != 1
+            || self.dp.topo.node(spec.dst).kind != NodeKind::Host
         {
             return None;
         }
         let margin_ok =
             |s: SimDuration| (s.as_ps() as f64) <= hcfg.capacity_margin * (tick.as_ps() as f64);
-        let p0 = self.pinfo(spec.src, PortNo(0));
+        let p0 = self.dp.pinfo(spec.src, PortNo(0));
         let host_ser = p0.rate.serialization_time(size);
         if !margin_ok(host_ser) {
             return None;
@@ -715,7 +712,7 @@ impl NetSim {
             if node == spec.dst {
                 break;
             }
-            if self.topo.node(node).kind != NodeKind::Switch {
+            if self.dp.topo.node(node).kind != NodeKind::Switch {
                 return None; // delivered to the wrong host
             }
             if hops.iter().any(|h| h.node == node) {
@@ -724,26 +721,24 @@ impl NetSim {
             if hops.len() >= 64 || (hops.len() + 2) as u32 > spec.ttl as u32 {
                 return None; // TTL headroom (arrive decrements, 0 drops)
             }
-            let sw = self.switches[node.0 as usize].as_ref()?;
+            let sw = self.dp.switches[node.0 as usize].as_ref()?;
             // Static thresholds only: shared-buffer coupling would let
             // foreign traffic move this switch's XOFF under us.
-            if self.pfc_of(node).dynamic_alpha.is_some() {
+            if self.dp.pfc_of(node).dynamic_alpha.is_some() {
                 return None;
             }
             if sw.ingress[in_port.0 as usize].shaper.is_some() {
                 return None;
             }
-            let xoff = self.xoff_of(node, in_port);
+            let xoff = self.dp.xoff_of(node, in_port);
             let headroom = 2 * size.get();
             if (headroom as f64) > hcfg.demote_fraction * xoff.get() as f64
-                || headroom > self.cfg.switch_buffer.get()
+                || headroom > self.dp.cfg.switch_buffer.get()
             {
                 return None;
             }
-            let out_port = self
-                .pinned_port(spec.id, node)
-                .or_else(|| self.tables.select(node, spec.dst, spec.id))?;
-            let info = self.pinfo(node, out_port);
+            let out_port = self.dp.next_hop(&self.cp.tables, spec.id, node, spec.dst)?;
+            let info = self.dp.pinfo(node, out_port);
             let ser = info.rate.serialization_time(size);
             if !margin_ok(ser) {
                 return None;
@@ -770,8 +765,8 @@ impl NetSim {
                            // Deadlock-stop boundary proof needs every elided event to be
                            // scheduled *after* the scan that detects (strictly smaller
                            // lead time than the scan period).
-        if self.cfg.stop_on_deadlock {
-            if let Some(iv) = self.cfg.deadlock_scan_interval {
+        if self.dp.cfg.stop_on_deadlock {
+            if let Some(iv) = self.dp.cfg.deadlock_scan_interval {
                 let lead_ok = tick < iv
                     && host_ser < iv
                     && hops.iter().all(|h| h.ser < iv)
@@ -783,7 +778,7 @@ impl NetSim {
         }
         // Fault gate: any link event on the path forces packet mode for
         // the whole run (no static windows to reason about).
-        let touched = self.fault_events.iter().any(|(_, k)| match k {
+        let touched = self.cp.fault_events.iter().any(|(_, k)| match k {
             FaultKind::LinkDown { a, b } | FaultKind::LinkUp { a, b } => self
                 .hybrid_link_between(*a, *b)
                 .is_some_and(|l| links.contains(&l)),
@@ -816,7 +811,8 @@ impl NetSim {
     }
 
     fn hybrid_link_between(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        self.topo
+        self.dp
+            .topo
             .ports(a)
             .iter()
             .find(|p| p.peer == b)
@@ -841,10 +837,10 @@ impl NetSim {
             return;
         }
         // Per-flow facts, then switch exclusivity over *all* flows.
-        let n = self.flows.len();
+        let n = self.dp.flows.spec.len();
         let mut facts: Vec<Option<PathFacts>> =
             (0..n).map(|i| self.hybrid_flow_facts(i, &hcfg)).collect();
-        let mut touches: Vec<u32> = vec![0; self.topo.node_count()];
+        let mut touches: Vec<u32> = vec![0; self.dp.topo.node_count()];
         let mut scratch = Vec::new();
         for i in 0..n {
             self.hybrid_footprint(i, &mut scratch);
@@ -853,14 +849,14 @@ impl NetSim {
             }
         }
         // Source-host exclusivity (NIC arbitration is per-host).
-        let mut src_flows: Vec<u32> = vec![0; self.topo.node_count()];
-        for s in &self.flows {
+        let mut src_flows: Vec<u32> = vec![0; self.dp.topo.node_count()];
+        for s in &self.dp.flows.spec {
             src_flows[s.src.0 as usize] += 1;
         }
         for (i, f) in facts.iter_mut().enumerate() {
             let keep = match f {
                 Some(pf) => {
-                    src_flows[self.flows[i].src.0 as usize] == 1
+                    src_flows[self.dp.flows.spec[i].src.0 as usize] == 1
                         && pf.plan.hops.iter().all(|h| touches[h.node.0 as usize] == 1)
                 }
                 None => false,
@@ -880,7 +876,7 @@ impl NetSim {
             for (w, cap) in pf.chain.windows(2).zip(&pf.caps) {
                 solver.set_capacity((w[0], w[1]), *cap);
             }
-            solver.add_flow(self.flows[i].id, Some(pf.demand), &pf.chain);
+            solver.add_flow(self.dp.flows.spec[i].id, Some(pf.demand), &pf.chain);
         }
         while !solver.is_empty() && !solver.all_satisfied(1e-6) {
             let worst = solver
@@ -891,14 +887,14 @@ impl NetSim {
                 .map(|(id, _)| id);
             let Some(id) = worst else { break };
             solver.remove_flow(id);
-            let dense = self.fidx(id);
+            let dense = self.dp.fidx(id);
             facts[dense] = None;
         }
         let fluid = facts.iter().filter(|f| f.is_some()).count();
         if fluid == 0 {
             return;
         }
-        let mut watched = vec![false; self.topo.node_count()];
+        let mut watched = vec![false; self.dp.topo.node_count()];
         let modes: Vec<FlowMode> = facts
             .into_iter()
             .map(|f| match f {
@@ -934,7 +930,7 @@ impl NetSim {
                 if cap > 0 {
                     at = at.max(tick_at(plan.t0, plan.tick, cap - 1) + plan.latency);
                 }
-                Some((self.flows[i].id, at))
+                Some((self.dp.flows.spec[i].id, at))
             })
             .collect();
         self.hybrid = Some(Box::new(HybridState {
@@ -956,7 +952,7 @@ impl NetSim {
             return false;
         };
         matches!(
-            h.modes.get(self.fidx(f)),
+            h.modes.get(self.dp.fidx(f)),
             Some(FlowMode::Fluid {
                 rt: FluidRt::Open { .. },
                 ..
@@ -973,7 +969,7 @@ impl NetSim {
             return false;
         }
         let now = self.now();
-        let i = self.fidx(f);
+        let i = self.dp.fidx(f);
         let promote = {
             let h = self.hybrid.as_deref().expect("checked");
             match h.modes.get(i) {
@@ -987,9 +983,9 @@ impl NetSim {
                     ..
                 }) => {
                     now >= *eligible_at
-                        && self.host_in_flight[self.flows[i].src.0 as usize].is_none()
+                        && self.dp.host_in_flight[self.dp.flows.spec[i].src.0 as usize].is_none()
                         && plan.hops.iter().all(|hp| {
-                            self.switches[hp.node.0 as usize]
+                            self.dp.switches[hp.node.0 as usize]
                                 .as_ref()
                                 .is_some_and(|sw| sw.buffered.is_zero())
                         })
@@ -1061,11 +1057,11 @@ impl NetSim {
                 else {
                     unreachable!()
                 };
-                self.rt[i].next_seq += gen;
-                self.rt[i].injected += Bytes::new(gen * plan.size.get());
+                self.dp.flows.rt[i].next_seq += gen;
+                self.dp.flows.rt[i].injected += Bytes::new(gen * plan.size.get());
                 tick_at(plan.t0, plan.tick, k_next)
             };
-            let flow = self.flows[i].id;
+            let flow = self.dp.flows.spec[i].id;
             self.sched(at, Ev::FlowTick { flow });
         }
     }
@@ -1077,7 +1073,7 @@ impl NetSim {
     /// stuck-walk. Pure with respect to packet-side state.
     pub(crate) fn hybrid_compute_folds(&self) -> Option<(Vec<FlowFold>, HybridTotals)> {
         let h = self.hybrid.as_deref()?;
-        let (e, inclusive) = match (&self.deadlock, self.cfg.stop_on_deadlock) {
+        let (e, inclusive) = match (&self.cp.deadlock, self.dp.cfg.stop_on_deadlock) {
             // Deadlock-stop: events strictly before the detection ran.
             (Some((at, _)), true) => (*at, false),
             // Horizon: the step loop pops events at exactly the limit.
@@ -1095,7 +1091,7 @@ impl NetSim {
             };
             totals.fluid_flows += 1;
             let mut fold = FlowFold {
-                flow: self.flows[i].id,
+                flow: self.dp.flows.spec[i].id,
                 dst: plan.dst,
                 size: plan.size,
                 gen_pkts: 0,
@@ -1141,7 +1137,7 @@ impl NetSim {
                 fs.meter
                     .record_span(f.first_del, f.last_del, Bytes::new(f.del_pkts * sz));
             }
-            if let Some(host) = self.hosts[f.dst.0 as usize].as_mut() {
+            if let Some(host) = self.dp.hosts[f.dst.0 as usize].as_mut() {
                 host.received += Bytes::new(f.del_pkts * sz);
             }
         }

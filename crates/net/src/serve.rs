@@ -983,40 +983,43 @@ impl Session {
         for p in pushes {
             tables.set(p.node, p.dst, p.ports.clone());
         }
-        let (verdict, probe_events, cbd, decided_by) =
-            if window_is_deadlock_free(self.resident.sim(), &tables, true) {
-                self.what_if_static += 1;
-                // The flows' own paths are a subgraph of the window's. A
-                // node path cannot say which of two parallel links a hop
-                // takes, so there `static_cbd` may merge buffers that the
-                // pre-check, keyed by ingress port, keeps apart.
-                let cbd = CbdDoc::default();
-                debug_assert!(
-                    has_parallel_links(&self.topo)
-                        || cbd == static_cbd(&self.topo, &tables, &self.flows, now)
-                );
-                let clean = VerdictDoc::from_verdict(&Verdict::NoDeadlock);
-                (clean, 0, cbd, DecidedBy::Static)
+        // A confirmed deadlock stays the verdict, whatever the window.
+        let sim = self.resident.sim();
+        let window_clean = sim.deadlock_state().is_none()
+            && window_is_deadlock_free(&sim.dp, &sim.queue, &tables, true);
+        let (verdict, probe_events, cbd, decided_by) = if window_clean {
+            self.what_if_static += 1;
+            // The flows' own paths are a subgraph of the window's. A
+            // node path cannot say which of two parallel links a hop
+            // takes, so there `static_cbd` may merge buffers that the
+            // pre-check, keyed by ingress port, keeps apart.
+            let cbd = CbdDoc::default();
+            debug_assert!(
+                has_parallel_links(&self.topo)
+                    || cbd == static_cbd(&self.topo, &tables, &self.flows, now)
+            );
+            let clean = VerdictDoc::from_verdict(&Verdict::NoDeadlock);
+            (clean, 0, cbd, DecidedBy::Static)
+        } else {
+            self.what_if_probe += 1;
+            let mut probe = NetSim::resume(self.resident.capture()?)?;
+            probe.forget_occupancy_history();
+            probe.dp.cfg.stop_on_deadlock = true;
+            for p in pushes {
+                probe.schedule_route_update(now, p.node, p.dst, p.ports.clone());
+            }
+            let outcome = if bound > now {
+                probe.advance_until(bound, self.horizon)
             } else {
-                self.what_if_probe += 1;
-                let mut probe = NetSim::resume(self.resident.capture()?)?;
-                probe.forget_occupancy_history();
-                probe.cfg.stop_on_deadlock = true;
-                for p in pushes {
-                    probe.schedule_route_update(now, p.node, p.dst, p.ports.clone());
-                }
-                let outcome = if bound > now {
-                    probe.advance_until(bound, self.horizon)
-                } else {
-                    None
-                };
-                let (verdict, events) = match outcome {
-                    Some(report) => (VerdictDoc::from_verdict(&report.verdict), report.events),
-                    None => (verdict_at_pause(&mut probe, bound), probe.events),
-                };
-                let cbd = static_cbd(&self.topo, &tables, &self.flows, now);
-                (verdict, events, cbd, DecidedBy::Probe)
+                None
             };
+            let (verdict, events) = match outcome {
+                Some(report) => (VerdictDoc::from_verdict(&report.verdict), report.events),
+                None => (verdict_at_pause(&mut probe, bound), probe.events),
+            };
+            let cbd = static_cbd(&self.topo, &tables, &self.flows, now);
+            (verdict, events, cbd, DecidedBy::Probe)
+        };
         let state_digest_after = self.resident.digest()?;
         Ok(WhatIfDoc {
             verdict,
@@ -2050,7 +2053,7 @@ mod tests {
             };
             let carried = samples(&probe.stats);
             assert!(carried > 0, "the resident has a history to carry");
-            probe.cfg.stop_on_deadlock = true;
+            probe.dp.cfg.stop_on_deadlock = true;
             probe.schedule_route_update(now, push.node, push.dst, push.ports.clone());
             // (A wedged fabric runs out of events, which ends the run.)
             let (verdict, probe_events, recorded) = match probe.advance_until(bound, s.horizon) {

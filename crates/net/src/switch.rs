@@ -281,7 +281,7 @@ impl Egress {
 
     /// Highest-priority non-empty, non-paused queue index at `now`.
     /// `paused` is this port's `Priority::COUNT`-long slice of the
-    /// simulator's dense pause-state array (see `NetSim::tx_pause`).
+    /// simulator's dense pause-state array (see `Datapath::tx_pause`).
     pub fn next_eligible(&self, now: SimTime, paused: &[TxPause]) -> Option<usize> {
         (0..Priority::COUNT)
             .rev()

@@ -364,8 +364,7 @@ impl TraceFilter {
 }
 
 /// Which built-in [`TraceSink`] a run instantiates. Lives in the (clonable,
-/// serializable) config; a custom sink object goes through
-/// [`SimBuilder::trace_sink`](crate::sim::SimBuilder::trace_sink) instead.
+/// serializable) config.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceSinkKind {
     /// Buffer events in memory; they surface as [`TelemetryReport::trace`].
@@ -392,10 +391,9 @@ pub trait TraceSink: Send {
     /// Events recorded so far (post-filter, pre-cap).
     fn recorded(&self) -> u64;
     /// Capture this sink's state for a checkpoint, if it supports being
-    /// checkpointed. The built-in sinks do; custom builder-supplied sinks
-    /// (and writer-backed [`JsonlSink`]s) return `None`, which makes
-    /// checkpointing a run that uses one a clean error instead of a
-    /// silently lossy resume.
+    /// checkpointed. The built-in sinks do; a writer-backed [`JsonlSink`]
+    /// returns `None`, which makes checkpointing a run that uses one a
+    /// clean error instead of a silently lossy resume.
     fn snapshot(&self) -> Option<SinkSnapshot> {
         None
     }
@@ -823,21 +821,15 @@ pub(crate) struct TelemetryState {
 
 impl TelemetryState {
     /// Build live state from a validated config, instantiating the
-    /// configured sink unless the builder supplied one.
-    pub(crate) fn new(
-        cfg: TelemetryConfig,
-        sink_override: Option<Box<dyn TraceSink>>,
-    ) -> Result<Self, String> {
-        let sink: Box<dyn TraceSink> = match sink_override {
-            Some(s) => s,
-            None => match &cfg.sink {
-                TraceSinkKind::Memory => Box::new(MemorySink::new(1_000_000)),
-                TraceSinkKind::Null => Box::new(NullSink::new()),
-                TraceSinkKind::Jsonl { path } => Box::new(
-                    JsonlSink::create(path)
-                        .map_err(|e| format!("cannot open trace sink {path}: {e}"))?,
-                ),
-            },
+    /// configured sink.
+    pub(crate) fn new(cfg: TelemetryConfig) -> Result<Self, String> {
+        let sink: Box<dyn TraceSink> = match &cfg.sink {
+            TraceSinkKind::Memory => Box::new(MemorySink::new(1_000_000)),
+            TraceSinkKind::Null => Box::new(NullSink::new()),
+            TraceSinkKind::Jsonl { path } => Box::new(
+                JsonlSink::create(path)
+                    .map_err(|e| format!("cannot open trace sink {path}: {e}"))?,
+            ),
         };
         let report = TelemetryReport::new(&cfg);
         Ok(TelemetryState {
@@ -869,15 +861,15 @@ impl TelemetryState {
     }
 
     /// Capture everything a checkpoint needs to rebuild this state.
-    /// Errors when the sink cannot be checkpointed (custom sink objects
-    /// and writer-backed [`JsonlSink`]s).
+    /// Errors when the sink cannot be checkpointed (a writer-backed
+    /// [`JsonlSink`]).
     pub(crate) fn snapshot(&mut self) -> Result<TelemetrySnapshot, String> {
         // Flush first so a file sink's on-disk bytes are consistent with
         // the recorded count the snapshot carries.
         self.sink.flush();
         let sink = self.sink.snapshot().ok_or_else(|| {
-            "this trace sink cannot be checkpointed: custom or writer-backed \
-             sinks have no state a resume could rebuild"
+            "this trace sink cannot be checkpointed: a writer-backed sink \
+             has no state a resume could rebuild"
                 .to_string()
         })?;
         Ok(TelemetrySnapshot {

@@ -43,9 +43,9 @@ fn fat_tree4_permutation_is_lossless_and_deadlock_free() {
 
 /// A saturated cross-pod run of `k`-ary fat-tree for 100 µs: lossless,
 /// live, and pinned to `(events, golden::digest)`. These are the dense
-/// scheduler regime — dozens (k=8) to hundreds (k=16) of events per
-/// level-0 wheel slot, appended out of `(time, seq)` order — so the pins
-/// hold the wheel's lazy slot sort to the exact pop order.
+/// scheduler regime — delay lanes and wheel-resident pause timers
+/// interleaving at every instant — so the pins hold the queue to the
+/// exact `(time, seq)` pop order.
 fn permutation_pinned(k: usize, events: u64, digest: u64) {
     let mut sim = permutation_sim(k, false);
     let report = sim.run(SimTime::from_us(100));

@@ -424,11 +424,15 @@ fn malformed_requests_are_isolated() {
 // Resident probe ≡ batch oracle (both scheduler backends)
 // ---------------------------------------------------------------------------
 
+/// `variant`'s bit 0 selects DRR egress arbitration over FIFO, and bit 1
+/// makes every odd-numbered flow send 1 500 B packets: DRR's quantum is
+/// then not the default size, which a probe's resume must rederive.
 fn build_session(
     backend: SchedulerBackend,
     topo_sel: u8,
     seed: u64,
     flows_raw: &[(u8, u8, u8)],
+    variant: u8,
 ) -> (Session, Built) {
     let built = match topo_sel % 3 {
         0 => ring(3, LinkSpec::default()),
@@ -455,12 +459,20 @@ fn build_session(
                 BitRate::from_gbps(u64::from(rate % 20) + 1),
             )
         };
+        let f = if variant & 2 != 0 && i % 2 == 1 {
+            f.with_packet_size(Bytes::new(1500))
+        } else {
+            f
+        };
         flows.push(f.with_ttl(16));
     }
     let mut spec = SessionSpec::new(built.topo.clone(), flows);
     spec.horizon = SimTime::from_us(2_000);
     spec.config.seed = seed;
     spec.config.scheduler = Some(backend);
+    if variant & 1 != 0 {
+        spec.config.arbitration = Arbitration::Drr;
+    }
     let session = Session::open(spec).expect("session opens");
     (session, built)
 }
@@ -528,15 +540,11 @@ fn run_script(session: &mut Session, built: &Built, script: &[(u8, u8, u8, u8)])
 }
 
 fn probe_matches_oracle(
-    backend: SchedulerBackend,
-    topo_sel: u8,
-    seed: u64,
-    flows_raw: &[(u8, u8, u8)],
+    (mut session, built): (Session, Built),
     script: &[(u8, u8, u8, u8)],
     push_raw: (u8, u8, u8),
     window_us: u64,
 ) -> Result<(), TestCaseError> {
-    let (mut session, built) = build_session(backend, topo_sel, seed, flows_raw);
     run_script(&mut session, &built, script);
     if session.is_finished() {
         return Ok(()); // nothing left to probe; a valid outcome
@@ -581,13 +589,13 @@ proptest! {
         topo_sel in 0u8..3,
         seed in 0u64..1_000,
         flows_raw in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4),
+        variant in 0u8..4,
         script in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..6),
         push_raw in (any::<u8>(), any::<u8>(), any::<u8>()),
         window_us in 0u64..400,
     ) {
-        probe_matches_oracle(
-            SchedulerBackend::Wheel, topo_sel, seed, &flows_raw, &script, push_raw, window_us,
-        )?;
+        let session = build_session(SchedulerBackend::Wheel, topo_sel, seed, &flows_raw, variant);
+        probe_matches_oracle(session, &script, push_raw, window_us)?;
     }
 
     /// Heap backend: same contract.
@@ -596,13 +604,13 @@ proptest! {
         topo_sel in 0u8..3,
         seed in 0u64..1_000,
         flows_raw in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4),
+        variant in 0u8..4,
         script in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..6),
         push_raw in (any::<u8>(), any::<u8>(), any::<u8>()),
         window_us in 0u64..400,
     ) {
-        probe_matches_oracle(
-            SchedulerBackend::Heap, topo_sel, seed, &flows_raw, &script, push_raw, window_us,
-        )?;
+        let session = build_session(SchedulerBackend::Heap, topo_sel, seed, &flows_raw, variant);
+        probe_matches_oracle(session, &script, push_raw, window_us)?;
     }
 }
 
@@ -712,13 +720,15 @@ fn static_answers_match_the_oracle(backend: SchedulerBackend, name: &str) {
         let topo_sel = (0u8..3).generate(&mut rng);
         let seed = (0u64..1_000).generate(&mut rng);
         let flows_raw = flows.generate(&mut rng);
+        let variant = (0u8..4).generate(&mut rng);
         let script = script.generate(&mut rng);
         let pushes_raw = pushes.generate(&mut rng);
         let window = SimDuration::from_us((0u64..400).generate(&mut rng));
-        let inputs =
-            format!("{topo_sel} {seed} {flows_raw:?} {script:?} {pushes_raw:?} {window:?}");
+        let inputs = format!(
+            "{topo_sel} {seed} {flows_raw:?} {variant} {script:?} {pushes_raw:?} {window:?}"
+        );
 
-        let (mut session, built) = build_session(backend, topo_sel, seed, &flows_raw);
+        let (mut session, built) = build_session(backend, topo_sel, seed, &flows_raw, variant);
         run_script(&mut session, &built, &script);
         if session.is_finished() {
             finished += 1;

@@ -25,33 +25,16 @@
 //!
 //! ## Exact `(time, seq)` order
 //!
-//! A level-0 slot holds exactly one tick but possibly many distinct
-//! picosecond timestamps (and sequence numbers) within it. Every insert,
-//! at every level, is the same O(1) tail append; a level-0 append whose
-//! `(time, seq)` is below the tail's marks the slot in a `dirty0`
-//! bitmap. When a pop's cursor reaches a dirty level-0 slot it sorts that
-//! slot once (through a retained scratch buffer, so nothing allocates in
-//! steady state) and clears the bit; from then on the bucket minimum is
-//! the list head, O(1). A slot no append disordered — every slot of a
-//! sparse run, and everything a checkpoint restore re-inserts in key
-//! order — is never sorted. This matters at fabric density: a level-0
-//! slot spans one 32.8 ns tick at 40 Gbps, a saturated k=8 fat-tree puts
-//! ≈140 events in a dirty one, and they arrive as two in-order runs
-//! (propagation-delayed `Arrive`s first, then `TxDone`s one
-//! serialization ahead). The sorted insert this replaced walked back
-//! over a slot's `Arrive`s on every `TxDone` — 1.6 list hops per level-0
-//! insert at k=4, 14.6 at k=8, 90 at k=16 — where the sort merges the
-//! two runs in one linear pass, touching 0.7–1.5 entries per insert. The
-//! k=16 cross-pod fat-tree went from 860–1 030 to 280–345 ns/event
-//! (EXPERIMENTS.md, "Lazy level-0 sort").
-//!
-//! Higher-level lists are never sorted: they are min-scanned at most once
-//! per slot, just before the cursor enters and cascades them
-//! (redistributing one level down), where their residents land in
-//! level-0 slots like any other append. `find_min` is `&self`, so it
-//! min-scans a dirty slot instead of sorting it. The overflow root is
-//! compared against the wheel candidate on every peek/pop, so the pop
-//! order is bit-identical to the reference heap — a property test in
+//! Every insert, at every level, is the same O(1) tail append, and no
+//! list is ever sorted. A pop min-scans the one level-0 slot it takes its
+//! winner from. With the delay lanes below holding the dense
+//! serialization and propagation traffic, what reaches level 0 is pause
+//! timers, far timers cascading down and pushes no lane could take, so a
+//! slot holds a handful of entries. Higher-level lists are min-scanned at
+//! most once per slot, just before the cursor enters and cascades them
+//! (redistributing one level down). The overflow root is compared
+//! against the wheel candidate on every peek/pop, so the pop order is
+//! bit-identical to the reference heap — a property test in
 //! `tests/proptest_core.rs` replays random interleavings against the heap
 //! as the executable model, at the default tick and at the fabric's.
 //!
@@ -125,11 +108,6 @@ pub(crate) struct WheelState {
     tail: [u32; LEVELS * SLOTS],
     /// Per-level occupancy bitmap over the 256 slots.
     occ: [[u64; SLOTS / 64]; LEVELS],
-    /// Level-0 slots whose list is not `(time, seq)`-sorted: an append
-    /// landed below the tail. Sorted (and cleared) when a pop reaches it.
-    dirty0: [u64; SLOTS / 64],
-    /// Scratch for sorting a dirty slot; keeps its capacity.
-    sort_buf: Vec<(SimTime, u64, u32)>,
     /// Live events resident in the wheels (not counting overflow).
     wheel_len: usize,
     /// Wheel residents at levels >= 1. Simulations whose whole working
@@ -158,8 +136,6 @@ impl WheelState {
             head: [NIL; LEVELS * SLOTS],
             tail: [NIL; LEVELS * SLOTS],
             occ: [[0; SLOTS / 64]; LEVELS],
-            dirty0: [0; SLOTS / 64],
-            sort_buf: Vec::new(),
             wheel_len: 0,
             hi_len: 0,
             overflow: Vec::new(),
@@ -213,9 +189,7 @@ impl WheelState {
         }
     }
 
-    /// Append `idx` to bucket `(level, slot)` in O(1). A level-0 append
-    /// below the tail's `(time, seq)` marks the slot dirty for the pop
-    /// path to sort; higher levels are staging areas whose order never
+    /// Append `idx` to bucket `(level, slot)` in O(1); no bucket's order
     /// matters (see the module doc).
     fn push_bucket<E>(&mut self, slots: &mut [Slot<E>], idx: u32, level: usize, slot: usize) {
         let b = level * SLOTS + slot;
@@ -224,12 +198,6 @@ impl WheelState {
             self.head[b] = idx;
             self.occ[level][slot >> 6] |= 1 << (slot & 63);
         } else {
-            if level == 0 {
-                let (a, s) = (&slots[t as usize], &slots[idx as usize]);
-                if (s.time, s.seq) < (a.time, a.seq) {
-                    self.dirty0[slot >> 6] |= 1 << (slot & 63);
-                }
-            }
             slots[t as usize].next = idx;
         }
         let s = &mut slots[idx as usize];
@@ -241,75 +209,6 @@ impl WheelState {
             self.hi_len += 1;
         }
         self.wheel_len += 1;
-    }
-
-    #[inline]
-    fn is_dirty0(&self, slot: usize) -> bool {
-        self.dirty0[slot >> 6] & (1 << (slot & 63)) != 0
-    }
-
-    /// Sort dirty level-0 slot `slot` by `(time, seq)` and relink it;
-    /// clears its dirty bit. Every append below the tail starts a new
-    /// sorted run, and the common dirty slot holds exactly two (the
-    /// propagation-delayed arrivals, then the serialization completions),
-    /// so two runs are merged in one linear pass; anything else is sorted
-    /// (keys are unique, so an unstable sort gives the one order). The
-    /// scratch is retained, so nothing allocates in steady state.
-    #[inline(never)]
-    fn sort_slot<E>(&mut self, slots: &mut [Slot<E>], slot: usize) {
-        let mut buf = std::mem::take(&mut self.sort_buf);
-        buf.clear();
-        let mut i = self.head[slot];
-        while i != NIL {
-            let s = &slots[i as usize];
-            buf.push((s.time, s.seq, i));
-            i = s.next;
-        }
-        let cut = buf
-            .windows(2)
-            .position(|w| w[1] < w[0])
-            .map_or(buf.len(), |p| p + 1);
-        let mut prev = NIL;
-        let mut link = |i: u32| {
-            match prev {
-                NIL => self.head[slot] = i,
-                p => slots[p as usize].next = i,
-            }
-            slots[i as usize].prev = prev;
-            prev = i;
-        };
-        let (a, b) = buf.split_at(cut);
-        if b.windows(2).all(|w| w[0] < w[1]) {
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() || j < b.len() {
-                if j == b.len() || (i < a.len() && a[i] < b[j]) {
-                    link(a[i].2);
-                    i += 1;
-                } else {
-                    link(b[j].2);
-                    j += 1;
-                }
-            }
-        } else {
-            buf.sort_unstable();
-            buf.iter().for_each(|e| link(e.2));
-        }
-        slots[prev as usize].next = NIL;
-        self.tail[slot] = prev;
-        self.dirty0[slot >> 6] &= !(1 << (slot & 63));
-        self.sort_buf = buf;
-    }
-
-    /// Whether level-0 slot `slot`'s first two entries are in
-    /// `(time, seq)` order. Checked by `debug_assert!` on every pop from
-    /// a clean slot: pops walk the list from the head, so any inversion a
-    /// missed dirty mark left behind reaches the front and trips it.
-    fn head_in_order<E>(&self, slots: &[Slot<E>], slot: usize) -> bool {
-        let h = &slots[self.head[slot] as usize];
-        h.next == NIL || {
-            let n = &slots[h.next as usize];
-            (h.time, h.seq) < (n.time, n.seq)
-        }
     }
 
     fn unlink<E>(&mut self, slots: &mut [Slot<E>], idx: u32) {
@@ -330,9 +229,6 @@ impl WheelState {
         if self.head[b] == NIL {
             let (level, slot) = (b / SLOTS, b % SLOTS);
             self.occ[level][slot >> 6] &= !(1 << (slot & 63));
-            if level == 0 {
-                self.dirty0[slot >> 6] &= !(1 << (slot & 63));
-            }
         }
         if b >= SLOTS {
             self.hi_len -= 1;
@@ -373,8 +269,7 @@ impl WheelState {
         ((self.cur >> (SLOT_BITS as usize * level)) & SLOT_MASK) as usize
     }
 
-    /// Fold every event of unsorted bucket `b` (level >= 1, or a dirty
-    /// level-0 slot) into the running `(time, seq)` min.
+    /// Fold every event of bucket `b` into the running `(time, seq)` min.
     fn bucket_min<E>(&self, slots: &[Slot<E>], b: usize, best: &mut Option<u32>) {
         let mut i = self.head[b];
         while i != NIL {
@@ -390,25 +285,6 @@ impl WheelState {
                 *best = Some(i);
             }
             i = s.next;
-        }
-    }
-
-    /// Fold clean level-0 bucket `b`'s minimum — its head — into the
-    /// running `(time, seq)` min. O(1).
-    fn bucket_head_min<E>(&self, slots: &[Slot<E>], b: usize, best: &mut Option<u32>) {
-        let h = self.head[b];
-        if h == NIL {
-            return;
-        }
-        let better = match *best {
-            None => true,
-            Some(bi) => {
-                let (s, bs) = (&slots[h as usize], &slots[bi as usize]);
-                (s.time, s.seq) < (bs.time, bs.seq)
-            }
-        };
-        if better {
-            *best = Some(h);
         }
     }
 
@@ -434,11 +310,7 @@ impl WheelState {
             }
         }
         if let Some(slot) = self.first_occupied_from(0, self.cursor_slot(0)) {
-            if self.is_dirty0(slot) {
-                self.bucket_min(slots, slot, &mut best);
-            } else {
-                self.bucket_head_min(slots, slot, &mut best);
-            }
+            self.bucket_min(slots, slot, &mut best);
         } else if self.hi_len > 0 {
             for level in 1..LEVELS {
                 let from = self.cursor_slot(level) + 1;
@@ -482,8 +354,7 @@ impl WheelState {
     /// Steps 1–3 of a pop: cascade stale cursor slots, then pick the
     /// `(time, seq)` winner among wheels and overflow. Returns the winner
     /// and the bucket it was found in (`None` = overflow tier). Mutates
-    /// only by cascading and by sorting a dirty level-0 slot, neither of
-    /// which changes the pop order — so a pop abandoned after
+    /// only by cascading, which does not change the pop order — so a pop abandoned after
     /// `select_min` (a winner beyond the limit of a bounded pop, or a
     /// delay-lane head that beats it) is harmless.
     pub(crate) fn select_min<E>(&mut self, slots: &mut [Slot<E>]) -> Option<(u32, Option<usize>)> {
@@ -506,14 +377,7 @@ impl WheelState {
         let mut best: Option<u32> = None;
         let mut from_bucket: Option<usize> = None;
         if let Some(slot) = self.first_occupied_from(0, self.cursor_slot(0)) {
-            if self.is_dirty0(slot) {
-                self.sort_slot(slots, slot);
-            }
-            debug_assert!(
-                self.head_in_order(slots, slot),
-                "clean level-0 slot out of order"
-            );
-            self.bucket_head_min(slots, slot, &mut best);
+            self.bucket_min(slots, slot, &mut best);
             from_bucket = Some(slot);
         } else if self.hi_len > 0 {
             for level in 1..LEVELS {
@@ -638,7 +502,6 @@ impl WheelState {
         self.head.fill(NIL);
         self.tail.fill(NIL);
         self.occ = [[0; SLOTS / 64]; LEVELS];
-        self.dirty0 = [0; SLOTS / 64];
         self.wheel_len = 0;
         self.hi_len = 0;
         self.overflow.clear();

@@ -44,6 +44,17 @@
 //! // deadlocks iff the injection rate exceeds n*B/TTL = 5 Gbps (Eq. 3).
 //! let threshold = BoundaryModel::new(2, BitRate::from_gbps(40), 16).deadlock_threshold();
 //! assert_eq!(threshold, BitRate::from_gbps(5));
+//!
+//! // Simulate it.
+//! let built = two_switch_loop(LinkSpec::default());
+//! let mut tables = shortest_path_tables(&built.topo);
+//! install_cycle_route(&built.topo, &mut tables,
+//!                     &[built.switches[0], built.switches[1]], built.hosts[1]);
+//! let mut sim = SimBuilder::new(&built.topo).tables(tables).build();
+//! sim.add_flow(FlowSpec::cbr(0, built.hosts[0], built.hosts[1],
+//!                            BitRate::from_gbps(6)).with_ttl(16));
+//! let report = sim.run(SimTime::from_ms(30));
+//! assert!(report.verdict.is_deadlock());   // 6 > 5: Eq. 3 says so, and it does
 //! ```
 //!
 //! ## Instrumented simulation

@@ -66,9 +66,9 @@ fn stochastic_scenarios_reproduce_given_seed() {
 
 /// The dense scheduler regime, pinned: a saturated k=8 fat-tree (up/down
 /// tables, 128 infinite cross-pod flows `i → i + 64`, occupancy sampling
-/// off) puts dozens of events in each level-0 wheel slot, appended out of
-/// `(time, seq)` order, so this debug build runs the wheel's lazy slot
-/// sort under its `debug_assert!`s. The golden scenario is too sparse to.
+/// off) keeps the delay lanes and the wheel's pause timers busy at once,
+/// under this debug build's `debug_assert!`s. The golden scenario is too
+/// sparse to.
 #[test]
 fn dense_fat_tree8_digest_is_pinned() {
     use pfcsim::net::golden;
@@ -126,4 +126,42 @@ fn golden_digest_holds_plain_and_across_a_checkpoint() {
     let ckpt = Checkpoint::from_bytes(&bytes).expect("frame round-trips");
     let resumed = NetSim::resume(ckpt).expect("restorable").resume_run();
     assert_eq!(golden::digest(&resumed), GOLDEN_DIGEST, "checkpoint");
+}
+
+/// A run paused, framed, decoded and resumed lands on the uninterrupted
+/// run's report under both egress arbitrations. The incast mixes 1 500 B
+/// and default-size flows, so DRR's quantum (the largest packet among the
+/// flows) is not the default: a resume has to derive it from the restored
+/// flows, since no frame carries it.
+#[test]
+fn resume_matches_the_uninterrupted_run_under_fifo_and_drr() {
+    use pfcsim::net::golden;
+    let horizon = SimTime::from_us(400);
+    for arbitration in [Arbitration::Fifo, Arbitration::Drr] {
+        let build = || {
+            let b = leaf_spine(2, 1, 3, LinkSpec::default());
+            let cfg = SimConfig {
+                arbitration,
+                ..SimConfig::default()
+            };
+            let mut sim = SimBuilder::new(&b.topo).config(cfg).build();
+            let jumbo = Bytes::new(1500);
+            sim.add_flow(FlowSpec::infinite(0, b.hosts[0], b.hosts[5]).with_packet_size(jumbo));
+            sim.add_flow(FlowSpec::infinite(1, b.hosts[1], b.hosts[5]));
+            sim.add_flow(FlowSpec::infinite(2, b.hosts[3], b.hosts[5]).with_packet_size(jumbo));
+            sim
+        };
+        let plain = golden::digest(&build().run(horizon));
+
+        let mut sim = build();
+        assert!(sim.advance_until(SimTime::from_us(100), horizon).is_none());
+        let bytes = sim.checkpoint().expect("checkpointable").to_bytes();
+        let ckpt = Checkpoint::from_bytes(&bytes).expect("frame round-trips");
+        let resumed = NetSim::resume(ckpt).expect("restorable").resume_run();
+        assert_eq!(
+            golden::digest(&resumed),
+            plain,
+            "{arbitration:?}: the resumed run diverged"
+        );
+    }
 }
