@@ -585,14 +585,21 @@ fn main() {
     };
 
     let reports: Vec<Report> = if cmd == "all" {
-        // Where the wall-clock went, one line per experiment, on stderr so
-        // stdout and the reports stay byte-identical.
+        // Where the wall-clock went, one line per experiment with how
+        // many of its runs skipped periods of a steady state, on stderr
+        // so stdout and the reports stay byte-identical.
+        use pfcsim_net::sim::fast_forwarded_runs;
         let started = std::time::Instant::now();
         let reports = (experiments::ALL.iter().enumerate())
             .map(|(i, (_, run))| {
-                let t = std::time::Instant::now();
+                let (t, ff) = (std::time::Instant::now(), fast_forwarded_runs());
                 let report = run(&opts);
-                eprintln!("e{:02} {:.3}", i + 1, t.elapsed().as_secs_f64());
+                let skipped = fast_forwarded_runs() - ff;
+                eprintln!(
+                    "e{:02} {:.3} {skipped} fast-forwarded",
+                    i + 1,
+                    t.elapsed().as_secs_f64()
+                );
                 report
             })
             .collect();

@@ -18,9 +18,12 @@ use crate::scenarios::{paper_config, routing_loop_n_in};
 use crate::sweep::parallel_map_with;
 use crate::table::{fmt, Report, Table};
 
+/// Whether the loop deadlocks within `horizon`. Only the verdict is
+/// read, so a run below the threshold returns once its loop settles
+/// into a steady state it has been in before.
 fn deadlocks(rate: BitRate, ttl: u8, n: usize, horizon: SimTime, arenas: &mut SimArenas) -> bool {
     let sc = routing_loop_n_in(paper_config(), rate, ttl, n, arenas);
-    sc.run_in(horizon, arenas).verdict.is_deadlock()
+    sc.verdict_in(horizon, arenas).is_deadlock()
 }
 
 /// Bisect the measured threshold to `step` granularity in `[lo, hi]`,

@@ -38,7 +38,7 @@
 use pfcsim_simcore::event::Backend;
 use pfcsim_simcore::rng::SimRng;
 use pfcsim_simcore::snap;
-use pfcsim_simcore::time::SimTime;
+use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::Bytes;
 use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::{FlowId, NodeId, PortNo, Priority};
@@ -52,8 +52,8 @@ use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::flow::FlowSpec;
 use crate::host::{FlowRt, Host};
 use crate::packet::{Frame, Packet};
-use crate::sim::{Ev, RebootState, RouteUpdate};
-use crate::stats::{FlowStats, IngressKey, NetStats, PauseKey};
+use crate::sim::{Ev, Mark, RebootState, RouteUpdate};
+use crate::stats::{extend_bytes, extend_count, FlowStats, IngressKey, NetStats, PauseKey};
 use crate::switch::{InFlight, Switch, TxPause};
 use crate::telemetry::TelemetrySnapshot;
 use crate::timely::TimelyConfig;
@@ -539,6 +539,154 @@ impl Checkpoint {
             return bad("a sampled queue that does not exist".into());
         }
         Ok(())
+    }
+
+    /// The image of the same run `k` periods later: the fast-forward
+    /// jump (see `crate::sim::period`). The run is back, one `period`
+    /// after `mark.at`, in the behavioural state it was in then, so
+    /// shifting every time the image holds by `k` periods gives the
+    /// state the full run reaches then, and every write-only quantity
+    /// grows by `k` times what the last period added. `metrics` are the
+    /// registered telemetry metrics now.
+    pub(crate) fn skip_periods(
+        &mut self,
+        mark: &Mark,
+        period: SimDuration,
+        metrics: &[f64],
+        k: u64,
+    ) {
+        let d = period.saturating_mul(k);
+        let Checkpoint {
+            // Fixed for the run.
+            topo: _,
+            cfg: _,
+            tables: _,
+            dcqcn_cfg: _,
+            timely_cfg: _,
+            meaningful: _,
+            horizon: _,
+            switch_pfc: _,
+            fmap,
+            pinned: _,
+            traced: _,
+            pause_headroom: _,
+            watch_keys: _,
+            used_prios: _,
+            sample_keys: _,
+            trace_cap: _,
+            flows: _,
+            fault_events: _,
+            route_updates: _,
+            reboots: _,
+            // Hold no instant and grow with no period.
+            link_up: _,
+            fstats_touched: _,
+            frame_free: _,
+            rng: _,
+            fault_rng: _,
+            dl_paused: _,
+            pfc_loss: _,
+            pfc_delay: _,
+            deadlock: _,
+            hybrid: _,
+            queue,
+            events,
+            switches,
+            hosts,
+            tx_pause,
+            host_in_flight,
+            frames,
+            rt,
+            fstats,
+            next_pkt_id,
+            dl_epoch,
+            last_clean_scan,
+            scans_run,
+            scans_skipped,
+            stats,
+            telemetry,
+        } = self;
+        // Packet ids and sequence numbers are write-only; shift them by
+        // what the skipped periods would have issued.
+        let ids = k * (*next_pkt_id - mark.next_pkt_id);
+        let seqs: Vec<u64> = (rt.iter().zip(&mark.flow_rt))
+            .map(|(rt, &(seq, _))| k * (rt.next_seq - seq))
+            .collect();
+        let shift = |p: &mut Packet| {
+            p.id += ids;
+            p.seq += seqs[fmap[p.flow.0 as usize] as usize];
+            p.injected_at += d;
+        };
+        queue.now += d;
+        for (at, _, _) in &mut queue.entries {
+            *at += d;
+        }
+        extend_count(events, mark.events, k);
+        for sw in switches.iter_mut().flatten() {
+            for ing in &mut sw.ingress {
+                if let Some(tb) = &mut ing.shaper {
+                    tb.last_update += d;
+                }
+                ing.shaper_q.iter_mut().for_each(shift);
+            }
+            for eg in &mut sw.egress {
+                for q in &mut eg.queues {
+                    q.subs
+                        .iter_mut()
+                        .flatten()
+                        .for_each(|qp| shift(&mut qp.pkt));
+                    q.fifo.iter_mut().for_each(|qp| shift(&mut qp.pkt));
+                }
+                if let Some(InFlight::Data(qp)) = &mut eg.in_flight {
+                    shift(&mut qp.pkt);
+                }
+                for (_, last) in &mut eg.phantom {
+                    *last += d;
+                }
+            }
+        }
+        for (h, &then) in hosts.iter_mut().zip(&mark.received) {
+            if let Some(h) = h {
+                if let Some(t) = &mut h.wake_at {
+                    *t += d;
+                }
+                extend_bytes(&mut h.received, then, k);
+            }
+        }
+        for p in tx_pause.iter_mut() {
+            if let TxPause::Until(t) = p {
+                *t += d;
+            }
+        }
+        host_in_flight.iter_mut().flatten().for_each(shift);
+        for f in frames.iter_mut() {
+            if let Frame::Data(p) = f {
+                shift(p);
+            }
+        }
+        for (r, &(seq, injected)) in rt.iter_mut().zip(&mark.flow_rt) {
+            r.backlog.iter_mut().for_each(shift);
+            r.next_send += d;
+            if let Some(t) = &mut r.last_cnp {
+                *t += d;
+            }
+            extend_count(&mut r.next_seq, seq, k);
+            extend_bytes(&mut r.injected, injected, k);
+        }
+        for (fs, then) in fstats.iter_mut().zip(&mark.flow_stats) {
+            fs.extend_periods(then, k, period);
+        }
+        extend_count(next_pkt_id, mark.next_pkt_id, k);
+        extend_count(dl_epoch, mark.dl_epoch, k);
+        if let (Some(now), Some(then)) = (last_clean_scan.as_mut(), mark.last_clean_scan) {
+            extend_count(now, then, k);
+        }
+        extend_count(scans_run, mark.scans_run, k);
+        extend_count(scans_skipped, mark.scans_skipped, k);
+        stats.extend_periods(&mark.stats, k, period);
+        if let (Some(t), Some(then)) = (telemetry.as_mut(), &mark.telemetry) {
+            t.extend_periods(then, metrics, k, period);
+        }
     }
 }
 

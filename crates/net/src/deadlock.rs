@@ -69,33 +69,33 @@ const P: usize = Priority::COUNT;
 #[derive(Debug, Default)]
 pub(crate) struct DeadlockTracker {
     /// Slot → owning node.
-    slot_node: Vec<u32>,
+    pub(crate) slot_node: Vec<u32>,
     /// Slot → local port number.
-    slot_port: Vec<u16>,
+    pub(crate) slot_port: Vec<u16>,
     /// Slot → slot of the same link's far end `(peer, peer_port)`.
-    slot_peer: Vec<u32>,
+    pub(crate) slot_peer: Vec<u32>,
     /// Slot is a switch ingress whose upstream peer is also a switch —
     /// the only channels that can participate in a pause cycle.
-    candidate: DenseBitSet,
+    pub(crate) candidate: DenseBitSet,
     /// Chan → pause currently asserted (candidates only).
-    paused: DenseBitSet,
+    pub(crate) paused: DenseBitSet,
     /// Number of set bits in `paused` — the O(1) "anything to scan?" probe.
-    paused_count: usize,
+    pub(crate) paused_count: usize,
     /// Bumped on every pause flip and queue byte movement; a scan result
     /// is reusable while the epoch it was computed at is still current.
-    epoch: u64,
+    pub(crate) epoch: u64,
     // ---- scan scratch (sized once, cleared sparsely) ----
     /// Chan → bytes stuck toward still-frozen egresses.
-    stuck: Vec<u64>,
+    pub(crate) stuck: Vec<u64>,
     /// Node → total stuck bytes wedged at that switch.
-    stuck_at_node: Vec<u64>,
+    pub(crate) stuck_at_node: Vec<u64>,
     /// Chans gathered for this scan, ascending.
-    frozen: Vec<u32>,
-    in_frozen: DenseBitSet,
-    in_work: DenseBitSet,
-    work: Vec<u32>,
-    touched_nodes: Vec<u32>,
-    node_touched: DenseBitSet,
+    pub(crate) frozen: Vec<u32>,
+    pub(crate) in_frozen: DenseBitSet,
+    pub(crate) in_work: DenseBitSet,
+    pub(crate) work: Vec<u32>,
+    pub(crate) touched_nodes: Vec<u32>,
+    pub(crate) node_touched: DenseBitSet,
 }
 
 impl DeadlockTracker {

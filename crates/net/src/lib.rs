@@ -92,7 +92,7 @@ pub mod prelude {
         VerdictDoc, WhatIfDoc, SERVE_SCHEMA,
     };
     pub use crate::shaper::TokenBucket;
-    pub use crate::sim::{NetSim, RunReport, SimArenas, SimBuilder, Verdict};
+    pub use crate::sim::{FastForward, NetSim, RunReport, SimArenas, SimBuilder, Verdict};
     pub use crate::stats::{FlowStats, IngressKey, NetStats, PauseKey, PauseLog};
     pub use crate::telemetry::{
         parse_jsonl_trace, JsonlSink, MemorySink, MetricDesc, MetricId, MetricKind, MetricRegistry,

@@ -20,11 +20,11 @@ use pfcsim_simcore::units::{BitRate, Bytes};
 /// independent of how often it is observed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TokenBucket {
-    rate: BitRate,
-    burst: Bytes,
+    pub(crate) rate: BitRate,
+    pub(crate) burst: Bytes,
     /// Credit in bit·ps.
-    credit: u128,
-    last_update: SimTime,
+    pub(crate) credit: u128,
+    pub(crate) last_update: SimTime,
 }
 
 /// Credit units per bit.

@@ -27,10 +27,19 @@
 //!   every flow at `stop_at`, then let the network drain. If the event
 //!   queue quiesces while bytes remain buffered, those bytes can *never*
 //!   move: a permanent deadlock.
+//! * [`NetSim::run_to_verdict`] — `run(h).verdict`, returned as soon as
+//!   it is settled.
+//!
+//! All three step at the detector's cadence and fast-forward a run that
+//! settles into a periodic steady state (`period.rs`): the report is
+//! byte-identical to the one simulating every period gives.
+//! [`NetSim::advance_until`], the checkpointable protocol every `serve`
+//! path uses, simulates every event.
 
 mod control;
 mod datapath;
 mod nic;
+mod period;
 
 use std::collections::BTreeMap;
 
@@ -47,6 +56,8 @@ use pfcsim_topo::routing::ForwardingTables;
 
 pub(crate) use control::{ControlPlane, ControlState, RebootState, RouteUpdate};
 pub(crate) use datapath::{Datapath, DatapathState, FlowArena, FrameSlab, PortInfo};
+pub(crate) use period::Mark;
+pub use period::{fast_forwarded_runs, FastForward};
 
 use crate::checkpoint::{Checkpoint, CheckpointError, QueueSnapshot};
 use crate::config::SimConfig;
@@ -58,6 +69,7 @@ use crate::stats::{IngressKey, NetStats, PauseKey};
 use crate::switch::InFlight;
 use crate::telemetry::{TelemetryConfig, TelemetryReport, TelemetryState};
 use crate::trace::TraceEvent;
+use period::Recurrence;
 
 /// Simulator events.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -216,6 +228,10 @@ pub struct RunReport {
     /// The seed the run was configured with (`SimConfig::seed`) — recorded
     /// so a report is reproducible from itself.
     pub seed: u64,
+    /// Set iff the run skipped whole periods of a periodic steady state
+    /// (see the module doc). Everything else in the report is what
+    /// simulating every period gives, so no digest or frame reads this.
+    pub fast_forward: Option<FastForward>,
     /// Digest of the full `SimConfig` (see
     /// [`crate::checkpoint::config_digest`]); pairs with `seed` to pin
     /// the exact configuration a report came from, and is what a resume
@@ -373,6 +389,8 @@ pub struct NetSim {
     /// Earliest force-stop from `run_with_drain`, recorded before
     /// `start()` so hybrid classification can cap generation exactly.
     pub(crate) drain_stop: Option<SimTime>,
+    /// The periods this run skipped, once it has.
+    fast_forward: Option<FastForward>,
 }
 
 impl NetSim {
@@ -421,6 +439,7 @@ impl NetSim {
             telem,
             hybrid: None,
             drain_stop: None,
+            fast_forward: None,
         })
     }
 
@@ -514,12 +533,21 @@ impl NetSim {
     /// finds no buffer-dependency cycle that any packet in or entering the
     /// network can close under the live tables, with no route update, fault
     /// or switch restore still to fire, no later state can deadlock (paper
-    /// §3), so the verdict is `NoDeadlock`. A run stopped early is left
-    /// paused, not finished; [`NetSim::recycle`] takes it back.
+    /// §3), so the verdict is `NoDeadlock`. A run that settles into a
+    /// periodic steady state skips its whole periods as [`NetSim::run`]
+    /// does and simulates the rest, so the final scan sees the state the
+    /// full run ends in. A run stopped early is left paused, not
+    /// finished; [`NetSim::recycle`] takes it back.
     pub fn run_to_verdict(&mut self, horizon: SimTime) -> Verdict {
         let Some(step) = self.dp.cfg.deadlock_scan_interval.filter(|s| !s.is_zero()) else {
             return self.run(horizon).verdict;
         };
+        self.horizon = horizon;
+        if !self.started {
+            self.start();
+        }
+        let steps = horizon.saturating_since(self.now()).div_duration(step);
+        let mut watch = self.fast_forward_step().map(|_| Recurrence::new(steps));
         let mut pause = self.now().min(horizon);
         loop {
             if let Some(report) = self.advance_until(pause, horizon) {
@@ -537,6 +565,9 @@ impl NetSim {
             debug_assert!(self.queue.peek_time().is_none_or(|t| t > self.now()));
             if window_is_deadlock_free(&self.dp, &self.queue, &self.cp.tables, false) {
                 return Verdict::NoDeadlock;
+            }
+            if let Some(at) = watch.as_mut().and_then(|rec| self.fast_forward(rec, pause)) {
+                (watch, pause) = (None, at);
             }
             pause = pause.checked_add(step).map_or(horizon, |t| t.min(horizon));
         }
@@ -686,6 +717,22 @@ impl NetSim {
             self.start();
         }
         assert!(!self.finished, "run methods may be called once");
+        if let Some(step) = self.fast_forward_step() {
+            // Step at the detector's cadence until the state recurs (then
+            // jump) or the run ends.
+            let steps = horizon.saturating_since(self.now()).div_duration(step);
+            let mut rec = Recurrence::new(steps);
+            let mut pause = self.now().min(horizon);
+            loop {
+                if let Some(report) = self.advance_until(pause, horizon) {
+                    return report;
+                }
+                if self.fast_forward(&mut rec, pause).is_some() {
+                    break;
+                }
+                pause = pause.checked_add(step).map_or(horizon, |t| t.min(horizon));
+            }
+        }
         let outcome = self.step_until(horizon);
         self.finalize(matches!(outcome, StepOutcome::Quiesced))
     }
@@ -879,6 +926,7 @@ impl NetSim {
             stats: std::mem::take(&mut self.stats),
             telemetry,
             seed: self.dp.cfg.seed,
+            fast_forward: self.fast_forward,
             config_digest: crate::checkpoint::config_digest(&self.dp.cfg),
         }
     }
@@ -1128,6 +1176,7 @@ impl NetSim {
             telem,
             hybrid: ckpt.hybrid,
             drain_stop: None,
+            fast_forward: None,
         })
     }
 }

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use pfcsim_simcore::series::{EventLog, IntervalLog, ThroughputMeter, TimeSeries};
-use pfcsim_simcore::time::SimTime;
+use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::Bytes;
 use pfcsim_topo::ids::{FlowId, NodeId, PortNo, Priority};
 
@@ -161,6 +161,181 @@ impl NetStats {
     /// Mutable flow stats accessor, creating on first use.
     pub fn flow_mut(&mut self, id: FlowId) -> &mut FlowStats {
         self.flows.entry(id).or_default()
+    }
+}
+
+/// `x` after `k` more periods that each add what the last one did (`x`
+/// was `at_mark` one period ago).
+pub(crate) fn extend_count(x: &mut u64, at_mark: u64, k: u64) {
+    *x += k * (*x - at_mark);
+}
+
+/// [`extend_count`] for byte counters.
+pub(crate) fn extend_bytes(x: &mut Bytes, at_mark: Bytes, k: u64) {
+    *x = Bytes::new(x.get() + k * (x.get() - at_mark.get()));
+}
+
+impl FlowStats {
+    /// The counters after `k` more periods like the one since they read
+    /// `mark` (see `NetStats::extend_periods`).
+    pub(crate) fn extend_periods(&mut self, mark: &FlowStats, k: u64, period: SimDuration) {
+        let FlowStats {
+            injected_packets,
+            injected_bytes,
+            delivered_packets,
+            delivered_bytes,
+            dropped_ttl,
+            dropped_no_route,
+            dropped_overflow,
+            dropped_recovery,
+            dropped_link_down,
+            dropped_pause_loss,
+            unsent_packets,
+            unsent_bytes,
+            stuck_packets,
+            stuck_bytes,
+            meter,
+            ecn_marked,
+        } = self;
+        extend_count(injected_packets, mark.injected_packets, k);
+        extend_bytes(injected_bytes, mark.injected_bytes, k);
+        extend_count(delivered_packets, mark.delivered_packets, k);
+        extend_bytes(delivered_bytes, mark.delivered_bytes, k);
+        extend_count(dropped_ttl, mark.dropped_ttl, k);
+        extend_count(dropped_no_route, mark.dropped_no_route, k);
+        extend_count(dropped_overflow, mark.dropped_overflow, k);
+        extend_count(dropped_recovery, mark.dropped_recovery, k);
+        extend_count(dropped_link_down, mark.dropped_link_down, k);
+        extend_count(dropped_pause_loss, mark.dropped_pause_loss, k);
+        extend_count(unsent_packets, mark.unsent_packets, k);
+        extend_bytes(unsent_bytes, mark.unsent_bytes, k);
+        extend_count(stuck_packets, mark.stuck_packets, k);
+        extend_bytes(stuck_bytes, mark.stuck_bytes, k);
+        meter.extend_periods(&mark.meter, k, period);
+        extend_count(ecn_marked, mark.ecn_marked, k);
+    }
+}
+
+/// How far every counter and log of a [`NetStats`] had got at one
+/// instant of a run: what [`NetStats::extend_periods`] repeats from.
+#[derive(Debug, Clone)]
+pub(crate) struct StatsMark {
+    /// Per channel: PAUSE frames logged and pause-span edges.
+    pause: BTreeMap<PauseKey, (usize, usize)>,
+    occupancy: BTreeMap<IngressKey, usize>,
+    flow_occupancy: BTreeMap<(IngressKey, FlowId), usize>,
+    faults: usize,
+    /// The network-wide counters, in [`NetStats::counters`] order.
+    counters: [u64; 13],
+}
+
+impl NetStats {
+    /// The network-wide counters in one fixed order.
+    fn counters(&self) -> [u64; 13] {
+        [
+            self.drops_ttl,
+            self.drops_no_route,
+            self.drops_overflow,
+            self.flood_replicas,
+            self.misdelivered,
+            self.drops_recovery,
+            self.recovery_actions,
+            self.drops_link_down,
+            self.drops_pause_loss,
+            self.pause_frames_lost,
+            self.pause_frames,
+            self.resume_frames,
+            self.cnps,
+        ]
+    }
+
+    /// Where every counter and log stands now.
+    pub(crate) fn mark(&self) -> StatsMark {
+        StatsMark {
+            pause: (self.pause.iter())
+                .map(|(k, l)| (*k, (l.events.count(), l.intervals.edges())))
+                .collect(),
+            occupancy: (self.occupancy.iter())
+                .map(|(k, s)| (*k, s.len()))
+                .collect(),
+            flow_occupancy: (self.flow_occupancy.iter())
+                .map(|(k, s)| (*k, s.len()))
+                .collect(),
+            faults: self.faults.len(),
+            counters: self.counters(),
+        }
+    }
+
+    /// The statistics of a run whose last period — from `mark` to now —
+    /// repeats `k` more times: every counter grows by what the period
+    /// added, and every log and series repeats the period's entries
+    /// `period` apart. The caller has shown the run periodic, so a key
+    /// present now was present at `mark`, and a pause span is open now
+    /// iff it was open then.
+    pub(crate) fn extend_periods(&mut self, mark: &StatsMark, k: u64, period: SimDuration) {
+        let NetStats {
+            pause,
+            occupancy,
+            flow_occupancy,
+            flows,
+            drops_ttl,
+            drops_no_route,
+            drops_overflow,
+            flood_replicas,
+            misdelivered,
+            drops_recovery,
+            recovery_actions,
+            drops_link_down,
+            drops_pause_loss,
+            pause_frames_lost,
+            faults,
+            pause_frames,
+            resume_frames,
+            cnps,
+            trace,
+        } = self;
+        for (key, log) in pause.iter_mut() {
+            let (events, edges) = mark.pause.get(key).copied().unwrap_or_default();
+            log.events.extend_periods(events, k, period);
+            log.intervals.extend_periods(edges, k, period);
+        }
+        for (key, series) in occupancy.iter_mut() {
+            series.extend_periods(mark.occupancy.get(key).copied().unwrap_or(0), k, period);
+        }
+        for (key, series) in flow_occupancy.iter_mut() {
+            let from = mark.flow_occupancy.get(key).copied().unwrap_or(0);
+            series.extend_periods(from, k, period);
+        }
+        // Filled when the run finishes, and never for a fast-forwarded
+        // run's traced flows, which it has none of.
+        debug_assert!(flows.is_empty() && trace.is_empty());
+        let span = faults.len() - mark.faults;
+        faults.reserve(span * k as usize);
+        for j in 1..=k {
+            for i in mark.faults..mark.faults + span {
+                let mut record = faults[i].clone();
+                record.at += period.saturating_mul(j);
+                faults.push(record);
+            }
+        }
+        let counters = [
+            drops_ttl,
+            drops_no_route,
+            drops_overflow,
+            flood_replicas,
+            misdelivered,
+            drops_recovery,
+            recovery_actions,
+            drops_link_down,
+            drops_pause_loss,
+            pause_frames_lost,
+            pause_frames,
+            resume_frames,
+            cnps,
+        ];
+        for (x, at_mark) in counters.into_iter().zip(mark.counters) {
+            extend_count(x, at_mark, k);
+        }
     }
 }
 

@@ -53,16 +53,16 @@ pub struct QPkt {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EgressQueue {
     /// Per-ingress-port subqueues (DRR mode), indexed by port number.
-    subs: Vec<VecDeque<QPkt>>,
-    rr: VecDeque<PortNo>,
+    pub(crate) subs: Vec<VecDeque<QPkt>>,
+    pub(crate) rr: VecDeque<PortNo>,
     /// Per-ingress-port DRR deficit, indexed by port number. Always zero
     /// while the matching subqueue is empty.
-    deficit: Vec<u64>,
-    fifo: VecDeque<QPkt>,
+    pub(crate) deficit: Vec<u64>,
+    pub(crate) fifo: VecDeque<QPkt>,
     /// Queued bytes per ingress port (both modes), indexed by port number.
-    by_ingress: Vec<u64>,
-    bytes: Bytes,
-    len: usize,
+    pub(crate) by_ingress: Vec<u64>,
+    pub(crate) bytes: Bytes,
+    pub(crate) len: usize,
 }
 
 impl EgressQueue {
@@ -348,7 +348,7 @@ impl Ingress {
 /// are unchanged.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FlowLedger {
-    entries: Vec<((u8, FlowId), Bytes)>,
+    pub(crate) entries: Vec<((u8, FlowId), Bytes)>,
 }
 
 impl FlowLedger {

@@ -186,6 +186,14 @@ impl MetricRegistry {
             series.push(t, value_of(*id));
         }
     }
+
+    /// Every registered metric's value now, in registration order.
+    pub(crate) fn values(&self, mut value_of: impl FnMut(MetricId) -> f64) -> Vec<f64> {
+        self.metrics
+            .iter()
+            .map(|(_, id, _)| value_of(*id))
+            .collect()
+    }
 }
 
 /// The registry every run starts from: one entry per engine subsystem
@@ -906,6 +914,150 @@ impl TelemetryState {
             last_flow_bytes: snap.last_flow_bytes,
             last_sample_at: snap.last_sample_at,
         })
+    }
+}
+
+/// How far telemetry had got at one instant of a run: what
+/// [`TelemetrySnapshot::extend_periods`] repeats from.
+#[derive(Debug, Clone)]
+pub(crate) struct TelemetryMark {
+    /// Per registered metric: samples pushed, and its value then.
+    registry: Vec<(u64, f64)>,
+    pause_ratio: BTreeMap<PauseKey, u64>,
+    resume_latency_us: BTreeMap<PauseKey, u64>,
+    occupancy: BTreeMap<IngressKey, u64>,
+    xoff_threshold: BTreeMap<IngressKey, u64>,
+    xon_threshold: BTreeMap<IngressKey, u64>,
+    goodput_bps: BTreeMap<FlowId, u64>,
+    samples_taken: u64,
+    recorded: u64,
+    last_pause_dur: BTreeMap<PauseKey, SimDuration>,
+    last_closed: BTreeMap<PauseKey, usize>,
+    last_flow_bytes: Vec<u64>,
+}
+
+/// Samples pushed per keyed ring.
+fn pushed<K: Ord + Copy>(rings: &BTreeMap<K, RingSeries>) -> BTreeMap<K, u64> {
+    rings.iter().map(|(k, r)| (*k, r.pushed())).collect()
+}
+
+/// Repeat every keyed ring's last period `k` more times; keyed probes
+/// sample state that repeats with the run, so no value grows.
+fn extend_rings<K: Ord>(
+    rings: &mut BTreeMap<K, RingSeries>,
+    mark: &BTreeMap<K, u64>,
+    k: u64,
+    period: SimDuration,
+) {
+    for (key, ring) in rings.iter_mut() {
+        ring.extend_periods(mark.get(key).copied().unwrap_or(0), k, period, 0.0);
+    }
+}
+
+impl TelemetryState {
+    /// Hand the report over, leaving an empty one: for a simulator
+    /// about to be replaced by its own checkpoint image.
+    pub(crate) fn take_report(&mut self) -> TelemetryReport {
+        std::mem::replace(&mut self.report, TelemetryReport::new(&self.cfg))
+    }
+
+    /// Where every series and delta tracker stands now; `value_of` reads
+    /// the registered metrics.
+    pub(crate) fn mark(&self, value_of: impl FnMut(MetricId) -> f64) -> TelemetryMark {
+        let r = &self.report;
+        let values = r.registry.values(value_of);
+        TelemetryMark {
+            registry: (r.registry.metrics.iter().zip(values))
+                .map(|((_, _, ring), v)| (ring.pushed(), v))
+                .collect(),
+            pause_ratio: pushed(&r.pause_ratio),
+            resume_latency_us: pushed(&r.resume_latency_us),
+            occupancy: pushed(&r.occupancy),
+            xoff_threshold: pushed(&r.xoff_threshold),
+            xon_threshold: pushed(&r.xon_threshold),
+            goodput_bps: pushed(&r.goodput_bps),
+            samples_taken: r.samples_taken,
+            recorded: self.sink.recorded(),
+            last_pause_dur: self.last_pause_dur.clone(),
+            last_closed: self.last_closed.clone(),
+            last_flow_bytes: self.last_flow_bytes.clone(),
+        }
+    }
+}
+
+impl TelemetrySnapshot {
+    /// The telemetry of a run whose last period — from `mark` to now —
+    /// repeats `k` more times. `values` are the registered metrics now:
+    /// a metric that grew by `v` over the period grows by `v` per
+    /// repetition (a counter), one that did not stays put (a gauge).
+    /// Only a null sink can be fast-forwarded: it keeps a count, not
+    /// the events.
+    pub(crate) fn extend_periods(
+        &mut self,
+        mark: &TelemetryMark,
+        values: &[f64],
+        k: u64,
+        period: SimDuration,
+    ) {
+        use crate::stats::extend_count;
+        let TelemetrySnapshot {
+            report,
+            sink,
+            last_pause_dur,
+            last_closed,
+            last_flow_bytes,
+            last_sample_at,
+        } = self;
+        let TelemetryReport {
+            schema: _,
+            sample_interval: _,
+            registry,
+            pause_ratio,
+            resume_latency_us,
+            occupancy,
+            xoff_threshold,
+            xon_threshold,
+            goodput_bps,
+            samples_taken,
+            // Both are filled from the sink when the run finishes.
+            trace_recorded: _,
+            trace: _,
+        } = report;
+        for (((_, _, ring), &(from, then)), &now) in (registry.metrics.iter_mut())
+            .zip(&mark.registry)
+            .zip(values)
+        {
+            ring.extend_periods(from, k, period, now - then);
+        }
+        extend_rings(pause_ratio, &mark.pause_ratio, k, period);
+        extend_rings(resume_latency_us, &mark.resume_latency_us, k, period);
+        extend_rings(occupancy, &mark.occupancy, k, period);
+        extend_rings(xoff_threshold, &mark.xoff_threshold, k, period);
+        extend_rings(xon_threshold, &mark.xon_threshold, k, period);
+        extend_rings(goodput_bps, &mark.goodput_bps, k, period);
+        extend_count(samples_taken, mark.samples_taken, k);
+        match sink {
+            SinkSnapshot::Null { recorded } => extend_count(recorded, mark.recorded, k),
+            SinkSnapshot::Memory { .. } | SinkSnapshot::Jsonl { .. } => {
+                unreachable!("only a null sink is fast-forwarded")
+            }
+        }
+        for (key, d) in last_pause_dur.iter_mut() {
+            let then = mark
+                .last_pause_dur
+                .get(key)
+                .copied()
+                .unwrap_or(SimDuration::ZERO);
+            *d += (*d - then).saturating_mul(k);
+        }
+        for (key, n) in last_closed.iter_mut() {
+            let then = mark.last_closed.get(key).copied().unwrap_or(0);
+            *n += k as usize * (*n - then);
+        }
+        for (b, &then) in last_flow_bytes.iter_mut().zip(&mark.last_flow_bytes) {
+            extend_count(b, then, k);
+        }
+        *last_sample_at += period.saturating_mul(k);
     }
 }
 

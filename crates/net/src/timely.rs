@@ -61,11 +61,11 @@ pub struct TimelyState {
     /// Current sending rate.
     pub rate: BitRate,
     /// Previous RTT sample (ps).
-    prev_rtt_ps: Option<u64>,
+    pub(crate) prev_rtt_ps: Option<u64>,
     /// Filtered RTT difference (ps).
-    rtt_diff_ps: f64,
+    pub(crate) rtt_diff_ps: f64,
     /// Consecutive samples in the increase regime.
-    increase_streak: u32,
+    pub(crate) increase_streak: u32,
 }
 
 impl TimelyState {

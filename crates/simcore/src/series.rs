@@ -71,6 +71,23 @@ impl TimeSeries {
             .filter(move |&(t, _)| t >= from && t < to)
     }
 
+    /// Repeat the samples pushed since the series held `from` of them
+    /// `k` more times, copy `j` shifted `j` periods later: the series a
+    /// run would have recorded had it kept repeating that span. Room is
+    /// left for one period more, which is at most what the run records
+    /// after the repeats.
+    pub fn extend_periods(&mut self, from: usize, k: u64, period: SimDuration) {
+        let span = self.samples.len() - from;
+        self.samples.reserve(span * (k as usize + 1));
+        for j in 1..=k {
+            let dt = period.saturating_mul(j);
+            for i in from..from + span {
+                let (t, v) = self.samples[i];
+                self.samples.push((t + dt, v));
+            }
+        }
+    }
+
     /// Fraction of samples in `[from, to)` whose value is ≥ `level`.
     pub fn fraction_at_or_above(&self, level: u64, from: SimTime, to: SimTime) -> f64 {
         let mut total = 0usize;
@@ -128,6 +145,19 @@ impl EventLog {
     pub fn last(&self) -> Option<SimTime> {
         self.times.last().copied()
     }
+
+    /// [`TimeSeries::extend_periods`] for occurrences.
+    pub fn extend_periods(&mut self, from: usize, k: u64, period: SimDuration) {
+        let span = self.times.len() - from;
+        self.times.reserve(span * (k as usize + 1));
+        for j in 1..=k {
+            let dt = period.saturating_mul(j);
+            for i in from..from + span {
+                let t = self.times[i];
+                self.times.push(t + dt);
+            }
+        }
+    }
 }
 
 /// A log of closed/open intervals, e.g. "link paused from t1 to t2".
@@ -178,6 +208,46 @@ impl IntervalLog {
     /// Number of intervals (open or closed).
     pub fn count(&self) -> usize {
         self.intervals.len()
+    }
+
+    /// Opens and closes recorded so far: two per closed interval, one
+    /// for an open one.
+    pub fn edges(&self) -> usize {
+        2 * self.intervals.len() - usize::from(self.is_open())
+    }
+
+    /// [`TimeSeries::extend_periods`] for the opens and closes recorded
+    /// since the log held `from` [`edges`](Self::edges). The log must be
+    /// open now iff it was open then, so every copy starts where the one
+    /// before it ends.
+    ///
+    /// # Panics
+    /// Panics if the span holds an odd number of edges.
+    pub fn extend_periods(&mut self, from: usize, k: u64, period: SimDuration) {
+        let to = self.edges();
+        assert!(
+            (to - from).is_multiple_of(2),
+            "a period opens as often as it closes"
+        );
+        let edge = |log: &Self, e: usize| {
+            let (start, end) = log.intervals[e / 2];
+            if e.is_multiple_of(2) {
+                start
+            } else {
+                end.expect("a recorded close")
+            }
+        };
+        let span: Vec<SimTime> = (from..to).map(|e| edge(self, e)).collect();
+        for j in 1..=k {
+            let dt = period.saturating_mul(j);
+            for (i, &t) in span.iter().enumerate() {
+                if (from + i).is_multiple_of(2) {
+                    self.open(t + dt);
+                } else {
+                    self.close(t + dt);
+                }
+            }
+        }
     }
 
     /// Total covered duration, treating an open interval as extending to `end_of_sim`.
@@ -266,6 +336,38 @@ impl RingSeries {
     /// Retained samples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
         self.samples.iter().copied()
+    }
+
+    /// The ring after `k` more repetitions of the samples pushed since
+    /// [`pushed`](Self::pushed) was `from`: copy `j` is shifted `j`
+    /// periods later and, when `step` is non-zero, `j * step` higher (a
+    /// counter that grows by `step` per period). Only the copies the ring
+    /// would retain are built.
+    pub fn extend_periods(&mut self, from: u64, k: u64, period: SimDuration, step: f64) {
+        let span = (self.pushed - from) as usize;
+        if span == 0 || k == 0 {
+            return;
+        }
+        let len = self.samples.len();
+        // The span's samples are still retained unless the ring is full,
+        // in which case only its retained tail is needed.
+        debug_assert!(span <= len || len == self.capacity);
+        let total = len as u64 + k * span as u64;
+        let keep = total.min(self.capacity as u64);
+        let mut out = std::collections::VecDeque::with_capacity(keep as usize);
+        for pos in total - keep..total {
+            if pos < len as u64 {
+                out.push_back(self.samples[pos as usize]);
+                continue;
+            }
+            let p = pos - len as u64;
+            let j = p / span as u64 + 1;
+            let (t, v) = self.samples[len + (p % span as u64) as usize - span];
+            let v = if step == 0.0 { v } else { v + j as f64 * step };
+            out.push_back((t + period.saturating_mul(j), v));
+        }
+        self.samples = out;
+        self.pushed += k * span as u64;
     }
 
     /// Most recent sample, if any.
@@ -386,6 +488,17 @@ impl ThroughputMeter {
         self.bytes += bytes;
         self.first = Some(self.first.map_or(first, |f| f.min(first)));
         self.last = Some(self.last.map_or(last, |l| l.max(last)));
+    }
+
+    /// The meter after `k` more periods like the one since it read
+    /// `mark`: each adds the same bytes, and moves the last delivery one
+    /// period later if the period delivered anything.
+    pub fn extend_periods(&mut self, mark: &ThroughputMeter, k: u64, period: SimDuration) {
+        let per = self.bytes.get() - mark.bytes.get();
+        if per > 0 {
+            self.bytes = Bytes::new(self.bytes.get() + k * per);
+            self.last = self.last.map(|t| t + period.saturating_mul(k));
+        }
     }
 
     /// Total bytes delivered.
