@@ -507,11 +507,11 @@ fn serve_socket(path: &str, serve: &mut pfcsim_net::serve::ServeSession) -> i32 
             match rx.recv_timeout(std::time::Duration::from_millis(50)) {
                 Ok(Ok(line)) => {
                     let (resp, ctl) = serve.handle_line(&line);
-                    if let Some(resp) = resp {
-                        if writeln!(writer, "{resp}")
-                            .and_then(|()| writer.flush())
-                            .is_err()
-                        {
+                    if let Some(mut resp) = resp {
+                        // The line and its newline in one `write`: the
+                        // stream is unbuffered.
+                        resp.push('\n');
+                        if writer.write_all(resp.as_bytes()).is_err() {
                             break; // client went away mid-response
                         }
                     }

@@ -71,12 +71,26 @@ impl RxQueue {
 #[derive(Debug, Clone, Default)]
 pub struct BufferDependencyGraph {
     verts: Vec<RxQueue>,
-    index: BTreeMap<RxQueue, usize>,
-    /// Vertex → its targets, ascending: the adjacency every search reads.
+    /// Node id → `(port, priority, dense index)` of its queues. A node has
+    /// few, so a scan of its row finds one; [`Self::clear`] keeps the rows.
+    index: Vec<Vec<(PortNo, Priority, usize)>>,
+    /// Vertex → its targets, ascending: the adjacency every search reads
+    /// ([`Self::adj`]). Lists past the last vertex are emptied ones that
+    /// [`Self::clear`] kept, each for the next vertex of its index.
     edges: Vec<Vec<usize>>,
     /// Edge → `(least downstream rate, least TTL)`, for edges added by
     /// [`BufferDependencyGraph::add_rated_path`].
     labels: BTreeMap<(usize, usize), (BitRate, u8)>,
+}
+
+/// The scratch of [`BufferDependencyGraph::first_cycle`]'s depth-first
+/// search, for a caller that searches graph after graph.
+#[derive(Debug, Default)]
+pub(crate) struct Dfs {
+    /// Per vertex: 0 white, 1 gray, 2 black.
+    color: Vec<u8>,
+    /// `(vertex, next edge)` from the root to the gray frontier.
+    stack: Vec<(usize, usize)>,
 }
 
 impl BufferDependencyGraph {
@@ -85,14 +99,45 @@ impl BufferDependencyGraph {
         Self::default()
     }
 
+    /// Remove every queue and edge, keeping the allocations: a graph
+    /// rebuilt after a `clear` allocates only where it outgrows the last.
+    pub fn clear(&mut self) {
+        for q in self.verts.drain(..) {
+            self.index[q.node.0 as usize].clear();
+        }
+        self.labels.clear();
+        self.edges.iter_mut().for_each(Vec::clear);
+    }
+
     /// Intern a queue, returning its dense index.
     pub fn add_queue(&mut self, q: RxQueue) -> usize {
-        let (verts, edges) = (&mut self.verts, &mut self.edges);
-        *self.index.entry(q).or_insert_with(|| {
-            verts.push(q);
-            edges.push(Vec::new());
-            verts.len() - 1
+        if let Some(i) = self.find(q) {
+            return i;
+        }
+        let node = q.node.0 as usize;
+        if self.index.len() <= node {
+            self.index.resize_with(node + 1, Vec::new);
+        }
+        let i = self.verts.len();
+        self.index[node].push((q.port, q.priority, i));
+        self.verts.push(q);
+        if self.edges.len() == i {
+            self.edges.push(Vec::new());
+        }
+        i
+    }
+
+    /// The dense index of `q`, if interned.
+    fn find(&self, q: RxQueue) -> Option<usize> {
+        let row = self.index.get(q.node.0 as usize)?;
+        (row.iter()).find_map(|&(port, priority, i)| {
+            (port == q.port && priority == q.priority).then_some(i)
         })
+    }
+
+    /// The adjacency lists of the graph's vertices.
+    fn adj(&self) -> &[Vec<usize>] {
+        &self.edges[..self.verts.len()]
     }
 
     /// Add a dependency edge, returning the indices of its two ends.
@@ -122,26 +167,26 @@ impl BufferDependencyGraph {
 
     /// Number of dependency edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
+        self.adj().iter().map(Vec::len).sum()
     }
 
     /// Direct dependencies of `q`.
     pub fn dependencies_of(&self, q: RxQueue) -> Vec<RxQueue> {
-        match self.index.get(&q) {
-            Some(&i) => self.edges[i].iter().map(|&j| self.verts[j]).collect(),
+        match self.find(q) {
+            Some(i) => self.edges[i].iter().map(|&j| self.verts[j]).collect(),
             None => Vec::new(),
         }
     }
 
     /// Does a cyclic buffer dependency exist?
     pub fn has_cbd(&self) -> bool {
-        has_cycle(&self.edges)
+        has_cycle(self.adj())
     }
 
     /// Strongly connected components with more than one queue (the CBD
     /// cores).
     pub fn cbd_components(&self) -> Vec<Vec<RxQueue>> {
-        tarjan_scc(&self.edges)
+        tarjan_scc(self.adj())
             .into_iter()
             .filter(|c| c.len() > 1)
             .map(|c| c.into_iter().map(|i| self.verts[i]).collect())
@@ -151,7 +196,7 @@ impl BufferDependencyGraph {
     /// Up to `limit` elementary dependency cycles (the Figs. 2(b)/3(b)
     /// rings).
     pub fn cbd_cycles(&self, limit: usize) -> Vec<Vec<RxQueue>> {
-        elementary_cycles(&self.edges, limit)
+        elementary_cycles(self.adj(), limit)
             .into_iter()
             .map(|c| c.into_iter().map(|i| self.verts[i]).collect())
             .collect()
@@ -166,14 +211,25 @@ impl BufferDependencyGraph {
     /// vertices in insertion order: the back edge closes it as a suffix of
     /// the explicit stack, listed in dependency order.
     pub fn first_cycle(&self) -> Option<Vec<RxQueue>> {
-        let adj = &self.edges;
-        let n = adj.len();
-        let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
-        for s in 0..n {
+        let mut dfs = Dfs::default();
+        let cycle = self.first_cycle_in(&mut dfs)?;
+        Some(cycle.iter().map(|&(x, _)| self.verts[x]).collect())
+    }
+
+    /// [`Self::first_cycle`] on `dfs`'s scratch, which it allocates into
+    /// only where this graph outgrows the last one searched: the cycle as
+    /// the stack suffix it closes, `(vertex, next edge)` pairs.
+    pub(crate) fn first_cycle_in<'d>(&self, dfs: &'d mut Dfs) -> Option<&'d [(usize, usize)]> {
+        let adj = self.adj();
+        let Dfs { color, stack } = dfs;
+        color.clear();
+        color.resize(adj.len(), 0);
+        for s in 0..adj.len() {
             if color[s] != 0 {
                 continue;
             }
-            let mut stack: Vec<(usize, usize)> = vec![(s, 0)];
+            stack.clear();
+            stack.push((s, 0));
             color[s] = 1;
             while let Some(&(v, i)) = stack.last() {
                 if i < adj[v].len() {
@@ -187,7 +243,7 @@ impl BufferDependencyGraph {
                             .iter()
                             .position(|&(x, _)| x == w)
                             .expect("gray vertex is on the stack");
-                        return Some(stack[pos..].iter().map(|&(x, _)| self.verts[x]).collect());
+                        return Some(&stack[pos..]);
                     }
                 } else {
                     color[v] = 2;
@@ -203,8 +259,8 @@ impl BufferDependencyGraph {
     pub fn cycle_label(&self, cycle: &[RxQueue]) -> Option<(BitRate, u8)> {
         let mut least: Option<(BitRate, u8)> = None;
         for (k, q) in cycle.iter().enumerate() {
-            let u = *self.index.get(q)?;
-            let v = *self.index.get(&cycle[(k + 1) % cycle.len()])?;
+            let u = self.find(*q)?;
+            let v = self.find(cycle[(k + 1) % cycle.len()])?;
             let &(rate, ttl) = self.labels.get(&(u, v))?;
             least = Some(least.map_or((rate, ttl), |(r, t)| (r.min(rate), t.min(ttl))));
         }
@@ -317,7 +373,7 @@ impl BufferDependencyGraph {
             };
             out.push_str(&format!("  q{i} [label=\"{}\"{style}];\n", label(q)));
         }
-        for (i, outs) in self.edges.iter().enumerate() {
+        for (i, outs) in self.adj().iter().enumerate() {
             for &j in outs {
                 out.push_str(&format!("  q{i} -> q{j};\n"));
             }

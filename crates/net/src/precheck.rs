@@ -14,18 +14,73 @@
 //! nothing else of the simulator.
 //! [`crate::serve::static_cbd`] builds the same graph from flow paths and
 //! shares its one DFS.
+//!
+//! A check runs on a [`Workspace`] that its caller keeps — `serve`'s
+//! `Session` one for its life, `run_to_verdict` one for its loop — so once
+//! the workspace has grown to the network's state, a check allocates
+//! nothing.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use pfcsim_simcore::event::EventQueue;
 use pfcsim_topo::graph::NodeKind;
 use pfcsim_topo::ids::{FlowId, NodeId, PortNo};
 use pfcsim_topo::routing::ForwardingTables;
 
-use crate::bdg::{BufferDependencyGraph, RxQueue};
+use crate::bdg::{BufferDependencyGraph, Dfs, RxQueue};
 use crate::packet::{Frame, Packet};
 use crate::sim::{Datapath, Ev, PortInfo};
 use crate::switch::InFlight;
+
+/// A multiply-rotate hasher (FxHash's) for [`Seen`]'s small integer keys,
+/// cheaper than the default SipHash (EXPERIMENTS.md, "Apply-and-revert
+/// tables"). No caller reads an iteration order. The keys are node, port
+/// and flow ids of a validated session, so keys crafted to collide cost
+/// at most time quadratic in their count.
+#[derive(Debug, Clone, Copy, Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.add(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.add(u64::from(x));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`FxHasher`]s.
+type FxBuild = BuildHasherDefault<FxHasher>;
+
+/// `(switch, ingress, flow, dst)` already followed: the rest of a walk
+/// is a function of it.
+type Seen = HashSet<(NodeId, PortNo, FlowId, NodeId), FxBuild>;
+
+/// What a check builds, cleared rather than freed between checks.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    g: BufferDependencyGraph,
+    seen: Seen,
+    /// `(node, port, frame)` of every pending `Arrive`.
+    arrivals: Vec<(NodeId, PortNo, u32)>,
+    dfs: Dfs,
+}
 
 /// `true` when no schedule from the present state on — `dp`, with
 /// `queue`'s events pending — can deadlock the network, with every packet
@@ -56,6 +111,7 @@ use crate::switch::InFlight;
 /// switch; and a route update (other than one `tables` holds), a fault or
 /// a switch restore still to fire.
 pub(crate) fn window_is_deadlock_free(
+    ws: &mut Workspace,
     dp: &Datapath,
     queue: &EventQueue<Ev>,
     tables: &ForwardingTables,
@@ -73,7 +129,13 @@ pub(crate) fn window_is_deadlock_free(
     // lanes would hide its walk. Arrivals are only noted here, so a check
     // that a pending change fails walks nothing.
     let mut pending_change = false;
-    let mut arrivals = Vec::new();
+    let Workspace {
+        g,
+        seen,
+        arrivals,
+        dfs,
+    } = ws;
+    arrivals.clear();
     queue.for_each_live(|_, at, ev| match *ev {
         Ev::RouteUpdate { .. } => pending_change |= at > now || !tables_hold_now,
         Ev::Fault { .. } | Ev::SwitchRestore { .. } => pending_change = true,
@@ -83,25 +145,42 @@ pub(crate) fn window_is_deadlock_free(
     if pending_change {
         return false;
     }
+    g.clear();
+    seen.clear();
     let mut walk = Walk {
         dp,
         tables,
-        g: BufferDependencyGraph::new(),
-        seen: BTreeSet::new(),
+        g,
+        seen,
     };
-    for (node, port, frame) in arrivals {
+    for &(node, port, frame) in arrivals.iter() {
         if let Frame::Data(pkt) = dp.frames.slots[frame as usize] {
             walk.from(node, port, &pkt);
         }
     }
-    for sw in dp.switches.iter().flatten() {
+    // A switch's `buffered` counts every byte it holds: queued,
+    // serializing or in a shaper.
+    for sw in dp
+        .switches
+        .iter()
+        .flatten()
+        .filter(|sw| !sw.buffered.is_zero())
+    {
         for (e, eg) in sw.egress.iter().enumerate() {
             let out = *dp.pinfo(sw.node, PortNo(e as u16));
             let serializing = match &eg.in_flight {
                 Some(InFlight::Data(qp)) => Some(qp),
                 _ => None,
             };
-            for qp in eg.queues.iter().flat_map(|q| q.iter()).chain(serializing) {
+            // A packet's dependency and walk are a function of its
+            // `(ingress, flow, dst)`, which a queue's packets mostly share.
+            let mut last = None;
+            let queued = eg.queues.iter().filter(|q| !q.is_empty());
+            for qp in queued.flat_map(|q| q.iter()).chain(serializing) {
+                let key = (qp.ingress, qp.pkt.flow, qp.pkt.dst);
+                if last.replace(key) == Some(key) {
+                    continue;
+                }
                 walk.depend(sw.node, qp.ingress, &out);
                 walk.from(out.peer, out.peer_port, &qp.pkt);
             }
@@ -127,7 +206,7 @@ pub(crate) fn window_is_deadlock_free(
         let nic = *dp.pinfo(f.src, PortNo(0));
         walk.route(nic.peer, nic.peer_port, f.id, f.dst);
     }
-    walk.g.first_cycle().is_none()
+    g.first_cycle_in(dfs).is_none()
 }
 
 /// Packets followed along the window's tables into a buffer-dependency
@@ -135,10 +214,8 @@ pub(crate) fn window_is_deadlock_free(
 struct Walk<'a> {
     dp: &'a Datapath,
     tables: &'a ForwardingTables,
-    g: BufferDependencyGraph,
-    /// `(switch, ingress, flow, dst)` already followed: the rest of the
-    /// walk is a function of it.
-    seen: BTreeSet<(NodeId, PortNo, FlowId, NodeId)>,
+    g: &'a mut BufferDependencyGraph,
+    seen: &'a mut Seen,
 }
 
 impl Walk<'_> {

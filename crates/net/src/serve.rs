@@ -71,9 +71,9 @@ use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
 use crate::faults::FaultPlan;
 use crate::flow::{Demand, FlowSpec, RouteKind};
-use crate::precheck::window_is_deadlock_free;
+use crate::precheck::{self, window_is_deadlock_free};
 use crate::sim::{NetSim, RunReport, SimBuilder, Verdict};
-use crate::stats::PauseKey;
+use crate::stats::{NetStats, PauseKey};
 
 /// Protocol identifier carried in every request/response line.
 pub const SERVE_SCHEMA: &str = "pfcsim-serve/1";
@@ -520,6 +520,26 @@ impl Resident {
         self.sim.checkpoint()
     }
 
+    /// Capture the resident with its `stats` moved into the image, not
+    /// copied, for `f`, which hands back the stats the resident keeps.
+    fn capture_lending<T>(
+        &mut self,
+        f: impl FnOnce(Checkpoint) -> (T, NetStats),
+    ) -> Result<T, Error> {
+        let stats = std::mem::take(&mut self.sim.stats);
+        let mut img = match self.sim.checkpoint() {
+            Ok(img) => img,
+            Err(e) => {
+                self.sim.stats = stats;
+                return Err(e);
+            }
+        };
+        img.stats = stats;
+        let (out, stats) = f(img);
+        self.sim.stats = stats;
+        Ok(out)
+    }
+
     fn digest(&mut self) -> Result<u64, Error> {
         if let Some(d) = self.digest {
             // Where tests run, every hit is checked the slow way.
@@ -531,7 +551,7 @@ impl Resident {
             );
             return Ok(d);
         }
-        let d = self.capture()?.digest();
+        let d = self.capture_lending(|img| (img.digest(), img.stats))?;
         self.computed += 1;
         self.digest = Some(d);
         Ok(d)
@@ -556,6 +576,10 @@ pub struct Session {
     /// [`DecidedBy::Probe`].
     what_if_static: u64,
     what_if_probe: u64,
+    /// The pre-check's reusable graph and walk state.
+    precheck: precheck::Workspace,
+    /// `what_if`'s undo log: each pushed entry's previous port list.
+    undo: Vec<(NodeId, NodeId, Vec<PortNo>)>,
 }
 
 /// Build the canonical simulation for the given declarative state and
@@ -660,6 +684,8 @@ impl Session {
             finished,
             what_if_static: 0,
             what_if_probe: 0,
+            precheck: precheck::Workspace::default(),
+            undo: Vec::new(),
         })
     }
 
@@ -966,7 +992,9 @@ impl Session {
     /// deadlock is never overwritten, so that is the verdict at the bound.
     /// The resident is untouched either way: the probe owns its
     /// checkpoint, and `state_digest_before/after` read the resident's
-    /// memoized digest.
+    /// memoized digest. The declarative tables hold `pushes` only while
+    /// the verdict is taken: they are applied in place and restored, in
+    /// reverse order, so two pushes to one entry unwind to its original.
     pub fn what_if(
         &mut self,
         pushes: &[RoutePush],
@@ -976,50 +1004,20 @@ impl Session {
         for p in pushes {
             self.validate_route(p.node, p.dst, &p.ports)?;
         }
-        let now = self.now();
         let bound = self.probe_bound(window);
         let state_digest_before = self.resident.digest()?;
-        let mut tables = self.cur_tables.clone();
+        let mut undo = std::mem::take(&mut self.undo);
         for p in pushes {
-            tables.set(p.node, p.dst, p.ports.clone());
+            let prev = self.cur_tables.replace(p.node, p.dst, p.ports.clone());
+            undo.push((p.node, p.dst, prev));
         }
-        // A confirmed deadlock stays the verdict, whatever the window.
-        let sim = self.resident.sim();
-        let window_clean = sim.deadlock_state().is_none()
-            && window_is_deadlock_free(&sim.dp, &sim.queue, &tables, true);
-        let (verdict, probe_events, cbd, decided_by) = if window_clean {
-            self.what_if_static += 1;
-            // The flows' own paths are a subgraph of the window's. A
-            // node path cannot say which of two parallel links a hop
-            // takes, so there `static_cbd` may merge buffers that the
-            // pre-check, keyed by ingress port, keeps apart.
-            let cbd = CbdDoc::default();
-            debug_assert!(
-                has_parallel_links(&self.topo)
-                    || cbd == static_cbd(&self.topo, &tables, &self.flows, now)
-            );
-            let clean = VerdictDoc::from_verdict(&Verdict::NoDeadlock);
-            (clean, 0, cbd, DecidedBy::Static)
-        } else {
-            self.what_if_probe += 1;
-            let mut probe = NetSim::resume(self.resident.capture()?)?;
-            probe.forget_occupancy_history();
-            probe.dp.cfg.stop_on_deadlock = true;
-            for p in pushes {
-                probe.schedule_route_update(now, p.node, p.dst, p.ports.clone());
-            }
-            let outcome = if bound > now {
-                probe.advance_until(bound, self.horizon)
-            } else {
-                None
-            };
-            let (verdict, events) = match outcome {
-                Some(report) => (VerdictDoc::from_verdict(&report.verdict), report.events),
-                None => (verdict_at_pause(&mut probe, bound), probe.events),
-            };
-            let cbd = static_cbd(&self.topo, &tables, &self.flows, now);
-            (verdict, events, cbd, DecidedBy::Probe)
-        };
+        // Every exit of `vet`, its `?`s included, comes back here.
+        let vetted = self.vet(pushes, bound);
+        for (node, dst, ports) in undo.drain(..).rev() {
+            self.cur_tables.set(node, dst, ports);
+        }
+        self.undo = undo;
+        let (verdict, probe_events, cbd, decided_by) = vetted?;
         let state_digest_after = self.resident.digest()?;
         Ok(WhatIfDoc {
             verdict,
@@ -1031,6 +1029,72 @@ impl Session {
             resident_unchanged: state_digest_before == state_digest_after,
             cbd,
         })
+    }
+
+    /// `what_if`'s verdict, probe events, CBD document and deciding layer,
+    /// with `pushes` already in the declarative tables.
+    fn vet(
+        &mut self,
+        pushes: &[RoutePush],
+        bound: SimTime,
+    ) -> Result<(VerdictDoc, u64, CbdDoc, DecidedBy), Error> {
+        let now = self.now();
+        // A confirmed deadlock stays the verdict, whatever the window.
+        let sim = self.resident.sim();
+        let window_clean = sim.deadlock_state().is_none()
+            && window_is_deadlock_free(
+                &mut self.precheck,
+                &sim.dp,
+                &sim.queue,
+                &self.cur_tables,
+                true,
+            );
+        if window_clean {
+            self.what_if_static += 1;
+            // The flows' own paths are a subgraph of the window's. A
+            // node path cannot say which of two parallel links a hop
+            // takes, so there `static_cbd` may merge buffers that the
+            // pre-check, keyed by ingress port, keeps apart. (`static_cbd`
+            // goes first: `what_if_allocs.rs` takes off a debug build's
+            // count exactly what it allocates.)
+            let cbd = CbdDoc::default();
+            debug_assert!(
+                cbd == static_cbd(&self.topo, &self.cur_tables, &self.flows, now)
+                    || has_parallel_links(&self.topo)
+            );
+            let clean = VerdictDoc::from_verdict(&Verdict::NoDeadlock);
+            return Ok((clean, 0, cbd, DecidedBy::Static));
+        }
+        self.what_if_probe += 1;
+        // The probe forgets the occupancy history, so its image goes
+        // without: the resident keeps the series, and the image takes a
+        // copy of the rest of its stats.
+        let img = self.resident.capture_lending(|mut img| {
+            let series = (
+                std::mem::take(&mut img.stats.occupancy),
+                std::mem::take(&mut img.stats.flow_occupancy),
+            );
+            let mut kept = img.stats.clone();
+            (kept.occupancy, kept.flow_occupancy) = series;
+            (img, kept)
+        })?;
+        let mut probe = NetSim::resume(img)?;
+        probe.forget_occupancy_history();
+        probe.dp.cfg.stop_on_deadlock = true;
+        for p in pushes {
+            probe.schedule_route_update(now, p.node, p.dst, p.ports.clone());
+        }
+        let outcome = if bound > now {
+            probe.advance_until(bound, self.horizon)
+        } else {
+            None
+        };
+        let (verdict, events) = match outcome {
+            Some(report) => (VerdictDoc::from_verdict(&report.verdict), report.events),
+            None => (verdict_at_pause(&mut probe, bound), probe.events),
+        };
+        let cbd = static_cbd(&self.topo, &self.cur_tables, &self.flows, now);
+        Ok((verdict, events, cbd, DecidedBy::Probe))
     }
 
     /// The batch oracle for [`Session::what_if`]: rebuild the session's

@@ -64,7 +64,7 @@ use crate::config::SimConfig;
 use crate::faults::FaultKind;
 use crate::flow::Demand;
 use crate::packet::Packet;
-use crate::precheck::window_is_deadlock_free;
+use crate::precheck::{self, window_is_deadlock_free};
 use crate::stats::{IngressKey, NetStats, PauseKey};
 use crate::switch::InFlight;
 use crate::telemetry::{TelemetryConfig, TelemetryReport, TelemetryState};
@@ -549,6 +549,7 @@ impl NetSim {
         let steps = horizon.saturating_since(self.now()).div_duration(step);
         let mut watch = self.fast_forward_step().map(|_| Recurrence::new(steps));
         let mut pause = self.now().min(horizon);
+        let mut ws = precheck::Workspace::default();
         loop {
             if let Some(report) = self.advance_until(pause, horizon) {
                 return report.verdict;
@@ -563,7 +564,7 @@ impl NetSim {
             // update is pending at now: the live tables are the ones every
             // packet is routed with until the next pending change.
             debug_assert!(self.queue.peek_time().is_none_or(|t| t > self.now()));
-            if window_is_deadlock_free(&self.dp, &self.queue, &self.cp.tables, false) {
+            if window_is_deadlock_free(&mut ws, &self.dp, &self.queue, &self.cp.tables, false) {
                 return Verdict::NoDeadlock;
             }
             if let Some(at) = watch.as_mut().and_then(|rec| self.fast_forward(rec, pause)) {

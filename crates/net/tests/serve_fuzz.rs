@@ -8,12 +8,15 @@
 //! truncation, field deletion, type swaps and extreme numbers, then sent
 //! through `ServeSession::handle_line`. Nothing may panic, every answer is
 //! one JSON line carrying `ok`, and an `ok:false` leaves the resident's
-//! state digest where it was.
+//! state digest where it was. A `what_if`, `what_if_oracle` or vetting
+//! `route_update` that commits nothing leaves the declarative tables and
+//! the `cbd` document where they were too.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pfcsim_net::prelude::*;
 use pfcsim_simcore::prelude::*;
+use pfcsim_simcore::snap;
 use serde_json::{Number, Value};
 
 /// Mutated lines per run.
@@ -292,9 +295,31 @@ fn digest(serve: &mut ServeSession) -> Option<u64> {
     serve.session_mut()?.state_digest().ok()
 }
 
+/// Whether `line` asks what a push would do: a `what_if` or
+/// `what_if_oracle` query, or a `route_update` in (the default) `vet`
+/// mode.
+fn asks_what_if(line: &str) -> bool {
+    let Ok(req) = serde_json::from_str::<Value>(line) else {
+        return false;
+    };
+    match req["op"].as_str() {
+        Some("query") => matches!(req["kind"].as_str(), Some("what_if" | "what_if_oracle")),
+        Some("route_update") => req.get("mode").is_none_or(|m| m.as_str() == Some("vet")),
+        _ => false,
+    }
+}
+
+/// The session's declarative view: its tables' encoding and its `cbd`
+/// document.
+fn view(serve: &ServeSession) -> Option<(u64, CbdDoc)> {
+    let session = serve.session()?;
+    Some((snap::value_digest(session.tables()), session.cbd()))
+}
+
 /// Serve `line`; returns whether it was accepted, or the panic message.
 fn serve_checked(serve: &mut ServeSession, line: &str) -> Result<bool, String> {
     let before = digest(serve);
+    let view_before = asks_what_if(line).then(|| view(serve));
     let (resp, _) = catch_unwind(AssertUnwindSafe(|| serve.handle_line(line))).map_err(|p| {
         let what = p
             .downcast_ref::<&str>()
@@ -323,6 +348,14 @@ fn serve_checked(serve: &mut ServeSession, line: &str) -> Result<bool, String> {
             before,
             "{line:?} was refused but moved the resident: {resp}"
         );
+    }
+    if let Some(view_before) = view_before {
+        if doc["result"]["committed"] != true {
+            assert!(
+                view(serve) == view_before,
+                "{line:?} committed nothing but moved the tables or the cbd: {resp}"
+            );
+        }
     }
     Ok(ok)
 }

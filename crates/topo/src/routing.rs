@@ -51,11 +51,19 @@ impl ForwardingTables {
 
     /// Install/overwrite the route for `dst` at `node`.
     pub fn set(&mut self, node: NodeId, dst: NodeId, ports: Vec<PortNo>) {
+        self.replace(node, dst, ports);
+    }
+
+    /// [`Self::set`], handing back the port list it overwrote (empty when
+    /// unroutable). On tables with an entry for every `(node, dst)`, as
+    /// [`Self::empty`] builds them, `set`ting it back restores the tables
+    /// exactly.
+    pub fn replace(&mut self, node: NodeId, dst: NodeId, ports: Vec<PortNo>) -> Vec<PortNo> {
         let row = &mut self.tables[node.0 as usize];
         if row.len() <= dst.0 as usize {
             row.resize(dst.0 as usize + 1, Vec::new());
         }
-        row[dst.0 as usize] = ports;
+        std::mem::replace(&mut row[dst.0 as usize], ports)
     }
 
     /// Remove the route for `dst` at `node` (black-hole).

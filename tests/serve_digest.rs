@@ -4,13 +4,15 @@
 //! is byte for byte the one encoded from its `Value` tree), rejected
 //! requests leave it alone, and `Session::digests_computed` — an exact
 //! work counter — moves by one per mutated state and by nothing per query.
+//! A `what_if`, however it is decided and whatever its pushes, leaves the
+//! declarative tables as it found them.
 //!
 //! Built with debug assertions (plain `cargo test`, or the CI step that
 //! turns them on for the release build) every memo hit inside the
 //! session additionally recomputes the digest the slow way.
 
 use pfcsim::session::{Control, ServeConfig, ServeSession, Session};
-use pfcsim::simcore::snap::{encode_frame, fnv1a};
+use pfcsim::simcore::snap::{encode_frame, fnv1a, value_digest};
 use serde_json::Value;
 
 /// The square fabric one push (`S3 → h1 via S0`) away from the paper's
@@ -34,6 +36,8 @@ fn open_line(scheduler: &str) -> String {
 }
 
 const CLOSING_PUSH: &str = r#""node":"S3","dst":"h1","ports":["S0"]"#;
+/// The entry `CLOSING_PUSH` overwrites, as the session opens with it.
+const REOPENING_PUSH: &str = r#""node":"S3","dst":"h1","ports":["S2"]"#;
 
 /// Probe window: long enough for the closing push to wedge the square.
 const WINDOW_US: u64 = 400;
@@ -83,18 +87,32 @@ impl Driver {
         self.ok(&format!(r#"{{"op":"advance","to_us":{}}}"#, self.now_us));
     }
 
-    /// A what-if that must report the resident untouched, with both
-    /// digests equal to `want` when given.
-    fn what_if(&mut self, push: &str, window_us: u64, want: Option<u64>) -> bool {
+    /// The encoding of the session's declarative tables.
+    fn tables(&mut self) -> u64 {
+        value_digest(self.session().tables())
+    }
+
+    /// A what-if of `pushes`, in order, that must report the resident
+    /// untouched, with both digests equal to `want` when given, and leave
+    /// the tables as they were.
+    fn what_if_all(&mut self, pushes: &[&str], window_us: u64, want: Option<u64>) -> Value {
+        let tables = self.tables();
+        let updates = pushes.join("},{");
         let doc = self.ok(&format!(
-            r#"{{"op":"query","kind":"what_if","updates":[{{{push}}}],"window_us":{window_us}}}"#
+            r#"{{"op":"query","kind":"what_if","updates":[{{{updates}}}],"window_us":{window_us}}}"#
         ));
+        assert_eq!(self.tables(), tables, "{pushes:?} stayed in the tables");
         assert_eq!(doc["resident_unchanged"], true);
         assert_eq!(doc["state_digest_before"], doc["state_digest_after"]);
         if let Some(want) = want {
             assert_eq!(doc["state_digest_before"].as_u64(), Some(want));
         }
-        doc["verdict"]["deadlock"] == true
+        doc
+    }
+
+    /// [`Self::what_if_all`] of one push; returns whether it deadlocks.
+    fn what_if(&mut self, push: &str, window_us: u64, want: Option<u64>) -> bool {
+        self.what_if_all(&[push], window_us, want)["verdict"]["deadlock"] == true
     }
 
     /// One scripted step from a resident whose digest is `digest`;
@@ -122,10 +140,15 @@ impl Driver {
                 assert_eq!(r["what_if"]["state_digest_before"].as_u64(), Some(digest));
             }
             3 => {
-                assert!(
-                    self.what_if(CLOSING_PUSH, WINDOW_US, Some(digest)),
-                    "closing push"
-                );
+                let doc = self.what_if_all(&[CLOSING_PUSH], WINDOW_US, Some(digest));
+                assert_eq!(doc["verdict"]["deadlock"], true, "closing push");
+                assert_eq!(doc["decided_by"], "probe");
+                // One entry pushed twice: the second push is the one that
+                // holds, and the tables unwind to the entry before both.
+                let twice = [CLOSING_PUSH, REOPENING_PUSH];
+                let both = self.what_if_all(&twice, WINDOW_US, Some(digest));
+                let last = self.what_if_all(&twice[1..], WINDOW_US, Some(digest));
+                assert_eq!(both["verdict"], last["verdict"]);
                 return false;
             }
             4 => {
