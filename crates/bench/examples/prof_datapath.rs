@@ -8,24 +8,36 @@
 //!   off, `US` simulated µs; prints events, wall ns/event and the report
 //!   digest (`pfcsim_net::golden::digest`), so two builds can be compared
 //!   for speed at an equal digest.
+//! * `prof_datapath square GBPS US` — one Fig. 5 square run: flow 3
+//!   behind a `GBPS` ingress limiter, the default configuration (1 µs
+//!   occupancy sampling and per-flow occupancy on), `US` simulated µs;
+//!   prints the same line, so the per-tick bookkeeping of two builds can
+//!   be compared.
+use pfcsim_experiments::scenarios::{paper_config, square_scenario};
 use pfcsim_net::config::SimConfig;
 use pfcsim_net::flow::FlowSpec;
 use pfcsim_net::golden;
-use pfcsim_net::sim::SimBuilder;
+use pfcsim_net::sim::{RunReport, SimBuilder};
 use pfcsim_simcore::time::SimTime;
+use pfcsim_simcore::units::BitRate;
 use pfcsim_topo::builders::{fat_tree, line, LinkSpec};
 use pfcsim_topo::routing::up_down_tables;
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("fat_tree") {
-        let num = |i: usize, what: &str| -> u64 {
-            args.get(i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("usage: prof_datapath fat_tree K US (bad {what})"))
-        };
+    let mode = args.first().map(String::as_str);
+    let num = |i: usize, what: &str| -> u64 {
+        args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+            panic!("usage: prof_datapath fat_tree K US | square GBPS US (bad {what})")
+        })
+    };
+    if mode == Some("fat_tree") {
         fat_tree_run(num(1, "K") as usize, num(2, "US"));
+        return;
+    }
+    if mode == Some("square") {
+        square_run(num(1, "GBPS"), num(2, "US"));
         return;
     }
     let iters: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(400);
@@ -62,11 +74,23 @@ fn fat_tree_run(k: usize, us: u64) {
     }
     let t0 = Instant::now();
     let report = sim.run(SimTime::from_us(us));
+    print_run(&format!("fat_tree k={k} {us} us"), &report, t0);
+}
+
+fn square_run(gbps: u64, us: u64) {
+    let sc = square_scenario(paper_config(), true, Some(BitRate::from_gbps(gbps)));
+    let mut sim = sc.sim;
+    let t0 = Instant::now();
+    let report = sim.run(SimTime::from_us(us));
+    print_run(&format!("square {gbps} Gbps {us} us"), &report, t0);
+}
+
+fn print_run(what: &str, report: &RunReport, t0: Instant) {
     let ns = t0.elapsed().as_nanos() as f64;
     println!(
-        "fat_tree k={k} {us} us: {} events, {:.1} ns/event, digest {:#018x}",
+        "{what}: {} events, {:.1} ns/event, digest {:#018x}",
         report.events,
         ns / report.events as f64,
-        golden::digest(&report)
+        golden::digest(report)
     );
 }

@@ -72,7 +72,9 @@ pub fn run(opts: &Opts) -> Report {
     );
     // Full (xon, rate) grid fanned out at once; "first deadlocking rate"
     // is the per-xon minimum over the grid, so evaluating every point
-    // gives the same answer as the old serial early-break scan.
+    // gives the same answer as the old serial early-break scan. Only the
+    // verdicts are read, so each run stops once its verdict is settled
+    // and records no occupancy series (`Scenario::verdict_in`).
     let grid: Vec<(u64, u64)> = xons
         .iter()
         .flat_map(|&xon| rates.iter().map(move |&g| (xon, g)))
@@ -81,7 +83,7 @@ pub fn run(opts: &Opts) -> Report {
         let mut cfg = paper_config();
         cfg.pfc.xon = Bytes::from_kb(xon);
         let sc = square_scenario_in(cfg, true, Some(BitRate::from_gbps(g)), arenas);
-        sc.run_in(horizon, arenas).verdict.is_deadlock()
+        sc.verdict_in(horizon, arenas).is_deadlock()
     });
     for &xon in xons {
         let first = grid

@@ -32,8 +32,13 @@ impl Scenario {
     }
 
     /// [`Scenario::run_in`] for a caller that reads only the verdict: the
-    /// run stops once its verdict is settled (`NetSim::run_to_verdict`).
+    /// run stops once its verdict is settled (`NetSim::run_to_verdict`),
+    /// and records no occupancy series, since the simulator is consumed
+    /// here and nothing could read them. `Ev::Sample` still fires over
+    /// the empty key set, so the run's events are those of one that
+    /// records.
     pub fn verdict_in(mut self, horizon: SimTime, arenas: &mut SimArenas) -> Verdict {
+        self.sim.watch_only([]);
         let verdict = self.sim.run_to_verdict(horizon);
         self.sim.recycle(arenas);
         verdict

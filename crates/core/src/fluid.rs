@@ -195,7 +195,20 @@ impl FluidNetwork {
 
     /// Integrate `steps` steps and report. Zero steps report zero
     /// throughput, no pauses and nothing buffered.
+    ///
+    /// A step is a function of the state it carries — queue levels, host
+    /// backlogs, pause bits — alone. Once that state repeats bit for bit
+    /// with period `p`, every later step repeats one already taken, so
+    /// `run` records one period's deliveries and replays them for every
+    /// whole period left, in the same order (the sums are bit-identical),
+    /// and steps only the remainder.
     pub fn run(&self, steps: usize) -> FluidReport {
+        self.integrate(steps, true)
+    }
+
+    /// [`FluidNetwork::run`], stepping every step when `fast_forward` is
+    /// off: the reference the fast-forward is held to.
+    fn integrate(&self, steps: usize, fast_forward: bool) -> FluidReport {
         if steps == 0 {
             return FluidReport {
                 throughput: self.flows.iter().map(|f| (f.id, 0.0)).collect(),
@@ -206,138 +219,211 @@ impl FluidNetwork {
             };
         }
         let dt = self.cfg.dt_ns as f64 * 1e-9;
-        let (xoff, xon) = (self.cfg.xoff.get() as f64, self.cfg.xon.get() as f64);
         let (nf, ns) = (self.flows.len(), self.first[self.flows.len()]);
-        // levels[first[f] + k]: bytes of flow f in its k-th queue.
-        let mut levels = vec![0.0f64; ns];
-        let mut out_rate = vec![0.0f64; ns];
-        let mut avail = vec![0.0f64; ns];
-        // Host backlog for CBR flows (bytes); infinite flows don't need it.
-        let mut host_backlog = vec![0.0f64; nf];
-        let mut delivered = vec![0.0f64; nf];
-        let mut paused = vec![false; self.chans.len()];
-        let mut paused_steps = vec![0u64; self.chans.len()];
-        let mut totals = vec![0.0f64; self.queue_chan.len()];
-        // Scratch for one channel's allocation, sized so no step allocates:
-        // the sending members' demands and slots, each sending group's
-        // summed demand and end in `member_demand`, and the two waterfills.
-        let mut member_demand = Vec::with_capacity(ns);
-        let mut member_slot = Vec::with_capacity(ns);
-        let mut group_demand = Vec::with_capacity(ns);
-        let mut group_end = Vec::with_capacity(ns);
-        let mut shares = Vec::with_capacity(ns);
-        let mut inner = Vec::with_capacity(ns);
-        let mut scratch = WaterfillScratch {
-            active: Vec::with_capacity(ns),
-            satisfied: Vec::with_capacity(ns),
+        let mut st = Carried {
+            levels: vec![0.0; ns],
+            host_backlog: vec![0.0; nf],
+            paused: vec![false; self.chans.len()],
         };
+        let mut sc = StepScratch::new(ns, self.queue_chan.len());
+        // Bytes each flow delivered in the last step, and in total.
+        let mut arrived = vec![0.0f64; nf];
+        let mut delivered = vec![0.0f64; nf];
+        let mut paused_steps = vec![0u64; self.chans.len()];
+        // Everything the fast-forward needs, allocated here so no step
+        // allocates: the recurrence finder's saved state, one period's
+        // deliveries, and the pause counts when that period began.
+        let mut phase = if fast_forward {
+            Phase::Search(Recurrence::new(&st))
+        } else {
+            Phase::Done
+        };
+        let mut period_arrived = Vec::with_capacity(steps.min(MAX_PERIOD) * nf);
+        let mut period_mark = paused_steps.clone();
 
-        for _ in 0..steps {
-            // 1. Source arrivals into host backlogs.
-            for (fi, f) in self.flows.iter().enumerate() {
-                if let Some(rate) = f.demand {
-                    host_backlog[fi] += rate.bps() as f64 / 8.0 * dt;
-                }
+        let mut n = 0;
+        while n < steps {
+            self.step(&mut st, &mut sc, &mut arrived, dt);
+            for (d, &a) in delivered.iter_mut().zip(&arrived) {
+                *d += a;
             }
-
-            // 2. Compute per-channel rate allocations (bytes/s).
-            //    Demand of flow f on channel c = what it could send this
-            //    step: backlog-limited or upstream-limited. We relax a few
-            //    sweeps so pass-through rates propagate along paths. A slot
-            //    a sweep does not allocate keeps its rate: a paused channel's
-            //    stay at this 0 (paused channels send nothing), a hop that
-            //    ran dry keeps the previous sweep's.
-            out_rate.fill(0.0);
-            for _sweep in 0..4 {
-                // Available bytes this step at every hop, all from the
-                // previous sweep's rates; a hop with none sends nothing.
-                for fi in 0..nf {
-                    for s in self.first[fi]..self.first[fi + 1] {
-                        avail[s] = if s > self.first[fi] {
-                            // Upstream queue level plus what flows in.
-                            levels[s - 1] / dt + out_rate[s - 1]
-                        } else if self.flows[fi].demand.is_some() {
-                            host_backlog[fi] / dt
-                        } else {
-                            f64::INFINITY
+            for (c, &p) in paused_steps.iter_mut().zip(&st.paused) {
+                *c += p as u64;
+            }
+            n += 1;
+            match &mut phase {
+                Phase::Search(seen) => {
+                    if let Some(period) = seen.observe(&st) {
+                        period_mark.copy_from_slice(&paused_steps);
+                        phase = Phase::Record {
+                            period,
+                            left: period,
                         };
                     }
                 }
-                // Max-min between a channel's ingress groups, then between
-                // the flows in a group.
-                for (c, groups) in self.groups.iter().enumerate() {
-                    if paused[c] {
-                        continue;
-                    }
-                    member_demand.clear();
-                    member_slot.clear();
-                    group_demand.clear();
-                    group_end.clear();
-                    for group in groups {
-                        let start = member_demand.len();
-                        for &s in group {
-                            if avail[s] <= 0.0 {
-                                continue;
+                Phase::Record { period, left } => {
+                    period_arrived.extend_from_slice(&arrived);
+                    *left -= 1;
+                    if *left == 0 {
+                        // The state is back where the recorded period
+                        // began: replay it for every whole period left.
+                        let period = *period;
+                        let k = (steps - n) / period;
+                        for _ in 0..k {
+                            for r in 0..period {
+                                let row = &period_arrived[r * nf..(r + 1) * nf];
+                                for (d, &a) in delivered.iter_mut().zip(row) {
+                                    *d += a;
+                                }
                             }
-                            member_demand.push(avail[s]);
-                            member_slot.push(s);
                         }
-                        if member_demand.len() > start {
-                            group_demand.push(member_demand[start..].iter().sum::<f64>());
-                            group_end.push(member_demand.len());
+                        for (c, &then) in paused_steps.iter_mut().zip(&period_mark) {
+                            *c += k as u64 * (*c - then);
                         }
-                    }
-                    waterfill_into(&group_demand, self.cap[c], &mut shares, &mut scratch);
-                    let mut start = 0;
-                    for (&end, &share) in group_end.iter().zip(&shares) {
-                        waterfill_into(&member_demand[start..end], share, &mut inner, &mut scratch);
-                        for (&s, &rate) in member_slot[start..end].iter().zip(&inner) {
-                            out_rate[s] = rate;
-                        }
-                        start = end;
+                        n += k * period;
+                        phase = Phase::Done;
                     }
                 }
+                Phase::Done => {}
             }
+        }
+        self.report(steps, dt, &st, &delivered, &paused_steps)
+    }
 
-            // 3. Integrate levels.
-            for fi in 0..nf {
-                let (lo, hi) = (self.first[fi], self.first[fi + 1]);
-                for s in lo..hi {
-                    let sent = out_rate[s] * dt;
-                    if s > lo {
-                        levels[s - 1] = (levels[s - 1] - sent).max(0.0);
-                    } else if self.flows[fi].demand.is_some() {
-                        host_backlog[fi] = (host_backlog[fi] - sent).max(0.0);
-                    }
-                    if s == hi - 1 {
-                        delivered[fi] += sent;
-                    } else {
-                        levels[s] += sent;
-                    }
-                }
-            }
+    /// One integration step: advance `st` by `dt` seconds and write each
+    /// flow's delivered bytes to `arrived`.
+    fn step(&self, st: &mut Carried, sc: &mut StepScratch, arrived: &mut [f64], dt: f64) {
+        let (xoff, xon) = (self.cfg.xoff.get() as f64, self.cfg.xon.get() as f64);
+        let nf = self.flows.len();
+        let Carried {
+            levels,
+            host_backlog,
+            paused,
+        } = st;
+        let StepScratch {
+            out_rate,
+            avail,
+            totals,
+            member_demand,
+            member_slot,
+            group_demand,
+            group_end,
+            shares,
+            inner,
+            waterfill,
+        } = sc;
 
-            // 4. Pause/resume on queue totals.
-            totals.fill(0.0);
-            for &(s, q) in &self.queue_slots {
-                totals[q] += levels[s];
-            }
-            for (&level, &c) in totals.iter().zip(&self.queue_chan) {
-                if level >= xoff {
-                    paused[c] = true;
-                } else if level < xon {
-                    paused[c] = false;
-                }
-            }
-            for (n, &p) in paused_steps.iter_mut().zip(&paused) {
-                *n += p as u64;
+        // 1. Source arrivals into host backlogs.
+        for (fi, f) in self.flows.iter().enumerate() {
+            if let Some(rate) = f.demand {
+                host_backlog[fi] += rate.bps() as f64 / 8.0 * dt;
             }
         }
 
+        // 2. Compute per-channel rate allocations (bytes/s).
+        //    Demand of flow f on channel c = what it could send this
+        //    step: backlog-limited or upstream-limited. We relax a few
+        //    sweeps so pass-through rates propagate along paths. A slot
+        //    a sweep does not allocate keeps its rate: a paused channel's
+        //    stay at this 0 (paused channels send nothing), a hop that
+        //    ran dry keeps the previous sweep's.
+        out_rate.fill(0.0);
+        for _sweep in 0..4 {
+            // Available bytes this step at every hop, all from the
+            // previous sweep's rates; a hop with none sends nothing.
+            for fi in 0..nf {
+                for s in self.first[fi]..self.first[fi + 1] {
+                    avail[s] = if s > self.first[fi] {
+                        // Upstream queue level plus what flows in.
+                        levels[s - 1] / dt + out_rate[s - 1]
+                    } else if self.flows[fi].demand.is_some() {
+                        host_backlog[fi] / dt
+                    } else {
+                        f64::INFINITY
+                    };
+                }
+            }
+            // Max-min between a channel's ingress groups, then between
+            // the flows in a group.
+            for (c, groups) in self.groups.iter().enumerate() {
+                if paused[c] {
+                    continue;
+                }
+                member_demand.clear();
+                member_slot.clear();
+                group_demand.clear();
+                group_end.clear();
+                for group in groups {
+                    let start = member_demand.len();
+                    for &s in group {
+                        if avail[s] <= 0.0 {
+                            continue;
+                        }
+                        member_demand.push(avail[s]);
+                        member_slot.push(s);
+                    }
+                    if member_demand.len() > start {
+                        group_demand.push(member_demand[start..].iter().sum::<f64>());
+                        group_end.push(member_demand.len());
+                    }
+                }
+                waterfill_into(group_demand, self.cap[c], shares, waterfill);
+                let mut start = 0;
+                for (&end, &share) in group_end.iter().zip(shares.iter()) {
+                    waterfill_into(&member_demand[start..end], share, inner, waterfill);
+                    for (&s, &rate) in member_slot[start..end].iter().zip(inner.iter()) {
+                        out_rate[s] = rate;
+                    }
+                    start = end;
+                }
+            }
+        }
+
+        // 3. Integrate levels.
+        for fi in 0..nf {
+            let (lo, hi) = (self.first[fi], self.first[fi + 1]);
+            for s in lo..hi {
+                let sent = out_rate[s] * dt;
+                if s > lo {
+                    levels[s - 1] = (levels[s - 1] - sent).max(0.0);
+                } else if self.flows[fi].demand.is_some() {
+                    host_backlog[fi] = (host_backlog[fi] - sent).max(0.0);
+                }
+                if s == hi - 1 {
+                    arrived[fi] = sent;
+                } else {
+                    levels[s] += sent;
+                }
+            }
+        }
+
+        // 4. Pause/resume on queue totals.
+        totals.fill(0.0);
+        for &(s, q) in &self.queue_slots {
+            totals[q] += levels[s];
+        }
+        for (&level, &c) in totals.iter().zip(&self.queue_chan) {
+            if level >= xoff {
+                paused[c] = true;
+            } else if level < xon {
+                paused[c] = false;
+            }
+        }
+    }
+
+    /// The report of a run of `steps` steps that ended in `st`.
+    fn report(
+        &self,
+        steps: usize,
+        dt: f64,
+        st: &Carried,
+        delivered: &[f64],
+        paused_steps: &[u64],
+    ) -> FluidReport {
         // Final deadlock check: a cycle among paused fabric channels whose
         // downstream levels all sit at/above XON.
         let kind = |n: NodeId| self.topo.node(n).kind;
-        let fabric_paused: Vec<Chan> = (self.chans.iter().zip(&paused))
+        let fabric_paused: Vec<Chan> = (self.chans.iter().zip(&st.paused))
             .filter(|&(c, &p)| {
                 p && kind(c.from) == NodeKind::Switch && kind(c.to) == NodeKind::Switch
             })
@@ -352,7 +438,7 @@ impl FluidNetwork {
         }
         let mut pause_fraction = BTreeMap::new();
         let mut host_pause_fraction = BTreeMap::new();
-        for (c, &n) in self.chans.iter().zip(&paused_steps) {
+        for (c, &n) in self.chans.iter().zip(paused_steps) {
             if n == 0 {
                 continue; // never paused
             }
@@ -363,13 +449,126 @@ impl FluidNetwork {
                 pause_fraction.insert((c.from, c.to), frac);
             }
         }
-        let final_buffered: f64 = self.queue_slots.iter().map(|&(s, _)| levels[s]).sum();
+        let final_buffered: f64 = self.queue_slots.iter().map(|&(s, _)| st.levels[s]).sum();
         FluidReport {
             throughput,
             pause_fraction,
             host_pause_fraction,
             deadlock,
             final_buffered,
+        }
+    }
+}
+
+/// The longest period [`FluidNetwork::run`] looks for: it bounds the
+/// recurrence finder's checkpoint spacing and the recorded period.
+const MAX_PERIOD: usize = 1 << 12;
+
+/// Everything one fluid step reads of the steps before it. Levels are
+/// indexed by `(flow, hop)` slot, backlogs (CBR flows only) by flow,
+/// pause bits by channel.
+#[derive(Clone)]
+struct Carried {
+    levels: Vec<f64>,
+    host_backlog: Vec<f64>,
+    paused: Vec<bool>,
+}
+
+impl Carried {
+    /// Equal bit for bit, so every later step repeats too.
+    fn same_as(&self, other: &Carried) -> bool {
+        let bits = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        bits(&self.levels, &other.levels)
+            && bits(&self.host_backlog, &other.host_backlog)
+            && self.paused == other.paused
+    }
+
+    fn copy_from(&mut self, other: &Carried) {
+        self.levels.copy_from_slice(&other.levels);
+        self.host_backlog.copy_from_slice(&other.host_backlog);
+        self.paused.copy_from_slice(&other.paused);
+    }
+}
+
+/// Brent's cycle finder over the carried state: one saved state, moved to
+/// the current one whenever `lam` steps reach `power`, which doubles up to
+/// [`MAX_PERIOD`]. Any period up to that is found within it steps of the
+/// state first entering its cycle.
+struct Recurrence {
+    saved: Carried,
+    power: usize,
+    lam: usize,
+}
+
+impl Recurrence {
+    fn new(st: &Carried) -> Self {
+        Recurrence {
+            saved: st.clone(),
+            power: 1,
+            lam: 0,
+        }
+    }
+
+    /// Note the state after one more step; the period, once `st` repeats.
+    fn observe(&mut self, st: &Carried) -> Option<usize> {
+        self.lam += 1;
+        if st.same_as(&self.saved) {
+            return Some(self.lam);
+        }
+        if self.lam == self.power {
+            self.saved.copy_from(st);
+            self.power = (2 * self.power).min(MAX_PERIOD);
+            self.lam = 0;
+        }
+        None
+    }
+}
+
+/// Where a run stands in looking for its period.
+enum Phase {
+    /// Stepping and watching for a recurrence.
+    Search(Recurrence),
+    /// A period was found: stepping through it once more, recording each
+    /// step's deliveries, with `left` steps to go.
+    Record { period: usize, left: usize },
+    /// Replayed, or not fast-forwarding: stepping to the end.
+    Done,
+}
+
+/// Per-step buffers of [`FluidNetwork::step`], sized so no step
+/// allocates: the per-slot rates and availabilities, the per-queue
+/// totals, and one channel's allocation — the sending members' demands
+/// and slots, each sending group's summed demand and end in
+/// `member_demand`, and the two waterfills.
+struct StepScratch {
+    out_rate: Vec<f64>,
+    avail: Vec<f64>,
+    totals: Vec<f64>,
+    member_demand: Vec<f64>,
+    member_slot: Vec<usize>,
+    group_demand: Vec<f64>,
+    group_end: Vec<usize>,
+    shares: Vec<f64>,
+    inner: Vec<f64>,
+    waterfill: WaterfillScratch,
+}
+
+impl StepScratch {
+    fn new(ns: usize, nq: usize) -> Self {
+        StepScratch {
+            out_rate: vec![0.0; ns],
+            avail: vec![0.0; ns],
+            totals: vec![0.0; nq],
+            member_demand: Vec::with_capacity(ns),
+            member_slot: Vec::with_capacity(ns),
+            group_demand: Vec::with_capacity(ns),
+            group_end: Vec::with_capacity(ns),
+            shares: Vec::with_capacity(ns),
+            inner: Vec::with_capacity(ns),
+            waterfill: WaterfillScratch {
+                active: Vec::with_capacity(ns),
+                satisfied: Vec::with_capacity(ns),
+            },
         }
     }
 }
@@ -1129,5 +1328,111 @@ mod tests {
             let steps = 500 + rng.gen_range(4_000) as usize;
             run_both(&format!("random {case}"), &b.topo, flows, cfg, steps);
         }
+    }
+
+    /// The step after which `run` sees the carried state recur, and the
+    /// period: [`Recurrence`] driven over the plain steps, as `run` does.
+    fn recurrence(net: &FluidNetwork, max_steps: usize) -> Option<(usize, usize)> {
+        let (nf, ns) = (net.flows.len(), net.first[net.flows.len()]);
+        let mut st = Carried {
+            levels: vec![0.0; ns],
+            host_backlog: vec![0.0; nf],
+            paused: vec![false; net.chans.len()],
+        };
+        let mut sc = StepScratch::new(ns, net.queue_chan.len());
+        let mut arrived = vec![0.0; nf];
+        let mut seen = Recurrence::new(&st);
+        let dt = net.cfg.dt_ns as f64 * 1e-9;
+        (1..=max_steps).find_map(|n| {
+            net.step(&mut st, &mut sc, &mut arrived, dt);
+            seen.observe(&st).map(|p| (n, p))
+        })
+    }
+
+    #[test]
+    fn fast_forward_equals_stepping_every_step() {
+        let spec = LinkSpec::default();
+        let sq = square(spec);
+        let mut rng = pfcsim_simcore::rng::SimRng::new(0xfa57);
+        let (mut recurred, mut flapping, mut replayed) = (0, 0, 0);
+        for case in 0..40 {
+            // Even cases: the paper's square, flow 3 capped or not; odd
+            // cases: a ring of random simple paths. Tight thresholds on
+            // some make XOFF/XON flap every few steps.
+            let (topo, flows) = if case % 2 == 0 {
+                let cap = rng
+                    .gen_bool(0.7)
+                    .then(|| BitRate::from_mbps(500 + rng.gen_range(39_000)));
+                (sq.topo.clone(), square_flows(&sq, cap))
+            } else {
+                let n = 3 + rng.gen_range(3) as usize;
+                let b = ring(n, spec);
+                let flows = (0..2 + rng.gen_range(4))
+                    .map(|i| {
+                        let start = rng.gen_range(n as u64) as usize;
+                        let hops = 2 + rng.gen_range(n as u64 - 1) as usize;
+                        let mut path = vec![b.hosts[start]];
+                        path.extend((0..hops).map(|k| b.switches[(start + k) % n]));
+                        path.push(b.hosts[(start + hops - 1) % n]);
+                        let cbr = BitRate::from_mbps(500 + rng.gen_range(10_000));
+                        FluidFlow {
+                            id: FlowId(i as u32),
+                            demand: rng.gen_bool(0.5).then_some(cbr),
+                            path,
+                        }
+                    })
+                    .collect();
+                (b.topo, flows)
+            };
+            let cfg = if rng.gen_bool(0.5) {
+                FluidConfig::default()
+            } else {
+                let xon = 500 + rng.gen_range(4_000);
+                FluidConfig {
+                    dt_ns: 50 + rng.gen_range(200),
+                    xoff: Bytes::new(xon + rng.gen_range(6_000)),
+                    xon: Bytes::new(xon),
+                }
+            };
+            let net = FluidNetwork::new(&topo, flows, cfg);
+            let Some((at, p)) = recurrence(&net, 5_000) else {
+                let r = net.run(3_000);
+                assert_bit_identical(&format!("case {case}"), &r, &net.integrate(3_000, false));
+                continue;
+            };
+            recurred += 1;
+            replayed += usize::from(p > 1);
+            // Before the recurrence is seen, on it, at the end of the
+            // recorded period, one short of a period boundary with
+            // nothing and with three periods to replay, and far past.
+            let ends = [
+                at - 1,
+                at,
+                at + p,
+                at + 2 * p - 1,
+                at + 2 * p,
+                at + 5 * p - 1,
+                5_000,
+            ];
+            for steps in ends {
+                let fast = net.run(steps);
+                let plain = net.integrate(steps, false);
+                assert_bit_identical(&format!("case {case}, {steps} steps"), &fast, &plain);
+                let flaps = |f: &f64| *f > 0.0 && *f < 1.0;
+                if steps == 5_000
+                    && (fast.host_pause_fraction.values().any(flaps)
+                        || fast.pause_fraction.values().any(flaps))
+                {
+                    flapping += 1;
+                }
+            }
+        }
+        // The cases must exercise what they claim to.
+        assert!(recurred >= 25, "only {recurred} of 40 cases recur");
+        assert!(
+            replayed >= 15,
+            "only {replayed} cases have a period above 1"
+        );
+        assert!(flapping >= 12, "only {flapping} cases flap XOFF/XON");
     }
 }

@@ -1,6 +1,7 @@
 //! `FluidNetwork::run` allocates its state and scratch up front and
 //! nothing per step: the allocation count of a run — an exact,
-//! bit-reproducible work counter — does not depend on `steps`.
+//! bit-reproducible work counter — does not depend on `steps`, whether
+//! the run ends before its state recurs or fast-forwards far past it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,5 +69,13 @@ fn run_allocations_do_not_depend_on_steps() {
     let short = allocs(|| drop(net.run(1_000)));
     let long = allocs(|| drop(net.run(2_000)));
     assert_eq!(long, short, "allocations grew with the step count");
+    // `run` sees this square's state recur at step 417, with period 162.
+    let before = allocs(|| drop(net.run(200)));
+    let far = allocs(|| drop(net.run(50_000)));
+    assert_eq!(
+        before, short,
+        "a run ending before the recurrence allocates differently"
+    );
+    assert_eq!(far, short, "a fast-forwarded run allocates differently");
     assert!(short > 0, "the counting allocator is not installed");
 }

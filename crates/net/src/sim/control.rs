@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use pfcsim_simcore::error::Error;
 use pfcsim_simcore::rng::SimRng;
-use pfcsim_simcore::series::RingSeries;
+use pfcsim_simcore::series::{RingSeries, TimeSeries};
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::Bytes;
 use pfcsim_topo::graph::NodeKind;
@@ -22,7 +22,7 @@ use crate::deadlock::DeadlockTracker;
 use crate::faults::{FaultAction, FaultKind, FaultPlan, FaultRecord};
 use crate::packet::Packet;
 use crate::recovery::{RecoveryConfig, RecoveryStrategy};
-use crate::stats::{IngressKey, PauseKey};
+use crate::stats::{push_in_order, IngressKey, PauseKey};
 use crate::switch::{InFlight, QPkt};
 use crate::telemetry::{MetricId, TelemetryState};
 use crate::trace::DropReason;
@@ -153,31 +153,32 @@ impl NetSim {
 
     pub(super) fn on_sample(&mut self) {
         let now = self.now();
-        let track_flows = self.dp.cfg.track_per_flow_occupancy;
         // The key set and the series live in different parts: disjoint
         // borrows, no per-sample allocation.
-        for &key in &self.cp.sample_keys {
-            let Some(ing) = self.dp.ingress(key) else {
-                continue;
-            };
-            let count = ing.count[key.priority.index()];
-            self.stats
-                .occupancy
-                .entry(key)
-                .or_default()
-                .push(now, count.get());
-            if track_flows {
-                for (&(p, f), &b) in ing.per_flow.iter() {
-                    if p != key.priority.0 {
-                        continue;
-                    }
-                    self.stats
-                        .flow_occupancy
-                        .entry((key, f))
-                        .or_default()
-                        .push(now, b.get());
-                }
-            }
+        let dp = &self.dp;
+        let watched = || {
+            (self.cp.sample_keys.iter()).filter_map(|&key| dp.ingress(key).map(|ing| (key, ing)))
+        };
+        push_in_order(
+            &mut self.stats.occupancy,
+            watched().map(|(key, ing)| (key, ing.count[key.priority.index()].get())),
+            TimeSeries::new,
+            |series, v| series.push(now, v),
+        );
+        if dp.cfg.track_per_flow_occupancy {
+            // A ledger iterates in (priority, flow) order, so each key's
+            // flows come ascending too.
+            let flows = watched().flat_map(|(key, ing)| {
+                (ing.per_flow.iter())
+                    .filter(move |&(&(p, _), _)| p == key.priority.0)
+                    .map(move |(&(_, f), &b)| ((key, f), b.get()))
+            });
+            push_in_order(
+                &mut self.stats.flow_occupancy,
+                flows,
+                TimeSeries::new,
+                |series, v| series.push(now, v),
+            );
         }
         if let Some(iv) = self.dp.cfg.sample_interval {
             let next = now + iv;
@@ -217,11 +218,18 @@ impl NetSim {
             for (key, log) in &self.stats.pause {
                 // Pause ratio: fraction of the window this channel spent
                 // inside an XOFF span (an open span counts up to `now`).
-                let dur = log.intervals.total_duration(now);
-                let prev = t
-                    .last_pause_dur
-                    .insert(*key, dur)
-                    .unwrap_or(SimDuration::ZERO);
+                // The previous sample's total carries forward plus what
+                // the spans it saw open or not at all cover since; a
+                // channel it did not see opened its first span after it.
+                let spans = log.intervals.intervals();
+                let closed = spans.len() - usize::from(log.intervals.is_open());
+                let prev_closed = t.last_closed.insert(*key, closed).unwrap_or(0);
+                let slot = t.last_pause_dur.entry(*key).or_default();
+                let prev = *slot;
+                let dur =
+                    (log.intervals).total_duration_since(prev_closed, t.last_sample_at, prev, now);
+                debug_assert_eq!(dur, log.intervals.total_duration(now), "{key:?} at {now}");
+                *slot = dur;
                 if !window.is_zero() {
                     let ratio = (dur - prev).as_ps() as f64 / window.as_ps() as f64;
                     t.report
@@ -233,9 +241,6 @@ impl NetSim {
                 // Resume latency: mean length of the XOFF→XON spans that
                 // closed since the previous tick. Only the last interval
                 // can still be open, so the closed prefix is stable.
-                let spans = log.intervals.intervals();
-                let closed = spans.len() - usize::from(log.intervals.is_open());
-                let prev_closed = t.last_closed.insert(*key, closed).unwrap_or(0);
                 if closed > prev_closed {
                     let total = spans[prev_closed..closed]
                         .iter()
@@ -251,28 +256,31 @@ impl NetSim {
             }
         }
         if t.cfg.occupancy_probe {
-            for &key in &self.cp.sample_keys {
-                let Some(ing) = self.dp.ingress(key) else {
-                    continue;
-                };
-                let count = ing.count[key.priority.index()];
-                let cap = t.cfg.ring_capacity;
-                t.report
-                    .occupancy
-                    .entry(key)
-                    .or_insert_with(|| RingSeries::with_capacity(cap))
-                    .push(now, count.get() as f64);
-                t.report
-                    .xoff_threshold
-                    .entry(key)
-                    .or_insert_with(|| RingSeries::with_capacity(cap))
-                    .push(now, self.dp.xoff_of(key.node, key.port).get() as f64);
-                t.report
-                    .xon_threshold
-                    .entry(key)
-                    .or_insert_with(|| RingSeries::with_capacity(cap))
-                    .push(now, self.dp.xon_of(key.node, key.port).get() as f64);
-            }
+            let cap = t.cfg.ring_capacity;
+            let ring = || RingSeries::with_capacity(cap);
+            let push = |series: &mut RingSeries, v: u64| series.push(now, v as f64);
+            let watched = || {
+                (self.cp.sample_keys.iter())
+                    .filter_map(|&key| self.dp.ingress(key).map(|ing| (key, ing)))
+            };
+            push_in_order(
+                &mut t.report.occupancy,
+                watched().map(|(key, ing)| (key, ing.count[key.priority.index()].get())),
+                ring,
+                push,
+            );
+            push_in_order(
+                &mut t.report.xoff_threshold,
+                watched().map(|(key, _)| (key, self.dp.xoff_of(key.node, key.port).get())),
+                ring,
+                push,
+            );
+            push_in_order(
+                &mut t.report.xon_threshold,
+                watched().map(|(key, _)| (key, self.dp.xon_of(key.node, key.port).get())),
+                ring,
+                push,
+            );
         }
         if t.cfg.goodput_probe && !window.is_zero() {
             let secs = window.as_ps() as f64 * 1e-12;
@@ -903,5 +911,113 @@ impl NetSim {
     /// started running.
     pub fn enable_recovery(&mut self, rc: RecoveryConfig) {
         self.try_enable_recovery(rc).expect("enable_recovery");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pfcsim_simcore::time::{SimDuration, SimTime};
+    use pfcsim_topo::builders::{square, LinkSpec};
+    use pfcsim_topo::ids::{NodeId, PortNo, Priority};
+
+    use crate::config::SimConfig;
+    use crate::flow::FlowSpec;
+    use crate::sim::{NetSim, SimBuilder};
+    use crate::stats::IngressKey;
+
+    /// Every switch ingress of `nodes` on the default class.
+    fn keys_of(sim: &NetSim, nodes: &[NodeId]) -> Vec<IngressKey> {
+        let mut keys = Vec::new();
+        for &node in nodes {
+            for port in 0..sim.dp.topo.ports(node).len() {
+                keys.push(IngressKey {
+                    node,
+                    port: PortNo(port as u16),
+                    priority: Priority::DEFAULT,
+                });
+            }
+        }
+        keys
+    }
+
+    /// Paused right after the sample at `t`: each watched key's newest
+    /// sample, and each of its flows', is the live count, taken at `t`;
+    /// every other series stopped earlier.
+    fn assert_newest_samples_are_live(sim: &NetSim, t: SimTime) {
+        let stats = &sim.stats;
+        for (key, series) in &stats.occupancy {
+            let newest = *series.samples().last().expect("a series has samples");
+            if sim.cp.sample_keys.binary_search(key).is_err() {
+                assert!(newest.0 < t, "{key:?} is not watched but sampled at {t}");
+                continue;
+            }
+            let ing = sim.dp.ingress(*key).expect("a switch ingress");
+            let count = ing.count[key.priority.index()].get();
+            assert_eq!(newest, (t, count), "{key:?} at {t}");
+            for (&(p, flow), &bytes) in ing.per_flow.iter() {
+                if p != key.priority.0 {
+                    continue;
+                }
+                let series = &stats.flow_occupancy[&(*key, flow)];
+                let newest = *series.samples().last().expect("a series has samples");
+                assert_eq!(newest, (t, bytes.get()), "{key:?} flow {flow} at {t}");
+            }
+        }
+        for &key in &sim.cp.sample_keys {
+            assert!(stats.occupancy.contains_key(&key), "{key:?} never sampled");
+        }
+    }
+
+    #[test]
+    fn in_order_sample_walk_drops_or_misplaces_no_sample() {
+        let b = square(LinkSpec::default());
+        let (s, h) = (&b.switches, &b.hosts);
+        // An interval no datapath event lands on, except at multiples of
+        // 100 ticks: pausing at a tick stops right after its sample.
+        let iv = SimDuration::from_ps(1_000_001);
+        let cfg = SimConfig {
+            sample_interval: Some(iv),
+            ..SimConfig::default()
+        };
+        let mut sim = SimBuilder::new(&b.topo).config(cfg).build();
+        sim.add_flow(
+            FlowSpec::infinite(1, h[0], h[3]).pinned(vec![h[0], s[0], s[1], s[2], s[3], h[3]]),
+        );
+        sim.add_flow(
+            FlowSpec::infinite(2, h[2], h[1]).pinned(vec![h[2], s[2], s[3], s[0], s[1], h[1]]),
+        );
+        // A late flow: its (queue, flow) series start mid-run.
+        sim.add_flow(
+            FlowSpec::cbr(3, h[1], h[2], pfcsim_simcore::units::BitRate::from_gbps(6))
+                .pinned(vec![h[1], s[1], s[2], h[2]])
+                .starting_at(SimTime::from_us(300)),
+        );
+        // Start on two switches only, so widening adds keys the maps
+        // lack between keys they hold.
+        sim.watch_only(keys_of(&sim, &[s[1], s[3]]));
+        let horizon = SimTime::from_us(700);
+        let tick = |k: u64| SimTime::ZERO + iv.saturating_mul(k);
+        let step = |sim: &mut NetSim, k: u64| {
+            assert!(sim.advance_until(tick(k), horizon).is_none());
+            assert_newest_samples_are_live(sim, tick(k));
+        };
+        step(&mut sim, 7);
+        step(&mut sim, 41);
+        sim.watch_only(keys_of(&sim, &[s[0], s[1], s[2], s[3]]));
+        step(&mut sim, 42);
+        step(&mut sim, 155);
+        // Narrowing leaves series in the maps the walk must pass over.
+        sim.watch_only(keys_of(&sim, &[s[0], s[2]]));
+        step(&mut sim, 156);
+        step(&mut sim, 299);
+        step(&mut sim, 333);
+        step(&mut sim, 389);
+        let mut sim = NetSim::resume(sim.checkpoint().expect("checkpoint")).expect("resume");
+        step(&mut sim, 390);
+        sim.watch_only(keys_of(&sim, &[s[1], s[2]]));
+        step(&mut sim, 391);
+        step(&mut sim, 611);
+        let late = (sim.stats.flow_occupancy.keys()).filter(|(_, f)| f.0 == 3);
+        assert!(late.count() > 0, "the late flow was never sampled");
     }
 }

@@ -164,6 +164,38 @@ impl NetStats {
     }
 }
 
+/// Push each `(key, value)` into `map`'s series for `key`, the keys
+/// ascending: one walk alongside the map finds every series it already
+/// holds, where a search per key would descend the tree for each. A key
+/// the map lacks gets a `new` series through the entry path, and the
+/// walk resumes after it.
+pub(crate) fn push_in_order<K: Ord + Copy, S, V>(
+    map: &mut BTreeMap<K, S>,
+    items: impl IntoIterator<Item = (K, V)>,
+    mut new: impl FnMut() -> S,
+    mut push: impl FnMut(&mut S, V),
+) {
+    use std::ops::Bound::{Excluded, Unbounded};
+    let mut items = items.into_iter().peekable();
+    let mut walk = map.range_mut((Unbounded::<K>, Unbounded));
+    loop {
+        while let Some(&(key, _)) = items.peek() {
+            match walk.find(|(k, _)| **k >= key) {
+                Some((k, series)) if *k == key => {
+                    let (_, v) = items.next().expect("peeked");
+                    push(series, v);
+                }
+                _ => break,
+            }
+        }
+        let Some((key, v)) = items.next() else {
+            return;
+        };
+        push(map.entry(key).or_insert_with(&mut new), v);
+        walk = map.range_mut((Excluded(key), Unbounded));
+    }
+}
+
 /// `x` after `k` more periods that each add what the last one did (`x`
 /// was `at_mark` one period ago).
 pub(crate) fn extend_count(x: &mut u64, at_mark: u64, k: u64) {

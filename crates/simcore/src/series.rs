@@ -262,6 +262,28 @@ impl IntervalLog {
         total
     }
 
+    /// [`total_duration`](Self::total_duration) at `now`, given that it
+    /// was `total_then` at `then`, when the first `closed` intervals were
+    /// closed and every later one started at or after `then` or was still
+    /// open: only the intervals from `closed` on are read, for what they
+    /// cover after `then`.
+    pub fn total_duration_since(
+        &self,
+        closed: usize,
+        then: SimTime,
+        total_then: SimDuration,
+        now: SimTime,
+    ) -> SimDuration {
+        let mut total = total_then;
+        for &(start, end) in &self.intervals[closed..] {
+            let (start, end) = (start.max(then), end.unwrap_or(now));
+            if end > start {
+                total += end - start;
+            }
+        }
+        total
+    }
+
     /// True iff instant `t` is covered by some interval (open intervals are
     /// treated as unbounded on the right).
     pub fn covers(&self, t: SimTime) -> bool {
