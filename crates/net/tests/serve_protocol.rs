@@ -569,8 +569,8 @@ fn probe_matches_oracle(
         .expect("oracle");
 
     // Byte-identical verdict documents: resident probe vs fresh batch run.
-    let probe_json = serde_json::to_string(&doc.verdict.to_value()).unwrap();
-    let oracle_json = serde_json::to_string(&oracle.to_value()).unwrap();
+    let probe_json = serde_json::to_string(&doc.verdict).unwrap();
+    let oracle_json = serde_json::to_string(&oracle).unwrap();
     prop_assert_eq!(probe_json, oracle_json);
     // And the probe provably left the resident untouched.
     prop_assert!(doc.resident_unchanged);
@@ -676,8 +676,8 @@ fn mutation_history_replays_byte_identically() {
         .oracle_what_if(std::slice::from_ref(&push), window)
         .expect("oracle");
     assert_eq!(
-        serde_json::to_string(&doc.verdict.to_value()).unwrap(),
-        serde_json::to_string(&oracle.to_value()).unwrap(),
+        serde_json::to_string(&doc.verdict).unwrap(),
+        serde_json::to_string(&oracle).unwrap(),
         "probe and oracle verdicts must be byte-identical"
     );
     assert!(doc.resident_unchanged);
@@ -688,7 +688,7 @@ fn mutation_history_replays_byte_identically() {
 // ---------------------------------------------------------------------------
 
 fn verdict_json(v: &VerdictDoc) -> String {
-    serde_json::to_string(&v.to_value()).unwrap()
+    serde_json::to_string(v).unwrap()
 }
 
 /// `what_if` about `pushes`, checked byte for byte against the batch
