@@ -452,12 +452,17 @@ fn serve_stdin(serve: &mut pfcsim_net::serve::ServeSession) -> i32 {
 
 /// Unix-socket serving loop: one client at a time, session state
 /// persisting across connections; same SIGTERM drain as stdin mode.
+///
+/// The loop reads the connection itself, with no reader thread: a read
+/// times out every 50 ms so SIGTERM is seen between requests, and a
+/// line cut by a timeout is kept and completed by the next read. EOF, a
+/// read error or a line that is not UTF-8 drops the client and goes
+/// back to accepting.
 #[cfg(unix)]
 fn serve_socket(path: &str, serve: &mut pfcsim_net::serve::ServeSession) -> i32 {
     use pfcsim_net::serve::Control;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, ErrorKind, Write};
     use std::os::unix::net::UnixListener;
-    use std::sync::mpsc;
 
     let _ = std::fs::remove_file(path);
     let listener = match UnixListener::bind(path) {
@@ -472,14 +477,16 @@ fn serve_socket(path: &str, serve: &mut pfcsim_net::serve::ServeSession) -> i32 
         return 1;
     }
     eprintln!("serve: listening on {path}");
+    let poll = std::time::Duration::from_millis(50);
+    let mut line = Vec::new();
     loop {
         if term_signal::requested() {
             return 143;
         }
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(50));
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                std::thread::sleep(poll);
                 continue;
             }
             Err(e) => {
@@ -487,45 +494,44 @@ fn serve_socket(path: &str, serve: &mut pfcsim_net::serve::ServeSession) -> i32 
                 return 1;
             }
         };
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("error: socket clone: {e}");
-                continue;
-            }
-        };
-        let reader = BufReader::new(stream);
-        let (tx, rx) = mpsc::channel::<std::io::Result<String>>();
-        std::thread::spawn(move || {
-            for line in reader.lines() {
-                if tx.send(line).is_err() {
-                    return;
-                }
-            }
-        });
+        // The listener polls, but a connection blocks in its reads (an
+        // accepted socket does not inherit O_NONBLOCK) for at most `poll`.
+        if let Err(e) = stream.set_read_timeout(Some(poll)) {
+            eprintln!("error: socket timeout: {e}");
+            continue;
+        }
+        let mut reader = BufReader::new(stream);
+        line.clear();
         loop {
-            match rx.recv_timeout(std::time::Duration::from_millis(50)) {
-                Ok(Ok(line)) => {
-                    let (resp, ctl) = serve.handle_line(&line);
-                    if let Some(mut resp) = resp {
-                        // The line and its newline in one `write`: the
-                        // stream is unbuffered.
-                        resp.push('\n');
-                        if writer.write_all(resp.as_bytes()).is_err() {
-                            break; // client went away mid-response
-                        }
-                    }
-                    if ctl == Control::Shutdown {
-                        return 0;
-                    }
-                }
-                // Client disconnected; go back to accepting.
-                Ok(Err(_)) | Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
+            match reader.read_until(b'\n', &mut line) {
+                // EOF, and no last line left to serve.
+                Ok(0) if line.is_empty() => break,
+                // A line, or at EOF a last one without its newline (served
+                // as `lines()` serves it).
+                Ok(_) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     if term_signal::requested() {
                         return 143;
                     }
+                    continue;
                 }
+                Err(_) => break,
+            }
+            let Ok(text) = std::str::from_utf8(&line) else {
+                break;
+            };
+            let (resp, ctl) = serve.handle_line(text);
+            line.clear();
+            if let Some(mut resp) = resp {
+                // The line and its newline in one `write`: the stream is
+                // unbuffered.
+                resp.push('\n');
+                if reader.get_ref().write_all(resp.as_bytes()).is_err() {
+                    break; // client went away mid-response
+                }
+            }
+            if ctl == Control::Shutdown {
+                return 0;
             }
         }
     }
