@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 use pfcsim_simcore::units::{BitRate, Bytes};
 use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::{FlowId, NodeId, PortNo};
+use pfcsim_topo::routing::path_hops;
 
 /// One fluid flow: a demand streaming along a fixed path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -130,23 +131,17 @@ impl FluidNetwork {
             // Per-hop per-ingress fairness: a hop contends in the group of
             // the ingress port its bytes queue at (-1 on the source side).
             let mut key = -1;
-            for (hop, w) in f.path.windows(2).enumerate() {
-                let port = topo
-                    .port_towards(w[1], w[0])
-                    .unwrap_or_else(|| panic!("{} and {} not adjacent", w[0], w[1]));
-                let c = Chan {
-                    from: w[0],
-                    to: w[1],
-                };
+            for (hop, (from, out)) in path_hops(topo, &f.path).enumerate() {
+                let c = Chan { from, to: out.peer };
                 by_chan
                     .entry(c)
                     .or_default()
                     .entry(key)
                     .or_default()
                     .push(base + hop);
-                if topo.node(w[1]).kind == NodeKind::Switch {
-                    queue_keys.push((base + hop, (w[1], port.port)));
-                    key = port.port.0 as i64;
+                if topo.node(out.peer).kind == NodeKind::Switch {
+                    queue_keys.push((base + hop, (out.peer, out.peer_port)));
+                    key = out.peer_port.0 as i64;
                 } else {
                     assert_eq!(hop + 2, f.path.len(), "only a path's ends may be hosts");
                 }

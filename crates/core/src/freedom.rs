@@ -61,23 +61,20 @@ pub fn verify_all_pairs(
     let hosts: Vec<NodeId> = topo.hosts().collect();
     let max_hops = 4 * topo.node_count().max(16);
     let mut g = BufferDependencyGraph::new();
-    let mut flow = 0u32;
+    let (mut flow, mut hops) = (0u32, Vec::new());
     for &src in &hosts {
         for &dst in &hosts {
             if src == dst {
                 continue;
             }
-            let trace = trace_path(topo, tables, FlowId(flow), src, dst, max_hops);
+            let spec = FlowSpec::infinite(flow, src, dst);
             flow += 1;
-            match trace {
-                Trace::Delivered(nodes) => g.add_path(topo, &nodes, priority, None),
+            hops.clear();
+            hops.extend(spec.hops(topo, tables, max_hops));
+            match Trace::of(src, dst, max_hops, hops.iter().copied()) {
+                Trace::Delivered(_) => g.add_path(topo, hops.iter().copied(), priority, None),
                 Trace::NoRoute(_) => return Err(FreedomViolation::Unroutable { src, dst }),
-                Trace::Looping(nodes) => {
-                    // Register the loop's dependencies (they are the CBD),
-                    // then report the loop itself.
-                    g.add_path(topo, &nodes, priority, None);
-                    return Err(FreedomViolation::ForwardingLoop { src, dst });
-                }
+                Trace::Looping(_) => return Err(FreedomViolation::ForwardingLoop { src, dst }),
             }
         }
     }
@@ -160,6 +157,28 @@ mod tests {
             matches!(err, Err(FreedomViolation::CyclicDependency(_))),
             "got {err:?}"
         );
+    }
+
+    /// A triangle whose A–B side is two links, A sending to hC over the
+    /// first and to hB over the second: the all-pairs routes close the
+    /// ring A→B→C→A as node paths, but not as buffers, since what enters
+    /// B over the second link leaves to hB.
+    #[test]
+    fn all_pairs_keeps_parallel_links_apart() {
+        use pfcsim_topo::graph::Topology;
+        use pfcsim_topo::ids::PortNo;
+        let mut topo = Topology::new();
+        let [a, b, c] = ["A", "B", "C"].map(|n| topo.add_switch(n));
+        let [ha, hb, hc] = ["hA", "hB", "hC"].map(|n| topo.add_host(n));
+        let spec = LinkSpec::default();
+        for (x, y) in [(a, b), (a, b), (b, c), (c, a), (ha, a), (hb, b), (hc, c)] {
+            topo.connect(x, y, spec.rate, spec.delay);
+        }
+        let mut tables = shortest_path_tables(&topo);
+        for (node, dst, port) in [(a, hc, 0), (a, hb, 1), (b, hc, 2), (b, ha, 2), (c, hb, 1)] {
+            tables.set(node, dst, vec![PortNo(port)]);
+        }
+        verify_all_pairs(&topo, &tables, Priority::DEFAULT).unwrap();
     }
 
     #[test]

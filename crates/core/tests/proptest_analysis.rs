@@ -8,6 +8,7 @@ use pfcsim_net::bdg::{elementary_cycles, has_cycle, tarjan_scc, BufferDependency
 use pfcsim_simcore::units::BitRate;
 use pfcsim_topo::builders::{ring, LinkSpec};
 use pfcsim_topo::ids::{NodeId, Priority};
+use pfcsim_topo::routing::path_hops;
 
 fn random_digraph(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
     let mut adj = vec![Vec::new(); n];
@@ -82,7 +83,7 @@ proptest! {
         let mut last_edges = 0;
         let count = if close { 4 } else { k.min(3) };
         for i in 0..count {
-            g.add_path(&b.topo, &seg(i), Priority::DEFAULT, None);
+            g.add_path(&b.topo, path_hops(&b.topo, &seg(i)), Priority::DEFAULT, None);
             prop_assert!(g.edge_count() >= last_edges, "edges shrank");
             last_edges = g.edge_count();
         }

@@ -115,8 +115,8 @@ pub fn plan_for_workload(
 ) -> BufferClassPlan {
     let mut required = 0u8;
     for spec in specs {
-        let hops = (spec.path(topo, tables, spec.ttl as usize).nodes().iter())
-            .filter(|&&n| topo.node(n).kind == NodeKind::Switch)
+        let hops = (spec.hops(topo, tables, spec.ttl as usize))
+            .filter(|(_, out)| topo.node(out.peer).kind == NodeKind::Switch)
             .count();
         required = required.max(u8::try_from(hops.min(255)).expect("capped"));
     }

@@ -19,6 +19,7 @@ use pfcsim_core::bdg::BufferDependencyGraph;
 use pfcsim_net::flow::FlowSpec;
 use pfcsim_topo::graph::Topology;
 use pfcsim_topo::ids::{FlowId, NodeId, Priority};
+use pfcsim_topo::routing::path_hops;
 
 /// Result of a LASH layering.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,8 +76,8 @@ pub fn lash_assign(
     for (flow, path) in paths {
         let mut placed = false;
         for (li, g) in layers.iter_mut().enumerate() {
-            let mut trial = g.clone();
-            trial.add_path(topo, path, Priority(base_class + li as u8), None);
+            let (mut trial, class) = (g.clone(), Priority(base_class + li as u8));
+            trial.add_path(topo, path_hops(topo, path), class, None);
             if !trial.has_cbd() {
                 *g = trial;
                 layer_of.insert(*flow, li as u8);
@@ -93,7 +94,7 @@ pub fn lash_assign(
             }
             let li = layers.len() as u8;
             let mut g = BufferDependencyGraph::new();
-            g.add_path(topo, path, Priority(base_class + li), None);
+            g.add_path(topo, path_hops(topo, path), Priority(base_class + li), None);
             debug_assert!(!g.has_cbd(), "a single simple path cannot be cyclic");
             layers.push(g);
             layer_of.insert(*flow, li);
@@ -173,7 +174,7 @@ mod tests {
             let mut g = BufferDependencyGraph::new();
             for (f, p) in &paths {
                 if a.layer_of[f] == layer {
-                    g.add_path(&b.topo, p, Priority(layer), None);
+                    g.add_path(&b.topo, path_hops(&b.topo, p), Priority(layer), None);
                 }
             }
             assert!(!g.has_cbd(), "layer {layer} must be acyclic");

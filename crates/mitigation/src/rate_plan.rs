@@ -78,20 +78,14 @@ pub fn plan_for_workload(
     let mut directives = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
     for spec in specs {
-        let path = spec.path(topo, tables, spec.ttl as usize);
-        let nodes = path.nodes();
-        // First switch on the path: the flow's injection point.
-        if nodes.len() < 2 {
+        // The switch behind the source's NIC: the flow's injection point.
+        let Some((_, nic)) = spec.hops(topo, tables, spec.ttl as usize).next() else {
             continue;
-        }
-        let first_switch = nodes[1];
+        };
+        let (first_switch, port) = (nic.peer, nic.peer_port);
         if !cyclic_nodes.contains(&first_switch) {
             continue;
         }
-        let port = match topo.port_towards(first_switch, spec.src) {
-            Some(p) => p.port,
-            None => continue,
-        };
         if seen.insert((first_switch, port)) {
             directives.push(ShaperDirective {
                 node: first_switch,

@@ -16,7 +16,7 @@ use pfcsim_core::bdg::{BufferDependencyGraph, RxQueue};
 use pfcsim_net::flow::{FlowSpec, RouteKind};
 use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::{FlowId, NodeId};
-use pfcsim_topo::routing::{ForwardingTables, PinnedPath};
+use pfcsim_topo::routing::{path_hops, ForwardingTables, PinnedPath};
 
 /// One re-path directive.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,7 +69,8 @@ pub struct RepairFailed {
 
 /// The current node path of a flow under the tables.
 fn path_of(topo: &Topology, tables: &ForwardingTables, spec: &FlowSpec) -> Vec<NodeId> {
-    spec.path(topo, tables, 64).nodes().to_vec()
+    let peers = spec.hops(topo, tables, 64).map(|(_, out)| out.peer);
+    std::iter::once(spec.src).chain(peers).collect()
 }
 
 /// Enumerate up to `limit` simple host-to-host paths between two hosts,
@@ -126,7 +127,7 @@ pub fn plan_repair(
     let build = |paths: &BTreeMap<FlowId, Vec<NodeId>>, specs: &[FlowSpec]| {
         let mut g = BufferDependencyGraph::new();
         for s in specs {
-            g.add_path(topo, &paths[&s.id], s.priority, None);
+            g.add_path(topo, path_hops(topo, &paths[&s.id]), s.priority, None);
         }
         g
     };
@@ -145,16 +146,12 @@ pub fn plan_repair(
         let mut candidates: Vec<FlowId> = specs
             .iter()
             .filter(|s| {
-                let p = &paths[&s.id];
-                p.windows(2).any(|w| {
-                    topo.node(w[1]).kind == NodeKind::Switch
-                        && topo.port_towards(w[1], w[0]).is_some_and(|port| {
-                            cycle_queues.contains(&RxQueue {
-                                node: w[1],
-                                port: port.port,
-                                priority: s.priority,
-                            })
-                        })
+                path_hops(topo, &paths[&s.id]).any(|(_, out)| {
+                    cycle_queues.contains(&RxQueue {
+                        node: out.peer,
+                        port: out.peer_port,
+                        priority: s.priority,
+                    })
                 })
             })
             .map(|s| s.id)

@@ -16,6 +16,11 @@
 //! [`crate::serve::static_cbd`] and the static pre-check of a live run
 //! build it with priorities merged ([`RxQueue::merged`]), a projection: a
 //! cycle among per-priority buffers maps onto one among merged buffers.
+//!
+//! Every graph is built from `(node, egress port)` hops through one step,
+//! `BufferDependencyGraph::add_hop`, which keys a buffer by the port the
+//! hop takes: two links joining one pair of switches stay two buffers,
+//! and an edge's Eq. 3 label is the rate of the link taken.
 
 mod cycles;
 mod scc;
@@ -25,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use pfcsim_simcore::units::BitRate;
-use pfcsim_topo::graph::{NodeKind, Topology};
+use pfcsim_topo::graph::{NodeKind, PortRef, Topology};
 use pfcsim_topo::ids::{NodeId, PortNo, Priority};
 use pfcsim_topo::routing::ForwardingTables;
 
@@ -42,7 +47,7 @@ pub fn deadlock_threshold(loop_len: u64, bandwidth: BitRate, ttl: u64) -> BitRat
 }
 
 /// The one class every buffer of a priority-merged graph is given.
-const MERGED: Priority = Priority(0);
+pub(crate) const MERGED: Priority = Priority(0);
 
 /// One receiving buffer: the unit PFC pauses on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -78,8 +83,8 @@ pub struct BufferDependencyGraph {
     /// ([`Self::adj`]). Lists past the last vertex are emptied ones that
     /// [`Self::clear`] kept, each for the next vertex of its index.
     edges: Vec<Vec<usize>>,
-    /// Edge → `(least downstream rate, least TTL)`, for edges added by
-    /// [`BufferDependencyGraph::add_rated_path`].
+    /// Edge → `(least downstream rate, least TTL)`, for edges added with
+    /// a TTL ([`BufferDependencyGraph::add_route`]).
     labels: BTreeMap<(usize, usize), (BitRate, u8)>,
 }
 
@@ -267,26 +272,15 @@ impl BufferDependencyGraph {
         least
     }
 
-    /// Build from explicit node paths (host → switches… → host), one per
-    /// flow, with per-flow priority. `class_ladder` applies the
-    /// structured-buffer-pool remap (class = min(hop, n−1)).
-    pub fn from_paths<'a>(
-        topo: &Topology,
-        paths: impl IntoIterator<Item = (&'a [NodeId], Priority)>,
-        class_ladder: Option<u8>,
-    ) -> Self {
-        let mut g = Self::new();
-        for (nodes, prio) in paths {
-            g.add_path(topo, nodes, prio, class_ladder);
-        }
-        g
-    }
-
-    /// Add one flow path's dependencies.
+    /// Add one flow's dependencies along its `(node, egress port)` hops,
+    /// host to host — a walk's, or a node path's read by the pinned-route
+    /// rule ([`path_hops`](pfcsim_topo::routing::path_hops)) — at priority
+    /// `prio`. `class_ladder` applies the structured-buffer-pool remap
+    /// instead (class = min(hop, n−1)).
     pub fn add_path(
         &mut self,
         topo: &Topology,
-        nodes: &[NodeId],
+        hops: impl IntoIterator<Item = (NodeId, PortRef)>,
         prio: Priority,
         class_ladder: Option<u8>,
     ) {
@@ -294,68 +288,74 @@ impl BufferDependencyGraph {
             Some(n) => Priority(hop.min(n - 1)),
             None => prio,
         };
-        self.add_route(topo, nodes, class, None);
+        self.add_route(topo, hops, class, None);
     }
 
-    /// Add one flow path's dependencies with priorities merged, each edge
-    /// labelled with the rate of the link into its downstream buffer and
-    /// the flow's `ttl` (Eq. 3's inputs, see [`Self::cycle_label`]).
-    pub fn add_rated_path(&mut self, topo: &Topology, nodes: &[NodeId], ttl: u8) {
-        self.add_route(topo, nodes, |_| MERGED, Some(ttl));
-    }
-
-    /// Add the buffer each switch of `nodes` receives the path's traffic
-    /// into, classed by switch-hop index, and an edge from each buffer to
-    /// the next one its switch feeds (a host between two switches forwards
-    /// nothing, so it ends the chain); with `ttl`, label the edges.
-    fn add_route(
+    /// Add the buffer each hop of a route feeds, when a switch owns it,
+    /// classed by switch-hop index, and an edge from each buffer to the
+    /// next (a host on the way forwards nothing, so it ends the chain).
+    /// With `ttl`, label each edge with the rate of the link into its
+    /// downstream buffer and `ttl` (Eq. 3's inputs, see
+    /// [`Self::cycle_label`]).
+    pub(crate) fn add_route(
         &mut self,
         topo: &Topology,
-        nodes: &[NodeId],
+        hops: impl IntoIterator<Item = (NodeId, PortRef)>,
         class: impl Fn(u8) -> Priority,
         ttl: Option<u8>,
     ) {
-        let mut prev: Option<RxQueue> = None;
-        let mut hop: u8 = 0;
-        for w in nodes.windows(2) {
-            let (from, to) = (w[0], w[1]);
-            if topo.node(to).kind != NodeKind::Switch {
-                continue; // final host hop has no PFC ingress of interest
-            }
-            let ingress = topo
-                .port_towards(to, from)
-                .unwrap_or_else(|| panic!("{from} and {to} are not adjacent"));
-            let q = RxQueue {
-                node: to,
-                port: ingress.port,
-                priority: class(hop),
-            };
-            if let Some(u) = prev.filter(|u| u.node == from) {
-                let edge = self.add_dependency(u, q);
-                if let Some(ttl) = ttl {
-                    let rate = topo.link(ingress.link).rate;
-                    let least = self.labels.entry(edge).or_insert((rate, ttl));
-                    *least = (least.0.min(rate), least.1.min(ttl));
-                }
-            }
-            prev = Some(q);
-            hop = hop.saturating_add(1);
-        }
-        // Register single-switch paths too (a labelled graph holds only
-        // the buffers its edges join).
-        if let (1, Some(q), None) = (hop, prev, ttl) {
-            self.add_queue(q);
+        let (mut prev, mut hop) = (None, 0u8);
+        for (_, out) in hops {
+            prev = self.add_hop(topo, prev, &out, class(hop), ttl);
+            hop = hop.saturating_add(u8::from(prev.is_some()));
         }
     }
 
-    /// Build by tracing `specs` through `tables` (pinned flows use their
-    /// pinned path; table flows are traced with a hop cap of their TTL, so
-    /// a routing loop contributes one full ring of dependencies).
+    /// The one edge-adding step of every graph built here: the buffer of
+    /// class `class` that `out` feeds, when a switch owns it, and an edge
+    /// into it from `from`, whose bytes leave by `out`. With `ttl`, the
+    /// edge is labelled with the rate of `out`'s link and `ttl`, each the
+    /// least over the flows that add it. An unlabelled graph holds every
+    /// buffer a route enters, a labelled one only those its edges join.
+    pub(crate) fn add_hop(
+        &mut self,
+        topo: &Topology,
+        from: Option<RxQueue>,
+        out: &PortRef,
+        class: Priority,
+        ttl: Option<u8>,
+    ) -> Option<RxQueue> {
+        if topo.node(out.peer).kind != NodeKind::Switch {
+            return None;
+        }
+        let to = RxQueue {
+            node: out.peer,
+            port: out.peer_port,
+            priority: class,
+        };
+        let Some(from) = from else {
+            if ttl.is_none() {
+                self.add_queue(to);
+            }
+            return Some(to);
+        };
+        let edge = self.add_dependency(from, to);
+        if let Some(ttl) = ttl {
+            let rate = topo.link(out.link).rate;
+            let least = self.labels.entry(edge).or_insert((rate, ttl));
+            *least = (least.0.min(rate), least.1.min(ttl));
+        }
+        Some(to)
+    }
+
+    /// Build by walking `specs`' hops through `tables`, each capped at
+    /// its TTL, so a routing loop contributes one full ring of
+    /// dependencies.
     pub fn from_specs(topo: &Topology, tables: &ForwardingTables, specs: &[FlowSpec]) -> Self {
         let mut g = Self::new();
         for spec in specs {
-            let path = spec.path(topo, tables, spec.ttl as usize);
-            g.add_path(topo, path.nodes(), spec.priority, None);
+            let hops = spec.hops(topo, tables, spec.ttl as usize);
+            g.add_path(topo, hops, spec.priority, None);
         }
         g
     }
@@ -387,10 +387,24 @@ impl BufferDependencyGraph {
 mod tests {
     use super::*;
     use pfcsim_topo::builders::{fat_tree, line, square, two_switch_loop, LinkSpec};
+    use pfcsim_topo::routing::path_hops;
     use pfcsim_topo::routing::{install_cycle_route, shortest_path_tables, up_down_tables};
 
     fn prio() -> Priority {
         Priority::DEFAULT
+    }
+
+    /// A graph of node paths, each with its priority.
+    fn from_paths<'a>(
+        topo: &Topology,
+        paths: impl IntoIterator<Item = (&'a [NodeId], Priority)>,
+        class_ladder: Option<u8>,
+    ) -> BufferDependencyGraph {
+        let mut g = BufferDependencyGraph::new();
+        for (nodes, prio) in paths {
+            g.add_path(topo, path_hops(topo, nodes), prio, class_ladder);
+        }
+        g
     }
 
     #[test]
@@ -403,7 +417,7 @@ mod tests {
             b.switches[2],
             b.hosts[2],
         ];
-        let g = BufferDependencyGraph::from_paths(&b.topo, [(path.as_slice(), prio())], None);
+        let g = from_paths(&b.topo, [(path.as_slice(), prio())], None);
         assert_eq!(g.len(), 3, "one RX per switch");
         assert_eq!(g.edge_count(), 2);
         assert!(!g.has_cbd());
@@ -416,7 +430,7 @@ mod tests {
         let (s, h) = (&b.switches, &b.hosts);
         let f1 = [h[0], s[0], s[1], s[2], s[3], h[3]];
         let f2 = [h[2], s[2], s[3], s[0], s[1], h[1]];
-        let g = BufferDependencyGraph::from_paths(
+        let g = from_paths(
             &b.topo,
             [(f1.as_slice(), prio()), (f2.as_slice(), prio())],
             None,
@@ -439,12 +453,12 @@ mod tests {
         let f1 = [h[0], s[0], s[1], s[2], s[3], h[3]];
         let f2 = [h[2], s[2], s[3], s[0], s[1], h[1]];
         let f3 = [h[1], s[1], s[2], h[2]];
-        let g2 = BufferDependencyGraph::from_paths(
+        let g2 = from_paths(
             &b.topo,
             [(f1.as_slice(), prio()), (f2.as_slice(), prio())],
             None,
         );
-        let g3 = BufferDependencyGraph::from_paths(
+        let g3 = from_paths(
             &b.topo,
             [
                 (f1.as_slice(), prio()),
@@ -507,14 +521,14 @@ mod tests {
         let f1 = [h[0], s[0], s[1], s[2], s[3], h[3]];
         let f2 = [h[2], s[2], s[3], s[0], s[1], h[1]];
         // 4 classes >= max hop count (4 switch hops): provably acyclic.
-        let g = BufferDependencyGraph::from_paths(
+        let g = from_paths(
             &b.topo,
             [(f1.as_slice(), prio()), (f2.as_slice(), prio())],
             Some(4),
         );
         assert!(!g.has_cbd(), "hop-laddered classes climb, never cycle");
         // 1 class = no ladder: cycle returns.
-        let g1 = BufferDependencyGraph::from_paths(
+        let g1 = from_paths(
             &b.topo,
             [(f1.as_slice(), prio()), (f2.as_slice(), prio())],
             Some(1),
@@ -542,7 +556,7 @@ mod tests {
             })
             .collect();
         let with_ladder = |ladder: Option<u8>| {
-            BufferDependencyGraph::from_paths(
+            from_paths(
                 &b.topo,
                 paths.iter().map(|p| (p.as_slice(), prio())),
                 ladder,
@@ -565,7 +579,7 @@ mod tests {
         let (s, h) = (&b.switches, &b.hosts);
         let f1 = [h[0], s[0], s[1], s[2], s[3], h[3]];
         let f2 = [h[2], s[2], s[3], s[0], s[1], h[1]];
-        let g = BufferDependencyGraph::from_paths(
+        let g = from_paths(
             &b.topo,
             [(f1.as_slice(), prio()), (f2.as_slice(), prio())],
             None,
@@ -582,7 +596,7 @@ mod tests {
     fn dependencies_of_reports_direct_edges() {
         let b = line(2, LinkSpec::default());
         let path = [b.hosts[0], b.switches[0], b.switches[1], b.hosts[1]];
-        let g = BufferDependencyGraph::from_paths(&b.topo, [(path.as_slice(), prio())], None);
+        let g = from_paths(&b.topo, [(path.as_slice(), prio())], None);
         let q0 = RxQueue {
             node: b.switches[0],
             port: b.topo.port_towards(b.switches[0], b.hosts[0]).unwrap().port,
@@ -635,29 +649,74 @@ mod tests {
         [vec![src], path, vec![dst]].concat()
     }
 
+    /// `built` with every switch–switch link doubled, the copy at a
+    /// quarter of the rate, and every link connected in shuffled order, so
+    /// the parallel links sit at scattered port numbers. Node ids are
+    /// `built`'s.
+    fn doubled(
+        built: pfcsim_topo::builders::Built,
+        rng: &mut pfcsim_simcore::rng::SimRng,
+    ) -> pfcsim_topo::builders::Built {
+        let old = &built.topo;
+        let mut topo = Topology::new();
+        for n in old.nodes() {
+            match (n.kind, n.tier) {
+                (NodeKind::Host, _) => topo.add_host(n.name.clone()),
+                (NodeKind::Switch, Some(tier)) => topo.add_switch_tiered(n.name.clone(), tier),
+                (NodeKind::Switch, None) => topo.add_switch(n.name.clone()),
+            };
+        }
+        let is_switch = |n: NodeId| old.node(n).kind == NodeKind::Switch;
+        let mut links: Vec<_> = (old.links().iter())
+            .map(|l| (l.a, l.b, l.rate, l.delay))
+            .collect();
+        for l in old
+            .links()
+            .iter()
+            .filter(|l| is_switch(l.a) && is_switch(l.b))
+        {
+            links.push((l.b, l.a, l.rate.scale(1, 4), l.delay));
+        }
+        rng.shuffle(&mut links);
+        for (a, b, rate, delay) in links {
+            topo.connect(a, b, rate, delay);
+        }
+        pfcsim_topo::builders::Built { topo, ..built }
+    }
+
     /// The route rule, decided once: on seeded random tables — ECMP sets
     /// over any ports, an installed 2- or 4-switch loop — and flows pinned
     /// along random simple paths or table-routed at random priorities and
-    /// TTLs, every `FlowSpec::path` is the walk the datapath's `next_hop`
-    /// takes, at both hop caps in use. And the per-priority, TTL-capped
-    /// graph projects into the priority-merged one `static_cbd` builds: a
-    /// cycle in the first is one in the second.
+    /// TTLs, every `FlowSpec::hops` is the walk the datapath's `next_hop`
+    /// takes, port by port, at both hop caps in use, also where two links
+    /// join the same switches. The per-priority, TTL-capped graph projects
+    /// into the priority-merged one `static_cbd` builds: a cycle in the
+    /// first is one in the second. And `static_cbd` finds a cycle exactly
+    /// when the live pre-check, asked at t = 0, does, and names only
+    /// buffers the datapath's walks enter.
     #[test]
     fn flow_paths_follow_the_datapath_and_project_onto_the_merged_graph() {
+        use crate::flow::RouteKind;
+        use crate::precheck::{window_is_deadlock_free, Workspace};
         use crate::serve::static_cbd;
         use crate::sim::SimBuilder;
         use pfcsim_simcore::rng::SimRng;
         use pfcsim_simcore::time::SimTime;
         use pfcsim_topo::builders::{leaf_spine, ring};
+        use pfcsim_topo::routing::trace_path;
 
         let mut rng = SimRng::new(9);
+        let mut shuffle = SimRng::new(23);
         let (mut pinned, mut cyclic) = (0, 0);
+        let mut parallel_verdicts = [0; 2];
         let spec = LinkSpec::default();
-        for built in [
-            ring(5, spec),
-            square(spec),
-            leaf_spine(3, 2, 2, spec),
-            fat_tree(4, spec),
+        for (parallel, built) in [
+            (false, ring(5, spec)),
+            (false, square(spec)),
+            (false, leaf_spine(3, 2, 2, spec)),
+            (false, fat_tree(4, spec)),
+            (true, doubled(ring(4, spec), &mut shuffle)),
+            (true, doubled(leaf_spine(3, 2, 2, spec), &mut shuffle)),
         ] {
             let (topo, hosts, switches) = (&built.topo, &built.hosts, &built.switches);
             let switch_peers = |n: NodeId| -> Vec<NodeId> {
@@ -712,27 +771,53 @@ mod tests {
                 for f in &specs {
                     sim.try_add_flow(f.clone()).expect("a valid flow");
                 }
+                // The `(switch, ingress)` buffers the datapath's walks enter.
+                let mut entered = BTreeSet::new();
                 for f in &specs {
                     for cap in [f.ttl as usize, wide] {
-                        let mut walk = vec![f.src, topo.ports(f.src)[0].peer];
+                        let mut walk = vec![(f.src, PortNo(0))];
+                        let mut cur = topo.ports(f.src)[0].peer;
                         for _ in 0..cap {
-                            let cur = *walk.last().expect("non-empty");
                             if cur == f.dst {
                                 break;
                             }
                             let Some(e) = sim.dp.next_hop(&tables, f.id, cur, f.dst) else {
                                 break;
                             };
-                            walk.push(topo.ports(cur)[e.0 as usize].peer);
+                            walk.push((cur, e));
+                            let out = topo.ports(cur)[e.0 as usize];
+                            entered.insert((out.peer, out.peer_port));
+                            cur = out.peer;
                         }
-                        let path = f.path(topo, &tables, cap);
-                        assert_eq!(path.nodes(), walk, "{f:?} capped at {cap}");
+                        let hops: Vec<(NodeId, PortNo)> =
+                            (f.hops(topo, &tables, cap).map(|(n, out)| (n, out.port))).collect();
+                        assert_eq!(hops, walk, "{f:?} capped at {cap}");
+                        let nodes: Vec<NodeId> =
+                            (walk.iter().map(|&(n, _)| n)).chain([cur]).collect();
+                        if f.route == RouteKind::Tables {
+                            let trace = trace_path(topo, &tables, f.id, f.src, f.dst, cap);
+                            assert_eq!(trace.nodes(), nodes);
+                        }
                     }
+                }
+                let merged = static_cbd(topo, &tables, &specs, SimTime::ZERO);
+                let clean = window_is_deadlock_free(
+                    &mut Workspace::default(),
+                    &sim.dp,
+                    &sim.queue,
+                    &tables,
+                    true,
+                );
+                assert_eq!(merged.cbd, !clean, "{specs:?}");
+                for hop in &merged.cycle {
+                    assert!(entered.contains(&(hop.node, hop.port)), "{specs:?}");
+                }
+                if parallel {
+                    parallel_verdicts[usize::from(merged.cbd)] += 1;
                 }
                 let per_priority = BufferDependencyGraph::from_specs(topo, &tables, &specs);
                 if per_priority.has_cbd() {
                     cyclic += 1;
-                    let merged = static_cbd(topo, &tables, &specs, SimTime::ZERO);
                     assert!(merged.cbd, "{specs:?}");
                 }
             }
@@ -740,6 +825,10 @@ mod tests {
         assert!(
             pinned >= 40 && cyclic >= 20,
             "{pinned} pinned flows, {cyclic} cyclic cases"
+        );
+        assert!(
+            parallel_verdicts.iter().all(|&n| n >= 10),
+            "parallel links: {parallel_verdicts:?} clean/cyclic cases"
         );
     }
 }

@@ -4,9 +4,9 @@ use serde::{Deserialize, Serialize};
 
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::{BitRate, Bytes};
-use pfcsim_topo::graph::Topology;
+use pfcsim_topo::graph::{PortRef, Topology};
 use pfcsim_topo::ids::{FlowId, NodeId, Priority};
-use pfcsim_topo::routing::{trace_path, ForwardingTables, PinnedPath, Trace};
+use pfcsim_topo::routing::{route_hops, ForwardingTables, PinnedPath};
 
 /// How much and how fast a flow wants to send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -190,14 +190,24 @@ impl FlowSpec {
         self
     }
 
-    /// The nodes this flow's packets visit, host to host: the pinned path,
-    /// else its ECMP trace through `tables` capped at `max_hops` switch
-    /// hops (a looping or black-holed trace ends where it stopped).
-    pub fn path(&self, topo: &Topology, tables: &ForwardingTables, max_hops: usize) -> Trace {
-        match &self.route {
-            RouteKind::Pinned(p) => Trace::Delivered(p.nodes.clone()),
-            RouteKind::Tables => trace_path(topo, tables, self.id, self.src, self.dst, max_hops),
-        }
+    /// The `(node, egress port)` hops this flow's packets take, host to
+    /// host, capped at `max_hops` switch hops (a looping or black-holed
+    /// walk ends where it stopped). At each node the egress is the pinned
+    /// one, else the ECMP pick from `tables`: the datapath's rule
+    /// (`Datapath::next_hop`), whose pin rows are [`PinnedPath::egress`].
+    pub fn hops<'a>(
+        &'a self,
+        topo: &'a Topology,
+        tables: &'a ForwardingTables,
+        max_hops: usize,
+    ) -> impl Iterator<Item = (NodeId, PortRef)> + 'a {
+        route_hops(topo, self.src, self.dst, max_hops, |node| {
+            let pinned = match &self.route {
+                RouteKind::Pinned(p) => p.egress(topo, node),
+                RouteKind::Tables => None,
+            };
+            (pinned.map(|out| out.port)).or_else(|| tables.select(node, self.dst, self.id))
+        })
     }
 
     /// CBR inter-packet gap for `size`-byte packets, if this is a CBR flow.

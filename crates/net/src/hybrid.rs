@@ -90,6 +90,7 @@ use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::Bytes;
 use pfcsim_topo::graph::NodeKind;
 use pfcsim_topo::ids::{FlowId, NodeId, PortNo};
+use pfcsim_topo::routing::route_walk;
 
 use crate::faults::FaultKind;
 use crate::flow::Demand;
@@ -627,25 +628,18 @@ impl NetSim {
     /// closes the reachable set, and TTL bounds the hop count.
     fn hybrid_footprint(&self, dense: usize, out: &mut Vec<NodeId>) {
         out.clear();
-        let spec = &self.dp.flows.spec[dense];
-        if self.dp.topo.ports(spec.src).is_empty() {
-            return;
-        }
-        let p0 = self.dp.pinfo(spec.src, PortNo(0));
-        let mut node = p0.peer;
-        for _ in 0..=spec.ttl as usize {
-            if self.dp.topo.node(node).kind != NodeKind::Switch {
-                return;
-            }
-            if out.contains(&node) {
-                return;
+        let (dp, spec) = (&self.dp, &self.dp.flows.spec[dense]);
+        let step = |node, _| {
+            if dp.topo.node(node).kind != NodeKind::Switch || out.contains(&node) {
+                return None;
             }
             out.push(node);
-            let Some(port) = self.dp.next_hop(&self.cp.tables, spec.id, node, spec.dst) else {
-                return;
-            };
-            node = self.dp.pinfo(node, port).peer;
-        }
+            dp.next_hop(&self.cp.tables, spec.id, node, spec.dst)
+        };
+        // The NIC hop, then at most TTL + 1 switches.
+        route_walk(&dp.topo, spec.src, None, step)
+            .take(spec.ttl as usize + 2)
+            .for_each(drop);
     }
 
     /// Per-flow eligibility: walk the path and check every local
@@ -706,12 +700,12 @@ impl NetSim {
         let mut hops: Vec<FluidHop> = Vec::new();
         let mut arr = host_ser + p0.delay;
         let mut delays = vec![p0.delay];
-        let mut node = p0.peer;
-        let mut in_port = p0.peer_port;
-        loop {
-            if node == spec.dst {
-                break;
-            }
+        let (mut at, mut in_port) = (p0.peer, p0.peer_port);
+        let step = |node, _| {
+            let on = node != spec.dst;
+            on.then(|| self.dp.next_hop(&self.cp.tables, spec.id, node, spec.dst))?
+        };
+        for (node, out) in route_walk(&self.dp.topo, at, Some(in_port), step) {
             if self.dp.topo.node(node).kind != NodeKind::Switch {
                 return None; // delivered to the wrong host
             }
@@ -737,8 +731,7 @@ impl NetSim {
             {
                 return None;
             }
-            let out_port = self.dp.next_hop(&self.cp.tables, spec.id, node, spec.dst)?;
-            let info = self.dp.pinfo(node, out_port);
+            let info = self.dp.pinfo(node, out.port);
             let ser = info.rate.serialization_time(size);
             if !margin_ok(ser) {
                 return None;
@@ -754,10 +747,9 @@ impl NetSim {
             links.push(info.link.0);
             delays.push(info.delay);
             arr = arr + ser + info.delay;
-            node = info.peer;
-            in_port = info.peer_port;
+            (at, in_port) = (out.peer, out.peer_port);
         }
-        if hops.is_empty() {
+        if at != spec.dst || hops.is_empty() {
             return None;
         }
         chain.push(spec.dst);

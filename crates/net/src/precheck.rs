@@ -12,8 +12,12 @@
 //! confirmed: a confirmed one stays the verdict even after a fault broke
 //! its cycle. The check reads the [`Datapath`] and the pending events,
 //! nothing else of the simulator.
-//! [`crate::serve::static_cbd`] builds the same graph from flow paths and
-//! shares its one DFS.
+//! [`crate::serve::static_cbd`] builds the same graph from the flows' hops
+//! and shares its one DFS. Both walk routes with one loop,
+//! [`route_walk`], by the datapath's rule, and add edges through one
+//! step, [`BufferDependencyGraph::add_hop`], so on a clean window its
+//! graph is a subgraph of this one on every topology, parallel links
+//! included.
 //!
 //! A check runs on a [`Workspace`] that its caller keeps — `serve`'s
 //! `Session` one for its life, `run_to_verdict` one for its loop — so once
@@ -26,11 +30,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 use pfcsim_simcore::event::EventQueue;
 use pfcsim_topo::graph::NodeKind;
 use pfcsim_topo::ids::{FlowId, NodeId, PortNo};
-use pfcsim_topo::routing::ForwardingTables;
+use pfcsim_topo::routing::{route_walk, ForwardingTables};
 
-use crate::bdg::{BufferDependencyGraph, Dfs, RxQueue};
-use crate::packet::{Frame, Packet};
-use crate::sim::{Datapath, Ev, PortInfo};
+use crate::bdg::{BufferDependencyGraph, Dfs, RxQueue, MERGED};
+use crate::packet::Frame;
+use crate::sim::{Datapath, Ev};
 use crate::switch::InFlight;
 
 /// A multiply-rotate hasher (FxHash's) for [`Seen`]'s small integer keys,
@@ -147,15 +151,23 @@ pub(crate) fn window_is_deadlock_free(
     }
     g.clear();
     seen.clear();
-    let mut walk = Walk {
-        dp,
-        tables,
-        g,
-        seen,
+    // Follow `flow`'s traffic for `dst`, next routed at `node`, which it
+    // entered through `ingress`, until it reaches a host, meets no route,
+    // or repeats itself.
+    let mut route = |g: &mut BufferDependencyGraph, node, ingress, flow, dst| {
+        let step = |node, ingress| {
+            let fresh = dp.topo.node(node).kind == NodeKind::Switch
+                && seen.insert((node, ingress, flow, dst));
+            fresh.then(|| dp.next_hop(tables, flow, node, dst))?
+        };
+        let mut from = Some(RxQueue::merged(node, ingress));
+        for (_, out) in route_walk(&dp.topo, node, Some(ingress), step) {
+            from = g.add_hop(&dp.topo, from, &out, MERGED, None);
+        }
     };
     for &(node, port, frame) in arrivals.iter() {
         if let Frame::Data(pkt) = dp.frames.slots[frame as usize] {
-            walk.from(node, port, &pkt);
+            route(g, node, port, pkt.flow, pkt.dst);
         }
     }
     // A switch's `buffered` counts every byte it holds: queued,
@@ -166,8 +178,7 @@ pub(crate) fn window_is_deadlock_free(
         .flatten()
         .filter(|sw| !sw.buffered.is_zero())
     {
-        for (e, eg) in sw.egress.iter().enumerate() {
-            let out = *dp.pinfo(sw.node, PortNo(e as u16));
+        for (eg, out) in sw.egress.iter().zip(dp.topo.ports(sw.node)) {
             let serializing = match &eg.in_flight {
                 Some(InFlight::Data(qp)) => Some(qp),
                 _ => None,
@@ -181,20 +192,21 @@ pub(crate) fn window_is_deadlock_free(
                 if last.replace(key) == Some(key) {
                     continue;
                 }
-                walk.depend(sw.node, qp.ingress, &out);
-                walk.from(out.peer, out.peer_port, &qp.pkt);
+                let from = Some(RxQueue::merged(sw.node, qp.ingress));
+                g.add_hop(&dp.topo, from, out, MERGED, None);
+                route(g, out.peer, out.peer_port, qp.pkt.flow, qp.pkt.dst);
             }
         }
         for (p, ing) in sw.ingress.iter().enumerate() {
             for pkt in &ing.shaper_q {
-                walk.from(sw.node, PortNo(p as u16), pkt);
+                route(g, sw.node, PortNo(p as u16), pkt.flow, pkt.dst);
             }
         }
     }
     for (h, pkt) in dp.host_in_flight.iter().enumerate() {
         if let Some(pkt) = pkt {
             let nic = *dp.pinfo(NodeId(h as u32), PortNo(0));
-            walk.from(nic.peer, nic.peer_port, pkt);
+            route(g, nic.peer, nic.peer_port, pkt.flow, pkt.dst);
         }
     }
     for f in dp
@@ -204,49 +216,7 @@ pub(crate) fn window_is_deadlock_free(
         .filter(|f| f.stop.is_none_or(|s| s > now))
     {
         let nic = *dp.pinfo(f.src, PortNo(0));
-        walk.route(nic.peer, nic.peer_port, f.id, f.dst);
+        route(g, nic.peer, nic.peer_port, f.id, f.dst);
     }
     g.first_cycle_in(dfs).is_none()
-}
-
-/// Packets followed along the window's tables into a buffer-dependency
-/// graph.
-struct Walk<'a> {
-    dp: &'a Datapath,
-    tables: &'a ForwardingTables,
-    g: &'a mut BufferDependencyGraph,
-    seen: &'a mut Seen,
-}
-
-impl Walk<'_> {
-    fn from(&mut self, node: NodeId, ingress: PortNo, pkt: &Packet) {
-        self.route(node, ingress, pkt.flow, pkt.dst);
-    }
-
-    /// Follow `flow`'s traffic for `dst`, next routed at `node`, which it
-    /// entered through `ingress`, until it reaches a host, meets no route,
-    /// or repeats itself.
-    fn route(&mut self, mut node: NodeId, mut ingress: PortNo, flow: FlowId, dst: NodeId) {
-        while self.dp.topo.node(node).kind == NodeKind::Switch
-            && self.seen.insert((node, ingress, flow, dst))
-        {
-            let Some(e) = self.dp.next_hop(self.tables, flow, node, dst) else {
-                return;
-            };
-            let out = *self.dp.pinfo(node, e);
-            self.depend(node, ingress, &out);
-            (node, ingress) = (out.peer, out.peer_port);
-        }
-    }
-
-    /// Bytes that entered `node` through `ingress` and leave by the port
-    /// behind `out` wait on the next buffer, when a switch owns it.
-    fn depend(&mut self, node: NodeId, ingress: PortNo, out: &PortInfo) {
-        if self.dp.topo.node(out.peer).kind == NodeKind::Switch {
-            self.g.add_dependency(
-                RxQueue::merged(node, ingress),
-                RxQueue::merged(out.peer, out.peer_port),
-            );
-        }
-    }
 }

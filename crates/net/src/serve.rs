@@ -71,7 +71,7 @@ use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::{FlowId, NodeId, PortNo, Priority};
 use pfcsim_topo::routing::{shortest_path_tables, ForwardingTables};
 
-use crate::bdg::{deadlock_threshold, BufferDependencyGraph};
+use crate::bdg::{deadlock_threshold, BufferDependencyGraph, MERGED};
 use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
 use crate::faults::FaultPlan;
@@ -1029,17 +1029,11 @@ impl Session {
             );
         if window_clean {
             self.what_if_static += 1;
-            // The flows' own paths are a subgraph of the window's. A
-            // node path cannot say which of two parallel links a hop
-            // takes, so there `static_cbd` may merge buffers that the
-            // pre-check, keyed by ingress port, keeps apart. (`static_cbd`
-            // goes first: `what_if_allocs.rs` takes off a debug build's
-            // count exactly what it allocates.)
+            // The flows' own routes are a subgraph of the window's.
+            // (`static_cbd` goes first: `what_if_allocs.rs` takes off a
+            // debug build's count exactly what it allocates.)
             let cbd = CbdDoc::default();
-            debug_assert!(
-                cbd == static_cbd(&self.topo, &self.cur_tables, &self.flows, now)
-                    || has_parallel_links(&self.topo)
-            );
+            debug_assert!(cbd == static_cbd(&self.topo, &self.cur_tables, &self.flows, now));
             return Ok((VerdictDoc::default(), 0, cbd, DecidedBy::Static));
         }
         self.what_if_probe += 1;
@@ -1140,16 +1134,18 @@ fn verdict_at_pause(probe: &mut NetSim, bound: SimTime) -> VerdictDoc {
 // ---------------------------------------------------------------------------
 
 /// Build the (switch, ingress-port) buffer-dependency graph induced by
-/// every active flow's path under `tables`, priorities merged, and search
-/// it for a cycle — the paper's necessary condition for PFC deadlock.
-/// Pinned flows contribute their pinned path; table-routed flows
-/// contribute their deterministic ECMP trace (including partial paths of
-/// looping or blackholed routes, which is exactly when dependencies turn
-/// cyclic), capped at `4·nodes + 8` switch hops.
+/// every active flow's hops under `tables` ([`FlowSpec::hops`], the
+/// datapath's own rule), priorities merged, and search it for a cycle —
+/// the paper's necessary condition for PFC deadlock. Pinned flows
+/// contribute their pinned path; table-routed flows contribute their
+/// deterministic ECMP walk (including partial walks of looping or
+/// blackholed routes, which is exactly when dependencies turn cyclic),
+/// capped at `4·nodes + 8` switch hops.
 ///
 /// For a witness cycle the Eq. 3 boundary threshold `r_d = n·B/TTL` is
-/// attached, with `B` the minimum link bandwidth on the loop and `TTL`
-/// the minimum TTL among flows feeding it (both conservative).
+/// attached, with `B` the minimum bandwidth of the links the loop's hops
+/// take and `TTL` the minimum TTL among flows feeding it (both
+/// conservative).
 pub fn static_cbd(
     topo: &Topology,
     tables: &ForwardingTables,
@@ -1159,7 +1155,8 @@ pub fn static_cbd(
     let mut g = BufferDependencyGraph::new();
     let max_hops = 4 * topo.node_count() + 8;
     for f in flows.iter().filter(|f| f.stop.is_none_or(|s| s > now)) {
-        g.add_rated_path(topo, f.path(topo, tables, max_hops).nodes(), f.ttl);
+        let hops = f.hops(topo, tables, max_hops);
+        g.add_route(topo, hops, |_| MERGED, Some(f.ttl));
     }
     let Some(cycle) = g.first_cycle() else {
         return CbdDoc::default();
@@ -1187,12 +1184,6 @@ pub fn static_cbd(
             .collect(),
         threshold,
     }
-}
-
-/// Whether two links join the same two nodes.
-fn has_parallel_links(topo: &Topology) -> bool {
-    let mut ends = std::collections::BTreeSet::new();
-    (topo.links().iter()).any(|l| !ends.insert((l.a.min(l.b), l.a.max(l.b))))
 }
 
 // ---------------------------------------------------------------------------
@@ -1994,6 +1985,32 @@ mod tests {
         let th = doc.threshold.expect("a cycle always has a threshold");
         assert_eq!((th.loop_switches, th.min_ttl), (4, 255));
         assert_eq!(th.threshold, BitRate::from_gbps(40).scale(4, 255));
+    }
+
+    /// Two switches joined by a 40 G and a 10 G link, with a loop on the
+    /// 10 G one: the cycle names the 10 G ports, and Eq. 3 reads its
+    /// bandwidth, 2 · 10 G / 16 = 1.25 G.
+    #[test]
+    fn static_cbd_takes_eq3_from_the_parallel_link_the_loop_uses() {
+        let mut topo = Topology::new();
+        let (a, b) = (topo.add_switch("A"), topo.add_switch("B"));
+        let (ha, hb) = (topo.add_host("hA"), topo.add_host("hB"));
+        let delay = SimDuration::from_us(1);
+        topo.connect(a, b, BitRate::from_gbps(40), delay);
+        topo.connect(a, b, BitRate::from_gbps(10), delay);
+        topo.connect(ha, a, BitRate::from_gbps(40), delay);
+        topo.connect(hb, b, BitRate::from_gbps(40), delay);
+        let mut tables = shortest_path_tables(&topo);
+        tables.set(a, hb, vec![PortNo(1)]);
+        tables.set(b, hb, vec![PortNo(1)]);
+        let flows = [FlowSpec::cbr(0, ha, hb, BitRate::from_gbps(3)).with_ttl(16)];
+        let doc = static_cbd(&topo, &tables, &flows, SimTime::ZERO);
+        assert!(doc.cbd);
+        let ports: Vec<(NodeId, PortNo)> = doc.cycle.iter().map(|h| (h.node, h.port)).collect();
+        assert_eq!(ports, [(b, PortNo(1)), (a, PortNo(1))]);
+        let th = doc.threshold.expect("a cycle has a threshold");
+        assert_eq!(th.bandwidth, BitRate::from_gbps(10));
+        assert_eq!(th.threshold, BitRate::from_mbps(1_250));
     }
 
     #[test]

@@ -344,20 +344,12 @@ impl Datapath {
         &mut self.flows.stats[i]
     }
 
-    /// Pinned egress port of `f` at `node`, if the flow pins one.
-    #[inline]
-    pub(crate) fn pinned_port(&self, f: FlowId, node: NodeId) -> Option<PortNo> {
-        match self.flows.pinned[self.fidx(f)].get(node.0 as usize) {
-            Some(&p) if p != u16::MAX => Some(PortNo(p)),
-            _ => None,
-        }
-    }
-
     /// The datapath's one route rule: the egress `node` gives `flow`'s
     /// packets for `dst` — the flow's pinned port, else the ECMP pick from
     /// `tables`. The static pre-check (`precheck`) walks packets with it
     /// too, over tables the run may not have installed yet, so the two
-    /// cannot drift.
+    /// cannot drift; [`FlowSpec::hops`] walks the same rule read off the
+    /// spec (a pin row tabulates `PinnedPath::egress`).
     #[inline]
     pub(crate) fn next_hop(
         &self,
@@ -366,8 +358,10 @@ impl Datapath {
         node: NodeId,
         dst: NodeId,
     ) -> Option<PortNo> {
-        self.pinned_port(flow, node)
-            .or_else(|| tables.select(node, dst, flow))
+        match self.flows.pinned[self.fidx(flow)].get(node.0 as usize) {
+            Some(&p) if p != u16::MAX => Some(PortNo(p)),
+            _ => tables.select(node, dst, flow),
+        }
     }
 
     /// The `Copy` subset of a flow's spec (everything per-event code

@@ -1412,4 +1412,35 @@ mod tests {
         };
         assert!(report.stats.occupancy.contains_key(&s1_from_s0));
     }
+
+    /// Two switches joined by a 1 µs and a 5 µs link: a flow's feedback
+    /// delay sums the links its packets take, the slow one included.
+    #[test]
+    fn feedback_delay_sums_the_parallel_link_taken() {
+        use pfcsim_simcore::time::SimDuration;
+        use pfcsim_topo::graph::Topology;
+        use pfcsim_topo::routing::shortest_path_tables;
+        let mut topo = Topology::new();
+        let (a, b) = (topo.add_switch("A"), topo.add_switch("B"));
+        let (ha, hb) = (topo.add_host("hA"), topo.add_host("hB"));
+        let rate = BitRate::from_gbps(40);
+        topo.connect(a, b, rate, SimDuration::from_us(1));
+        topo.connect(a, b, rate, SimDuration::from_us(5));
+        topo.connect(ha, a, rate, SimDuration::from_us(1));
+        topo.connect(hb, b, rate, SimDuration::from_us(1));
+        let mut tables = shortest_path_tables(&topo);
+        tables.set(a, hb, vec![PortNo(1)]);
+        tables.set(b, ha, vec![PortNo(0)]);
+        let mut sim = SimBuilder::new(&topo).tables(tables).build();
+        sim.add_flow(FlowSpec::infinite(0, ha, hb));
+        sim.add_flow(FlowSpec::infinite(1, hb, ha));
+        assert_eq!(
+            sim.compute_feedback_delay(FlowId(0)),
+            SimDuration::from_us(7)
+        );
+        assert_eq!(
+            sim.compute_feedback_delay(FlowId(1)),
+            SimDuration::from_us(3)
+        );
+    }
 }

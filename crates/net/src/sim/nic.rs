@@ -386,15 +386,12 @@ impl NetSim {
         self.host_try_send(src);
     }
 
+    /// The one-way propagation delay of the links `flow`'s packets take.
     pub(super) fn compute_feedback_delay(&self, flow: FlowId) -> SimDuration {
-        let path = self.dp.flows.spec[self.dp.fidx(flow)].path(&self.dp.topo, &self.cp.tables, 64);
-        let mut total = SimDuration::ZERO;
-        for w in path.nodes().windows(2) {
-            if let Some(p) = self.dp.topo.port_towards(w[0], w[1]) {
-                total += self.dp.topo.link(p.link).delay;
-            }
-        }
-        total
+        let (topo, spec) = (&self.dp.topo, &self.dp.flows.spec[self.dp.fidx(flow)]);
+        (spec.hops(topo, &self.cp.tables, 64)).fold(SimDuration::ZERO, |total, (_, out)| {
+            total + topo.link(out.link).delay
+        })
     }
 }
 
@@ -460,17 +457,11 @@ impl NetSim {
                     )));
                 }
             }
+            // The switches between the two hosts, each with its egress.
             pin = vec![u16::MAX; self.dp.topo.node_count()];
-            for w in path.nodes.windows(2) {
-                if self.dp.topo.node(w[0]).kind == NodeKind::Switch {
-                    let port = self
-                        .dp
-                        .topo
-                        .port_towards(w[0], w[1])
-                        .expect("validated")
-                        .port;
-                    pin[w[0].0 as usize] = port.0;
-                }
+            for &node in &path.nodes[1..path.nodes.len() - 1] {
+                let out = path.egress(&self.dp.topo, node).expect("on the path");
+                pin[node.0 as usize] = out.port.0;
             }
         }
         // Raise the DRR quantum to the largest packet among the flows, as

@@ -90,7 +90,8 @@ fn push(session: &Session, node: &str, dst: &str, via: &str) -> RoutePush {
 /// What one statically decided `what_if` of `pushes` allocates after a
 /// warm-up call. A debug build adds checks to it — a recompute behind
 /// each of its two memoized state digests, and `static_cbd` of the
-/// pushed tables — which are measured apart and taken off.
+/// pushed tables, which must find no cycle on any topology — which are
+/// measured apart and taken off.
 fn clean_what_if_allocs(session: &mut Session, pushes: &[RoutePush]) -> u64 {
     let tables = session.tables().clone();
     let warm = session.what_if(pushes, WINDOW).expect("live");

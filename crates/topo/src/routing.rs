@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-use crate::graph::{NodeKind, Topology};
+use crate::graph::{NodeKind, PortRef, Topology};
 use crate::ids::{FlowId, NodeId, PortNo};
 
 /// Per-node, per-destination next-hop port sets (ECMP when > 1).
@@ -307,10 +307,31 @@ impl Trace {
     pub fn delivered(&self) -> bool {
         matches!(self, Trace::Delivered(_))
     }
+
+    /// The nodes that `hops`, a [`route_hops`] walk from host `src`
+    /// toward `dst` capped at `max_hops`, visit, `src` included, and how
+    /// it ended: at `dst`, where no port was picked, or at the cap.
+    pub fn of(
+        src: NodeId,
+        dst: NodeId,
+        max_hops: usize,
+        hops: impl IntoIterator<Item = (NodeId, PortRef)>,
+    ) -> Trace {
+        let mut visited = vec![src];
+        visited.extend(hops.into_iter().map(|(_, out)| out.peer));
+        if visited.len() > 1 && visited.last() == Some(&dst) {
+            Trace::Delivered(visited)
+        } else if visited.len() == max_hops.saturating_add(2) {
+            Trace::Looping(visited)
+        } else {
+            Trace::NoRoute(visited)
+        }
+    }
 }
 
 /// Trace the path flow `flow` takes from `src` to `dst` under `ft`,
-/// following the deterministic ECMP choice, up to `max_hops` switch hops.
+/// following the deterministic ECMP choice, up to `max_hops` switch hops
+/// ([`route_hops`] read by [`Trace::of`]).
 pub fn trace_path(
     topo: &Topology,
     ft: &ForwardingTables,
@@ -319,29 +340,68 @@ pub fn trace_path(
     dst: NodeId,
     max_hops: usize,
 ) -> Trace {
-    let mut visited = vec![src];
-    // First hop: a host forwards everything to its switch.
-    let mut cur = match topo.ports(src).first() {
-        Some(p) => p.peer,
-        None => return Trace::NoRoute(visited),
-    };
-    visited.push(cur);
-    for _ in 0..max_hops {
-        if cur == dst {
-            return Trace::Delivered(visited);
-        }
-        let Some(port) = ft.select(cur, dst, flow) else {
-            return Trace::NoRoute(visited);
+    let egress = |node| ft.select(node, dst, flow);
+    Trace::of(
+        src,
+        dst,
+        max_hops,
+        route_hops(topo, src, dst, max_hops, egress),
+    )
+}
+
+/// The hops of a packet that host `src` sends toward `dst`: out of its
+/// NIC, then by `egress` at every node until `dst`, for at most
+/// `max_hops` hops past the NIC.
+pub fn route_hops<'t>(
+    topo: &'t Topology,
+    src: NodeId,
+    dst: NodeId,
+    max_hops: usize,
+    mut egress: impl FnMut(NodeId) -> Option<PortNo> + 't,
+) -> impl Iterator<Item = (NodeId, PortRef)> + 't {
+    let step = move |node, _| if node == dst { None } else { egress(node) };
+    route_walk(topo, src, None, step).take(max_hops.saturating_add(1))
+}
+
+/// A packet's route, hop by hop: the one walk that [`trace_path`], a
+/// flow's hops and the simulator's static deadlock pre-check step through.
+/// It starts at `node`, entered through `ingress` (with none, it leaves
+/// host `node` through its NIC), and yields `(node, egress)` hops; the
+/// next starts at the egress's peer, entered through its `peer_port`.
+/// `step(node, ingress)` picks each egress after the NIC, and the walk
+/// ends where it picks none. It allocates nothing.
+pub fn route_walk<'t>(
+    topo: &'t Topology,
+    node: NodeId,
+    ingress: Option<PortNo>,
+    mut step: impl FnMut(NodeId, PortNo) -> Option<PortNo> + 't,
+) -> impl Iterator<Item = (NodeId, PortRef)> + 't {
+    let mut at = (node, ingress);
+    std::iter::from_fn(move || {
+        let (node, ingress) = at;
+        let ports = topo.ports(node);
+        let out = match ingress {
+            None => *ports.first()?,
+            Some(ingress) => ports[step(node, ingress)?.0 as usize],
         };
-        let next = topo.ports(cur)[port.0 as usize].peer;
-        visited.push(next);
-        cur = next;
-    }
-    if cur == dst {
-        Trace::Delivered(visited)
-    } else {
-        Trace::Looping(visited)
-    }
+        at = (out.peer, Some(out.peer_port));
+        Some((node, out))
+    })
+}
+
+/// The hops along the node path `nodes` by the pinned-route rule, written
+/// once here: a packet at a node leaves by the first port that faces the
+/// next (a node path cannot say which of two parallel links it means).
+/// Panics, once reached, on two consecutive nodes that share no link.
+pub fn path_hops<'a>(
+    topo: &'a Topology,
+    nodes: &'a [NodeId],
+) -> impl Iterator<Item = (NodeId, PortRef)> + 'a {
+    nodes.windows(2).map(|w| {
+        let out = (topo.port_towards(w[0], w[1]))
+            .unwrap_or_else(|| panic!("{} and {} are not adjacent", w[0], w[1]));
+        (w[0], out)
+    })
 }
 
 /// A pinned (source-routed) path for a flow — the paper configures "static
@@ -390,9 +450,12 @@ impl PinnedPath {
         self.nodes.len() - 1
     }
 
-    /// The egress neighbor after `at`, if `at` is on the path (first match).
-    pub fn next_after(&self, at: NodeId) -> Option<NodeId> {
-        self.nodes.windows(2).find(|w| w[0] == at).map(|w| w[1])
+    /// The port a packet of this path leaves `at` by, at `at`'s first
+    /// visit, by [`path_hops`]; `None` when `at` is not on the path
+    /// before its end.
+    pub fn egress(&self, topo: &Topology, at: NodeId) -> Option<PortRef> {
+        let mut hops = path_hops(topo, &self.nodes);
+        hops.find(|&(node, _)| node == at).map(|(_, out)| out)
     }
 }
 
@@ -583,7 +646,8 @@ mod tests {
         };
         good.validate(&b.topo).unwrap();
         assert_eq!(good.hop_count(), 4);
-        assert_eq!(good.next_after(b.switches[1]), Some(b.switches[2]));
+        let egress = good.egress(&b.topo, b.switches[1]).expect("on the path");
+        assert_eq!(egress.peer, b.switches[2]);
 
         let bad = PinnedPath {
             nodes: vec![b.hosts[0], b.switches[0], b.switches[2], b.hosts[2]],
