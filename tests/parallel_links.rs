@@ -135,12 +135,13 @@ fn triangle() -> String {
         ("A", "hB", 1),
         ("B", "hC", 2),
         ("B", "hA", 2),
+        ("C", "hB", 1),
     ]
     .map(|(node, dst, port)| format!(r#"{{"node":"{node}","dst":"{dst}","ports":[{port}]}}"#))
     .join(",");
     format!(
         concat!(
-            r#"{{"op":"open","topo":{},"routes":[{},{{"node":"C","dst":"hB","ports":[1]}}],"#,
+            r#"{{"op":"open","topo":{},"routes":[{}],"#,
             r#""flows":[{{"id":0,"src":"hA","dst":"hC","gbps":20,"ttl":16}},"#,
             r#"{{"id":1,"src":"hB","dst":"hA","gbps":20,"ttl":16}},"#,
             r#"{{"id":2,"src":"hC","dst":"hB","gbps":20,"ttl":16}}],"horizon_us":5000}}"#
@@ -158,7 +159,7 @@ fn parallel_links_are_decided_statically_iff_static_cbd_is_clean() {
         let topo = fabric(&mut rng, 2 + case % 3);
         open_line(&mut rng, &topo)
     });
-    for open in [triangle()].into_iter().chain(seeded.collect::<Vec<_>>()) {
+    for open in [triangle()].into_iter().chain(seeded) {
         let mut serve = ServeSession::new(ServeConfig::default());
         ask(&mut serve, &open);
         for at_us in [0, 40] {
