@@ -9,8 +9,8 @@
 //!   to `--out`, then reads the file back and renders the printed table
 //!   **from the parsed document** ([`metrics_report_from_json`]) — the
 //!   table is downstream of the schema, so schema drift is visible.
-//! * `repro trace` streams the per-packet trace through a [`JsonlSink`]
-//!   to `--out`, parses the file back with
+//! * `repro trace` streams the per-packet trace through a JSONL sink
+//!   ([`TraceSinkKind::Jsonl`]) to `--out`, parses the file back with
 //!   [`parse_jsonl_trace`], and
 //!   summarizes the parsed events ([`trace_report`]).
 //!

@@ -205,13 +205,15 @@ impl NetSim {
     /// no allocation and no fabric walk on the (overwhelmingly common)
     /// negative path.
     pub fn analyze_deadlock(&mut self) -> Option<Vec<PauseKey>> {
-        self.dp.analyze_deadlock(&mut self.cp.dl)
+        let core = self.dp.analyze_deadlock(&mut self.cp.dl)?;
+        Some(self.dp.witness(&core))
     }
 
     /// The original round-based fixpoint, kept as the executable
     /// specification the incremental detector is property-tested against.
     pub fn analyze_deadlock_reference(&self) -> Option<Vec<PauseKey>> {
-        self.dp.analyze_deadlock_reference()
+        let core = self.dp.analyze_deadlock_reference()?;
+        Some(self.dp.witness(&core))
     }
 }
 
@@ -220,8 +222,9 @@ impl NetSim {
 /// tracker's pause set and scratch.
 impl Datapath {
     /// [`NetSim::analyze_deadlock`] over this datapath and `dl`, the
-    /// tracker its handlers keep current.
-    pub(crate) fn analyze_deadlock(&self, dl: &mut DeadlockTracker) -> Option<Vec<PauseKey>> {
+    /// tracker its handlers keep current, naming the frozen queues
+    /// themselves (see [`Datapath::witness`]).
+    pub(crate) fn analyze_deadlock(&self, dl: &mut DeadlockTracker) -> Option<Vec<RxQueue>> {
         if dl.paused_count == 0 {
             return None;
         }
@@ -231,7 +234,7 @@ impl Datapath {
     /// Kahn-style elimination: seed from the paused bitset, release
     /// channels one at a time, and propagate each release only to the
     /// channels whose `stuck` or node total it changed.
-    fn worklist_eliminate(&self, dl: &mut DeadlockTracker) -> Option<Vec<PauseKey>> {
+    fn worklist_eliminate(&self, dl: &mut DeadlockTracker) -> Option<Vec<RxQueue>> {
         // Gather the frozen candidates in ascending chan order — identical
         // to the reference's sorted BTreeSet iteration.
         dl.frozen.clear();
@@ -349,11 +352,12 @@ impl Datapath {
         if survivors.is_empty() {
             return None;
         }
-        Some(self.witness_for(survivors))
+        Some(self.frozen_core(survivors))
     }
 
-    /// [`NetSim::analyze_deadlock_reference`] over this datapath.
-    pub(crate) fn analyze_deadlock_reference(&self) -> Option<Vec<PauseKey>> {
+    /// [`NetSim::analyze_deadlock_reference`] over this datapath, naming
+    /// the frozen queues themselves.
+    pub(crate) fn analyze_deadlock_reference(&self) -> Option<Vec<RxQueue>> {
         // Candidate set: every asserted pause whose upstream is a switch.
         let mut frozen: BTreeSet<RxQueue> = BTreeSet::new();
         for sw in self.switches.iter().flatten() {
@@ -411,19 +415,23 @@ impl Datapath {
         if frozen.is_empty() {
             return None;
         }
-        Some(self.witness_for(frozen))
+        Some(self.frozen_core(frozen))
     }
 
-    /// Report a cycle within the frozen set if one exists, else the whole
-    /// set, as pause-channel keys.
-    fn witness_for(&self, frozen: BTreeSet<RxQueue>) -> Vec<PauseKey> {
+    /// A cycle within the frozen set if one exists, else the whole set.
+    fn frozen_core(&self, frozen: BTreeSet<RxQueue>) -> Vec<RxQueue> {
         let cycle = self.find_frozen_cycle(&frozen);
-        let core = if cycle.is_empty() {
-            frozen.into_iter().collect::<Vec<_>>()
+        if cycle.is_empty() {
+            frozen.into_iter().collect()
         } else {
             cycle
-        };
-        core.into_iter()
+        }
+    }
+
+    /// The frozen queues as the pause channels a verdict reports: the
+    /// queue's upstream neighbour, its switch, and its class.
+    pub(crate) fn witness(&self, core: &[RxQueue]) -> Vec<PauseKey> {
+        core.iter()
             .map(|ch| PauseKey {
                 from: self.peer_of(ch.node, ch.port),
                 to: ch.node,

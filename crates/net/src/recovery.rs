@@ -60,7 +60,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::flow::FlowSpec;
-    use crate::sim::{NetSim, SimBuilder};
+    use crate::sim::{NetSim, RunReport, SimBuilder};
     use pfcsim_simcore::time::SimTime;
     use pfcsim_simcore::units::BitRate;
     use pfcsim_topo::builders::{square, two_switch_loop, LinkSpec};
@@ -142,6 +142,56 @@ mod tests {
             per_action_all >= per_action_one,
             "witness drain {per_action_all:.1} vs single {per_action_one:.1}"
         );
+    }
+
+    /// Two switches joined by two 40 G links, and an 8 Gbps TTL-16 flow
+    /// whose route loops over link `link` (port `link` at both ends):
+    /// above Eq. 3's 2 · 40 / 16 = 5 Gbps, so it deadlocks.
+    fn parallel_loop(link: u16, strategy: RecoveryStrategy) -> RunReport {
+        use pfcsim_simcore::time::SimDuration;
+        use pfcsim_topo::graph::Topology;
+        use pfcsim_topo::ids::PortNo;
+        let mut topo = Topology::new();
+        let (a, b) = (topo.add_switch("A"), topo.add_switch("B"));
+        let (ha, hb) = (topo.add_host("hA"), topo.add_host("hB"));
+        let (rate, delay) = (BitRate::from_gbps(40), SimDuration::from_us(1));
+        topo.connect(a, b, rate, delay);
+        topo.connect(a, b, rate, delay);
+        topo.connect(ha, a, rate, delay);
+        topo.connect(hb, b, rate, delay);
+        let mut tables = shortest_path_tables(&topo);
+        tables.set(a, hb, vec![PortNo(link)]);
+        tables.set(b, hb, vec![PortNo(link)]);
+        let mut cfg = SimConfig::default();
+        cfg.stop_on_deadlock = false;
+        let mut sim = SimBuilder::new(&topo).config(cfg).tables(tables).build();
+        sim.add_flow(FlowSpec::cbr(0, ha, hb, BitRate::from_gbps(8)).with_ttl(16));
+        sim.try_enable_recovery(RecoveryConfig {
+            strategy,
+            ..RecoveryConfig::default()
+        })
+        .expect("enable_recovery");
+        sim.run(SimTime::from_ms(3))
+    }
+
+    /// Recovery drains the queues the detector froze, whichever of two
+    /// parallel links they sit on: a loop on the second link loses what
+    /// the same loop on the first does.
+    #[test]
+    fn recovery_drains_a_loop_on_either_parallel_link() {
+        for strategy in [
+            RecoveryStrategy::DrainOneQueue,
+            RecoveryStrategy::DrainWitness,
+        ] {
+            let first = parallel_loop(0, strategy);
+            let second = parallel_loop(1, strategy);
+            let losses = |r: &RunReport| (r.stats.recovery_actions, r.stats.drops_recovery);
+            assert!(
+                first.stats.drops_recovery > 0,
+                "{strategy:?}: nothing drained"
+            );
+            assert_eq!(losses(&second), losses(&first), "{strategy:?}");
+        }
     }
 
     #[test]

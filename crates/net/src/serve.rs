@@ -79,6 +79,7 @@ use crate::flow::{Demand, FlowSpec, RouteKind};
 use crate::precheck::{self, window_is_deadlock_free};
 use crate::sim::{NetSim, RunReport, SimBuilder, Verdict};
 use crate::stats::{NetStats, PauseKey};
+use crate::telemetry::TraceSinkKind;
 
 /// Protocol identifier carried in every request/response line.
 pub const SERVE_SCHEMA: &str = "pfcsim-serve/1";
@@ -631,6 +632,15 @@ impl Session {
     pub fn open(spec: SessionSpec) -> Result<Session, Error> {
         if spec.horizon == SimTime::ZERO {
             return Err(Error::Config("session horizon must be positive".into()));
+        }
+        // Probes resume the resident's sink and replays rebuild it: with
+        // a JSONL sink they would append to, or truncate, its file.
+        let telemetry = &spec.config.telemetry;
+        if telemetry.enabled && matches!(telemetry.sink, TraceSinkKind::Jsonl { .. }) {
+            return Err(Error::Unsupported(
+                "a session keeps no JSONL trace sink: probes and rebuilds would write its file"
+                    .into(),
+            ));
         }
         let mut cfg = spec.config;
         // A sentinel must survive its own bad news: keep simulating past

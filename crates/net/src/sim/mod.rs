@@ -813,9 +813,7 @@ impl NetSim {
         // Final scan: catches deadlocks formed after the last periodic scan
         // (or with scanning disabled).
         if self.cp.deadlock.is_none() {
-            if let Some(witness) = self.scan_deadlock() {
-                self.cp.deadlock = Some((self.now(), witness));
-            }
+            self.confirm_deadlock();
         }
         // Fold the hot-path per-flow counters into the reported map. An
         // entry appears iff the flow's stats were ever touched, preserving
@@ -1023,19 +1021,20 @@ impl NetSim {
     /// [`NetSim::resume`] to restore; the resumed run's report is
     /// bit-identical to the uninterrupted run's.
     ///
-    /// Errors when the run has not started (nothing to capture), has
-    /// already finished, or uses a trace sink that cannot be
-    /// checkpointed (writer-backed JSONL sinks).
+    /// Errors when the run has not started (nothing to capture) or has
+    /// already finished.
     pub fn checkpoint(&mut self) -> Result<Checkpoint, CheckpointError> {
         if !self.started || self.finished {
             return Err(CheckpointError::Unsupported(
                 "only a started, unfinished run can be checkpointed".into(),
             ));
         }
-        let telemetry = match self.telem.as_mut() {
-            Some(t) => Some(t.snapshot().map_err(CheckpointError::Unsupported)?),
-            None => None,
-        };
+        // Flushed first, so a JSONL sink's file holds every event the
+        // record counts.
+        let telemetry = self.telem.as_deref_mut().map(|t| {
+            t.flush();
+            t.rec.clone()
+        });
         let (dp, cp) = (&self.dp, &self.cp);
         Ok(Checkpoint {
             topo: dp.topo.clone(),
@@ -1101,12 +1100,12 @@ impl NetSim {
     /// was decoded; the parts' build functions derive what it does not
     /// carry.
     pub fn resume(ckpt: Checkpoint) -> Result<NetSim, CheckpointError> {
-        // Telemetry resumes from its snapshot, reopening a JSONL file in
+        // Telemetry resumes from its record, reopening a JSONL file in
         // append mode; a fresh sink would truncate what the run before
         // the checkpoint wrote.
         let telem = match ckpt.telemetry {
-            Some(snap) => Some(Box::new(
-                TelemetryState::restore(ckpt.cfg.telemetry.clone(), snap)
+            Some(rec) => Some(Box::new(
+                TelemetryState::resume(ckpt.cfg.telemetry.clone(), rec)
                     .map_err(CheckpointError::Unsupported)?,
             )),
             None => None,

@@ -60,7 +60,7 @@ use crate::host::{FlowRt, Host};
 use crate::packet::{Frame, Packet, PfcFrame, PfcOp};
 use crate::stats::{FlowStats, StatsMark};
 use crate::switch::{Egress, EgressQueue, FlowLedger, InFlight, Ingress, QPkt, Switch, TxPause};
-use crate::telemetry::{TelemetryMark, TelemetryState};
+use crate::telemetry::{TelemetryMark, TelemetryRecord, TelemetryState};
 use crate::timely::TimelyState;
 
 /// Encoded states one run keeps, at most. A state is encoded and kept
@@ -123,7 +123,7 @@ impl Mark {
             scans_run: sim.cp.scans_run,
             scans_skipped: sim.cp.scans_skipped,
             stats: sim.stats.mark(),
-            telemetry: (sim.telem.as_deref()).map(|t| t.mark(|id| sim.metric_value(id))),
+            telemetry: (sim.telem.as_deref()).map(|t| t.rec.mark(|id| sim.metric_value(id))),
         }
     }
 }
@@ -776,6 +776,11 @@ fn control(e: &mut Enc, cp: &ControlPlane) {
 fn telemetry(e: &mut Enc, t: &TelemetryState, sim: &NetSim) {
     let TelemetryState {
         cfg,
+        rec,
+        // Where a JSONL sink's events go: no state of the run.
+        file: _,
+    } = t;
+    let TelemetryRecord {
         // Write-only, and the gate admits only a sink that counts.
         report: _,
         sink: _,
@@ -783,7 +788,7 @@ fn telemetry(e: &mut Enc, t: &TelemetryState, sim: &NetSim) {
         last_closed,
         last_flow_bytes,
         last_sample_at,
-    } = t;
+    } = rec;
     e.rel(*last_sample_at);
     if cfg.pause_probe {
         // The probe reads each channel's paused time and closed spans
@@ -875,7 +880,7 @@ impl NetSim {
             return Some(at);
         }
         let metrics = (self.telem.as_deref())
-            .map(|t| t.report.registry.values(|id| self.metric_value(id)))
+            .map(|t| t.rec.report.registry.values(|id| self.metric_value(id)))
             .unwrap_or_default();
         // The image takes the write-only record over instead of copying
         // it: the simulator is replaced by its resumed image below.
@@ -1447,15 +1452,15 @@ mod tests {
             ),
             (
                 "telemetry window",
-                Box::new(|s| s.telem.as_mut().expect("on").last_sample_at = at(19)),
-                Box::new(|s| s.telem.as_mut().expect("on").last_sample_at = at(18)),
+                Box::new(|s| s.telem.as_mut().expect("on").rec.last_sample_at = at(19)),
+                Box::new(|s| s.telem.as_mut().expect("on").rec.last_sample_at = at(18)),
             ),
             (
                 "paused time tracked",
                 Box::new(|s| {
                     pause_log(s, 1, None);
                     let t = s.telem.as_mut().expect("on");
-                    t.last_pause_dur.insert(pause_key(), SimDuration::ZERO);
+                    t.rec.last_pause_dur.insert(pause_key(), SimDuration::ZERO);
                 }),
                 Box::new(|s| pause_log(s, 1, None)),
             ),
@@ -1464,12 +1469,13 @@ mod tests {
                 Box::new(|s| {
                     pause_log(s, 1, None);
                     let t = s.telem.as_mut().expect("on");
-                    t.last_pause_dur.insert(pause_key(), SimDuration::ZERO);
+                    t.rec.last_pause_dur.insert(pause_key(), SimDuration::ZERO);
                 }),
                 Box::new(|s| {
                     pause_log(s, 1, None);
                     let t = s.telem.as_mut().expect("on");
-                    t.last_pause_dur
+                    t.rec
+                        .last_pause_dur
                         .insert(pause_key(), SimDuration::from_ps(1));
                 }),
             ),
@@ -1480,6 +1486,7 @@ mod tests {
                     s.telem
                         .as_mut()
                         .expect("on")
+                        .rec
                         .last_closed
                         .insert(pause_key(), 0);
                 }),
@@ -1489,16 +1496,17 @@ mod tests {
                 "spans closed since the last sample",
                 Box::new(|s| {
                     pause_log(s, 1, None);
-                    telem(s).last_closed.insert(pause_key(), 0);
+                    telem(s).rec.last_closed.insert(pause_key(), 0);
                     telem(s)
+                        .rec
                         .last_pause_dur
                         .insert(pause_key(), SimDuration::ZERO);
                 }),
                 Box::new(|s| {
                     pause_log(s, 2, None);
-                    telem(s).last_closed.insert(pause_key(), 0);
+                    telem(s).rec.last_closed.insert(pause_key(), 0);
                     let paused = SimDuration::from_us(1);
-                    telem(s).last_pause_dur.insert(pause_key(), paused);
+                    telem(s).rec.last_pause_dur.insert(pause_key(), paused);
                 }),
             ),
             (
@@ -1506,13 +1514,14 @@ mod tests {
                 Box::new(|s| {
                     pause_log(s, 1, Some(17));
                     telem(s)
+                        .rec
                         .last_pause_dur
                         .insert(pause_key(), SimDuration::ZERO);
                 }),
                 Box::new(|s| {
                     pause_log(s, 1, Some(16));
                     let paused = SimDuration::from_us(1);
-                    telem(s).last_pause_dur.insert(pause_key(), paused);
+                    telem(s).rec.last_pause_dur.insert(pause_key(), paused);
                 }),
             ),
             (

@@ -161,6 +161,45 @@ fn checkpoint_request_round_trips_through_disk() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A session refuses a JSONL trace sink with a typed `unsupported`
+/// error: its what-if probes would append speculative events to the
+/// file, and replays would truncate it. Nothing is created, and a
+/// counting sink still opens.
+#[test]
+fn a_session_refuses_a_jsonl_trace_sink() {
+    let path =
+        std::env::temp_dir().join(format!("pfcsim_serve_trace_{}.jsonl", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path").to_string();
+    let open = |sink: TraceSinkKind| {
+        let mut config = SimConfig::default();
+        config.telemetry = TelemetryConfig {
+            sink,
+            ..TelemetryConfig::on()
+        };
+        let config = serde_json::to_string(&config).expect("config serializes");
+        format!(r#"{{"op":"open","topo":{{"builder":"square"}},"config":{config}}}"#)
+    };
+
+    let mut serve = ServeSession::new(ServeConfig::default());
+    let (resp, _) = serve.handle_line(&open(TraceSinkKind::Jsonl { path: path.clone() }));
+    let resp = parse(&resp.unwrap());
+    assert_eq!(resp["ok"], false, "{resp:?}");
+    assert_eq!(resp["error"]["kind"], "unsupported", "{resp:?}");
+    assert!(
+        !std::path::Path::new(&path).exists(),
+        "the trace file was created"
+    );
+    let (resp, _) = serve.handle_line(r#"{"op":"query","kind":"status"}"#);
+    assert_eq!(
+        parse(&resp.unwrap())["error"]["kind"],
+        "state",
+        "a session opened"
+    );
+
+    let (resp, _) = serve.handle_line(&open(TraceSinkKind::Null));
+    assert_eq!(parse(&resp.unwrap())["ok"], true);
+}
+
 /// Every malformed or rejected request yields an error response and
 /// moves nothing: same digest, same version, stream still serviceable.
 #[test]
