@@ -77,7 +77,7 @@
 //! let telemetry = report.telemetry.expect("telemetry was enabled");
 //! assert_eq!(telemetry.schema, TELEMETRY_SCHEMA);
 //! assert!(telemetry.samples_taken > 0);
-//! // Engine-wide metrics are registered under stable dotted names...
+//! // Engine-wide metrics are sampled under stable dotted names...
 //! let delivered = telemetry.registry.series("datapath.packets_delivered").unwrap();
 //! assert!(delivered.last().unwrap().1 > 0.0);
 //! // ...and keyed probes ride along (per-flow goodput, in bits/s).
