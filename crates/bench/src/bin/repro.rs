@@ -13,6 +13,7 @@
 use std::io::Write;
 
 use pfcsim_experiments::experiments::{self, Opts};
+use pfcsim_experiments::sweep::parallel_map;
 use pfcsim_experiments::Report;
 use pfcsim_topo::builders::{
     fat_tree, jellyfish, leaf_spine, mesh2d, ring, torus2d, Built, LinkSpec,
@@ -590,26 +591,29 @@ fn main() {
         dump_dir: flag_value(&args, "--csv").map(std::path::PathBuf::from),
     };
 
+    // Where the wall-clock went, on stderr so stdout and the reports
+    // stay byte-identical. Experiments overlap under `all`, so it prints
+    // each one's elapsed time and the process's fast-forwarded runs
+    // (packet runs that skipped periods of a steady state) once, on its
+    // `total` line; one experiment prints both on its own line.
+    use pfcsim_net::sim::fast_forwarded_runs;
+    let started = std::time::Instant::now();
     let reports: Vec<Report> = if cmd == "all" {
-        // Where the wall-clock went, one line per experiment with how
-        // many of its runs skipped periods of a steady state, on stderr
-        // so stdout and the reports stay byte-identical.
-        use pfcsim_net::sim::fast_forwarded_runs;
-        let started = std::time::Instant::now();
-        let reports = (experiments::ALL.iter().enumerate())
-            .map(|(i, (_, run))| {
-                let (t, ff) = (std::time::Instant::now(), fast_forwarded_runs());
-                let report = run(&opts);
-                let skipped = fast_forwarded_runs() - ff;
-                eprintln!(
-                    "e{:02} {:.3} {skipped} fast-forwarded",
-                    i + 1,
-                    t.elapsed().as_secs_f64()
-                );
+        let timed = parallel_map(&experiments::ALL, |(_, run)| {
+            let t = std::time::Instant::now();
+            (run(&opts), t.elapsed().as_secs_f64())
+        });
+        let reports = (timed.into_iter().enumerate())
+            .map(|(i, (report, s))| {
+                eprintln!("e{:02} {s:.3}", i + 1);
                 report
             })
             .collect();
-        eprintln!("total {:.3}", started.elapsed().as_secs_f64());
+        eprintln!(
+            "total {:.3} {} fast-forwarded",
+            started.elapsed().as_secs_f64(),
+            fast_forwarded_runs()
+        );
         reports
     } else {
         let name = match cmd {
@@ -618,8 +622,17 @@ fn main() {
             "guo" => "flooding",
             other => other,
         };
-        match experiments::ALL.iter().find(|(n, _)| *n == name) {
-            Some((_, run)) => vec![run(&opts)],
+        match experiments::ALL.iter().position(|(n, _)| *n == name) {
+            Some(i) => {
+                let report = (experiments::ALL[i].1)(&opts);
+                eprintln!(
+                    "e{:02} {:.3} {} fast-forwarded",
+                    i + 1,
+                    started.elapsed().as_secs_f64(),
+                    fast_forwarded_runs()
+                );
+                vec![report]
+            }
             None => usage(),
         }
     };

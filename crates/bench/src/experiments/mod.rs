@@ -59,7 +59,8 @@ pub const ALL: [(&str, fn(&Opts) -> Report); 14] = [
     ("faults", e14_faults::run),
 ];
 
-/// Run every experiment, returning the reports in index order.
+/// Run every experiment, returning the reports in index order. The
+/// experiments are one sweep on the shared pool, so they overlap.
 pub fn run_all(opts: &Opts) -> Vec<Report> {
-    ALL.iter().map(|(_, run)| run(opts)).collect()
+    crate::sweep::parallel_map(&ALL, |(_, run)| run(opts))
 }

@@ -233,15 +233,10 @@ impl FaultPlan {
         self.push(at, FaultKind::RouteSet { node, dst, ports })
     }
 
-    /// Check the plan against a topology: endpoints must be adjacent,
-    /// probabilities in range, flap trains well-formed, fault targets of
-    /// the right node kind.
+    /// Check the plan against a topology: a link fault's endpoints must
+    /// be joined by exactly one link, probabilities in range, flap trains
+    /// well-formed, fault targets of the right node kind.
     pub fn validate(&self, topo: &Topology) -> Result<(), Error> {
-        let adjacent = |a: NodeId, b: NodeId| -> Result<(), String> {
-            topo.port_towards(a, b)
-                .map(|_| ())
-                .ok_or_else(|| format!("no link between {a} and {b}"))
-        };
         let is_switch = |n: NodeId, what: &str| -> Result<(), String> {
             if n.0 as usize >= topo.node_count() {
                 return Err(format!("{what}: {n} is not a node"));
@@ -253,7 +248,9 @@ impl FaultPlan {
         };
         for e in &self.events {
             match &e.kind {
-                FaultKind::LinkDown { a, b } | FaultKind::LinkUp { a, b } => adjacent(*a, *b)?,
+                FaultKind::LinkDown { a, b } | FaultKind::LinkUp { a, b } => {
+                    one_link(topo, *a, *b)?
+                }
                 FaultKind::LinkFlap {
                     a,
                     b,
@@ -261,7 +258,7 @@ impl FaultPlan {
                     period,
                     cycles,
                 } => {
-                    adjacent(*a, *b)?;
+                    one_link(topo, *a, *b)?;
                     if down_for.is_zero() || *cycles == 0 {
                         return Err("link flap needs a positive outage and ≥1 cycle".into());
                     }
@@ -303,6 +300,28 @@ impl FaultPlan {
             }
         }
         Ok(())
+    }
+}
+
+/// Check that exactly one link joins `a` and `b`. A link fault names its
+/// link by the two nodes it joins, so a pair joined by parallel links is
+/// refused rather than faulting whichever of them comes first.
+pub(crate) fn one_link(topo: &Topology, a: NodeId, b: NodeId) -> Result<(), Error> {
+    let links = if (a.0 as usize) < topo.node_count() {
+        topo.ports(a).iter().filter(|p| p.peer == b).count()
+    } else {
+        0
+    };
+    match links {
+        0 => Err(Error::Config(format!(
+            "no link between nodes {} and {}",
+            a.0, b.0
+        ))),
+        1 => Ok(()),
+        n => Err(Error::Config(format!(
+            "{n} parallel links join nodes {} and {}; a link fault names one link by its two nodes",
+            a.0, b.0
+        ))),
     }
 }
 
@@ -453,6 +472,36 @@ mod tests {
         assert!(plan.validate(&b.topo).is_err());
         let ok = FaultPlan::new().link_down(SimTime::ZERO, b.switches[0], b.switches[1]);
         ok.validate(&b.topo).unwrap();
+    }
+
+    #[test]
+    fn validate_refuses_a_pair_joined_by_parallel_links() {
+        use pfcsim_simcore::units::BitRate;
+        let mut topo = Topology::new();
+        let (s0, s1) = (topo.add_switch("S0"), topo.add_switch("S1"));
+        for _ in 0..2 {
+            topo.connect(s0, s1, BitRate::from_gbps(40), SimDuration::from_us(1));
+        }
+        let flap = |p: FaultPlan| {
+            p.link_flap(
+                SimTime::ZERO,
+                s1,
+                s0,
+                SimDuration::from_us(5),
+                SimDuration::from_us(10),
+                2,
+            )
+        };
+        for plan in [
+            FaultPlan::new().link_down(SimTime::ZERO, s0, s1),
+            FaultPlan::new().link_up(SimTime::ZERO, s1, s0),
+            flap(FaultPlan::new()),
+        ] {
+            match plan.validate(&topo) {
+                Err(Error::Config(why)) => assert!(why.starts_with("2 parallel links"), "{why}"),
+                other => panic!("{plan:?} validated as {other:?}"),
+            }
+        }
     }
 
     #[test]

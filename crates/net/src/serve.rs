@@ -835,12 +835,7 @@ impl Session {
             }
             Update::LinkDown { a, b } | Update::LinkUp { a, b } => {
                 let up = matches!(update, Update::LinkUp { .. });
-                if self.topo.port_towards(a, b).is_none() {
-                    return Err(Error::Config(format!(
-                        "no link between nodes {} and {}",
-                        a.0, b.0
-                    )));
-                }
+                crate::faults::one_link(&self.topo, a, b)?;
                 let mut links = self.link_log.clone();
                 links.push(LinkEntry {
                     at: self.now(),

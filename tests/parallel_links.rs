@@ -191,3 +191,25 @@ fn parallel_links_are_decided_statically_iff_static_cbd_is_clean() {
         "{decided:?} probe/static decisions"
     );
 }
+
+/// A link fault names its link by its two nodes, so `link_down` and
+/// `link_up` refuse a pair joined by parallel links, and still take a
+/// pair joined by one.
+#[test]
+fn link_faults_refuse_a_pair_joined_by_parallel_links() {
+    let mut serve = ServeSession::new(ServeConfig::default());
+    ask(&mut serve, &triangle());
+    for op in ["link_down", "link_up"] {
+        let (resp, _) = serve.handle_line(&format!(r#"{{"op":"{op}","a":"A","b":"B"}}"#));
+        let doc: Value = serde_json::from_str(&resp.expect("a response")).unwrap();
+        assert!(doc["ok"] == false, "{op}: {doc:?}");
+        assert_eq!(doc["error"]["kind"], "config", "{op}: {doc:?}");
+        let message = doc["error"]["message"].as_str().unwrap_or_default();
+        assert!(
+            message.contains("2 parallel links join nodes 0 and 1"),
+            "{op}: {message}"
+        );
+    }
+    ask(&mut serve, r#"{"op":"link_down","a":"B","b":"C"}"#);
+    ask(&mut serve, r#"{"op":"link_up","a":"C","b":"B"}"#);
+}
