@@ -7,7 +7,7 @@
 
 use pfcsim_core::bdg::BufferDependencyGraph;
 use pfcsim_core::sufficiency::analyze_cycle_overlap;
-use pfcsim_net::stats::IngressKey;
+use pfcsim_net::bdg::RxQueue;
 use pfcsim_simcore::time::SimTime;
 use pfcsim_topo::ids::{FlowId, NodeId, Priority};
 
@@ -17,10 +17,10 @@ use crate::table::{fmt, Report, Table};
 
 /// The RX1 ingress key of square switch `i`: the port facing the previous
 /// switch in the A→B→C→D ring.
-pub(crate) fn rx1_key(built: &pfcsim_topo::builders::Built, i: usize) -> IngressKey {
+pub(crate) fn rx1_key(built: &pfcsim_topo::builders::Built, i: usize) -> RxQueue {
     let s = &built.switches;
     let prev = s[(i + 3) % 4];
-    IngressKey {
+    RxQueue {
         node: s[i],
         port: built.topo.port_towards(s[i], prev).expect("ring link").port,
         priority: Priority::DEFAULT,
@@ -30,7 +30,7 @@ pub(crate) fn rx1_key(built: &pfcsim_topo::builders::Built, i: usize) -> Ingress
 /// Occupancy row: label, series stats in KB.
 pub(crate) fn occupancy_row(
     stats: &pfcsim_net::stats::NetStats,
-    key: IngressKey,
+    key: RxQueue,
     flow: FlowId,
     label: &str,
     xoff_kb: f64,

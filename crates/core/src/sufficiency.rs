@@ -19,8 +19,8 @@ use pfcsim_topo::ids::{NodeId, Priority};
 /// Pause-overlap analysis of one dependency cycle.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OverlapAnalysis {
-    /// The analysed cycle's channels, as (upstream, downstream) pairs.
-    pub channels: Vec<(NodeId, NodeId)>,
+    /// The analysed channels, each with its own pause timeline.
+    pub channels: Vec<PauseKey>,
     /// Per-channel PAUSE frame counts, same order as `channels`.
     pub pause_counts: Vec<usize>,
     /// Number of channels that were ever paused.
@@ -41,33 +41,39 @@ impl OverlapAnalysis {
 }
 
 /// Analyse pause overlap on `cycle` (a ring of switches; channel `i` is
-/// `cycle[i] → cycle[(i+1) % len]`) for one priority, over `[0, end]`.
+/// `cycle[i] → cycle[(i+1) % len]`, on link 0 of that pair) for one
+/// priority, over `[0, end]`.
 pub fn analyze_cycle_overlap(
     stats: &NetStats,
     cycle: &[NodeId],
     priority: Priority,
     end: SimTime,
 ) -> OverlapAnalysis {
-    let channels: Vec<(NodeId, NodeId)> = (0..cycle.len())
-        .map(|i| (cycle[i], cycle[(i + 1) % cycle.len()]))
+    let channels: Vec<PauseKey> = (0..cycle.len())
+        .map(|i| PauseKey {
+            from: cycle[i],
+            to: cycle[(i + 1) % cycle.len()],
+            priority,
+            link: 0,
+        })
         .collect();
-    analyze_channels_overlap(stats, &channels, priority, end)
+    analyze_channels_overlap(stats, &channels, end)
 }
 
-/// Analyse pause overlap on an explicit channel list.
+/// Analyse pause overlap on an explicit channel list (a verdict's
+/// witness, say), over `[0, end]`. Two links joining one pair of nodes
+/// are two channels with two timelines.
 pub fn analyze_channels_overlap(
     stats: &NetStats,
-    channels: &[(NodeId, NodeId)],
-    priority: Priority,
+    channels: &[PauseKey],
     end: SimTime,
 ) -> OverlapAnalysis {
     let mut pause_counts = Vec::with_capacity(channels.len());
     // Sweep events: (time, delta). Closing at `end` for open intervals.
     let mut events: Vec<(SimTime, i32)> = Vec::new();
     let mut ever = 0usize;
-    for &(from, to) in channels {
-        let key = PauseKey { from, to, priority };
-        match stats.pause.get(&key) {
+    for key in channels {
+        match stats.pause.get(key) {
             Some(log) => {
                 pause_counts.push(log.events.count());
                 if log.events.count() > 0 {
@@ -223,12 +229,20 @@ mod tests {
             from: NodeId(from),
             to: NodeId(to),
             priority: Priority::DEFAULT,
+            link: 0,
         }
     }
 
     fn stats_with(intervals: &[(u32, u32, &[(u64, Option<u64>)])]) -> NetStats {
+        let keyed: Vec<_> = (intervals.iter())
+            .map(|&(from, to, spans)| (key(from, to), spans))
+            .collect();
+        stats_on(&keyed)
+    }
+
+    fn stats_on(intervals: &[(PauseKey, &[(u64, Option<u64>)])]) -> NetStats {
         let mut stats = NetStats::default();
-        for &(from, to, spans) in intervals {
+        for &(key, spans) in intervals {
             let mut log = PauseLog::default();
             for &(start, stop) in spans {
                 log.events.record(SimTime::from_us(start));
@@ -237,7 +251,7 @@ mod tests {
                     log.intervals.close(SimTime::from_us(stop));
                 }
             }
-            stats.pause.insert(key(from, to), log);
+            stats.pause.insert(key, log);
         }
         stats
     }
@@ -290,6 +304,32 @@ mod tests {
         assert_eq!(a.max_simultaneous, 2);
         assert_eq!(a.all_paused_time, SimDuration::from_us(10));
         assert_eq!(a.first_all_paused, Some(SimTime::from_us(20)));
+    }
+
+    /// Two links joining one pair are two channels: a witness naming
+    /// both reads two timelines, never one merged log.
+    #[test]
+    fn parallel_links_keep_their_own_timelines() {
+        let second = |from, to| PauseKey {
+            link: 1,
+            ..key(from, to)
+        };
+        // Link 0 of 0→1 pauses early, link 1 late; 1→0 spans both.
+        let stats = stats_on(&[
+            (key(0, 1), &[(10, Some(20))]),
+            (second(0, 1), &[(40, None)]),
+            (key(1, 0), &[(5, None)]),
+        ]);
+        let witness = [second(0, 1), key(1, 0)];
+        let a = analyze_channels_overlap(&stats, &witness, SimTime::from_us(100));
+        assert_eq!(a.channels, witness);
+        assert_eq!(a.pause_counts, vec![1, 1]);
+        assert_eq!(a.first_all_paused, Some(SimTime::from_us(40)));
+        assert_eq!(a.all_paused_time, SimDuration::from_us(60));
+        let first =
+            analyze_channels_overlap(&stats, &[key(0, 1), key(1, 0)], SimTime::from_us(100));
+        assert_eq!(first.first_all_paused, Some(SimTime::from_us(10)));
+        assert_eq!(first.all_paused_time, SimDuration::from_us(10));
     }
 
     #[test]

@@ -46,6 +46,7 @@ use pfcsim_topo::routing::ForwardingTables;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+use crate::bdg::RxQueue;
 use crate::config::{PfcConfig, SimConfig};
 use crate::dcqcn::DcqcnConfig;
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
@@ -53,7 +54,7 @@ use crate::flow::FlowSpec;
 use crate::host::{FlowRt, Host};
 use crate::packet::{Frame, Packet};
 use crate::sim::{Ev, Mark, RebootState, RouteUpdate};
-use crate::stats::{extend_bytes, extend_count, FlowStats, IngressKey, NetStats, PauseKey};
+use crate::stats::{extend_bytes, extend_count, FlowStats, NetStats, PauseKey};
 use crate::switch::{InFlight, Switch, TxPause};
 use crate::telemetry::TelemetryRecord;
 use crate::timely::TimelyConfig;
@@ -204,9 +205,9 @@ pub struct Checkpoint {
     pub(crate) hybrid: Option<Box<crate::hybrid::HybridState>>,
     // --- sampling & telemetry ---
     pub(crate) stats: NetStats,
-    pub(crate) watch_keys: Option<Vec<IngressKey>>,
+    pub(crate) watch_keys: Option<Vec<RxQueue>>,
     pub(crate) used_prios: u8,
-    pub(crate) sample_keys: Vec<IngressKey>,
+    pub(crate) sample_keys: Vec<RxQueue>,
     pub(crate) telemetry: Option<TelemetryRecord>,
     pub(crate) trace_cap: u64,
 }
@@ -929,6 +930,40 @@ mod tests {
         assert!(Checkpoint::from_bytes(&ckpt.to_bytes()).is_ok());
         let ckpt = Checkpoint::from_bytes(&frame).expect("own frame");
         assert!(NetSim::resume(ckpt).is_ok());
+    }
+
+    /// A checksum-valid frame whose fault plan names link 1 of a pair
+    /// joined by one link — the golden 1 500 µs frame, each of its link
+    /// faults edited in turn — decodes to a typed `Decode`, not the
+    /// panic a resume would hit when the fault fires.
+    #[test]
+    fn decode_rejects_a_fault_on_a_link_that_does_not_exist() {
+        use crate::golden::{self, DRAIN_UNTIL, STOP_AT};
+        let mut sim = golden::build_sim(None, &mut crate::sim::SimArenas::new());
+        sim.schedule_flow_stops(STOP_AT);
+        assert!(sim
+            .advance_until(SimTime::from_us(1500), DRAIN_UNTIL)
+            .is_none());
+        let frame = sim.checkpoint().expect("checkpointable").to_bytes();
+        let golden = Checkpoint::from_bytes(&frame).expect("golden frame");
+        let mut edited = 0;
+        for i in 0..golden.fault_events.len() {
+            let mut ckpt = Checkpoint::from_bytes(&frame).expect("golden frame");
+            match &mut ckpt.fault_events[i].1 {
+                FaultKind::LinkDown { link, .. } | FaultKind::LinkUp { link, .. } => *link = 1,
+                _ => continue,
+            }
+            edited += 1;
+            match Checkpoint::from_bytes(&ckpt.to_bytes()) {
+                Err(CheckpointError::Decode(msg)) => assert!(
+                    msg.starts_with("fault_events: ") && msg.contains("no link 1 between"),
+                    "{msg}"
+                ),
+                Err(e) => panic!("event {i}: wrong error {e}"),
+                Ok(_) => panic!("event {i}: accepted"),
+            }
+        }
+        assert!(edited >= 2, "the golden run's link faults");
     }
 
     #[test]

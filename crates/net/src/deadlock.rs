@@ -428,16 +428,9 @@ impl Datapath {
         }
     }
 
-    /// The frozen queues as the pause channels a verdict reports: the
-    /// queue's upstream neighbour, its switch, and its class.
+    /// The frozen queues as the pause channels a verdict reports.
     pub(crate) fn witness(&self, core: &[RxQueue]) -> Vec<PauseKey> {
-        core.iter()
-            .map(|ch| PauseKey {
-                from: self.peer_of(ch.node, ch.port),
-                to: ch.node,
-                priority: ch.priority,
-            })
-            .collect()
+        core.iter().map(|&q| self.pause_key(q)).collect()
     }
 
     fn peer_of(&self, node: NodeId, port: PortNo) -> NodeId {

@@ -57,6 +57,10 @@ pub enum FaultKind {
         a: NodeId,
         /// Other endpoint.
         b: NodeId,
+        /// Which of the links joining `a` and `b`, in link order
+        /// (`Topology::link_between`); 0 for a pair joined by one.
+        #[serde(default, skip_serializing_if = "crate::stats::is_zero")]
+        link: u32,
     },
     /// Bring the `a`–`b` link back up.
     LinkUp {
@@ -64,6 +68,9 @@ pub enum FaultKind {
         a: NodeId,
         /// Other endpoint.
         b: NodeId,
+        /// Which of the links joining `a` and `b` (as for `LinkDown`).
+        #[serde(default, skip_serializing_if = "crate::stats::is_zero")]
+        link: u32,
     },
     /// Repeated down/up cycles: down at the event time, up `down_for`
     /// later, repeating every `period` for `cycles` rounds.
@@ -72,6 +79,9 @@ pub enum FaultKind {
         a: NodeId,
         /// Other endpoint.
         b: NodeId,
+        /// Which of the links joining `a` and `b` (as for `LinkDown`).
+        #[serde(default, skip_serializing_if = "crate::stats::is_zero")]
+        link: u32,
         /// Outage length per cycle.
         down_for: SimDuration,
         /// Cycle period (must exceed `down_for`).
@@ -176,17 +186,18 @@ impl FaultPlan {
         self
     }
 
-    /// Schedule a link failure.
+    /// Schedule a failure of link 0 joining `a` and `b` (a parallel
+    /// link is named by pushing a [`FaultKind::LinkDown`] event).
     pub fn link_down(self, at: SimTime, a: NodeId, b: NodeId) -> Self {
-        self.push(at, FaultKind::LinkDown { a, b })
+        self.push(at, FaultKind::LinkDown { a, b, link: 0 })
     }
 
-    /// Schedule a link repair.
+    /// Schedule a repair of link 0 joining `a` and `b`.
     pub fn link_up(self, at: SimTime, a: NodeId, b: NodeId) -> Self {
-        self.push(at, FaultKind::LinkUp { a, b })
+        self.push(at, FaultKind::LinkUp { a, b, link: 0 })
     }
 
-    /// Schedule a link flap train.
+    /// Schedule a flap train on link 0 joining `a` and `b`.
     pub fn link_flap(
         self,
         at: SimTime,
@@ -201,6 +212,7 @@ impl FaultPlan {
             FaultKind::LinkFlap {
                 a,
                 b,
+                link: 0,
                 down_for,
                 period,
                 cycles,
@@ -233,9 +245,9 @@ impl FaultPlan {
         self.push(at, FaultKind::RouteSet { node, dst, ports })
     }
 
-    /// Check the plan against a topology: a link fault's endpoints must
-    /// be joined by exactly one link, probabilities in range, flap trains
-    /// well-formed, fault targets of the right node kind.
+    /// Check the plan against a topology: a link fault must name a link
+    /// that exists, probabilities be in range, flap trains well-formed,
+    /// fault targets of the right node kind.
     pub fn validate(&self, topo: &Topology) -> Result<(), Error> {
         let is_switch = |n: NodeId, what: &str| -> Result<(), String> {
             if n.0 as usize >= topo.node_count() {
@@ -248,17 +260,18 @@ impl FaultPlan {
         };
         for e in &self.events {
             match &e.kind {
-                FaultKind::LinkDown { a, b } | FaultKind::LinkUp { a, b } => {
-                    one_link(topo, *a, *b)?
+                FaultKind::LinkDown { a, b, link } | FaultKind::LinkUp { a, b, link } => {
+                    (topo.link_between(*a, *b, *link)).ok_or_else(|| no_link(*a, *b, *link))?;
                 }
                 FaultKind::LinkFlap {
                     a,
                     b,
+                    link,
                     down_for,
                     period,
                     cycles,
                 } => {
-                    one_link(topo, *a, *b)?;
+                    (topo.link_between(*a, *b, *link)).ok_or_else(|| no_link(*a, *b, *link))?;
                     if down_for.is_zero() || *cycles == 0 {
                         return Err("link flap needs a positive outage and ≥1 cycle".into());
                     }
@@ -303,26 +316,14 @@ impl FaultPlan {
     }
 }
 
-/// Check that exactly one link joins `a` and `b`. A link fault names its
-/// link by the two nodes it joins, so a pair joined by parallel links is
-/// refused rather than faulting whichever of them comes first.
-pub(crate) fn one_link(topo: &Topology, a: NodeId, b: NodeId) -> Result<(), Error> {
-    let links = if (a.0 as usize) < topo.node_count() {
-        topo.ports(a).iter().filter(|p| p.peer == b).count()
-    } else {
-        0
+/// The error for a link fault naming link `link` between `a` and `b`
+/// where `Topology::link_between` finds none.
+pub(crate) fn no_link(a: NodeId, b: NodeId, link: impl Into<u64>) -> Error {
+    let nth = match link.into() {
+        0 => String::new(),
+        n => format!("{n} "),
     };
-    match links {
-        0 => Err(Error::Config(format!(
-            "no link between nodes {} and {}",
-            a.0, b.0
-        ))),
-        1 => Ok(()),
-        n => Err(Error::Config(format!(
-            "{n} parallel links join nodes {} and {}; a link fault names one link by its two nodes",
-            a.0, b.0
-        ))),
-    }
+    Error::Config(format!("no link {nth}between nodes {} and {}", a.0, b.0))
 }
 
 /// What actually happened when a fault was applied — the run report's
@@ -336,6 +337,9 @@ pub enum FaultAction {
         a: NodeId,
         /// Other endpoint.
         b: NodeId,
+        /// Which of the links joining `a` and `b` (as in [`FaultKind`]).
+        #[serde(default, skip_serializing_if = "crate::stats::is_zero")]
+        link: u32,
         /// Packets destroyed (queued at the dead ports).
         dropped: u64,
     },
@@ -345,6 +349,9 @@ pub enum FaultAction {
         a: NodeId,
         /// Other endpoint.
         b: NodeId,
+        /// Which of the links joining `a` and `b` (as in [`FaultKind`]).
+        #[serde(default, skip_serializing_if = "crate::stats::is_zero")]
+        link: u32,
     },
     /// A per-frame PFC loss process was armed (probability 0 = disarmed).
     PauseLossArmed {
@@ -404,10 +411,10 @@ pub enum FaultAction {
 impl fmt::Display for FaultAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultAction::LinkDown { a, b, dropped } => {
+            FaultAction::LinkDown { a, b, dropped, .. } => {
                 write!(f, "link {a}-{b} DOWN ({dropped} packets destroyed)")
             }
-            FaultAction::LinkUp { a, b } => write!(f, "link {a}-{b} UP"),
+            FaultAction::LinkUp { a, b, .. } => write!(f, "link {a}-{b} UP"),
             FaultAction::PauseLossArmed { node, probability } => {
                 write!(f, "PFC loss at {node}: p={probability}")
             }
@@ -474,32 +481,48 @@ mod tests {
         ok.validate(&b.topo).unwrap();
     }
 
+    /// A link fault names one of two parallel links by its number; a
+    /// number past the pair's links is a typed `Config` error.
     #[test]
-    fn validate_refuses_a_pair_joined_by_parallel_links() {
+    fn validate_names_parallel_links_by_number() {
         use pfcsim_simcore::units::BitRate;
         let mut topo = Topology::new();
         let (s0, s1) = (topo.add_switch("S0"), topo.add_switch("S1"));
         for _ in 0..2 {
             topo.connect(s0, s1, BitRate::from_gbps(40), SimDuration::from_us(1));
         }
-        let flap = |p: FaultPlan| {
-            p.link_flap(
-                SimTime::ZERO,
-                s1,
-                s0,
-                SimDuration::from_us(5),
-                SimDuration::from_us(10),
-                2,
-            )
+        let plan = |link| FaultPlan {
+            events: [
+                FaultKind::LinkDown { a: s0, b: s1, link },
+                FaultKind::LinkUp { a: s1, b: s0, link },
+                FaultKind::LinkFlap {
+                    a: s1,
+                    b: s0,
+                    link,
+                    down_for: SimDuration::from_us(5),
+                    period: SimDuration::from_us(10),
+                    cycles: 2,
+                },
+            ]
+            .map(|kind| FaultEvent {
+                at: SimTime::ZERO,
+                kind,
+            })
+            .into(),
+            ..FaultPlan::default()
         };
-        for plan in [
-            FaultPlan::new().link_down(SimTime::ZERO, s0, s1),
-            FaultPlan::new().link_up(SimTime::ZERO, s1, s0),
-            flap(FaultPlan::new()),
-        ] {
-            match plan.validate(&topo) {
-                Err(Error::Config(why)) => assert!(why.starts_with("2 parallel links"), "{why}"),
-                other => panic!("{plan:?} validated as {other:?}"),
+        plan(0).validate(&topo).unwrap();
+        plan(1).validate(&topo).unwrap();
+        for e in plan(2).events {
+            let one = FaultPlan {
+                events: vec![e],
+                ..FaultPlan::default()
+            };
+            match one.validate(&topo) {
+                Err(Error::Config(why)) => {
+                    assert!(why.starts_with("no link 2 between nodes "), "{why}")
+                }
+                other => panic!("{one:?} validated as {other:?}"),
             }
         }
     }
@@ -572,6 +595,7 @@ mod tests {
             action: FaultAction::LinkDown {
                 a: NodeId(0),
                 b: NodeId(1),
+                link: 0,
                 dropped: 4,
             },
         };

@@ -770,13 +770,12 @@ impl NetSim {
         }
         // Fault gate: any link event on the path forces packet mode for
         // the whole run (no static windows to reason about).
-        let touched = self.cp.fault_events.iter().any(|(_, k)| match k {
-            FaultKind::LinkDown { a, b } | FaultKind::LinkUp { a, b } => self
-                .hybrid_link_between(*a, *b)
-                .is_some_and(|l| links.contains(&l)),
-            FaultKind::LinkFlap { a, b, .. } => self
-                .hybrid_link_between(*a, *b)
-                .is_some_and(|l| links.contains(&l)),
+        let touched = self.cp.fault_events.iter().any(|(_, k)| match *k {
+            FaultKind::LinkDown { a, b, link }
+            | FaultKind::LinkUp { a, b, link }
+            | FaultKind::LinkFlap { a, b, link, .. } => {
+                (self.dp.topo.link_between(a, b, link)).is_some_and(|p| links.contains(&p.link.0))
+            }
             _ => false,
         });
         if touched {
@@ -800,15 +799,6 @@ impl NetSim {
             caps,
             demand: rate.bps() as f64 / 8.0,
         })
-    }
-
-    fn hybrid_link_between(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        self.dp
-            .topo
-            .ports(a)
-            .iter()
-            .find(|p| p.peer == b)
-            .map(|p| p.link.0)
     }
 
     /// Classify every flow at the end of `start()`. Installs

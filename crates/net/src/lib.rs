@@ -93,7 +93,7 @@ pub mod prelude {
     };
     pub use crate::shaper::TokenBucket;
     pub use crate::sim::{FastForward, NetSim, RunReport, SimArenas, SimBuilder, Verdict};
-    pub use crate::stats::{FlowStats, IngressKey, NetStats, PauseKey, PauseLog};
+    pub use crate::stats::{FlowStats, NetStats, PauseKey, PauseLog};
     pub use crate::telemetry::{
         parse_jsonl_trace, MetricDesc, MetricId, MetricKind, MetricRegistry, TelemetryConfig,
         TelemetryReport, TraceFilter, TraceSinkKind, METRICS_SCHEMA, TELEMETRY_SCHEMA,

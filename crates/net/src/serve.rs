@@ -74,7 +74,7 @@ use pfcsim_topo::routing::{shortest_path_tables, ForwardingTables};
 use crate::bdg::{deadlock_threshold, BufferDependencyGraph, MERGED};
 use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
-use crate::faults::FaultPlan;
+use crate::faults::{no_link, FaultEvent, FaultKind, FaultPlan};
 use crate::flow::{Demand, FlowSpec, RouteKind};
 use crate::precheck::{self, window_is_deadlock_free};
 use crate::sim::{NetSim, RunReport, SimBuilder, Verdict};
@@ -368,6 +368,8 @@ pub enum Update {
         a: NodeId,
         /// Other endpoint.
         b: NodeId,
+        /// Which of the links joining `a` and `b` (`FaultKind::LinkDown`).
+        link: u32,
     },
     /// Repair a link at the current sim time (structural: rebuilds).
     LinkUp {
@@ -375,6 +377,8 @@ pub enum Update {
         a: NodeId,
         /// Other endpoint.
         b: NodeId,
+        /// Which of the links joining `a` and `b`.
+        link: u32,
     },
     /// Add a flow to the traffic matrix (structural: rebuilds). A start
     /// time in the past is clamped to the current sim time.
@@ -476,6 +480,7 @@ struct LinkEntry {
     up: bool,
     a: NodeId,
     b: NodeId,
+    link: u32,
 }
 
 /// The resident simulator and its memoized state digest: one encode and
@@ -591,14 +596,18 @@ fn build_and_replay(
         sim.try_add_flow(f.clone())?;
     }
     if !links.is_empty() {
-        let plan = links.iter().fold(FaultPlan::new(), |p, l| {
-            if l.up {
-                p.link_up(l.at, l.a, l.b)
+        let events = links.iter().map(|&LinkEntry { at, up, a, b, link }| {
+            let kind = if up {
+                FaultKind::LinkUp { a, b, link }
             } else {
-                p.link_down(l.at, l.a, l.b)
-            }
+                FaultKind::LinkDown { a, b, link }
+            };
+            FaultEvent { at, kind }
         });
-        sim.set_fault_plan(plan)?;
+        sim.set_fault_plan(FaultPlan {
+            events: events.collect(),
+            ..FaultPlan::new()
+        })?;
     }
     for r in routes.iter().filter(|r| r.baked) {
         sim.schedule_route_update(r.at, r.node, r.dst, r.ports.clone());
@@ -833,15 +842,16 @@ impl Session {
                 });
                 self.cur_tables.set(push.node, push.dst, push.ports);
             }
-            Update::LinkDown { a, b } | Update::LinkUp { a, b } => {
+            Update::LinkDown { a, b, link } | Update::LinkUp { a, b, link } => {
                 let up = matches!(update, Update::LinkUp { .. });
-                crate::faults::one_link(&self.topo, a, b)?;
+                (self.topo.link_between(a, b, link)).ok_or_else(|| no_link(a, b, link))?;
                 let mut links = self.link_log.clone();
                 links.push(LinkEntry {
                     at: self.now(),
                     up,
                     a,
                     b,
+                    link,
                 });
                 self.rebuild(self.flows.clone(), links, self.baked_log())?;
             }
@@ -1371,10 +1381,12 @@ impl ServeSession {
             "link_down" | "link_up" => {
                 let a = req.node("a", topo)?;
                 let b = req.node("b", topo)?;
+                let link = req.get("link").map(Field::u64).transpose()?.unwrap_or(0);
+                let link = u32::try_from(link).map_err(|_| no_link(a, b, link))?;
                 Request::Apply(if op == "link_down" {
-                    Update::LinkDown { a, b }
+                    Update::LinkDown { a, b, link }
                 } else {
-                    Update::LinkUp { a, b }
+                    Update::LinkUp { a, b, link }
                 })
             }
             "flow_add" => Request::Apply(Update::FlowAdd(decode_flow(topo, raw, req)?)),

@@ -24,7 +24,7 @@ use crate::deadlock::DeadlockTracker;
 use crate::faults::{FaultAction, FaultKind, FaultPlan, FaultRecord};
 use crate::packet::Packet;
 use crate::recovery::{RecoveryConfig, RecoveryStrategy};
-use crate::stats::{push_in_order, IngressKey, PauseKey};
+use crate::stats::{push_in_order, PauseKey};
 use crate::switch::{InFlight, QPkt};
 use crate::telemetry::{MetricId, TelemetryConfig, TelemetryRecord};
 use crate::trace::DropReason;
@@ -65,8 +65,8 @@ pub(crate) struct ControlState {
     pub(crate) scans_run: u64,
     pub(crate) scans_skipped: u64,
     pub(crate) deadlock: Option<(SimTime, Vec<PauseKey>)>,
-    pub(crate) watch_keys: Option<Vec<IngressKey>>,
-    pub(crate) sample_keys: Vec<IngressKey>,
+    pub(crate) watch_keys: Option<Vec<RxQueue>>,
+    pub(crate) sample_keys: Vec<RxQueue>,
 }
 
 impl ControlState {
@@ -118,9 +118,9 @@ pub(crate) struct ControlPlane {
     pub(crate) cross_check_deadlock: bool,
     pub(crate) deadlock: Option<(SimTime, Vec<PauseKey>)>,
     /// Sampling restriction (sorted, deduped); `None` = sample everything.
-    pub(crate) watch_keys: Option<Vec<IngressKey>>,
+    pub(crate) watch_keys: Option<Vec<RxQueue>>,
     /// Keys `on_sample` walks, precomputed at `start()`.
-    pub(crate) sample_keys: Vec<IngressKey>,
+    pub(crate) sample_keys: Vec<RxQueue>,
 }
 
 impl ControlPlane {
@@ -521,7 +521,7 @@ impl NetSim {
         // node-scoped faults defensively.)
         if self.hybrid.is_some() {
             match &kind {
-                FaultKind::LinkDown { a, b } | FaultKind::LinkUp { a, b } => {
+                FaultKind::LinkDown { a, b, .. } | FaultKind::LinkUp { a, b, .. } => {
                     let (a, b) = (*a, *b);
                     self.hybrid_demote_node(a);
                     self.hybrid_demote_node(b);
@@ -536,8 +536,8 @@ impl NetSim {
             }
         }
         match kind {
-            FaultKind::LinkDown { a, b } => self.fault_link_down(a, b),
-            FaultKind::LinkUp { a, b } => self.fault_link_up(a, b),
+            FaultKind::LinkDown { a, b, link } => self.fault_link_down(a, b, link),
+            FaultKind::LinkUp { a, b, link } => self.fault_link_up(a, b, link),
             FaultKind::LinkFlap { .. } => unreachable!("flaps are unrolled at start()"),
             FaultKind::PauseLoss { node, probability } => {
                 self.dp.pfc_loss[node.0 as usize] = if probability > 0.0 {
@@ -563,18 +563,19 @@ impl NetSim {
         }
     }
 
-    pub(super) fn fault_link_down(&mut self, a: NodeId, b: NodeId) {
-        let p = self
-            .dp
-            .topo
-            .port_towards(a, b)
-            .expect("validated adjacency");
+    pub(super) fn fault_link_down(&mut self, a: NodeId, b: NodeId, link: u32) {
+        let p = (self.dp.topo.link_between(a, b, link)).expect("a validated fault plan");
         if !self.dp.link_up[p.link.0 as usize] {
             return; // already down (overlapping faults)
         }
         self.dp.link_up[p.link.0 as usize] = false;
         let dropped = self.take_down_endpoint(a, p.port) + self.take_down_endpoint(b, p.peer_port);
-        self.record_fault(FaultAction::LinkDown { a, b, dropped });
+        self.record_fault(FaultAction::LinkDown {
+            a,
+            b,
+            link,
+            dropped,
+        });
     }
 
     /// Clear one endpoint of a failing link: destroy every frame already
@@ -607,7 +608,6 @@ impl NetSim {
         }
         // Silence PFC issued *by* this endpoint: the dead channel pauses
         // no one any more, so its open spans close.
-        let info = *self.dp.pinfo(node, port);
         let now = self.now();
         let mut silenced: Vec<Priority> = Vec::new();
         {
@@ -624,11 +624,11 @@ impl NetSim {
             self.cp
                 .dl
                 .note_pause(self.dp.chan(node, port, prio.index()), false);
-            let key = PauseKey {
-                from: info.peer,
-                to: node,
+            let key = self.dp.pause_key(RxQueue {
+                node,
+                port,
                 priority: prio,
-            };
+            });
             if let Some(log) = self.stats.pause.get_mut(&key) {
                 if log.intervals.is_open() {
                     log.intervals.close(now);
@@ -638,17 +638,13 @@ impl NetSim {
         dropped
     }
 
-    pub(super) fn fault_link_up(&mut self, a: NodeId, b: NodeId) {
-        let p = self
-            .dp
-            .topo
-            .port_towards(a, b)
-            .expect("validated adjacency");
+    pub(super) fn fault_link_up(&mut self, a: NodeId, b: NodeId, link: u32) {
+        let p = (self.dp.topo.link_between(a, b, link)).expect("a validated fault plan");
         if self.dp.link_up[p.link.0 as usize] {
             return; // already up
         }
         self.dp.link_up[p.link.0 as usize] = true;
-        self.record_fault(FaultAction::LinkUp { a, b });
+        self.record_fault(FaultAction::LinkUp { a, b, link });
         self.kick_transmitter(a, p.port);
         self.kick_transmitter(b, p.peer_port);
     }
@@ -867,8 +863,8 @@ impl NetSim {
 
     /// Restrict occupancy sampling to the given ingress queues
     /// (default: every switch ingress × every priority in use).
-    pub fn watch_only(&mut self, keys: impl IntoIterator<Item = IngressKey>) {
-        let mut v: Vec<IngressKey> = keys.into_iter().collect();
+    pub fn watch_only(&mut self, keys: impl IntoIterator<Item = RxQueue>) {
+        let mut v: Vec<RxQueue> = keys.into_iter().collect();
         v.sort_unstable();
         v.dedup();
         if self.started {
@@ -920,17 +916,17 @@ mod tests {
     use pfcsim_topo::builders::{square, LinkSpec};
     use pfcsim_topo::ids::{NodeId, PortNo, Priority};
 
+    use crate::bdg::RxQueue;
     use crate::config::SimConfig;
     use crate::flow::FlowSpec;
     use crate::sim::{NetSim, SimBuilder};
-    use crate::stats::IngressKey;
 
     /// Every switch ingress of `nodes` on the default class.
-    fn keys_of(sim: &NetSim, nodes: &[NodeId]) -> Vec<IngressKey> {
+    fn keys_of(sim: &NetSim, nodes: &[NodeId]) -> Vec<RxQueue> {
         let mut keys = Vec::new();
         for &node in nodes {
             for port in 0..sim.dp.topo.ports(node).len() {
-                keys.push(IngressKey {
+                keys.push(RxQueue {
                     node,
                     port: PortNo(port as u16),
                     priority: Priority::DEFAULT,

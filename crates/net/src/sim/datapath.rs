@@ -16,13 +16,14 @@ use pfcsim_topo::ids::{FlowId, LinkId, NodeId, PortNo, Priority};
 use pfcsim_topo::routing::ForwardingTables;
 
 use super::{is_meaningful, Ev, NetSim};
+use crate::bdg::RxQueue;
 use crate::config::{PauseMode, PfcConfig, SimConfig};
 use crate::dcqcn::DcqcnConfig;
 use crate::faults::FaultAction;
 use crate::flow::{Demand, FlowSpec};
 use crate::host::{FlowRt, Host};
 use crate::packet::{Frame, Packet, PfcFrame, PfcOp, PFC_FRAME_SIZE};
-use crate::stats::{FlowStats, IngressKey, PauseKey, PauseLog};
+use crate::stats::{FlowStats, PauseKey, PauseLog};
 use crate::switch::{InFlight, Ingress, QPkt, Switch, TxPause};
 use crate::timely::TimelyConfig;
 use crate::trace::{DropReason, TraceEvent};
@@ -35,6 +36,9 @@ pub(crate) struct PortInfo {
     pub rate: BitRate,
     pub delay: SimDuration,
     pub link: LinkId,
+    /// `link`'s number among the links joining this node to `peer`
+    /// (`Topology::link_index`): the `link` of a [`PauseKey`].
+    pub link_index: u32,
     /// `rate.serialization_time(cfg.default_packet_size)`, cached because
     /// the u128 division behind `serialization_time` is a per-packet cost
     /// on the datapath and almost every frame is default-sized.
@@ -281,6 +285,7 @@ impl Datapath {
                     rate: l.rate,
                     delay: l.delay,
                     link: p.link,
+                    link_index: topo.link_index(n.id, p.port),
                     ser_default: l.rate.serialization_time(cfg.default_packet_size),
                 });
             }
@@ -381,7 +386,7 @@ impl Datapath {
     }
 
     /// The ingress queue `key` names, if its switch and port exist.
-    pub(crate) fn ingress(&self, key: IngressKey) -> Option<&Ingress> {
+    pub(crate) fn ingress(&self, key: RxQueue) -> Option<&Ingress> {
         self.switches[key.node.0 as usize]
             .as_ref()?
             .ingress
@@ -535,6 +540,20 @@ impl Datapath {
     pub(crate) fn clear_pause_state(&mut self, node: NodeId, port: PortNo) {
         let base = self.pid(node, port) * Priority::COUNT;
         self.tx_pause[base..base + Priority::COUNT].fill(TxPause::Open);
+    }
+
+    /// The channel whose receiver is `q`: the one constructor of a
+    /// [`PauseKey`], for the pause logs, a downed link's spans and the
+    /// detector's witness alike.
+    #[inline]
+    pub(crate) fn pause_key(&self, q: RxQueue) -> PauseKey {
+        let info = self.pinfo(q.node, q.port);
+        PauseKey {
+            from: info.peer,
+            to: q.node,
+            priority: q.priority,
+            link: info.link_index,
+        }
     }
 
     /// Whether the link behind (node, port) is currently up.
@@ -1210,12 +1229,12 @@ impl NetSim {
     }
 
     /// The pause log of the channel whose receiver is `(node, port)`.
-    fn pause_log(&mut self, node: NodeId, port: PortNo, prio: Priority) -> &mut PauseLog {
-        let key = PauseKey {
-            from: self.dp.pinfo(node, port).peer,
-            to: node,
-            priority: prio,
-        };
+    fn pause_log(&mut self, node: NodeId, port: PortNo, priority: Priority) -> &mut PauseLog {
+        let key = self.dp.pause_key(RxQueue {
+            node,
+            port,
+            priority,
+        });
         self.stats.pause.entry(key).or_default()
     }
 

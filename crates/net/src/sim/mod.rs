@@ -59,13 +59,14 @@ pub(crate) use datapath::{Datapath, DatapathState, FlowArena, FrameSlab, PortInf
 pub(crate) use period::Mark;
 pub use period::{fast_forwarded_runs, FastForward};
 
+use crate::bdg::RxQueue;
 use crate::checkpoint::{Checkpoint, CheckpointError, QueueSnapshot};
 use crate::config::SimConfig;
 use crate::faults::FaultKind;
 use crate::flow::Demand;
 use crate::packet::Packet;
 use crate::precheck::{self, window_is_deadlock_free};
-use crate::stats::{IngressKey, NetStats, PauseKey};
+use crate::stats::{NetStats, PauseKey};
 use crate::switch::InFlight;
 use crate::telemetry::{TelemetryConfig, TelemetryReport, TelemetryState};
 use crate::trace::TraceEvent;
@@ -654,7 +655,7 @@ impl NetSim {
                     for (pi, _) in sw.ingress.iter().enumerate() {
                         for prio in 0..Priority::COUNT as u8 {
                             if used_prios & (1 << prio) != 0 {
-                                v.push(IngressKey {
+                                v.push(RxQueue {
                                     node: sw.node,
                                     port: PortNo(pi as u16),
                                     priority: Priority(prio),
@@ -688,14 +689,15 @@ impl NetSim {
                     FaultKind::LinkFlap {
                         a,
                         b,
+                        link,
                         down_for,
                         period,
                         cycles,
                     } => {
                         for c in 0..cycles {
                             let down_at = ev.at + period.saturating_mul(c as u64);
-                            evs.push((down_at, FaultKind::LinkDown { a, b }));
-                            evs.push((down_at + down_for, FaultKind::LinkUp { a, b }));
+                            evs.push((down_at, FaultKind::LinkDown { a, b, link }));
+                            evs.push((down_at + down_for, FaultKind::LinkUp { a, b, link }));
                         }
                     }
                     kind => evs.push((ev.at, kind)),
@@ -1400,7 +1402,7 @@ mod tests {
         assert!(fs.delivered_packets > 0);
         // Traffic transited S1: its ingress from S0 saw bytes, so the
         // occupancy series for that ingress existed (sampled ≥ 0 values).
-        let s1_from_s0 = IngressKey {
+        let s1_from_s0 = RxQueue {
             node: b.switches[1],
             port: b
                 .topo

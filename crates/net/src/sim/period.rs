@@ -1051,6 +1051,7 @@ mod tests {
             from: NodeId(1),
             to: NodeId(0),
             priority: Priority(5),
+            link: 0,
         }
     }
 

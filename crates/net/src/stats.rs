@@ -1,6 +1,13 @@
 //! Measurement collection: pause logs per directed link, occupancy series
 //! per ingress queue, per-flow counters.
+//!
+//! A pause log is keyed by its channel, `(from, to, priority, link)`:
+//! `link` tells apart the links joining one pair of nodes (see
+//! [`PauseKey`]). The node-pair accessors ([`NetStats::pause_log`],
+//! [`NetStats::pause_count`], [`NetStats::paused_at`]) read link 0, the
+//! only link of a pair joined by one.
 
+use core::fmt;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
@@ -8,12 +15,14 @@ use serde::{Deserialize, Serialize};
 use pfcsim_simcore::series::{EventLog, IntervalLog, ThroughputMeter, TimeSeries};
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::Bytes;
-use pfcsim_topo::ids::{FlowId, NodeId, PortNo, Priority};
+use pfcsim_topo::ids::{FlowId, NodeId, Priority};
+
+use crate::bdg::RxQueue;
 
 /// Identifies the *paused direction* of a link: the channel carrying data
 /// `from → to`, paused by `to` (the receiver) for one priority. This is the
 /// "pause event at link Lᵢ" unit of the paper's Figures 3(c)/4(c)/5(b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PauseKey {
     /// Upstream transmitter being paused.
     pub from: NodeId,
@@ -21,6 +30,31 @@ pub struct PauseKey {
     pub to: NodeId,
     /// Paused class.
     pub priority: Priority,
+    /// Which of the links joining `from` and `to` carries the channel:
+    /// its number among them in link order (`Topology::link_between`).
+    /// Left out of every document, and of `Debug`, when 0.
+    #[serde(default, skip_serializing_if = "crate::stats::is_zero")]
+    pub link: u32,
+}
+
+/// Whether a link number is 0: the `skip_serializing_if` predicate that
+/// keeps documents of fabrics without parallel links free of `link`.
+pub(crate) fn is_zero(link: &u32) -> bool {
+    *link == 0
+}
+
+/// The derived text, plus `link` when it is not 0.
+impl fmt::Debug for PauseKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("PauseKey");
+        d.field("from", &self.from)
+            .field("to", &self.to)
+            .field("priority", &self.priority);
+        if self.link != 0 {
+            d.field("link", &self.link);
+        }
+        d.finish()
+    }
 }
 
 /// Pause history of one directed (link, priority).
@@ -32,17 +66,6 @@ pub struct PauseLog {
     /// end of the run means the link never resumed — in a deadlock, spans
     /// on every cycle link stay open forever.
     pub intervals: IntervalLog,
-}
-
-/// Identifies one ingress queue: (switch, ingress port, priority).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct IngressKey {
-    /// Switch.
-    pub node: NodeId,
-    /// Ingress port.
-    pub port: PortNo,
-    /// Class.
-    pub priority: Priority,
 }
 
 /// Per-flow counters and meters.
@@ -91,10 +114,10 @@ pub struct NetStats {
     /// Pause history per (directed link, priority).
     pub pause: BTreeMap<PauseKey, PauseLog>,
     /// Occupancy time series for watched ingress queues.
-    pub occupancy: BTreeMap<IngressKey, TimeSeries>,
+    pub occupancy: BTreeMap<RxQueue, TimeSeries>,
     /// Per-flow occupancy inside watched ingress queues (enabled by
     /// `SimConfig::track_per_flow_occupancy`).
-    pub flow_occupancy: BTreeMap<(IngressKey, FlowId), TimeSeries>,
+    pub flow_occupancy: BTreeMap<(RxQueue, FlowId), TimeSeries>,
     /// Per-flow counters.
     pub flows: BTreeMap<FlowId, FlowStats>,
     /// Global drop counters.
@@ -132,18 +155,26 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Pause log for a channel, if any pause ever occurred on it.
+    /// Pause log for a channel on link 0 of `from`–`to`, if any pause
+    /// ever occurred on it.
     pub fn pause_log(&self, from: NodeId, to: NodeId, priority: Priority) -> Option<&PauseLog> {
-        self.pause.get(&PauseKey { from, to, priority })
+        let key = PauseKey {
+            from,
+            to,
+            priority,
+            link: 0,
+        };
+        self.pause.get(&key)
     }
 
-    /// Count of PAUSE frames on one channel.
+    /// Count of PAUSE frames on one channel (link 0 of `from`–`to`).
     pub fn pause_count(&self, from: NodeId, to: NodeId, priority: Priority) -> usize {
         self.pause_log(from, to, priority)
             .map_or(0, |l| l.events.count())
     }
 
-    /// True iff the channel is paused at `t` (open interval or covering span).
+    /// True iff the channel on link 0 of `from`–`to` is paused at `t`
+    /// (open interval or covering span).
     pub fn paused_at(&self, from: NodeId, to: NodeId, priority: Priority, t: SimTime) -> bool {
         self.pause_log(from, to, priority)
             .is_some_and(|l| l.intervals.covers(t))
@@ -254,8 +285,8 @@ impl FlowStats {
 pub(crate) struct StatsMark {
     /// Per channel: PAUSE frames logged and pause-span edges.
     pause: BTreeMap<PauseKey, (usize, usize)>,
-    occupancy: BTreeMap<IngressKey, usize>,
-    flow_occupancy: BTreeMap<(IngressKey, FlowId), usize>,
+    occupancy: BTreeMap<RxQueue, usize>,
+    flow_occupancy: BTreeMap<(RxQueue, FlowId), usize>,
     faults: usize,
     /// The network-wide counters, in [`NetStats::counters`] order.
     counters: [u64; 13],
@@ -374,6 +405,33 @@ impl NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfcsim_topo::ids::PortNo;
+
+    /// Link 0 prints and serializes exactly as the key did before it
+    /// had a link; any other link adds one member.
+    #[test]
+    fn link_zero_is_left_out() {
+        let mut key = PauseKey {
+            from: NodeId(0),
+            to: NodeId(1),
+            priority: Priority::DEFAULT,
+            link: 0,
+        };
+        let derived = "PauseKey { from: NodeId(0), to: NodeId(1), priority: Priority(3) }";
+        assert_eq!(format!("{key:?}"), derived);
+        assert_eq!(
+            serde_json::to_string(&key).unwrap(),
+            r#"{"from":0,"to":1,"priority":3}"#
+        );
+        key.link = 2;
+        assert_eq!(
+            format!("{key:?}"),
+            "PauseKey { from: NodeId(0), to: NodeId(1), priority: Priority(3), link: 2 }"
+        );
+        let json = serde_json::to_string(&key).unwrap();
+        assert_eq!(json, r#"{"from":0,"to":1,"priority":3,"link":2}"#);
+        assert_eq!(serde_json::from_str::<PauseKey>(&json).unwrap(), key);
+    }
 
     #[test]
     fn pause_bookkeeping() {
@@ -382,6 +440,7 @@ mod tests {
             from: NodeId(0),
             to: NodeId(1),
             priority: Priority::DEFAULT,
+            link: 0,
         };
         let log = s.pause.entry(key).or_default();
         log.events.record(SimTime::from_us(1));
@@ -410,6 +469,7 @@ mod tests {
             from: NodeId(0),
             to: NodeId(1),
             priority: Priority::DEFAULT,
+            link: 0,
         };
         s.pause
             .entry(key)
@@ -418,7 +478,7 @@ mod tests {
             .record(SimTime::from_us(3));
         s.flow_mut(FlowId(7)).injected_packets = 42;
         s.occupancy
-            .entry(IngressKey {
+            .entry(RxQueue {
                 node: NodeId(1),
                 port: PortNo(0),
                 priority: Priority::DEFAULT,

@@ -47,7 +47,8 @@ use pfcsim_simcore::series::RingSeries;
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_topo::ids::{FlowId, NodeId, Priority};
 
-use crate::stats::{IngressKey, PauseKey};
+use crate::bdg::RxQueue;
+use crate::stats::PauseKey;
 use crate::trace::TraceEvent;
 
 /// Schema tag carried by every serialized [`TelemetryReport`].
@@ -464,12 +465,12 @@ pub struct TelemetryReport {
     /// which some interval closed.
     pub resume_latency_us: BTreeMap<PauseKey, RingSeries>,
     /// Ingress-queue occupancy (bytes) per watched (switch, port, class).
-    pub occupancy: BTreeMap<IngressKey, RingSeries>,
+    pub occupancy: BTreeMap<RxQueue, RingSeries>,
     /// Effective XOFF threshold (bytes) beside each occupancy series —
     /// a moving line under dynamic-alpha thresholds.
-    pub xoff_threshold: BTreeMap<IngressKey, RingSeries>,
+    pub xoff_threshold: BTreeMap<RxQueue, RingSeries>,
     /// Effective XON threshold (bytes) beside each occupancy series.
-    pub xon_threshold: BTreeMap<IngressKey, RingSeries>,
+    pub xon_threshold: BTreeMap<RxQueue, RingSeries>,
     /// Per-flow goodput (bits/s) over each sample window.
     pub goodput_bps: BTreeMap<FlowId, RingSeries>,
     /// Number of telemetry samples taken.
@@ -679,9 +680,9 @@ pub(crate) struct TelemetryMark {
     registry: Vec<(u64, f64)>,
     pause_ratio: BTreeMap<PauseKey, u64>,
     resume_latency_us: BTreeMap<PauseKey, u64>,
-    occupancy: BTreeMap<IngressKey, u64>,
-    xoff_threshold: BTreeMap<IngressKey, u64>,
-    xon_threshold: BTreeMap<IngressKey, u64>,
+    occupancy: BTreeMap<RxQueue, u64>,
+    xoff_threshold: BTreeMap<RxQueue, u64>,
+    xon_threshold: BTreeMap<RxQueue, u64>,
     goodput_bps: BTreeMap<FlowId, u64>,
     samples_taken: u64,
     recorded: u64,

@@ -2,6 +2,7 @@
 //! core scenarios: quanta pauses, priority isolation, lossy classes,
 //! timed route faults, and PFC-ignoring hosts.
 
+use pfcsim_net::bdg::RxQueue;
 use pfcsim_net::prelude::*;
 use pfcsim_simcore::prelude::*;
 use pfcsim_topo::prelude::*;
@@ -263,7 +264,7 @@ fn watch_only_restricts_sampling() {
         .config(SimConfig::default())
         .build();
     sim.add_flow(FlowSpec::infinite(0, b.hosts[0], b.hosts[1]));
-    let key = IngressKey {
+    let key = RxQueue {
         node: b.switches[1],
         port: b
             .topo

@@ -4,7 +4,8 @@
 //!
 //! The corpus is the CI script and the shapes of the `serve_vet` and
 //! `serve_churn` workloads, on fabrics of at most four switches with
-//! horizons of at most 2 ms. Each line is mutated by byte flips,
+//! horizons of at most 2 ms, one of them two switches joined by two
+//! links (so link faults name a link by its number). Each line is mutated by byte flips,
 //! truncation, field deletion, type swaps and extreme numbers, then sent
 //! through `ServeSession::handle_line`. Nothing may panic, every answer is
 //! one JSON line carrying `ok`, and an `ok:false` leaves the resident's
@@ -63,8 +64,30 @@ const RING_OPEN: &str = concat!(
     r#""scheduler":"heap","horizon_us":2000}"#
 );
 
+/// Two switches joined by a 40 G and a 10 G link, as a raw topology
+/// document, with a routing loop on the 10 G link (the CI's parallel-link
+/// session, its nodes named like the square's).
+const DOUBLED_OPEN: &str = concat!(
+    r#"{"op":"open","topo":{"nodes":[{"id":0,"kind":"Switch","name":"S0","tier":null},"#,
+    r#"{"id":1,"kind":"Switch","name":"S1","tier":null},{"id":2,"kind":"Host","name":"h0","tier":0},"#,
+    r#"{"id":3,"kind":"Host","name":"h1","tier":0}],"#,
+    r#""links":[{"id":0,"a":0,"b":1,"a_port":0,"b_port":0,"rate":40000000000,"delay":1000000},"#,
+    r#"{"id":1,"a":0,"b":1,"a_port":1,"b_port":1,"rate":10000000000,"delay":1000000},"#,
+    r#"{"id":2,"a":2,"b":0,"a_port":0,"b_port":2,"rate":40000000000,"delay":1000000},"#,
+    r#"{"id":3,"a":3,"b":1,"a_port":0,"b_port":2,"rate":40000000000,"delay":1000000}],"#,
+    r#""ports":[[{"port":0,"link":0,"peer":1,"peer_port":0},{"port":1,"link":1,"peer":1,"peer_port":1},"#,
+    r#"{"port":2,"link":2,"peer":2,"peer_port":0}],"#,
+    r#"[{"port":0,"link":0,"peer":0,"peer_port":0},{"port":1,"link":1,"peer":0,"peer_port":1},"#,
+    r#"{"port":2,"link":3,"peer":3,"peer_port":0}],"#,
+    r#"[{"port":0,"link":2,"peer":0,"peer_port":2}],[{"port":0,"link":3,"peer":1,"peer_port":2}]]},"#,
+    r#""flows":[{"id":0,"src":"h0","dst":"h1","gbps":3,"ttl":16}],"#,
+    r#""routes":[{"node":"S0","dst":"h1","ports":[1]},{"node":"S1","dst":"h1","ports":[1]}],"#,
+    r#""horizon_us":1000}"#
+);
+
 /// Valid lines: the CI script (its horizon cut to 1 ms), then
-/// `serve_vet`'s and `serve_churn`'s request shapes on a ring of four.
+/// `serve_vet`'s and `serve_churn`'s request shapes on a ring of four,
+/// then link faults on the doubled pair (link 2 does not exist).
 const CORPUS: &[&str] = &[
     SQUARE_OPEN,
     r#"{"id":2,"op":"advance","to_us":100}"#,
@@ -88,6 +111,12 @@ const CORPUS: &[&str] = &[
     r#"{"id":1002,"op":"flow_add","src":"h3","dst":"h1","gbps":1,"priority":3}"#,
     r#"{"op":"flow_remove","flow":1000}"#,
     "# a comment line",
+    DOUBLED_OPEN,
+    r#"{"op":"query","kind":"what_if","updates":[],"window_us":300}"#,
+    r#"{"op":"link_down","a":"S0","b":"S1","link":1}"#,
+    r#"{"op":"link_up","a":"S1","b":"S0","link":1}"#,
+    r#"{"op":"link_down","a":"S0","b":"S1","link":2}"#,
+    r#"{"op":"link_up","a":"S0","b":"S1","link":2}"#,
 ];
 
 /// Lines that panicked the resident or set it allocating gigabytes

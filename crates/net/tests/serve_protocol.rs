@@ -547,9 +547,17 @@ fn run_script(session: &mut Session, built: &Built, script: &[(u8, u8, u8, u8)])
                 let l = &links[a as usize % links.len()];
                 let (la, lb) = (l.a, l.b);
                 if b % 2 == 0 {
-                    session.apply(Update::LinkDown { a: la, b: lb })
+                    session.apply(Update::LinkDown {
+                        a: la,
+                        b: lb,
+                        link: 0,
+                    })
                 } else {
-                    session.apply(Update::LinkUp { a: la, b: lb })
+                    session.apply(Update::LinkUp {
+                        a: la,
+                        b: lb,
+                        link: 0,
+                    })
                 }
             }
             3 => {
@@ -997,7 +1005,7 @@ fn an_already_deadlocked_resident_is_probed_and_keeps_its_verdict() {
     let confirmed = status.verdict.expect("the loop above Eq. 3's rate wedges");
     assert!(confirmed.deadlock && !status.finished);
 
-    s.apply(Update::LinkDown { a, b }).unwrap();
+    s.apply(Update::LinkDown { a, b, link: 0 }).unwrap();
     let mend = via(&built, b, hb, hb);
     let doc = what_if_as_oracle(&mut s, &[mend], SimDuration::from_us(200));
     assert_eq!(doc.decided_by, DecidedBy::Probe);

@@ -189,6 +189,28 @@ impl Topology {
             .find(|p| p.peer == peer)
     }
 
+    /// The port on `a` of link number `link` among the links joining `a`
+    /// and `b`, counted in [`LinkId`] order (so both ends count alike);
+    /// `None` when there is no such link. Link faults and PFC channels
+    /// name a link this way.
+    pub fn link_between(&self, a: NodeId, b: NodeId, link: u32) -> Option<PortRef> {
+        let ports = self.ports.get(a.0 as usize)?;
+        ports
+            .iter()
+            .copied()
+            .find(|p| p.peer == b && self.link_index(a, p.port) == link)
+    }
+
+    /// The number [`link_between`](Self::link_between) gives the link
+    /// behind `(node, port)`: how many links joining `node` to the same
+    /// peer come before it.
+    pub fn link_index(&self, node: NodeId, port: PortNo) -> u32 {
+        let ports = &self.ports[node.0 as usize];
+        let p = ports[port.0 as usize];
+        let before = ports.iter().filter(|q| q.peer == p.peer && q.link < p.link);
+        before.count() as u32
+    }
+
     /// Iterator over host ids.
     pub fn hosts(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
@@ -325,6 +347,44 @@ mod tests {
         assert_eq!(t.port_towards(s1, s3).unwrap().port, PortNo(1));
         assert_eq!(t.port_towards(s2, s1).unwrap().port, PortNo(0));
         assert!(t.port_towards(s2, s3).is_none());
+    }
+
+    /// Parallel links are numbered in link order from either end, even
+    /// where the two ends attached them in different port orders.
+    #[test]
+    fn parallel_links_are_numbered_alike_from_both_ends() {
+        let mut t = Topology::new();
+        let s1 = t.add_switch("s1");
+        let s2 = t.add_switch("s2");
+        let s3 = t.add_switch("s3");
+        t.connect(s1, s3, rate(), delay());
+        let l1 = t.connect(s1, s2, rate(), delay());
+        let l2 = t.connect(s2, s1, rate(), delay());
+        for (node, peer) in [(s1, s2), (s2, s1)] {
+            let first = t.link_between(node, peer, 0).unwrap();
+            let second = t.link_between(node, peer, 1).unwrap();
+            assert_eq!((first.link, second.link), (l1, l2));
+            assert_eq!(t.link_index(node, second.port), 1);
+            assert!(t.link_between(node, peer, 2).is_none());
+        }
+        assert_eq!(t.link_between(s1, s3, 0).unwrap().port, PortNo(0));
+        assert!(t.link_between(s2, s3, 0).is_none());
+        assert!(t.link_between(NodeId(9), s1, 0).is_none());
+
+        // The same pair, link 1 attached first on s2's side.
+        let mut swapped = t.clone();
+        swapped.ports[s2.0 as usize].swap(0, 1);
+        for (i, p) in swapped.ports[s2.0 as usize].iter_mut().enumerate() {
+            p.port = PortNo(i as u16);
+        }
+        swapped.links[l1.0 as usize].b_port = PortNo(1);
+        swapped.links[l2.0 as usize].a_port = PortNo(0);
+        swapped.ports[s1.0 as usize][1].peer_port = PortNo(1);
+        swapped.ports[s1.0 as usize][2].peer_port = PortNo(0);
+        swapped.validate().unwrap();
+        let on_s2 = swapped.link_between(s2, s1, 1).unwrap();
+        assert_eq!((on_s2.link, on_s2.port), (l2, PortNo(0)));
+        assert_eq!(swapped.link_between(s1, s2, 1).unwrap().link, l2);
     }
 
     #[test]

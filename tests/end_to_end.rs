@@ -179,10 +179,8 @@ fn deadlock_witness_is_a_real_cbd_cycle() {
         panic!("fig4 must deadlock");
     };
     for key in &witness {
-        let port = b
-            .topo
-            .port_towards(key.to, key.from)
-            .expect("adjacent")
+        let port = (b.topo.link_between(key.to, key.from, key.link))
+            .expect("the witness names a link")
             .port;
         assert!(
             analytic.contains(&(key.to, port)),
