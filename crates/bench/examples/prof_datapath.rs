@@ -10,10 +10,12 @@
 //!   for speed at an equal digest.
 //! * `prof_datapath square GBPS US` — one Fig. 5 square run: flow 3
 //!   behind a `GBPS` ingress limiter, the default configuration (1 µs
-//!   occupancy sampling and per-flow occupancy on), `US` simulated µs;
+//!   occupancy sampling and per-flow occupancy on, every switch ingress
+//!   watched), `US` simulated µs;
 //!   prints the same line, so the per-tick bookkeeping of two builds can
 //!   be compared.
 use pfcsim_experiments::scenarios::{paper_config, square_scenario};
+use pfcsim_net::bdg::RxQueue;
 use pfcsim_net::config::SimConfig;
 use pfcsim_net::flow::FlowSpec;
 use pfcsim_net::golden;
@@ -21,6 +23,7 @@ use pfcsim_net::sim::{RunReport, SimBuilder};
 use pfcsim_simcore::time::SimTime;
 use pfcsim_simcore::units::BitRate;
 use pfcsim_topo::builders::{fat_tree, line, LinkSpec};
+use pfcsim_topo::ids::{PortNo, Priority};
 use pfcsim_topo::routing::up_down_tables;
 use std::time::Instant;
 
@@ -80,6 +83,19 @@ fn fat_tree_run(k: usize, us: u64) {
 fn square_run(gbps: u64, us: u64) {
     let sc = square_scenario(paper_config(), true, Some(BitRate::from_gbps(gbps)));
     let mut sim = sc.sim;
+    // A scenario keeps no occupancy series; keep every switch ingress's,
+    // as a run built outside the scenarios does.
+    let topo = &sc.built.topo;
+    let every: Vec<RxQueue> = (sc.built.switches.iter())
+        .flat_map(|&node| {
+            (0..topo.ports(node).len()).map(move |port| RxQueue {
+                node,
+                port: PortNo(port as u16),
+                priority: Priority::DEFAULT,
+            })
+        })
+        .collect();
+    sim.watch_only(every);
     let t0 = Instant::now();
     let report = sim.run(SimTime::from_us(us));
     print_run(&format!("square {gbps} Gbps {us} us"), &report, t0);

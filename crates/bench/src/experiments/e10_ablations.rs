@@ -74,7 +74,7 @@ pub fn run(opts: &Opts) -> Report {
     // is the per-xon minimum over the grid, so evaluating every point
     // gives the same answer as the old serial early-break scan. Only the
     // verdicts are read, so each run stops once its verdict is settled
-    // and records no occupancy series (`Scenario::verdict_in`).
+    // (`Scenario::verdict_in`).
     let grid: Vec<(u64, u64)> = xons
         .iter()
         .flat_map(|&xon| rates.iter().map(move |&g| (xon, g)))

@@ -25,6 +25,7 @@ fn run_storm(opts: &Opts, flood: bool) -> RunReport {
         .config(cfg)
         .tables(tables)
         .build();
+    sim.watch_only([]);
     let victim_dst = built.hosts[2];
     sim.add_flow(FlowSpec::infinite(1, built.hosts[0], victim_dst).with_ttl(6));
     sim.add_flow(FlowSpec::infinite(2, built.hosts[3], built.hosts[1]).with_ttl(6));

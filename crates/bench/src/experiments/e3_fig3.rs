@@ -56,6 +56,8 @@ pub fn run(opts: &Opts) -> Report {
     let mut report = Report::new("E3 / Figure 3", "Two flows: CBD present, deadlock absent");
     let horizon = opts.horizon_ms(10);
     let mut sc = square_scenario(paper_config(), false, None);
+    // Panels (d–g) read RX1 of every switch.
+    sc.sim.watch_only((0..4).map(|i| rx1_key(&sc.built, i)));
     let cycle_nodes: Vec<NodeId> = sc.built.switches.clone();
     let cycle = sc.cycle.clone();
     let built = sc.built.clone();

@@ -46,7 +46,9 @@ pub fn run(opts: &Opts) -> Report {
     // and occupancy-table selection below stay serial over the ordered
     // results.
     let runs = parallel_map_with(rates, pfcsim_net::sim::SimArenas::new, |arenas, &g| {
-        let sc = square_scenario_in(paper_config(), true, Some(BitRate::from_gbps(g)), arenas);
+        let mut sc = square_scenario_in(paper_config(), true, Some(BitRate::from_gbps(g)), arenas);
+        // Fig. 5(c/d) and its CSV read RX1(B) only.
+        sc.sim.watch_only([rx1_key(&sc.built, 1)]);
         let cycle = sc.cycle.clone();
         let cycle_nodes: Vec<NodeId> = sc.built.switches.clone();
         let built = sc.built.clone();

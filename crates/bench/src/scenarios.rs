@@ -32,17 +32,21 @@ impl Scenario {
     }
 
     /// [`Scenario::run_in`] for a caller that reads only the verdict: the
-    /// run stops once its verdict is settled (`NetSim::run_to_verdict`),
-    /// and records no occupancy series, since the simulator is consumed
-    /// here and nothing could read them. `Ev::Sample` still fires over
-    /// the empty key set, so the run's events are those of one that
-    /// records.
+    /// run stops once its verdict is settled (`NetSim::run_to_verdict`).
     pub fn verdict_in(mut self, horizon: SimTime, arenas: &mut SimArenas) -> Verdict {
-        self.sim.watch_only([]);
         let verdict = self.sim.run_to_verdict(horizon);
         self.sim.recycle(arenas);
         verdict
     }
+}
+
+/// A scenario's simulator keeps no occupancy series: a report that reads
+/// one names its queues with `NetSim::watch_only`. `Ev::Sample` still
+/// fires over the empty key set, so the run's events are those of one
+/// that records, and telemetry still probes every queue.
+fn unwatched(mut sim: NetSim) -> NetSim {
+    sim.watch_only([]);
+    sim
 }
 
 /// The canonical configuration described in the module docs.
@@ -55,7 +59,7 @@ pub fn paper_config() -> SimConfig {
 pub fn fig1(cfg: SimConfig) -> Scenario {
     let built = ring(3, LinkSpec::default());
     let (s, h) = (built.switches.clone(), built.hosts.clone());
-    let mut sim = SimBuilder::new(&built.topo).config(cfg).build();
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build());
     for i in 0..3 {
         let path = vec![h[i], s[i], s[(i + 1) % 3], s[(i + 2) % 3], h[(i + 2) % 3]];
         sim.add_flow(FlowSpec::infinite(i as u32 + 1, h[i], h[(i + 2) % 3]).pinned(path));
@@ -92,10 +96,12 @@ pub fn routing_loop_n_in(
     let s = built.switches.clone();
     let mut tables = shortest_path_tables(&built.topo);
     install_cycle_route(&built.topo, &mut tables, &s, built.hosts[1]);
-    let mut sim = SimBuilder::new(&built.topo)
-        .config(cfg)
-        .tables(tables)
-        .build_in(arenas);
+    let mut sim = unwatched(
+        SimBuilder::new(&built.topo)
+            .config(cfg)
+            .tables(tables)
+            .build_in(arenas),
+    );
     sim.add_flow(FlowSpec::cbr(0, built.hosts[0], built.hosts[1], rate).with_ttl(ttl));
     let cycle = (0..s.len()).map(|i| (s[i], s[(i + 1) % s.len()])).collect();
     Scenario { built, sim, cycle }
@@ -131,7 +137,7 @@ pub fn square_scenario_in(
     arenas: &mut SimArenas,
 ) -> Scenario {
     let built = square(LinkSpec::default());
-    let mut sim = SimBuilder::new(&built.topo).config(cfg).build_in(arenas);
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
     for f in square_flows(&built) {
         sim.add_flow(f);
     }
@@ -186,7 +192,7 @@ pub fn transient_loop_train_in(
         .port_towards(s[1], h[1])
         .expect("s1 host port")
         .port;
-    let mut sim = SimBuilder::new(&built.topo).config(cfg).build_in(arenas);
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
     sim.add_flow(FlowSpec::cbr(0, h[0], h[1], rate).with_ttl(ttl));
     // S0 already forwards h1-bound traffic to S1; pointing S1 back at S0
     // closes the loop, restoring the host port repairs it.
@@ -251,7 +257,7 @@ pub fn reconvergence_scenario_in(
 ) -> Scenario {
     let built = square(LinkSpec::default());
     let (s, h) = (built.switches.clone(), built.hosts.clone());
-    let mut sim = SimBuilder::new(&built.topo).config(cfg).build_in(arenas);
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
     sim.add_flow(FlowSpec::cbr(flow, h[0], h[3], rate).with_ttl(16));
     sim.set_fault_plan(
         FaultPlan::new()
@@ -282,7 +288,7 @@ pub fn square_dcqcn_in(mut cfg: SimConfig, phantom: bool, arenas: &mut SimArenas
     }
     cfg.ecn = Some(ecn);
     let built = square(LinkSpec::default());
-    let mut sim = SimBuilder::new(&built.topo).config(cfg).build_in(arenas);
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
     sim.set_dcqcn(DcqcnConfig::for_line_rate(BitRate::from_gbps(40)));
     for mut f in square_flows(&built) {
         f.demand = Demand::Dcqcn;
@@ -305,7 +311,7 @@ pub fn square_timely(cfg: SimConfig) -> Scenario {
 /// [`square_timely`] leasing storage from `arenas`.
 pub fn square_timely_in(cfg: SimConfig, arenas: &mut SimArenas) -> Scenario {
     let built = square(LinkSpec::default());
-    let mut sim = SimBuilder::new(&built.topo).config(cfg).build_in(arenas);
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
     sim.set_timely(TimelyConfig::for_line_rate(BitRate::from_gbps(40)));
     for mut f in square_flows(&built) {
         f.demand = Demand::Timely;
@@ -346,7 +352,7 @@ pub fn tiering_scenario_in(
     use pfcsim_mitigation::tiering::{plan_tiered_thresholds, TieringPolicy};
     let hosts_per_leaf = fan.div_ceil(2).max(2);
     let built = leaf_spine(3, 2, hosts_per_leaf, LinkSpec::default());
-    let mut sim = SimBuilder::new(&built.topo).config(cfg).build_in(arenas);
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
     // Incast: `fan` *bursty* senders from leaves 0 and 1 target the first
     // host on leaf 2 — §4's tiering case is about absorbing bursts, so the
     // workload bursts (line-rate ON periods, 25% duty cycle).

@@ -141,26 +141,26 @@ pub struct BlastRadius {
     /// uplink pauses are the intended near-source back-pressure.
     pub fabric_channels_paused: usize,
     /// Pause onset order: (channel, first pause instant), earliest first.
-    pub onset: Vec<((NodeId, NodeId), SimTime)>,
+    pub onset: Vec<(PauseKey, SimTime)>,
 }
 
 /// Measure the pause blast radius of a run. `is_switch` classifies node
-/// ids (pass `|n| topo.node(n).kind == NodeKind::Switch`).
+/// ids (pass `|n| topo.node(n).kind == NodeKind::Switch`). A channel is a
+/// [`PauseKey`]: two links joining one pair, or two priorities on one
+/// link, are two channels.
 pub fn blast_radius(stats: &NetStats, is_switch: impl Fn(NodeId) -> bool) -> BlastRadius {
-    let mut onset: Vec<((NodeId, NodeId), SimTime)> = stats
+    let mut onset: Vec<(PauseKey, SimTime)> = stats
         .pause
         .iter()
-        .filter_map(|(k, log)| log.events.times().first().map(|&t| ((k.from, k.to), t)))
+        .filter_map(|(k, log)| log.events.times().first().map(|&t| (*k, t)))
         .collect();
     onset.sort_by_key(|&(_, t)| t);
-    let channels: std::collections::BTreeSet<(NodeId, NodeId)> =
-        onset.iter().map(|&(c, _)| c).collect();
-    let fabric = channels
+    let fabric = onset
         .iter()
-        .filter(|&&(from, to)| is_switch(from) && is_switch(to))
+        .filter(|(k, _)| is_switch(k.from) && is_switch(k.to))
         .count();
     BlastRadius {
-        channels_paused: channels.len(),
+        channels_paused: onset.len(),
         fabric_channels_paused: fabric,
         onset,
     }
@@ -342,8 +342,33 @@ mod tests {
         let br = blast_radius(&stats, |n| n.0 < 9);
         assert_eq!(br.channels_paused, 3);
         assert_eq!(br.fabric_channels_paused, 2);
-        assert_eq!(br.onset[0].0, (NodeId(1), NodeId(2)), "earliest first");
+        assert_eq!(br.onset[0].0, key(1, 2), "earliest first");
         assert_eq!(br.onset[0].1, SimTime::from_us(5));
+    }
+
+    /// Two links joining one pair, and a second priority on one link,
+    /// are channels of their own.
+    #[test]
+    fn blast_radius_counts_parallel_links_and_priorities_apart() {
+        let second = PauseKey {
+            link: 1,
+            ..key(0, 1)
+        };
+        let other_class = PauseKey {
+            priority: Priority(5),
+            ..key(0, 1)
+        };
+        let stats = stats_on(&[
+            (key(0, 1), &[(10, Some(20))]),
+            (second, &[(30, None)]),
+            (other_class, &[(5, Some(15))]),
+            (key(9, 0), &[(40, None)]), // host 9 -> switch 0
+        ]);
+        let br = blast_radius(&stats, |n| n.0 < 9);
+        assert_eq!(br.channels_paused, 4);
+        assert_eq!(br.fabric_channels_paused, 3);
+        let order: Vec<PauseKey> = br.onset.iter().map(|&(k, _)| k).collect();
+        assert_eq!(order, [other_class, key(0, 1), second, key(9, 0)]);
     }
 
     #[test]

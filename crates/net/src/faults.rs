@@ -408,13 +408,32 @@ pub enum FaultAction {
     },
 }
 
+/// `link A-B`, then `#N` for any link of the pair but the first, so
+/// parallel links print apart and single links print as they always did.
+fn write_link(f: &mut fmt::Formatter<'_>, a: NodeId, b: NodeId, link: u32) -> fmt::Result {
+    write!(f, "link {a}-{b}")?;
+    if link != 0 {
+        write!(f, " #{link}")?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for FaultAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultAction::LinkDown { a, b, dropped, .. } => {
-                write!(f, "link {a}-{b} DOWN ({dropped} packets destroyed)")
+            FaultAction::LinkDown {
+                a,
+                b,
+                link,
+                dropped,
+            } => {
+                write_link(f, *a, *b, *link)?;
+                write!(f, " DOWN ({dropped} packets destroyed)")
             }
-            FaultAction::LinkUp { a, b, .. } => write!(f, "link {a}-{b} UP"),
+            FaultAction::LinkUp { a, b, link } => {
+                write_link(f, *a, *b, *link)?;
+                write!(f, " UP")
+            }
             FaultAction::PauseLossArmed { node, probability } => {
                 write!(f, "PFC loss at {node}: p={probability}")
             }
@@ -600,5 +619,27 @@ mod tests {
             },
         };
         assert!(format!("{}", r.action).contains("DOWN"));
+    }
+
+    #[test]
+    fn link_actions_name_a_parallel_link_by_number() {
+        let (a, b) = (NodeId(0), NodeId(1));
+        let down = |link| FaultAction::LinkDown {
+            a,
+            b,
+            link,
+            dropped: 4,
+        };
+        let up = |link| FaultAction::LinkUp { a, b, link };
+        assert_eq!(
+            down(0).to_string(),
+            format!("link {a}-{b} DOWN (4 packets destroyed)")
+        );
+        assert_eq!(up(0).to_string(), format!("link {a}-{b} UP"));
+        assert_eq!(
+            down(1).to_string(),
+            format!("link {a}-{b} #1 DOWN (4 packets destroyed)")
+        );
+        assert_eq!(up(2).to_string(), format!("link {a}-{b} #2 UP"));
     }
 }

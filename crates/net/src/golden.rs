@@ -11,6 +11,7 @@
 //! test file) keeps every consumer running the *same* scenario, so a
 //! digest divergence always means engine behaviour moved.
 
+use pfcsim_simcore::snap::fnv1a;
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::BitRate;
 use pfcsim_topo::builders::{square, LinkSpec};
@@ -33,19 +34,8 @@ pub const STOP_AT: SimTime = SimTime::from_ms(3);
 /// The golden run's drain horizon.
 pub const DRAIN_UNTIL: SimTime = SimTime::from_ms(6);
 
-/// FNV-1a over the canonical serialized report, with the workspace's
-/// prime 2⁴⁴ + 0x1b3 rather than the published 2⁴⁰ + 0x1b3 (see
-/// `pfcsim_simcore::snap::fnv1a`): [`GOLDEN_DIGEST`] depends on it.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// Canonical digest of everything observable in a report. JSON of
+/// Canonical digest of everything observable in a report: the
+/// workspace's FNV-1a ([`fnv1a`]) over its canonical text. JSON of
 /// `NetStats` is deterministic (ordered maps throughout), so the digest
 /// is sensitive to every counter, series sample, pause interval and
 /// fault record.

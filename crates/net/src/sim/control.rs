@@ -197,7 +197,7 @@ impl NetSim {
         let Some(mut t) = self.telem.take() else {
             return;
         };
-        self.telemetry_snapshot(&t.cfg, &mut t.rec, now);
+        self.telemetry_snapshot(&t.cfg, &t.probe_keys, &mut t.rec, now);
         t.rec.report.samples_taken += 1;
         t.rec.last_sample_at = now;
         let interval = t.cfg.sample_interval;
@@ -209,11 +209,13 @@ impl NetSim {
     }
 
     /// One telemetry tick: snapshot every metric and run the
-    /// enabled keyed probes. Rate-style probes (pause ratio, goodput)
-    /// need a non-empty window, so they skip the tick at time zero.
+    /// enabled keyed probes, the occupancy probe over `probe_keys`.
+    /// Rate-style probes (pause ratio, goodput) need a non-empty window,
+    /// so they skip the tick at time zero.
     pub(super) fn telemetry_snapshot(
         &self,
         cfg: &TelemetryConfig,
+        probe_keys: &[RxQueue],
         t: &mut TelemetryRecord,
         now: SimTime,
     ) {
@@ -266,25 +268,24 @@ impl NetSim {
             let cap = cfg.ring_capacity;
             let ring = || RingSeries::with_capacity(cap);
             let push = |series: &mut RingSeries, v: u64| series.push(now, v as f64);
-            let watched = || {
-                (self.cp.sample_keys.iter())
-                    .filter_map(|&key| self.dp.ingress(key).map(|ing| (key, ing)))
+            let probed = || {
+                (probe_keys.iter()).filter_map(|&key| self.dp.ingress(key).map(|ing| (key, ing)))
             };
             push_in_order(
                 &mut t.report.occupancy,
-                watched().map(|(key, ing)| (key, ing.count[key.priority.index()].get())),
+                probed().map(|(key, ing)| (key, ing.count[key.priority.index()].get())),
                 ring,
                 push,
             );
             push_in_order(
                 &mut t.report.xoff_threshold,
-                watched().map(|(key, _)| (key, self.dp.xoff_of(key.node, key.port).get())),
+                probed().map(|(key, _)| (key, self.dp.xoff_of(key.node, key.port).get())),
                 ring,
                 push,
             );
             push_in_order(
                 &mut t.report.xon_threshold,
-                watched().map(|(key, _)| (key, self.dp.xon_of(key.node, key.port).get())),
+                probed().map(|(key, _)| (key, self.dp.xon_of(key.node, key.port).get())),
                 ring,
                 push,
             );
@@ -861,8 +862,11 @@ impl NetSim {
         &mut self.cp.tables
     }
 
-    /// Restrict occupancy sampling to the given ingress queues
-    /// (default: every switch ingress × every priority in use).
+    /// Keep occupancy series (`NetStats::occupancy`, `flow_occupancy`)
+    /// for the given ingress queues only (default: every switch ingress
+    /// × every priority in use). `Ev::Sample` fires as before, and
+    /// telemetry's occupancy probe still measures every queue: this
+    /// decides only which series the run keeps.
     pub fn watch_only(&mut self, keys: impl IntoIterator<Item = RxQueue>) {
         let mut v: Vec<RxQueue> = keys.into_iter().collect();
         v.sort_unstable();

@@ -458,6 +458,25 @@ impl Datapath {
         used
     }
 
+    /// Every switch ingress × every priority in use, ascending in
+    /// `(node, port, priority)`.
+    pub(crate) fn ingress_queues(&self) -> Vec<RxQueue> {
+        let used = self.used_prios();
+        let mut v = Vec::new();
+        for sw in self.switches.iter().flatten() {
+            for port in 0..sw.ingress.len() {
+                for prio in (0..Priority::COUNT as u8).filter(|p| used & (1 << p) != 0) {
+                    v.push(RxQueue {
+                        node: sw.node,
+                        port: PortNo(port as u16),
+                        priority: Priority(prio),
+                    });
+                }
+            }
+        }
+        v
+    }
+
     // ------------------------------------------------------------------
     // Threshold helpers
     // ------------------------------------------------------------------

@@ -59,7 +59,6 @@ pub(crate) use datapath::{Datapath, DatapathState, FlowArena, FrameSlab, PortInf
 pub(crate) use period::Mark;
 pub use period::{fast_forwarded_runs, FastForward};
 
-use crate::bdg::RxQueue;
 use crate::checkpoint::{Checkpoint, CheckpointError, QueueSnapshot};
 use crate::config::SimConfig;
 use crate::faults::FaultKind;
@@ -643,29 +642,15 @@ impl NetSim {
         for (at, idx) in updates {
             self.sched(at, Ev::RouteUpdate { idx });
         }
-        let used_prios = self.dp.used_prios();
-        // Freeze the sampled key set: rebuilding it per sample was a
-        // measurable cost on dense fabrics. Ascending (node, port, prio)
-        // order matches the old sorted-set iteration exactly.
+        // Freeze the sampled and probed key sets: rebuilding them per
+        // sample was a measurable cost on dense fabrics.
+        let every = self.dp.ingress_queues();
+        if let Some(t) = self.telem.as_mut() {
+            t.probe_keys = every.clone();
+        }
         self.cp.sample_keys = match &self.cp.watch_keys {
             Some(v) => v.clone(),
-            None => {
-                let mut v = Vec::new();
-                for sw in self.dp.switches.iter().flatten() {
-                    for (pi, _) in sw.ingress.iter().enumerate() {
-                        for prio in 0..Priority::COUNT as u8 {
-                            if used_prios & (1 << prio) != 0 {
-                                v.push(RxQueue {
-                                    node: sw.node,
-                                    port: PortNo(pi as u16),
-                                    priority: Priority(prio),
-                                });
-                            }
-                        }
-                    }
-                }
-                v
-            }
+            None => every,
         };
         if self.dp.cfg.sample_interval.is_some() {
             self.sched(SimTime::ZERO, Ev::Sample);
@@ -1105,7 +1090,7 @@ impl NetSim {
         // Telemetry resumes from its record, reopening a JSONL file in
         // append mode; a fresh sink would truncate what the run before
         // the checkpoint wrote.
-        let telem = match ckpt.telemetry {
+        let mut telem = match ckpt.telemetry {
             Some(rec) => Some(Box::new(
                 TelemetryState::resume(ckpt.cfg.telemetry.clone(), rec)
                     .map_err(CheckpointError::Unsupported)?,
@@ -1165,6 +1150,9 @@ impl NetSim {
             sample_keys: ckpt.sample_keys,
         };
         let dp = Datapath::build(ckpt.topo, ckpt.cfg, st, &q);
+        if let Some(t) = telem.as_mut() {
+            t.probe_keys = dp.ingress_queues();
+        }
         Ok(NetSim {
             cp: ControlPlane::build(&dp, control),
             dp,
@@ -1186,6 +1174,7 @@ impl NetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bdg::RxQueue;
     use crate::flow::FlowSpec;
     use pfcsim_simcore::units::BitRate;
     use pfcsim_topo::builders::{line, LinkSpec};

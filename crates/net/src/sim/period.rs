@@ -779,6 +779,8 @@ fn telemetry(e: &mut Enc, t: &TelemetryState, sim: &NetSim) {
         rec,
         // Where a JSONL sink's events go: no state of the run.
         file: _,
+        // Fixed once the run starts.
+        probe_keys: _,
     } = t;
     let TelemetryRecord {
         // Write-only, and the gate admits only a sink that counts.

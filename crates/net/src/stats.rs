@@ -113,7 +113,9 @@ pub struct FlowStats {
 pub struct NetStats {
     /// Pause history per (directed link, priority).
     pub pause: BTreeMap<PauseKey, PauseLog>,
-    /// Occupancy time series for watched ingress queues.
+    /// Occupancy time series for watched ingress queues: every switch
+    /// ingress × every priority in use, unless the run narrowed the set
+    /// with `NetSim::watch_only`.
     pub occupancy: BTreeMap<RxQueue, TimeSeries>,
     /// Per-flow occupancy inside watched ingress queues (enabled by
     /// `SimConfig::track_per_flow_occupancy`).

@@ -464,7 +464,9 @@ pub struct TelemetryReport {
     /// within each sample window; a sample appears only for windows in
     /// which some interval closed.
     pub resume_latency_us: BTreeMap<PauseKey, RingSeries>,
-    /// Ingress-queue occupancy (bytes) per watched (switch, port, class).
+    /// Ingress-queue occupancy (bytes) per (switch, port, class): every
+    /// switch ingress × every priority in use, whatever the run watches
+    /// (`NetSim::watch_only` narrows only `NetStats::occupancy`).
     pub occupancy: BTreeMap<RxQueue, RingSeries>,
     /// Effective XOFF threshold (bytes) beside each occupancy series —
     /// a moving line under dynamic-alpha thresholds.
@@ -552,6 +554,10 @@ pub(crate) struct TelemetryState {
     /// A JSONL sink's file; `None` for the other sinks, and after the
     /// first write error.
     pub(crate) file: Option<BufWriter<File>>,
+    /// The queues the occupancy probe reads: every switch ingress ×
+    /// every priority in use, whatever the run watches. Derived when the
+    /// run starts or resumes, so no frame carries it.
+    pub(crate) probe_keys: Vec<RxQueue>,
 }
 
 impl TelemetryState {
@@ -594,7 +600,12 @@ impl TelemetryState {
             }
             Sink::Memory { .. } | Sink::Null { .. } => None,
         };
-        Ok(TelemetryState { cfg, rec, file })
+        Ok(TelemetryState {
+            cfg,
+            rec,
+            file,
+            probe_keys: Vec::new(),
+        })
     }
 
     /// Route one trace event through the filter into the sink.
