@@ -568,13 +568,6 @@ impl StepScratch {
     }
 }
 
-// The incremental max–min rate solver lives beside its consumer (the
-// hybrid fluid/packet backend in `pfcsim_net::hybrid`) because this
-// crate depends on `pfcsim_net`, not the reverse; re-exported here so
-// `core::fluid` stays the analytic surface E12 and the tests program
-// against.
-pub use pfcsim_net::hybrid::{ChannelKey, RateSolver};
-
 /// Max–min (water-filling) allocation of `capacity` to `demands`, written
 /// to `alloc`.
 fn waterfill_into(
@@ -1022,86 +1015,6 @@ mod tests {
             !r.deadlock,
             "fluid model must NOT predict the Fig. 4 deadlock"
         );
-    }
-
-    /// Two hosts behind one switch feeding a single bottleneck link — the
-    /// smallest topology with a shared channel.
-    fn solver_incast() -> (RateSolver, Vec<NodeId>, Vec<NodeId>) {
-        let spec = LinkSpec::default();
-        let mut t = Topology::new();
-        let s0 = t.add_switch("s0");
-        let s1 = t.add_switch("s1");
-        let h0 = t.add_host("h0");
-        let h1 = t.add_host("h1");
-        let sink = t.add_host("sink");
-        t.connect(s0, s1, spec.rate, spec.delay);
-        t.connect(h0, s0, spec.rate, spec.delay);
-        t.connect(h1, s0, spec.rate, spec.delay);
-        t.connect(sink, s1, spec.rate, spec.delay);
-        let cap = spec.rate.bps() as f64 / 8.0;
-        let mut sv = RateSolver::new();
-        for (a, b) in [(h0, s0), (h1, s0), (s0, s1), (s1, sink)] {
-            sv.set_capacity((a, b), cap);
-        }
-        (sv, vec![h0, s0, s1, sink], vec![h1, s0, s1, sink])
-    }
-
-    #[test]
-    fn solver_zero_rate_flows_are_satisfied_and_invisible() {
-        let (mut sv, p0, p1) = solver_incast();
-        sv.add_flow(FlowId(0), Some(0.0), &p0);
-        sv.add_flow(FlowId(1), None, &p1);
-        let cap = LinkSpec::default().rate.bps() as f64 / 8.0;
-        // The zero-rate flow gets 0 and leaves the full channel to the
-        // infinite flow — it must not count as a waterfill contender.
-        assert_eq!(sv.rate_of(FlowId(0)), Some(0.0));
-        assert!((sv.rate_of(FlowId(1)).unwrap() - cap).abs() < 1.0);
-        assert!(sv.all_satisfied(1e-6));
-    }
-
-    #[test]
-    fn solver_single_link_bottleneck_ties_split_evenly() {
-        let (mut sv, p0, p1) = solver_incast();
-        sv.add_flow(FlowId(0), None, &p0);
-        sv.add_flow(FlowId(1), None, &p1);
-        let cap = LinkSpec::default().rate.bps() as f64 / 8.0;
-        let r0 = sv.rate_of(FlowId(0)).unwrap();
-        let r1 = sv.rate_of(FlowId(1)).unwrap();
-        // Exact tie on the shared s0→s1 channel: both halves, no bias
-        // from flow-id or channel iteration order.
-        assert!((r0 - cap / 2.0).abs() < 1.0, "r0 {r0} vs {}", cap / 2.0);
-        assert!((r1 - r0).abs() < 1e-6, "tie must split evenly");
-    }
-
-    #[test]
-    fn solver_resolves_after_flow_removal() {
-        let (mut sv, p0, p1) = solver_incast();
-        let cap = LinkSpec::default().rate.bps() as f64 / 8.0;
-        // A demand just over half the bottleneck is *not* satisfiable
-        // alongside an infinite flow…
-        sv.add_flow(FlowId(0), Some(cap * 0.6), &p0);
-        sv.add_flow(FlowId(1), None, &p1);
-        assert!(sv.rate_of(FlowId(0)).unwrap() < cap * 0.6 - 1.0);
-        assert!(!sv.all_satisfied(1e-6));
-        // …until the competitor is removed (the hybrid demote→re-solve
-        // path): the survivor's rate must rise to its full demand.
-        assert!(sv.remove_flow(FlowId(1)));
-        assert!(!sv.remove_flow(FlowId(1)), "double-remove reports absence");
-        assert!((sv.rate_of(FlowId(0)).unwrap() - cap * 0.6).abs() < 1e-6);
-        assert!(sv.all_satisfied(1e-6));
-        assert_eq!(sv.len(), 1);
-    }
-
-    #[test]
-    fn solver_demand_limited_leaves_slack_to_others() {
-        // Max-min, not proportional: a small demand is satisfied in full
-        // and the big flows split the remainder of the shared channel.
-        let (mut sv, p0, p1) = solver_incast();
-        let cap = LinkSpec::default().rate.bps() as f64 / 8.0;
-        sv.add_flow(FlowId(0), Some(cap * 0.1), &p0);
-        sv.add_flow(FlowId(1), None, &p1);
-        assert!((sv.rate_of(FlowId(0)).unwrap() - cap * 0.1).abs() < 1e-6);
-        assert!((sv.rate_of(FlowId(1)).unwrap() - cap * 0.9).abs() < 1.0);
     }
 
     #[test]

@@ -42,9 +42,7 @@ pub mod bdg {
 pub mod prelude {
     pub use crate::bdg::{BufferDependencyGraph, RxQueue};
     pub use crate::boundary::BoundaryModel;
-    pub use crate::fluid::{
-        ChannelKey, FluidConfig, FluidFlow, FluidNetwork, FluidReport, RateSolver,
-    };
+    pub use crate::fluid::{FluidConfig, FluidFlow, FluidNetwork, FluidReport};
     pub use crate::freedom::{
         verify_all_pairs, verify_valley_free, verify_workload, FreedomViolation,
     };

@@ -325,9 +325,6 @@ impl SimConfig {
             rc.validate()?;
         }
         self.telemetry.validate()?;
-        if let Some(h) = &self.hybrid {
-            h.validate()?;
-        }
         Ok(())
     }
 }

@@ -6,15 +6,10 @@
 //! dependency; everywhere else a steady-state flow advances as a fluid
 //! rate without changing the verdict. This module makes that observation
 //! executable: at `start()` every flow is classified **FLUID** or
-//! **PACKET**. A fluid flow's per-packet events (`FlowTick`,
-//! `HostTxDone`, per-hop `Arrive`/`TxDone`) are never scheduled; its
-//! deliveries, residency, and meters are reconstructed exactly at
-//! `finalize()` from the closed-form lattice `t_k = t0 + k·T`. A flow
-//! *demotes* back to packet level when any port on its path crosses a
-//! configurable occupancy fraction of XOFF, when a path switch enters
-//! the deadlock tracker's pause watch set, or — statically — when a
-//! fault script touches its path; it *promotes* back after a hysteresis
-//! window once its path is empty again.
+//! **PACKET**, once for the whole run. A fluid flow's per-packet events
+//! (`FlowTick`, `HostTxDone`, per-hop `Arrive`/`TxDone`) are never
+//! scheduled; its deliveries, residency, and meters are reconstructed
+//! exactly at `finalize()` from the closed-form lattice `t_k = t0 + k·T`.
 //!
 //! # Why elision is invisible (the correctness argument)
 //!
@@ -27,26 +22,33 @@
 //!   (pinned ports or ECMP tables, which are per-flow deterministic and
 //!   frozen — runs with scheduled route updates, reconvergence faults,
 //!   or flood-on-miss are gated).
-//! * **No queueing.** Every hop serializes faster than the injection
-//!   interval (`s_i ≤ margin·T`), so at most one packet of the flow
+//! * **No queueing.** Every hop serializes within 0.9 of the injection
+//!   interval (`s_i ≤ 0.9·T`), so at most one packet of the flow
 //!   occupies any switch at a time and per-hop latency is constant.
 //! * **Switch exclusivity.** No other flow's packets can ever touch a
 //!   path switch: every other flow's reachable-switch *footprint*
 //!   (computed by the same deterministic bounded walk, so even wildly
-//!   looping flows get exact footprints) is disjoint from the path.
-//!   Shared-buffer coupling (`dynamic_alpha`) is refused on path
-//!   switches, so no global state links a path switch to the rest of
-//!   the fabric.
+//!   looping flows get exact footprints) is disjoint from the path, and
+//!   the source NIC carries no other flow. Shared-buffer coupling
+//!   (`dynamic_alpha`) is refused on path switches, so no global state
+//!   links a path switch to the rest of the fabric.
 //! * **No PFC.** Peak occupancy (one packet, with 2× headroom demanded)
-//!   stays below the demote fraction of XOFF, so path switches never
-//!   pause, never enter the deadlock tracker, and never interact with
-//!   pause-loss/delay fault processes (those draw fault RNG only when a
-//!   PFC frame is actually transmitted).
-//! * **Admission by the fluid model.** Admitted flows are handed to
-//!   [`RateSolver`] (the incremental max-min model behind E12) with
-//!   their path channels; any flow the water-filling cannot satisfy at
-//!   full demand is removed (exercising the incremental re-solve) and
-//!   stays packet.
+//!   stays below half of XOFF, so path switches never pause and never
+//!   enter the deadlock tracker.
+//! * **No fault on the path.** A link fault that names one of the
+//!   path's links keeps the flow packet for the whole run.
+//!
+//! # Why nothing is re-checked at run time
+//!
+//! Routes are frozen and `Datapath::next_hop` ignores link state, so a
+//! link fault drops packets but never reroutes them: no packet but the
+//! flow's own elided ones ever reaches a path switch. A path ingress
+//! therefore never holds more than one packet and never pauses; a
+//! PFC-loss or PFC-delay fault armed at a path switch acts only on PFC
+//! frames that switch never sends; a fault on another link of a path
+//! switch acts on a link that carries nothing. A classification made at
+//! `start()` holds for the whole run, so a fluid flow never returns to
+//! the packet engine and the fluid flows never compete for a channel.
 //!
 //! Under those conditions the surviving event stream pops in exactly
 //! the order the full-packet run would pop it (handlers of other flows
@@ -76,16 +78,17 @@
 //! documented non-equivalence: the budget counts *executed* events, so
 //! eliding changes where the axe falls.
 //!
-//! Gated configurations (telemetry, sampling, tracing, ECN, class
-//! remapping, route/reboot fault scripts) fall back to full-packet with
-//! a one-time warning through the keyed registry (`crate::warn`), so a
-//! long-lived serve session toggling backends never re-emits duplicates.
+//! Gated configurations: `NetSim::hybrid_gate_reason` decides whether a
+//! run may classify any flow fluid. It refuses telemetry, sampling,
+//! tracing, ECN, class remapping and route/reboot fault scripts; such a
+//! run is full-packet, with a one-time warning through the keyed
+//! registry (`crate::warn`), so a long-lived serve session toggling
+//! backends never re-emits duplicates. Whether a run may fast-forward is
+//! decided by `NetSim::fast_forward_step`, which refuses every run that
+//! classified a flow fluid.
 
 use serde::{Deserialize, Serialize};
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use pfcsim_simcore::error::Error;
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::Bytes;
 use pfcsim_topo::graph::NodeKind;
@@ -96,232 +99,26 @@ use crate::faults::FaultKind;
 use crate::flow::Demand;
 use crate::sim::{Ev, NetSim};
 
-// ---------------------------------------------------------------------
-// Configuration
-// ---------------------------------------------------------------------
+/// A fluid path's two packets of headroom must sit below this fraction
+/// of each hop's XOFF threshold.
+const XOFF_FRACTION: f64 = 0.5;
 
-/// Knobs for the hybrid fluid/packet backend (`SimConfig::hybrid`).
+/// Every hop of a fluid path must serialize a packet within this
+/// fraction of the injection interval (`s_i ≤ 0.9·T`), the no-queueing
+/// condition.
+const CAPACITY_MARGIN: f64 = 0.9;
+
+/// The hybrid fluid/packet backend's switch (`SimConfig::hybrid`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HybridConfig {
     /// Master switch; `false` behaves exactly like `SimConfig::hybrid =
     /// None`.
     pub enabled: bool,
-    /// A fluid path demotes when any of its ingress ports reaches this
-    /// fraction of its XOFF threshold; classification also requires two
-    /// packets of headroom below `demote_fraction · XOFF`, so a healthy
-    /// fluid flow can never trip its own demotion. In `(0, 1]`.
-    pub demote_fraction: f64,
-    /// Every hop of a fluid path must serialize a packet within this
-    /// fraction of the injection interval (`s_i ≤ margin·T`), the
-    /// no-queueing condition. In `(0, 1]`.
-    pub capacity_margin: f64,
-    /// Hysteresis: a demoted flow becomes eligible for promotion back
-    /// to fluid this long after the demotion.
-    pub promote_after: SimDuration,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
-        HybridConfig {
-            enabled: true,
-            demote_fraction: 0.5,
-            capacity_margin: 0.9,
-            promote_after: SimDuration::from_us(100),
-        }
-    }
-}
-
-impl HybridConfig {
-    /// Validate ranges (fractions in `(0, 1]`, positive hysteresis).
-    pub fn validate(&self) -> Result<(), Error> {
-        if !(self.demote_fraction > 0.0 && self.demote_fraction <= 1.0) {
-            return Err(Error::Config(format!(
-                "hybrid.demote_fraction must be in (0, 1], got {}",
-                self.demote_fraction
-            )));
-        }
-        if !(self.capacity_margin > 0.0 && self.capacity_margin <= 1.0) {
-            return Err(Error::Config(format!(
-                "hybrid.capacity_margin must be in (0, 1], got {}",
-                self.capacity_margin
-            )));
-        }
-        if self.promote_after.is_zero() {
-            return Err("hybrid.promote_after must be positive".into());
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Incremental max–min rate solver (re-exported as `pfcsim_core::fluid::RateSolver`)
-// ---------------------------------------------------------------------
-
-/// A directed channel key for [`RateSolver`] capacities: `(from, to)`.
-pub type ChannelKey = (NodeId, NodeId);
-
-/// Incremental steady-state max–min rate solver over a set of fluid
-/// flows — the arbiter the hybrid packet/fluid backend consults when a
-/// region changes (a flow is admitted to or demoted from fluid mode).
-///
-/// Unlike `pfcsim_core::fluid::FluidNetwork::run`, which integrates queue levels through
-/// time, the solver computes only the stable-state allocation: classic
-/// progressive filling, freezing each bottleneck channel's flows at
-/// their fair share. Mutations (`add_flow`, `remove_flow`) mark the
-/// solution dirty; `rates()` re-solves lazily over the surviving active
-/// set, so a region transition costs one solve rather than one solve
-/// per call site.
-#[derive(Debug, Clone, Default)]
-pub struct RateSolver {
-    caps: BTreeMap<ChannelKey, f64>,
-    /// Per flow: offered rate in bytes/s (`None` = infinite demand) and
-    /// the directed channels the flow crosses.
-    flows: BTreeMap<FlowId, (Option<f64>, Vec<ChannelKey>)>,
-    rates: BTreeMap<FlowId, f64>,
-    dirty: bool,
-}
-
-impl RateSolver {
-    /// Empty solver.
-    pub fn new() -> Self {
-        RateSolver::default()
-    }
-
-    /// Declare a channel's capacity in bytes/s. Declaring a channel twice
-    /// overwrites the old capacity and invalidates the solution.
-    pub fn set_capacity(&mut self, chan: ChannelKey, bytes_per_sec: f64) {
-        assert!(bytes_per_sec >= 0.0, "capacity must be non-negative");
-        self.caps.insert(chan, bytes_per_sec);
-        self.dirty = true;
-    }
-
-    /// Add (or replace) a flow. `demand` is the offered rate in bytes/s
-    /// (`None` = infinite demand); `path` is the node path, host →
-    /// switches… → host, from which the directed channel list is derived.
-    pub fn add_flow(&mut self, id: FlowId, demand: Option<f64>, path: &[NodeId]) {
-        assert!(path.len() >= 2, "flow path too short");
-        let chans: Vec<ChannelKey> = path.windows(2).map(|w| (w[0], w[1])).collect();
-        for c in &chans {
-            assert!(self.caps.contains_key(c), "no capacity declared for {c:?}");
-        }
-        self.flows.insert(id, (demand, chans));
-        self.dirty = true;
-    }
-
-    /// Remove a flow (e.g. demoted back to packet mode). Returns whether
-    /// it was present. The remaining flows' rates are re-solved on the
-    /// next `rates()` call — removal can only raise survivors' rates.
-    pub fn remove_flow(&mut self, id: FlowId) -> bool {
-        let was = self.flows.remove(&id).is_some();
-        self.dirty |= was;
-        was
-    }
-
-    /// Number of flows currently in the solver.
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True when no flows are registered.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
-    }
-
-    /// The max–min allocation in bytes/s per flow, re-solving if any
-    /// mutation occurred since the last call.
-    pub fn rates(&mut self) -> &BTreeMap<FlowId, f64> {
-        if self.dirty {
-            self.solve();
-            self.dirty = false;
-        }
-        &self.rates
-    }
-
-    /// The solved rate of one flow, in bytes/s.
-    pub fn rate_of(&mut self, id: FlowId) -> Option<f64> {
-        self.rates().get(&id).copied()
-    }
-
-    /// Whether every finite-demand flow is fully satisfied (solved rate
-    /// within `eps` of its demand) — the hybrid backend's admission
-    /// criterion: a fluid region is only exact while nothing bottlenecks.
-    pub fn all_satisfied(&mut self, eps: f64) -> bool {
-        self.rates();
-        self.flows.iter().all(|(id, (demand, _))| match demand {
-            Some(d) => self.rates[id] + eps >= *d,
-            None => true,
-        })
-    }
-
-    /// Progressive filling: repeatedly find the tightest channel (least
-    /// fair share among its unfrozen flows), freeze those flows there;
-    /// flows whose demand is below every channel's share freeze at their
-    /// demand. Terminates in ≤ `flows + channels` rounds.
-    fn solve(&mut self) {
-        self.rates.clear();
-        // Residual capacity and unfrozen-flow membership per channel.
-        let mut residual = self.caps.clone();
-        let mut members: BTreeMap<ChannelKey, BTreeSet<FlowId>> = BTreeMap::new();
-        let mut unfrozen: BTreeSet<FlowId> = BTreeSet::new();
-        for (&id, (demand, chans)) in &self.flows {
-            if *demand == Some(0.0) {
-                // Zero-rate flows are satisfied at zero and consume nothing.
-                self.rates.insert(id, 0.0);
-                continue;
-            }
-            unfrozen.insert(id);
-            for &c in chans {
-                members.entry(c).or_default().insert(id);
-            }
-        }
-        while !unfrozen.is_empty() {
-            // Fair share currently offered to each unfrozen flow: the min
-            // over its channels of residual / |unfrozen members|.
-            let share_of = |id: FlowId, members: &BTreeMap<ChannelKey, BTreeSet<FlowId>>| -> f64 {
-                self.flows[&id]
-                    .1
-                    .iter()
-                    .map(|c| residual[c] / members[c].len() as f64)
-                    .fold(f64::INFINITY, f64::min)
-            };
-            // Freeze demand-limited flows first: they leave slack behind.
-            let demand_limited: Vec<FlowId> = unfrozen
-                .iter()
-                .copied()
-                .filter(|&id| match self.flows[&id].0 {
-                    Some(d) => d <= share_of(id, &members) + 1e-9,
-                    None => false,
-                })
-                .collect();
-            let freeze: Vec<(FlowId, f64)> = if demand_limited.is_empty() {
-                // Bottleneck round: freeze the flows of the tightest
-                // channel at its fair share.
-                let (&chan, flows) = members
-                    .iter()
-                    .filter(|(_, fs)| !fs.is_empty())
-                    .min_by(|(a, fa), (b, fb)| {
-                        let sa = residual[*a] / fa.len() as f64;
-                        let sb = residual[*b] / fb.len() as f64;
-                        sa.partial_cmp(&sb).unwrap().then(a.cmp(b))
-                    })
-                    .expect("unfrozen flows imply a non-empty channel");
-                let share = residual[&chan] / flows.len() as f64;
-                flows.iter().map(|&id| (id, share)).collect()
-            } else {
-                demand_limited
-                    .into_iter()
-                    .map(|id| (id, self.flows[&id].0.expect("demand-limited")))
-                    .collect()
-            };
-            for (id, rate) in freeze {
-                self.rates.insert(id, rate);
-                unfrozen.remove(&id);
-                for c in &self.flows[&id].1 {
-                    *residual.get_mut(c).expect("declared") = (residual[c] - rate).max(0.0);
-                    members.get_mut(c).expect("member").remove(&id);
-                }
-            }
-        }
+        HybridConfig { enabled: true }
     }
 }
 
@@ -370,34 +167,15 @@ pub(crate) struct FluidPlan {
     pub(crate) events_per_pkt: u64,
 }
 
-/// Runtime phase of a fluid flow.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub(crate) enum FluidRt {
-    /// Eliding: ticks from `from_k` onward are virtual.
-    Open {
-        /// First lattice index covered by the open segment.
-        from_k: u64,
-    },
-    /// Demoted to packet level; may promote at `eligible_at`.
-    Demoted {
-        /// End of the hysteresis window.
-        eligible_at: SimTime,
-    },
-}
-
-/// Per-flow region tag.
+/// Per-flow region tag, fixed at `start()`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) enum FlowMode {
     /// Full datapath.
     Packet,
-    /// Analytic lattice (possibly currently demoted).
+    /// Analytic lattice for the whole run.
     Fluid {
         /// The frozen lattice description.
         plan: FluidPlan,
-        /// Current phase.
-        rt: FluidRt,
-        /// Closed elided segments `[from_k, end_k)`, folded at finalize.
-        segments: Vec<(u64, u64)>,
     },
 }
 
@@ -405,17 +183,8 @@ pub(crate) enum FlowMode {
 /// snapshot — everything here is plain data.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct HybridState {
-    /// Effective knobs for this run.
-    pub(crate) cfg: HybridConfig,
     /// Region tag per dense flow index.
     pub(crate) modes: Vec<FlowMode>,
-    /// `watched[node]`: the node is on some fluid path (demotion triggers
-    /// consult this before doing any work).
-    pub(crate) watched: Vec<bool>,
-    /// Fluid→packet transitions taken.
-    pub(crate) demotions: u64,
-    /// Packet→fluid transitions taken.
-    pub(crate) promotions: u64,
 }
 
 /// Aggregate results of the finalize fold.
@@ -425,12 +194,8 @@ pub(crate) struct HybridTotals {
     pub(crate) buffered: Bytes,
     /// Events the backend did not execute.
     pub(crate) events_elided: u64,
-    /// Flows that ran fluid for any part of the run.
+    /// Flows that ran fluid.
     pub(crate) fluid_flows: u64,
-    /// Region transitions.
-    pub(crate) demotions: u64,
-    /// Region transitions.
-    pub(crate) promotions: u64,
 }
 
 /// Closed-form per-flow deltas, applied to `stats.flows` after the
@@ -491,45 +256,46 @@ impl FluidPlan {
         hi
     }
 
-    /// Generated packets in segment `[lo, hi)` as of `now` during the
-    /// run (no run-boundary cut; used for runtime continuity at demote).
-    fn gen_in(&self, lo: u64, hi: u64) -> u64 {
-        hi.min(self.gen_cap()).saturating_sub(lo)
-    }
-
-    /// Fold one segment against the run boundary `e` (`inclusive`
-    /// selects horizon semantics, strict selects deadlock-stop).
-    fn fold_segment(&self, lo: u64, hi: u64, e: SimTime, inclusive: bool, out: &mut FlowFold) {
-        let gen_hi = hi
-            .min(self.gen_cap())
-            .min(ticks_until(self.t0, self.tick, e, inclusive));
-        if gen_hi <= lo {
-            return;
-        }
-        let n_gen = gen_hi - lo;
-        // Delivered iff t_k + L <(≤) e  ⇔  t_k <(≤) e − L.
-        let del_hi = if e.as_ps() >= self.latency.as_ps() {
-            gen_hi.min(ticks_until(self.t0, self.tick, e - self.latency, inclusive))
-        } else {
-            lo
+    /// Fold the whole lattice of flow `flow` against the run boundary
+    /// `e` (`inclusive` selects horizon semantics, strict selects
+    /// deadlock-stop).
+    fn fold(&self, flow: FlowId, e: SimTime, inclusive: bool) -> FlowFold {
+        let mut out = FlowFold {
+            flow,
+            dst: self.dst,
+            size: self.size,
+            gen_pkts: 0,
+            del_pkts: 0,
+            stuck_pkts: 0,
+            switch_pkts: 0,
+            first_del: SimTime::ZERO,
+            last_del: SimTime::ZERO,
+            elided: 0,
         };
-        let n_del = del_hi.saturating_sub(lo);
-        out.gen_pkts += n_gen;
-        out.del_pkts += n_del;
-        out.elided += n_del * self.events_per_pkt + (n_gen - n_del);
+        let n_gen = self
+            .gen_cap()
+            .min(ticks_until(self.t0, self.tick, e, inclusive));
+        if n_gen == 0 {
+            return out;
+        }
+        // Delivered iff t_k + L <(≤) e  ⇔  t_k <(≤) e − L.
+        let n_del = if e.as_ps() >= self.latency.as_ps() {
+            n_gen.min(ticks_until(self.t0, self.tick, e - self.latency, inclusive))
+        } else {
+            0
+        };
+        out.gen_pkts = n_gen;
+        out.del_pkts = n_del;
+        out.elided = n_del * self.events_per_pkt + (n_gen - n_del);
         if n_del > 0 {
-            let first = tick_at(self.t0, self.tick, lo) + self.latency;
-            let last = tick_at(self.t0, self.tick, lo + n_del - 1) + self.latency;
-            if out.del_pkts == n_del {
-                out.first_del = first;
-            }
-            out.last_del = last;
+            out.first_del = self.t0 + self.latency;
+            out.last_del = tick_at(self.t0, self.tick, n_del - 1) + self.latency;
         }
         // The in-flight tail: place each undelivered generated packet by
         // its residency window at the boundary, mirroring the
         // full-packet stuck-walk (NIC slot or mid-serialization at a
         // switch counts; a frame on the wire is invisible to both).
-        for k in del_hi.max(lo)..gen_hi {
+        for k in n_del..n_gen {
             let t_k = tick_at(self.t0, self.tick, k);
             debug_assert!(e >= t_k, "generated packets start before the boundary");
             let off = (e - t_k).as_ps();
@@ -551,14 +317,12 @@ impl FluidPlan {
                 out.stuck_pkts += 1;
                 continue;
             }
-            for hop in &self.hops {
-                if in_window(hop.arr.as_ps(), hop.ser.as_ps()) {
-                    out.stuck_pkts += 1;
-                    out.switch_pkts += 1;
-                    break;
-                }
+            if (self.hops.iter()).any(|hop| in_window(hop.arr.as_ps(), hop.ser.as_ps())) {
+                out.stuck_pkts += 1;
+                out.switch_pkts += 1;
             }
         }
+        out
     }
 }
 
@@ -566,26 +330,10 @@ impl FluidPlan {
 // Classification, elision hooks, and the finalize fold
 // ---------------------------------------------------------------------
 
-/// A candidate's walked path (switch hops plus the timing facts the
-/// plan needs), produced by the eligibility walk.
-struct PathFacts {
-    plan: FluidPlan,
-    /// Directed node chain `src, sw…, dst` for the rate solver.
-    chain: Vec<NodeId>,
-    /// Per-channel capacity in bytes/second, parallel to `chain` edges.
-    caps: Vec<f64>,
-    /// Demand in bytes/second.
-    demand: f64,
-}
-
 impl NetSim {
-    /// The hybrid config in effect: `SimConfig::hybrid` when set and
-    /// enabled, otherwise off.
-    fn hybrid_effective_cfg(&self) -> Option<HybridConfig> {
-        self.dp.cfg.hybrid.clone().filter(|h| h.enabled)
-    }
-
-    /// A whole-run reason the hybrid backend must stay off, if any.
+    /// A whole-run reason the hybrid backend must stay off, if any. It
+    /// decides only whether flows may be classified fluid; whether the
+    /// run may fast-forward is `NetSim::fast_forward_step`'s decision.
     fn hybrid_gate_reason(&self) -> Option<&'static str> {
         if self.telem.is_some() {
             return Some("telemetry");
@@ -644,8 +392,8 @@ impl NetSim {
 
     /// Per-flow eligibility: walk the path and check every local
     /// condition (lattice, no-queueing, buffer headroom, scan cadence,
-    /// fault gate). Exclusivity and solver admission happen later.
-    fn hybrid_flow_facts(&self, dense: usize, hcfg: &HybridConfig) -> Option<PathFacts> {
+    /// fault gate). Exclusivity is checked by the caller.
+    fn hybrid_flow_plan(&self, dense: usize) -> Option<FluidPlan> {
         let spec = &self.dp.flows.spec[dense];
         let (rate, total) = match spec.demand {
             Demand::Cbr(r) => (r, None),
@@ -688,15 +436,13 @@ impl NetSim {
             return None;
         }
         let margin_ok =
-            |s: SimDuration| (s.as_ps() as f64) <= hcfg.capacity_margin * (tick.as_ps() as f64);
+            |s: SimDuration| (s.as_ps() as f64) <= CAPACITY_MARGIN * (tick.as_ps() as f64);
         let p0 = self.dp.pinfo(spec.src, PortNo(0));
         let host_ser = p0.rate.serialization_time(size);
         if !margin_ok(host_ser) {
             return None;
         }
         let mut links = vec![p0.link.0];
-        let mut chain = vec![spec.src];
-        let mut caps = vec![p0.rate.bps() as f64 / 8.0];
         let mut hops: Vec<FluidHop> = Vec::new();
         let mut arr = host_ser + p0.delay;
         let mut delays = vec![p0.delay];
@@ -726,7 +472,7 @@ impl NetSim {
             }
             let xoff = self.dp.xoff_of(node, in_port);
             let headroom = 2 * size.get();
-            if (headroom as f64) > hcfg.demote_fraction * xoff.get() as f64
+            if (headroom as f64) > XOFF_FRACTION * xoff.get() as f64
                 || headroom > self.dp.cfg.switch_buffer.get()
             {
                 return None;
@@ -742,8 +488,6 @@ impl NetSim {
                 arr,
                 ser,
             });
-            chain.push(node);
-            caps.push(info.rate.bps() as f64 / 8.0);
             links.push(info.link.0);
             delays.push(info.delay);
             arr = arr + ser + info.delay;
@@ -752,7 +496,6 @@ impl NetSim {
         if at != spec.dst || hops.is_empty() {
             return None;
         }
-        chain.push(spec.dst);
         let latency = arr; // last hop's ser + delay already added
                            // Deadlock-stop boundary proof needs every elided event to be
                            // scheduled *after* the scan that detects (strictly smaller
@@ -782,22 +525,17 @@ impl NetSim {
             return None;
         }
         let events_per_pkt = 2 * hops.len() as u64 + 3;
-        Some(PathFacts {
-            plan: FluidPlan {
-                t0: spec.start,
-                tick,
-                size,
-                cap,
-                gen_end,
-                host_ser,
-                hops,
-                latency,
-                dst: spec.dst,
-                events_per_pkt,
-            },
-            chain,
-            caps,
-            demand: rate.bps() as f64 / 8.0,
+        Some(FluidPlan {
+            t0: spec.start,
+            tick,
+            size,
+            cap,
+            gen_end,
+            host_ser,
+            hops,
+            latency,
+            dst: spec.dst,
+            events_per_pkt,
         })
     }
 
@@ -806,9 +544,9 @@ impl NetSim {
     /// gated or fruitless run carries zero per-event overhead.
     pub(crate) fn hybrid_classify(&mut self) {
         debug_assert!(self.hybrid.is_none(), "classification runs once");
-        let Some(hcfg) = self.hybrid_effective_cfg() else {
+        if !self.dp.cfg.hybrid.as_ref().is_some_and(|h| h.enabled) {
             return;
-        };
+        }
         if let Some(reason) = self.hybrid_gate_reason() {
             crate::warn::warn_once(&format!("gate:{reason}"), || {
                 format!(
@@ -818,10 +556,8 @@ impl NetSim {
             });
             return;
         }
-        // Per-flow facts, then switch exclusivity over *all* flows.
+        // Per-flow plans, then switch exclusivity over *all* flows.
         let n = self.dp.flows.spec.len();
-        let mut facts: Vec<Option<PathFacts>> =
-            (0..n).map(|i| self.hybrid_flow_facts(i, &hcfg)).collect();
         let mut touches: Vec<u32> = vec![0; self.dp.topo.node_count()];
         let mut scratch = Vec::new();
         for i in 0..n {
@@ -835,62 +571,15 @@ impl NetSim {
         for s in &self.dp.flows.spec {
             src_flows[s.src.0 as usize] += 1;
         }
-        for (i, f) in facts.iter_mut().enumerate() {
-            let keep = match f {
-                Some(pf) => {
-                    src_flows[self.dp.flows.spec[i].src.0 as usize] == 1
-                        && pf.plan.hops.iter().all(|h| touches[h.node.0 as usize] == 1)
+        let modes: Vec<FlowMode> = (0..n)
+            .map(|i| match self.hybrid_flow_plan(i) {
+                Some(plan)
+                    if src_flows[self.dp.flows.spec[i].src.0 as usize] == 1
+                        && plan.hops.iter().all(|h| touches[h.node.0 as usize] == 1) =>
+                {
+                    FlowMode::Fluid { plan }
                 }
-                None => false,
-            };
-            if !keep {
-                *f = None;
-            }
-        }
-        // Admission by the max-min fluid model: water-fill the admitted
-        // paths; while any flow falls short of its demand, evict the
-        // worst-served one and re-solve incrementally. (Exclusivity
-        // makes shortfalls impossible today; the loop is the honest
-        // arbiter for any future relaxation.)
-        let mut solver = RateSolver::new();
-        for (i, f) in facts.iter().enumerate() {
-            let Some(pf) = f else { continue };
-            for (w, cap) in pf.chain.windows(2).zip(&pf.caps) {
-                solver.set_capacity((w[0], w[1]), *cap);
-            }
-            solver.add_flow(self.dp.flows.spec[i].id, Some(pf.demand), &pf.chain);
-        }
-        while !solver.is_empty() && !solver.all_satisfied(1e-6) {
-            let worst = solver
-                .rates()
-                .iter()
-                .map(|(&id, &r)| (id, r))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .map(|(id, _)| id);
-            let Some(id) = worst else { break };
-            solver.remove_flow(id);
-            let dense = self.dp.fidx(id);
-            facts[dense] = None;
-        }
-        let fluid = facts.iter().filter(|f| f.is_some()).count();
-        if fluid == 0 {
-            return;
-        }
-        let mut watched = vec![false; self.dp.topo.node_count()];
-        let modes: Vec<FlowMode> = facts
-            .into_iter()
-            .map(|f| match f {
-                Some(pf) => {
-                    for h in &pf.plan.hops {
-                        watched[h.node.0 as usize] = true;
-                    }
-                    FlowMode::Fluid {
-                        plan: pf.plan,
-                        rt: FluidRt::Open { from_k: 0 },
-                        segments: Vec::new(),
-                    }
-                }
-                None => FlowMode::Packet,
+                _ => FlowMode::Packet,
             })
             .collect();
         // One sentinel tick per fluid flow at its final full-packet event
@@ -904,7 +593,7 @@ impl NetSim {
             .iter()
             .enumerate()
             .filter_map(|(i, m)| {
-                let FlowMode::Fluid { plan, .. } = m else {
+                let FlowMode::Fluid { plan } = m else {
                     return None;
                 };
                 let cap = plan.gen_cap();
@@ -915,137 +604,21 @@ impl NetSim {
                 Some((self.dp.flows.spec[i].id, at))
             })
             .collect();
-        self.hybrid = Some(Box::new(HybridState {
-            cfg: hcfg,
-            modes,
-            watched,
-            demotions: 0,
-            promotions: 0,
-        }));
+        if sentinels.is_empty() {
+            return;
+        }
+        self.hybrid = Some(Box::new(HybridState { modes }));
         for (flow, at) in sentinels {
             self.sched(at, Ev::FlowTick { flow });
         }
     }
 
-    /// `FlowStart` intercept: a fluid flow skips its tick chain
-    /// entirely. Returns true when the tick must not be scheduled.
-    pub(crate) fn hybrid_elides_ticks(&self, f: FlowId) -> bool {
-        let Some(h) = self.hybrid.as_deref() else {
-            return false;
-        };
-        matches!(
-            h.modes.get(self.dp.fidx(f)),
-            Some(FlowMode::Fluid {
-                rt: FluidRt::Open { .. },
-                ..
-            })
-        )
-    }
-
-    /// `FlowTick` intercept: swallow stray ticks of an open fluid flow
-    /// and promote a demoted one whose hysteresis has expired and whose
-    /// path has drained. Returns true when the tick (generation *and*
-    /// rescheduling) must be skipped.
-    pub(crate) fn hybrid_on_flow_tick(&mut self, f: FlowId) -> bool {
-        if self.hybrid.is_none() {
-            return false;
-        }
-        let now = self.now();
-        let i = self.dp.fidx(f);
-        let promote = {
-            let h = self.hybrid.as_deref().expect("checked");
-            match h.modes.get(i) {
-                Some(FlowMode::Fluid {
-                    rt: FluidRt::Open { .. },
-                    ..
-                }) => return true,
-                Some(FlowMode::Fluid {
-                    plan,
-                    rt: FluidRt::Demoted { eligible_at },
-                    ..
-                }) => {
-                    now >= *eligible_at
-                        && self.dp.host_in_flight[self.dp.flows.spec[i].src.0 as usize].is_none()
-                        && plan.hops.iter().all(|hp| {
-                            self.dp.switches[hp.node.0 as usize]
-                                .as_ref()
-                                .is_some_and(|sw| sw.buffered.is_zero())
-                        })
-                }
-                _ => return false,
-            }
-        };
-        if !promote {
-            return false;
-        }
-        // Reopen on the lattice. Post-demote chain ticks are
-        // lattice-exact (`now = t_k`), so the current tick becomes the
-        // first virtual one; an off-lattice stray (the quiescence
-        // sentinel) reopens at the next lattice point, and the chain's
-        // pending real tick there is swallowed as a virtual one.
-        let h = self.hybrid.as_deref_mut().expect("checked");
-        let FlowMode::Fluid { plan, rt, .. } = &mut h.modes[i] else {
-            unreachable!()
-        };
-        let from_k = ticks_until(plan.t0, plan.tick, now, false);
-        *rt = FluidRt::Open { from_k };
-        h.promotions += 1;
-        true
-    }
-
-    /// Demotion trigger: `node`'s ingress crossed the occupancy
-    /// threshold or entered the pause watch set. Closes the open
-    /// segment of every fluid flow whose path includes `node` and
-    /// resumes its real tick chain on the lattice. Statically
-    /// unreachable under switch exclusivity, kept as a defensive
-    /// boundary for future classification relaxations.
-    pub(crate) fn hybrid_demote_node(&mut self, node: NodeId) {
-        let now = self.now();
-        let Some(h) = self.hybrid.as_deref_mut() else {
-            return;
-        };
-        if !h.watched.get(node.0 as usize).copied().unwrap_or(false) {
-            return;
-        }
-        let promote_after = h.cfg.promote_after;
-        let mut resume: Vec<(usize, u64, u64)> = Vec::new();
-        for (i, mode) in h.modes.iter_mut().enumerate() {
-            let FlowMode::Fluid { plan, rt, segments } = mode else {
-                continue;
-            };
-            let FluidRt::Open { from_k } = *rt else {
-                continue;
-            };
-            if !plan.hops.iter().any(|hp| hp.node == node) {
-                continue;
-            }
-            // All ticks strictly before `now` are virtual; the first
-            // real tick lands on the next lattice point (possibly now).
-            let k_next = ticks_until(plan.t0, plan.tick, now, false).max(from_k);
-            segments.push((from_k, k_next));
-            let gen = plan.gen_in(from_k, k_next);
-            *rt = FluidRt::Demoted {
-                eligible_at: now + promote_after,
-            };
-            h.demotions += 1;
-            resume.push((i, gen, k_next));
-        }
-        for (i, gen, k_next) in resume {
-            // Runtime continuity: elided packets advance the sequence
-            // and the finite-CBR byte ledger exactly as if injected.
-            let at = {
-                let FlowMode::Fluid { plan, .. } =
-                    &self.hybrid.as_deref().expect("hybrid live").modes[i]
-                else {
-                    unreachable!()
-                };
-                self.dp.flows.rt[i].next_seq += gen;
-                self.dp.flows.rt[i].injected += Bytes::new(gen * plan.size.get());
-                tick_at(plan.t0, plan.tick, k_next)
-            };
-            let flow = self.dp.flows.spec[i].id;
-            self.sched(at, Ev::FlowTick { flow });
-        }
+    /// Whether `f` runs fluid: its `FlowStart` schedules no tick chain,
+    /// and its one tick, the sentinel, is swallowed on pop.
+    pub(crate) fn hybrid_is_fluid(&self, f: FlowId) -> bool {
+        self.hybrid
+            .as_deref()
+            .is_some_and(|h| matches!(h.modes.get(self.dp.fidx(f)), Some(FlowMode::Fluid { .. })))
     }
 
     /// Compute every fluid flow's closed-form deltas against the run
@@ -1062,34 +635,13 @@ impl NetSim {
             _ => (self.horizon, true),
         };
         let mut folds = Vec::new();
-        let mut totals = HybridTotals {
-            demotions: h.demotions,
-            promotions: h.promotions,
-            ..HybridTotals::default()
-        };
+        let mut totals = HybridTotals::default();
         for (i, mode) in h.modes.iter().enumerate() {
-            let FlowMode::Fluid { plan, rt, segments } = mode else {
+            let FlowMode::Fluid { plan } = mode else {
                 continue;
             };
+            let fold = plan.fold(self.dp.flows.spec[i].id, e, inclusive);
             totals.fluid_flows += 1;
-            let mut fold = FlowFold {
-                flow: self.dp.flows.spec[i].id,
-                dst: plan.dst,
-                size: plan.size,
-                gen_pkts: 0,
-                del_pkts: 0,
-                stuck_pkts: 0,
-                switch_pkts: 0,
-                first_del: SimTime::ZERO,
-                last_del: SimTime::ZERO,
-                elided: 0,
-            };
-            for &(lo, hi) in segments {
-                plan.fold_segment(lo, hi, e, inclusive, &mut fold);
-            }
-            if let FluidRt::Open { from_k } = rt {
-                plan.fold_segment(*from_k, u64::MAX, e, inclusive, &mut fold);
-            }
             totals.events_elided += fold.elided;
             totals.buffered += Bytes::new(fold.switch_pkts * plan.size.get());
             folds.push(fold);
@@ -1172,20 +724,7 @@ mod tests {
     }
 
     fn fold_of(p: &FluidPlan, e: SimTime, inclusive: bool) -> FlowFold {
-        let mut f = FlowFold {
-            flow: FlowId(0),
-            dst: p.dst,
-            size: p.size,
-            gen_pkts: 0,
-            del_pkts: 0,
-            stuck_pkts: 0,
-            switch_pkts: 0,
-            first_del: SimTime::ZERO,
-            last_del: SimTime::ZERO,
-            elided: 0,
-        };
-        p.fold_segment(0, u64::MAX, e, inclusive, &mut f);
-        f
+        p.fold(FlowId(0), e, inclusive)
     }
 
     #[test]
@@ -1273,54 +812,6 @@ mod tests {
         assert_eq!(f.gen_pkts, 20);
     }
 
-    #[test]
-    fn segment_union_equals_whole_lattice() {
-        // Splitting the lattice into closed segments + an open tail
-        // folds to the same totals as one open segment (demotion with
-        // no intervening packet traffic must be lossless).
-        let p = plan(3);
-        let e = tick_at(p.t0, p.tick, 73) + SimDuration::from_ps(123_456);
-        let whole = fold_of(&p, e, true);
-        let mut split = fold_of(&p, e, true);
-        split.gen_pkts = 0;
-        split.del_pkts = 0;
-        split.stuck_pkts = 0;
-        split.switch_pkts = 0;
-        split.elided = 0;
-        for (lo, hi) in [(0, 10), (10, 40), (40, u64::MAX)] {
-            p.fold_segment(lo, hi, e, true, &mut split);
-        }
-        assert_eq!(split.gen_pkts, whole.gen_pkts);
-        assert_eq!(split.del_pkts, whole.del_pkts);
-        assert_eq!(split.stuck_pkts, whole.stuck_pkts);
-        assert_eq!(split.switch_pkts, whole.switch_pkts);
-        assert_eq!(split.elided, whole.elided);
-    }
-
-    #[test]
-    fn env_parser_accepts_known_values() {
-        // Can't set env safely in parallel tests; exercise validate +
-        // default shape instead.
-        let d = HybridConfig::default();
-        assert!(d.validate().is_ok());
-        assert!(d.enabled);
-        let bad = HybridConfig {
-            demote_fraction: 0.0,
-            ..d.clone()
-        };
-        assert!(bad.validate().is_err());
-        let bad = HybridConfig {
-            capacity_margin: 1.5,
-            ..d.clone()
-        };
-        assert!(bad.validate().is_err());
-        let bad = HybridConfig {
-            promote_after: SimDuration::ZERO,
-            ..d
-        };
-        assert!(bad.validate().is_err());
-    }
-
     /// `line(2)` carrying one bounded CBR flow the classifier admits
     /// whole: hybrid on, occupancy sampling (itself a gate) off, then
     /// whatever `arm` changes.
@@ -1331,18 +822,16 @@ mod tests {
         arm(&mut cfg);
         let mut sim = SimBuilder::new(&b.topo).config(cfg).build();
         sim.add_flow(
-            // 8 Gbps at the default 1000 B packet gives a 1 µs tick,
-            // so the per-switch residency windows ([1.2,1.4] and
-            // [2.4,2.6] µs after injection) never contain a tick
-            // instant and the drained-path promotion check can pass.
+            // 8 Gbps at the default 1000 B packet gives a 1 µs tick.
             FlowSpec::cbr(0, b.hosts[0], b.hosts[1], BitRate::from_gbps(8))
                 .stopping_at(SimTime::from_us(800)),
         );
         sim
     }
 
-    /// `hybrid_gate_reason` is the one list that decides which engine a
-    /// run may use. On a run that is otherwise all fluid, each gated
+    /// `hybrid_gate_reason` decides whether a run may classify flows
+    /// fluid (`NetSim::fast_forward_step` decides whether it may
+    /// fast-forward). On a run that is otherwise all fluid, each gated
     /// feature alone yields exactly its reason and elides nothing.
     #[test]
     fn gate_table_gives_each_feature_its_reason() {
@@ -1408,42 +897,5 @@ mod tests {
                 s.set_fault_plan(plan.clone()).expect("valid plan")
             });
         }
-    }
-
-    /// Demotion is statically unreachable under switch exclusivity, so
-    /// force it mid-run: the flow must close its open segment, resume a
-    /// real lattice-exact tick chain, promote back once the hysteresis
-    /// expires and the path drains, and still reproduce the full-packet
-    /// reference observables exactly.
-    #[test]
-    fn forced_demotion_round_trips_through_packets() {
-        let b = line(2, LinkSpec::default());
-        let mk = |on: bool| {
-            lone_cbr_sim(&b, |cfg| {
-                cfg.hybrid = Some(HybridConfig {
-                    enabled: on,
-                    ..HybridConfig::default()
-                })
-            })
-        };
-        let full = mk(false).run(SimTime::from_ms(1));
-        let mut sim = mk(true);
-        assert!(
-            sim.advance_until(SimTime::from_us(300), SimTime::from_ms(1))
-                .is_none(),
-            "run pauses mid-flight"
-        );
-        for &sw in &b.switches {
-            sim.hybrid_demote_node(sw);
-        }
-        let hyb = sim.resume_run();
-        assert!(hyb.hybrid_demotions >= 1, "forced demotion taken");
-        assert!(hyb.hybrid_promotions >= 1, "hysteresis promotion taken");
-        assert!(hyb.events_elided > 0, "elision resumed after promotion");
-        assert_eq!(format!("{:?}", hyb.verdict), format!("{:?}", full.verdict));
-        let flows =
-            |r: &crate::sim::RunReport| serde_json::to_string(&r.stats.flows).expect("serialize");
-        assert_eq!(flows(&hyb), flows(&full), "conservation totals diverge");
-        assert_eq!(hyb.stats.pause_frames, full.stats.pause_frames);
     }
 }

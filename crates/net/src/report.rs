@@ -46,8 +46,8 @@ impl fmt::Display for Summary<'_> {
         if r.fluid_flows > 0 {
             writeln!(
                 f,
-                "hybrid: {} fluid flows elided {} events ({} demotions, {} promotions)",
-                r.fluid_flows, r.events_elided, r.hybrid_demotions, r.hybrid_promotions
+                "hybrid: {} fluid flows elided {} events",
+                r.fluid_flows, r.events_elided
             )?;
         }
         writeln!(
@@ -157,10 +157,7 @@ mod tests {
         let b = line(2, LinkSpec::default());
         let mut cfg = SimConfig::default();
         cfg.sample_interval = None; // occupancy sampling gates hybrid
-        cfg.hybrid = Some(HybridConfig {
-            enabled: true,
-            ..HybridConfig::default()
-        });
+        cfg.hybrid = Some(HybridConfig::default());
         let mut sim = SimBuilder::new(&b.topo).config(cfg).build();
         sim.add_flow(
             FlowSpec::cbr(0, b.hosts[0], b.hosts[1], BitRate::from_gbps(8))

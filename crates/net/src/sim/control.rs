@@ -515,27 +515,6 @@ impl NetSim {
 
     pub(super) fn on_fault(&mut self, idx: usize) {
         let kind = self.cp.fault_events[idx].1.clone();
-        // A fault touching a watched switch is a demotion trigger: the
-        // fluid flows routed through it return to the packet regime
-        // before the fault's effects land. (Classification already
-        // refuses flows whose own path links are scripted; this covers
-        // node-scoped faults defensively.)
-        if self.hybrid.is_some() {
-            match &kind {
-                FaultKind::LinkDown { a, b, .. } | FaultKind::LinkUp { a, b, .. } => {
-                    let (a, b) = (*a, *b);
-                    self.hybrid_demote_node(a);
-                    self.hybrid_demote_node(b);
-                }
-                FaultKind::PauseLoss { node, .. }
-                | FaultKind::PauseDelay { node, .. }
-                | FaultKind::SwitchReboot { node, .. } => {
-                    let node = *node;
-                    self.hybrid_demote_node(node);
-                }
-                _ => {}
-            }
-        }
         match kind {
             FaultKind::LinkDown { a, b, link } => self.fault_link_down(a, b, link),
             FaultKind::LinkUp { a, b, link } => self.fault_link_up(a, b, link),

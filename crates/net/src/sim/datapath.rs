@@ -412,8 +412,8 @@ impl Datapath {
 
     /// Account `pkt` against ingress `(node, port)` of its class: the
     /// switch's shared buffer, the ingress counter and, when tracked, the
-    /// flow's share of it. Returns the counter after, and whether it now
-    /// needs a PAUSE: a lossless class at or past `xoff` with none sent.
+    /// flow's share of it. Returns whether it now needs a PAUSE: a
+    /// lossless class at or past `xoff` with none sent.
     #[inline]
     pub(crate) fn admit(
         &mut self,
@@ -422,7 +422,7 @@ impl Datapath {
         pkt: &Packet,
         lossless: bool,
         xoff: Bytes,
-    ) -> (Bytes, bool) {
+    ) -> bool {
         let track = self.cfg.track_per_flow_occupancy;
         let p = pkt.priority.index();
         let sw = self.switches[node.0 as usize].as_mut().expect("switch");
@@ -432,10 +432,7 @@ impl Datapath {
         if track {
             ing.per_flow.add(pkt.priority.0, pkt.flow, pkt.size);
         }
-        (
-            ing.count[p],
-            lossless && !ing.pause_sent[p] && ing.count[p] >= xoff,
-        )
+        lossless && !ing.pause_sent[p] && ing.count[p] >= xoff
     }
 
     /// Bitmask of the priorities carrying traffic: the flows' own, plus
@@ -826,20 +823,8 @@ impl NetSim {
         // Ingress accounting.
         let xoff = self.dp.xoff_of(node, port);
         let now = self.now();
-        let (occ_now, pause_needed) = self.dp.admit(node, port, &pkt, lossless, xoff);
-        if pause_needed {
+        if self.dp.admit(node, port, &pkt, lossless, xoff) {
             self.send_pause(node, port, prio);
-        }
-        // Hybrid demotion: a watched switch whose ingress crosses the
-        // demote fraction of XOFF sends its fluid flows back to the
-        // packet regime before PFC can engage (an actual pause demotes
-        // too, inside `send_pause`).
-        if let Some(h) = self.hybrid.as_deref() {
-            if h.watched.get(node.0 as usize).copied().unwrap_or(false)
-                && occ_now.get() as f64 >= h.cfg.demote_fraction * xoff.get() as f64
-            {
-                self.hybrid_demote_node(node);
-            }
         }
         self.trace(
             pkt.flow,
@@ -919,8 +904,7 @@ impl NetSim {
             }
             // Account the copy against the original ingress.
             let xoff = self.dp.xoff_of(node, ingress);
-            let (_, pause_needed) = self.dp.admit(node, ingress, &copy, lossless, xoff);
-            if pause_needed {
+            if self.dp.admit(node, ingress, &copy, lossless, xoff) {
                 self.send_pause(node, ingress, copy.priority);
             }
             self.stats.flood_replicas += 1;
@@ -1164,11 +1148,6 @@ impl NetSim {
     pub(super) fn send_pause(&mut self, node: NodeId, port: PortNo, prio: Priority) {
         if !self.dp.link_ok(node, port) {
             return; // nothing to protect across a dead link
-        }
-        // A pausing switch enters the deadlock tracker's watch set:
-        // any fluid flow routed through it demotes to packets first.
-        if self.hybrid.is_some() {
-            self.hybrid_demote_node(node);
         }
         let now = self.now();
         let mode = self.dp.pfc_of(node).mode;

@@ -209,11 +209,12 @@ pub struct RunReport {
     /// Events the hybrid fluid/packet backend did not have to execute
     /// (see [`crate::hybrid`]); zero when the backend is off or idle.
     pub events_elided: u64,
-    /// Flows that ran fluid for any part of the run.
+    /// Flows that ran fluid.
     pub fluid_flows: u64,
-    /// Hybrid fluid→packet region transitions taken.
+    /// Always 0: a fluid flow stays fluid for the whole run (see
+    /// [`crate::hybrid`]). Kept only because the benchmark reads it.
     pub hybrid_demotions: u64,
-    /// Hybrid packet→fluid region transitions taken.
+    /// Always 0, as `hybrid_demotions`.
     pub hybrid_promotions: u64,
     /// Periodic deadlock scans that actually ran the analyzer.
     pub deadlock_scans_run: u64,
@@ -905,8 +906,8 @@ impl NetSim {
             events: self.events,
             events_elided: hybrid_totals.as_ref().map_or(0, |t| t.events_elided),
             fluid_flows: hybrid_totals.as_ref().map_or(0, |t| t.fluid_flows),
-            hybrid_demotions: hybrid_totals.as_ref().map_or(0, |t| t.demotions),
-            hybrid_promotions: hybrid_totals.as_ref().map_or(0, |t| t.promotions),
+            hybrid_demotions: 0,
+            hybrid_promotions: 0,
             deadlock_scans_run: self.cp.scans_run,
             deadlock_scans_skipped: self.cp.scans_skipped,
             stats: std::mem::take(&mut self.stats),

@@ -47,7 +47,7 @@ impl NetSim {
             Demand::Cbr(_) | Demand::CbrFinite { .. } => {
                 // Hybrid: a fluid flow's tick chain is never scheduled —
                 // its lattice is folded in closed form at finalize.
-                if !self.hybrid_elides_ticks(flow) {
+                if !self.hybrid_is_fluid(flow) {
                     self.sched(self.now(), Ev::FlowTick { flow });
                 }
             }
@@ -108,9 +108,8 @@ impl NetSim {
                 }
             }
         }
-        // Hybrid intercept: swallow stray ticks of open fluid flows and
-        // promote a demoted flow whose hysteresis window has expired.
-        if self.hybrid.is_some() && self.hybrid_on_flow_tick(flow) {
+        // Hybrid intercept: swallow a fluid flow's sentinel tick.
+        if self.hybrid_is_fluid(flow) {
             return;
         }
         // On-off sources skip generation while OFF; the toggle re-arms the

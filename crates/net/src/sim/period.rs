@@ -312,7 +312,7 @@ pub(crate) fn encode(sim: &NetSim, at: SimTime, out: &mut Vec<u8>) {
         // Write-only.
         stats,
         telem,
-        // The gate admits no hybrid run.
+        // The gate admits no run with a fluid flow.
         hybrid: _,
         // Read only when the run starts.
         drain_stop: _,
@@ -834,19 +834,20 @@ pub fn fast_forwarded_runs() -> u64 {
 
 impl NetSim {
     /// The step of a run that may fast-forward, or `None` where it may
-    /// not. This is the one gate: a run needs a detector cadence to step
-    /// at, and is refused when it uses the hybrid backend (whose fluid
-    /// folds are not periodic state), traces packets (a trace is a log of
-    /// packet ids), sends telemetry events to a sink that keeps them, or
-    /// arms recovery (which drains queues by scan, not by state).
+    /// not. It decides whether a started run may skip periods; whether
+    /// it may classify flows fluid is `NetSim::hybrid_gate_reason`'s
+    /// decision, made in `start()`. A run needs a detector cadence to
+    /// step at, and is refused when it classified a flow fluid (fluid
+    /// folds are not periodic state), traces packets (a trace is a log
+    /// of packet ids), sends telemetry events to a sink that keeps them,
+    /// or arms recovery (which drains queues by scan, not by state).
     pub(super) fn fast_forward_step(&self) -> Option<SimDuration> {
         let step = self
             .dp
             .cfg
             .deadlock_scan_interval
             .filter(|s| !s.is_zero())?;
-        let hybrid =
-            self.dp.cfg.hybrid.as_ref().is_some_and(|h| h.enabled) || self.hybrid.is_some();
+        let hybrid = self.hybrid.is_some();
         let traced = self.dp.traced.contains(&true);
         let sink = (self.telem.as_deref())
             .is_some_and(|t| !matches!(t.cfg.sink, crate::telemetry::TraceSinkKind::Null));

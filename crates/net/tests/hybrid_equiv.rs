@@ -96,10 +96,7 @@ fn run_one(
     // series would record a fluid path's transients).
     cfg.sample_interval = None;
     cfg.stop_on_deadlock = !drain;
-    cfg.hybrid = Some(HybridConfig {
-        enabled: hybrid,
-        ..HybridConfig::default()
-    });
+    cfg.hybrid = Some(HybridConfig { enabled: hybrid });
     let mut sim = SimBuilder::new(&b.topo).config(cfg).tables(tables).build();
     let n = b.hosts.len();
     // Shared packet traffic (never eligible: unbounded, stochastic, or

@@ -9,6 +9,7 @@
 #[path = "../crates/net/tests/support/periodic_cases.rs"]
 mod cases;
 
+use pfcsim_net::golden;
 use pfcsim_net::prelude::*;
 use pfcsim_simcore::prelude::*;
 
@@ -28,4 +29,27 @@ fn fast_forward_hand_cases_equal_the_full_run() {
     for backend in [SchedulerBackend::Wheel, SchedulerBackend::Heap] {
         cases::hand_cases(backend, SimTime::from_ms(1));
     }
+}
+
+/// The fast-forward reads the engine that ran: a run whose config turns
+/// the hybrid backend on, but which classified no flow fluid, is a
+/// packet run and skips its periods like one.
+#[test]
+fn a_hybrid_config_with_no_fluid_flow_fast_forwards() {
+    let horizon = SimTime::from_ms(1);
+    let sim = |hybrid: Option<HybridConfig>| {
+        let mut cfg = SimConfig::default();
+        // Occupancy sampling would gate the backend off before it
+        // classifies anything.
+        cfg.sample_interval = None;
+        cfg.hybrid = hybrid;
+        // An unbounded CBR flow: never fluid.
+        cases::routing_loop(cfg, 2, 16, BitRate::from_gbps(4))
+    };
+    let ff = cases::check_with(|| sim(Some(HybridConfig::default())), horizon, "hybrid on");
+    assert!(ff.is_some(), "a run with no fluid flow fast-forwards");
+    let on = sim(Some(HybridConfig::default())).run(horizon);
+    let off = sim(None).run(horizon);
+    assert_eq!(on.fluid_flows, 0);
+    assert_eq!(golden::digest(&on), golden::digest(&off));
 }
