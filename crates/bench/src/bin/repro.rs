@@ -200,7 +200,6 @@ fn finish_golden(report: &pfcsim_net::sim::RunReport) -> ! {
 ///   checkpoint is written, and the process exits 143.
 fn golden_cmd(args: &[String]) -> ! {
     use pfcsim_net::golden::{self, DRAIN_UNTIL, STOP_AT};
-    use pfcsim_net::sim::SimArenas;
     use pfcsim_simcore::time::{SimDuration, SimTime, PS_PER_US};
 
     // A count whose picoseconds overflow `u64` would wrap inside
@@ -221,9 +220,8 @@ fn golden_cmd(args: &[String]) -> ! {
     let pause_us = parse_us("--pause-at-us");
     let every_us = parse_us("--checkpoint-every-us");
 
-    let mut arenas = SimArenas::new();
     let Some(path) = ckpt_path else {
-        let report = golden::run_with(None, &mut arenas);
+        let report = golden::run_with(None);
         finish_golden(&report);
     };
     let save = |sim: &mut pfcsim_net::sim::NetSim, path: &str| match sim
@@ -238,7 +236,7 @@ fn golden_cmd(args: &[String]) -> ! {
     };
 
     term_signal::install();
-    let mut sim = golden::build_sim(None, &mut arenas);
+    let mut sim = golden::build_sim(None);
     sim.schedule_flow_stops(STOP_AT);
     let report = if let Some(us) = pause_us {
         // One-shot: pause, checkpoint, leave the run unfinished.
@@ -283,7 +281,7 @@ fn golden_cmd(args: &[String]) -> ! {
 fn resume_cmd(path: &str) -> ! {
     use pfcsim_net::checkpoint::{config_digest, Checkpoint};
     use pfcsim_net::golden::{self, digest};
-    use pfcsim_net::sim::{NetSim, SimArenas};
+    use pfcsim_net::sim::NetSim;
 
     let ckpt = match Checkpoint::load(path) {
         Ok(c) => c,
@@ -300,8 +298,7 @@ fn resume_cmd(path: &str) -> ! {
     );
     // Is this the golden scenario's configuration (the one `repro golden`
     // writes)? If so the resumed digest is verifiable.
-    let is_golden = config_digest(golden::build_sim(None, &mut SimArenas::new()).config())
-        == ckpt.config_digest();
+    let is_golden = config_digest(golden::build_sim(None).config()) == ckpt.config_digest();
     let mut sim = match NetSim::resume(ckpt) {
         Ok(s) => s,
         Err(e) => {

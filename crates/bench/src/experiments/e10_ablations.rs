@@ -11,11 +11,9 @@ use pfcsim_net::config::{Arbitration, PauseMode};
 use pfcsim_simcore::units::{BitRate, Bytes};
 use pfcsim_topo::ids::Priority;
 
-use pfcsim_net::sim::SimArenas;
-
 use super::Opts;
-use crate::scenarios::{paper_config, square_scenario_in};
-use crate::sweep::parallel_map_with;
+use crate::scenarios::{paper_config, square_scenario};
+use crate::sweep::parallel_map;
 use crate::table::{fmt, Report, Table};
 
 /// Run E10.
@@ -29,12 +27,12 @@ pub fn run(opts: &Opts) -> Report {
         &["arbitration", "pauses_L2", "pauses_L4", "deadlock"],
     );
     let arbs = [Arbitration::Fifo, Arbitration::Drr];
-    for row in parallel_map_with(&arbs, SimArenas::new, |arenas, &arb| {
+    for row in parallel_map(&arbs, |&arb| {
         let mut cfg = paper_config();
         cfg.arbitration = arb;
-        let sc = square_scenario_in(cfg, false, None, arenas);
+        let sc = square_scenario(cfg, false, None);
         let cycle = sc.cycle.clone();
-        let res = sc.run_in(horizon, arenas);
+        let res = sc.run(horizon);
         vec![
             format!("{arb:?}"),
             res.stats
@@ -79,11 +77,11 @@ pub fn run(opts: &Opts) -> Report {
         .iter()
         .flat_map(|&xon| rates.iter().map(move |&g| (xon, g)))
         .collect();
-    let verdicts = parallel_map_with(&grid, SimArenas::new, |arenas, &(xon, g)| {
+    let verdicts = parallel_map(&grid, |&(xon, g)| {
         let mut cfg = paper_config();
         cfg.pfc.xon = Bytes::from_kb(xon);
-        let sc = square_scenario_in(cfg, true, Some(BitRate::from_gbps(g)), arenas);
-        sc.verdict_in(horizon, arenas).is_deadlock()
+        let sc = square_scenario(cfg, true, Some(BitRate::from_gbps(g)));
+        sc.verdict(horizon).is_deadlock()
     });
     for &xon in xons {
         let first = grid
@@ -119,11 +117,11 @@ pub fn run(opts: &Opts) -> Report {
             PauseMode::Quanta { quanta: 65535 },
         ),
     ];
-    for row in parallel_map_with(&modes, SimArenas::new, |arenas, &(label, mode)| {
+    for row in parallel_map(&modes, |&(label, mode)| {
         let mut cfg = paper_config();
         cfg.pfc.mode = mode;
-        let sc = square_scenario_in(cfg, true, None, arenas);
-        let res = sc.run_in(horizon, arenas);
+        let sc = square_scenario(cfg, true, None);
+        let res = sc.run(horizon);
         vec![
             label.into(),
             fmt::yn(res.verdict.is_deadlock()),
@@ -145,12 +143,12 @@ pub fn run(opts: &Opts) -> Report {
     } else {
         &[40, 100, 400, 1000, 2000]
     };
-    for row in parallel_map_with(sizes, SimArenas::new, |arenas, &kb| {
+    for row in parallel_map(sizes, |&kb| {
         let mut cfg = paper_config();
         cfg.pfc.xoff = Bytes::from_kb(kb);
         cfg.pfc.xon = Bytes::from_kb(kb / 2);
-        let sc = square_scenario_in(cfg, true, None, arenas);
-        let res = sc.run_in(horizon, arenas);
+        let sc = square_scenario(cfg, true, None);
+        let res = sc.run(horizon);
         let at = match &res.verdict {
             pfcsim_net::sim::Verdict::Deadlock { detected_at, .. } => detected_at.to_string(),
             _ => "-".into(),

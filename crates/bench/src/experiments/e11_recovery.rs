@@ -10,8 +10,8 @@ use pfcsim_net::prelude::*;
 use pfcsim_simcore::time::SimTime;
 
 use super::Opts;
-use crate::scenarios::{paper_config, square_scenario_in};
-use crate::sweep::parallel_map_with;
+use crate::scenarios::{paper_config, square_scenario};
+use crate::sweep::parallel_map;
 use crate::table::{fmt, Report, Table};
 
 struct Outcome {
@@ -25,15 +25,14 @@ fn run_variant(
     horizon: SimTime,
     recovery: Option<RecoveryConfig>,
     limiter: Option<pfcsim_simcore::units::BitRate>,
-    arenas: &mut SimArenas,
 ) -> Outcome {
     let mut cfg = paper_config();
     cfg.stop_on_deadlock = false;
-    let mut sc = square_scenario_in(cfg, true, limiter, arenas);
+    let mut sc = square_scenario(cfg, true, limiter);
     if let Some(rc) = recovery {
         sc.sim.try_enable_recovery(rc).expect("enable_recovery");
     }
-    let r = sc.run_in(horizon, arenas);
+    let r = sc.run(horizon);
     Outcome {
         delivered: r.stats.flows.values().map(|f| f.delivered_packets).sum(),
         destroyed: r.stats.drops_recovery,
@@ -59,15 +58,14 @@ pub fn run(opts: &Opts) -> Report {
         (Some(RecoveryStrategy::DrainWitness), None),
         (None, Some(pfcsim_simcore::units::BitRate::from_gbps(2))),
     ];
-    let mut outcomes =
-        parallel_map_with(&variants, SimArenas::new, |arenas, &(strategy, limiter)| {
-            let recovery = strategy.map(|s| RecoveryConfig {
-                strategy: s,
-                ..RecoveryConfig::default()
-            });
-            run_variant(horizon, recovery, limiter, arenas)
-        })
-        .into_iter();
+    let mut outcomes = parallel_map(&variants, |&(strategy, limiter)| {
+        let recovery = strategy.map(|s| RecoveryConfig {
+            strategy: s,
+            ..RecoveryConfig::default()
+        });
+        run_variant(horizon, recovery, limiter)
+    })
+    .into_iter();
     let frozen = outcomes.next().expect("frozen");
     let one = outcomes.next().expect("one");
     let all = outcomes.next().expect("all");

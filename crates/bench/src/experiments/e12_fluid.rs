@@ -13,10 +13,8 @@ use pfcsim_simcore::units::BitRate;
 use pfcsim_topo::builders::{square, Built, LinkSpec};
 use pfcsim_topo::ids::FlowId;
 
-use pfcsim_net::sim::SimArenas;
-
 use super::Opts;
-use crate::scenarios::{paper_config, square_scenario_in};
+use crate::scenarios::{paper_config, square_scenario};
 use crate::table::{fmt, Report, Table};
 
 struct SideBySide {
@@ -47,7 +45,7 @@ fn square_fluid_flows(b: &Built, with_flow3: bool, cap: Option<BitRate>) -> Vec<
     flows
 }
 
-fn compare(opts: &Opts, with_flow3: bool, arenas: &mut SimArenas) -> SideBySide {
+fn compare(opts: &Opts, with_flow3: bool) -> SideBySide {
     let b = square(LinkSpec::default());
     let flows = square_fluid_flows(&b, with_flow3, None);
     let n = flows.len();
@@ -55,9 +53,9 @@ fn compare(opts: &Opts, with_flow3: bool, arenas: &mut SimArenas) -> SideBySide 
     let fluid = FluidNetwork::new(&b.topo, flows, FluidConfig::default()).run(steps);
 
     let horizon = opts.horizon_ms(10);
-    let sc = square_scenario_in(paper_config(), with_flow3, None, arenas);
+    let sc = square_scenario(paper_config(), with_flow3, None);
     let cycle = sc.cycle.clone();
-    let packet = sc.run_in(horizon, arenas);
+    let packet = sc.run(horizon);
 
     let fluid_thr = (1..=n)
         .map(|i| fluid.throughput[&FlowId(i as u32)] / 1e9)
@@ -94,11 +92,9 @@ pub fn run(opts: &Opts) -> Report {
         "Flow-level (fluid) analysis vs packet-level simulation on Figs. 3-4",
     );
     let cases = [("Fig. 3 (2 flows)", false), ("Fig. 4 (3 flows)", true)];
-    for (label, s) in
-        crate::sweep::parallel_map_with(&cases, SimArenas::new, |arenas, &(label, with_flow3)| {
-            (label, compare(opts, with_flow3, arenas))
-        })
-    {
+    for (label, s) in crate::sweep::parallel_map(&cases, |&(label, with_flow3)| {
+        (label, compare(opts, with_flow3))
+    }) {
         let mut t = Table::new(
             format!("{label}: fluid vs packet"),
             &["metric", "fluid model", "packet simulator"],

@@ -22,9 +22,9 @@ use pfcsim_topo::ids::FlowId;
 
 use super::Opts;
 use crate::scenarios::{
-    paper_config, reconvergence_scenario_in, transient_loop_in, transient_loop_train_in, Scenario,
+    paper_config, reconvergence_scenario, transient_loop, transient_loop_train, Scenario,
 };
-use crate::sweep::parallel_map_with;
+use crate::sweep::parallel_map;
 use crate::table::{fmt, Report, Table};
 
 /// The detection instant, if the run deadlocked.
@@ -53,19 +53,15 @@ pub fn reconvergence_grid(opts: &Opts) -> Vec<(u64, u32, u64)> {
 }
 
 /// Table 2's run at one grid point, ready to run.
-pub fn reconvergence_run(
-    (jitter_us, flow, seed): (u64, u32, u64),
-    arenas: &mut SimArenas,
-) -> Scenario {
+pub fn reconvergence_run((jitter_us, flow, seed): (u64, u32, u64)) -> Scenario {
     let mut cfg = paper_config();
     cfg.seed = seed;
     cfg.stop_on_deadlock = false;
-    reconvergence_scenario_in(
+    reconvergence_scenario(
         cfg,
         flow,
         BitRate::from_gbps(30),
         SimDuration::from_us(jitter_us),
-        arenas,
     )
 }
 
@@ -96,28 +92,25 @@ pub fn run(opts: &Opts) -> Report {
     let windows = [25u64, 50, 100, 200, 400, 800, 1600];
     // Telemetry probes ride along (trace discarded): the flow's sampled
     // goodput series collapses toward zero exactly when the wedge hardens.
-    for (window_us, at, del, goodput) in
-        parallel_map_with(&windows, SimArenas::new, |arenas, &window_us| {
-            let mut cfg = paper_config();
-            cfg.stop_on_deadlock = false; // let the repair fire; the wedge survives it
-            cfg.telemetry = TelemetryConfig::sampling_only();
-            let sc = transient_loop_in(
-                cfg,
-                BitRate::from_gbps(8),
-                16,
-                install,
-                install + SimDuration::from_us(window_us),
-                arenas,
-            );
-            let r = sc.run_in(horizon, arenas);
-            let goodput = r
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.mean_goodput_bps(FlowId(0)))
-                .unwrap_or(0.0);
-            (window_us, deadlock_at(&r), delivered(&r), goodput)
-        })
-    {
+    for (window_us, at, del, goodput) in parallel_map(&windows, |&window_us| {
+        let mut cfg = paper_config();
+        cfg.stop_on_deadlock = false; // let the repair fire; the wedge survives it
+        cfg.telemetry = TelemetryConfig::sampling_only();
+        let sc = transient_loop(
+            cfg,
+            BitRate::from_gbps(8),
+            16,
+            install,
+            install + SimDuration::from_us(window_us),
+        );
+        let r = sc.run(horizon);
+        let goodput = r
+            .telemetry
+            .as_ref()
+            .and_then(|t| t.mean_goodput_bps(FlowId(0)))
+            .unwrap_or(0.0);
+        (window_us, deadlock_at(&r), delivered(&r), goodput)
+    }) {
         if at.is_some() && fill_window_us.is_none() {
             fill_window_us = Some(window_us);
         }
@@ -155,10 +148,8 @@ pub fn run(opts: &Opts) -> Report {
     // The full (jitter, flow, seed) grid is one flat fan-out; wedge
     // counts are tallied per jitter value from the ordered results. Only
     // the verdict is read, so each run stops once it is settled.
-    let grid_wedged = parallel_map_with(&grid, SimArenas::new, |arenas, &point| {
-        reconvergence_run(point, arenas)
-            .verdict_in(horizon2, arenas)
-            .is_deadlock()
+    let grid_wedged = parallel_map(&grid, |&point| {
+        reconvergence_run(point).verdict(horizon2).is_deadlock()
     });
     let mut wedged_at_max_jitter = 0usize;
     for &jitter_us in &JITTERS_US {
@@ -228,14 +219,14 @@ pub fn run(opts: &Opts) -> Report {
         ),
     ];
     let mut flap_outcomes = Vec::new();
-    for (name, r) in parallel_map_with(&variants, SimArenas::new, |arenas, (name, recovery)| {
+    for (name, r) in parallel_map(&variants, |(name, recovery)| {
         let mut cfg = paper_config();
         cfg.stop_on_deadlock = false;
-        let mut sc = transient_loop_train_in(cfg, BitRate::from_gbps(8), 16, &train, arenas);
+        let mut sc = transient_loop_train(cfg, BitRate::from_gbps(8), 16, &train);
         if let Some(rc) = *recovery {
             sc.sim.try_enable_recovery(rc).expect("enable_recovery");
         }
-        (*name, sc.run_in(horizon3, arenas))
+        (*name, sc.run(horizon3))
     }) {
         t.row(vec![
             name.into(),

@@ -10,38 +10,30 @@ use pfcsim_core::boundary::BoundaryModel;
 use pfcsim_simcore::time::SimTime;
 use pfcsim_simcore::units::BitRate;
 
-use pfcsim_net::sim::SimArenas;
 use pfcsim_net::telemetry::TelemetryConfig;
 
 use super::Opts;
-use crate::scenarios::{paper_config, routing_loop_n_in};
-use crate::sweep::parallel_map_with;
+use crate::scenarios::{paper_config, routing_loop_n};
+use crate::sweep::parallel_map;
 use crate::table::{fmt, Report, Table};
 
 /// Whether the loop deadlocks within `horizon`. Only the verdict is
 /// read, so a run below the threshold returns once its loop settles
 /// into a steady state it has been in before.
-fn deadlocks(rate: BitRate, ttl: u8, n: usize, horizon: SimTime, arenas: &mut SimArenas) -> bool {
-    let sc = routing_loop_n_in(paper_config(), rate, ttl, n, arenas);
-    sc.verdict_in(horizon, arenas).is_deadlock()
+fn deadlocks(rate: BitRate, ttl: u8, n: usize, horizon: SimTime) -> bool {
+    routing_loop_n(paper_config(), rate, ttl, n)
+        .verdict(horizon)
+        .is_deadlock()
 }
 
 /// Bisect the measured threshold to `step` granularity in `[lo, hi]`,
 /// assuming monotone deadlock-in-rate (which Part A verifies).
-fn measure_threshold(
-    ttl: u8,
-    n: usize,
-    horizon: SimTime,
-    lo: u64,
-    hi: u64,
-    step: u64,
-    arenas: &mut SimArenas,
-) -> u64 {
+fn measure_threshold(ttl: u8, n: usize, horizon: SimTime, lo: u64, hi: u64, step: u64) -> u64 {
     let mut lo = lo; // known no-deadlock (mbps)
     let mut hi = hi; // known deadlock (mbps)
     while hi - lo > step {
         let mid = (lo + hi) / 2;
-        if deadlocks(BitRate::from_mbps(mid), ttl, n, horizon, arenas) {
+        if deadlocks(BitRate::from_mbps(mid), ttl, n, horizon) {
             hi = mid;
         } else {
             lo = mid;
@@ -71,33 +63,30 @@ pub fn run(opts: &Opts) -> Report {
         ],
     );
     let mut agree = true;
-    // The ten rate points are independent simulations: fan them out,
-    // each worker recycling one arena bundle across its points. These
+    // The ten rate points are independent simulations: fan them out. These
     // runs carry the telemetry probes (trace discarded): the sampled
     // pause ratio shows the loop's channels saturating as the injection
     // rate crosses the Eq. 3 boundary.
     let rates: Vec<u64> = (1..=10).collect();
-    let results: Vec<(u64, bool, bool, u64, f64)> =
-        parallel_map_with(&rates, SimArenas::new, |arenas, &g| {
-            let r = BitRate::from_gbps(g);
-            let predicted = model.predicts_deadlock(r);
-            let mut cfg = paper_config();
-            cfg.telemetry = TelemetryConfig::sampling_only();
-            let sc = routing_loop_n_in(cfg, r, 16, 2, arenas);
-            let res = sc.run_in(horizon, arenas);
-            let pause_ratio = res
-                .telemetry
-                .as_ref()
-                .map(|t| t.mean_pause_ratio())
-                .unwrap_or(0.0);
-            (
-                g,
-                predicted,
-                res.verdict.is_deadlock(),
-                res.stats.drops_ttl,
-                pause_ratio,
-            )
-        });
+    let results: Vec<(u64, bool, bool, u64, f64)> = parallel_map(&rates, |&g| {
+        let r = BitRate::from_gbps(g);
+        let predicted = model.predicts_deadlock(r);
+        let mut cfg = paper_config();
+        cfg.telemetry = TelemetryConfig::sampling_only();
+        let res = routing_loop_n(cfg, r, 16, 2).run(horizon);
+        let pause_ratio = res
+            .telemetry
+            .as_ref()
+            .map(|t| t.mean_pause_ratio())
+            .unwrap_or(0.0);
+        (
+            g,
+            predicted,
+            res.verdict.is_deadlock(),
+            res.stats.drops_ttl,
+            pause_ratio,
+        )
+    });
     for (g, predicted, simulated, drops, pause_ratio) in results {
         if simulated != predicted {
             agree = false;
@@ -127,13 +116,13 @@ pub fn run(opts: &Opts) -> Report {
         &["n", "TTL", "predicted_gbps", "measured_gbps", "rel_err_%"],
     );
     // Each combo's bisection is independent of the others: fan them out.
-    let rows = parallel_map_with(combos, SimArenas::new, |arenas, &(n, ttl)| {
+    let rows = parallel_map(combos, |&(n, ttl)| {
         let m = BoundaryModel::new(n as u32, BitRate::from_gbps(40), ttl as u32);
         let pred = m.deadlock_threshold();
         // Bracket: half predicted (safe) to 2.5x predicted (deadlocks).
         let lo = pred.bps() / 2_000_000;
         let hi = pred.bps() / 400_000;
-        let measured_mbps = measure_threshold(ttl, n, horizon, lo, hi, 250, arenas);
+        let measured_mbps = measure_threshold(ttl, n, horizon, lo, hi, 250);
         let measured = BitRate::from_mbps(measured_mbps);
         (n, ttl, pred, measured)
     });

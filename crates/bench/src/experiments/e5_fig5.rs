@@ -12,8 +12,8 @@ use pfcsim_topo::ids::{FlowId, NodeId, Priority};
 
 use super::e3_fig3::{occupancy_row, rx1_key};
 use super::Opts;
-use crate::scenarios::{paper_config, square_scenario_in};
-use crate::sweep::parallel_map_with;
+use crate::scenarios::{paper_config, square_scenario};
+use crate::sweep::parallel_map;
 use crate::table::{fmt, Report, Table};
 
 /// Run E5.
@@ -45,14 +45,14 @@ pub fn run(opts: &Opts) -> Report {
     // The limiter points are independent simulations; the crossover scan
     // and occupancy-table selection below stay serial over the ordered
     // results.
-    let runs = parallel_map_with(rates, pfcsim_net::sim::SimArenas::new, |arenas, &g| {
-        let mut sc = square_scenario_in(paper_config(), true, Some(BitRate::from_gbps(g)), arenas);
+    let runs = parallel_map(rates, |&g| {
+        let mut sc = square_scenario(paper_config(), true, Some(BitRate::from_gbps(g)));
         // Fig. 5(c/d) and its CSV read RX1(B) only.
         sc.sim.watch_only([rx1_key(&sc.built, 1)]);
         let cycle = sc.cycle.clone();
         let cycle_nodes: Vec<NodeId> = sc.built.switches.clone();
         let built = sc.built.clone();
-        let result = sc.run_in(horizon, arenas);
+        let result = sc.run(horizon);
         (g, cycle, cycle_nodes, built, result)
     });
     for (g, cycle, cycle_nodes, built, result) in runs {

@@ -12,11 +12,9 @@ use pfcsim_core::boundary::BoundaryModel;
 use pfcsim_net::config::TtlClassConfig;
 use pfcsim_simcore::units::BitRate;
 
-use pfcsim_net::sim::SimArenas;
-
 use super::Opts;
-use crate::scenarios::{paper_config, routing_loop_n_in, square_scenario_in};
-use crate::sweep::parallel_map_with;
+use crate::scenarios::{paper_config, routing_loop_n, square_scenario};
+use crate::sweep::parallel_map;
 use crate::table::{fmt, Report, Table};
 
 /// Run E6.
@@ -74,20 +72,16 @@ pub fn run(opts: &Opts) -> Report {
             true,
         ),
     ];
-    for (label, dl) in parallel_map_with(
-        &configs,
-        SimArenas::new,
-        |arenas, &(label, classes, wrr)| {
-            let mut cfg = paper_config();
-            cfg.ttl_class_mode = classes;
-            if wrr {
-                cfg.class_scheduling = pfcsim_net::config::ClassScheduling::Wrr;
-            }
-            let sc = routing_loop_n_in(cfg, BitRate::from_gbps(8), 16, 2, arenas);
-            let res = sc.run_in(horizon, arenas);
-            (label, res.verdict.is_deadlock())
-        },
-    ) {
+    for (label, dl) in parallel_map(&configs, |&(label, classes, wrr)| {
+        let mut cfg = paper_config();
+        cfg.ttl_class_mode = classes;
+        if wrr {
+            cfg.class_scheduling = pfcsim_net::config::ClassScheduling::Wrr;
+        }
+        let sc = routing_loop_n(cfg, BitRate::from_gbps(8), 16, 2);
+        let res = sc.run(horizon);
+        (label, res.verdict.is_deadlock())
+    }) {
         t.row(vec![label.into(), fmt::yn(dl)]);
     }
     report.table(t);
@@ -115,11 +109,11 @@ pub fn run(opts: &Opts) -> Report {
             }),
         ),
     ];
-    for (label, dl) in parallel_map_with(&configs, SimArenas::new, |arenas, &(label, classes)| {
+    for (label, dl) in parallel_map(&configs, |&(label, classes)| {
         let mut cfg = paper_config();
         cfg.ttl_class_mode = classes;
-        let sc = square_scenario_in(cfg, true, None, arenas);
-        let res = sc.run_in(opts.horizon_ms(10), arenas);
+        let sc = square_scenario(cfg, true, None);
+        let res = sc.run(opts.horizon_ms(10));
         (label, res.verdict.is_deadlock())
     }) {
         t.row(vec![label.into(), fmt::yn(dl)]);

@@ -10,12 +10,11 @@ use pfcsim_core::sufficiency::blast_radius;
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_topo::graph::NodeKind;
 
-use pfcsim_net::sim::SimArenas;
 use pfcsim_net::telemetry::TelemetryConfig;
 
 use super::Opts;
-use crate::scenarios::{paper_config, tiering_scenario_in};
-use crate::sweep::parallel_map_with;
+use crate::scenarios::{paper_config, tiering_scenario};
+use crate::sweep::parallel_map;
 use crate::table::{Report, Table};
 
 struct Outcome {
@@ -30,7 +29,7 @@ struct Outcome {
     peak_occupancy_kb: f64,
 }
 
-fn run_one(opts: &Opts, tiered: bool, seed: u64, arenas: &mut SimArenas) -> Outcome {
+fn run_one(opts: &Opts, tiered: bool, seed: u64) -> Outcome {
     let horizon = opts.horizon_ms(5);
     let fan = 6;
     let mut cfg = paper_config();
@@ -38,11 +37,10 @@ fn run_one(opts: &Opts, tiered: bool, seed: u64, arenas: &mut SimArenas) -> Outc
     // Probes only (trace discarded): the sampled pause ratio and peak
     // ingress occupancy quantify how far the incast's backpressure leaks.
     cfg.telemetry = TelemetryConfig::sampling_only();
-    let mut sc = tiering_scenario_in(cfg, fan, tiered, arenas);
+    let mut sc = tiering_scenario(cfg, fan, tiered);
     let victim = sc.victim;
     let topo = sc.built.topo.clone();
     let result = sc.sim.run(horizon);
-    sc.sim.recycle(arenas);
     let mut fabric = 0usize;
     let mut host = 0usize;
     for (key, log) in &result.stats.pause {
@@ -104,9 +102,7 @@ pub fn run(opts: &Opts) -> Report {
         .iter()
         .flat_map(|&t| seeds.iter().map(move |&s| (t, s)))
         .collect();
-    let outcomes = parallel_map_with(&pairs, SimArenas::new, |arenas, &(tiered, seed)| {
-        run_one(opts, tiered, seed, arenas)
-    });
+    let outcomes = parallel_map(&pairs, |&(tiered, seed)| run_one(opts, tiered, seed));
     let avg = |tiered: bool| -> Outcome {
         let runs: Vec<&Outcome> = pairs
             .iter()

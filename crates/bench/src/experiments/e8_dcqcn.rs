@@ -9,10 +9,8 @@
 use pfcsim_simcore::time::SimTime;
 use pfcsim_topo::ids::FlowId;
 
-use pfcsim_net::sim::SimArenas;
-
 use super::Opts;
-use crate::scenarios::{paper_config, square_dcqcn_in, square_scenario_in, square_timely_in};
+use crate::scenarios::{paper_config, square_dcqcn, square_scenario, square_timely};
 use crate::table::{fmt, Report, Table};
 
 struct Outcome {
@@ -56,14 +54,14 @@ pub fn run(opts: &Opts) -> Report {
 
     // Four independent variants, fanned out.
     let variants = [0usize, 1, 2, 3];
-    let mut runs = crate::sweep::parallel_map_with(&variants, SimArenas::new, |arenas, &v| {
+    let mut runs = crate::sweep::parallel_map(&variants, |&v| {
         let sc = match v {
-            0 => square_scenario_in(paper_config(), true, None, arenas),
-            1 => square_dcqcn_in(paper_config(), false, arenas),
-            2 => square_dcqcn_in(paper_config(), true, arenas),
-            _ => square_timely_in(paper_config(), arenas),
+            0 => square_scenario(paper_config(), true, None),
+            1 => square_dcqcn(paper_config(), false),
+            2 => square_dcqcn(paper_config(), true),
+            _ => square_timely(paper_config()),
         };
-        outcome(sc.run_in(horizon, arenas))
+        outcome(sc.run(horizon))
     })
     .into_iter();
     let udp = runs.next().expect("udp");

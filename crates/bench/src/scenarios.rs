@@ -6,6 +6,7 @@
 //! class 3.
 
 use pfcsim_net::prelude::*;
+use pfcsim_net::sim::SimArenas;
 use pfcsim_simcore::prelude::*;
 use pfcsim_topo::prelude::*;
 
@@ -22,21 +23,22 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Run to `horizon`, then hand the simulator's reusable storage back
-    /// to `arenas` — the sweep-worker idiom paired with the `_in` scenario
-    /// constructors.
-    pub fn run_in(mut self, horizon: SimTime, arenas: &mut SimArenas) -> RunReport {
-        let report = self.sim.run(horizon);
-        self.sim.recycle(arenas);
-        report
+    /// Run to `horizon` and drop the simulator.
+    pub fn run(mut self, horizon: SimTime) -> RunReport {
+        self.sim.run(horizon)
     }
 
-    /// [`Scenario::run_in`] for a caller that reads only the verdict: the
+    /// [`Scenario::run`] for a caller that reads only the verdict: the
     /// run stops once its verdict is settled (`NetSim::run_to_verdict`).
-    pub fn verdict_in(mut self, horizon: SimTime, arenas: &mut SimArenas) -> Verdict {
-        let verdict = self.sim.run_to_verdict(horizon);
-        self.sim.recycle(arenas);
-        verdict
+    pub fn verdict(mut self, horizon: SimTime) -> Verdict {
+        self.sim.run_to_verdict(horizon)
+    }
+
+    /// [`Scenario::run`]; `benchmark/src/layers.rs` still calls this name.
+    /// Goes with `SimArenas` in ROADMAP item 1.
+    #[doc(hidden)]
+    pub fn run_in(self, horizon: SimTime, _: &mut SimArenas) -> RunReport {
+        self.run(horizon)
     }
 }
 
@@ -77,17 +79,6 @@ pub fn routing_loop(cfg: SimConfig, rate: BitRate, ttl: u8) -> Scenario {
 
 /// Case 1 generalized to an `n`-switch loop (for the Eq. 3 `n` sweep).
 pub fn routing_loop_n(cfg: SimConfig, rate: BitRate, ttl: u8, n: usize) -> Scenario {
-    routing_loop_n_in(cfg, rate, ttl, n, &mut SimArenas::new())
-}
-
-/// [`routing_loop_n`] leasing storage from `arenas`.
-pub fn routing_loop_n_in(
-    cfg: SimConfig,
-    rate: BitRate,
-    ttl: u8,
-    n: usize,
-    arenas: &mut SimArenas,
-) -> Scenario {
     let built = if n == 2 {
         two_switch_loop(LinkSpec::default())
     } else {
@@ -100,7 +91,7 @@ pub fn routing_loop_n_in(
         SimBuilder::new(&built.topo)
             .config(cfg)
             .tables(tables)
-            .build_in(arenas),
+            .build(),
     );
     sim.add_flow(FlowSpec::cbr(0, built.hosts[0], built.hosts[1], rate).with_ttl(ttl));
     let cycle = (0..s.len()).map(|i| (s[i], s[(i + 1) % s.len()])).collect();
@@ -126,18 +117,8 @@ pub fn square_flow3(built: &Built) -> FlowSpec {
 /// The Fig. 3/4/5 scenario family. `with_flow3` adds flow 3 (Fig. 4);
 /// `limiter` shapes switch B's host-facing ingress RX2 (Fig. 5).
 pub fn square_scenario(cfg: SimConfig, with_flow3: bool, limiter: Option<BitRate>) -> Scenario {
-    square_scenario_in(cfg, with_flow3, limiter, &mut SimArenas::new())
-}
-
-/// [`square_scenario`] leasing storage from `arenas`.
-pub fn square_scenario_in(
-    cfg: SimConfig,
-    with_flow3: bool,
-    limiter: Option<BitRate>,
-    arenas: &mut SimArenas,
-) -> Scenario {
     let built = square(LinkSpec::default());
-    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build());
     for f in square_flows(&built) {
         sim.add_flow(f);
     }
@@ -158,6 +139,18 @@ pub fn square_scenario_in(
     Scenario { built, sim, cycle }
 }
 
+/// [`square_scenario`]; `benchmark/src/layers.rs` still calls this name.
+/// Goes with `SimArenas` in ROADMAP item 1.
+#[doc(hidden)]
+pub fn square_scenario_in(
+    cfg: SimConfig,
+    with_flow3: bool,
+    limiter: Option<BitRate>,
+    _: &mut SimArenas,
+) -> Scenario {
+    square_scenario(cfg, with_flow3, limiter)
+}
+
 /// Case 1 as a *transient* event (E14): the two-switch topology with
 /// correct shortest-path routes and a fault plan that, for each
 /// `(install, repair)` pair, rewrites S1's entry for h1 to point back at
@@ -168,17 +161,6 @@ pub fn transient_loop_train(
     rate: BitRate,
     ttl: u8,
     windows: &[(SimTime, SimTime)],
-) -> Scenario {
-    transient_loop_train_in(cfg, rate, ttl, windows, &mut SimArenas::new())
-}
-
-/// [`transient_loop_train`] leasing storage from `arenas`.
-pub fn transient_loop_train_in(
-    cfg: SimConfig,
-    rate: BitRate,
-    ttl: u8,
-    windows: &[(SimTime, SimTime)],
-    arenas: &mut SimArenas,
 ) -> Scenario {
     let built = two_switch_loop(LinkSpec::default());
     let (s, h) = (built.switches.clone(), built.hosts.clone());
@@ -192,7 +174,7 @@ pub fn transient_loop_train_in(
         .port_towards(s[1], h[1])
         .expect("s1 host port")
         .port;
-    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build());
     sim.add_flow(FlowSpec::cbr(0, h[0], h[1], rate).with_ttl(ttl));
     // S0 already forwards h1-bound traffic to S1; pointing S1 back at S0
     // closes the loop, restoring the host port repairs it.
@@ -221,18 +203,6 @@ pub fn transient_loop(
     transient_loop_train(cfg, rate, ttl, &[(install_at, repair_at)])
 }
 
-/// [`transient_loop`] leasing storage from `arenas`.
-pub fn transient_loop_in(
-    cfg: SimConfig,
-    rate: BitRate,
-    ttl: u8,
-    install_at: SimTime,
-    repair_at: SimTime,
-    arenas: &mut SimArenas,
-) -> Scenario {
-    transient_loop_train_in(cfg, rate, ttl, &[(install_at, repair_at)], arenas)
-}
-
 /// Case 1 from a *real* failure (E14): the square fabric under ECMP
 /// shortest-path routing, one CBR flow h0→h3, the S0–S3 link cut at
 /// 100 µs, and a network-wide reconvergence in which each switch applies
@@ -244,20 +214,9 @@ pub fn reconvergence_scenario(
     rate: BitRate,
     jitter: SimDuration,
 ) -> Scenario {
-    reconvergence_scenario_in(cfg, flow, rate, jitter, &mut SimArenas::new())
-}
-
-/// [`reconvergence_scenario`] leasing storage from `arenas`.
-pub fn reconvergence_scenario_in(
-    cfg: SimConfig,
-    flow: u32,
-    rate: BitRate,
-    jitter: SimDuration,
-    arenas: &mut SimArenas,
-) -> Scenario {
     let built = square(LinkSpec::default());
     let (s, h) = (built.switches.clone(), built.hosts.clone());
-    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build());
     sim.add_flow(FlowSpec::cbr(flow, h[0], h[3], rate).with_ttl(16));
     sim.set_fault_plan(
         FaultPlan::new()
@@ -271,12 +230,7 @@ pub fn reconvergence_scenario_in(
 
 /// The DCQCN variant of Fig. 4 (E8): the same three flows but congestion-
 /// controlled, with ECN marking at switches.
-pub fn square_dcqcn(cfg: SimConfig, phantom: bool) -> Scenario {
-    square_dcqcn_in(cfg, phantom, &mut SimArenas::new())
-}
-
-/// [`square_dcqcn`] leasing storage from `arenas`.
-pub fn square_dcqcn_in(mut cfg: SimConfig, phantom: bool, arenas: &mut SimArenas) -> Scenario {
+pub fn square_dcqcn(mut cfg: SimConfig, phantom: bool) -> Scenario {
     let mut ecn = EcnConfig {
         kmin: Bytes::from_kb(5),
         kmax: Bytes::from_kb(40),
@@ -288,7 +242,7 @@ pub fn square_dcqcn_in(mut cfg: SimConfig, phantom: bool, arenas: &mut SimArenas
     }
     cfg.ecn = Some(ecn);
     let built = square(LinkSpec::default());
-    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build());
     sim.set_dcqcn(DcqcnConfig::for_line_rate(BitRate::from_gbps(40)));
     for mut f in square_flows(&built) {
         f.demand = Demand::Dcqcn;
@@ -305,13 +259,8 @@ pub fn square_dcqcn_in(mut cfg: SimConfig, phantom: bool, arenas: &mut SimArenas
 /// The TIMELY variant of Fig. 4 (E8): same flows, RTT-gradient congestion
 /// control, no switch (ECN) support required.
 pub fn square_timely(cfg: SimConfig) -> Scenario {
-    square_timely_in(cfg, &mut SimArenas::new())
-}
-
-/// [`square_timely`] leasing storage from `arenas`.
-pub fn square_timely_in(cfg: SimConfig, arenas: &mut SimArenas) -> Scenario {
     let built = square(LinkSpec::default());
-    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build());
     sim.set_timely(TimelyConfig::for_line_rate(BitRate::from_gbps(40)));
     for mut f in square_flows(&built) {
         f.demand = Demand::Timely;
@@ -339,20 +288,10 @@ pub struct TieringScenario {
 
 /// Build the incast+victim scenario; `tiered` applies the threshold plan.
 pub fn tiering_scenario(cfg: SimConfig, fan: usize, tiered: bool) -> TieringScenario {
-    tiering_scenario_in(cfg, fan, tiered, &mut SimArenas::new())
-}
-
-/// [`tiering_scenario`] leasing storage from `arenas`.
-pub fn tiering_scenario_in(
-    cfg: SimConfig,
-    fan: usize,
-    tiered: bool,
-    arenas: &mut SimArenas,
-) -> TieringScenario {
     use pfcsim_mitigation::tiering::{plan_tiered_thresholds, TieringPolicy};
     let hosts_per_leaf = fan.div_ceil(2).max(2);
     let built = leaf_spine(3, 2, hosts_per_leaf, LinkSpec::default());
-    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build_in(arenas));
+    let mut sim = unwatched(SimBuilder::new(&built.topo).config(cfg).build());
     // Incast: `fan` *bursty* senders from leaves 0 and 1 target the first
     // host on leaf 2 — §4's tiering case is about absorbing bursts, so the
     // workload bursts (line-rate ON periods, 25% duty cycle).

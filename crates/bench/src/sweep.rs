@@ -15,7 +15,7 @@
 //! fourteen experiments and each experiment maps over its points, and
 //! a core one experiment leaves idle is taken by another's points.
 //!
-//! - The caller of [`parallel_map_with`] takes a permit (or keeps the
+//! - The caller of [`parallel_map`] takes a permit (or keeps the
 //!   one it runs under, when nested) and works through its own call's
 //!   points.
 //! - Helpers are scoped threads. Each waits for a free permit, claims
@@ -26,6 +26,9 @@
 //!
 //! A thread that user code spawns itself holds no permit, so a sweep it
 //! starts waits for one like any top-level caller.
+//!
+//! Each point builds its own simulator and drops it when its run ends;
+//! a worker carries nothing from one point to the next.
 //!
 //! Determinism contract: each simulation owns its RNG (seeded from its
 //! parameters) and shares nothing mutable, so `parallel_map(items, f)`
@@ -137,26 +140,6 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_with(items, || (), |_, item| f(item))
-}
-
-/// [`parallel_map`] with per-worker scratch state: a thread that claims
-/// points of this call runs `init()` before its first one and threads
-/// the value through each point it processes.
-///
-/// This is the hook for allocation reuse across sweep points — pass
-/// `SimArenas::new` as `init` and build each point's simulator with
-/// `SimBuilder::build_in` / recycle it back, and a worker's steady-state
-/// iterations stop allocating. The scratch value must not affect results
-/// (the determinism contract above still applies at any pool size, and
-/// the serial path funnels every item through a single scratch value).
-pub fn parallel_map_with<T, S, R, I, F>(items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
     let pool = pool();
     let nested = HOLDS_PERMIT.with(Cell::get);
     if !nested {
@@ -171,23 +154,15 @@ where
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     // (item index, panic message) for every task whose closure panicked.
     let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    // Claim points until none is left; scratch is built at the first.
-    let drain = || {
-        let mut scratch = None;
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= items.len() {
-                break;
-            }
-            match run_isolated(|| f(scratch.get_or_insert_with(&init), &items[i])) {
-                Ok(r) => *slots[i].lock().expect("slot poisoned") = Some(r),
-                Err(msg) => {
-                    panics.lock().expect("panic log poisoned").push((i, msg));
-                    // The closure may have left the scratch
-                    // half-mutated; rebuild it before the next task.
-                    scratch = None;
-                }
-            }
+    // Claim points until none is left.
+    let drain = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            break;
+        }
+        match run_isolated(|| f(&items[i])) {
+            Ok(r) => *slots[i].lock().expect("slot poisoned") = Some(r),
+            Err(msg) => panics.lock().expect("panic log poisoned").push((i, msg)),
         }
     };
     let helpers = pool.size.min(items.len()).saturating_sub(1);
@@ -262,19 +237,6 @@ mod tests {
     #[test]
     fn single_item() {
         assert_eq!(parallel_map(&[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn with_scratch_matches_plain_map() {
-        // Scratch is reused across items within a worker but must not
-        // leak into results.
-        let items: Vec<u64> = (0..50).collect();
-        let got = parallel_map_with(&items, Vec::<u64>::new, |scratch, &x| {
-            scratch.push(x); // arbitrary per-worker state
-            x * 7
-        });
-        let want: Vec<u64> = items.iter().map(|&x| x * 7).collect();
-        assert_eq!(got, want);
     }
 
     /// The `PFCSIM_THREADS` parser is pure, so no test mutates the

@@ -1,12 +1,11 @@
 //! E14 Table 2 reads only each run's verdict, so its runs stop once the
-//! verdict is settled (`Scenario::verdict_in`). Over Table 2's exact
+//! verdict is settled (`Scenario::verdict`). Over Table 2's exact
 //! 60-point grid that verdict, detection instant and witness included,
 //! equals the one the full 30 ms run reports.
 
 use pfcsim_experiments::experiments::e14_faults::{reconvergence_grid, reconvergence_run};
 use pfcsim_experiments::experiments::Opts;
-use pfcsim_experiments::sweep::parallel_map_with;
-use pfcsim_net::prelude::*;
+use pfcsim_experiments::sweep::parallel_map;
 use pfcsim_simcore::time::SimTime;
 
 #[test]
@@ -15,15 +14,11 @@ fn table2_verdicts_equal_the_full_runs() {
     let grid = reconvergence_grid(&Opts::default());
     assert_eq!(grid.len(), 60);
     let horizon = SimTime::from_ms(30);
-    let rows = parallel_map_with(&grid, SimArenas::new, |arenas, &point| {
-        let full = reconvergence_run(point, arenas)
-            .run_in(horizon, arenas)
-            .verdict;
-        let mut sc = reconvergence_run(point, arenas);
+    let rows = parallel_map(&grid, |&point| {
+        let full = reconvergence_run(point).run(horizon).verdict;
+        let mut sc = reconvergence_run(point);
         let early = sc.sim.run_to_verdict(horizon);
-        let stopped_at = sc.sim.now();
-        sc.sim.recycle(arenas);
-        (point, full, early, stopped_at)
+        (point, full, early, sc.sim.now())
     });
     // Stop instants of the clean runs and of the deadlocking ones.
     let (mut clean, mut wedged) = (Vec::new(), Vec::new());

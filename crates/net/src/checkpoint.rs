@@ -726,8 +726,7 @@ mod tests {
     /// replaced, and `digest()` is `fnv1a` of exactly those bytes.
     #[test]
     fn mid_run_frame_and_digest_match_the_two_buffer_layout() {
-        let mut arenas = crate::sim::SimArenas::new();
-        let mut sim = crate::golden::build_sim(None, &mut arenas);
+        let mut sim = crate::golden::build_sim(None);
         assert!(sim
             .advance_until(SimTime::from_ms(1), crate::golden::DRAIN_UNTIL)
             .is_none());
@@ -756,7 +755,7 @@ mod tests {
     fn a_pre_hybrid_frame_still_loads_and_resumes() {
         use crate::golden::{self, DRAIN_UNTIL, GOLDEN_DIGEST, STOP_AT};
         use serde::value::Value;
-        let mut sim = golden::build_sim(None, &mut crate::sim::SimArenas::new());
+        let mut sim = golden::build_sim(None);
         sim.schedule_flow_stops(STOP_AT);
         assert!(sim
             .advance_until(SimTime::from_us(1500), DRAIN_UNTIL)
@@ -796,7 +795,7 @@ mod tests {
     #[test]
     fn decode_rejects_an_impossible_event_queue() {
         use crate::golden::{self, DRAIN_UNTIL, STOP_AT};
-        let mut sim = golden::build_sim(None, &mut crate::sim::SimArenas::new());
+        let mut sim = golden::build_sim(None);
         sim.schedule_flow_stops(STOP_AT);
         assert!(sim
             .advance_until(SimTime::from_us(1500), DRAIN_UNTIL)
@@ -939,7 +938,7 @@ mod tests {
     #[test]
     fn decode_rejects_a_fault_on_a_link_that_does_not_exist() {
         use crate::golden::{self, DRAIN_UNTIL, STOP_AT};
-        let mut sim = golden::build_sim(None, &mut crate::sim::SimArenas::new());
+        let mut sim = golden::build_sim(None);
         sim.schedule_flow_stops(STOP_AT);
         assert!(sim
             .advance_until(SimTime::from_us(1500), DRAIN_UNTIL)

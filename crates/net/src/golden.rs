@@ -20,7 +20,7 @@ use crate::config::{SchedulerBackend, SimConfig};
 use crate::faults::FaultPlan;
 use crate::flow::FlowSpec;
 use crate::recovery::RecoveryConfig;
-use crate::sim::{NetSim, RunReport, SimArenas, SimBuilder, Verdict};
+use crate::sim::{NetSim, RunReport, SimBuilder, Verdict};
 
 /// Recorded from the pre-refactor engine (BinaryHeap event queue,
 /// BTreeMap-keyed datapath). If an *intentional* behaviour change moves
@@ -61,13 +61,13 @@ pub fn digest(r: &RunReport) -> u64 {
 /// Build the golden simulator — flows registered, fault plan installed,
 /// recovery armed — ready for `run_with_drain(STOP_AT, DRAIN_UNTIL)` or
 /// a checkpointable `schedule_flow_stops` + `advance_until` split.
-pub fn build_sim(sched: Option<SchedulerBackend>, arenas: &mut SimArenas) -> NetSim {
+pub fn build_sim(sched: Option<SchedulerBackend>) -> NetSim {
     let b = square(LinkSpec::default());
     let mut cfg = SimConfig::default();
     cfg.seed = 42;
     cfg.stop_on_deadlock = false;
     cfg.scheduler = sched;
-    let mut sim = SimBuilder::new(&b.topo).config(cfg).build_in(arenas);
+    let mut sim = SimBuilder::new(&b.topo).config(cfg).build();
     sim.add_flow(FlowSpec::cbr(0, b.hosts[0], b.hosts[2], BitRate::from_gbps(20)).with_ttl(16));
     sim.add_flow(FlowSpec::cbr(1, b.hosts[1], b.hosts[3], BitRate::from_gbps(20)).with_ttl(16));
     sim.add_flow(FlowSpec::poisson(
@@ -104,11 +104,7 @@ pub fn build_sim(sched: Option<SchedulerBackend>, arenas: &mut SimArenas) -> Net
     sim
 }
 
-/// Run the golden scenario end-to-end with an explicit scheduler backend
-/// and leased arenas.
-pub fn run_with(sched: Option<SchedulerBackend>, arenas: &mut SimArenas) -> RunReport {
-    let mut sim = build_sim(sched, arenas);
-    let report = sim.run_with_drain(STOP_AT, DRAIN_UNTIL);
-    sim.recycle(arenas);
-    report
+/// Run the golden scenario end-to-end with an explicit scheduler backend.
+pub fn run_with(sched: Option<SchedulerBackend>) -> RunReport {
+    build_sim(sched).run_with_drain(STOP_AT, DRAIN_UNTIL)
 }

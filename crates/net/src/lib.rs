@@ -92,7 +92,7 @@ pub mod prelude {
         VerdictDoc, WhatIfDoc, SERVE_SCHEMA,
     };
     pub use crate::shaper::TokenBucket;
-    pub use crate::sim::{FastForward, NetSim, RunReport, SimArenas, SimBuilder, Verdict};
+    pub use crate::sim::{FastForward, NetSim, RunReport, SimBuilder, Verdict};
     pub use crate::stats::{FlowStats, NetStats, PauseKey, PauseLog};
     pub use crate::telemetry::{
         parse_jsonl_trace, MetricDesc, MetricId, MetricKind, MetricRegistry, TelemetryConfig,

@@ -94,16 +94,6 @@ impl FlowArena {
         self.touched.push(false);
         self.spec.push(spec);
     }
-
-    /// Empty every vector, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.spec.clear();
-        self.rt.clear();
-        self.stats.clear();
-        self.touched.clear();
-        self.map.clear();
-        self.pinned.clear();
-    }
 }
 
 /// Payloads of in-flight `Ev::Arrive` events, indexed by the event's
@@ -137,12 +127,6 @@ impl FrameSlab {
         self.free.push(ix);
         self.slots[ix as usize]
     }
-
-    /// Empty the slab, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-    }
 }
 
 /// What a checkpoint frame carries of a [`Datapath`]: every field but
@@ -169,14 +153,8 @@ pub(crate) struct DatapathState {
 
 impl DatapathState {
     /// The state before the first event: idle switches and hosts, every
-    /// link up, nothing paused, no flow. `flows` and `frames` are empty
-    /// storage, possibly leased from a [`super::SimArenas`].
-    pub(crate) fn fresh(
-        topo: &Topology,
-        cfg: &SimConfig,
-        flows: FlowArena,
-        frames: FrameSlab,
-    ) -> Self {
+    /// link up, nothing paused, no flow.
+    pub(crate) fn fresh(topo: &Topology, cfg: &SimConfig) -> Self {
         let n_nodes = topo.node_count();
         let n_ports: usize = topo.nodes().iter().map(|n| topo.ports(n.id).len()).sum();
         DatapathState {
@@ -191,9 +169,9 @@ impl DatapathState {
             tx_pause: vec![TxPause::Open; n_ports * Priority::COUNT],
             switch_pfc: vec![None; n_nodes],
             host_in_flight: vec![None; n_nodes],
-            frames,
+            frames: FrameSlab::default(),
             link_up: vec![true; topo.link_count()],
-            flows,
+            flows: FlowArena::default(),
             traced: Vec::new(),
             trace_cap: 1_000_000,
             next_pkt_id: 0,

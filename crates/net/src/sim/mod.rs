@@ -240,49 +240,23 @@ pub struct RunReport {
     pub config_digest: u64,
 }
 
-/// Reusable simulator storage: the event queue (slot arena plus wheel or
-/// heap index), the flow arena and the frame slab, which dominate
-/// per-construction allocation.
-///
-/// A sweep worker keeps one bundle, builds each point with
-/// [`SimBuilder::build_in`], and hands the storage back with
-/// [`NetSim::recycle`] when the run finishes. Clearing is O(live
-/// entries) and capacity is retained, so steady-state iterations stop
-/// allocating once the largest point in the sweep has been seen.
-/// `sweep::parallel_map_with` in the bench crate wires this up per worker
-/// thread automatically.
+/// Empty: arena leasing is gone and every simulator is built fresh.
+/// `benchmark/src/layers.rs` still names this type; it goes with that
+/// call in ROADMAP item 1.
+#[doc(hidden)]
 #[derive(Default)]
-pub struct SimArenas {
-    queue: Option<EventQueue<Ev>>,
-    flows: FlowArena,
-    frames: FrameSlab,
-}
+pub struct SimArenas;
 
 impl SimArenas {
-    /// A fresh, empty bundle. Capacity accrues as simulators are recycled
-    /// into it.
+    /// Empty; goes with `SimArenas` in ROADMAP item 1.
+    #[doc(hidden)]
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Hand out the cached event queue if it matches the requested
-    /// backend and (for the wheel) tick size; otherwise build a new one.
-    fn lease_queue(&mut self, backend: Backend, tick_shift: u32) -> EventQueue<Ev> {
-        match self.queue.take() {
-            Some(mut q)
-                if q.backend() == backend && q.tick_shift().is_none_or(|s| s == tick_shift) =>
-            {
-                q.reset();
-                q
-            }
-            _ => EventQueue::with_backend_and_tick_shift(backend, tick_shift),
-        }
+        SimArenas
     }
 }
 
 /// Builds a [`NetSim`]: topology (required), then any of config,
-/// explicit forwarding tables, telemetry, and reusable [`SimArenas`]
-/// storage at build time.
+/// explicit forwarding tables and telemetry.
 ///
 /// ```ignore
 /// let sim = SimBuilder::new(&topo)
@@ -291,12 +265,11 @@ impl SimArenas {
 ///     .build();
 /// ```
 ///
-/// This replaced the constructor-era `NetSim::new` / `new_in` /
-/// `with_tables` / `with_tables_in` matrix, which has been removed.
-/// [`SimBuilder::try_build`] / [`SimBuilder::try_build_in`] are the
-/// canonical entry points: they surface invalid configs and topologies
-/// as a typed [`Error`] instead of
-/// panicking, which is what the resident
+/// Every build allocates its own event queue, flow arena and frame slab,
+/// and a simulator drops them when its run ends: nothing is carried from
+/// one run to the next. [`SimBuilder::try_build`] is the canonical entry
+/// point: it surfaces invalid configs and topologies as a typed
+/// [`Error`] instead of panicking, which is what the resident
 /// [`serve`](crate::serve) session requires.
 pub struct SimBuilder<'a> {
     topo: &'a Topology,
@@ -336,7 +309,7 @@ impl<'a> SimBuilder<'a> {
 
     /// Build, reporting config/topology/sink problems as `Err`.
     pub fn try_build(self) -> Result<NetSim, Error> {
-        self.try_build_in(&mut SimArenas::default())
+        NetSim::construct(self.topo, self.cfg, self.tables)
     }
 
     /// Build.
@@ -345,20 +318,6 @@ impl<'a> SimBuilder<'a> {
     /// Panics on an invalid config or topology, or an unopenable sink.
     pub fn build(self) -> NetSim {
         self.try_build().expect("SimBuilder::build")
-    }
-
-    /// Like [`SimBuilder::try_build`], but leasing event-queue and flow
-    /// storage from `arenas` (see [`SimArenas`]).
-    pub fn try_build_in(self, arenas: &mut SimArenas) -> Result<NetSim, Error> {
-        NetSim::construct(self.topo, self.cfg, self.tables, arenas)
-    }
-
-    /// Like [`SimBuilder::build`], but leasing storage from `arenas`.
-    ///
-    /// # Panics
-    /// Panics on an invalid config or topology, or an unopenable sink.
-    pub fn build_in(self, arenas: &mut SimArenas) -> NetSim {
-        self.try_build_in(arenas).expect("SimBuilder::build_in")
     }
 }
 
@@ -400,7 +359,6 @@ impl NetSim {
         topo: &Topology,
         cfg: SimConfig,
         tables: Option<ForwardingTables>,
-        arenas: &mut SimArenas,
     ) -> Result<Self, Error> {
         cfg.validate()?;
         topo.validate()?;
@@ -410,9 +368,7 @@ impl NetSim {
         } else {
             None
         };
-        let flows = std::mem::take(&mut arenas.flows);
-        let frames = std::mem::take(&mut arenas.frames);
-        let st = DatapathState::fresh(topo, &cfg, flows, frames);
+        let st = DatapathState::fresh(topo, &cfg);
         let control = ControlState::fresh(tables, cfg.seed);
         // The wheel tick is sized from the fastest link's serialization
         // time for a default-size packet — the natural spacing of the
@@ -425,7 +381,7 @@ impl NetSim {
             .min()
             .map(tick_shift_for_quantum)
             .unwrap_or(DEFAULT_TICK_SHIFT);
-        let queue = arenas.lease_queue(backend, tick_shift);
+        let queue = EventQueue::with_backend_and_tick_shift(backend, tick_shift);
         let dp = Datapath::build(topo.clone(), cfg, st, &queue);
         Ok(NetSim {
             cp: ControlPlane::build(&dp, control),
@@ -442,19 +398,6 @@ impl NetSim {
             drain_stop: None,
             fast_forward: None,
         })
-    }
-
-    /// Return this simulator's reusable storage to `arenas` so the next
-    /// [`SimBuilder::build_in`] construction can lease it back. Everything
-    /// handed over is cleared in O(live entries) with capacity retained;
-    /// the rest of the simulator drops normally.
-    pub fn recycle(mut self, arenas: &mut SimArenas) {
-        self.queue.reset();
-        arenas.queue = Some(self.queue);
-        self.dp.flows.clear();
-        arenas.flows = self.dp.flows;
-        self.dp.frames.clear();
-        arenas.frames = self.dp.frames;
     }
 
     /// Current simulated time.
@@ -538,7 +481,7 @@ impl NetSim {
     /// periodic steady state skips its whole periods as [`NetSim::run`]
     /// does and simulates the rest, so the final scan sees the state the
     /// full run ends in. A run stopped early is left paused, not
-    /// finished; [`NetSim::recycle`] takes it back.
+    /// finished.
     pub fn run_to_verdict(&mut self, horizon: SimTime) -> Verdict {
         let Some(step) = self.dp.cfg.deadlock_scan_interval.filter(|s| !s.is_zero()) else {
             return self.run(horizon).verdict;
@@ -941,14 +884,6 @@ impl NetSim {
     /// `host.rs`/`run.sh`, and this shim together.
     #[doc(hidden)]
     pub fn set_partitions(&mut self, _: usize) {}
-
-    /// The event queue's storage: arena slots and delay-lane capacity.
-    /// Neither shrinks, so a run that leaves both as it leased them
-    /// allocated no queue storage; tests assert on this.
-    #[doc(hidden)]
-    pub fn queue_capacity(&self) -> (usize, usize) {
-        (self.queue.arena_len(), self.queue.lane_capacity())
-    }
 
     // ------------------------------------------------------------------
     // Event dispatch

@@ -406,7 +406,8 @@ impl NetSim {
     /// Register a flow, reporting invalid specs as `Err`.
     ///
     /// The canonical, `Result`-returning form of [`NetSim::add_flow`]:
-    /// duplicate ids, non-host endpoints, and invalid pinned paths
+    /// duplicate ids, nodes outside the topology, non-host endpoints, and
+    /// invalid pinned paths
     /// (pinned paths must also be simple — loops are expressed through
     /// tables, as in real networks) come back as a typed
     /// [`Error`] instead of a panic, and leave the simulator unchanged.
@@ -425,6 +426,17 @@ impl NetSim {
             .is_some_and(|&slot| slot != u32::MAX)
         {
             return Err(Error::Config(format!("duplicate flow id {}", spec.id)));
+        }
+        let pinned: &[NodeId] = match &spec.route {
+            RouteKind::Pinned(path) => &path.nodes,
+            RouteKind::Tables => &[],
+        };
+        if let Some(n) = [spec.src, spec.dst]
+            .iter()
+            .chain(pinned)
+            .find(|n| n.0 as usize >= self.dp.topo.node_count())
+        {
+            return Err(Error::Config(format!("unknown node {}", n.0)));
         }
         if self.dp.topo.node(spec.src).kind != NodeKind::Host {
             return Err(Error::Config(format!(

@@ -238,7 +238,7 @@ fn fat_tree_frame() -> Vec<u8> {
 
 /// The golden scenario paused at 1 500 µs.
 fn golden_frame() -> Vec<u8> {
-    let mut sim = golden::build_sim(None, &mut SimArenas::new());
+    let mut sim = golden::build_sim(None);
     sim.schedule_flow_stops(STOP_AT);
     assert!(sim
         .advance_until(SimTime::from_us(1500), DRAIN_UNTIL)

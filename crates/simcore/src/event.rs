@@ -151,8 +151,8 @@ enum Next {
 }
 
 /// A future-event list with deterministic tie-breaking, eager O(log n)
-/// (heap) / O(1) (wheel) cancellation via generation-stamped handles, and
-/// capacity that survives [`EventQueue::reset`] for reuse across runs.
+/// (heap) / O(1) (wheel) cancellation via generation-stamped handles.
+/// [`EventQueue::reset`] rewinds it in place, keeping its capacity.
 pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     /// Vacant slot indices, reused LIFO.
@@ -203,7 +203,7 @@ impl<E> EventQueue<E> {
     /// heap backend). See [`crate::wheel::tick_shift_for_quantum`].
     pub fn with_backend_and_tick_shift(backend: Backend, tick_shift: u32) -> Self {
         let core = match backend {
-            Backend::Heap => Core::Heap(HeapCore { heap: Vec::new() }),
+            Backend::Heap => Core::Heap(HeapCore::new()),
             Backend::Wheel => Core::Wheel(WheelState::new(tick_shift)),
         };
         EventQueue {
@@ -440,13 +440,10 @@ impl<E> EventQueue<E> {
                 self.next_seq += 1;
                 match &mut self.core {
                     Core::Heap(h) => {
-                        let pos = s.pos as usize;
                         let s = &mut self.slots[idx as usize];
                         s.time = at;
                         s.seq = seq;
-                        h.sift_down(&mut self.slots, pos);
-                        let pos = self.slots[idx as usize].pos as usize;
-                        h.sift_up(&mut self.slots, pos);
+                        h.rekey(&mut self.slots, idx);
                     }
                     Core::Wheel(w) => {
                         w.remove(&mut self.slots, idx);
@@ -471,10 +468,7 @@ impl<E> EventQueue<E> {
         match self.slots.get(idx as usize) {
             Some(s) if s.gen == id.gen() && s.pos != NO_POS => {
                 match &mut self.core {
-                    Core::Heap(h) => {
-                        let pos = s.pos as usize;
-                        h.remove_at(&mut self.slots, pos);
-                    }
+                    Core::Heap(h) => h.remove(&mut self.slots, idx),
                     Core::Wheel(w) => w.remove(&mut self.slots, idx),
                 }
                 self.release(idx);
@@ -623,15 +617,6 @@ impl<E> EventQueue<E> {
         self.slots.len()
     }
 
-    /// Entries the delay lanes can hold without reallocating, summed over
-    /// the lanes (0 on the heap backend). A reused queue whose lanes
-    /// never outgrow it pushes with zero new lane allocations; tests
-    /// assert on this.
-    #[doc(hidden)]
-    pub fn lane_capacity(&self) -> usize {
-        self.lanes.iter().map(|l| l.events.capacity()).sum()
-    }
-
     /// Events currently parked in the wheel's overflow tier (0 on the
     /// heap backend). Introspection for tests and benches.
     #[doc(hidden)]
@@ -771,16 +756,29 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The indexed 4-ary min-heap over the slot arena: the reference backend.
-struct HeapCore {
-    /// Heap of slot indices, ordered by the slots' `(time, seq)`.
-    heap: Vec<u32>,
+/// The indexed 4-ary min-heap over the slot arena, ordered by the
+/// slots' `(time, seq)`: the reference backend (`TAG = 0`) and the
+/// wheel's overflow tier (`TAG = OVF_BIT`). A member's `Slot::pos` is
+/// `TAG | heap index`.
+pub(crate) struct HeapCore<const TAG: u32 = 0> {
+    /// Heap of slot indices.
+    pub(crate) heap: Vec<u32>,
 }
 
-impl HeapCore {
-    fn insert<E>(&mut self, slots: &mut [Slot<E>], idx: u32) {
+impl<const TAG: u32> HeapCore<TAG> {
+    pub(crate) fn new() -> Self {
+        HeapCore { heap: Vec::new() }
+    }
+
+    /// The heap index a member's `Slot::pos` encodes.
+    #[inline]
+    pub(crate) fn index(pos: u32) -> usize {
+        (pos & !TAG) as usize
+    }
+
+    pub(crate) fn insert<E>(&mut self, slots: &mut [Slot<E>], idx: u32) {
         let pos = self.heap.len();
-        slots[idx as usize].pos = pos as u32;
+        slots[idx as usize].pos = TAG | pos as u32;
         self.heap.push(idx);
         self.sift_up(slots, pos);
     }
@@ -792,14 +790,19 @@ impl HeapCore {
         (sa.time, sa.seq) < (sb.time, sb.seq)
     }
 
+    /// Remove member `idx`, preserving the heap invariant.
+    pub(crate) fn remove<E>(&mut self, slots: &mut [Slot<E>], idx: u32) {
+        self.remove_at(slots, Self::index(slots[idx as usize].pos));
+    }
+
     /// Remove the heap entry at `pos`, preserving the heap invariant.
-    fn remove_at<E>(&mut self, slots: &mut [Slot<E>], pos: usize) {
+    pub(crate) fn remove_at<E>(&mut self, slots: &mut [Slot<E>], pos: usize) {
         let last = self.heap.len() - 1;
         self.heap.swap(pos, last);
         let removed = self.heap.pop().expect("remove_at on empty heap");
         slots[removed as usize].pos = NO_POS;
         if pos < self.heap.len() {
-            slots[self.heap[pos] as usize].pos = pos as u32;
+            slots[self.heap[pos] as usize].pos = TAG | pos as u32;
             // The filler came from the heap's tail but an arbitrary
             // subtree; it may need to move either way. If sift_down moved
             // a former descendant up into `pos`, that element already
@@ -844,11 +847,17 @@ impl HeapCore {
         }
     }
 
+    /// Restore the heap invariant around slot `idx`, whose key changed.
+    fn rekey<E>(&mut self, slots: &mut [Slot<E>], idx: u32) {
+        self.sift_down(slots, Self::index(slots[idx as usize].pos));
+        self.sift_up(slots, Self::index(slots[idx as usize].pos));
+    }
+
     #[inline]
     fn swap_heap<E>(&mut self, slots: &mut [Slot<E>], a: usize, b: usize) {
         self.heap.swap(a, b);
-        slots[self.heap[a] as usize].pos = a as u32;
-        slots[self.heap[b] as usize].pos = b as u32;
+        slots[self.heap[a] as usize].pos = TAG | a as u32;
+        slots[self.heap[b] as usize].pos = TAG | b as u32;
     }
 }
 

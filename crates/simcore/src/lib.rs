@@ -39,9 +39,7 @@ pub mod prelude {
     pub use crate::error::Error;
     pub use crate::event::{Backend, EventId, EventQueue};
     pub use crate::rng::SimRng;
-    pub use crate::series::{
-        EventLog, Histogram, IntervalLog, RingSeries, ThroughputMeter, TimeSeries,
-    };
+    pub use crate::series::{EventLog, IntervalLog, RingSeries, ThroughputMeter, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::units::{BitRate, Bytes};
 }

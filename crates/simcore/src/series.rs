@@ -1,5 +1,5 @@
-//! Measurement recorders: time series, event logs, interval logs,
-//! histograms and throughput meters.
+//! Measurement recorders: time series, event logs, interval logs and
+//! throughput meters.
 //!
 //! These are what the experiment harness uses to regenerate the paper's
 //! plots: Fig. 3(c)/4(c)/5(b) are [`EventLog`]s of PAUSE emissions per link,
@@ -411,72 +411,6 @@ impl RingSeries {
     }
 }
 
-/// A fixed-bucket histogram over u64 values (e.g. queue depths, latencies).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    bucket_width: u64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// `n_buckets` buckets of `bucket_width` each; values beyond the last
-    /// bucket land in an overflow counter.
-    pub fn new(bucket_width: u64, n_buckets: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be positive");
-        Histogram {
-            bucket_width,
-            counts: vec![0; n_buckets],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, value: u64) {
-        let idx = (value / self.bucket_width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.total += 1;
-    }
-
-    /// Total observations (including overflow).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in bucket `i` (covering `[i*w, (i+1)*w)`).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// Observations beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate p-quantile (0.0–1.0) by bucket upper bound.
-    pub fn quantile(&self, p: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&p), "quantile out of range");
-        if self.total == 0 {
-            return 0;
-        }
-        let target = (p * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as u64 + 1) * self.bucket_width;
-            }
-        }
-        u64::MAX
-    }
-}
-
 /// Accumulates delivered bytes and converts to average goodput.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ThroughputMeter {
@@ -649,22 +583,6 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back.capacity(), 8);
         assert_eq!(back.last(), Some((SimTime::from_us(2), 1.5)));
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(10, 10);
-        for v in 0..100 {
-            h.record(v);
-        }
-        assert_eq!(h.total(), 100);
-        assert_eq!(h.bucket(0), 10);
-        assert_eq!(h.bucket(9), 10);
-        assert_eq!(h.overflow(), 0);
-        h.record(1_000);
-        assert_eq!(h.overflow(), 1);
-        let med = h.quantile(0.5);
-        assert!((40..=60).contains(&med), "median {med}");
     }
 
     #[test]

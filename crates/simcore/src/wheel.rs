@@ -54,7 +54,7 @@
 //! it skips `select_min`, which is most pops while only far timers sit in
 //! the wheel.
 
-use crate::event::{Slot, NO_POS};
+use crate::event::{HeapCore, Slot};
 use crate::time::{SimDuration, SimTime};
 
 /// Bits per wheel level (2^8 = 256 slots per level).
@@ -89,9 +89,6 @@ pub fn tick_shift_for_quantum(quantum: SimDuration) -> u32 {
     (63 - target.leading_zeros()).clamp(6, 16)
 }
 
-/// Overflow-tier heap arity (matches the heap backend).
-const ARITY: usize = 4;
-
 /// The wheel index. Owns no events — it threads intrusive lists through
 /// the [`EventQueue`](crate::event::EventQueue) slot arena it is given.
 pub(crate) struct WheelState {
@@ -116,9 +113,9 @@ pub(crate) struct WheelState {
     /// cursor-slot scans and cascade checks of the higher levels on
     /// every single pop.
     hi_len: usize,
-    /// Far-future events as a 4-ary min-heap of arena indices ordered by
-    /// `(time, seq)`.
-    overflow: Vec<u32>,
+    /// Far-future events: the heap backend's index, tagging its members'
+    /// positions with `OVF_BIT`.
+    overflow: HeapCore<OVF_BIT>,
     /// A lower bound on every resident's `(time, seq)`, wheels and
     /// overflow alike: lowered by each insert, raised to the exact
     /// minimum whenever a pop with a delay lane in play searched the
@@ -138,7 +135,7 @@ impl WheelState {
             occ: [[0; SLOTS / 64]; LEVELS],
             wheel_len: 0,
             hi_len: 0,
-            overflow: Vec::new(),
+            overflow: HeapCore::new(),
             floor: (SimTime::ZERO, 0),
         }
     }
@@ -148,7 +145,7 @@ impl WheelState {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
+        self.wheel_len + self.overflow.heap.len()
     }
 
     #[inline]
@@ -185,7 +182,7 @@ impl WheelState {
         debug_assert!(tick >= self.cur, "wheel insert behind cursor");
         match Self::place(tick, self.cur) {
             Some((level, slot)) => self.push_bucket(slots, idx, level, slot),
-            None => self.overflow_push(slots, idx),
+            None => self.overflow.insert(slots, idx),
         }
     }
 
@@ -239,9 +236,8 @@ impl WheelState {
     /// Remove `idx` wherever it lives (bucket list or overflow heap).
     /// Used by `cancel`; the caller releases the arena slot.
     pub(crate) fn remove<E>(&mut self, slots: &mut [Slot<E>], idx: u32) {
-        let pos = slots[idx as usize].pos;
-        if pos & OVF_BIT != 0 {
-            self.overflow_remove_at(slots, (pos & !OVF_BIT) as usize);
+        if slots[idx as usize].pos & OVF_BIT != 0 {
+            self.overflow.remove(slots, idx);
         } else {
             self.unlink(slots, idx);
         }
@@ -300,7 +296,7 @@ impl WheelState {
     /// higher-level non-cursor slot).
     pub(crate) fn find_min<E>(&self, slots: &[Slot<E>]) -> Option<u32> {
         let mut best: Option<u32> = None;
-        if let Some(&root) = self.overflow.first() {
+        if let Some(&root) = self.overflow.heap.first() {
             best = Some(root);
         }
         if self.hi_len > 0 {
@@ -390,7 +386,7 @@ impl WheelState {
             }
         }
         // 3. Overflow candidate.
-        if let Some(&root) = self.overflow.first() {
+        if let Some(&root) = self.overflow.heap.first() {
             let replace = match best {
                 None => true,
                 Some(bi) => {
@@ -433,12 +429,12 @@ impl WheelState {
             // Migrate the newly-reachable prefix of the overflow tier
             // into the wheels ("events migrate down as wheels turn").
             None => {
-                while let Some(&root) = self.overflow.first() {
+                while let Some(&root) = self.overflow.heap.first() {
                     let rt = self.tick_of(slots[root as usize].time);
                     if Self::place(rt, self.cur).is_none() {
                         break;
                     }
-                    self.overflow_remove_at(slots, 0);
+                    self.overflow.remove_at(slots, 0);
                     self.insert(slots, root);
                 }
             }
@@ -471,9 +467,8 @@ impl WheelState {
         self.advance_cursor(slots[idx as usize].time);
         match from_bucket {
             None => {
-                let pos = slots[idx as usize].pos;
-                debug_assert!(pos & OVF_BIT != 0);
-                self.overflow_remove_at(slots, (pos & !OVF_BIT) as usize);
+                debug_assert!(slots[idx as usize].pos & OVF_BIT != 0);
+                self.overflow.remove(slots, idx);
             }
             Some(_) => self.unlink(slots, idx),
         }
@@ -504,13 +499,13 @@ impl WheelState {
         self.occ = [[0; SLOTS / 64]; LEVELS];
         self.wheel_len = 0;
         self.hi_len = 0;
-        self.overflow.clear();
+        self.overflow.heap.clear();
         self.floor = (SimTime::ZERO, 0);
     }
 
-    /// Rewind the cursor to t = 0 (after `clear_index`, for arena reuse).
+    /// Rewind the cursor to t = 0 (after `clear_index`, for `EventQueue::reset`).
     pub(crate) fn reset_cursor(&mut self) {
-        debug_assert_eq!(self.wheel_len + self.overflow.len(), 0);
+        debug_assert_eq!(self.wheel_len + self.overflow.heap.len(), 0);
         self.cur = 0;
     }
 
@@ -520,81 +515,13 @@ impl WheelState {
     /// event's tick is `>=` the restored cursor, so the level-placement
     /// invariant holds exactly as in a live run.
     pub(crate) fn set_cursor(&mut self, tick: u64) {
-        debug_assert_eq!(self.wheel_len + self.overflow.len(), 0);
+        debug_assert_eq!(self.wheel_len + self.overflow.heap.len(), 0);
         self.cur = tick;
-    }
-
-    // ---- overflow tier: 4-ary min-heap by (time, seq) ----------------
-
-    #[inline]
-    fn ovf_before<E>(slots: &[Slot<E>], a: u32, b: u32) -> bool {
-        let (sa, sb) = (&slots[a as usize], &slots[b as usize]);
-        (sa.time, sa.seq) < (sb.time, sb.seq)
-    }
-
-    fn overflow_push<E>(&mut self, slots: &mut [Slot<E>], idx: u32) {
-        let pos = self.overflow.len();
-        slots[idx as usize].pos = OVF_BIT | pos as u32;
-        self.overflow.push(idx);
-        self.ovf_sift_up(slots, pos);
-    }
-
-    fn overflow_remove_at<E>(&mut self, slots: &mut [Slot<E>], pos: usize) {
-        let last = self.overflow.len() - 1;
-        self.overflow.swap(pos, last);
-        let removed = self.overflow.pop().expect("overflow remove on empty heap");
-        slots[removed as usize].pos = NO_POS;
-        if pos < self.overflow.len() {
-            slots[self.overflow[pos] as usize].pos = OVF_BIT | pos as u32;
-            self.ovf_sift_down(slots, pos);
-            self.ovf_sift_up(slots, pos);
-        }
-    }
-
-    fn ovf_sift_up<E>(&mut self, slots: &mut [Slot<E>], mut pos: usize) {
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            if Self::ovf_before(slots, self.overflow[pos], self.overflow[parent]) {
-                self.ovf_swap(slots, pos, parent);
-                pos = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn ovf_sift_down<E>(&mut self, slots: &mut [Slot<E>], mut pos: usize) {
-        loop {
-            let first_child = pos * ARITY + 1;
-            if first_child >= self.overflow.len() {
-                break;
-            }
-            let mut bestc = first_child;
-            let end = (first_child + ARITY).min(self.overflow.len());
-            for c in first_child + 1..end {
-                if Self::ovf_before(slots, self.overflow[c], self.overflow[bestc]) {
-                    bestc = c;
-                }
-            }
-            if Self::ovf_before(slots, self.overflow[bestc], self.overflow[pos]) {
-                self.ovf_swap(slots, pos, bestc);
-                pos = bestc;
-            } else {
-                break;
-            }
-        }
-    }
-
-    #[inline]
-    fn ovf_swap<E>(&mut self, slots: &mut [Slot<E>], a: usize, b: usize) {
-        self.overflow.swap(a, b);
-        slots[self.overflow[a] as usize].pos = OVF_BIT | a as u32;
-        slots[self.overflow[b] as usize].pos = OVF_BIT | b as u32;
     }
 
     /// Events currently parked in the overflow tier (introspection for
     /// tests and stats).
     pub(crate) fn overflow_len(&self) -> usize {
-        self.overflow.len()
+        self.overflow.heap.len()
     }
 }

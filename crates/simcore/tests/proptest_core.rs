@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 use pfcsim_simcore::event::{Backend, EventId, EventQueue, LANES};
-use pfcsim_simcore::series::{Histogram, IntervalLog, TimeSeries};
+use pfcsim_simcore::series::{IntervalLog, TimeSeries};
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::{BitRate, Bytes};
 use pfcsim_simcore::wheel::DEFAULT_TICK_SHIFT;
@@ -358,19 +358,6 @@ proptest! {
         }
     }
 
-    /// Histogram totals and quantile ordering.
-    #[test]
-    fn histogram_invariants(vals in prop::collection::vec(0u64..10_000, 1..300)) {
-        let mut h = Histogram::new(100, 50);
-        for &v in &vals {
-            h.record(v);
-        }
-        prop_assert_eq!(h.total(), vals.len() as u64);
-        let q10 = h.quantile(0.1);
-        let q50 = h.quantile(0.5);
-        let q99 = h.quantile(0.99);
-        prop_assert!(q10 <= q50 && q50 <= q99);
-    }
 }
 
 /// Events a queue holds in its delay lanes: the live entries

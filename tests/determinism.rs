@@ -107,7 +107,7 @@ fn dense_fat_tree8_digest_is_pinned() {
 fn golden_digest_holds_plain_and_across_a_checkpoint() {
     use pfcsim::net::golden::{self, DRAIN_UNTIL, GOLDEN_DIGEST, STOP_AT};
     use pfcsim::simcore::snap::fnv1a;
-    let build = || golden::build_sim(None, &mut SimArenas::new());
+    let build = || golden::build_sim(None);
 
     let plain = build().run_with_drain(STOP_AT, DRAIN_UNTIL);
     assert_eq!(golden::digest(&plain), GOLDEN_DIGEST, "plain run");

@@ -1,21 +1,17 @@
 //! The sweep pool under nesting: `repro all` maps over its experiments
 //! and each experiment maps over its points, all on one pool.
 //!
-//! A nested `parallel_map_with` (6 outer × 20 inner points) must never
-//! run more points at once than the pool has workers, return what the
-//! serial map returns, build scratch once per (thread, call) and only on
-//! a thread that claims a point, surface an inner panic at the outer
-//! call after every other point completes, and leave the permits
-//! balanced, so a later nested map still reaches the pool's full width.
+//! A nested `parallel_map` (6 outer × 20 inner points) must never run
+//! more points at once than the pool has workers, return what the serial
+//! map returns, surface an inner panic at the outer call after every
+//! other point completes, and leave the permits balanced, so a later
+//! nested map still reaches the pool's full width.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::Mutex;
-use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-use pfcsim_experiments::sweep::{parallel_map, parallel_map_with, pool_size};
+use pfcsim_experiments::sweep::{parallel_map, pool_size};
 
 const OUTER: u64 = 6;
 const INNER: u64 = 20;
@@ -37,9 +33,6 @@ struct Census {
     running: AtomicUsize,
     peak: AtomicUsize,
     completed: AtomicUsize,
-    /// `init` calls and points run, per (outer point, thread).
-    inits: Mutex<HashMap<(u64, ThreadId), usize>>,
-    points: Mutex<HashMap<(u64, ThreadId), usize>>,
 }
 
 /// Counts a point as running until dropped, panics included.
@@ -59,11 +52,6 @@ impl Drop for Running<'_> {
     }
 }
 
-fn tally(map: &Mutex<HashMap<(u64, ThreadId), usize>>, outer: u64) {
-    let key = (outer, std::thread::current().id());
-    *map.lock().unwrap().entry(key).or_default() += 1;
-}
-
 /// The nested map; the point `poison` (outer, inner) panics.
 fn nested(census: &Census, poison: Option<(u64, u64)>) -> Vec<Vec<u64>> {
     let outer: Vec<u64> = (0..OUTER).collect();
@@ -73,25 +61,21 @@ fn nested(census: &Census, poison: Option<(u64, u64)>) -> Vec<Vec<u64>> {
     // leaked permit shows as a narrow peak rather than by luck.
     let deadline = Instant::now() + Duration::from_secs(5);
     parallel_map(&outer, |&o| {
-        // No points, so no scratch either.
-        parallel_map_with(&[] as &[u64], || tally(&census.inits, o), |_, &i| i);
-        parallel_map_with(
-            &inner,
-            || tally(&census.inits, o),
-            |_, &i| {
-                let _running = Running::enter(census);
-                tally(&census.points, o);
-                while census.peak.load(SeqCst) < width && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                if poison == Some((o, i)) {
-                    panic!("poisoned point {o}/{i}");
-                }
-                let r = work(o * INNER + i);
-                census.completed.fetch_add(1, SeqCst);
-                r
-            },
-        )
+        // A nested map with no points still takes and gives back its
+        // caller's permit.
+        assert!(parallel_map(&[] as &[u64], |&i| i).is_empty());
+        parallel_map(&inner, |&i| {
+            let _running = Running::enter(census);
+            while census.peak.load(SeqCst) < width && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            if poison == Some((o, i)) {
+                panic!("poisoned point {o}/{i}");
+            }
+            let r = work(o * INNER + i);
+            census.completed.fetch_add(1, SeqCst);
+            r
+        })
     })
 }
 
@@ -101,29 +85,14 @@ fn serial() -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Peak within the pool and at its full width; scratch built exactly
-/// once on each (outer point, thread) that ran a point, and nowhere else.
-fn check_width_and_scratch(census: &Census, what: &str) {
+/// Peak within the pool and at its full width.
+fn check_width(census: &Census, what: &str) {
     let peak = census.peak.load(SeqCst);
     assert!(peak <= pool_size(), "{what}: {peak} points ran at once");
     assert_eq!(
         peak,
         pool_size(),
         "{what}: the pool never reached full width"
-    );
-    let inits = census.inits.lock().unwrap();
-    let points = census.points.lock().unwrap();
-    for (key, &n) in inits.iter() {
-        assert!(
-            points.contains_key(key),
-            "{what}: scratch built with no point"
-        );
-        assert_eq!(n, 1, "{what}: scratch built {n} times on one thread");
-    }
-    assert_eq!(
-        inits.len(),
-        points.len(),
-        "{what}: a thread ran points with no scratch"
     );
 }
 
@@ -133,7 +102,7 @@ fn nested_maps_share_one_pool() {
 
     let first = Census::default();
     assert_eq!(nested(&first, None), want);
-    check_width_and_scratch(&first, "first nested map");
+    check_width(&first, "first nested map");
 
     // An inner panic surfaces at the outer call, named by both indices,
     // after every other point has completed.
@@ -154,5 +123,5 @@ fn nested_maps_share_one_pool() {
     // Permits are balanced: a second nested map reaches full width again.
     let second = Census::default();
     assert_eq!(nested(&second, None), want);
-    check_width_and_scratch(&second, "nested map after a panic");
+    check_width(&second, "nested map after a panic");
 }
