@@ -88,14 +88,58 @@ pub struct BufferDependencyGraph {
     labels: BTreeMap<(usize, usize), (BitRate, u8)>,
 }
 
-/// The scratch of [`BufferDependencyGraph::first_cycle`]'s depth-first
-/// search, for a caller that searches graph after graph.
+/// The scratch of [`Dfs::first_cycle`]'s depth-first search, for a
+/// caller that searches graph after graph.
 #[derive(Debug, Default)]
 pub(crate) struct Dfs {
     /// Per vertex: 0 white, 1 gray, 2 black.
     color: Vec<u8>,
     /// `(vertex, next edge)` from the root to the gray frontier.
     stack: Vec<(usize, usize)>,
+}
+
+impl Dfs {
+    /// The first cycle an iterative three-colour DFS over `adj` meets,
+    /// starting from vertices in index order and taking edges in list
+    /// order: the suffix of the explicit stack that the back edge closes,
+    /// `(vertex, next edge)` pairs from the back edge's target on. It
+    /// allocates only where `adj` outgrows the last graph searched.
+    pub(crate) fn first_cycle<'d>(
+        &'d mut self,
+        adj: &[Vec<usize>],
+    ) -> Option<&'d [(usize, usize)]> {
+        let Dfs { color, stack } = self;
+        color.clear();
+        color.resize(adj.len(), 0);
+        for s in 0..adj.len() {
+            if color[s] != 0 {
+                continue;
+            }
+            stack.clear();
+            stack.push((s, 0));
+            color[s] = 1;
+            while let Some(&(v, i)) = stack.last() {
+                if i < adj[v].len() {
+                    stack.last_mut().expect("non-empty").1 += 1;
+                    let w = adj[v][i];
+                    if color[w] == 0 {
+                        color[w] = 1;
+                        stack.push((w, 0));
+                    } else if color[w] == 1 {
+                        let pos = stack
+                            .iter()
+                            .position(|&(x, _)| x == w)
+                            .expect("gray vertex is on the stack");
+                        return Some(&stack[pos..]);
+                    }
+                } else {
+                    color[v] = 2;
+                    stack.pop();
+                }
+            }
+        }
+        None
+    }
 }
 
 impl BufferDependencyGraph {
@@ -141,7 +185,7 @@ impl BufferDependencyGraph {
     }
 
     /// The adjacency lists of the graph's vertices.
-    fn adj(&self) -> &[Vec<usize>] {
+    pub(crate) fn adj(&self) -> &[Vec<usize>] {
         &self.edges[..self.verts.len()]
     }
 
@@ -217,46 +261,8 @@ impl BufferDependencyGraph {
     /// the explicit stack, listed in dependency order.
     pub fn first_cycle(&self) -> Option<Vec<RxQueue>> {
         let mut dfs = Dfs::default();
-        let cycle = self.first_cycle_in(&mut dfs)?;
+        let cycle = dfs.first_cycle(self.adj())?;
         Some(cycle.iter().map(|&(x, _)| self.verts[x]).collect())
-    }
-
-    /// [`Self::first_cycle`] on `dfs`'s scratch, which it allocates into
-    /// only where this graph outgrows the last one searched: the cycle as
-    /// the stack suffix it closes, `(vertex, next edge)` pairs.
-    pub(crate) fn first_cycle_in<'d>(&self, dfs: &'d mut Dfs) -> Option<&'d [(usize, usize)]> {
-        let adj = self.adj();
-        let Dfs { color, stack } = dfs;
-        color.clear();
-        color.resize(adj.len(), 0);
-        for s in 0..adj.len() {
-            if color[s] != 0 {
-                continue;
-            }
-            stack.clear();
-            stack.push((s, 0));
-            color[s] = 1;
-            while let Some(&(v, i)) = stack.last() {
-                if i < adj[v].len() {
-                    stack.last_mut().expect("non-empty").1 += 1;
-                    let w = adj[v][i];
-                    if color[w] == 0 {
-                        color[w] = 1;
-                        stack.push((w, 0));
-                    } else if color[w] == 1 {
-                        let pos = stack
-                            .iter()
-                            .position(|&(x, _)| x == w)
-                            .expect("gray vertex is on the stack");
-                        return Some(&stack[pos..]);
-                    }
-                } else {
-                    color[v] = 2;
-                    stack.pop();
-                }
-            }
-        }
-        None
     }
 
     /// The least `(rate, TTL)` label over the edges of `cycle` (closing

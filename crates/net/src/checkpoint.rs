@@ -40,6 +40,7 @@ use pfcsim_simcore::rng::SimRng;
 use pfcsim_simcore::snap;
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::Bytes;
+use pfcsim_simcore::wheel::{tick_shift_for_quantum, DEFAULT_TICK_SHIFT};
 use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::{FlowId, NodeId, PortNo, Priority};
 use pfcsim_topo::routing::ForwardingTables;
@@ -199,13 +200,13 @@ pub struct Checkpoint {
     pub(crate) pause_headroom: Bytes,
     pub(crate) reboots: BTreeMap<NodeId, RebootState>,
     // --- hybrid fluid/packet backend ---
-    /// Region state of the hybrid backend (`None` when off or idle);
-    /// `default` so pre-hybrid frames still decode.
-    #[serde(default)]
+    /// Region state of the hybrid backend (`None` when off or idle).
     pub(crate) hybrid: Option<Box<crate::hybrid::HybridState>>,
     // --- sampling & telemetry ---
     pub(crate) stats: NetStats,
     pub(crate) watch_keys: Option<Vec<RxQueue>>,
+    /// Written into every frame and read by nothing (`NetSim::from_image`
+    /// derives what it needs from the flows).
     pub(crate) used_prios: u8,
     pub(crate) sample_keys: Vec<RxQueue>,
     pub(crate) telemetry: Option<TelemetryRecord>,
@@ -213,6 +214,84 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
+    /// The image of a run before its first event: `tables` installed,
+    /// idle switches and hosts, every link up, nothing paused, scheduled
+    /// or detected, no flow, and an empty telemetry record when telemetry
+    /// is on. `NetSim::construct` resumes it, so this and
+    /// `NetSim::checkpoint` are the only writers of a frame's fields.
+    pub(crate) fn fresh(topo: &Topology, cfg: SimConfig, tables: ForwardingTables) -> Checkpoint {
+        let n = topo.node_count();
+        let n_ports: usize = topo.nodes().iter().map(|n| topo.ports(n.id).len()).sum();
+        // The wheel tick is sized from the fastest link's serialization
+        // time for a default-size packet — the natural spacing of the
+        // TxDone/Arrive events that dominate the queue.
+        let backend = cfg.scheduler.unwrap_or(Backend::Wheel);
+        let tick_shift = (topo.links().iter())
+            .map(|l| l.rate.serialization_time(cfg.default_packet_size))
+            .min()
+            .map_or(DEFAULT_TICK_SHIFT, tick_shift_for_quantum);
+        Checkpoint {
+            topo: topo.clone(),
+            tables,
+            dcqcn_cfg: None,
+            timely_cfg: None,
+            queue: QueueSnapshot {
+                backend,
+                tick_shift: (backend == Backend::Wheel).then_some(tick_shift),
+                now: SimTime::ZERO,
+                next_seq: 0,
+                entries: Vec::new(),
+            },
+            meaningful: 0,
+            horizon: SimTime::MAX,
+            events: 0,
+            switches: (topo.nodes().iter())
+                .map(|n| {
+                    (n.kind == NodeKind::Switch).then(|| Switch::new(n.id, topo.ports(n.id).len()))
+                })
+                .collect(),
+            hosts: (topo.nodes().iter())
+                .map(|n| (n.kind == NodeKind::Host).then(|| Host::new(n.id)))
+                .collect(),
+            tx_pause: vec![TxPause::Open; n_ports * Priority::COUNT],
+            switch_pfc: vec![None; n],
+            host_in_flight: vec![None; n],
+            frames: Vec::new(),
+            frame_free: Vec::new(),
+            link_up: vec![true; topo.link_count()],
+            flows: Vec::new(),
+            rt: Vec::new(),
+            fstats: Vec::new(),
+            fstats_touched: Vec::new(),
+            fmap: Vec::new(),
+            pinned: Vec::new(),
+            traced: Vec::new(),
+            next_pkt_id: 0,
+            rng: SimRng::new(cfg.seed),
+            fault_rng: SimRng::new(cfg.seed ^ 0xFA17_5EED_0DD5_EED5),
+            dl_paused: Vec::new(),
+            dl_epoch: 0,
+            last_clean_scan: None,
+            scans_run: 0,
+            scans_skipped: 0,
+            deadlock: None,
+            fault_events: Vec::new(),
+            route_updates: Vec::new(),
+            pfc_loss: vec![None; n],
+            pfc_delay: vec![None; n],
+            pause_headroom: Bytes::from_kb(20),
+            reboots: BTreeMap::new(),
+            hybrid: None,
+            stats: NetStats::default(),
+            watch_keys: None,
+            used_prios: 0,
+            sample_keys: Vec::new(),
+            telemetry: (cfg.telemetry.enabled).then(|| TelemetryRecord::fresh(&cfg.telemetry)),
+            trace_cap: 1_000_000,
+            cfg,
+        }
+    }
+
     /// Simulated time the checkpoint was taken at.
     pub fn sim_time(&self) -> SimTime {
         self.queue.now
@@ -269,8 +348,10 @@ impl Checkpoint {
     }
 
     /// Decode a frame, validating magic, checksum, the header/payload
-    /// config-digest agreement, and that the state it carries is one a
-    /// run can reach (`check_state`).
+    /// config-digest agreement, that the frame is the one this build
+    /// writes for the state it decodes to (the decoder skips members it
+    /// does not know; their frame re-encodes to other bytes), and that
+    /// the state is one a run can reach (`check_state`).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let (header_digest, value) = snap::decode_frame(bytes)?;
         let ckpt: Checkpoint = serde::Deserialize::from_value(&value)
@@ -284,6 +365,12 @@ impl Checkpoint {
                 checkpoint: header_digest,
                 live: embedded,
             });
+        }
+        if let Some(at) = snap::frame_differs_at(bytes, &ckpt) {
+            return Err(CheckpointError::Decode(format!(
+                "not the frame this build writes for its state: byte {at} differs \
+                 (a member this build does not know, or a non-canonical encoding)"
+            )));
         }
         ckpt.check_state()?;
         Ok(ckpt)
@@ -748,12 +835,12 @@ mod tests {
         assert_eq!(ckpt.digest(), snap::fnv1a(&reference));
     }
 
-    /// `hybrid` is `#[serde(default)]`: a frame written before the field
-    /// existed (here: the golden run's, re-encoded without the key) loads
-    /// and resumes to the golden digest.
+    /// A frame written before `hybrid` existed (here: the golden run's,
+    /// re-encoded without the key) is refused with a typed `Decode`, as
+    /// is one whose `hybrid` is malformed: the field has no default.
     #[test]
-    fn a_pre_hybrid_frame_still_loads_and_resumes() {
-        use crate::golden::{self, DRAIN_UNTIL, GOLDEN_DIGEST, STOP_AT};
+    fn a_pre_hybrid_frame_is_refused() {
+        use crate::golden::{self, DRAIN_UNTIL, STOP_AT};
         use serde::value::Value;
         let mut sim = golden::build_sim(None);
         sim.schedule_flow_stops(STOP_AT);
@@ -770,12 +857,12 @@ mod tests {
         members.retain(|(k, _)| k != "hybrid");
         assert_eq!(members.len(), before - 1, "the frame had a `hybrid` key");
         let old = snap::encode_frame(cfg_digest, &doc);
+        match Checkpoint::from_bytes(&old) {
+            Err(CheckpointError::Decode(msg)) => assert!(msg.contains("hybrid"), "{msg}"),
+            Err(e) => panic!("a frame without `hybrid`: wrong error {e}"),
+            Ok(_) => panic!("a frame without `hybrid` was accepted"),
+        }
 
-        let ckpt = Checkpoint::from_bytes(&old).expect("absent `hybrid` defaults");
-        let resumed = NetSim::resume(ckpt).expect("restorable").resume_run();
-        assert_eq!(golden::digest(&resumed), GOLDEN_DIGEST);
-
-        // Present but malformed is still an error, not a default.
         let Value::Object(members) = &mut doc else {
             unreachable!()
         };

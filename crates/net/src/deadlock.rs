@@ -45,7 +45,7 @@ use pfcsim_simcore::units::Bytes;
 use pfcsim_topo::graph::{NodeKind, Topology};
 use pfcsim_topo::ids::{NodeId, PortNo, Priority};
 
-use crate::bdg::RxQueue;
+use crate::bdg::{Dfs, RxQueue};
 use crate::sim::{Datapath, NetSim, PortInfo};
 use crate::stats::PauseKey;
 
@@ -99,7 +99,15 @@ pub(crate) struct DeadlockTracker {
 }
 
 impl DeadlockTracker {
-    pub(crate) fn new(topo: &Topology, port_info: &[PortInfo], port_base: &[u32]) -> Self {
+    /// The channel arena over a port table, with the dynamic state a
+    /// checkpoint captured ([`DeadlockTracker::paused_channels`], `epoch`).
+    pub(crate) fn new(
+        topo: &Topology,
+        port_info: &[PortInfo],
+        port_base: &[u32],
+        paused_channels: &[u32],
+        epoch: u64,
+    ) -> Self {
         let n_nodes = topo.node_count();
         let n_slots = port_info.len();
         let mut slot_node = vec![0u32; n_slots];
@@ -119,14 +127,18 @@ impl DeadlockTracker {
                 }
             }
         }
+        let mut paused = DenseBitSet::new(n_slots * P);
+        let paused_count = (paused_channels.iter())
+            .filter(|&&c| paused.set(c as usize))
+            .count();
         DeadlockTracker {
             slot_node,
             slot_port,
             slot_peer,
             candidate,
-            paused: DenseBitSet::new(n_slots * P),
-            paused_count: 0,
-            epoch: 0,
+            paused,
+            paused_count,
+            epoch,
             stuck: vec![0; n_slots * P],
             stuck_at_node: vec![0; n_nodes],
             frozen: Vec::new(),
@@ -176,21 +188,9 @@ impl DeadlockTracker {
 
     /// Snapshot the dynamic state for a checkpoint: the ascending chan
     /// indices currently paused. Static arrays are rebuilt from the
-    /// topology on restore, so they are not captured.
+    /// topology by [`DeadlockTracker::new`], so they are not captured.
     pub(crate) fn paused_channels(&self) -> Vec<u32> {
         self.paused.iter_ones().map(|c| c as u32).collect()
-    }
-
-    /// Restore the dynamic state captured by
-    /// [`DeadlockTracker::paused_channels`] onto a freshly built tracker.
-    pub(crate) fn restore_paused(&mut self, channels: &[u32], epoch: u64) {
-        debug_assert_eq!(self.paused_count, 0, "restore onto a fresh tracker");
-        for &c in channels {
-            if self.paused.set(c as usize) {
-                self.paused_count += 1;
-            }
-        }
-        self.epoch = epoch;
     }
 }
 
@@ -391,7 +391,9 @@ impl Datapath {
             let mut stuck_of: std::collections::BTreeMap<RxQueue, u64> = BTreeMap::new();
             let mut stuck_at_node: BTreeMap<NodeId, u64> = BTreeMap::new();
             for &ch in &frozen {
-                let stuck = self.stuck_toward_frozen(ch, &frozen);
+                let stuck = (self.toward_frozen(ch, &frozen))
+                    .map(|(_, b)| b.get())
+                    .sum();
                 stuck_of.insert(ch, stuck);
                 *stuck_at_node.entry(ch.node).or_insert(0) += stuck;
             }
@@ -467,99 +469,49 @@ impl Datapath {
         }
     }
 
-    /// Bytes accounted to `ch`'s ingress that are queued toward egresses
-    /// whose outgoing channel is in `frozen`.
-    fn stuck_toward_frozen(&self, ch: RxQueue, frozen: &BTreeSet<RxQueue>) -> u64 {
+    /// The frozen channels `ch`'s ingress holds bytes toward, in egress
+    /// order: for each egress whose outgoing channel is in `frozen`, that
+    /// channel and the bytes accounted to `ch` queued on it.
+    fn toward_frozen<'a>(
+        &'a self,
+        ch: RxQueue,
+        frozen: &'a BTreeSet<RxQueue>,
+    ) -> impl Iterator<Item = (RxQueue, Bytes)> + 'a {
         let sw = self.switches[ch.node.0 as usize]
             .as_ref()
             .expect("frozen channel is on a switch");
-        let mut stuck = 0;
-        for (e, _) in sw.egress.iter().enumerate() {
-            let epeer = self.peer_of(ch.node, PortNo(e as u16));
-            if self.topo.node(epeer).kind != NodeKind::Switch {
-                continue;
-            }
-            let epeer_port = self.pinfo(ch.node, PortNo(e as u16)).peer_port;
+        (0..sw.egress.len()).filter_map(move |e| {
+            let info = self.pinfo(ch.node, PortNo(e as u16));
             let downstream = RxQueue {
-                node: epeer,
-                port: epeer_port,
+                node: info.peer,
+                port: info.peer_port,
                 priority: ch.priority,
             };
-            if frozen.contains(&downstream) {
-                stuck += sw.stuck_bytes(ch.port, ch.priority, e).get();
-            }
-        }
-        stuck
+            (frozen.contains(&downstream))
+                .then(|| (downstream, sw.stuck_bytes(ch.port, ch.priority, e)))
+        })
     }
 
-    /// DFS for a directed cycle in the "holds bytes toward" relation among
-    /// frozen channels.
+    /// The first directed cycle (`bdg::Dfs::first_cycle`) in the "holds
+    /// bytes toward" relation among frozen channels, or none.
     fn find_frozen_cycle(&self, frozen: &BTreeSet<RxQueue>) -> Vec<RxQueue> {
-        // Build adjacency: frozen channel A -> frozen channel B when A's
-        // ingress holds bytes queued on the egress whose channel is B.
         let nodes: Vec<RxQueue> = frozen.iter().copied().collect();
-        let index: BTreeMap<RxQueue, usize> =
-            nodes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-        for (i, &ch) in nodes.iter().enumerate() {
-            let sw = self.switches[ch.node.0 as usize].as_ref().expect("switch");
-            for (e, _) in sw.egress.iter().enumerate() {
-                let epeer = self.peer_of(ch.node, PortNo(e as u16));
-                if self.topo.node(epeer).kind != NodeKind::Switch {
-                    continue;
-                }
-                let downstream = RxQueue {
-                    node: epeer,
-                    port: self.pinfo(ch.node, PortNo(e as u16)).peer_port,
-                    priority: ch.priority,
-                };
-                if let Some(&j) = index.get(&downstream) {
-                    if !sw.stuck_bytes(ch.port, ch.priority, e).is_zero() {
-                        adj[i].push(j);
-                    }
-                }
-            }
+        let adj: Vec<Vec<usize>> = (nodes.iter())
+            .map(|&ch| {
+                (self.toward_frozen(ch, frozen))
+                    .filter(|(_, stuck)| !stuck.is_zero())
+                    .map(|(down, _)| nodes.binary_search(&down).expect("frozen"))
+                    .collect()
+            })
+            .collect();
+        // The search's cycle starts at its back edge's target; the
+        // witness starts just after it.
+        match Dfs::default().first_cycle(&adj) {
+            Some(cyc) => (cyc[1..].iter().chain(&cyc[..1]))
+                .map(|&(x, _)| nodes[x])
+                .collect(),
+            None => Vec::new(),
         }
-        // Iterative DFS with colouring to extract one cycle.
-        let n = nodes.len();
-        let mut colour = vec![0u8; n]; // 0 white, 1 grey, 2 black
-        let mut parent = vec![usize::MAX; n];
-        for start in 0..n {
-            if colour[start] != 0 {
-                continue;
-            }
-            let mut stack = vec![(start, 0usize)];
-            colour[start] = 1;
-            while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-                if *next < adj[u].len() {
-                    let v = adj[u][*next];
-                    *next += 1;
-                    match colour[v] {
-                        0 => {
-                            colour[v] = 1;
-                            parent[v] = u;
-                            stack.push((v, 0));
-                        }
-                        1 => {
-                            // Found a cycle v -> ... -> u -> v.
-                            let mut cyc = vec![nodes[v]];
-                            let mut cur = u;
-                            while cur != v {
-                                cyc.push(nodes[cur]);
-                                cur = parent[cur];
-                            }
-                            cyc.reverse();
-                            return cyc;
-                        }
-                        _ => {}
-                    }
-                } else {
-                    colour[u] = 2;
-                    stack.pop();
-                }
-            }
-        }
-        Vec::new()
     }
 }
 

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use pfcsim_simcore::error::Error;
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::{BitRate, Bytes};
 use pfcsim_topo::graph::{PortRef, Topology};
@@ -208,6 +209,23 @@ impl FlowSpec {
             };
             (pinned.map(|out| out.port)).or_else(|| tables.select(node, self.dst, self.id))
         })
+    }
+
+    /// Refuse a flow whose source, destination or pinned path names a
+    /// node `topo` does not have.
+    pub(crate) fn check_nodes(&self, topo: &Topology) -> Result<(), Error> {
+        let pinned: &[NodeId] = match &self.route {
+            RouteKind::Pinned(path) => &path.nodes,
+            RouteKind::Tables => &[],
+        };
+        match [self.src, self.dst]
+            .iter()
+            .chain(pinned)
+            .find(|n| n.0 as usize >= topo.node_count())
+        {
+            Some(n) => Err(Error::Config(format!("unknown node {}", n.0))),
+            None => Ok(()),
+        }
     }
 
     /// CBR inter-packet gap for `size`-byte packets, if this is a CBR flow.

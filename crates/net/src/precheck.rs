@@ -218,5 +218,5 @@ pub(crate) fn window_is_deadlock_free(
         let nic = *dp.pinfo(f.src, PortNo(0));
         route(g, nic.peer, nic.peer_port, f.id, f.dst);
     }
-    g.first_cycle_in(dfs).is_none()
+    dfs.first_cycle(g.adj()).is_none()
 }

@@ -75,7 +75,7 @@ use crate::bdg::{deadlock_threshold, BufferDependencyGraph, MERGED};
 use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
 use crate::faults::{no_link, FaultEvent, FaultKind, FaultPlan};
-use crate::flow::{Demand, FlowSpec, RouteKind};
+use crate::flow::{Demand, FlowSpec};
 use crate::precheck::{self, window_is_deadlock_free};
 use crate::sim::{NetSim, RunReport, SimBuilder, Verdict};
 use crate::stats::{NetStats, PauseKey};
@@ -1759,17 +1759,7 @@ fn check_flow(topo: &Topology, f: &FlowSpec) -> Result<(), Error> {
             f.id.0
         )));
     }
-    let pinned: &[NodeId] = match &f.route {
-        RouteKind::Pinned(p) => &p.nodes,
-        RouteKind::Tables => &[],
-    };
-    if let Some(n) = [f.src, f.dst]
-        .iter()
-        .chain(pinned)
-        .find(|n| n.0 as usize >= topo.node_count())
-    {
-        return Err(Error::Config(format!("unknown node {}", n.0)));
-    }
+    f.check_nodes(topo)?;
     if f.priority.index() >= Priority::COUNT {
         return Err(Error::Protocol(format!(
             "\"priority\" must be below {}",

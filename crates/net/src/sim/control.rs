@@ -1,7 +1,8 @@
 //! The control-plane part of [`NetSim`] — forwarding tables and route
 //! updates, the fault timeline, reboots, the deadlock detector's cadence
 //! and verdict, the sampled queues — and the handlers that act on them.
-//! [`ControlPlane::build`] derives the detector's channel arena.
+//! `NetSim::from_image` builds it from a checkpoint image and derives
+//! the detector's channel arena.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -17,7 +18,6 @@ use pfcsim_topo::graph::NodeKind;
 use pfcsim_topo::ids::{LinkId, NodeId, PortNo, Priority};
 use pfcsim_topo::routing::ForwardingTables;
 
-use super::datapath::Datapath;
 use super::{Ev, NetSim};
 use crate::bdg::RxQueue;
 use crate::deadlock::DeadlockTracker;
@@ -47,58 +47,12 @@ pub(crate) struct RebootState {
     pub(crate) routes: Vec<(NodeId, Vec<PortNo>)>,
 }
 
-/// What a checkpoint frame carries of a [`ControlPlane`]: every field but
-/// the detector's channel arena, which [`ControlPlane::build`] derives,
-/// and the pre-run fault plan and debug cross-check, which no started
-/// run has.
-pub(crate) struct ControlState {
-    pub(crate) tables: ForwardingTables,
-    pub(crate) route_updates: Vec<RouteUpdate>,
-    pub(crate) fault_events: Vec<(SimTime, FaultKind)>,
-    pub(crate) fault_rng: SimRng,
-    pub(crate) reboots: BTreeMap<NodeId, RebootState>,
-    /// The detector's paused channels, ascending (see
-    /// [`DeadlockTracker::paused_channels`]).
-    pub(crate) dl_paused: Vec<u32>,
-    pub(crate) dl_epoch: u64,
-    pub(crate) last_clean_scan: Option<u64>,
-    pub(crate) scans_run: u64,
-    pub(crate) scans_skipped: u64,
-    pub(crate) deadlock: Option<(SimTime, Vec<PauseKey>)>,
-    pub(crate) watch_keys: Option<Vec<RxQueue>>,
-    pub(crate) sample_keys: Vec<RxQueue>,
-}
-
-impl ControlState {
-    /// The state before the first event: `tables` installed, nothing
-    /// scheduled, nothing detected.
-    pub(crate) fn fresh(tables: ForwardingTables, seed: u64) -> Self {
-        ControlState {
-            tables,
-            route_updates: Vec::new(),
-            fault_events: Vec::new(),
-            fault_rng: SimRng::new(seed ^ 0xFA17_5EED_0DD5_EED5),
-            reboots: BTreeMap::new(),
-            dl_paused: Vec::new(),
-            dl_epoch: 0,
-            last_clean_scan: None,
-            scans_run: 0,
-            scans_skipped: 0,
-            deadlock: None,
-            watch_keys: None,
-            sample_keys: Vec::new(),
-        }
-    }
-}
-
 /// The control-plane part of a [`NetSim`] (see the module doc).
 pub(crate) struct ControlPlane {
     pub(crate) tables: ForwardingTables,
     pub(crate) route_updates: Vec<RouteUpdate>,
-    /// The installed fault plan, until `start()` expands it into
-    /// `fault_events`.
-    pub(crate) fault_plan: Option<FaultPlan>,
-    /// The plan expanded (flaps unrolled) and sorted; `Ev::Fault` indexes it.
+    /// The installed fault plan expanded (flaps unrolled) and sorted;
+    /// `Ev::Fault` indexes it.
     pub(crate) fault_events: Vec<(SimTime, FaultKind)>,
     /// Fault randomness (pause-loss coins, reconvergence jitter): an
     /// independent stream so installing a plan never perturbs traffic RNG.
@@ -121,31 +75,6 @@ pub(crate) struct ControlPlane {
     pub(crate) watch_keys: Option<Vec<RxQueue>>,
     /// Keys `on_sample` walks, precomputed at `start()`.
     pub(crate) sample_keys: Vec<RxQueue>,
-}
-
-impl ControlPlane {
-    /// The one constructor: `st` plus the detector's channel arena, laid
-    /// over `dp`'s port table.
-    pub(crate) fn build(dp: &Datapath, st: ControlState) -> ControlPlane {
-        let mut dl = DeadlockTracker::new(&dp.topo, &dp.port_info, &dp.port_base);
-        dl.restore_paused(&st.dl_paused, st.dl_epoch);
-        ControlPlane {
-            tables: st.tables,
-            route_updates: st.route_updates,
-            fault_plan: None,
-            fault_events: st.fault_events,
-            fault_rng: st.fault_rng,
-            reboots: st.reboots,
-            dl,
-            last_clean_scan: st.last_clean_scan,
-            scans_run: st.scans_run,
-            scans_skipped: st.scans_skipped,
-            cross_check_deadlock: false,
-            deadlock: st.deadlock,
-            watch_keys: st.watch_keys,
-            sample_keys: st.sample_keys,
-        }
-    }
 }
 
 impl NetSim {
@@ -518,7 +447,9 @@ impl NetSim {
         match kind {
             FaultKind::LinkDown { a, b, link } => self.fault_link_down(a, b, link),
             FaultKind::LinkUp { a, b, link } => self.fault_link_up(a, b, link),
-            FaultKind::LinkFlap { .. } => unreachable!("flaps are unrolled at start()"),
+            FaultKind::LinkFlap { .. } => {
+                unreachable!("flaps are unrolled when the plan is installed")
+            }
             FaultKind::PauseLoss { node, probability } => {
                 self.dp.pfc_loss[node.0 as usize] = if probability > 0.0 {
                     Some(probability)
@@ -831,7 +762,30 @@ impl NetSim {
         assert!(!self.started, "install the fault plan before running");
         plan.validate(&self.dp.topo)?;
         self.dp.pause_headroom = plan.pause_headroom;
-        self.cp.fault_plan = Some(plan);
+        // Flaps unroll into their individual down/up edges here, so the
+        // runtime only ever sees instantaneous faults.
+        let mut evs: Vec<(SimTime, FaultKind)> = Vec::new();
+        for ev in plan.events {
+            match ev.kind {
+                FaultKind::LinkFlap {
+                    a,
+                    b,
+                    link,
+                    down_for,
+                    period,
+                    cycles,
+                } => {
+                    for c in 0..cycles {
+                        let down_at = ev.at + period.saturating_mul(c as u64);
+                        evs.push((down_at, FaultKind::LinkDown { a, b, link }));
+                        evs.push((down_at + down_for, FaultKind::LinkUp { a, b, link }));
+                    }
+                }
+                kind => evs.push((ev.at, kind)),
+            }
+        }
+        evs.sort_by_key(|(t, _)| *t);
+        self.cp.fault_events = evs;
         Ok(())
     }
 

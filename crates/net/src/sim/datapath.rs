@@ -2,12 +2,13 @@
 //! transmitter pause state, the flow arena, the frame slab, link state,
 //! armed PFC faults, the packet RNG and ids — and the switch-side
 //! handlers (arrivals, buffer admission, egress arbitration, PFC).
-//! [`Datapath::build`] derives what a frame does not carry. The static
+//! `NetSim::from_image` builds it from a checkpoint image and derives
+//! what a frame does not carry. The static
 //! pre-check and the deadlock detector read a `&Datapath` and nothing
 //! else of the simulator.
 
 use pfcsim_simcore::error::Error;
-use pfcsim_simcore::event::{EventId, EventQueue};
+use pfcsim_simcore::event::EventId;
 use pfcsim_simcore::rng::SimRng;
 use pfcsim_simcore::time::{SimDuration, SimTime};
 use pfcsim_simcore::units::{BitRate, Bytes};
@@ -129,67 +130,11 @@ impl FrameSlab {
     }
 }
 
-/// What a checkpoint frame carries of a [`Datapath`]: every field but
-/// those [`Datapath::build`] derives.
-pub(crate) struct DatapathState {
-    pub(crate) switches: Vec<Option<Switch>>,
-    pub(crate) hosts: Vec<Option<Host>>,
-    pub(crate) tx_pause: Vec<TxPause>,
-    pub(crate) switch_pfc: Vec<Option<PfcConfig>>,
-    pub(crate) host_in_flight: Vec<Option<Packet>>,
-    pub(crate) frames: FrameSlab,
-    pub(crate) link_up: Vec<bool>,
-    pub(crate) flows: FlowArena,
-    pub(crate) traced: Vec<bool>,
-    pub(crate) trace_cap: usize,
-    pub(crate) next_pkt_id: u64,
-    pub(crate) rng: SimRng,
-    pub(crate) pfc_loss: Vec<Option<f64>>,
-    pub(crate) pfc_delay: Vec<Option<SimDuration>>,
-    pub(crate) pause_headroom: Bytes,
-    pub(crate) dcqcn_cfg: Option<DcqcnConfig>,
-    pub(crate) timely_cfg: Option<TimelyConfig>,
-}
-
-impl DatapathState {
-    /// The state before the first event: idle switches and hosts, every
-    /// link up, nothing paused, no flow.
-    pub(crate) fn fresh(topo: &Topology, cfg: &SimConfig) -> Self {
-        let n_nodes = topo.node_count();
-        let n_ports: usize = topo.nodes().iter().map(|n| topo.ports(n.id).len()).sum();
-        DatapathState {
-            switches: (topo.nodes().iter())
-                .map(|n| {
-                    (n.kind == NodeKind::Switch).then(|| Switch::new(n.id, topo.ports(n.id).len()))
-                })
-                .collect(),
-            hosts: (topo.nodes().iter())
-                .map(|n| (n.kind == NodeKind::Host).then(|| Host::new(n.id)))
-                .collect(),
-            tx_pause: vec![TxPause::Open; n_ports * Priority::COUNT],
-            switch_pfc: vec![None; n_nodes],
-            host_in_flight: vec![None; n_nodes],
-            frames: FrameSlab::default(),
-            link_up: vec![true; topo.link_count()],
-            flows: FlowArena::default(),
-            traced: Vec::new(),
-            trace_cap: 1_000_000,
-            next_pkt_id: 0,
-            rng: SimRng::new(cfg.seed),
-            pfc_loss: vec![None; n_nodes],
-            pfc_delay: vec![None; n_nodes],
-            pause_headroom: Bytes::from_kb(20),
-            dcqcn_cfg: None,
-            timely_cfg: None,
-        }
-    }
-}
-
 /// The datapath part of a [`NetSim`] (see the module doc).
 pub(crate) struct Datapath {
     pub(crate) topo: Topology,
     pub(crate) cfg: SimConfig,
-    // --- derived by `Datapath::build`; no frame carries them ---
+    // --- derived by `NetSim::from_image`; no frame carries them ---
     /// Flat struct-of-arrays port table: all ports of node `n` occupy the
     /// contiguous range `port_base[n]..port_base[n + 1]`. One bounds check
     /// and no nested-Vec pointer chase on the per-packet paths.
@@ -243,14 +188,8 @@ pub(crate) struct Datapath {
 }
 
 impl Datapath {
-    /// The one constructor: `st` plus every field derived from it, from
-    /// `topo` and `cfg`, and from `queue`'s live events.
-    pub(crate) fn build(
-        topo: Topology,
-        cfg: SimConfig,
-        st: DatapathState,
-        queue: &EventQueue<Ev>,
-    ) -> Datapath {
+    /// The flat port table of `topo`: `(port_info, port_base)`.
+    pub(crate) fn port_table(topo: &Topology, cfg: &SimConfig) -> (Vec<PortInfo>, Vec<u32>) {
         let mut port_info: Vec<PortInfo> = Vec::new();
         let mut port_base: Vec<u32> = Vec::with_capacity(topo.node_count() + 1);
         for n in topo.nodes() {
@@ -269,47 +208,7 @@ impl Datapath {
             }
         }
         port_base.push(port_info.len() as u32);
-        let quantum = st
-            .flows
-            .spec
-            .iter()
-            .map(|f| f.packet_size.unwrap_or(cfg.default_packet_size).get())
-            .fold(cfg.default_packet_size.get(), u64::max);
-        let mut dp = Datapath {
-            topo,
-            cfg,
-            pause_timer: vec![None; port_info.len() * Priority::COUNT],
-            port_info,
-            port_base,
-            quantum,
-            tx_pause: st.tx_pause,
-            switches: st.switches,
-            hosts: st.hosts,
-            switch_pfc: st.switch_pfc,
-            flows: st.flows,
-            host_in_flight: st.host_in_flight,
-            frames: st.frames,
-            link_up: st.link_up,
-            pfc_loss: st.pfc_loss,
-            pfc_delay: st.pfc_delay,
-            pause_headroom: st.pause_headroom,
-            rng: st.rng,
-            next_pkt_id: st.next_pkt_id,
-            dcqcn_cfg: st.dcqcn_cfg,
-            timely_cfg: st.timely_cfg,
-            traced: st.traced,
-            trace_cap: st.trace_cap,
-        };
-        // Coalescing keeps at most one pending `PauseExpire` per channel,
-        // and a restored queue holds every entry in a slot, so each has a
-        // handle.
-        queue.for_each_live(|id, _, ev| {
-            if let Ev::PauseExpire { node, port, prio } = *ev {
-                let c = dp.chan(node, port, prio as usize);
-                dp.pause_timer[c] = id;
-            }
-        });
-        dp
+        (port_info, port_base)
     }
 
     /// Dense arena row of a registered flow.

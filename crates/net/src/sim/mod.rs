@@ -14,9 +14,10 @@
 //! holds tables, faults, recovery and the detector's cadence and verdict;
 //! this file keeps the queue, the clocks, the run protocols,
 //! checkpoint capture and restore, and the telemetry and hybrid boxes. A
-//! field lives in the part whose handlers write it. Each part has one
-//! build function, which takes what a checkpoint frame carries and
-//! derives every other field; construction and resume both call it.
+//! field lives in the part whose handlers write it. One function,
+//! `NetSim::from_image`, builds both parts from a checkpoint image and
+//! derives every field a frame does not carry; a new simulator resumes
+//! the image of its run before the first event (`Checkpoint::fresh`).
 //!
 //! ## Run protocols
 //!
@@ -46,22 +47,22 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use pfcsim_simcore::error::Error;
-use pfcsim_simcore::event::{Backend, EventQueue};
+use pfcsim_simcore::event::EventQueue;
 use pfcsim_simcore::time::SimTime;
 use pfcsim_simcore::units::Bytes;
-use pfcsim_simcore::wheel::{tick_shift_for_quantum, DEFAULT_TICK_SHIFT};
+use pfcsim_simcore::wheel::DEFAULT_TICK_SHIFT;
 use pfcsim_topo::graph::Topology;
 use pfcsim_topo::ids::{FlowId, NodeId, PortNo, Priority};
 use pfcsim_topo::routing::ForwardingTables;
 
-pub(crate) use control::{ControlPlane, ControlState, RebootState, RouteUpdate};
-pub(crate) use datapath::{Datapath, DatapathState, FlowArena, FrameSlab, PortInfo};
+pub(crate) use control::{ControlPlane, RebootState, RouteUpdate};
+pub(crate) use datapath::{Datapath, FlowArena, FrameSlab, PortInfo};
 pub(crate) use period::Mark;
 pub use period::{fast_forwarded_runs, FastForward};
 
 use crate::checkpoint::{Checkpoint, CheckpointError, QueueSnapshot};
 use crate::config::SimConfig;
-use crate::faults::FaultKind;
+use crate::deadlock::DeadlockTracker;
 use crate::flow::Demand;
 use crate::packet::Packet;
 use crate::precheck::{self, window_is_deadlock_free};
@@ -354,7 +355,8 @@ pub struct NetSim {
 }
 
 impl NetSim {
-    /// The one true constructor, reached through [`SimBuilder`].
+    /// The one true constructor, reached through [`SimBuilder`]: the run's
+    /// image before its first event, resumed.
     pub(crate) fn construct(
         topo: &Topology,
         cfg: SimConfig,
@@ -363,41 +365,13 @@ impl NetSim {
         cfg.validate()?;
         topo.validate()?;
         let tables = tables.unwrap_or_else(|| pfcsim_topo::routing::shortest_path_tables(topo));
-        let telem = if cfg.telemetry.enabled {
-            Some(Box::new(TelemetryState::new(cfg.telemetry.clone())?))
-        } else {
-            None
-        };
-        let st = DatapathState::fresh(topo, &cfg);
-        let control = ControlState::fresh(tables, cfg.seed);
-        // The wheel tick is sized from the fastest link's serialization
-        // time for a default-size packet — the natural spacing of the
-        // TxDone/Arrive events that dominate the queue.
-        let backend = cfg.scheduler.unwrap_or(Backend::Wheel);
-        let tick_shift = topo
-            .links()
-            .iter()
-            .map(|l| l.rate.serialization_time(cfg.default_packet_size))
-            .min()
-            .map(tick_shift_for_quantum)
-            .unwrap_or(DEFAULT_TICK_SHIFT);
-        let queue = EventQueue::with_backend_and_tick_shift(backend, tick_shift);
-        let dp = Datapath::build(topo.clone(), cfg, st, &queue);
-        Ok(NetSim {
-            cp: ControlPlane::build(&dp, control),
-            dp,
-            queue,
-            meaningful: 0,
-            events: 0,
-            horizon: SimTime::MAX,
-            started: false,
-            finished: false,
-            stats: NetStats::default(),
-            telem,
-            hybrid: None,
-            drain_stop: None,
-            fast_forward: None,
-        })
+        let img = Checkpoint::fresh(topo, cfg, tables);
+        if cfg!(debug_assertions) {
+            if let Err(e) = img.check_state() {
+                panic!("the fresh image breaks a frame rule: {e}");
+            }
+        }
+        NetSim::from_image(img, true)
     }
 
     /// Current simulated time.
@@ -608,35 +582,8 @@ impl NetSim {
         if let Some(rc) = self.dp.cfg.recovery {
             self.sched(SimTime::ZERO + rc.check_interval, Ev::RecoveryScan);
         }
-        // Expand the fault plan into concrete timed events. Flaps unroll
-        // into their individual down/up edges here so the runtime only ever
-        // sees instantaneous faults.
-        if let Some(plan) = self.cp.fault_plan.take() {
-            let mut evs: Vec<(SimTime, FaultKind)> = Vec::new();
-            for ev in plan.events {
-                match ev.kind {
-                    FaultKind::LinkFlap {
-                        a,
-                        b,
-                        link,
-                        down_for,
-                        period,
-                        cycles,
-                    } => {
-                        for c in 0..cycles {
-                            let down_at = ev.at + period.saturating_mul(c as u64);
-                            evs.push((down_at, FaultKind::LinkDown { a, b, link }));
-                            evs.push((down_at + down_for, FaultKind::LinkUp { a, b, link }));
-                        }
-                    }
-                    kind => evs.push((ev.at, kind)),
-                }
-            }
-            evs.sort_by_key(|(t, _)| *t);
-            for (i, (at, _)) in evs.iter().enumerate() {
-                self.sched(*at, Ev::Fault { idx: i });
-            }
-            self.cp.fault_events = evs;
+        for idx in 0..self.cp.fault_events.len() {
+            self.sched(self.cp.fault_events[idx].0, Ev::Fault { idx });
         }
         // Last: classify flows for the hybrid fluid/packet backend, now
         // that stops, faults, and route updates are all on the books.
@@ -1020,87 +967,158 @@ impl NetSim {
     /// uninterrupted run's.
     ///
     /// The image was checked whole by `Checkpoint::check_state` when it
-    /// was decoded; the parts' build functions derive what it does not
-    /// carry.
+    /// was decoded.
     pub fn resume(ckpt: Checkpoint) -> Result<NetSim, CheckpointError> {
-        // Telemetry resumes from its record, reopening a JSONL file in
-        // append mode; a fresh sink would truncate what the run before
-        // the checkpoint wrote.
-        let mut telem = match ckpt.telemetry {
-            Some(rec) => Some(Box::new(
-                TelemetryState::resume(ckpt.cfg.telemetry.clone(), rec)
-                    .map_err(CheckpointError::Unsupported)?,
-            )),
-            None => None,
-        };
-        // The exact backend and tick geometry the snapshot was taken
-        // under, every live entry reinserted with its `(time, seq)` key.
-        let queue = ckpt.queue;
+        NetSim::from_image(ckpt, false)
+    }
+
+    /// The one builder of a simulator: the image's every field, plus
+    /// what no frame carries — the port table, the DRR quantum (from the
+    /// flows), the pause-timer handles (from the queue's live
+    /// `PauseExpire`s), the detector's channel arena and telemetry's
+    /// probe keys — derived here, so no path can store such a field and
+    /// another forget it. A `fresh` image is a run's state before its
+    /// first event: a JSONL trace sink is created with its header line
+    /// and the run starts when first advanced. Otherwise the sink is
+    /// reopened for append and the run continues where it was captured.
+    fn from_image(img: Checkpoint, fresh: bool) -> Result<NetSim, Error> {
+        let Checkpoint {
+            topo,
+            cfg,
+            tables,
+            dcqcn_cfg,
+            timely_cfg,
+            queue,
+            meaningful,
+            horizon,
+            events,
+            switches,
+            hosts,
+            tx_pause,
+            switch_pfc,
+            host_in_flight,
+            frames,
+            frame_free,
+            link_up,
+            flows,
+            rt,
+            fstats,
+            fstats_touched,
+            fmap,
+            pinned,
+            traced,
+            next_pkt_id,
+            rng,
+            fault_rng,
+            dl_paused,
+            dl_epoch,
+            last_clean_scan,
+            scans_run,
+            scans_skipped,
+            deadlock,
+            fault_events,
+            route_updates,
+            pfc_loss,
+            pfc_delay,
+            pause_headroom,
+            reboots,
+            hybrid,
+            stats,
+            watch_keys,
+            // A frame field nothing reads: `ingress_queues` derives the
+            // classes in use from the flows (ROADMAP item 12).
+            used_prios: _,
+            sample_keys,
+            telemetry,
+            trace_cap,
+        } = img;
+        let telem = telemetry.map(|rec| TelemetryState::open(cfg.telemetry.clone(), rec, fresh));
+        let mut telem = telem.transpose()?.map(Box::new);
+        // The exact backend and tick geometry of the image, every live
+        // entry reinserted with its `(time, seq)` key.
         let mut q = EventQueue::with_backend_and_tick_shift(
             queue.backend,
             queue.tick_shift.unwrap_or(DEFAULT_TICK_SHIFT),
         );
         q.restore_state(queue.now, queue.next_seq, queue.entries);
-        let st = DatapathState {
-            switches: ckpt.switches,
-            hosts: ckpt.hosts,
-            tx_pause: ckpt.tx_pause,
-            switch_pfc: ckpt.switch_pfc,
-            host_in_flight: ckpt.host_in_flight,
-            frames: FrameSlab {
-                slots: ckpt.frames,
-                free: ckpt.frame_free,
-            },
-            link_up: ckpt.link_up,
+        let (port_info, port_base) = Datapath::port_table(&topo, &cfg);
+        let quantum = (flows.iter())
+            .map(|f| f.packet_size.unwrap_or(cfg.default_packet_size).get())
+            .fold(cfg.default_packet_size.get(), u64::max);
+        let mut dp = Datapath {
+            topo,
+            cfg,
+            pause_timer: vec![None; port_info.len() * Priority::COUNT],
+            port_info,
+            port_base,
+            quantum,
+            tx_pause,
+            switches,
+            hosts,
+            switch_pfc,
             flows: FlowArena {
-                spec: ckpt.flows,
-                rt: ckpt.rt,
-                stats: ckpt.fstats,
-                touched: ckpt.fstats_touched,
-                map: ckpt.fmap,
-                pinned: ckpt.pinned,
+                spec: flows,
+                rt,
+                stats: fstats,
+                touched: fstats_touched,
+                map: fmap,
+                pinned,
             },
-            traced: ckpt.traced,
-            trace_cap: ckpt.trace_cap as usize,
-            next_pkt_id: ckpt.next_pkt_id,
-            rng: ckpt.rng,
-            pfc_loss: ckpt.pfc_loss,
-            pfc_delay: ckpt.pfc_delay,
-            pause_headroom: ckpt.pause_headroom,
-            dcqcn_cfg: ckpt.dcqcn_cfg,
-            timely_cfg: ckpt.timely_cfg,
+            host_in_flight,
+            frames: FrameSlab {
+                slots: frames,
+                free: frame_free,
+            },
+            link_up,
+            pfc_loss,
+            pfc_delay,
+            pause_headroom,
+            rng,
+            next_pkt_id,
+            dcqcn_cfg,
+            timely_cfg,
+            traced,
+            trace_cap: trace_cap as usize,
         };
-        let control = ControlState {
-            tables: ckpt.tables,
-            route_updates: ckpt.route_updates,
-            fault_events: ckpt.fault_events,
-            fault_rng: ckpt.fault_rng,
-            reboots: ckpt.reboots,
-            dl_paused: ckpt.dl_paused,
-            dl_epoch: ckpt.dl_epoch,
-            last_clean_scan: ckpt.last_clean_scan,
-            scans_run: ckpt.scans_run,
-            scans_skipped: ckpt.scans_skipped,
-            deadlock: ckpt.deadlock,
-            watch_keys: ckpt.watch_keys,
-            sample_keys: ckpt.sample_keys,
-        };
-        let dp = Datapath::build(ckpt.topo, ckpt.cfg, st, &q);
+        // Coalescing keeps at most one pending `PauseExpire` per channel,
+        // and a restored queue holds every entry in a slot, so each has a
+        // handle.
+        q.for_each_live(|id, _, ev| {
+            if let Ev::PauseExpire { node, port, prio } = *ev {
+                let c = dp.chan(node, port, prio as usize);
+                dp.pause_timer[c] = id;
+            }
+        });
+        let dl = DeadlockTracker::new(&dp.topo, &dp.port_info, &dp.port_base, &dl_paused, dl_epoch);
         if let Some(t) = telem.as_mut() {
             t.probe_keys = dp.ingress_queues();
         }
         Ok(NetSim {
-            cp: ControlPlane::build(&dp, control),
+            cp: ControlPlane {
+                tables,
+                route_updates,
+                fault_events,
+                fault_rng,
+                reboots,
+                dl,
+                last_clean_scan,
+                scans_run,
+                scans_skipped,
+                cross_check_deadlock: false,
+                deadlock,
+                watch_keys,
+                sample_keys,
+            },
             dp,
             queue: q,
-            meaningful: ckpt.meaningful,
-            events: ckpt.events,
-            horizon: ckpt.horizon,
-            started: true,
+            meaningful,
+            events,
+            horizon,
+            started: !fresh,
             finished: false,
-            stats: ckpt.stats,
+            stats,
             telem,
-            hybrid: ckpt.hybrid,
+            hybrid,
             drain_stop: None,
             fast_forward: None,
         })

@@ -427,17 +427,7 @@ impl NetSim {
         {
             return Err(Error::Config(format!("duplicate flow id {}", spec.id)));
         }
-        let pinned: &[NodeId] = match &spec.route {
-            RouteKind::Pinned(path) => &path.nodes,
-            RouteKind::Tables => &[],
-        };
-        if let Some(n) = [spec.src, spec.dst]
-            .iter()
-            .chain(pinned)
-            .find(|n| n.0 as usize >= self.dp.topo.node_count())
-        {
-            return Err(Error::Config(format!("unknown node {}", n.0)));
-        }
+        spec.check_nodes(&self.dp.topo)?;
         if self.dp.topo.node(spec.src).kind != NodeKind::Host {
             return Err(Error::Config(format!(
                 "flow source must be a host, got {}",
@@ -476,7 +466,7 @@ impl NetSim {
             }
         }
         // Raise the DRR quantum to the largest packet among the flows, as
-        // `Datapath::build` derives it on a resume.
+        // `NetSim::from_image` derives it on a resume.
         self.dp.quantum = self.dp.quantum.max(
             spec.packet_size
                 .unwrap_or(self.dp.cfg.default_packet_size)

@@ -727,8 +727,6 @@ fn control(e: &mut Enc, cp: &ControlPlane) {
         route_updates: _,
         fault_events: _,
         reboots: _,
-        // `None` once the run has started.
-        fault_plan: _,
         fault_rng,
         dl,
         last_clean_scan,

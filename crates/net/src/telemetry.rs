@@ -561,51 +561,43 @@ pub(crate) struct TelemetryState {
 }
 
 impl TelemetryState {
-    /// Live state for a fresh run from a validated config: an empty
-    /// record and, for a JSONL sink, its file created (truncated) with
-    /// the schema header line.
-    pub(crate) fn new(cfg: TelemetryConfig) -> Result<Self, String> {
-        let rec = TelemetryRecord {
-            report: TelemetryReport::new(&cfg),
-            sink: Sink::new(&cfg.sink),
-            last_pause_dur: BTreeMap::new(),
-            last_closed: BTreeMap::new(),
-            last_flow_bytes: Vec::new(),
-            last_sample_at: SimTime::ZERO,
-        };
-        let mut t = Self::open(cfg, rec, false)?;
-        t.write_line(format_args!("{{\"schema\":\"{TRACE_SCHEMA}\"}}"));
-        Ok(t)
-    }
-
-    /// Live state around a checkpoint's record. A JSONL sink's file is
+    /// Live state around `rec`. A fresh run's JSONL sink file is created
+    /// (truncated) with the schema header line; a resumed run's is
     /// reopened for append, so the stream written before the checkpoint
-    /// is extended, not truncated.
-    pub(crate) fn resume(cfg: TelemetryConfig, rec: TelemetryRecord) -> Result<Self, String> {
-        Self::open(cfg, rec, true)
-    }
-
-    fn open(cfg: TelemetryConfig, rec: TelemetryRecord, append: bool) -> Result<Self, String> {
+    /// is extended, not truncated. A file that cannot be created is a bad
+    /// config; one that cannot be reopened is a frame this host cannot
+    /// resume.
+    pub(crate) fn open(
+        cfg: TelemetryConfig,
+        rec: TelemetryRecord,
+        fresh: bool,
+    ) -> Result<Self, Error> {
         let file = match &rec.sink {
             Sink::Jsonl { path, .. } => {
                 let file = std::fs::OpenOptions::new()
                     .write(true)
                     .create(true)
-                    .append(append)
-                    .truncate(!append)
+                    .append(!fresh)
+                    .truncate(fresh)
                     .open(path);
-                let verb = if append { "reopen" } else { "open" };
-                let file = file.map_err(|e| format!("cannot {verb} trace sink {path}: {e}"))?;
+                let file = file.map_err(|e| match fresh {
+                    true => Error::Config(format!("cannot open trace sink {path}: {e}")),
+                    false => Error::Unsupported(format!("cannot reopen trace sink {path}: {e}")),
+                })?;
                 Some(BufWriter::new(file))
             }
             Sink::Memory { .. } | Sink::Null { .. } => None,
         };
-        Ok(TelemetryState {
+        let mut t = TelemetryState {
             cfg,
             rec,
             file,
             probe_keys: Vec::new(),
-        })
+        };
+        if fresh {
+            t.write_line(format_args!("{{\"schema\":\"{TRACE_SCHEMA}\"}}"));
+        }
+        Ok(t)
     }
 
     /// Route one trace event through the filter into the sink.
@@ -721,6 +713,19 @@ fn extend_rings<K: Ord>(
 }
 
 impl TelemetryRecord {
+    /// The record before the first sample: an empty report and sink of
+    /// the configured kind.
+    pub(crate) fn fresh(cfg: &TelemetryConfig) -> Self {
+        TelemetryRecord {
+            report: TelemetryReport::new(cfg),
+            sink: Sink::new(&cfg.sink),
+            last_pause_dur: BTreeMap::new(),
+            last_closed: BTreeMap::new(),
+            last_flow_bytes: Vec::new(),
+            last_sample_at: SimTime::ZERO,
+        }
+    }
+
     /// Where every series and delta tracker stands now; `value_of` reads
     /// the metrics.
     pub(crate) fn mark(&self, value_of: impl FnMut(MetricId) -> f64) -> TelemetryMark {
@@ -860,7 +865,9 @@ mod tests {
 
     #[test]
     fn memory_sink_caps_but_counts() {
-        let mut t = TelemetryState::new(TelemetryConfig::on()).expect("memory sink");
+        let cfg = TelemetryConfig::on();
+        let rec = TelemetryRecord::fresh(&cfg);
+        let mut t = TelemetryState::open(cfg, rec, true).expect("memory sink");
         let Sink::Memory { cap, .. } = &mut t.rec.sink else {
             panic!("the default sink keeps events in memory");
         };
@@ -881,7 +888,8 @@ mod tests {
         let path = "/dev/full";
         let mut cfg = TelemetryConfig::on();
         cfg.sink = TraceSinkKind::Jsonl { path: path.into() };
-        let mut t = TelemetryState::new(cfg).expect("/dev/full opens");
+        let rec = TelemetryRecord::fresh(&cfg);
+        let mut t = TelemetryState::open(cfg, rec, true).expect("/dev/full opens");
         for _ in 0..1_000 {
             t.trace(FlowId(0), Priority(0), &ev(1));
         }

@@ -10,6 +10,11 @@
 //! advances 10 µs. The outcome must be a typed error or a simulator that
 //! advanced, never a panic, and no single allocation may be larger than
 //! the frame.
+//!
+//! A second mutation inserts a member this build does not know into an
+//! object at a random depth of the decoded value tree and re-frames it
+//! (`snap::encode_frame`); every such frame must be refused with a typed
+//! `Decode`, never decoded with the member dropped, and never a panic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,8 +23,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use pfcsim_net::golden::{self, DRAIN_UNTIL, STOP_AT};
 use pfcsim_net::prelude::*;
 use pfcsim_simcore::prelude::*;
-use pfcsim_simcore::snap::{fnv1a, MAGIC};
+use pfcsim_simcore::snap::{decode_frame, encode_frame, fnv1a, MAGIC};
 use pfcsim_topo::prelude::*;
+use serde::value::Value;
 
 /// Mutants per corpus frame.
 const MUTANTS: usize = 1_000;
@@ -329,4 +335,63 @@ fn mutated_frames_are_refused_or_resume_cleanly() {
     // Neither outcome is vacuous: mutants reach the typed refusals and
     // the resume path both.
     assert!(r1 + r2 > 0 && a1 + a2 > 0);
+}
+
+/// Objects in `v`, itself included.
+fn objects(v: &Value) -> usize {
+    match v {
+        Value::Object(m) => 1 + m.iter().map(|(_, x)| objects(x)).sum::<usize>(),
+        Value::Array(a) => a.iter().map(objects).sum(),
+        _ => 0,
+    }
+}
+
+/// Insert an unknown member into the `k`-th object of `v` in pre-order;
+/// returns the depth of that object.
+fn insert_unknown(v: &mut Value, k: &mut usize, depth: usize) -> Option<usize> {
+    match v {
+        Value::Object(m) if *k == 0 => {
+            m.push(("not_a_field".into(), Value::Bool(true)));
+            Some(depth)
+        }
+        Value::Object(m) => {
+            *k -= 1;
+            (m.iter_mut()).find_map(|(_, x)| insert_unknown(x, k, depth + 1))
+        }
+        Value::Array(a) => (a.iter_mut()).find_map(|x| insert_unknown(x, k, depth + 1)),
+        _ => None,
+    }
+}
+
+/// Mutants per corpus frame for the unknown-member mutation.
+const UNKNOWN_MEMBERS: usize = 48;
+
+#[test]
+fn an_unknown_member_at_any_depth_is_refused() {
+    let mut rng = Rng(0x5EED_C4EC_0003);
+    for (name, frame) in [("k=4", fat_tree_frame()), ("golden", golden_frame())] {
+        let (cfg_digest, doc) = decode_frame(&frame).expect("own frame");
+        let n = objects(&doc);
+        let mut deepest = 0;
+        for _ in 0..UNKNOWN_MEMBERS {
+            let mut doc = doc.clone();
+            let mut k = rng.below(n);
+            let depth = insert_unknown(&mut doc, &mut k, 0).expect("k < objects");
+            deepest = deepest.max(depth);
+            let bytes = encode_frame(cfg_digest, &doc);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                Checkpoint::from_bytes(&bytes).map(drop)
+            }));
+            match outcome {
+                Ok(Err(CheckpointError::Decode(_))) => {}
+                Ok(Err(e)) => panic!("{name}, depth {depth}: wrong error {e}"),
+                Ok(Ok(())) => panic!("{name}, depth {depth}: the member was dropped"),
+                Err(_) => panic!("{name}, depth {depth}: decoding panicked"),
+            }
+        }
+        assert!(
+            deepest >= 3,
+            "{name}: the mutants reached depth {deepest} only"
+        );
+    }
 }

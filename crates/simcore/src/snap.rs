@@ -155,6 +155,26 @@ impl Dest for Hash {
     }
 }
 
+/// Checks the encoding against `expected` as it is produced, noting the
+/// first byte that differs.
+struct Compare<'a> {
+    expected: &'a [u8],
+    at: usize,
+    differs_at: Option<usize>,
+}
+
+impl Dest for Compare<'_> {
+    fn bytes(&mut self, b: &[u8]) {
+        let end = self.at + b.len();
+        if self.differs_at.is_none() && self.expected.get(self.at..end) != Some(b) {
+            let have = self.expected.get(self.at..).unwrap_or_default();
+            let i = (b.iter().zip(have).position(|(x, y)| x != y)).unwrap_or(have.len());
+            self.differs_at = Some(self.at + i);
+        }
+        self.at = end;
+    }
+}
+
 /// The one tag writer: document events in, the value encoding out.
 struct Encoder<'a, D>(&'a mut D);
 
@@ -323,6 +343,25 @@ pub fn frame_digest(config_digest: u64, payload: &(impl Serialize + ?Sized)) -> 
     let checksum = h.0;
     h.word(checksum);
     h.0
+}
+
+/// Where `frame`, which [`decode_frame`] accepted, first differs from the
+/// frame [`encode_frame`] writes for `payload` under the same config
+/// digest: an offset into `frame`, or `None` when the two are equal.
+/// Builds no frame: the payload's encoding is compared as it is
+/// produced. Equal payloads make equal frames, since the header's length
+/// word and the trailing checksum are functions of the payload.
+pub fn frame_differs_at(frame: &[u8], payload: &(impl Serialize + ?Sized)) -> Option<usize> {
+    let header = MAGIC.len() + 16;
+    let expected = (frame.get(header..frame.len().saturating_sub(8))).unwrap_or_default();
+    let mut cmp = Compare {
+        expected,
+        at: 0,
+        differs_at: None,
+    };
+    payload.emit(&mut Encoder(&mut cmp));
+    let short = (cmp.at < expected.len()).then_some(cmp.at);
+    cmp.differs_at.or(short).map(|i| header + i)
 }
 
 /// Decode and fully validate a checkpoint frame, returning the stored
@@ -627,5 +666,33 @@ mod tests {
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         let mut pos = 0;
         assert_eq!(decode_value(&bytes, &mut pos), Err(SnapError::Truncated));
+    }
+
+    /// A frame is compared with the one its payload re-encodes to: equal
+    /// gives `None`; a longer, shorter or edited payload names the first
+    /// byte where the two part.
+    #[test]
+    fn frame_differs_at_names_the_first_differing_byte() {
+        let frame = encode_frame(7, &sample());
+        assert_eq!(frame_differs_at(&frame, &sample()), None);
+        let header = MAGIC.len() + 16;
+        let Value::Object(mut fewer) = sample() else {
+            unreachable!()
+        };
+        fewer.pop();
+        let shorter = Value::Object(fewer.clone());
+        // The member count is the payload's first word, after its tag.
+        assert_eq!(frame_differs_at(&frame, &shorter), Some(header + 1));
+        let mut more = fewer;
+        more.push(("a".into(), Value::Null));
+        more.push(("extra".into(), Value::Null));
+        assert_eq!(
+            frame_differs_at(&encode_frame(7, &Value::Object(more)), &sample()),
+            Some(header + 1)
+        );
+        let mut edited = frame.clone();
+        let at = edited.len() - 9;
+        edited[at] ^= 1;
+        assert_eq!(frame_differs_at(&edited, &sample()), Some(at));
     }
 }
