@@ -732,7 +732,7 @@ impl Checkpoint {
                 ing.shaper_q.iter_mut().for_each(shift);
             }
             for eg in &mut sw.egress {
-                for q in &mut eg.queues {
+                for q in eg.queues.iter_mut() {
                     q.subs
                         .iter_mut()
                         .flatten()

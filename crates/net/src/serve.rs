@@ -567,7 +567,9 @@ pub struct Session {
     what_if_probe: u64,
     /// The pre-check's reusable graph and walk state.
     precheck: precheck::Workspace,
-    /// `what_if`'s undo log: each pushed entry's previous port list.
+    /// `what_if`'s undo log: each pushed entry's previous port list. A
+    /// slot keeps its buffer from call to call, so a warm `what_if` swaps
+    /// lists in and out of the tables without allocating.
     undo: Vec<(NodeId, NodeId, Vec<PortNo>)>,
 }
 
@@ -1000,14 +1002,18 @@ impl Session {
         let bound = self.probe_bound(window);
         let state_digest_before = self.resident.digest()?;
         let mut undo = std::mem::take(&mut self.undo);
-        for p in pushes {
-            let prev = self.cur_tables.replace(p.node, p.dst, p.ports.clone());
-            undo.push((p.node, p.dst, prev));
+        if undo.len() < pushes.len() {
+            undo.resize(pushes.len(), (NodeId(0), NodeId(0), Vec::new()));
+        }
+        for (p, slot) in pushes.iter().zip(&mut undo) {
+            let mut ports = std::mem::take(&mut slot.2);
+            ports.clone_from(&p.ports);
+            *slot = (p.node, p.dst, self.cur_tables.replace(p.node, p.dst, ports));
         }
         // Every exit of `vet`, its `?`s included, comes back here.
         let vetted = self.vet(pushes, bound);
-        for (node, dst, ports) in undo.drain(..).rev() {
-            self.cur_tables.set(node, dst, ports);
+        for (node, dst, ports) in undo[..pushes.len()].iter_mut().rev() {
+            *ports = self.cur_tables.replace(*node, *dst, std::mem::take(ports));
         }
         self.undo = undo;
         let (verdict, probe_events, cbd, decided_by) = vetted?;

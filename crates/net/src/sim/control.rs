@@ -402,8 +402,10 @@ impl NetSim {
         {
             let sw = self.dp.switches[node.0 as usize].as_mut().expect("switch");
             for e in 0..n_egress {
-                for qp in sw.egress[e].queues[prio.index()].drain_from_ingress(port) {
-                    victims.push(qp.pkt);
+                if let Some(q) = sw.egress[e].queues.get_mut(prio.index()) {
+                    for qp in q.drain_from_ingress(port) {
+                        victims.push(qp.pkt);
+                    }
                 }
             }
             // Shaper-held packets of this class are wedged too.

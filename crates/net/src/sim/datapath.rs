@@ -882,7 +882,10 @@ impl NetSim {
         let arb = self.dp.cfg.arbitration;
         let prio = qp.pkt.priority.index();
         let sw = self.dp.switches[node.0 as usize].as_mut().expect("switch");
-        sw.egress[egress.0 as usize].queues[prio].push(qp, arb);
+        sw.egress[egress.0 as usize]
+            .queues
+            .class_mut(prio)
+            .push(qp, arb);
         self.cp.dl.note_bytes_moved();
         self.try_tx(node, egress);
     }
@@ -915,8 +918,8 @@ impl NetSim {
                 eg.in_flight = Some(InFlight::Pfc(f));
                 PFC_FRAME_SIZE
             } else if let Some(p) = eg.pick_class(now, self.dp.cfg.class_scheduling, paused) {
-                let qp = eg.queues[p]
-                    .pop(arb, quantum)
+                let qp = (eg.queues.get_mut(p))
+                    .and_then(|q| q.pop(arb, quantum))
                     .expect("eligible queue non-empty");
                 let size = qp.pkt.size;
                 eg.in_flight = Some(InFlight::Data(qp));

@@ -739,7 +739,7 @@ impl NetSim {
             };
             for sw in self.dp.switches.iter().flatten() {
                 for eg in &sw.egress {
-                    for q in &eg.queues {
+                    for q in eg.queues.iter() {
                         for qp in q.iter() {
                             add(&qp.pkt);
                         }

@@ -235,7 +235,7 @@ pub(crate) fn fingerprint(sim: &NetSim, at: SimTime) -> u64 {
             h.word(bits);
         }
         for eg in &sw.egress {
-            for q in &eg.queues {
+            for q in eg.queues.iter() {
                 h.word(q.len as u64);
             }
             h.word(u64::from(eg.in_flight.is_some()));
@@ -552,7 +552,7 @@ fn switch(e: &mut Enc, dp: &Datapath, sw: &Switch) {
             in_flight,
             phantom,
         } = eg;
-        for q in queues {
+        for q in queues.iter() {
             egress_queue(e, dp, q);
         }
         e.len(ctrl.len());
@@ -997,7 +997,7 @@ mod tests {
 
     fn queue_pkt(sim: &mut NetSim, p: Packet, ingress: u16) {
         let arb = sim.dp.cfg.arbitration;
-        sw(sim).egress[0].queues[3].push(
+        sw(sim).egress[0].queues.class_mut(3).push(
             QPkt {
                 pkt: p,
                 ingress: PortNo(ingress),
@@ -1028,7 +1028,7 @@ mod tests {
             pkt: pkt(sim, 0),
             ingress: PortNo(ingress),
         };
-        sw(sim).egress[0].queues[3].fifo.push_back(qp);
+        sw(sim).egress[0].queues.class_mut(3).fifo.push_back(qp);
     }
 
     fn bucket(credit: u128) -> Option<TokenBucket> {
@@ -1298,33 +1298,39 @@ mod tests {
             (
                 "DRR subqueues",
                 Box::new(|_| {}),
-                Box::new(|s| sw(s).egress[0].queues[3].subs.push(Default::default())),
+                Box::new(|s| {
+                    sw(s).egress[0]
+                        .queues
+                        .class_mut(3)
+                        .subs
+                        .push(Default::default())
+                }),
             ),
             (
                 "DRR ring",
                 Box::new(|_| {}),
-                Box::new(|s| sw(s).egress[0].queues[3].rr.push_back(PortNo(2))),
+                Box::new(|s| sw(s).egress[0].queues.class_mut(3).rr.push_back(PortNo(2))),
             ),
             (
                 "DRR deficit",
                 Box::new(|_| {}),
-                Box::new(|s| sw(s).egress[0].queues[3].deficit.push(1)),
+                Box::new(|s| sw(s).egress[0].queues.class_mut(3).deficit.push(1)),
             ),
             ("FIFO queue", Box::new(|_| {}), Box::new(|s| fifo(s, 1))),
             (
                 "bytes by ingress",
                 Box::new(|_| {}),
-                Box::new(|s| sw(s).egress[0].queues[3].by_ingress.push(1)),
+                Box::new(|s| sw(s).egress[0].queues.class_mut(3).by_ingress.push(1)),
             ),
             (
                 "queued bytes",
                 Box::new(|_| {}),
-                Box::new(|s| sw(s).egress[0].queues[3].bytes += Bytes::new(1)),
+                Box::new(|s| sw(s).egress[0].queues.class_mut(3).bytes += Bytes::new(1)),
             ),
             (
                 "queue length",
                 Box::new(|_| {}),
-                Box::new(|s| sw(s).egress[0].queues[3].len += 1),
+                Box::new(|s| sw(s).egress[0].queues.class_mut(3).len += 1),
             ),
             (
                 "host round robin",

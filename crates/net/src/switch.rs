@@ -81,6 +81,27 @@ impl EgressQueue {
         self.len == 0
     }
 
+    /// True iff this is `EgressQueue::default()`: no packet ever queued
+    /// here left a trace.
+    fn is_unused(&self) -> bool {
+        let EgressQueue {
+            subs,
+            rr,
+            deficit,
+            fifo,
+            by_ingress,
+            bytes,
+            len,
+        } = self;
+        subs.is_empty()
+            && rr.is_empty()
+            && deficit.is_empty()
+            && fifo.is_empty()
+            && by_ingress.is_empty()
+            && bytes.is_zero()
+            && *len == 0
+    }
+
     /// Enqueue.
     pub fn push(&mut self, qp: QPkt, arb: Arbitration) {
         let ing = qp.ingress.0 as usize;
@@ -239,11 +260,91 @@ pub enum InFlight {
     Pfc(PfcFrame),
 }
 
+/// An egress port's per-class data queues, each allocated when its class
+/// first queues a packet: an unused class costs one word and reads as an
+/// empty queue without allocating. Its document is the dense one, one
+/// [`EgressQueue`] per class; an unallocated class writes the document of
+/// `EgressQueue::default()`, and that document decodes to an unallocated
+/// class.
+#[derive(Debug, Clone, Default)]
+pub struct ClassQueues([Option<Box<EgressQueue>>; Priority::COUNT]);
+
+/// What an unallocated class reads as.
+static UNUSED: EgressQueue = EgressQueue {
+    subs: Vec::new(),
+    rr: VecDeque::new(),
+    deficit: Vec::new(),
+    fifo: VecDeque::new(),
+    by_ingress: Vec::new(),
+    bytes: Bytes::ZERO,
+    len: 0,
+};
+
+impl ClassQueues {
+    /// Class `c`'s queue, allocated if it is not yet (to enqueue).
+    pub fn class_mut(&mut self, c: usize) -> &mut EgressQueue {
+        self.0[c].get_or_insert_with(Box::default)
+    }
+
+    /// Class `c`'s queue, if it was ever allocated.
+    pub fn get_mut(&mut self, c: usize) -> Option<&mut EgressQueue> {
+        self.0[c].as_deref_mut()
+    }
+
+    /// Every class's queue, in class order.
+    pub fn iter(&self) -> impl Iterator<Item = &EgressQueue> {
+        (0..Priority::COUNT).map(|c| &self[c])
+    }
+
+    /// The allocated classes' queues, in class order: an unallocated one
+    /// holds nothing to change.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut EgressQueue> {
+        self.0.iter_mut().flatten().map(|q| &mut **q)
+    }
+}
+
+impl std::ops::Index<usize> for ClassQueues {
+    type Output = EgressQueue;
+
+    fn index(&self, c: usize) -> &EgressQueue {
+        self.0[c].as_deref().unwrap_or(&UNUSED)
+    }
+}
+
+impl Serialize for ClassQueues {
+    fn emit<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.array(Priority::COUNT);
+        for q in self.iter() {
+            q.emit(sink);
+        }
+    }
+}
+
+impl Deserialize for ClassQueues {
+    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
+        let queues: Vec<EgressQueue> = Vec::from_value(v)?;
+        if queues.len() != Priority::COUNT {
+            return Err(serde::de::Error::custom(format!(
+                "{} classes, not {}",
+                queues.len(),
+                Priority::COUNT
+            )));
+        }
+        let mut out = ClassQueues::default();
+        for (slot, q) in out.0.iter_mut().zip(queues) {
+            if !q.is_unused() {
+                *slot = Some(Box::new(q));
+            }
+        }
+        Ok(out)
+    }
+}
+
 /// Egress side of one switch port.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Egress {
     /// Per-priority data queues.
-    pub queues: Vec<EgressQueue>,
+    pub queues: ClassQueues,
     /// Control frames waiting to go out (sent ahead of data).
     pub ctrl: VecDeque<PfcFrame>,
     /// Round-robin cursor for [`ClassScheduling::Wrr`].
@@ -252,20 +353,6 @@ pub struct Egress {
     pub in_flight: Option<InFlight>,
     /// Phantom-queue state per priority: (virtual bytes, last update).
     pub phantom: [(Bytes, SimTime); Priority::COUNT],
-}
-
-impl Default for Egress {
-    fn default() -> Self {
-        Egress {
-            queues: (0..Priority::COUNT)
-                .map(|_| EgressQueue::default())
-                .collect(),
-            ctrl: VecDeque::new(),
-            wrr_cursor: 0,
-            in_flight: None,
-            phantom: [(Bytes::ZERO, SimTime::ZERO); Priority::COUNT],
-        }
-    }
 }
 
 impl Egress {
@@ -455,12 +542,6 @@ impl Switch {
             Ok(())
         };
         for (e, eg) in self.egress.iter().enumerate() {
-            if eg.queues.len() != Priority::COUNT {
-                return Err(format!(
-                    "switch {node} egress {e}: {} classes",
-                    eg.queues.len()
-                ));
-            }
             for (c, q) in eg.queues.iter().enumerate() {
                 q.check(n_ports, arb)
                     .map_err(|why| format!("switch {node} egress {e} class {c}: {why}"))?;
@@ -709,8 +790,8 @@ mod tests {
         low.pkt.priority = Priority::new(1);
         let mut high = qp(0, 100, 1);
         high.pkt.priority = Priority::new(5);
-        e.queues[1].push(low, Arbitration::Drr);
-        e.queues[5].push(high, Arbitration::Drr);
+        e.queues.class_mut(1).push(low, Arbitration::Drr);
+        e.queues.class_mut(5).push(high, Arbitration::Drr);
         let mut paused = [TxPause::Open; Priority::COUNT];
         assert_eq!(e.next_eligible(now, &paused), Some(5));
         paused[5] = TxPause::UntilResume;
@@ -721,10 +802,67 @@ mod tests {
     }
 
     #[test]
+    fn a_class_is_allocated_by_its_first_packet_only() {
+        let mut e = Egress::default();
+        assert!(e.queues.iter().all(EgressQueue::is_unused));
+        assert_eq!(e.queues.iter().count(), Priority::COUNT);
+        assert!(e.queues[3].is_empty() && e.queues.get_mut(3).is_none());
+        e.queues.class_mut(3).push(qp(1, 100, 0), Arbitration::Drr);
+        let allocated = |e: &mut Egress| {
+            (0..Priority::COUNT)
+                .filter(|&c| e.queues.get_mut(c).is_some())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(allocated(&mut e), [3]);
+        assert_eq!(e.queued_bytes(), Bytes::new(100));
+        // A walk over every queue, as link down and reboot take, drains
+        // the allocated class and allocates no other.
+        let drained: Vec<QPkt> = e.queues.iter_mut().flat_map(|q| q.drain_all()).collect();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(allocated(&mut e), [3]);
+        assert!(e.queues[3].is_empty() && !e.queues[3].is_unused());
+    }
+
+    #[test]
+    fn class_queues_write_and_read_the_dense_document() {
+        use pfcsim_simcore::snap::{decode_value, encode_value};
+        fn snap(v: &impl Serialize) -> Vec<u8> {
+            let mut out = Vec::new();
+            encode_value(v, &mut out);
+            out
+        }
+        let mut queues = ClassQueues::default();
+        queues.class_mut(2).push(qp(0, 300, 0), Arbitration::Drr);
+        queues.class_mut(5).push(qp(1, 200, 1), Arbitration::Fifo);
+        queues.class_mut(5).pop(Arbitration::Fifo, 1500);
+        let dense: Vec<EgressQueue> = queues.iter().cloned().collect();
+        let bytes = snap(&queues);
+        assert_eq!(bytes, snap(&dense));
+        let mut pos = 0;
+        let doc = decode_value(&bytes, &mut pos).expect("a document");
+        let mut back = ClassQueues::from_value(&doc).expect("decodes");
+        assert_eq!(snap(&back), bytes);
+        // Class 5 has drained but keeps its ingress counters, so it is
+        // not the unused document and stays allocated.
+        let allocated: Vec<usize> = (0..Priority::COUNT)
+            .filter(|&c| back.get_mut(c).is_some())
+            .collect();
+        assert_eq!(allocated, [2, 5]);
+        let short = serde::value::Value::Array(doc.as_array().expect("array")[1..].to_vec());
+        assert!(ClassQueues::from_value(&short).is_err());
+    }
+
+    #[test]
     fn switch_stuck_bytes() {
         let mut sw = Switch::new(NodeId(0), 3);
-        sw.egress[2].queues[Priority::DEFAULT.index()].push(qp(0, 700, 0), Arbitration::Drr);
-        sw.egress[2].queues[Priority::DEFAULT.index()].push(qp(1, 300, 1), Arbitration::Drr);
+        sw.egress[2]
+            .queues
+            .class_mut(Priority::DEFAULT.index())
+            .push(qp(0, 700, 0), Arbitration::Drr);
+        sw.egress[2]
+            .queues
+            .class_mut(Priority::DEFAULT.index())
+            .push(qp(1, 300, 1), Arbitration::Drr);
         assert_eq!(
             sw.stuck_bytes(PortNo(0), Priority::DEFAULT, 2),
             Bytes::new(700)

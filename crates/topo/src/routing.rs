@@ -6,80 +6,147 @@
 //! misconfiguration, BGP reroute or SDN-update transients — are first-class
 //! citizens here, because they are the paper's deadlock triggers.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::de::Error;
+use serde::value::{self, Value};
+use serde::{Deserialize, Serialize, Sink};
 
 use crate::graph::{NodeKind, PortRef, Topology};
 use crate::ids::{FlowId, NodeId, PortNo};
 
 /// Per-node, per-destination next-hop port sets (ECMP when > 1).
 ///
-/// Stored dense — `tables[node][dst]` is the port list, empty meaning
-/// unroutable — so the per-packet `next_hops` lookup on the forwarding
-/// path is two array indexes rather than a tree walk. Node-id spaces are
-/// small (a fat-tree k=8 is ~200 nodes), so the quadratic table is a few
-/// hundred KB at worst while updates stay O(1).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Stored dense — `rows[node][dst]` is the id of the entry's port list,
+/// 0 meaning unroutable — so the per-packet `next_hops` lookup on the
+/// forwarding path is four array indexes rather than a tree walk, and
+/// updates stay O(1). A fabric's entries share a handful of distinct port
+/// lists, so each is stored once (`PortLists`) and an entry costs four
+/// bytes: a fat-tree k=8 (208 nodes) holds about 175 KB, k=16 (1 344
+/// nodes) about 7 MB. Lists are never freed, so their number is bounded
+/// by the distinct port lists ever set.
+///
+/// The document is the dense one, `{"tables": [[[port, …], …], …]}`,
+/// ragged rows included.
+#[derive(Clone, Default)]
 pub struct ForwardingTables {
-    tables: Vec<Vec<Vec<PortNo>>>,
+    rows: Vec<Vec<u32>>,
+    lists: PortLists,
+}
+
+/// The distinct port lists of one [`ForwardingTables`], each stored once:
+/// list `id` is `ports[starts[id]..starts[id + 1]]`, and id 0 is the
+/// empty list.
+#[derive(Clone)]
+struct PortLists {
+    ports: Vec<PortNo>,
+    starts: Vec<u32>,
+    /// Each non-empty list's id. Read by lookup only and never iterated,
+    /// so no id, document or run depends on the hasher's seed.
+    ids: HashMap<Box<[PortNo]>, u32>,
+}
+
+impl Default for PortLists {
+    fn default() -> Self {
+        PortLists {
+            ports: Vec::new(),
+            starts: vec![0, 0],
+            ids: HashMap::new(),
+        }
+    }
+}
+
+impl PortLists {
+    fn get(&self, id: u32) -> &[PortNo] {
+        let i = id as usize;
+        &self.ports[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+
+    /// The id of `list`, stored on first sight.
+    fn intern(&mut self, list: &[PortNo]) -> u32 {
+        if list.is_empty() {
+            return 0;
+        }
+        if let Some(&id) = self.ids.get(list) {
+            return id;
+        }
+        let id = u32::try_from(self.starts.len() - 1).expect("under 2^32 port lists");
+        self.ports.extend_from_slice(list);
+        let end = u32::try_from(self.ports.len()).expect("under 2^32 interned ports");
+        self.starts.push(end);
+        self.ids.insert(list.into(), id);
+        debug_assert_eq!(self.get(id), list, "list {id} reads back as interned");
+        debug_assert_eq!(self.ids.len() + 2, self.starts.len(), "one id per list");
+        id
+    }
 }
 
 impl ForwardingTables {
     /// Empty tables sized for `topo`.
     pub fn empty(topo: &Topology) -> Self {
         ForwardingTables {
-            tables: vec![vec![Vec::new(); topo.node_count()]; topo.node_count()],
+            rows: vec![vec![0; topo.node_count()]; topo.node_count()],
+            lists: PortLists::default(),
         }
     }
 
     /// Whether these tables have one row per node of `topo`, as every
     /// table built for it has (rows index by node id).
     pub fn is_sized_for(&self, topo: &Topology) -> bool {
-        self.tables.len() == topo.node_count()
+        self.rows.len() == topo.node_count()
     }
 
     /// Next-hop ports at `node` toward destination host `dst` (empty slice
     /// if unroutable).
     pub fn next_hops(&self, node: NodeId, dst: NodeId) -> &[PortNo] {
-        self.tables
-            .get(node.0 as usize)
-            .and_then(|t| t.get(dst.0 as usize))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let id = (self.rows.get(node.0 as usize))
+            .and_then(|row| row.get(dst.0 as usize))
+            .copied();
+        self.lists.get(id.unwrap_or(0))
     }
 
     /// Install/overwrite the route for `dst` at `node`.
     pub fn set(&mut self, node: NodeId, dst: NodeId, ports: Vec<PortNo>) {
-        self.replace(node, dst, ports);
+        self.install(node, dst, &ports);
     }
 
     /// [`Self::set`], handing back the port list it overwrote (empty when
-    /// unroutable). On tables with an entry for every `(node, dst)`, as
-    /// [`Self::empty`] builds them, `set`ting it back restores the tables
-    /// exactly.
-    pub fn replace(&mut self, node: NodeId, dst: NodeId, ports: Vec<PortNo>) -> Vec<PortNo> {
-        let row = &mut self.tables[node.0 as usize];
+    /// unroutable) in `ports`'s buffer. On tables with an entry for every
+    /// `(node, dst)`, as [`Self::empty`] builds them, `set`ting it back
+    /// restores the tables exactly.
+    pub fn replace(&mut self, node: NodeId, dst: NodeId, mut ports: Vec<PortNo>) -> Vec<PortNo> {
+        let old = self.install(node, dst, &ports);
+        ports.clear();
+        ports.extend_from_slice(self.lists.get(old));
+        ports
+    }
+
+    /// Point `(node, dst)` at `ports`' list, growing the row to reach
+    /// `dst`; the id it held before.
+    fn install(&mut self, node: NodeId, dst: NodeId, ports: &[PortNo]) -> u32 {
+        let id = self.lists.intern(ports);
+        let row = &mut self.rows[node.0 as usize];
         if row.len() <= dst.0 as usize {
-            row.resize(dst.0 as usize + 1, Vec::new());
+            row.resize(dst.0 as usize + 1, 0);
         }
-        std::mem::replace(&mut row[dst.0 as usize], ports)
+        std::mem::replace(&mut row[dst.0 as usize], id)
     }
 
     /// Remove the route for `dst` at `node` (black-hole).
     pub fn remove(&mut self, node: NodeId, dst: NodeId) {
-        if let Some(p) = self.tables[node.0 as usize].get_mut(dst.0 as usize) {
-            p.clear();
+        if let Some(id) = self.rows[node.0 as usize].get_mut(dst.0 as usize) {
+            *id = 0;
         }
     }
 
     /// All (dst, ports) entries at `node`, in ascending destination order.
     pub fn entries(&self, node: NodeId) -> impl Iterator<Item = (NodeId, &[PortNo])> + '_ {
-        self.tables[node.0 as usize]
+        self.rows[node.0 as usize]
             .iter()
             .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .map(|(d, p)| (NodeId(d as u32), p.as_slice()))
+            .filter(|&(_, &id)| id != 0)
+            .map(|(d, &id)| (NodeId(d as u32), self.lists.get(id)))
     }
 
     /// Deterministic ECMP pick for a flow at a node.
@@ -89,6 +156,63 @@ impl ForwardingTables {
             return None;
         }
         Some(hops[ecmp_index(flow, node, hops.len())])
+    }
+
+    /// Every row as its port lists, as the document lists them.
+    fn dense_rows(&self) -> impl Iterator<Item = impl ExactSizeIterator<Item = &[PortNo]>> {
+        (self.rows.iter()).map(|row| row.iter().map(|&id| self.lists.get(id)))
+    }
+}
+
+impl fmt::Debug for ForwardingTables {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let tables: Vec<Vec<&[PortNo]>> = self.dense_rows().map(Iterator::collect).collect();
+        f.debug_struct("ForwardingTables")
+            .field("tables", &tables)
+            .finish()
+    }
+}
+
+impl Serialize for ForwardingTables {
+    fn emit<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.object(1);
+        sink.key("tables");
+        sink.array(self.rows.len());
+        for row in self.dense_rows() {
+            sink.array(row.len());
+            for list in row {
+                list.emit(sink);
+            }
+        }
+    }
+}
+
+impl Deserialize for ForwardingTables {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        fn array(v: &Value) -> Result<&Vec<Value>, Error> {
+            v.as_array().ok_or_else(|| Error::custom("expected array"))
+        }
+        let obj =
+            (v.as_object()).ok_or_else(|| Error::custom("expected object for ForwardingTables"))?;
+        let rows = array(value::field(obj, "tables")?)?;
+        let mut ft = ForwardingTables {
+            rows: Vec::with_capacity(rows.len()),
+            lists: PortLists::default(),
+        };
+        let mut ports = Vec::new();
+        for row in rows {
+            let row = array(row)?;
+            let mut ids = Vec::with_capacity(row.len());
+            for list in row {
+                ports.clear();
+                for p in array(list)? {
+                    ports.push(PortNo::from_value(p)?);
+                }
+                ids.push(ft.lists.intern(&ports));
+            }
+            ft.rows.push(ids);
+        }
+        Ok(ft)
     }
 }
 

@@ -68,34 +68,37 @@ fn stochastic_scenarios_reproduce_given_seed() {
 /// tables, 128 infinite cross-pod flows `i → i + 64`, occupancy sampling
 /// off) keeps the delay lanes and the wheel's pause timers busy at once,
 /// under this debug build's `debug_assert!`s. The golden scenario is too
-/// sparse to.
+/// sparse to. A short k=12 run of the same shape (612 nodes, 432 flows)
+/// rides along: its forwarding tables have 612² entries, more than fit in
+/// a core's L2 as `Vec` headers, which is where the tables' layout shows.
 #[test]
 fn dense_fat_tree8_digest_is_pinned() {
     use pfcsim::net::golden;
-    let built = fat_tree(8, LinkSpec::default());
-    let cfg = SimConfig {
-        sample_interval: None,
-        ..SimConfig::default()
-    };
-    let mut sim = SimBuilder::new(&built.topo)
-        .config(cfg)
-        .tables(up_down_tables(&built.topo))
-        .build();
-    let n = built.hosts.len();
-    for i in 0..n {
-        sim.add_flow(FlowSpec::infinite(
-            i as u32,
-            built.hosts[i],
-            built.hosts[(i + n / 2) % n],
-        ));
+    for (k, us, events, digest) in [
+        (8, 100, 382_469, 0xe6a2_0b32_2d4a_9437),
+        (12, 20, 250_108, 0x6875_842d_b7c6_9cea),
+    ] {
+        let built = fat_tree(k, LinkSpec::default());
+        let cfg = SimConfig {
+            sample_interval: None,
+            ..SimConfig::default()
+        };
+        let mut sim = SimBuilder::new(&built.topo)
+            .config(cfg)
+            .tables(up_down_tables(&built.topo))
+            .build();
+        let n = built.hosts.len();
+        for i in 0..n {
+            sim.add_flow(FlowSpec::infinite(
+                i as u32,
+                built.hosts[i],
+                built.hosts[(i + n / 2) % n],
+            ));
+        }
+        let report = sim.run(SimTime::from_us(us));
+        assert_eq!(report.events, events, "k={k}: event count");
+        assert_eq!(golden::digest(&report), digest, "k={k}: report digest");
     }
-    let report = sim.run(SimTime::from_us(100));
-    assert_eq!(report.events, 382_469, "event count");
-    assert_eq!(
-        golden::digest(&report),
-        0xe6a2_0b32_2d4a_9437,
-        "report digest"
-    );
 }
 
 /// The engine's golden digest, guarded by tier-1: the fault-laden run of
